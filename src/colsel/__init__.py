@@ -46,10 +46,8 @@ from .poly import (
     Polynomial,
     SturmChain,
     count_roots_leq,
-    deflate_shifted_power,
     derivative,
     is_real_rooted,
-    mul_shifted_power,
     smallest_root,
     sturm_chain,
 )
@@ -87,8 +85,6 @@ __all__ = [
     "Polynomial",
     "SturmChain",
     "derivative",
-    "mul_shifted_power",
-    "deflate_shifted_power",
     "sturm_chain",
     "count_roots_leq",
     "smallest_root",

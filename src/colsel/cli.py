@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 from .errors import (
     AlgorithmFailure,
-    DeflationFailure,
     DimensionMismatch,
     FormatError,
     InvalidInput,
@@ -54,7 +53,7 @@ _INPUT_ERRORS = (
     TooLarge,
     OSError,
 )
-_ALGORITHM_ERRORS = (AlgorithmFailure, DeflationFailure, NotRealRooted)
+_ALGORITHM_ERRORS = (AlgorithmFailure, NotRealRooted)
 
 
 @dataclass(frozen=True)
@@ -66,7 +65,6 @@ class RunConfig:
     path_a: str | None = None
     k: int = 0
     eps: float = 1e-6
-    seed: int | None = None
     output: str | None = None
     format: str = "json"
     subset: tuple[int, ...] = ()
@@ -286,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_select = sub.add_parser("select", help="run the greedy selection")
     add_matrix_args(p_select, with_k=True)
-    p_select.add_argument("--seed", type=int, default=None, help=argparse.SUPPRESS)
 
     p_verify = sub.add_parser("verify", help="check a subset against the bound")
     add_matrix_args(p_verify, with_k=False)
@@ -326,7 +323,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         path_a=args.a,
         k=k,
         eps=args.eps,
-        seed=getattr(args, "seed", None),
         output=args.out,
         format=args.format,
         subset=subset,

@@ -3,20 +3,20 @@
 Given an isotropic instance (orthonormal-row ``y``, fixed block Gram
 ``gram_fixed``), the polynomial attached to a partial selection of size
 ``j`` is the average of ``det[xI - gram(S)]`` over all size-``k``
-supersets ``S`` of the partial.  It is computed without enumeration via
-a differentiate/shift pipeline on the partial's characteristic
-polynomial:
+supersets ``S`` of the partial.  It is computed without enumeration from
+the partial's characteristic polynomial, written in the basis
+``y = x - 1`` as ``sum c_i y^i``.  There the operator "multiply by
+``y^a``, differentiate ``d`` times, divide by ``y^(a-d)``" (with
+``a = m - n - j`` and ``d = k - j``) is one weight per coefficient:
 
-    shift by (x-1)^(m-n-j)  ->  d/dx, (k-j) times  ->  unshift (x-1)^(m-n-k)
+    f_i = c_i * prod_{t<d} (i+a-t) / (n+a-t)
 
-followed by monic normalization.  A negative exponent swaps the shift
-direction: multiplying becomes deflating and vice versa.  Deflation is
-then exact in theory because the Gram of a size-``j`` partial has
-eigenvalue one with multiplicity at least ``n - (m - j)`` (the identity
-minus the Gram is a sum of ``m - j`` rank-one terms).
+and the result is already monic of degree ``n``.  It is returned in the
+monomial ``x`` basis.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -24,14 +24,7 @@ import numpy as np
 
 from .errors import InvalidInput
 from .linalg import DenseMatrix, thin_svd
-from .poly import (
-    Polynomial,
-    deflate_shifted_power,
-    derivative,
-    from_roots,
-    monic,
-    mul_shifted_power,
-)
+from .poly import Polynomial, from_roots
 
 __all__ = [
     "IsotropicInstance",
@@ -120,12 +113,9 @@ class IsotropicInstance:
         return tuple(j for j in range(self.y.cols) if j not in fixed)
 
 
-def charpoly_psd(g: DenseMatrix) -> Polynomial:
-    """Monic characteristic polynomial of a symmetric PSD matrix.
-
-    Eigenvalues are computed with a symmetric solver and mildly negative
-    ones (rounding noise) are clamped to zero before the root expansion.
-    """
+def _psd_eigenvalues(g: DenseMatrix) -> list[float]:
+    """Eigenvalues of a symmetric PSD matrix, with mildly negative ones
+    (rounding noise) clamped to zero."""
     if g.rows != g.cols:
         raise InvalidInput(f"matrix must be square, got {g.rows}x{g.cols}")
     a = g.data
@@ -134,35 +124,64 @@ def charpoly_psd(g: DenseMatrix) -> Polynomial:
         raise InvalidInput("matrix is not symmetric to 1e-10")
     eig = np.linalg.eigvalsh(a) if a.size else np.zeros(0)
     clamp = _EIGENVALUE_CLAMP_TOL * scale
-    roots = [0.0 if -clamp <= v < 0.0 else float(v) for v in eig]
-    return from_roots(roots)
+    return [0.0 if -clamp <= v < 0.0 else float(v) for v in eig]
 
 
-def _shift_stage(p: Polynomial, power: int) -> Polynomial:
-    """Multiply by ``(x - 1)^power``; a negative power deflates instead."""
-    if power >= 0:
-        return mul_shifted_power(p, power)
-    return deflate_shifted_power(p, -power)
+def charpoly_psd(g: DenseMatrix) -> Polynomial:
+    """Monic characteristic polynomial of a symmetric PSD matrix.
+
+    Eigenvalues are computed with a symmetric solver and mildly negative
+    ones (rounding noise) are clamped to zero before the root expansion.
+    """
+    return from_roots(_psd_eigenvalues(g))
+
+
+def _shifted_charpoly(gram: DenseMatrix, a: int) -> list[float]:
+    """Coefficients ``c_i`` of ``det[(y + 1)I - gram]`` in powers of ``y = x - 1``.
+
+    For ``a < 0`` the ``-a`` roots of smallest magnitude are set to exactly
+    zero.  They are zero in exact arithmetic: with ``a = m - n - j``, the
+    identity minus the Gram of a size-``j`` partial is a sum of ``m - j``
+    rank-one terms, so the Gram has eigenvalue one with multiplicity at
+    least ``-a``.  ``IsotropicInstance`` checks ``y y^T = I`` to 1e-8.
+    """
+    roots = sorted((mu - 1.0 for mu in _psd_eigenvalues(gram)), key=abs)
+    exact_zeros = max(-a, 0)
+    roots[:exact_zeros] = [0.0] * exact_zeros
+    return list(from_roots(roots).coeffs)
+
+
+def _falling_weights(n: int, a: int, d: int) -> list[int]:
+    """``prod_{t<d} (i+a-t)`` for ``i = 0..n``: the factor that multiplying
+    by ``y^a``, differentiating ``d`` times and dividing by ``y^(a-d)``
+    puts on ``y^i``.  Where ``i + a < 0`` the coefficient ``c_i`` is zero
+    (see :func:`_shifted_charpoly`), so the weight is too."""
+    return [math.perm(i + a, d) if i + a >= 0 else 0 for i in range(n + 1)]
+
+
+def _from_shifted(f: Sequence[float]) -> Polynomial:
+    """Expand ``sum f_i (x - 1)^i`` into monomial coefficients (Horner)."""
+    coeffs = [f[-1]]
+    for c in reversed(f[:-1]):
+        # coeffs <- coeffs * (x - 1) + c
+        coeffs.append(coeffs[-1])
+        for i in range(len(coeffs) - 2, 0, -1):
+            coeffs[i] = coeffs[i - 1] - coeffs[i]
+        coeffs[0] = c - coeffs[0]
+    return Polynomial(coeffs)
 
 
 def expected_poly_from_gram(
     inst: IsotropicInstance, gram: DenseMatrix, j: int
 ) -> Polynomial:
-    """Pipeline form of the expected polynomial for a size-``j`` partial
-    whose selected-plus-fixed Gram matrix is ``gram``."""
+    """Expected polynomial for a size-``j`` partial whose
+    selected-plus-fixed Gram matrix is ``gram``; monic of degree ``n``."""
     if not 0 <= j <= inst.k:
         raise InvalidInput(f"partial size {j} outside [0, k={inst.k}]")
-    n, m, k = inst.n, inst.m, inst.k
-    p = charpoly_psd(gram)
-    p = _shift_stage(p, m - n - j)
-    p = derivative(p, k - j)
-    p = _shift_stage(p, -(m - n - k))
-    f = monic(p)
-    if f.degree != n:
-        raise InvalidInput(
-            f"expected polynomial has degree {f.degree}, wanted {n}"
-        )
-    return f
+    n, a, d = inst.n, inst.m - inst.n - j, inst.k - j
+    c = _shifted_charpoly(gram, a)
+    w = _falling_weights(n, a, d)
+    return _from_shifted([ci * (wi / w[n]) for ci, wi in zip(c, w)])
 
 
 def _partial_gram(inst: IsotropicInstance, partial: Sequence[int]) -> DenseMatrix:
@@ -200,9 +219,10 @@ def root_sum_identity_check(inst: IsotropicInstance, s: Sequence[int]) -> float:
     """Residual of the one-step summation identity at subset ``s``.
 
     Compares the sum of the child characteristic polynomials of ``s``
-    against the shift/differentiate/unshift expression applied to the
-    polynomial of ``s`` itself; both sides are scaled by the common
-    leading coefficient (the number of children).  Test helper.
+    against the one-derivative weights (``d = 1``, not normalised)
+    applied to the polynomial of ``s`` itself; both sides have the number
+    of children as leading coefficient, and the residual is scaled by
+    it.  Test helper.
     """
     idx = _check_partial(inst, s, inst.m - 1)
     t = len(idx)
@@ -220,11 +240,10 @@ def root_sum_identity_check(inst: IsotropicInstance, s: Sequence[int]) -> float:
         lhs += np.asarray(child.coeffs)
         children += 1
 
-    p = charpoly_psd(gram)
-    p = _shift_stage(p, m - n - t)
-    p = derivative(p, 1)
-    rhs_poly = _shift_stage(p, -(m - n - t - 1))
-    rhs = np.zeros(n + 1)
-    rhs[: len(rhs_poly.coeffs)] = rhs_poly.coeffs
+    a = m - n - t
+    c = _shifted_charpoly(gram, a)
+    rhs = np.asarray(
+        _from_shifted([ci * wi for ci, wi in zip(c, _falling_weights(n, a, 1))]).coeffs
+    )
 
     return float(np.max(np.abs(lhs - rhs)) / children)

@@ -1,8 +1,9 @@
-"""Independent cross-check machinery: enumeration, barriers, companion roots.
+"""Independent cross-check machinery: enumeration, barriers, companion
+roots, and the monomial-basis expected-polynomial pipeline.
 
-Nothing here shares a code path with the Sturm bisection or the greedy
-loop, which is the point: these are the oracles the test suite uses to
-falsify the production code.
+Nothing here shares a code path with the Sturm bisection, the y-basis
+transform or the greedy loop, which is the point: these are the oracles
+the test suite uses to falsify the production code.
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import InvalidInput, TooLarge
+from .errors import DeflationFailure, InvalidInput, TooLarge
 from .linalg import DenseMatrix, columns, hcat, norms_sq, pseudoinverse
 from .poly import Polynomial, derivative, evaluate, monic
 from .selector import SelectionProblem
@@ -24,6 +25,9 @@ __all__ = [
     "barrier_descent_check",
     "companion_smallest_root",
     "interlacing_check",
+    "mul_shifted_power",
+    "deflate_shifted_power",
+    "shifted_pipeline",
 ]
 
 ENUMERATION_GUARD = 10**6
@@ -152,3 +156,63 @@ def interlacing_check(f: Polynomial, g: Polynomial) -> bool:
         if a < beta[i] - slack or a > beta[i + 1] + slack:
             return False
     return True
+
+
+def mul_shifted_power(p: Polynomial, power: int) -> Polynomial:
+    """Multiply by ``(x - 1)^power`` via repeated synthetic multiplication."""
+    if power < 0:
+        raise InvalidInput(f"power must be >= 0, got {power}")
+    if p.is_zero:
+        return p
+    c = list(p.coeffs)
+    for _ in range(power):
+        c.append(c[-1])
+        for i in range(len(c) - 2, 0, -1):
+            c[i] = c[i - 1] - c[i]
+        c[0] = -c[0]
+    return Polynomial(c)
+
+
+def deflate_shifted_power(p: Polynomial, power: int, rem_tol: float = 1e-8) -> Polynomial:
+    """Divide out ``(x - 1)^power``, requiring each remainder to vanish.
+
+    Each round is one synthetic division by ``(x - 1)``; a remainder
+    above ``rem_tol * max|coeff of p|`` signals numerical breakdown or a
+    caller bug and raises :class:`DeflationFailure`.
+    """
+    if power < 0:
+        raise InvalidInput(f"power must be >= 0, got {power}")
+    if p.is_zero:
+        return p
+    scale = max(abs(v) for v in p.coeffs)
+    c = list(p.coeffs)
+    for round_no in range(power):
+        if not c:
+            raise DeflationFailure(f"polynomial exhausted at deflation round {round_no}")
+        # synthetic division by (x - 1): quotient down, remainder = p(1)
+        q = [0.0] * (len(c) - 1)
+        carry = c[-1]
+        for i in range(len(c) - 2, -1, -1):
+            q[i] = carry
+            carry = c[i] + carry
+        if abs(carry) > rem_tol * scale:
+            raise DeflationFailure(
+                f"remainder {carry:.3e} exceeds {rem_tol:.1e} * {scale:.3e} "
+                f"at deflation round {round_no}"
+            )
+        c = q
+    return Polynomial(c)
+
+
+def shifted_pipeline(p: Polynomial, a: int, d: int) -> Polynomial:
+    """Reference expected-polynomial transform on monomial coefficients:
+    multiply by ``(x - 1)^a``, differentiate ``d`` times, divide by
+    ``(x - 1)^(a - d)``, normalise.  A negative power swaps multiplying
+    and dividing.  Coefficients grow like ``binom(a, i)``, so this is for
+    small shapes only; breakdown raises :class:`DeflationFailure`.
+    """
+
+    def shift(q: Polynomial, power: int) -> Polynomial:
+        return mul_shifted_power(q, power) if power >= 0 else deflate_shifted_power(q, -power)
+
+    return monic(shift(derivative(shift(p, a), d), d - a))

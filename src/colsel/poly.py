@@ -1,8 +1,9 @@
 """Dense univariate real polynomials, Sturm chains, and smallest-root isolation.
 
 Coefficients are stored ascending by degree.  The polynomials handled
-here stay at desk scale (degree <= ~15), so plain tuples and Horner
-evaluation are both the simplest and the fastest option.  Tolerances are
+here have the row count ``n`` as degree (the expected-polynomial
+transform never raises it), so plain tuples and Horner evaluation are
+both the simplest and the fastest option.  Tolerances are
 calibrated for float64; near-multiple roots are absorbed into gcd layers
 rather than resolved exactly.
 """
@@ -12,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import DeflationFailure, InvalidInput, NotRealRooted
+from .errors import InvalidInput, NotRealRooted
 
 __all__ = [
     "Polynomial",
@@ -21,8 +22,6 @@ __all__ = [
     "monic",
     "from_roots",
     "derivative",
-    "mul_shifted_power",
-    "deflate_shifted_power",
     "sturm_chain",
     "count_roots_leq",
     "smallest_root",
@@ -121,52 +120,6 @@ def derivative(p: Polynomial, times: int = 1) -> Polynomial:
         c = [i * c[i] for i in range(1, len(c))]
         if not c:
             break
-    return Polynomial(c)
-
-
-def mul_shifted_power(p: Polynomial, power: int) -> Polynomial:
-    """Multiply by ``(x - 1)^power`` via repeated synthetic multiplication."""
-    if power < 0:
-        raise InvalidInput(f"power must be >= 0, got {power}")
-    if p.is_zero:
-        return p
-    c = list(p.coeffs)
-    for _ in range(power):
-        c.append(c[-1])
-        for i in range(len(c) - 2, 0, -1):
-            c[i] = c[i - 1] - c[i]
-        c[0] = -c[0]
-    return Polynomial(c)
-
-
-def deflate_shifted_power(p: Polynomial, power: int, rem_tol: float = 1e-8) -> Polynomial:
-    """Divide out ``(x - 1)^power``, requiring each remainder to vanish.
-
-    Each round is one synthetic division by ``(x - 1)``; a remainder
-    above ``rem_tol * max|coeff of p|`` signals numerical breakdown or a
-    caller bug and raises :class:`DeflationFailure`.
-    """
-    if power < 0:
-        raise InvalidInput(f"power must be >= 0, got {power}")
-    if p.is_zero:
-        return p
-    scale = max(abs(v) for v in p.coeffs)
-    c = list(p.coeffs)
-    for round_no in range(power):
-        if not c:
-            raise DeflationFailure(f"polynomial exhausted at deflation round {round_no}")
-        # synthetic division by (x - 1): quotient down, remainder = p(1)
-        q = [0.0] * (len(c) - 1)
-        carry = c[-1]
-        for i in range(len(c) - 2, -1, -1):
-            q[i] = carry
-            carry = c[i] + carry
-        if abs(carry) > rem_tol * scale:
-            raise DeflationFailure(
-                f"remainder {carry:.3e} exceeds {rem_tol:.1e} * {scale:.3e} "
-                f"at deflation round {round_no}"
-            )
-        c = q
     return Polynomial(c)
 
 

@@ -9,25 +9,18 @@ independent of evaluation order).
 """
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import (
-    AlgorithmFailure,
-    DeflationFailure,
-    InvalidInput,
-    InvalidSubset,
-    NotRealRooted,
-    RankDeficient,
-)
+from .errors import AlgorithmFailure, InvalidInput, InvalidSubset, RankDeficient
 from .expected_charpoly import IsotropicInstance, expected_poly_from_gram
 from .linalg import (
     DEFAULT_RANK_TOL,
     DenseMatrix,
+    SvdFactors,
     columns,
     gram_update,
     hcat,
@@ -47,8 +40,6 @@ __all__ = [
     "verify_bound",
     "min_singular_check",
 ]
-
-logger = logging.getLogger(__name__)
 
 # Slack applied when re-checking the proven bound on computed output;
 # covers float arithmetic only, not algorithmic error.
@@ -105,6 +96,7 @@ class SelectionProblem:
                 f"eps must be in (0, 1/(2k)) = (0, {1.0 / (2 * self.k)}), got {self.eps}"
             )
         object.__setattr__(self, "_rank_a", r)
+        object.__setattr__(self, "_stacked", stacked)
 
     @property
     def n(self) -> int:
@@ -121,6 +113,11 @@ class SelectionProblem:
     @property
     def r(self) -> int:
         return self._rank_a  # type: ignore[attr-defined]
+
+    @property
+    def stacked(self) -> SvdFactors:
+        """Thin SVD of ``[a b]`` (rank ``n``), computed once at construction."""
+        return self._stacked  # type: ignore[attr-defined]
 
 
 class TraceStep(NamedTuple):
@@ -153,17 +150,18 @@ def build_isotropic(prob: SelectionProblem) -> IsotropicInstance:
     The right singular vector rows form ``y`` (so ``y y^T = I``); the
     first ``l`` columns carry the fixed block.
     """
-    stacked = thin_svd(hcat(prob.a, prob.b), prob.rank_tol)
-    if stacked.rank < prob.n:
-        raise RankDeficient(
-            f"[a b] has numerical rank {stacked.rank} < n = {prob.n}"
-        )
     return IsotropicInstance.from_y(
-        y=stacked.vt,
+        y=prob.stacked.vt,
         fixed_indices=tuple(range(prob.l)),
         k=prob.k,
         rank_tol=prob.rank_tol,
     )
+
+
+def _baseline_norms_sq(prob: SelectionProblem) -> tuple[float, float]:
+    """``(|[a b]^+|_F^2, |[a b]^+|_2^2)`` from the singular values of ``[a b]``."""
+    inv_sq = 1.0 / np.asarray(prob.stacked.sigma) ** 2
+    return float(np.sum(inv_sq)), float(inv_sq[-1])
 
 
 def _fixed_block_factor(prob: SelectionProblem) -> float:
@@ -193,9 +191,12 @@ def greedy_select(
     ``candidate_order`` optionally permutes the evaluation order inside
     one iteration; it exists to demonstrate that the argmax tie-break
     (smallest column index) makes the result order-independent.
-    Candidates whose polynomial pipeline breaks down numerically are
-    skipped with a logged warning; the run aborts only if every
-    candidate of an iteration fails.
+    Each candidate is scored by the smallest root of the expected
+    polynomial of the extended partial (see
+    :func:`~colsel.expected_charpoly.expected_poly_from_gram`).  A
+    polynomial with no real root raises :class:`NotRealRooted`; a
+    computed subset that breaks the proven guarantees raises
+    :class:`AlgorithmFailure`.
     """
     inst = build_isotropic(prob)
     offset = prob.l  # selectable column j of b sits at y column offset + j
@@ -204,23 +205,15 @@ def greedy_select(
     trace: list[TraceStep] = []
     gram = inst.gram_fixed
 
-    for step in range(1, prob.k + 1):
+    for _ in range(prob.k):
         order = list(candidate_order(remaining)) if candidate_order else remaining
-        best: tuple[float, int] | None = None
+        best = (-math.inf, -1)
         for j in order:
             cand_gram = gram_update(gram, inst.y.data[:, offset + j])
-            try:
-                f = expected_poly_from_gram(inst, cand_gram, len(chosen) + 1)
-                lam = smallest_root(f, prob.eps)
-            except (DeflationFailure, NotRealRooted) as exc:
-                logger.warning("iteration %d: candidate %d skipped: %s", step, j, exc)
-                continue
-            if best is None or lam > best[0] or (lam == best[0] and j < best[1]):
+            f = expected_poly_from_gram(inst, cand_gram, len(chosen) + 1)
+            lam = smallest_root(f, prob.eps)
+            if lam > best[0] or (lam == best[0] and j < best[1]):
                 best = (lam, j)
-        if best is None:
-            raise AlgorithmFailure(
-                f"iteration {step}: every remaining candidate failed the root pipeline"
-            )
         lam, j = best
         chosen.append(j)
         remaining.remove(j)
@@ -229,7 +222,7 @@ def greedy_select(
 
     selected = hcat(prob.a, columns(prob.b, chosen))
     frob_sq, spec_sq = norms_sq(pseudoinverse(selected))
-    baseline_frob_sq, baseline_spec_sq = norms_sq(pseudoinverse(hcat(prob.a, prob.b)))
+    baseline_frob_sq, baseline_spec_sq = _baseline_norms_sq(prob)
     report = SelectionReport(
         subset=tuple(chosen),
         frob_sq=frob_sq,
@@ -288,7 +281,7 @@ def verify_bound(
         raise RankDeficient("selected columns rank-deficient")
 
     frob_sq, spec_sq = norms_sq(pseudoinverse(selected))
-    baseline_frob_sq, baseline_spec_sq = norms_sq(pseudoinverse(hcat(prob.a, prob.b)))
+    baseline_frob_sq, baseline_spec_sq = _baseline_norms_sq(prob)
     ratio_frob = frob_sq / baseline_frob_sq
     ratio_spec = spec_sq / baseline_spec_sq
 

@@ -11,19 +11,12 @@ from colsel.expected_charpoly import (
     IsotropicInstance,
     charpoly_psd,
     expected_poly,
+    expected_poly_from_gram,
     root_sum_identity_check,
 )
 from colsel.linalg import DenseMatrix, thin_svd
-from colsel.poly import (
-    Polynomial,
-    derivative,
-    from_roots,
-    is_real_rooted,
-    monic,
-    mul_shifted_power,
-    deflate_shifted_power,
-    smallest_root,
-)
+from colsel.oracle import shifted_pipeline
+from colsel.poly import Polynomial, from_roots, is_real_rooted, smallest_root
 from conftest import random_isotropic, valid_budgets
 
 
@@ -43,13 +36,6 @@ def leaf_average(inst: IsotropicInstance, partial=()) -> np.ndarray:
         acc += np.asarray(leaf_charpoly(inst, tuple(partial) + extra).coeffs)
         count += 1
     return acc / count
-
-
-def shifted_pipeline(p: Polynomial, mul_power: int, times: int, deflate_power: int) -> Polynomial:
-    q = mul_shifted_power(p, mul_power) if mul_power >= 0 else deflate_shifted_power(p, -mul_power)
-    q = derivative(q, times)
-    q = deflate_shifted_power(q, deflate_power) if deflate_power >= 0 else mul_shifted_power(q, -deflate_power)
-    return monic(q)
 
 
 def test_charpoly_psd_examples():
@@ -115,7 +101,11 @@ def test_expected_poly_matches_enumeration_at_all_depths():
 
 
 def test_expected_poly_closed_form_at_empty_partial():
+    # Closed form at the empty partial, then agreement with the
+    # monomial-basis reference pipeline at a random partial of every size,
+    # including j > m - n, where the y-basis transform drops exact zeros.
     rng = np.random.default_rng(53)
+    beyond = 0
     for _ in range(25):
         n = int(rng.integers(1, 5))
         ell = int(rng.integers(0, 4))
@@ -126,9 +116,20 @@ def test_expected_poly_closed_form_at_empty_partial():
         fixed_cols = DenseMatrix(inst.y.data[:, list(inst.fixed_indices)])
         sigma = thin_svd(fixed_cols).sigma
         seed = from_roots([0.0] * (n - inst.r) + [s * s for s in sigma])
-        expect = shifted_pipeline(seed, m - n, k, m - n - k)
+        expect = shifted_pipeline(seed, m - n, k)
         got = expected_poly(inst, ())
         assert np.asarray(got.coeffs) == pytest.approx(np.asarray(expect.coeffs), abs=1e-8)
+
+        for j in range(k + 1):
+            partial = rng.choice(inst.selectable, size=j, replace=False)
+            gram = DenseMatrix(
+                inst.gram_fixed.data + inst.y.data[:, partial] @ inst.y.data[:, partial].T
+            )
+            want = np.asarray(shifted_pipeline(charpoly_psd(gram), m - n - j, k - j).coeffs)
+            have = np.asarray(expected_poly_from_gram(inst, gram, j).coeffs)
+            assert np.max(np.abs(have - want)) <= 1e-12 * np.max(np.abs(want))
+            beyond += j > m - n
+    assert beyond > 0
 
 
 def test_expected_poly_real_rooted_everywhere():

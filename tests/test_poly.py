@@ -5,15 +5,14 @@ import numpy as np
 import pytest
 
 from colsel.errors import DeflationFailure, InvalidInput, NotRealRooted
+from colsel.oracle import deflate_shifted_power, mul_shifted_power
 from colsel.poly import (
     Polynomial,
     count_roots_leq,
-    deflate_shifted_power,
     derivative,
     evaluate,
     from_roots,
     is_real_rooted,
-    mul_shifted_power,
     smallest_root,
     sturm_chain,
 )
