@@ -3,7 +3,9 @@
 Subcommands: ``select`` (run the greedy algorithm), ``verify`` (check a
 given subset against the bound), ``oracle`` (exhaustive enumeration
 plus greedy comparison), and ``gamma`` (print the approximation
-factor).  Exit codes: 0 success, 1 input/validation error, 2 algorithm
+factor).  ``main`` parses the arguments and hands the argparse
+namespace to the subcommand's handler; the library validates the
+inputs.  Exit codes: 0 success, 1 input/validation error, 2 algorithm
 failure.
 """
 from __future__ import annotations
@@ -12,7 +14,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 from .errors import (
     AlgorithmFailure,
@@ -36,11 +37,9 @@ from .selector import (
 )
 
 __all__ = [
-    "RunConfig",
     "parse_matrix_csv",
     "serialize_report",
     "parse_report",
-    "run",
     "main",
 ]
 
@@ -54,21 +53,6 @@ _INPUT_ERRORS = (
     OSError,
 )
 _ALGORITHM_ERRORS = (AlgorithmFailure, NotRealRooted)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed invocation: one subcommand plus its inputs."""
-
-    subcommand: str
-    path_b: str | None = None
-    path_a: str | None = None
-    k: int = 0
-    eps: float = 1e-6
-    output: str | None = None
-    format: str = "json"
-    subset: tuple[int, ...] = ()
-    gamma_args: tuple[int, int, int, int] | None = None
 
 
 def parse_matrix_csv(path: str) -> DenseMatrix:
@@ -161,15 +145,10 @@ def _report_as_text(report: SelectionReport) -> str:
     return "\n".join(lines)
 
 
-def _load_problem(config: RunConfig) -> SelectionProblem:
-    if config.path_b is None:
-        raise InvalidInput("a candidate matrix file (--b) is required")
-    b = parse_matrix_csv(config.path_b)
-    if config.path_a is not None:
-        a = parse_matrix_csv(config.path_a)
-    else:
-        a = DenseMatrix.zeros(b.rows, 0)
-    return SelectionProblem(a=a, b=b, k=config.k, eps=config.eps)
+def _load_problem(args: argparse.Namespace, k: int) -> SelectionProblem:
+    b = parse_matrix_csv(args.b)
+    a = parse_matrix_csv(args.a) if args.a is not None else DenseMatrix.zeros(b.rows, 0)
+    return SelectionProblem(a=a, b=b, k=k, eps=args.eps)
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -180,82 +159,76 @@ def _emit(text: str, output: str | None) -> None:
             fh.write(text + "\n")
 
 
-def _run_select(config: RunConfig) -> int:
-    report = greedy_select(_load_problem(config))
-    if config.format == "text":
-        _emit(_report_as_text(report), config.output)
+def _emit_payload(payload: dict, args: argparse.Namespace) -> None:
+    if args.format == "text":
+        _emit("\n".join(f"{key}: {value}" for key, value in payload.items()), args.out)
     else:
-        _emit(serialize_report(report), config.output)
+        _emit(json.dumps(payload, indent=2), args.out)
+
+
+def _run_select(args: argparse.Namespace) -> int:
+    report = greedy_select(_load_problem(args, args.k))
+    if args.format == "text":
+        _emit(_report_as_text(report), args.out)
+    else:
+        _emit(serialize_report(report), args.out)
     return 0
 
 
-def _run_verify(config: RunConfig) -> int:
-    prob = _load_problem(config)
-    holds, ratio_frob, ratio_spec = verify_bound(prob, config.subset)
-    payload = {
-        "subset": list(config.subset),
-        "holds": holds,
-        "ratio_frob": ratio_frob,
-        "ratio_spec": ratio_spec,
-        "gamma": gamma(prob.m, prob.n, prob.k, prob.r),
-    }
-    if config.format == "text":
-        _emit("\n".join(f"{key}: {value}" for key, value in payload.items()), config.output)
-    else:
-        _emit(json.dumps(payload, indent=2), config.output)
+def _run_verify(args: argparse.Namespace) -> int:
+    subset = _parse_subset(args.subset)
+    prob = _load_problem(args, len(subset))
+    holds, ratio_frob, ratio_spec = verify_bound(prob, subset)
+    _emit_payload(
+        {
+            "subset": list(subset),
+            "holds": holds,
+            "ratio_frob": ratio_frob,
+            "ratio_spec": ratio_spec,
+            "gamma": gamma(prob.m, prob.n, prob.k, prob.r),
+        },
+        args,
+    )
     return 0
 
 
-def _run_oracle(config: RunConfig) -> int:
-    prob = _load_problem(config)
+def _run_oracle(args: argparse.Namespace) -> int:
+    prob = _load_problem(args, args.k)
     enum = brute_force(prob)
     report = greedy_select(prob)
-    payload = {
-        "num_subsets": len(enum.all_values),
-        "num_feasible": sum(
-            1 for frob, _, _ in enum.all_values.values() if math.isfinite(frob)
-        ),
-        "best_subset_frob": list(enum.best_subset_frob),
-        "best_frob_sq": enum.best_frob_sq,
-        "best_subset_spec": list(enum.best_subset_spec),
-        "best_spec_sq": enum.best_spec_sq,
-        "greedy_subset": list(report.subset),
-        "greedy_frob_sq": report.frob_sq,
-        "greedy_spec_sq": report.spec_sq,
-        "bound_factor": report.bound_factor,
-        "baseline_frob_sq": report.baseline_frob_sq,
-        "baseline_spec_sq": report.baseline_spec_sq,
-    }
-    if config.format == "text":
-        _emit("\n".join(f"{key}: {value}" for key, value in payload.items()), config.output)
-    else:
-        _emit(json.dumps(payload, indent=2), config.output)
+    _emit_payload(
+        {
+            "num_subsets": len(enum.all_values),
+            "num_feasible": sum(
+                1 for frob, _, _ in enum.all_values.values() if math.isfinite(frob)
+            ),
+            "best_subset_frob": list(enum.best_subset_frob),
+            "best_frob_sq": enum.best_frob_sq,
+            "best_subset_spec": list(enum.best_subset_spec),
+            "best_spec_sq": enum.best_spec_sq,
+            "greedy_subset": list(report.subset),
+            "greedy_frob_sq": report.frob_sq,
+            "greedy_spec_sq": report.spec_sq,
+            "bound_factor": report.bound_factor,
+            "baseline_frob_sq": report.baseline_frob_sq,
+            "baseline_spec_sq": report.baseline_spec_sq,
+        },
+        args,
+    )
     return 0
 
 
-def _run_gamma(config: RunConfig) -> int:
-    assert config.gamma_args is not None
-    m, n, k, r = config.gamma_args
-    _emit(str(gamma(m, n, k, r)), config.output)
+def _run_gamma(args: argparse.Namespace) -> int:
+    _emit(str(gamma(args.m, args.n, args.k, args.r)), args.out)
     return 0
 
 
-def run(config: RunConfig) -> int:
-    """Dispatch a validated config; map errors to exit codes 1 and 2."""
-    handlers = {
-        "select": _run_select,
-        "verify": _run_verify,
-        "oracle": _run_oracle,
-        "gamma": _run_gamma,
-    }
-    try:
-        return handlers[config.subcommand](config)
-    except _ALGORITHM_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+_HANDLERS = {
+    "select": _run_select,
+    "verify": _run_verify,
+    "oracle": _run_oracle,
+    "gamma": _run_gamma,
+}
 
 
 def _parse_subset(text: str) -> tuple[int, ...]:
@@ -304,39 +277,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    if args.subcommand == "gamma":
-        return RunConfig(
-            subcommand="gamma",
-            gamma_args=(args.m, args.n, args.k, args.r),
-            output=args.out,
-        )
-    subset: tuple[int, ...] = ()
-    if args.subcommand == "verify":
-        subset = _parse_subset(args.subset)
-        k = len(subset)
-    else:
-        k = args.k
-    return RunConfig(
-        subcommand=args.subcommand,
-        path_b=args.b,
-        path_a=args.a,
-        k=k,
-        eps=args.eps,
-        output=args.out,
-        format=args.format,
-        subset=subset,
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
+    """Parse ``argv`` and run the subcommand; map errors to exit codes 1 and 2."""
     args = build_parser().parse_args(argv)
     try:
-        config = config_from_args(args)
+        return _HANDLERS[args.subcommand](args)
+    except _ALGORITHM_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return run(config)
 
 
 if __name__ == "__main__":

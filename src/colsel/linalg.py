@@ -71,15 +71,6 @@ class DenseMatrix:
     def shape(self) -> tuple[int, int]:
         return self.data.shape
 
-    def column(self, j: int) -> np.ndarray:
-        """Return column ``j`` as a 1-D array (a copy)."""
-        if not 0 <= j < self.cols:
-            raise InvalidSubset(f"column index {j} out of range [0, {self.cols})")
-        return self.data[:, j].copy()
-
-    def transpose(self) -> "DenseMatrix":
-        return DenseMatrix(self.data.T)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DenseMatrix):
             return NotImplemented

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import InvalidInput, NotRealRooted
@@ -71,10 +72,21 @@ class SturmChain:
     Remainders are rescaled to unit max coefficient (a positive scaling,
     invisible to sign-variation counts).  The chain stops early at the
     gcd of p and p' when a remainder vanishes to tolerance, which keeps
-    counting correct near multiple roots.
+    counting correct near multiple roots.  The sign variations at -inf
+    depend only on the chain's leading coefficients and degrees, so they
+    are computed once per chain, on first use.
     """
 
     chain: tuple[Polynomial, ...]
+
+    @cached_property
+    def variations_at_minus_inf(self) -> int:
+        """Sign variations at ``-inf``, where each entry has sign lead * (-1)^degree."""
+        signs = []
+        for q in self.chain:
+            s = 1 if q.coeffs[-1] > 0.0 else -1
+            signs.append(-s if q.degree % 2 == 1 else s)
+        return _variations(signs)
 
 
 def evaluate(p: Polynomial, x: float) -> float:
@@ -183,19 +195,9 @@ def _variations_at(chain: SturmChain, x: float) -> int:
     return _variations(signs)
 
 
-def _variations_at_minus_inf(chain: SturmChain) -> int:
-    signs = []
-    for q in chain.chain:
-        s = 1 if q.coeffs[-1] > 0.0 else -1
-        if q.degree % 2 == 1:
-            s = -s
-        signs.append(s)
-    return _variations(signs)
-
-
 def count_roots_leq(chain: SturmChain, x: float) -> int:
     """Number of distinct real roots in ``(-inf, x]`` by sign variations."""
-    return _variations_at_minus_inf(chain) - _variations_at(chain, x)
+    return chain.variations_at_minus_inf - _variations_at(chain, x)
 
 
 def _cauchy_radius(p: Polynomial) -> float:
@@ -206,7 +208,11 @@ def _cauchy_radius(p: Polynomial) -> float:
 def smallest_root(p: Polynomial, eps: float) -> float:
     """Bisect on the Sturm count to locate the smallest real root within ``eps``.
 
-    The caller is responsible for real-rootedness; a polynomial with no
+    The bracket ``[lo, hi]`` around the root halves until it is at most
+    ``eps`` wide, or until its midpoint is no longer a float strictly
+    inside it; so an ``eps`` below the float spacing at the root gives
+    the root at float resolution instead of looping forever.  The
+    caller is responsible for real-rootedness; a polynomial with no
     real root in the Cauchy bracket raises :class:`NotRealRooted`.
     """
     if eps <= 0.0:
@@ -220,6 +226,8 @@ def smallest_root(p: Polynomial, eps: float) -> float:
         raise NotRealRooted(f"no real root found in [-{1 + radius}, {1 + radius}]")
     while hi - lo > eps:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         if count_roots_leq(chain, mid) >= 1:
             hi = mid
         else:

@@ -24,8 +24,6 @@ from .linalg import (
     columns,
     gram_update,
     hcat,
-    norms_sq,
-    pseudoinverse,
     thin_svd,
 )
 from .poly import smallest_root
@@ -84,7 +82,8 @@ class SelectionProblem:
             raise RankDeficient(
                 f"[a b] has numerical rank {stacked.rank} < n = {n}"
             )
-        r = thin_svd(self.a, self.rank_tol).rank
+        a_svd = thin_svd(self.a, self.rank_tol)
+        r = a_svd.rank
         if self.k < 1:
             raise InvalidInput(f"k must be >= 1, got {self.k}")
         if not n - r <= self.k <= self.m - 1:
@@ -95,7 +94,7 @@ class SelectionProblem:
             raise InvalidInput(
                 f"eps must be in (0, 1/(2k)) = (0, {1.0 / (2 * self.k)}), got {self.eps}"
             )
-        object.__setattr__(self, "_rank_a", r)
+        object.__setattr__(self, "_a_svd", a_svd)
         object.__setattr__(self, "_stacked", stacked)
 
     @property
@@ -112,7 +111,12 @@ class SelectionProblem:
 
     @property
     def r(self) -> int:
-        return self._rank_a  # type: ignore[attr-defined]
+        return self.a_svd.rank
+
+    @property
+    def a_svd(self) -> SvdFactors:
+        """Thin SVD of ``a`` at ``rank_tol``, computed once at construction."""
+        return self._a_svd  # type: ignore[attr-defined]
 
     @property
     def stacked(self) -> SvdFactors:
@@ -158,19 +162,22 @@ def build_isotropic(prob: SelectionProblem) -> IsotropicInstance:
     )
 
 
-def _baseline_norms_sq(prob: SelectionProblem) -> tuple[float, float]:
-    """``(|[a b]^+|_F^2, |[a b]^+|_2^2)`` from the singular values of ``[a b]``."""
-    inv_sq = 1.0 / np.asarray(prob.stacked.sigma) ** 2
-    return float(np.sum(inv_sq)), float(inv_sq[-1])
+def _pinv_norms_sq(sigma: Sequence[float]) -> tuple[float, float]:
+    """``(|q^+|_F^2, |q^+|_2^2) = (sum 1/sigma^2, 1/sigma_min^2)`` from the
+    singular values of ``q`` kept by its thin SVD; both are zero when none are."""
+    inv_sq = 1.0 / np.asarray(sigma) ** 2
+    return float(np.sum(inv_sq)), float(inv_sq.max(initial=0.0))
 
 
 def _fixed_block_factor(prob: SelectionProblem) -> float:
-    """The term ``1 + |a^+ b|_F^2 / (m - n + r)``; equals one when l = 0."""
-    if prob.l == 0:
-        return 1.0
-    cross = DenseMatrix(pseudoinverse(prob.a).data @ prob.b.data)
-    frob_sq, _ = norms_sq(cross)
-    return 1.0 + frob_sq / (prob.m - prob.n + prob.r)
+    """The term ``1 + |a^+ b|_F^2 / (m - n + r)``; equals one when l = 0.
+
+    With ``a = U diag(sigma) V^T``, ``|a^+ b|_F = |diag(1/sigma) U^T b|_F``
+    because ``V`` has orthonormal columns.
+    """
+    f = prob.a_svd
+    cross = (f.u.data.T @ prob.b.data) / np.asarray(f.sigma)[:, None]
+    return 1.0 + float(np.sum(cross * cross)) / (prob.m - prob.n + prob.r)
 
 
 def bound_factor(prob: SelectionProblem) -> float:
@@ -221,8 +228,8 @@ def greedy_select(
         trace.append(TraceStep(index=j, lambda_min=lam))
 
     selected = hcat(prob.a, columns(prob.b, chosen))
-    frob_sq, spec_sq = norms_sq(pseudoinverse(selected))
-    baseline_frob_sq, baseline_spec_sq = _baseline_norms_sq(prob)
+    frob_sq, spec_sq = _pinv_norms_sq(thin_svd(selected).sigma)
+    baseline_frob_sq, baseline_spec_sq = _pinv_norms_sq(prob.stacked.sigma)
     report = SelectionReport(
         subset=tuple(chosen),
         frob_sq=frob_sq,
@@ -276,12 +283,12 @@ def verify_bound(
     idx = [int(j) for j in subset]
     if len(idx) != prob.k:
         raise InvalidSubset(f"subset must have size k = {prob.k}, got {len(idx)}")
-    selected = hcat(prob.a, columns(prob.b, idx))
-    if thin_svd(selected, prob.rank_tol).rank < prob.n:
+    selected = thin_svd(hcat(prob.a, columns(prob.b, idx)), prob.rank_tol)
+    if selected.rank < prob.n:
         raise RankDeficient("selected columns rank-deficient")
 
-    frob_sq, spec_sq = norms_sq(pseudoinverse(selected))
-    baseline_frob_sq, baseline_spec_sq = _baseline_norms_sq(prob)
+    frob_sq, spec_sq = _pinv_norms_sq(selected.sigma)
+    baseline_frob_sq, baseline_spec_sq = _pinv_norms_sq(prob.stacked.sigma)
     ratio_frob = frob_sq / baseline_frob_sq
     ratio_spec = spec_sq / baseline_spec_sq
 

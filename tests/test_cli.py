@@ -114,6 +114,12 @@ def test_select_invalid_eps_names_constraint(tmp_path, capsys):
     assert "1/(2k)" in capsys.readouterr().err
 
 
+def test_select_eps_below_float_spacing_terminates(tmp_path, capsys):
+    b = write(tmp_path, "b.csv", DOUBLED_IDENTITY_CSV)
+    assert main(["select", "--b", b, "-k", "2", "--eps", "1e-300"]) == 0
+    assert json.loads(capsys.readouterr().out)["eps"] == 1e-300
+
+
 def test_select_missing_file(tmp_path, capsys):
     assert main(["select", "--b", str(tmp_path / "none.csv"), "-k", "2"]) == 1
     assert "error:" in capsys.readouterr().err
@@ -142,6 +148,12 @@ def test_verify_rank_deficient_subset(tmp_path, capsys):
     b = write(tmp_path, "b.csv", DOUBLED_IDENTITY_CSV)
     assert main(["verify", "--b", b, "--subset", "0,2"]) == 1
     assert "rank-deficient" in capsys.readouterr().err
+
+
+def test_verify_malformed_subset(tmp_path, capsys):
+    b = write(tmp_path, "b.csv", DOUBLED_IDENTITY_CSV)
+    assert main(["verify", "--b", b, "--subset", "0,x"]) == 1
+    assert "'0,x'" in capsys.readouterr().err
 
 
 def test_console_script_entry_point(tmp_path):

@@ -10,6 +10,7 @@ from colsel.linalg import DenseMatrix, norms_sq, pseudoinverse, thin_svd
 from colsel.poly import smallest_root
 from colsel.selector import (
     SelectionProblem,
+    bound_factor,
     build_isotropic,
     gamma,
     greedy_select,
@@ -185,16 +186,50 @@ def test_greedy_fixed_block_wider_than_rows():
     assert report.frob_sq <= report.bound_factor * report.baseline_frob_sq
 
 
-def test_greedy_rank_deficient_fixed_block():
+def _rank_one_fixed_block_problem() -> SelectionProblem:
     rng = np.random.default_rng(56)
     col = rng.standard_normal((3, 1))
     a = DenseMatrix(np.hstack([col, col]))  # rank 1
-    b = DenseMatrix(rng.standard_normal((3, 8)))
-    prob = SelectionProblem(a=a, b=b, k=4)
+    return SelectionProblem(a=a, b=DenseMatrix(rng.standard_normal((3, 8))), k=4)
+
+
+def test_greedy_rank_deficient_fixed_block():
+    prob = _rank_one_fixed_block_problem()
     assert prob.r == 1
     report = greedy_select(prob)
     assert report.frob_sq <= report.bound_factor * report.baseline_frob_sq
     assert report.spec_sq <= report.bound_factor * report.baseline_spec_sq
+
+
+@pytest.mark.parametrize("case", ["no fixed block", "full-rank a", "rank-1 a"])
+def test_bound_factor_matches_closed_form(case):
+    rng = np.random.default_rng(58)
+    if case == "no fixed block":
+        prob = random_problem(rng, 4, 10, 0, 5)
+    elif case == "full-rank a":
+        prob = random_problem(rng, 4, 10, 2, 3)
+    else:
+        prob = _rank_one_fixed_block_problem()
+    a, b = prob.a.data, prob.b.data
+    cross = np.linalg.pinv(a, rcond=1e-12) @ b
+    expected = (
+        gamma(prob.m, prob.n, prob.k, prob.r)
+        * (1.0 + np.sum(cross * cross) / (prob.m - prob.n + prob.r))
+        * (1.0 + 2.0 * prob.k * prob.eps)
+    )
+    assert bound_factor(prob) == pytest.approx(expected, rel=1e-12)
+
+    # verify_bound's ratios against numpy's pseudoinverse norms
+    subset = greedy_select(prob).subset
+    _, ratio_frob, ratio_spec = verify_bound(prob, subset)
+    sel_pinv = np.linalg.pinv(np.hstack([a, b[:, list(subset)]]))
+    base_pinv = np.linalg.pinv(np.hstack([a, b]))
+    assert ratio_frob == pytest.approx(
+        np.sum(sel_pinv**2) / np.sum(base_pinv**2), rel=1e-12
+    )
+    assert ratio_spec == pytest.approx(
+        (np.linalg.norm(sel_pinv, 2) / np.linalg.norm(base_pinv, 2)) ** 2, rel=1e-12
+    )
 
 
 def test_greedy_minimal_budget_with_fixed_block():

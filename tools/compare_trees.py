@@ -1,0 +1,91 @@
+"""Compare greedy selections of two colsel source trees on seeded random instances.
+
+Usage: python tools/compare_trees.py OLD_SRC NEW_SRC
+
+Each tree is imported in its own subprocess (``PYTHONPATH=<src>``), runs
+``greedy_select`` and ``verify_bound`` on the same 140 instances, and
+prints one JSON record per instance.  The comparison requires identical
+subsets and traces (root values compared bit for bit) and reports the
+largest relative difference of the norms, the bound factor and the
+verify ratios.  Exit status 1 if any subset or trace differs.
+"""
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+
+# (n, m, l, k, rank of the fixed block or None for a Gaussian block, instances)
+SHAPES = (
+    (6, 48, 3, 12, None, 30),  # the benchmark's wide shape
+    (4, 14, 2, 5, None, 30),  # the benchmark's oracle shape
+    (3, 9, 0, 4, None, 20),
+    (4, 12, 2, 6, None, 20),
+    (5, 10, 1, 4, None, 20),
+    (4, 12, 3, 5, 1, 10),
+    (5, 14, 4, 4, 2, 10),
+)
+VALUES = ("frob_sq", "spec_sq", "baseline_frob_sq", "baseline_spec_sq", "bound_factor",
+          "ratio_frob", "ratio_spec")
+
+
+def dump() -> None:
+    import numpy as np
+
+    from colsel import DenseMatrix, SelectionProblem, greedy_select, verify_bound
+
+    for shape_id, (n, m, ell, k, rank_a, count) in enumerate(SHAPES):
+        for seed in range(count):
+            rng = np.random.default_rng([shape_id, seed])
+            if rank_a is None:
+                a = rng.standard_normal((n, ell))
+            else:
+                a = rng.standard_normal((n, rank_a)) @ rng.standard_normal((rank_a, ell))
+            prob = SelectionProblem(
+                a=DenseMatrix(a), b=DenseMatrix(rng.standard_normal((n, m))), k=k
+            )
+            report = greedy_select(prob)
+            _, ratio_frob, ratio_spec = verify_bound(prob, report.subset)
+            record = {
+                "shape": [n, m, ell, k, rank_a],
+                "seed": seed,
+                "subset": list(report.subset),
+                "trace": [[t.index, t.lambda_min.hex()] for t in report.trace],
+                "ratio_frob": ratio_frob,
+                "ratio_spec": ratio_spec,
+            }
+            record.update((v, getattr(report, v)) for v in VALUES[:5])
+            print(json.dumps(record))
+
+
+def run(src: str) -> list[dict]:
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, __file__, "--dump"], env=env, check=True, capture_output=True, text=True
+    ).stdout
+    return [json.loads(line) for line in out.splitlines()]
+
+
+def main(old_src: str, new_src: str) -> int:
+    old, new = run(old_src), run(new_src)
+    assert len(old) == len(new)
+    mismatched = [
+        (o["shape"], o["seed"])
+        for o, c in zip(old, new)
+        if (o["subset"], o["trace"]) != (c["subset"], c["trace"])
+    ]
+    worst = {
+        v: max(abs(c[v] - o[v]) / abs(o[v]) for o, c in zip(old, new)) for v in VALUES
+    }
+    print(f"{len(old)} instances; subset/trace mismatches: {mismatched or 'none'}")
+    for v, rel in worst.items():
+        print(f"  max relative difference of {v}: {rel:.2e}")
+    return 1 if mismatched else 0
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] == ["--dump"]:
+        dump()
+    else:
+        sys.exit(main(*sys.argv[1:]))
