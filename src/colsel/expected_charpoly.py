@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -43,37 +44,25 @@ _ORTHONORMALITY_TOL = 1e-8
 class IsotropicInstance:
     """Selection instance in the isotropic frame ``y y^T = I``.
 
-    ``y`` is ``n x (m + len(fixed_indices))``; the fixed block occupies
-    the columns listed in ``fixed_indices`` and the remaining ``m``
-    columns are selectable.  ``gram_fixed`` is the Gram matrix of the
-    fixed block, ``r`` its rank, and ``k`` the selection budget with
-    ``n - r <= k <= m - 1``.
+    ``y`` is ``n x (l + m)``: its first ``l`` columns are the fixed block
+    and the remaining ``m`` columns are selectable.  ``r`` is the rank of
+    the fixed block, decided by the caller (``from_y`` takes it with
+    :func:`~colsel.linalg.thin_svd`), and ``k`` is the selection budget
+    with ``n - r <= k <= m - 1``.
     """
 
     y: DenseMatrix
-    m: int
-    fixed_indices: tuple[int, ...]
-    gram_fixed: DenseMatrix
+    l: int
     r: int
     k: int
 
     def __post_init__(self) -> None:
         n = self.y.rows
-        total = self.y.cols
-        if len(self.fixed_indices) != len(set(self.fixed_indices)):
-            raise InvalidInput("fixed_indices contains duplicates")
-        if any(not 0 <= j < total for j in self.fixed_indices):
-            raise InvalidInput("fixed_indices out of range")
-        if len(self.fixed_indices) + self.m != total:
-            raise InvalidInput(
-                f"fixed block ({len(self.fixed_indices)}) plus selectable ({self.m}) "
-                f"columns must cover all {total}"
-            )
+        if not 0 <= self.l <= self.y.cols:
+            raise InvalidInput(f"fixed block width l={self.l} outside [0, {self.y.cols}]")
         gram = self.y.data @ self.y.data.T
         if np.max(np.abs(gram - np.eye(n))) > _ORTHONORMALITY_TOL:
             raise InvalidInput("rows of y are not orthonormal: y y^T != I to 1e-8")
-        if self.gram_fixed.shape != (n, n):
-            raise InvalidInput("gram_fixed must be n x n")
         if not n - self.r <= self.k <= self.m - 1:
             raise InvalidInput(
                 f"selection budget k={self.k} outside [n - r, m - 1] = "
@@ -81,36 +70,29 @@ class IsotropicInstance:
             )
 
     @classmethod
-    def from_y(
-        cls,
-        y: DenseMatrix,
-        fixed_indices: Sequence[int],
-        k: int,
-        rank_tol: float = 1e-12,
-    ) -> "IsotropicInstance":
-        """Build an instance from ``y`` alone, deriving the fixed Gram and rank."""
-        fixed = tuple(int(j) for j in fixed_indices)
-        cols = [j for j in fixed if 0 <= j < y.cols]
-        block = y.data[:, cols] if cols else np.zeros((y.rows, 0))
-        gram_fixed = DenseMatrix(block @ block.T)
-        r = thin_svd(DenseMatrix(block), rank_tol).rank
-        return cls(
-            y=y,
-            m=y.cols - len(fixed),
-            fixed_indices=fixed,
-            gram_fixed=gram_fixed,
-            r=r,
-            k=int(k),
-        )
+    def from_y(cls, y: DenseMatrix, l: int, k: int) -> "IsotropicInstance":
+        """Build an instance from ``y`` alone, taking ``r`` as the numerical
+        rank of its first ``l`` columns."""
+        r = thin_svd(DenseMatrix(y.data[:, :l])).rank
+        return cls(y=y, l=int(l), r=r, k=int(k))
 
     @property
     def n(self) -> int:
         return self.y.rows
 
     @property
+    def m(self) -> int:
+        return self.y.cols - self.l
+
+    @property
     def selectable(self) -> tuple[int, ...]:
-        fixed = set(self.fixed_indices)
-        return tuple(j for j in range(self.y.cols) if j not in fixed)
+        return tuple(range(self.l, self.y.cols))
+
+    @cached_property
+    def gram_fixed(self) -> DenseMatrix:
+        """Gram matrix ``y_F y_F^T`` of the fixed block (``n x n``)."""
+        block = self.y.data[:, : self.l]
+        return DenseMatrix(block @ block.T)
 
 
 def _psd_eigenvalues(g: DenseMatrix) -> list[float]:
@@ -196,9 +178,8 @@ def _check_partial(inst: IsotropicInstance, partial: Sequence[int], max_size: in
     idx = tuple(int(s) for s in partial)
     if len(set(idx)) != len(idx):
         raise InvalidInput(f"partial selection contains duplicates: {idx}")
-    selectable = set(inst.selectable)
     for s in idx:
-        if s not in selectable:
+        if not inst.l <= s < inst.y.cols:
             raise InvalidInput(f"index {s} is not a selectable column")
     if len(idx) > max_size:
         raise InvalidInput(f"partial selection of size {len(idx)} exceeds {max_size}")

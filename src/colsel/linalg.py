@@ -98,15 +98,14 @@ class SvdFactors:
     rank: int
 
 
-def thin_svd(q: DenseMatrix, rank_tol: float = DEFAULT_RANK_TOL) -> SvdFactors:
-    """Thin SVD with singular values below ``rank_tol * sigma_max`` dropped.
+def thin_svd(q: DenseMatrix) -> SvdFactors:
+    """Thin SVD truncated at numerical rank.
 
-    The rank threshold is relative; it is exposed because the numerical
-    rank feeds the selection bound and must be stable under small input
-    perturbations.
+    The numerical rank is the number of singular values
+    ``sigma > DEFAULT_RANK_TOL * sigma_max`` (``1e-12``); the rest are
+    dropped.  Every rank the package decides (of ``[a b]``, of ``a``, of a
+    selected subset) reads this one rule.
     """
-    if not 0.0 < rank_tol < 1.0:
-        raise InvalidInput(f"rank_tol must be in (0, 1), got {rank_tol}")
     a = q.data
     if a.size == 0:
         return SvdFactors(
@@ -119,7 +118,7 @@ def thin_svd(q: DenseMatrix, rank_tol: float = DEFAULT_RANK_TOL) -> SvdFactors:
     if s.size == 0 or s[0] <= 0.0:
         rank = 0
     else:
-        rank = int(np.count_nonzero(s > rank_tol * s[0]))
+        rank = int(np.count_nonzero(s > DEFAULT_RANK_TOL * s[0]))
     return SvdFactors(
         u=DenseMatrix(u[:, :rank]),
         sigma=tuple(float(v) for v in s[:rank]),

@@ -14,7 +14,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DeflationFailure, InvalidInput, TooLarge
-from .linalg import DenseMatrix, columns, hcat, norms_sq, pseudoinverse
+from .linalg import DEFAULT_RANK_TOL, columns, hcat, pseudoinverse
 from .poly import Polynomial, derivative, evaluate, monic
 from .selector import SelectionProblem
 
@@ -51,7 +51,15 @@ class EnumerationResult:
 
 
 def brute_force(prob: SelectionProblem) -> EnumerationResult:
-    """Exact optimum over all ``C(m, k)`` subsets for both norms."""
+    """Exact optimum over all ``C(m, k)`` subsets for both norms.
+
+    Per subset it takes the singular values of ``[a b_S]`` with
+    ``np.linalg.svd``; the subset is full rank when ``sigma_min >
+    DEFAULT_RANK_TOL * sigma_max``.  Then ``|.^+|_F^2`` is the sum of
+    squares of the pseudoinverse formed by :func:`~colsel.linalg.pseudoinverse`
+    and ``|.^+|_2^2 = 1/sigma_min^2`` (clamped to the Frobenius value).
+    Neither goes through the selector's norm helper.
+    """
     count = math.comb(prob.m, prob.k)
     if count > ENUMERATION_GUARD:
         raise TooLarge(
@@ -64,9 +72,11 @@ def brute_force(prob: SelectionProblem) -> EnumerationResult:
         selected = hcat(prob.a, columns(prob.b, subset))
         s = np.linalg.svd(selected.data, compute_uv=False)
         sigma_min_sq = float(s[prob.n - 1]) ** 2 if s.size >= prob.n else 0.0
-        full_rank = s.size >= prob.n and s[prob.n - 1] > prob.rank_tol * s[0]
+        full_rank = s.size >= prob.n and s[prob.n - 1] > DEFAULT_RANK_TOL * s[0]
         if full_rank:
-            frob_sq, spec_sq = norms_sq(pseudoinverse(selected))
+            pinv = pseudoinverse(selected).data
+            frob_sq = float(np.sum(pinv * pinv))
+            spec_sq = min(1.0 / sigma_min_sq, frob_sq)
         else:
             frob_sq = spec_sq = math.inf
         all_values[subset] = (frob_sq, spec_sq, sigma_min_sq)

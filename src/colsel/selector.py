@@ -16,9 +16,13 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import AlgorithmFailure, InvalidInput, InvalidSubset, RankDeficient
-from .expected_charpoly import IsotropicInstance, expected_poly_from_gram
+from .expected_charpoly import (
+    IsotropicInstance,
+    _check_partial,
+    _partial_gram,
+    expected_poly_from_gram,
+)
 from .linalg import (
-    DEFAULT_RANK_TOL,
     DenseMatrix,
     SvdFactors,
     columns,
@@ -45,10 +49,14 @@ _ARITHMETIC_SLACK = 1e-7
 
 
 def gamma(m: int, n: int, k: int, r: int) -> float:
-    """Approximation factor ``m^2 / (sqrt((k+1)(m-n+r)) - sqrt((n-r)(m-k-1)))^2``."""
+    """Approximation factor ``m^2 / (sqrt((k+1)(m-n+r)) - sqrt((n-r)(m-k-1)))^2``.
+
+    Its preconditions are the bound's, so :class:`SelectionProblem`
+    validates its shape by calling it.
+    """
     if not (m > k >= n - r >= 0 and m >= n):
         raise InvalidInput(
-            f"gamma requires m > k >= n - r >= 0 and m >= n; got m={m}, n={n}, k={k}, r={r}"
+            f"the bound requires m > k >= n - r >= 0 and m >= n; got m={m}, n={n}, k={k}, r={r}"
         )
     root_in = math.sqrt((k + 1) * (m - n + r))
     root_out = math.sqrt((n - r) * (m - k - 1))
@@ -60,16 +68,17 @@ class SelectionProblem:
     """Fixed block ``a`` (n x l, possibly l = 0), candidates ``b`` (n x m),
     budget ``k`` and root-approximation accuracy ``eps``.
 
-    Construction validates that ``[a b]`` has full row rank at
-    ``rank_tol``, that ``k`` lies in ``[n - rank(a), m - 1]`` (and is at
-    least one), and that ``eps < 1/(2k)``.
+    Construction takes the thin SVDs of ``[a b]`` and of ``a`` once
+    (numerical rank as in :func:`~colsel.linalg.thin_svd`) and validates
+    that ``[a b]`` has full row rank, that ``k >= 1``, that ``m``, ``n``,
+    ``k`` and ``r = rank(a)`` meet the preconditions of :func:`gamma`
+    (``m > k >= n - r`` and ``m >= n``), and that ``eps < 1/(2k)``.
     """
 
     a: DenseMatrix
     b: DenseMatrix
     k: int
     eps: float = 1e-6
-    rank_tol: float = DEFAULT_RANK_TOL
 
     def __post_init__(self) -> None:
         if self.a.rows != self.b.rows:
@@ -77,19 +86,15 @@ class SelectionProblem:
                 f"a and b must have equal row counts, got {self.a.rows} and {self.b.rows}"
             )
         n = self.b.rows
-        stacked = thin_svd(hcat(self.a, self.b), self.rank_tol)
+        stacked = thin_svd(hcat(self.a, self.b))
         if stacked.rank < n:
             raise RankDeficient(
                 f"[a b] has numerical rank {stacked.rank} < n = {n}"
             )
-        a_svd = thin_svd(self.a, self.rank_tol)
-        r = a_svd.rank
+        a_svd = thin_svd(self.a)
         if self.k < 1:
             raise InvalidInput(f"k must be >= 1, got {self.k}")
-        if not n - r <= self.k <= self.m - 1:
-            raise InvalidInput(
-                f"k must be in [n - rank(a), m - 1] = [{n - r}, {self.m - 1}], got {self.k}"
-            )
+        gamma(self.m, n, self.k, a_svd.rank)  # raises unless the bound's preconditions hold
         if not 0.0 < self.eps < 1.0 / (2 * self.k):
             raise InvalidInput(
                 f"eps must be in (0, 1/(2k)) = (0, {1.0 / (2 * self.k)}), got {self.eps}"
@@ -115,7 +120,7 @@ class SelectionProblem:
 
     @property
     def a_svd(self) -> SvdFactors:
-        """Thin SVD of ``a`` at ``rank_tol``, computed once at construction."""
+        """Thin SVD of ``a``, computed once at construction."""
         return self._a_svd  # type: ignore[attr-defined]
 
     @property
@@ -152,14 +157,9 @@ def build_isotropic(prob: SelectionProblem) -> IsotropicInstance:
     """Reduce the problem to the isotropic frame via the thin SVD of ``[a b]``.
 
     The right singular vector rows form ``y`` (so ``y y^T = I``); the
-    first ``l`` columns carry the fixed block.
+    first ``l`` columns carry the fixed block, whose rank is ``prob.r``.
     """
-    return IsotropicInstance.from_y(
-        y=prob.stacked.vt,
-        fixed_indices=tuple(range(prob.l)),
-        k=prob.k,
-        rank_tol=prob.rank_tol,
-    )
+    return IsotropicInstance(y=prob.stacked.vt, l=prob.l, r=prob.r, k=prob.k)
 
 
 def _pinv_norms_sq(sigma: Sequence[float]) -> tuple[float, float]:
@@ -267,23 +267,19 @@ def _check_report(report: SelectionReport, prob: SelectionProblem) -> None:
             )
 
 
-def verify_bound(
-    prob: SelectionProblem,
-    subset: Sequence[int],
-    with_eps_slack: bool = True,
-) -> tuple[bool, float, float]:
+def verify_bound(prob: SelectionProblem, subset: Sequence[int]) -> tuple[bool, float, float]:
     """Check a given subset against the proven bound.
 
     Returns ``(holds, ratio_frob, ratio_spec)`` where the ratios compare
     the subset's squared pseudoinverse norms to the baseline ``[a b]``
-    norms.  ``with_eps_slack`` includes the ``(1 + 2 k eps)`` factor the
-    approximate algorithm is entitled to; disable it to test the
-    existence bound instead.
+    norms; the bound holds when both are at most :func:`bound_factor`,
+    which includes the ``(1 + 2 k eps)`` factor the approximate
+    algorithm is entitled to.
     """
     idx = [int(j) for j in subset]
     if len(idx) != prob.k:
         raise InvalidSubset(f"subset must have size k = {prob.k}, got {len(idx)}")
-    selected = thin_svd(hcat(prob.a, columns(prob.b, idx)), prob.rank_tol)
+    selected = thin_svd(hcat(prob.a, columns(prob.b, idx)))
     if selected.rank < prob.n:
         raise RankDeficient("selected columns rank-deficient")
 
@@ -292,26 +288,15 @@ def verify_bound(
     ratio_frob = frob_sq / baseline_frob_sq
     ratio_spec = spec_sq / baseline_spec_sq
 
-    cap = gamma(prob.m, prob.n, prob.k, prob.r) * _fixed_block_factor(prob)
-    if with_eps_slack:
-        cap *= 1.0 + 2.0 * prob.k * prob.eps
+    cap = bound_factor(prob)
     return (ratio_frob <= cap and ratio_spec <= cap), ratio_frob, ratio_spec
 
 
 def min_singular_check(inst: IsotropicInstance, subset: Sequence[int]) -> float:
     """Smallest squared singular value of the fixed-plus-selected block of ``y``.
 
-    Test helper for the isotropic guarantee; ``subset`` holds selectable
-    column indices of ``inst.y``.
+    Test helper for the isotropic guarantee; ``subset`` holds distinct
+    selectable column indices of ``inst.y``.
     """
-    selectable = set(inst.selectable)
-    idx = [int(j) for j in subset]
-    for j in idx:
-        if j not in selectable:
-            raise InvalidInput(f"index {j} is not a selectable column")
-    gram = inst.gram_fixed.data.copy()
-    for j in idx:
-        v = inst.y.data[:, j]
-        gram += np.outer(v, v)
-    eig = np.linalg.eigvalsh(gram)
-    return float(eig[0])
+    idx = _check_partial(inst, subset, inst.m)
+    return float(np.linalg.eigvalsh(_partial_gram(inst, idx).data)[0])

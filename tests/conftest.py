@@ -15,7 +15,7 @@ def random_isotropic(
     """Instance with orthonormal-row y (right singular vectors of a
     Gaussian matrix) whose first ``ell`` columns form the fixed block."""
     y = thin_svd(DenseMatrix(rng.standard_normal((n, m + ell)))).vt
-    return IsotropicInstance.from_y(y, tuple(range(ell)), k)
+    return IsotropicInstance.from_y(y, ell, k)
 
 
 def random_problem(

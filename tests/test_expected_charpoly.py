@@ -53,17 +53,30 @@ def test_charpoly_psd_rejects_asymmetry():
 def test_instance_validation():
     y = thin_svd(DenseMatrix(np.random.default_rng(0).standard_normal((2, 5)))).vt
     with pytest.raises(InvalidInput):
-        IsotropicInstance.from_y(y, (), k=5)  # k > m - 1
+        IsotropicInstance.from_y(y, 0, k=5)  # k > m - 1
     with pytest.raises(InvalidInput):
-        IsotropicInstance.from_y(y, (), k=1)  # k < n - r = 2
+        IsotropicInstance.from_y(y, 0, k=1)  # k < n - r = 2
     bad = DenseMatrix(np.random.default_rng(0).standard_normal((2, 5)))
     with pytest.raises(InvalidInput):
-        IsotropicInstance.from_y(bad, (), k=3)  # rows not orthonormal
+        IsotropicInstance.from_y(bad, 0, k=3)  # rows not orthonormal
+    for ell in (-1, 6):  # fixed block wider than y, or of negative width
+        with pytest.raises(InvalidInput, match="fixed block width"):
+            IsotropicInstance(y, l=ell, r=0, k=2)
+
+
+def test_instance_prefix_layout():
+    rng = np.random.default_rng(37)
+    for ell in (0, 1, 3):
+        inst = random_isotropic(rng, n=3, m=6, ell=ell, k=4)
+        assert inst.m == 6
+        assert inst.selectable == tuple(range(ell, ell + 6))
+        block = inst.y.data[:, :ell]
+        assert np.array_equal(inst.gram_fixed.data, block @ block.T)
 
 
 def test_expected_poly_two_column_average():
     # one row, two unit-norm columns: the root polynomial is x - 1/2
-    inst = IsotropicInstance.from_y(DenseMatrix([[0.6, 0.8]]), (), k=1)
+    inst = IsotropicInstance.from_y(DenseMatrix([[0.6, 0.8]]), 0, k=1)
     assert expected_poly(inst, ()).coeffs == pytest.approx((-0.5, 1.0))
 
 
@@ -113,7 +126,7 @@ def test_expected_poly_closed_form_at_empty_partial():
         budgets = valid_budgets(n, ell, m)
         k = int(rng.integers(budgets.start, budgets.stop))
         inst = random_isotropic(rng, n, m, ell, k)
-        fixed_cols = DenseMatrix(inst.y.data[:, list(inst.fixed_indices)])
+        fixed_cols = DenseMatrix(inst.y.data[:, : inst.l])
         sigma = thin_svd(fixed_cols).sigma
         seed = from_roots([0.0] * (n - inst.r) + [s * s for s in sigma])
         expect = shifted_pipeline(seed, m - n, k)
@@ -158,7 +171,7 @@ def test_expected_poly_input_validation():
 
 
 def test_root_sum_identity_tiny_case():
-    inst = IsotropicInstance.from_y(DenseMatrix([[0.6, 0.8]]), (), k=1)
+    inst = IsotropicInstance.from_y(DenseMatrix([[0.6, 0.8]]), 0, k=1)
     assert root_sum_identity_check(inst, ()) < 1e-9
 
 

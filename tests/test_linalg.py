@@ -66,11 +66,6 @@ def test_thin_svd_factor_invariants():
         assert np.linalg.norm(recon - q.data) / denom <= 1e-10
 
 
-def test_thin_svd_rank_tol_validation():
-    with pytest.raises(InvalidInput):
-        thin_svd(DenseMatrix.identity(2), rank_tol=0.0)
-
-
 def test_pseudoinverse_identity():
     assert pseudoinverse(DenseMatrix.identity(3)) == DenseMatrix.identity(3)
 

@@ -32,6 +32,29 @@ def test_brute_force_doubled_identity():
     assert result.best_spec_sq == pytest.approx(1.0, rel=1e-9)
 
 
+def test_brute_force_norms_match_numpy_pinv():
+    # fixed block plus a repeated candidate column, so some subsets are rank-deficient
+    rng = np.random.default_rng(129)
+    for _ in range(5):
+        a = rng.standard_normal((3, 1))
+        b = rng.standard_normal((3, 5))
+        b = np.hstack([b, b[:, :1]])
+        prob = SelectionProblem(a=DenseMatrix(a), b=DenseMatrix(b), k=2)
+        result = brute_force(prob)
+        assert math.isinf(result.all_values[(0, 5)][0])
+        finite = 0
+        for subset, (frob_sq, spec_sq, _) in result.all_values.items():
+            sel = np.hstack([a, b[:, list(subset)]])
+            if np.linalg.matrix_rank(sel) < 3:
+                assert math.isinf(frob_sq) and math.isinf(spec_sq)
+                continue
+            pinv = np.linalg.pinv(sel)
+            assert frob_sq == pytest.approx(np.sum(pinv**2), rel=1e-12)
+            assert spec_sq == pytest.approx(np.linalg.norm(pinv, 2) ** 2, rel=1e-12)
+            finite += 1
+        assert finite > 0
+
+
 def test_brute_force_guard():
     rng = np.random.default_rng(127)
     prob = random_problem(rng, n=2, m=45, ell=0, k=20)

@@ -4,6 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from colsel import expected_charpoly, selector
 from colsel.errors import AlgorithmFailure, InvalidInput, RankDeficient
 from colsel.expected_charpoly import expected_poly
 from colsel.linalg import DenseMatrix, norms_sq, pseudoinverse, thin_svd
@@ -53,12 +54,17 @@ def test_problem_validation():
     with pytest.raises(InvalidInput) as err:
         SelectionProblem(a=empty_block(2), b=good, k=2, eps=0.5)
     assert "1/(2k)" in str(err.value)
+    # m < n: [a b] has full row rank and n - r <= k <= m - 1, but the bound needs m >= n
+    rng = np.random.default_rng(2)
+    a, b = (DenseMatrix(rng.standard_normal((3, 2))) for _ in range(2))
+    with pytest.raises(InvalidInput, match="m >= n"):
+        SelectionProblem(a=a, b=b, k=1)
 
 
 def test_build_isotropic_no_fixed_block():
     prob = SelectionProblem(a=empty_block(2), b=DenseMatrix([[2.0, 0.0, 1.0], [0.0, 2.0, 1.0]]), k=2)
     inst = build_isotropic(prob)
-    assert inst.fixed_indices == ()
+    assert inst.l == 0
     assert inst.r == 0
     assert np.max(np.abs(inst.gram_fixed.data)) == 0.0
 
@@ -68,9 +74,25 @@ def test_build_isotropic_fixed_block_indices():
     a = DenseMatrix([[1.0], [0.0]])
     prob = SelectionProblem(a=a, b=b, k=1)
     inst = build_isotropic(prob)
-    assert inst.fixed_indices == (0,)
+    assert inst.l == 1
     assert inst.m == 3
+    assert inst.selectable == (1, 2, 3)
     assert inst.r == 1
+
+
+def test_build_isotropic_reads_the_problem_rank(monkeypatch):
+    prob = _rank_one_fixed_block_problem()
+    calls = []
+
+    def counting_thin_svd(q):
+        calls.append(q.shape)
+        return thin_svd(q)
+
+    monkeypatch.setattr(selector, "thin_svd", counting_thin_svd)
+    monkeypatch.setattr(expected_charpoly, "thin_svd", counting_thin_svd)
+    inst = build_isotropic(prob)
+    assert calls == []
+    assert inst.r == prob.r == 1
 
 
 def test_build_isotropic_orthonormal_rows():
@@ -176,6 +198,8 @@ def test_min_singular_check_values():
     dup = SelectionProblem(a=empty_block(2), b=DOUBLED_IDENTITY, k=2)
     dup_inst = build_isotropic(dup)
     assert min_singular_check(dup_inst, (0, 2)) < 1e-10
+    with pytest.raises(InvalidInput):
+        min_singular_check(dup_inst, (0, 0))  # duplicate index
 
 
 def test_greedy_fixed_block_wider_than_rows():
