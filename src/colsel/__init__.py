@@ -3,9 +3,9 @@
 Select k columns of a candidate matrix to supplement a fixed block so
 that the pseudoinverse of the combined matrix has provably bounded
 Frobenius and spectral norms.  The selector runs a greedy loop over
-expected characteristic polynomials, locating smallest roots by Sturm
-bisection; an exhaustive oracle and barrier-function checks make every
-step independently verifiable.
+expected characteristic polynomials, locating smallest roots by Newton's
+method inside Sturm-certified brackets; an exhaustive oracle and
+barrier-function checks make every step independently verifiable.
 """
 from .errors import (
     AlgorithmFailure,

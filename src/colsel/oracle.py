@@ -1,7 +1,7 @@
 """Independent cross-check machinery: enumeration, barriers, companion
 roots, and the monomial-basis expected-polynomial pipeline.
 
-Nothing here shares a code path with the Sturm bisection, the y-basis
+Nothing here shares a code path with the root search, the y-basis
 transform or the greedy loop, which is the point: these are the oracles
 the test suite uses to falsify the production code.
 """
@@ -96,7 +96,7 @@ def brute_force(prob: SelectionProblem) -> EnumerationResult:
 def companion_smallest_root(p: Polynomial) -> float:
     """Smallest root via companion-matrix eigenvalues (LAPACK balances).
 
-    Independent oracle for the Sturm bisection; the caller guarantees
+    Independent oracle for :func:`~colsel.poly.smallest_root`; the caller guarantees
     real-rootedness, so the minimum of the real parts is the answer.
     """
     if p.is_zero or p.degree < 1:

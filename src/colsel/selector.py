@@ -51,6 +51,13 @@ _ARITHMETIC_SLACK = 1e-7
 def gamma(m: int, n: int, k: int, r: int) -> float:
     """Approximation factor ``m^2 / (sqrt((k+1)(m-n+r)) - sqrt((n-r)(m-k-1)))^2``.
 
+    Evaluated in the rationalized form ``(A + B + 2 sqrt(A B)) / (k+1-n+r)^2``
+    with ``A = (k+1)(m-n+r)`` and ``B = (n-r)(m-k-1)``: since
+    ``A - B = m (k+1-n+r)``, the two agree, and the subtraction of
+    nearly equal square roots is gone.  ``A``, ``B``, ``A B`` and the
+    denominator are exact integers, so only the square root, one
+    addition and the division round: the result is within 2 ulp.
+
     Its preconditions are the bound's, so :class:`SelectionProblem`
     validates its shape by calling it.
     """
@@ -58,9 +65,9 @@ def gamma(m: int, n: int, k: int, r: int) -> float:
         raise InvalidInput(
             f"the bound requires m > k >= n - r >= 0 and m >= n; got m={m}, n={n}, k={k}, r={r}"
         )
-    root_in = math.sqrt((k + 1) * (m - n + r))
-    root_out = math.sqrt((n - r) * (m - k - 1))
-    return m * m / (root_in - root_out) ** 2
+    a = (k + 1) * (m - n + r)
+    b = (n - r) * (m - k - 1)
+    return (a + b + 2.0 * math.sqrt(a * b)) / (k + 1 - n + r) ** 2
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,12 @@
 """Polynomial arithmetic, Sturm chains, and root isolation."""
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from colsel import poly, selector
 from colsel.errors import DeflationFailure, InvalidInput, NotRealRooted
 from colsel.oracle import deflate_shifted_power, mul_shifted_power
 from colsel.poly import (
@@ -16,7 +19,7 @@ from colsel.poly import (
     smallest_root,
     sturm_chain,
 )
-from conftest import random_real_rooted
+from conftest import random_problem, random_real_rooted
 
 
 def coeffs_close(p: Polynomial, expected, tol=1e-12):
@@ -120,6 +123,8 @@ def test_smallest_root_examples():
     assert smallest_root(Polynomial([-0.5, 1.0]), 1e-9) == pytest.approx(0.5, abs=1e-9)
     # eps below the float spacing at the root: stops at float resolution
     assert smallest_root(Polynomial([-0.5, 1.0]), 1e-300) == pytest.approx(0.5, abs=1e-15)
+    # eps wider than the Cauchy bracket [-7, 7]: its midpoint
+    assert smallest_root(from_roots([1.0, 2.0, 3.0]), float("inf")) == 0.0
 
 
 def test_smallest_root_validation():
@@ -137,6 +142,144 @@ def test_smallest_root_accuracy_random():
         for _ in range(40):
             p, roots = random_real_rooted(rng)
             assert abs(smallest_root(p, eps) - roots[0]) <= eps
+
+
+def _counting_count_roots_leq(monkeypatch) -> list[int]:
+    """Route ``poly.count_roots_leq`` through a counter; returns the counter."""
+    calls = [0]
+    real = poly.count_roots_leq
+
+    def counting(chain, x):
+        calls[0] += 1
+        return real(chain, x)
+
+    monkeypatch.setattr(poly, "count_roots_leq", counting)
+    return calls
+
+
+def test_smallest_root_certifies_wide_shape_roots(monkeypatch):
+    # The benchmark's wide shape (n, m, l, k) = (6, 48, 3, 12).  Newton and
+    # the two certificates settle every root: one Sturm count for the
+    # Cauchy bracket, one for the lower end, and no bisection.
+    calls = _counting_count_roots_leq(monkeypatch)
+    per_root = []
+    real_smallest_root = selector.smallest_root
+
+    def counted_smallest_root(p, eps):
+        before = calls[0]
+        root = real_smallest_root(p, eps)
+        per_root.append(calls[0] - before)
+        return root
+
+    monkeypatch.setattr(selector, "smallest_root", counted_smallest_root)
+    selector.greedy_select(random_problem(np.random.default_rng(3), 6, 48, 3, 12))
+    assert len(per_root) == sum(48 - j for j in range(12))
+    assert max(per_root) <= 2
+
+
+def _exact_smallest_root(p: Polynomial, x: float, radius: float, tol: Fraction) -> Fraction:
+    """Smallest root of ``p``, its float coefficients read as exact rationals.
+
+    An exact Sturm chain checks that ``(x - radius, x + radius]`` holds the
+    smallest root and no other; bisection on the exact sign of ``p`` then
+    narrows that interval to ``tol``.
+    """
+
+    def value(coeffs, t):
+        acc = Fraction(0)
+        for c in reversed(coeffs):
+            acc = acc * t + c
+        return acc
+
+    def remainder(num, den):
+        num = list(num)
+        while len(num) >= len(den):
+            f = num[-1] / den[-1]
+            shift = len(num) - len(den)
+            for i, d in enumerate(den):
+                num[shift + i] -= f * d
+            num.pop()
+        while num and num[-1] == 0:
+            num.pop()
+        return num
+
+    coeffs = [Fraction(c) for c in p.coeffs]
+    chain = [coeffs, [i * c for i, c in enumerate(coeffs)][1:]]
+    while len(chain[-1]) > 1:
+        rem = remainder(chain[-2], chain[-1])
+        if not rem:
+            break
+        chain.append([-c for c in rem])
+
+    def variations(t):
+        signs = [v > 0 for v in (value(q, t) for q in chain) if v != 0]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    bound = 1 + max(abs(c) for c in coeffs[:-1]) / abs(coeffs[-1])
+    lo, hi = Fraction(x) - Fraction(radius), Fraction(x) + Fraction(radius)
+    assert variations(-bound) - variations(lo) == 0  # no root at or below lo
+    assert variations(lo) - variations(hi) == 1  # exactly one in (lo, hi]
+    lo_positive = value(coeffs, lo) > 0
+    while hi - lo > tol:
+        mid = (lo + hi) / 2
+        if (value(coeffs, mid) > 0) == lo_positive:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
+def test_smallest_root_exact_on_criterion_06_trial_157():
+    # Criterion 06's trial 157 (degree 12, clustered roots): plain-Horner
+    # Newton stops 3.3e-7 off the root, the companion oracle is 9.6e-7 off
+    # in the other direction, and together they overrun the eps = 1e-6
+    # budget.  The compensated last Newton steps land within 1e-16 of the
+    # exact root of the float polynomial.
+    rng = np.random.default_rng(6)
+    for _ in range(158):
+        p, _ = random_real_rooted(rng)
+    assert p.degree == 12
+    got = smallest_root(p, 1e-6)
+    exact = _exact_smallest_root(p, got, 1e-4, Fraction(1, 10**16))
+    assert abs(Fraction(got) - exact) <= Fraction(1, 10**12)
+
+
+def test_smallest_root_double_root(monkeypatch):
+    # (x-1)^2 (x-2): p does not change sign at 1, so the upper end is
+    # certified by the Sturm count at x + eps/4, still without bisection.
+    calls = _counting_count_roots_leq(monkeypatch)
+    p = from_roots([1.0, 1.0, 2.0])
+    for eps in (1e-4, 1e-6):
+        calls[0] = 0
+        assert abs(smallest_root(p, eps) - 1.0) <= eps
+        assert calls[0] == 3
+
+
+def _times(p: Polynomial, q: Polynomial) -> Polynomial:
+    out = [0.0] * (len(p.coeffs) + len(q.coeffs) - 1)
+    for i, a in enumerate(p.coeffs):
+        for j, b in enumerate(q.coeffs):
+            out[i + j] += a * b
+    return Polynomial(out)
+
+
+@pytest.mark.parametrize(
+    "pair, real_roots",
+    [
+        # complex pair -2 +/- i, left of the real roots
+        ((5.0, 4.0, 1.0), (0.5, 0.7)),
+        # complex pair -1 +/- 0.5i: Newton stalls near the pair, left of every real root
+        ((1.25, 2.0, 1.0), (0.5, 0.7)),
+        # complex pair 5 +/- 5i: the Laguerre-Samuelson start lies right of 0.1
+        ((50.0, -10.0, 1.0), (0.1, 0.2)),
+    ],
+)
+def test_smallest_root_complex_pair_falls_back(pair, real_roots):
+    # Not real-rooted: Newton's start and its barrier stop are no longer
+    # bounds, so whatever the certificates reject is bisected.
+    p = _times(Polynomial(pair), from_roots(real_roots))
+    for eps in (1e-4, 1e-6):
+        assert abs(smallest_root(p, eps) - real_roots[0]) <= eps
 
 
 def test_rolle_consistency():

@@ -1,6 +1,9 @@
 """Greedy selection loop, reduction to the isotropic frame, bounds."""
 from __future__ import annotations
 
+import math
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 
@@ -31,6 +34,21 @@ def test_gamma_values():
     assert gamma(4, 2, 3, 0) == pytest.approx(2.0)
     assert gamma(10, 3, 4, 3) == pytest.approx(2.0)
     assert gamma(2, 1, 1, 0) == pytest.approx(2.0)
+
+
+def test_gamma_exact_to_two_ulp():
+    assert gamma(4, 2, 3, 0) == 2.0
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for m in range(2, 40):
+            for n in range(1, min(m, 8) + 1):
+                for r in range(n + 1):
+                    for k in range(n - r, m):
+                        root_in = Decimal((k + 1) * (m - n + r)).sqrt()
+                        root_out = Decimal((n - r) * (m - k - 1)).sqrt()
+                        exact = Decimal(m * m) / (root_in - root_out) ** 2
+                        error = abs(Decimal(gamma(m, n, k, r)) - exact)
+                        assert error <= 2 * Decimal(math.ulp(float(exact))), (m, n, k, r)
 
 
 def test_gamma_validation():
@@ -331,7 +349,10 @@ def _still_fails(reason: str):
         (12, 40, 0, 12, 0),
         pytest.param(
             12, 150, 0, 60, 1,
-            marks=_still_fails("Sturm bisection is inaccurate at degree 12; the trace guard fires"),
+            marks=_still_fails(
+                "degree 12: float Sturm counts miss 563 of 7230 root certificates, "
+                "and the trace guard fires"
+            ),
         ),
         pytest.param(
             12, 150, 0, 12, 0,

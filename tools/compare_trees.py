@@ -4,10 +4,13 @@ Usage: python tools/compare_trees.py OLD_SRC NEW_SRC
 
 Each tree is imported in its own subprocess (``PYTHONPATH=<src>``), runs
 ``greedy_select`` and ``verify_bound`` on the same 140 instances, and
-prints one JSON record per instance.  The comparison requires identical
-subsets and traces (root values compared bit for bit) and reports the
-largest relative difference of the norms, the bound factor and the
-verify ratios.  Exit status 1 if any subset or trace differs.
+prints one JSON record per instance.  The comparison lists the instances
+whose subsets (selected indices in selection order) differ.  Apart from
+those, it counts the instances whose trace root values differ and
+reports the largest root difference ``|old - new| / eps``.  It also
+reports the largest relative difference of the norms, the bound factor
+and the verify ratios.  Exit status 1 if any subset or root value
+differs.
 """
 from __future__ import annotations
 
@@ -51,7 +54,8 @@ def dump() -> None:
                 "shape": [n, m, ell, k, rank_a],
                 "seed": seed,
                 "subset": list(report.subset),
-                "trace": [[t.index, t.lambda_min.hex()] for t in report.trace],
+                "eps": report.eps,
+                "trace": [t.lambda_min.hex() for t in report.trace],
                 "ratio_frob": ratio_frob,
                 "ratio_spec": ratio_spec,
             }
@@ -70,18 +74,25 @@ def run(src: str) -> list[dict]:
 def main(old_src: str, new_src: str) -> int:
     old, new = run(old_src), run(new_src)
     assert len(old) == len(new)
-    mismatched = [
-        (o["shape"], o["seed"])
-        for o, c in zip(old, new)
-        if (o["subset"], o["trace"]) != (c["subset"], c["trace"])
-    ]
-    worst = {
-        v: max(abs(c[v] - o[v]) / abs(o[v]) for o, c in zip(old, new)) for v in VALUES
-    }
-    print(f"{len(old)} instances; subset/trace mismatches: {mismatched or 'none'}")
+    pairs = list(zip(old, new))
+    subsets = [(o["shape"], o["seed"]) for o, c in pairs if o["subset"] != c["subset"]]
+    roots = sum(o["subset"] == c["subset"] and o["trace"] != c["trace"] for o, c in pairs)
+    root_gap = max(
+        (
+            abs(float.fromhex(a) - float.fromhex(b)) / o["eps"]
+            for o, c in pairs
+            if o["subset"] == c["subset"]
+            for a, b in zip(o["trace"], c["trace"])
+        ),
+        default=0.0,
+    )
+    worst = {v: max(abs(c[v] - o[v]) / abs(o[v]) for o, c in pairs) for v in VALUES}
+    print(f"{len(old)} instances")
+    print(f"  subset or order mismatches: {len(subsets)}", *subsets)
+    print(f"  root value mismatches: {roots}; max |old - new| / eps: {root_gap:.3g}")
     for v, rel in worst.items():
         print(f"  max relative difference of {v}: {rel:.2e}")
-    return 1 if mismatched else 0
+    return 1 if subsets or roots else 0
 
 
 if __name__ == "__main__":
