@@ -350,7 +350,7 @@ def _still_fails(reason: str):
         pytest.param(
             12, 150, 0, 60, 1,
             marks=_still_fails(
-                "degree 12: float Sturm counts miss 563 of 7230 root certificates, "
+                "degree 12: float Sturm counts and signs miss 521 of 7230 root certificates, "
                 "and the trace guard fires"
             ),
         ),
