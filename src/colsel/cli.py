@@ -58,11 +58,12 @@ _ALGORITHM_ERRORS = (AlgorithmFailure, NotRealRooted)
 def parse_matrix_csv(path: str) -> DenseMatrix:
     """Read a headerless CSV of decimal rows into a matrix.
 
-    Rows must have equal length; NaN/Inf tokens are rejected.  Errors
+    Rows must have equal length; NaN/Inf tokens are rejected.  A UTF-8
+    byte order mark, as spreadsheet exports write, is skipped.  Errors
     carry the offending line number.
     """
     rows: list[list[float]] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:

@@ -8,9 +8,10 @@ calibrated for float64; near-multiple roots are absorbed into gcd layers
 rather than resolved exactly.
 
 :func:`smallest_root` finds a root by Newton's method from the left,
-with compensated-Horner last steps, and returns it only inside a
-bracket that Sturm counts and a sign change certify; bisection on the
-Sturm count covers whatever the certificates leave open.
+with ``p'`` from the Sturm chain and compensated-Horner last steps,
+and returns it only inside a bracket that a sign change and a Sturm
+count certify; bisection on the Sturm count covers whatever the
+certificates leave open.
 """
 from __future__ import annotations
 
@@ -152,21 +153,19 @@ def derivative(p: Polynomial, times: int = 1) -> Polynomial:
     return Polynomial(c)
 
 
-def _divmod_coeffs(num: Sequence[float], den: Sequence[float]) -> tuple[list[float], list[float]]:
-    """Euclidean division of ascending coefficient lists; den must be nonzero."""
+def _remainder(num: Sequence[float], den: Sequence[float]) -> list[float]:
+    """Remainder of the Euclidean division of ascending coefficient lists; den must be nonzero."""
     rem = list(num)
     dd = len(den) - 1
     lead = den[-1]
-    quot = [0.0] * max(len(rem) - dd, 0)
     for i in range(len(rem) - 1, dd - 1, -1):
         f = rem[i] / lead
-        quot[i - dd] = f
         if f != 0.0:
             for j in range(dd + 1):
                 rem[i - dd + j] -= f * den[j]
         rem[i] = 0.0
     del rem[dd:]
-    return quot, rem
+    return rem
 
 
 def sturm_chain(p: Polynomial) -> SturmChain:
@@ -178,7 +177,7 @@ def sturm_chain(p: Polynomial) -> SturmChain:
     chain = [p, derivative(p, 1)]
     while chain[-1].degree >= 1:
         dividend = chain[-2]
-        _, rem = _divmod_coeffs(dividend.coeffs, chain[-1].coeffs)
+        rem = _remainder(dividend.coeffs, chain[-1].coeffs)
         rem_scale = max((abs(v) for v in rem), default=0.0)
         dividend_scale = max(abs(v) for v in dividend.coeffs)
         if rem_scale <= _GCD_REMAINDER_TOL * dividend_scale:
@@ -222,18 +221,8 @@ def _cauchy_radius(p: Polynomial) -> float:
     return max(abs(c) for c in p.coeffs[:-1]) / lead if p.degree >= 1 else 0.0
 
 
-def _value_and_slope(p: Polynomial, x: float) -> tuple[float, float]:
-    """``p(x)`` and ``p'(x)`` by one Horner pass."""
-    value = 0.0
-    slope = 0.0
-    for c in reversed(p.coeffs):
-        slope = slope * x + value
-        value = value * x + c
-    return value, slope
-
-
-def _compensated_value_and_slope(p: Polynomial, x: float) -> tuple[float, float]:
-    """``p(x)`` by compensated Horner, and ``p'(x)`` by plain Horner, in one pass.
+def _compensated_value(p: Polynomial, x: float) -> float:
+    """``p(x)`` by compensated Horner.
 
     Compensated Horner (Graillat, Langlois and Louvet, 2005) adds back
     the rounding error of every step: each product's error comes from
@@ -246,9 +235,7 @@ def _compensated_value_and_slope(p: Polynomial, x: float) -> tuple[float, float]
     x_lo = x - x_hi
     value = 0.0
     error = 0.0
-    slope = 0.0
     for coeff in reversed(p.coeffs):
-        slope = slope * x + value
         prod = value * x
         c = _SPLITTER * value
         v_hi = c - (c - value)
@@ -258,23 +245,31 @@ def _compensated_value_and_slope(p: Polynomial, x: float) -> tuple[float, float]
         t = value - prod
         sum_error = (prod - (value - t)) + (coeff - t)
         error = error * x + (prod_error + sum_error)
-    return value + error, slope
+    return value + error
 
 
-def _newton_from_left(p: Polynomial, lo: float, hi: float, eps: float) -> float:
+def _sign_change(p: Polynomial, a: float, b: float) -> bool:
+    """True when the compensated values of ``p`` at ``a`` and ``b`` differ in sign; a zero counts."""
+    at_a, at_b = _compensated_value(p, a), _compensated_value(p, b)
+    return at_a <= 0.0 <= at_b or at_b <= 0.0 <= at_a
+
+
+def _newton_from_left(p: Polynomial, dp: Polynomial, lo: float, hi: float, eps: float) -> float:
     """Newton's method from a lower bound on the roots, for the smallest root.
 
-    The start is the Laguerre-Samuelson bound ``mean - sqrt(n-1) * std``
-    of the roots, from the top three coefficients.  Left of the smallest
-    root of a real-rooted ``p``, Newton climbs monotonically towards it,
-    and ``root - x <= n * (-p(x)/p'(x))`` (the lower barrier), so the
-    loop stops once that bound is at most ``eps/4``, or at a step to the
+    ``dp`` is ``p'``, taken from the Sturm chain of ``p``.  The start is
+    the Laguerre-Samuelson bound ``mean - sqrt(n-1) * std`` of the roots,
+    from the top three coefficients.  Left of the smallest root of a
+    real-rooted ``p``, Newton climbs monotonically towards it, and
+    ``root - x <= n * (-p(x)/p'(x))`` (the lower barrier), so the loop
+    stops once that bound is at most ``eps/4``, or at a step to the
     left, which means ``x`` is not left of the smallest root (or ``p`` is
     not real-rooted).  Plain Horner's rounding error caps how close that
     loop gets to a root with close neighbours, so two last steps take
-    ``p(x)`` from :func:`_compensated_value_and_slope`.  Nothing here is
-    trusted: the result is a finite guess inside ``(lo, hi)`` that
-    :func:`smallest_root` certifies or discards.
+    ``p(x)`` from :func:`_compensated_value`; every step takes ``p'(x)``
+    from plain Horner on ``dp``.  Nothing here is trusted: the result is
+    a finite guess inside ``(lo, hi)`` that :func:`smallest_root`
+    certifies or discards.
     """
     c = p.coeffs
     n = p.degree
@@ -286,16 +281,15 @@ def _newton_from_left(p: Polynomial, lo: float, hi: float, eps: float) -> float:
     x = mean - spread
     if not lo < x < hi:
         x = lo
-    value, slope = _value_and_slope(p, x)
     for _ in range(_NEWTON_MAX_STEPS):
-        step = -value / slope if slope else 0.0
+        slope = evaluate(dp, x)
+        step = -evaluate(p, x) / slope if slope else 0.0
         if n * step <= 0.25 * eps or not lo < x + step < hi:
             break
         x += step
-        value, slope = _value_and_slope(p, x)
     for _ in range(_COMPENSATED_STEPS):
-        value, slope = _compensated_value_and_slope(p, x)
-        corrected = x - value / slope if slope else x
+        slope = evaluate(dp, x)
+        corrected = x - _compensated_value(p, x) / slope if slope else x
         if not lo < corrected < hi:
             break
         x = corrected
@@ -305,18 +299,20 @@ def _newton_from_left(p: Polynomial, lo: float, hi: float, eps: float) -> float:
 def smallest_root(p: Polynomial, eps: float) -> float:
     """Smallest real root of ``p`` within ``eps``: the midpoint of a checked bracket.
 
-    The bracket starts as the Cauchy bracket ``[lo, hi]``, with no root
-    at or below ``lo`` and at least one at or below ``hi``.  Newton's
-    method from the left (:func:`_newton_from_left`) then proposes a
-    root ``x``, and two certificates narrow the bracket to
-    ``[x - eps/4, x + eps/4]``: ``lo`` moves up if the Sturm count at
-    ``x - eps/4`` is zero; ``hi`` moves down if the compensated values
-    of ``p`` at ``x -/+ eps/4`` differ in sign.  A certificate that does
-    not hold leaves its Cauchy end in place.  Bisection on the Sturm
-    count then halves whatever the certificates left, until the bracket
-    is at most ``eps`` wide or its midpoint is no longer a float strictly
-    inside it; so an ``eps`` below the float spacing at the root gives
-    the root at float resolution instead of looping forever.
+    Checks, in order: ``eps`` must be greater than zero (a NaN is not),
+    else :class:`InvalidInput`.  From the Cauchy bracket ``[lo, hi]``,
+    which has no root at or below ``lo``, Newton's method from the left
+    (:func:`_newton_from_left`) proposes a root ``x``.  Then ``hi`` moves
+    down to ``x + eps/4`` if the compensated values of ``p`` at
+    ``x -/+ eps/4`` differ in sign; only if they do not is the Sturm
+    count at ``hi`` taken, and a zero count raises :class:`NotRealRooted`.
+    Last, ``lo`` moves up to ``x - eps/4`` if the Sturm count there is
+    zero.  A certificate that does not hold, or an ``eps`` wider than the
+    bracket, leaves the Cauchy end in place.  Bisection on the Sturm
+    count then halves whatever is left, until the bracket is at most
+    ``eps`` wide or its midpoint is no longer a float strictly inside it;
+    so an ``eps`` below the float spacing at the root gives the root at
+    float resolution instead of looping forever.
 
     Accuracy contract: the result is the midpoint of a bracket at most
     ``eps`` wide that holds the smallest root, so it is within ``eps/2``
@@ -328,26 +324,24 @@ def smallest_root(p: Polynomial, eps: float) -> float:
     The caller is responsible for real-rootedness; a polynomial with no
     real root in the Cauchy bracket raises :class:`NotRealRooted`.
     """
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise InvalidInput(f"eps must be > 0, got {eps}")
     if p.is_zero or p.degree < 1:
         raise NotRealRooted("polynomial has no roots")
     chain = sturm_chain(p)
     radius = _cauchy_radius(p)
     lo, hi = -1.0 - radius, 1.0 + radius
-    if count_roots_leq(chain, hi) == 0:
-        raise NotRealRooted(f"no real root found in [-{1 + radius}, {1 + radius}]")
-    x = _newton_from_left(p, lo, hi, eps)
+    x = _newton_from_left(p, chain.chain[1], lo, hi, eps)
     below, above = x - 0.25 * eps, x + 0.25 * eps
     # The certificates only narrow the bracket: an eps wider than it
-    # leaves the Cauchy ends in place.
+    # leaves the Cauchy ends in place.  A sign change proves a root, so
+    # only without one does hi need a Sturm count.
+    if above < hi and _sign_change(p, below, above):
+        hi = above
+    elif count_roots_leq(chain, hi) == 0:
+        raise NotRealRooted(f"no real root found in [-{1 + radius}, {1 + radius}]")
     if lo < below and count_roots_leq(chain, below) == 0:
         lo = below
-    if above < hi:
-        at_below, _ = _compensated_value_and_slope(p, below)
-        at_above, _ = _compensated_value_and_slope(p, above)
-        if at_below <= 0.0 <= at_above or at_above <= 0.0 <= at_below:
-            hi = above
     while hi - lo > eps:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:

@@ -61,9 +61,10 @@ def gamma(m: int, n: int, k: int, r: int) -> float:
     Its preconditions are the bound's, so :class:`SelectionProblem`
     validates its shape by calling it.
     """
-    if not (m > k >= n - r >= 0 and m >= n):
+    if not (m > k >= n - r >= 0 and m >= n and r >= 0):
         raise InvalidInput(
-            f"the bound requires m > k >= n - r >= 0 and m >= n; got m={m}, n={n}, k={k}, r={r}"
+            f"the bound requires m > k >= n - r >= 0, m >= n and r >= 0; "
+            f"got m={m}, n={n}, k={k}, r={r}"
         )
     a = (k + 1) * (m - n + r)
     b = (n - r) * (m - k - 1)
@@ -221,17 +222,16 @@ def greedy_select(
 
     for _ in range(prob.k):
         order = list(candidate_order(remaining)) if candidate_order else remaining
-        best = (-math.inf, -1)
+        best = (-math.inf, -1, gram)
         for j in order:
             cand_gram = gram_update(gram, inst.y.data[:, offset + j])
             f = expected_poly_from_gram(inst, cand_gram, len(chosen) + 1)
             lam = smallest_root(f, prob.eps)
             if lam > best[0] or (lam == best[0] and j < best[1]):
-                best = (lam, j)
-        lam, j = best
+                best = (lam, j, cand_gram)
+        lam, j, gram = best
         chosen.append(j)
         remaining.remove(j)
-        gram = gram_update(gram, inst.y.data[:, offset + j])
         trace.append(TraceStep(index=j, lambda_min=lam))
 
     selected = hcat(prob.a, columns(prob.b, chosen))

@@ -36,6 +36,13 @@ def test_parse_matrix_csv_scientific_and_negative(tmp_path):
     assert parse_matrix_csv(path) == DenseMatrix([[0.001, 2.5], [-1.0, 0.0]])
 
 
+def test_parse_matrix_csv_skips_utf8_bom(tmp_path):
+    text = "1e-3,2.5\n-1,0\n"
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert parse_matrix_csv(str(bom)) == parse_matrix_csv(write(tmp_path, "plain.csv", text))
+
+
 def test_parse_matrix_csv_ragged_row(tmp_path):
     path = write(tmp_path, "m.csv", "1,0\n0\n")
     with pytest.raises(FormatError) as err:
@@ -132,6 +139,8 @@ def test_gamma_subcommand(capsys):
 
 def test_gamma_subcommand_invalid(capsys):
     assert main(["gamma", "-m", "4", "-n", "2", "-k", "4", "-r", "0"]) == 1
+    assert main(["gamma", "-m", "10", "-n", "2", "-k", "5", "-r", "-1"]) == 1
+    assert "r >= 0" in capsys.readouterr().err
 
 
 def test_verify_subcommand(tmp_path, capsys):

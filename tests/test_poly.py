@@ -130,8 +130,14 @@ def test_smallest_root_examples():
 def test_smallest_root_validation():
     with pytest.raises(InvalidInput):
         smallest_root(Polynomial([-1.0, 1.0]), 0.0)
-    with pytest.raises(NotRealRooted):
-        smallest_root(Polynomial([1.0, 0.0, 1.0]), 1e-6)
+    with pytest.raises(InvalidInput):
+        smallest_root(from_roots([0.3, 0.7]), float("nan"))
+    # x^2 + 1: no sign change certifies an upper end, so the Sturm count
+    # at the Cauchy end runs and finds no root, also when eps is wider
+    # than the bracket.
+    for eps in (1e-6, float("inf")):
+        with pytest.raises(NotRealRooted):
+            smallest_root(Polynomial([1.0, 0.0, 1.0]), eps)
     with pytest.raises(NotRealRooted):
         smallest_root(Polynomial([3.0]), 1e-6)
 
@@ -159,8 +165,9 @@ def _counting_count_roots_leq(monkeypatch) -> list[int]:
 
 def test_smallest_root_certifies_wide_shape_roots(monkeypatch):
     # The benchmark's wide shape (n, m, l, k) = (6, 48, 3, 12).  Newton and
-    # the two certificates settle every root: one Sturm count for the
-    # Cauchy bracket, one for the lower end, and no bisection.
+    # the two certificates settle every root with one Sturm count, for
+    # the lower end: the sign change certifies the upper end, so the
+    # Cauchy end needs no count, and nothing is bisected.
     calls = _counting_count_roots_leq(monkeypatch)
     per_root = []
     real_smallest_root = selector.smallest_root
@@ -174,7 +181,7 @@ def test_smallest_root_certifies_wide_shape_roots(monkeypatch):
     monkeypatch.setattr(selector, "smallest_root", counted_smallest_root)
     selector.greedy_select(random_problem(np.random.default_rng(3), 6, 48, 3, 12))
     assert len(per_root) == sum(48 - j for j in range(12))
-    assert max(per_root) <= 2
+    assert set(per_root) == {1}
 
 
 def _exact_smallest_root(p: Polynomial, x: float, radius: float, tol: Fraction) -> Fraction:

@@ -58,6 +58,8 @@ def test_gamma_validation():
         gamma(4, 3, 1, 0)  # k < n - r
     with pytest.raises(InvalidInput):
         gamma(2, 3, 1, 2)  # m < n
+    with pytest.raises(InvalidInput, match="r >= 0"):
+        gamma(10, 2, 5, -1)  # negative rank
 
 
 def test_problem_validation():
