@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidInput
-from .linalg import DenseMatrix, thin_svd
+from .linalg import DenseMatrix, _as_index, thin_svd
 from .poly import Polynomial, from_roots
 
 __all__ = [
@@ -175,7 +175,7 @@ def _partial_gram(inst: IsotropicInstance, partial: Sequence[int]) -> DenseMatri
 
 
 def _check_partial(inst: IsotropicInstance, partial: Sequence[int], max_size: int) -> tuple[int, ...]:
-    idx = tuple(int(s) for s in partial)
+    idx = tuple(_as_index(s, InvalidInput, "index") for s in partial)
     if len(set(idx)) != len(idx):
         raise InvalidInput(f"partial selection contains duplicates: {idx}")
     for s in idx:

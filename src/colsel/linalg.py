@@ -6,6 +6,7 @@ numpy and favours clarity over asymptotics.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -43,7 +44,7 @@ class DenseMatrix:
         a = np.array(data, dtype=float, order="C", copy=True)
         if a.ndim != 2:
             raise InvalidInput(f"matrix data must be 2-dimensional, got ndim={a.ndim}")
-        if a.size and not np.all(np.isfinite(a)):
+        if a.size and not np.isfinite(a).all():
             raise InvalidInput("matrix entries must be finite (no NaN/Inf)")
         a.setflags(write=False)
         object.__setattr__(self, "data", a)
@@ -155,9 +156,18 @@ def norms_sq(q: DenseMatrix) -> tuple[float, float]:
     return frob_sq, min(spec_sq, frob_sq)
 
 
+def _as_index(value: object, error: type[ValueError], what: str) -> int:
+    """``operator.index(value)``: Python and numpy integers pass; a float
+    or any other non-integer raises ``error``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{what} must be an integer, got {value!r}") from None
+
+
 def columns(q: DenseMatrix, s: Iterable[int]) -> DenseMatrix:
-    """Extract the columns of ``q`` indexed by ``s``, in the order listed."""
-    idx = [int(j) for j in s]
+    """Extract the columns of ``q`` indexed by the integers ``s``, in the order listed."""
+    idx = [_as_index(j, InvalidSubset, "column index") for j in s]
     for j in idx:
         if not 0 <= j < q.cols:
             raise InvalidSubset(f"column index {j} out of range [0, {q.cols})")

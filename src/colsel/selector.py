@@ -10,7 +10,8 @@ independent of evaluation order).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -25,6 +26,7 @@ from .expected_charpoly import (
 from .linalg import (
     DenseMatrix,
     SvdFactors,
+    _as_index,
     columns,
     gram_update,
     hcat,
@@ -43,8 +45,8 @@ __all__ = [
     "min_singular_check",
 ]
 
-# Slack applied when re-checking the proven bound on computed output;
-# covers float arithmetic only, not algorithmic error.
+# Relative slack of the one comparison against the proven bound
+# (:func:`_within_bound`); covers float arithmetic only, not algorithmic error.
 _ARITHMETIC_SLACK = 1e-7
 
 
@@ -77,16 +79,23 @@ class SelectionProblem:
     budget ``k`` and root-approximation accuracy ``eps``.
 
     Construction takes the thin SVDs of ``[a b]`` and of ``a`` once
-    (numerical rank as in :func:`~colsel.linalg.thin_svd`) and validates
-    that ``[a b]`` has full row rank, that ``k >= 1``, that ``m``, ``n``,
-    ``k`` and ``r = rank(a)`` meet the preconditions of :func:`gamma`
-    (``m > k >= n - r`` and ``m >= n``), and that ``eps < 1/(2k)``.
+    (numerical rank as in :func:`~colsel.linalg.thin_svd`), and from the
+    first the baseline norms ``baseline_norms_sq = (|[a b]^+|_F^2, |[a b]^+|_2^2)``.
+    It raises :class:`RankDeficient` unless ``[a b]`` has full row rank,
+    and :class:`InvalidInput` unless the row counts agree, ``k`` is an
+    integer ``>= 1``, ``m``, ``n``, ``k`` and ``r = rank(a)`` meet the
+    preconditions of :func:`gamma` (``m > k >= n - r`` and ``m >= n``),
+    ``0 < eps < 1/(2k)``, and both baseline norms are finite, positive
+    normal floats.
     """
 
     a: DenseMatrix
     b: DenseMatrix
     k: int
     eps: float = 1e-6
+    a_svd: SvdFactors = field(init=False, repr=False, compare=False)
+    stacked: SvdFactors = field(init=False, repr=False, compare=False)
+    baseline_norms_sq: tuple[float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.a.rows != self.b.rows:
@@ -99,16 +108,23 @@ class SelectionProblem:
             raise RankDeficient(
                 f"[a b] has numerical rank {stacked.rank} < n = {n}"
             )
+        baseline = _pinv_norms_sq(stacked.sigma)
+        if not all(sys.float_info.min <= v <= sys.float_info.max for v in baseline):
+            raise InvalidInput(
+                f"the squared pseudoinverse norms of [a b], {baseline}, must be finite "
+                "positive normal floats"
+            )
         a_svd = thin_svd(self.a)
-        if self.k < 1:
+        if _as_index(self.k, InvalidInput, "k") < 1:
             raise InvalidInput(f"k must be >= 1, got {self.k}")
         gamma(self.m, n, self.k, a_svd.rank)  # raises unless the bound's preconditions hold
         if not 0.0 < self.eps < 1.0 / (2 * self.k):
             raise InvalidInput(
                 f"eps must be in (0, 1/(2k)) = (0, {1.0 / (2 * self.k)}), got {self.eps}"
             )
-        object.__setattr__(self, "_a_svd", a_svd)
-        object.__setattr__(self, "_stacked", stacked)
+        object.__setattr__(self, "a_svd", a_svd)
+        object.__setattr__(self, "stacked", stacked)
+        object.__setattr__(self, "baseline_norms_sq", baseline)
 
     @property
     def n(self) -> int:
@@ -125,16 +141,6 @@ class SelectionProblem:
     @property
     def r(self) -> int:
         return self.a_svd.rank
-
-    @property
-    def a_svd(self) -> SvdFactors:
-        """Thin SVD of ``a``, computed once at construction."""
-        return self._a_svd  # type: ignore[attr-defined]
-
-    @property
-    def stacked(self) -> SvdFactors:
-        """Thin SVD of ``[a b]`` (rank ``n``), computed once at construction."""
-        return self._stacked  # type: ignore[attr-defined]
 
 
 class TraceStep(NamedTuple):
@@ -172,9 +178,39 @@ def build_isotropic(prob: SelectionProblem) -> IsotropicInstance:
 
 def _pinv_norms_sq(sigma: Sequence[float]) -> tuple[float, float]:
     """``(|q^+|_F^2, |q^+|_2^2) = (sum 1/sigma^2, 1/sigma_min^2)`` from the
-    singular values of ``q`` kept by its thin SVD; both are zero when none are."""
-    inv_sq = 1.0 / np.asarray(sigma) ** 2
-    return float(np.sum(inv_sq)), float(inv_sq.max(initial=0.0))
+    singular values of ``q`` kept by its thin SVD; both are zero when none are.
+    They may leave the float range without a warning; callers range-check them."""
+    with np.errstate(over="ignore", divide="ignore"):
+        inv_sq = 1.0 / np.asarray(sigma) ** 2
+        return float(np.sum(inv_sq)), float(inv_sq.max(initial=0.0))
+
+
+def _subset_norms_sq(prob: SelectionProblem, subset: Sequence[int]) -> tuple[float, float]:
+    """``(|[a b_S]^+|_F^2, |[a b_S]^+|_2^2)`` for the columns ``subset`` of ``b``.
+
+    Raises :class:`RankDeficient` when ``[a b_S]`` fails the rank rule of
+    :func:`~colsel.linalg.thin_svd`, or when a norm's ratio to the
+    baseline overflows.
+    """
+    selected = thin_svd(hcat(prob.a, columns(prob.b, subset)))
+    if selected.rank < prob.n:
+        raise RankDeficient(
+            f"selected columns rank-deficient: [a b_S] has numerical rank "
+            f"{selected.rank} < n = {prob.n}"
+        )
+    norms = _pinv_norms_sq(selected.sigma)
+    if not all(v / base < math.inf for v, base in zip(norms, prob.baseline_norms_sq)):
+        raise RankDeficient(
+            f"selected columns nearly rank-deficient: the squared pseudoinverse norms "
+            f"of [a b_S], {norms}, over the baseline overflow"
+        )
+    return norms
+
+
+def _within_bound(ratio: float, factor: float) -> bool:
+    """Whether a squared norm over its baseline meets the bound ``factor``; the
+    one comparison behind both :func:`verify_bound` and :func:`_check_report`."""
+    return ratio <= factor * (1.0 + _ARITHMETIC_SLACK)
 
 
 def _fixed_block_factor(prob: SelectionProblem) -> float:
@@ -208,10 +244,13 @@ def greedy_select(
     (smallest column index) makes the result order-independent.
     Each candidate is scored by the smallest root of the expected
     polynomial of the extended partial (see
-    :func:`~colsel.expected_charpoly.expected_poly_from_gram`).  A
-    polynomial with no real root raises :class:`NotRealRooted`; a
-    computed subset that breaks the proven guarantees raises
-    :class:`AlgorithmFailure`.
+    :func:`~colsel.expected_charpoly.expected_poly_from_gram`).
+
+    Raises :class:`NotRealRooted` for a polynomial with no real root,
+    :class:`RankDeficient` when the selected ``[a b_S]`` fails the rank
+    rule or its norms overflow (as :func:`verify_bound` does), and
+    :class:`AlgorithmFailure` when the subset breaks the proven
+    guarantees.
     """
     inst = build_isotropic(prob)
     offset = prob.l  # selectable column j of b sits at y column offset + j
@@ -234,9 +273,8 @@ def greedy_select(
         remaining.remove(j)
         trace.append(TraceStep(index=j, lambda_min=lam))
 
-    selected = hcat(prob.a, columns(prob.b, chosen))
-    frob_sq, spec_sq = _pinv_norms_sq(thin_svd(selected).sigma)
-    baseline_frob_sq, baseline_spec_sq = _pinv_norms_sq(prob.stacked.sigma)
+    frob_sq, spec_sq = _subset_norms_sq(prob, chosen)
+    baseline_frob_sq, baseline_spec_sq = prob.baseline_norms_sq
     report = SelectionReport(
         subset=tuple(chosen),
         frob_sq=frob_sq,
@@ -254,23 +292,25 @@ def greedy_select(
 
 def _check_report(report: SelectionReport, prob: SelectionProblem) -> None:
     """Re-assert the proven guarantees on the computed output."""
-    cap = report.bound_factor * (1.0 + _ARITHMETIC_SLACK)
-    if (
-        report.frob_sq > cap * report.baseline_frob_sq
-        or report.spec_sq > cap * report.baseline_spec_sq
+    factor = report.bound_factor
+    for name, norm_sq, baseline_sq in (
+        ("frob_sq", report.frob_sq, report.baseline_frob_sq),
+        ("spec_sq", report.spec_sq, report.baseline_spec_sq),
     ):
-        raise AlgorithmFailure(
-            "selected subset violates the proven norm bound; "
-            f"frob {report.frob_sq:.6g} vs cap {cap * report.baseline_frob_sq:.6g}, "
-            f"spec {report.spec_sq:.6g} vs cap {cap * report.baseline_spec_sq:.6g}"
-        )
+        if not _within_bound(norm_sq / baseline_sq, factor):
+            raise AlgorithmFailure(
+                f"selected subset violates the proven norm bound: {name} {norm_sq!r} exceeds "
+                f"the cap {factor * (1.0 + _ARITHMETIC_SLACK) * baseline_sq!r} = bound_factor "
+                f"{factor!r} * (1 + {_ARITHMETIC_SLACK:g}) * baseline {baseline_sq!r}"
+            )
     # Root values may drop by at most eps per step; both reads carry
     # eps approximation error, so 2*eps is the observable slack.
-    for prev, cur in zip(report.trace, report.trace[1:]):
+    for step, (prev, cur) in enumerate(zip(report.trace, report.trace[1:]), start=2):
         if cur.lambda_min < prev.lambda_min - 2.0 * prob.eps:
             raise AlgorithmFailure(
-                f"trace root values dropped by more than 2*eps: "
-                f"{prev.lambda_min} -> {cur.lambda_min}"
+                f"trace root values dropped by more than 2*eps = {2.0 * prob.eps:g} at "
+                f"step {step}: column {prev.index} had lambda_min {prev.lambda_min!r}, "
+                f"column {cur.index} has {cur.lambda_min!r}"
             )
 
 
@@ -281,22 +321,22 @@ def verify_bound(prob: SelectionProblem, subset: Sequence[int]) -> tuple[bool, f
     the subset's squared pseudoinverse norms to the baseline ``[a b]``
     norms; the bound holds when both are at most :func:`bound_factor`,
     which includes the ``(1 + 2 k eps)`` factor the approximate
-    algorithm is entitled to.
-    """
-    idx = [int(j) for j in subset]
-    if len(idx) != prob.k:
-        raise InvalidSubset(f"subset must have size k = {prob.k}, got {len(idx)}")
-    selected = thin_svd(hcat(prob.a, columns(prob.b, idx)))
-    if selected.rank < prob.n:
-        raise RankDeficient("selected columns rank-deficient")
+    algorithm is entitled to, up to a float slack of ``1e-7`` relative.
 
-    frob_sq, spec_sq = _pinv_norms_sq(selected.sigma)
-    baseline_frob_sq, baseline_spec_sq = _pinv_norms_sq(prob.stacked.sigma)
+    Raises :class:`InvalidSubset` unless ``subset`` holds ``k`` distinct
+    integer column indices of ``b``, and :class:`RankDeficient` when
+    ``[a b_S]`` fails the rank rule or its norms overflow.
+    """
+    if len(subset) != prob.k:
+        raise InvalidSubset(f"subset must have size k = {prob.k}, got {len(subset)}")
+    frob_sq, spec_sq = _subset_norms_sq(prob, subset)
+    baseline_frob_sq, baseline_spec_sq = prob.baseline_norms_sq
     ratio_frob = frob_sq / baseline_frob_sq
     ratio_spec = spec_sq / baseline_spec_sq
 
-    cap = bound_factor(prob)
-    return (ratio_frob <= cap and ratio_spec <= cap), ratio_frob, ratio_spec
+    factor = bound_factor(prob)
+    holds = _within_bound(ratio_frob, factor) and _within_bound(ratio_spec, factor)
+    return holds, ratio_frob, ratio_spec
 
 
 def min_singular_check(inst: IsotropicInstance, subset: Sequence[int]) -> float:

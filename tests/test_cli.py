@@ -158,6 +158,26 @@ def test_verify_rank_deficient_subset(tmp_path, capsys):
     assert "rank-deficient" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "csv",
+    [
+        "1,0,0\n0,9e-13,9e-13\n",  # every 2-subset fails the rank rule
+        "1e200,0,1e200\n0,1e200,1e200\n",  # baseline norms underflow to 0
+        "1e-170,0,1e-170\n0,1e-170,1e-170\n",  # baseline norms overflow
+    ],
+    ids=["subsets_rank_deficient", "baseline_underflows", "baseline_overflows"],
+)
+def test_select_and_verify_fail_alike_at_the_edges(tmp_path, capsys, csv):
+    b = write(tmp_path, "b.csv", csv)
+    assert main(["select", "--b", b, "-k", "2"]) == 1
+    selected = capsys.readouterr()
+    assert main(["verify", "--b", b, "--subset", "0,1"]) == 1
+    verified = capsys.readouterr()
+    assert selected.out == verified.out == ""
+    assert selected.err == verified.err
+    assert selected.err.startswith("error: ") and "Traceback" not in selected.err
+
+
 def test_verify_malformed_subset(tmp_path, capsys):
     b = write(tmp_path, "b.csv", DOUBLED_IDENTITY_CSV)
     assert main(["verify", "--b", b, "--subset", "0,x"]) == 1

@@ -168,6 +168,11 @@ def test_expected_poly_input_validation():
         expected_poly(inst, inst.selectable[:2] + inst.selectable[:1])  # duplicate
     with pytest.raises(InvalidInput):
         expected_poly(inst, inst.selectable[:3])  # larger than k
+    assert expected_poly(inst, (np.int64(inst.selectable[0]),)) == expected_poly(
+        inst, inst.selectable[:1]
+    )
+    with pytest.raises(InvalidInput, match="must be an integer"):
+        expected_poly(inst, (float(inst.selectable[0]),))
 
 
 def test_root_sum_identity_tiny_case():

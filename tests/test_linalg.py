@@ -150,6 +150,13 @@ def test_columns_error_cases():
         columns(q, [1, 1])
 
 
+def test_columns_takes_integer_indices_only():
+    q = DenseMatrix([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+    assert columns(q, [np.int64(2)]) == DenseMatrix([[3.0], [6.0]])
+    with pytest.raises(InvalidSubset, match="must be an integer"):
+        columns(q, [2.7])
+
+
 def test_hcat():
     eye = DenseMatrix.identity(2)
     assert hcat(eye, eye) == DenseMatrix([[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]])

@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 
 from colsel import expected_charpoly, selector
-from colsel.errors import AlgorithmFailure, InvalidInput, RankDeficient
+from colsel.errors import AlgorithmFailure, InvalidInput, InvalidSubset, RankDeficient
 from colsel.expected_charpoly import expected_poly
 from colsel.linalg import DenseMatrix, norms_sq, pseudoinverse, thin_svd
 from colsel.poly import smallest_root
 from colsel.selector import (
     SelectionProblem,
+    SelectionReport,
+    TraceStep,
     bound_factor,
     build_isotropic,
     gamma,
@@ -204,6 +206,108 @@ def test_verify_bound_rejects_rank_deficient_subset():
     prob = SelectionProblem(a=empty_block(2), b=DOUBLED_IDENTITY, k=2)
     with pytest.raises(RankDeficient):
         verify_bound(prob, (0, 2))
+
+
+def test_problem_takes_an_integer_budget_only():
+    assert SelectionProblem(a=empty_block(2), b=DOUBLED_IDENTITY, k=np.int64(2)).k == 2
+    with pytest.raises(InvalidInput, match="k must be an integer"):
+        SelectionProblem(a=empty_block(2), b=DOUBLED_IDENTITY, k=2.5)
+
+
+def test_verify_bound_takes_integer_indices_only():
+    prob = SelectionProblem(a=empty_block(2), b=DOUBLED_IDENTITY, k=2)
+    assert verify_bound(prob, (np.int64(0), np.int64(1))) == verify_bound(prob, (0, 1))
+    with pytest.raises(InvalidSubset, match="must be an integer"):
+        verify_bound(prob, [0.9, 1.9])
+
+
+# Inputs at the edges of the rank rule and of the float range: on each,
+# greedy_select and verify_bound of the subset (0, 1) raise the same error.
+EDGE_INPUTS = {
+    # [a b] passes the rank rule (sigma ratio 1.27e-12), every 2-subset fails it (0.9e-12)
+    "subsets_rank_deficient": ([[1.0, 0.0, 0.0], [0.0, 9e-13, 9e-13]], RankDeficient),
+    # sigma^2 overflows, so the baseline norms are 0
+    "baseline_underflows": ([[1e200, 0.0, 1e200], [0.0, 1e200, 1e200]], InvalidInput),
+    # sigma^2 underflows, so the baseline norms are inf
+    "baseline_overflows": ([[1e-170, 0.0, 1e-170], [0.0, 1e-170, 1e-170]], InvalidInput),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_INPUTS))
+def test_select_and_verify_fail_alike_at_the_edges(name):
+    data, error = EDGE_INPUTS[name]
+
+    def problem():
+        return SelectionProblem(a=empty_block(2), b=DenseMatrix(data), k=2)
+
+    with pytest.raises(error) as selected:
+        greedy_select(problem())
+    with pytest.raises(error) as verified:
+        verify_bound(problem(), (0, 1))
+    assert str(selected.value) == str(verified.value)
+
+
+@pytest.mark.parametrize(
+    "data, subset",
+    [
+        # sigma_min of [a b_S] is 1e-155: |[a b_S]^+|^2 overflows while the baseline is finite
+        ([[1e-150, 0.0, 1e-150], [0.0, 1e-155, 1e-150]], (0, 1)),
+        # both norms are finite, but their ratio to the baseline (2e-300) is not
+        ([[1e150, 0.0, 1e-150, 0.0], [0.0, 1e150, 0.0, 1e-150]], (2, 3)),
+    ],
+)
+def test_verify_bound_refuses_norms_that_overflow(data, subset):
+    prob = SelectionProblem(a=empty_block(2), b=DenseMatrix(data), k=2)
+    with pytest.raises(RankDeficient, match="overflow"):
+        verify_bound(prob, subset)
+
+
+def test_verify_bound_shares_the_slack_of_the_greedy_check(monkeypatch):
+    prob = SelectionProblem(a=empty_block(2), b=DOUBLED_IDENTITY, k=2)
+    _, ratio_frob, ratio_spec = verify_bound(prob, (0, 1))
+    worst = max(ratio_frob, ratio_spec)
+    monkeypatch.setattr(selector, "bound_factor", lambda _: worst / (1.0 + 5e-8))
+    assert verify_bound(prob, (0, 1))[0]
+    monkeypatch.setattr(selector, "bound_factor", lambda _: worst / (1.0 + 2e-7))
+    assert not verify_bound(prob, (0, 1))[0]
+
+
+def _hand_built_report(**changes) -> SelectionReport:
+    fields = dict(
+        subset=(3, 1),
+        frob_sq=2.0,
+        spec_sq=1.0,
+        baseline_frob_sq=1.0,
+        baseline_spec_sq=0.5,
+        gamma=2.0,
+        bound_factor=2.5,
+        eps=1e-6,
+        trace=(TraceStep(index=3, lambda_min=0.25), TraceStep(index=1, lambda_min=0.5)),
+    )
+    fields.update(changes)
+    return SelectionReport(**fields)
+
+
+def test_check_report_names_the_norm_that_breaks_the_bound():
+    prob = SelectionProblem(a=empty_block(2), b=DOUBLED_IDENTITY, k=2)
+    selector._check_report(_hand_built_report(), prob)
+    with pytest.raises(AlgorithmFailure) as err:
+        selector._check_report(_hand_built_report(spec_sq=1.5), prob)
+    message = str(err.value)
+    assert "spec_sq 1.5 exceeds the cap" in message
+    assert "bound_factor 2.5" in message and "baseline 0.5" in message
+    assert "frob_sq" not in message
+
+
+def test_check_report_names_the_step_that_breaks_the_trace():
+    prob = SelectionProblem(a=empty_block(2), b=DOUBLED_IDENTITY, k=2)
+    trace = (TraceStep(index=3, lambda_min=0.5), TraceStep(index=1, lambda_min=0.25))
+    with pytest.raises(AlgorithmFailure) as err:
+        selector._check_report(_hand_built_report(trace=trace), prob)
+    message = str(err.value)
+    assert "step 2" in message
+    assert "column 3 had lambda_min 0.5" in message
+    assert "column 1 has 0.25" in message
 
 
 def test_min_singular_check_values():
