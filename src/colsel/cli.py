@@ -186,7 +186,7 @@ def _run_verify(args: argparse.Namespace) -> int:
             "holds": holds,
             "ratio_frob": ratio_frob,
             "ratio_spec": ratio_spec,
-            "gamma": gamma(prob.m, prob.n, prob.k, prob.r),
+            "gamma": prob.gamma,
         },
         args,
     )

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidInput
-from .linalg import DenseMatrix, _as_index, thin_svd
+from .linalg import DenseMatrix, _as_indices, gram_update, thin_svd
 from .poly import Polynomial, from_roots
 
 __all__ = [
@@ -44,9 +44,11 @@ _ORTHONORMALITY_TOL = 1e-8
 class IsotropicInstance:
     """Selection instance in the isotropic frame ``y y^T = I``.
 
-    ``y`` is ``n x (l + m)``: its first ``l`` columns are the fixed block
-    and the remaining ``m`` columns are selectable.  ``r`` is the rank of
-    the fixed block, decided by the caller (``from_y`` takes it with
+    ``y`` is ``n x (l + m)``: the fixed block, then the ``m`` candidates.
+    Only this class knows that layout; the rest of the package reads the
+    views :attr:`fixed` and :attr:`candidates` and names candidate ``j``
+    by its column ``j`` of ``b``.  ``r`` is the rank of the fixed block,
+    decided by the caller (``from_y`` takes it with
     :func:`~colsel.linalg.thin_svd`), and ``k`` is the selection budget
     with ``n - r <= k <= m - 1``.
     """
@@ -85,14 +87,19 @@ class IsotropicInstance:
         return self.y.cols - self.l
 
     @property
-    def selectable(self) -> tuple[int, ...]:
-        return tuple(range(self.l, self.y.cols))
+    def fixed(self) -> np.ndarray:
+        """The fixed block, a read-only ``n x l`` view of ``y``."""
+        return self.y.data[:, : self.l]
+
+    @property
+    def candidates(self) -> np.ndarray:
+        """The candidates, a read-only ``n x m`` view of ``y``: column ``j`` carries ``b``'s."""
+        return self.y.data[:, self.l :]
 
     @cached_property
     def gram_fixed(self) -> DenseMatrix:
         """Gram matrix ``y_F y_F^T`` of the fixed block (``n x n``)."""
-        block = self.y.data[:, : self.l]
-        return DenseMatrix(block @ block.T)
+        return DenseMatrix(self.fixed @ self.fixed.T)
 
 
 def _psd_eigenvalues(g: DenseMatrix) -> list[float]:
@@ -166,38 +173,33 @@ def expected_poly_from_gram(
     return _from_shifted([ci * (wi / w[n]) for ci, wi in zip(c, w)])
 
 
-def _partial_gram(inst: IsotropicInstance, partial: Sequence[int]) -> DenseMatrix:
-    g = inst.gram_fixed.data.copy()
-    for s in partial:
-        v = inst.y.data[:, s]
-        g += np.outer(v, v)
-    return DenseMatrix(g)
-
-
-def _check_partial(inst: IsotropicInstance, partial: Sequence[int], max_size: int) -> tuple[int, ...]:
-    idx = tuple(_as_index(s, InvalidInput, "index") for s in partial)
-    if len(set(idx)) != len(idx):
-        raise InvalidInput(f"partial selection contains duplicates: {idx}")
-    for s in idx:
-        if not inst.l <= s < inst.y.cols:
-            raise InvalidInput(f"index {s} is not a selectable column")
+def _partial_gram(
+    inst: IsotropicInstance, partial: Sequence[int], max_size: int
+) -> tuple[list[int], DenseMatrix]:
+    """The candidates ``partial``, checked, and the Gram matrix of the fixed block plus them."""
+    idx = _as_indices(partial, inst.m, InvalidInput)
     if len(idx) > max_size:
         raise InvalidInput(f"partial selection of size {len(idx)} exceeds {max_size}")
-    return idx
+    g = inst.gram_fixed
+    for j in idx:
+        g = gram_update(g, inst.candidates[:, j])
+    return idx, g
 
 
 def expected_poly(inst: IsotropicInstance, partial: Sequence[int]) -> Polynomial:
     """Expected characteristic polynomial over size-``k`` supersets of ``partial``.
 
-    ``partial`` holds selectable column indices of ``inst.y`` (disjoint
-    from the fixed block); the result is monic of degree ``n``.
+    ``partial`` holds distinct candidates, each named by its column of
+    ``b`` (column ``j`` of ``inst.candidates``); the result is monic of
+    degree ``n``.
     """
-    idx = _check_partial(inst, partial, inst.k)
-    return expected_poly_from_gram(inst, _partial_gram(inst, idx), len(idx))
+    idx, gram = _partial_gram(inst, partial, inst.k)
+    return expected_poly_from_gram(inst, gram, len(idx))
 
 
 def root_sum_identity_check(inst: IsotropicInstance, s: Sequence[int]) -> float:
-    """Residual of the one-step summation identity at subset ``s``.
+    """Residual of the one-step summation identity at subset ``s``, which
+    names at most ``m - 1`` candidates by their columns of ``b``.
 
     Compares the sum of the child characteristic polynomials of ``s``
     against the one-derivative weights (``d = 1``, not normalised)
@@ -205,26 +207,18 @@ def root_sum_identity_check(inst: IsotropicInstance, s: Sequence[int]) -> float:
     of children as leading coefficient, and the residual is scaled by
     it.  Test helper.
     """
-    idx = _check_partial(inst, s, inst.m - 1)
-    t = len(idx)
+    idx, gram = _partial_gram(inst, s, inst.m - 1)
     n, m = inst.n, inst.m
 
-    gram = _partial_gram(inst, idx)
-    chosen = set(idx)
+    children = [j for j in range(m) if j not in idx]
     lhs = np.zeros(n + 1)
-    children = 0
-    for i in inst.selectable:
-        if i in chosen:
-            continue
-        v = inst.y.data[:, i]
-        child = charpoly_psd(DenseMatrix(gram.data + np.outer(v, v)))
-        lhs += np.asarray(child.coeffs)
-        children += 1
+    for j in children:
+        lhs += np.asarray(charpoly_psd(gram_update(gram, inst.candidates[:, j])).coeffs)
 
-    a = m - n - t
+    a = m - n - len(idx)
     c = _shifted_charpoly(gram, a)
     rhs = np.asarray(
         _from_shifted([ci * wi for ci, wi in zip(c, _falling_weights(n, a, 1))]).coeffs
     )
 
-    return float(np.max(np.abs(lhs - rhs)) / children)
+    return float(np.max(np.abs(lhs - rhs)) / len(children))

@@ -165,15 +165,20 @@ def _as_index(value: object, error: type[ValueError], what: str) -> int:
         raise error(f"{what} must be an integer, got {value!r}") from None
 
 
+def _as_indices(values: Iterable[object], count: int, error: type[ValueError]) -> list[int]:
+    """``values`` as distinct integer column indices in ``[0, count)``, or ``error``."""
+    idx = [_as_index(j, error, "column index") for j in values]
+    for j in idx:
+        if not 0 <= j < count:
+            raise error(f"column index {j} out of range [0, {count})")
+    if len(set(idx)) != len(idx):
+        raise error(f"duplicate column indices in {idx}")
+    return idx
+
+
 def columns(q: DenseMatrix, s: Iterable[int]) -> DenseMatrix:
     """Extract the columns of ``q`` indexed by the integers ``s``, in the order listed."""
-    idx = [_as_index(j, InvalidSubset, "column index") for j in s]
-    for j in idx:
-        if not 0 <= j < q.cols:
-            raise InvalidSubset(f"column index {j} out of range [0, {q.cols})")
-    if len(set(idx)) != len(idx):
-        raise InvalidSubset(f"duplicate column indices in {idx}")
-    return DenseMatrix(q.data[:, idx])
+    return DenseMatrix(q.data[:, _as_indices(s, q.cols, InvalidSubset)])
 
 
 def hcat(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:

@@ -31,6 +31,7 @@ __all__ = [
 ]
 
 ENUMERATION_GUARD = 10**6
+DEFLATION_REM_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -39,8 +40,8 @@ class EnumerationResult:
 
     ``all_values`` maps each subset (sorted tuple) to
     ``(frob_sq, spec_sq, sigma_min_sq)`` of ``[a b_S]``; rank-deficient
-    subsets keep their (near-zero) smallest singular value but get
-    infinite norms so the map stays total.
+    subsets, and full-rank ones whose norms overflow, keep their smallest
+    singular value but get infinite norms so the map stays total.
     """
 
     best_subset_frob: tuple[int, ...]
@@ -70,15 +71,16 @@ def brute_force(prob: SelectionProblem) -> EnumerationResult:
     best_spec = (math.inf, ())
     for subset in combinations(range(prob.m), prob.k):
         selected = hcat(prob.a, columns(prob.b, subset))
-        s = np.linalg.svd(selected.data, compute_uv=False)
-        sigma_min_sq = float(s[prob.n - 1]) ** 2 if s.size >= prob.n else 0.0
-        full_rank = s.size >= prob.n and s[prob.n - 1] > DEFAULT_RANK_TOL * s[0]
-        if full_rank:
+        s = np.linalg.svd(selected.data, compute_uv=False)  # n values, as l + k >= n
+        sigma_min_sq = float(s[-1]) ** 2
+        frob_sq = spec_sq = math.inf
+        # sigma_min^2 = 0 (underflow) means both norms overflow
+        if s[-1] > DEFAULT_RANK_TOL * s[0] and sigma_min_sq > 0.0:
             pinv = pseudoinverse(selected).data
-            frob_sq = float(np.sum(pinv * pinv))
-            spec_sq = min(1.0 / sigma_min_sq, frob_sq)
-        else:
-            frob_sq = spec_sq = math.inf
+            with np.errstate(over="ignore"):
+                frob = float(np.sum(pinv * pinv))
+            if frob < math.inf:
+                frob_sq, spec_sq = frob, min(1.0 / sigma_min_sq, frob)
         all_values[subset] = (frob_sq, spec_sq, sigma_min_sq)
         if frob_sq < best_frob[0]:
             best_frob = (frob_sq, subset)
@@ -183,11 +185,11 @@ def mul_shifted_power(p: Polynomial, power: int) -> Polynomial:
     return Polynomial(c)
 
 
-def deflate_shifted_power(p: Polynomial, power: int, rem_tol: float = 1e-8) -> Polynomial:
+def deflate_shifted_power(p: Polynomial, power: int) -> Polynomial:
     """Divide out ``(x - 1)^power``, requiring each remainder to vanish.
 
     Each round is one synthetic division by ``(x - 1)``; a remainder
-    above ``rem_tol * max|coeff of p|`` signals numerical breakdown or a
+    above ``DEFLATION_REM_TOL * max|coeff of p|`` signals numerical breakdown or a
     caller bug and raises :class:`DeflationFailure`.
     """
     if power < 0:
@@ -205,9 +207,9 @@ def deflate_shifted_power(p: Polynomial, power: int, rem_tol: float = 1e-8) -> P
         for i in range(len(c) - 2, -1, -1):
             q[i] = carry
             carry = c[i] + carry
-        if abs(carry) > rem_tol * scale:
+        if abs(carry) > DEFLATION_REM_TOL * scale:
             raise DeflationFailure(
-                f"remainder {carry:.3e} exceeds {rem_tol:.1e} * {scale:.3e} "
+                f"remainder {carry:.3e} exceeds {DEFLATION_REM_TOL:.1e} * {scale:.3e} "
                 f"at deflation round {round_no}"
             )
         c = q

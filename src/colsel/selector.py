@@ -17,12 +17,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import AlgorithmFailure, InvalidInput, InvalidSubset, RankDeficient
-from .expected_charpoly import (
-    IsotropicInstance,
-    _check_partial,
-    _partial_gram,
-    expected_poly_from_gram,
-)
+from .expected_charpoly import IsotropicInstance, _partial_gram, expected_poly_from_gram
 from .linalg import (
     DenseMatrix,
     SvdFactors,
@@ -79,14 +74,15 @@ class SelectionProblem:
     budget ``k`` and root-approximation accuracy ``eps``.
 
     Construction takes the thin SVDs of ``[a b]`` and of ``a`` once
-    (numerical rank as in :func:`~colsel.linalg.thin_svd`), and from the
-    first the baseline norms ``baseline_norms_sq = (|[a b]^+|_F^2, |[a b]^+|_2^2)``.
+    (numerical rank as in :func:`~colsel.linalg.thin_svd`), and from them
+    the baseline norms ``baseline_norms_sq = (|[a b]^+|_F^2, |[a b]^+|_2^2)``,
+    ``gamma = gamma(m, n, k, r)`` and ``bound_factor`` (:func:`bound_factor`).
     It raises :class:`RankDeficient` unless ``[a b]`` has full row rank,
     and :class:`InvalidInput` unless the row counts agree, ``k`` is an
     integer ``>= 1``, ``m``, ``n``, ``k`` and ``r = rank(a)`` meet the
     preconditions of :func:`gamma` (``m > k >= n - r`` and ``m >= n``),
-    ``0 < eps < 1/(2k)``, and both baseline norms are finite, positive
-    normal floats.
+    ``0 < eps < 1/(2k)``, both baseline norms are finite, positive normal
+    floats, and the bound factor is a finite float.
     """
 
     a: DenseMatrix
@@ -96,6 +92,8 @@ class SelectionProblem:
     a_svd: SvdFactors = field(init=False, repr=False, compare=False)
     stacked: SvdFactors = field(init=False, repr=False, compare=False)
     baseline_norms_sq: tuple[float, float] = field(init=False, repr=False, compare=False)
+    gamma: float = field(init=False, repr=False, compare=False)
+    bound_factor: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.a.rows != self.b.rows:
@@ -117,7 +115,7 @@ class SelectionProblem:
         a_svd = thin_svd(self.a)
         if _as_index(self.k, InvalidInput, "k") < 1:
             raise InvalidInput(f"k must be >= 1, got {self.k}")
-        gamma(self.m, n, self.k, a_svd.rank)  # raises unless the bound's preconditions hold
+        object.__setattr__(self, "gamma", gamma(self.m, n, self.k, a_svd.rank))
         if not 0.0 < self.eps < 1.0 / (2 * self.k):
             raise InvalidInput(
                 f"eps must be in (0, 1/(2k)) = (0, {1.0 / (2 * self.k)}), got {self.eps}"
@@ -125,6 +123,13 @@ class SelectionProblem:
         object.__setattr__(self, "a_svd", a_svd)
         object.__setattr__(self, "stacked", stacked)
         object.__setattr__(self, "baseline_norms_sq", baseline)
+        factor = bound_factor(self)
+        if not math.isfinite(factor):
+            raise InvalidInput(
+                f"the bound factor gamma * (1 + |a^+ b|_F^2 / (m - n + r)) * (1 + 2 k eps) "
+                f"must be a finite float, got {factor!r}"
+            )
+        object.__setattr__(self, "bound_factor", factor)
 
     @property
     def n(self) -> int:
@@ -170,8 +175,8 @@ class SelectionReport:
 def build_isotropic(prob: SelectionProblem) -> IsotropicInstance:
     """Reduce the problem to the isotropic frame via the thin SVD of ``[a b]``.
 
-    The right singular vector rows form ``y`` (so ``y y^T = I``); the
-    first ``l`` columns carry the fixed block, whose rank is ``prob.r``.
+    The right singular vector rows form ``y`` (so ``y y^T = I``); its
+    first ``l`` columns carry ``a``, whose rank is ``prob.r``, and the rest ``b``.
     """
     return IsotropicInstance(y=prob.stacked.vt, l=prob.l, r=prob.r, k=prob.k)
 
@@ -213,24 +218,19 @@ def _within_bound(ratio: float, factor: float) -> bool:
     return ratio <= factor * (1.0 + _ARITHMETIC_SLACK)
 
 
-def _fixed_block_factor(prob: SelectionProblem) -> float:
-    """The term ``1 + |a^+ b|_F^2 / (m - n + r)``; equals one when l = 0.
+def bound_factor(prob: SelectionProblem) -> float:
+    """Full multiplicative factor of the approximate greedy guarantee,
+    ``gamma * (1 + |a^+ b|_F^2 / (m - n + r)) * (1 + 2 k eps)``, as
+    :class:`SelectionProblem` computes and range-checks it once.
 
     With ``a = U diag(sigma) V^T``, ``|a^+ b|_F = |diag(1/sigma) U^T b|_F``
     because ``V`` has orthonormal columns.
     """
     f = prob.a_svd
-    cross = (f.u.data.T @ prob.b.data) / np.asarray(f.sigma)[:, None]
-    return 1.0 + float(np.sum(cross * cross)) / (prob.m - prob.n + prob.r)
-
-
-def bound_factor(prob: SelectionProblem) -> float:
-    """Full multiplicative factor of the approximate greedy guarantee."""
-    return (
-        gamma(prob.m, prob.n, prob.k, prob.r)
-        * _fixed_block_factor(prob)
-        * (1.0 + 2.0 * prob.k * prob.eps)
-    )
+    with np.errstate(over="ignore"):
+        cross = (f.u.data.T @ prob.b.data) / np.asarray(f.sigma)[:, None]
+        fixed_block = 1.0 + float(np.sum(cross * cross)) / (prob.m - prob.n + prob.r)
+    return prob.gamma * fixed_block * (1.0 + 2.0 * prob.k * prob.eps)
 
 
 def greedy_select(
@@ -253,7 +253,6 @@ def greedy_select(
     guarantees.
     """
     inst = build_isotropic(prob)
-    offset = prob.l  # selectable column j of b sits at y column offset + j
     remaining = list(range(prob.m))
     chosen: list[int] = []
     trace: list[TraceStep] = []
@@ -263,7 +262,7 @@ def greedy_select(
         order = list(candidate_order(remaining)) if candidate_order else remaining
         best = (-math.inf, -1, gram)
         for j in order:
-            cand_gram = gram_update(gram, inst.y.data[:, offset + j])
+            cand_gram = gram_update(gram, inst.candidates[:, j])
             f = expected_poly_from_gram(inst, cand_gram, len(chosen) + 1)
             lam = smallest_root(f, prob.eps)
             if lam > best[0] or (lam == best[0] and j < best[1]):
@@ -281,8 +280,8 @@ def greedy_select(
         spec_sq=spec_sq,
         baseline_frob_sq=baseline_frob_sq,
         baseline_spec_sq=baseline_spec_sq,
-        gamma=gamma(prob.m, prob.n, prob.k, prob.r),
-        bound_factor=bound_factor(prob),
+        gamma=prob.gamma,
+        bound_factor=prob.bound_factor,
         eps=prob.eps,
         trace=tuple(trace),
     )
@@ -319,7 +318,7 @@ def verify_bound(prob: SelectionProblem, subset: Sequence[int]) -> tuple[bool, f
 
     Returns ``(holds, ratio_frob, ratio_spec)`` where the ratios compare
     the subset's squared pseudoinverse norms to the baseline ``[a b]``
-    norms; the bound holds when both are at most :func:`bound_factor`,
+    norms; the bound holds when both are at most ``prob.bound_factor``,
     which includes the ``(1 + 2 k eps)`` factor the approximate
     algorithm is entitled to, up to a float slack of ``1e-7`` relative.
 
@@ -334,16 +333,15 @@ def verify_bound(prob: SelectionProblem, subset: Sequence[int]) -> tuple[bool, f
     ratio_frob = frob_sq / baseline_frob_sq
     ratio_spec = spec_sq / baseline_spec_sq
 
-    factor = bound_factor(prob)
-    holds = _within_bound(ratio_frob, factor) and _within_bound(ratio_spec, factor)
+    holds = all(_within_bound(r, prob.bound_factor) for r in (ratio_frob, ratio_spec))
     return holds, ratio_frob, ratio_spec
 
 
 def min_singular_check(inst: IsotropicInstance, subset: Sequence[int]) -> float:
     """Smallest squared singular value of the fixed-plus-selected block of ``y``.
 
-    Test helper for the isotropic guarantee; ``subset`` holds distinct
-    selectable column indices of ``inst.y``.
+    Test helper for the isotropic guarantee; ``subset`` names distinct
+    candidates by their columns of ``b``, as a report's ``subset`` does.
     """
-    idx = _check_partial(inst, subset, inst.m)
-    return float(np.linalg.eigvalsh(_partial_gram(inst, idx).data)[0])
+    _, gram = _partial_gram(inst, subset, inst.m)
+    return float(np.linalg.eigvalsh(gram.data)[0])

@@ -89,7 +89,7 @@ def test_criterion_03_summation_identity():
         k = int(rng.integers(budgets.start, budgets.stop))
         inst = random_isotropic(rng, n, m, ell, k)
         t = int(rng.integers(0, m))
-        subset = tuple(int(v) for v in rng.choice(inst.selectable, size=t, replace=False))
+        subset = tuple(int(v) for v in rng.choice(inst.m, size=t, replace=False))
         residual = root_sum_identity_check(inst, subset)
         assert residual < 1e-8, (n, m, ell, t)
         worst = max(worst, residual)
@@ -108,10 +108,10 @@ def test_criterion_04_expectation_consistency():
                     f = np.asarray(expected_poly(inst, ()).coeffs)
                     acc = np.zeros(n + 1)
                     count = 0
-                    for subset in combinations(inst.selectable, k):
+                    for subset in combinations(range(inst.m), k):
                         g = inst.gram_fixed.data.copy()
                         for s in subset:
-                            v = inst.y.data[:, s]
+                            v = inst.candidates[:, s]
                             g += np.outer(v, v)
                         acc += np.asarray(charpoly_psd(DenseMatrix(g)).coeffs)
                         count += 1
@@ -133,8 +133,8 @@ def test_criterion_05_interlacing_family():
         k = int(rng.integers(budgets.start, budgets.stop))
         inst = random_isotropic(rng, n, m, ell, k)
         j = int(rng.integers(0, k))
-        partial = tuple(int(v) for v in rng.choice(inst.selectable, size=j, replace=False))
-        rest = [i for i in inst.selectable if i not in partial]
+        partial = tuple(int(v) for v in rng.choice(inst.m, size=j, replace=False))
+        rest = [i for i in range(inst.m) if i not in partial]
         i1, i2 = (int(v) for v in rng.choice(rest, size=2, replace=False))
         mu = float(rng.uniform())
         f1 = np.asarray(expected_poly(inst, partial + (i1,)).coeffs)
@@ -151,10 +151,10 @@ def test_criterion_05_interlacing_family():
         k = int(rng.integers(budgets.start, budgets.stop))
         inst = random_isotropic(rng, n, m, ell, k)
         best_leaf = -math.inf
-        for subset in combinations(inst.selectable, k):
+        for subset in combinations(range(inst.m), k):
             g = inst.gram_fixed.data.copy()
             for s in subset:
-                v = inst.y.data[:, s]
+                v = inst.candidates[:, s]
                 g += np.outer(v, v)
             best_leaf = max(best_leaf, float(np.linalg.eigvalsh(g)[0]))
         tree_root = smallest_root(expected_poly(inst, ()), 1e-9)

@@ -178,6 +178,53 @@ def test_select_and_verify_fail_alike_at_the_edges(tmp_path, capsys, csv):
     assert selected.err.startswith("error: ") and "Traceback" not in selected.err
 
 
+def test_select_verify_and_oracle_refuse_an_overflowing_bound_factor(tmp_path, capsys):
+    # |A^+ B|_F^2 = 2e400: the bound factor is not a finite float
+    a = write(tmp_path, "a.csv", "1e-200\n")
+    b = write(tmp_path, "b.csv", "1,1\n")
+    errors = []
+    for argv in (["select", "-k", "1"], ["verify", "--subset", "0"], ["oracle", "-k", "1"]):
+        assert main(argv + ["--a", a, "--b", b]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors.append(captured.err)
+    assert errors[0].startswith("error: ") and "bound factor" in errors[0]
+    assert errors == [errors[0]] * 3
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+# (A csv or None, B csv, k) at the edges of the rank rule and the float range
+FLOAT_EDGE_INPUTS = {
+    "subsets_rank_deficient": (None, "1,0,0\n0,9e-13,9e-13\n", 2),
+    "baseline_underflows": (None, "1e200,0,1e200\n0,1e200,1e200\n", 2),
+    "baseline_overflows": (None, "1e-170,0,1e-170\n0,1e-170,1e-170\n", 2),
+    "bound_factor_overflows": ("1e-200\n", "1,1\n", 1),
+    "subset_norm_overflows": (None, "1e-150,0,1e-150\n0,1e-155,1e-150\n", 2),
+    "subset_sigma_min_sq_underflows": (None, "1,0,1e-163,0\n0,1,0,1e-163\n", 2),
+    "subset_sigma_min_subnormal": (None, "1,0,1e-310,0\n0,1,0,1e-310\n", 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLOAT_EDGE_INPUTS))
+def test_every_subcommand_prints_strict_json_or_exits_1(tmp_path, capsys, name):
+    a_csv, b_csv, k = FLOAT_EDGE_INPUTS[name]
+    files = ["--b", write(tmp_path, "b.csv", b_csv)]
+    if a_csv is not None:
+        files += ["--a", write(tmp_path, "a.csv", a_csv)]
+    subset = ",".join(str(j) for j in range(k))
+    for argv in (["select", "-k", str(k)], ["verify", "--subset", subset], ["oracle", "-k", str(k)]):
+        code = main(argv + files)
+        captured = capsys.readouterr()
+        if code == 1:
+            assert captured.out == "" and captured.err.startswith("error: "), argv
+        else:
+            assert code == 0, argv
+            json.loads(captured.out, parse_constant=_refuse_constant)
+
+
 def test_verify_malformed_subset(tmp_path, capsys):
     b = write(tmp_path, "b.csv", DOUBLED_IDENTITY_CSV)
     assert main(["verify", "--b", b, "--subset", "0,x"]) == 1

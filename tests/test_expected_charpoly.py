@@ -14,7 +14,7 @@ from colsel.expected_charpoly import (
     expected_poly_from_gram,
     root_sum_identity_check,
 )
-from colsel.linalg import DenseMatrix, thin_svd
+from colsel.linalg import DenseMatrix, gram_update, thin_svd
 from colsel.oracle import shifted_pipeline
 from colsel.poly import Polynomial, from_roots, is_real_rooted, smallest_root
 from conftest import random_isotropic, valid_budgets
@@ -23,13 +23,13 @@ from conftest import random_isotropic, valid_budgets
 def leaf_charpoly(inst: IsotropicInstance, subset) -> Polynomial:
     g = inst.gram_fixed.data.copy()
     for s in subset:
-        v = inst.y.data[:, s]
+        v = inst.candidates[:, s]
         g += np.outer(v, v)
     return charpoly_psd(DenseMatrix(g))
 
 
 def leaf_average(inst: IsotropicInstance, partial=()) -> np.ndarray:
-    rest = [i for i in inst.selectable if i not in set(partial)]
+    rest = [i for i in range(inst.m) if i not in set(partial)]
     acc = np.zeros(inst.n + 1)
     count = 0
     for extra in combinations(rest, inst.k - len(partial)):
@@ -69,7 +69,8 @@ def test_instance_prefix_layout():
     for ell in (0, 1, 3):
         inst = random_isotropic(rng, n=3, m=6, ell=ell, k=4)
         assert inst.m == 6
-        assert inst.selectable == tuple(range(ell, ell + 6))
+        assert inst.fixed.shape == (3, ell) and inst.candidates.shape == (3, 6)
+        assert np.array_equal(inst.candidates, inst.y.data[:, ell:])
         block = inst.y.data[:, :ell]
         assert np.array_equal(inst.gram_fixed.data, block @ block.T)
 
@@ -83,7 +84,7 @@ def test_expected_poly_two_column_average():
 def test_expected_poly_full_partial_is_leaf():
     rng = np.random.default_rng(41)
     inst = random_isotropic(rng, n=2, m=5, ell=1, k=3)
-    partial = inst.selectable[:3]
+    partial = (0, 1, 2)
     f = expected_poly(inst, partial)
     leaf = leaf_charpoly(inst, partial)
     assert np.asarray(f.coeffs) == pytest.approx(np.asarray(leaf.coeffs), abs=1e-10)
@@ -107,7 +108,7 @@ def test_expected_poly_matches_enumeration_at_all_depths():
         inst = random_isotropic(rng, n, m, ell, k)
         j = int(rng.integers(0, k + 1))
         partial = tuple(
-            int(v) for v in rng.choice(inst.selectable, size=j, replace=False)
+            int(v) for v in rng.choice(inst.m, size=j, replace=False)
         )
         f = expected_poly(inst, partial)
         assert np.asarray(f.coeffs) == pytest.approx(leaf_average(inst, partial), abs=1e-8)
@@ -126,7 +127,7 @@ def test_expected_poly_closed_form_at_empty_partial():
         budgets = valid_budgets(n, ell, m)
         k = int(rng.integers(budgets.start, budgets.stop))
         inst = random_isotropic(rng, n, m, ell, k)
-        fixed_cols = DenseMatrix(inst.y.data[:, : inst.l])
+        fixed_cols = DenseMatrix(inst.fixed)
         sigma = thin_svd(fixed_cols).sigma
         seed = from_roots([0.0] * (n - inst.r) + [s * s for s in sigma])
         expect = shifted_pipeline(seed, m - n, k)
@@ -134,9 +135,9 @@ def test_expected_poly_closed_form_at_empty_partial():
         assert np.asarray(got.coeffs) == pytest.approx(np.asarray(expect.coeffs), abs=1e-8)
 
         for j in range(k + 1):
-            partial = rng.choice(inst.selectable, size=j, replace=False)
+            partial = rng.choice(inst.m, size=j, replace=False)
             gram = DenseMatrix(
-                inst.gram_fixed.data + inst.y.data[:, partial] @ inst.y.data[:, partial].T
+                inst.gram_fixed.data + inst.candidates[:, partial] @ inst.candidates[:, partial].T
             )
             want = np.asarray(shifted_pipeline(charpoly_psd(gram), m - n - j, k - j).coeffs)
             have = np.asarray(expected_poly_from_gram(inst, gram, j).coeffs)
@@ -155,24 +156,31 @@ def test_expected_poly_real_rooted_everywhere():
         k = int(rng.integers(budgets.start, budgets.stop))
         inst = random_isotropic(rng, n, m, ell, k)
         for j in range(k + 1):
-            partial = inst.selectable[:j]
+            partial = tuple(range(j))
             assert is_real_rooted(expected_poly(inst, partial))
 
 
 def test_expected_poly_input_validation():
     rng = np.random.default_rng(61)
     inst = random_isotropic(rng, n=2, m=4, ell=1, k=2)
+    for outside in (-1, inst.m):  # candidates are columns 0..m-1 of b
+        with pytest.raises(InvalidInput, match="out of range"):
+            expected_poly(inst, (outside,))
     with pytest.raises(InvalidInput):
-        expected_poly(inst, (0,))  # fixed column is not selectable
+        expected_poly(inst, (0, 1, 0))  # duplicate
     with pytest.raises(InvalidInput):
-        expected_poly(inst, inst.selectable[:2] + inst.selectable[:1])  # duplicate
-    with pytest.raises(InvalidInput):
-        expected_poly(inst, inst.selectable[:3])  # larger than k
-    assert expected_poly(inst, (np.int64(inst.selectable[0]),)) == expected_poly(
-        inst, inst.selectable[:1]
-    )
+        expected_poly(inst, (0, 1, 2))  # larger than k
+    assert expected_poly(inst, (np.int64(0),)) == expected_poly(inst, (0,))
     with pytest.raises(InvalidInput, match="must be an integer"):
-        expected_poly(inst, (float(inst.selectable[0]),))
+        expected_poly(inst, (0.0,))
+
+
+def test_expected_poly_names_a_candidate_by_its_column_of_b():
+    rng = np.random.default_rng(62)
+    inst = random_isotropic(rng, n=3, m=6, ell=2, k=3)
+    for j in range(inst.m):
+        gram = gram_update(inst.gram_fixed, inst.candidates[:, j])
+        assert expected_poly(inst, (j,)) == expected_poly_from_gram(inst, gram, 1)
 
 
 def test_root_sum_identity_tiny_case():
@@ -190,14 +198,14 @@ def test_root_sum_identity_random():
         k = int(rng.integers(budgets.start, budgets.stop))
         inst = random_isotropic(rng, n, m, ell, k)
         t = int(rng.integers(0, m))
-        s = tuple(int(v) for v in rng.choice(inst.selectable, size=t, replace=False))
+        s = tuple(int(v) for v in rng.choice(inst.m, size=t, replace=False))
         assert root_sum_identity_check(inst, s) < 1e-8
 
 
 def test_root_sum_identity_single_child():
     rng = np.random.default_rng(71)
     inst = random_isotropic(rng, n=2, m=4, ell=0, k=2)
-    s = inst.selectable[: inst.m - 1]
+    s = tuple(range(inst.m - 1))
     assert root_sum_identity_check(inst, s) < 1e-8
 
 
@@ -211,8 +219,8 @@ def test_sibling_convex_combinations_real_rooted():
         k = int(rng.integers(budgets.start, budgets.stop))
         inst = random_isotropic(rng, n, m, ell, k)
         j = int(rng.integers(0, k))
-        partial = tuple(int(v) for v in rng.choice(inst.selectable, size=j, replace=False))
-        rest = [i for i in inst.selectable if i not in partial]
+        partial = tuple(int(v) for v in rng.choice(inst.m, size=j, replace=False))
+        rest = [i for i in range(inst.m) if i not in partial]
         i1, i2 = (int(v) for v in rng.choice(rest, size=2, replace=False))
         mu = float(rng.uniform())
         f1 = np.asarray(expected_poly(inst, partial + (i1,)).coeffs)
@@ -234,9 +242,9 @@ def test_root_comparison_interlacing_family():
         inst = random_isotropic(rng, n, m, ell, k)
         leaf_roots = [
             float(np.linalg.eigvalsh(inst.gram_fixed.data + sum(
-                np.outer(inst.y.data[:, s], inst.y.data[:, s]) for s in subset
+                np.outer(inst.candidates[:, s], inst.candidates[:, s]) for s in subset
             ))[0])
-            for subset in combinations(inst.selectable, k)
+            for subset in combinations(range(inst.m), k)
         ]
         tree_root = smallest_root(expected_poly(inst, ()), eps)
         assert min(leaf_roots) <= tree_root + 1e-6

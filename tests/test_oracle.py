@@ -55,6 +55,26 @@ def test_brute_force_norms_match_numpy_pinv():
         assert finite > 0
 
 
+@pytest.mark.parametrize(
+    "data, subset",
+    [
+        # sigma_min of [a b_S] is 1e-155: |[a b_S]^+|_F^2 overflows
+        ([[1e-150, 0.0, 1e-150], [0.0, 1e-155, 1e-150]], (0, 1)),
+        # sigma_min^2 = 1e-326 underflows to 0
+        ([[1.0, 0.0, 1e-163, 0.0], [0.0, 1.0, 0.0, 1e-163]], (2, 3)),
+        # sigma_min = 1e-310 is subnormal, so 1/sigma_min overflows too
+        ([[1.0, 0.0, 1e-310, 0.0], [0.0, 1.0, 0.0, 1e-310]], (2, 3)),
+    ],
+)
+def test_brute_force_records_overflowing_norms_as_infeasible(data, subset):
+    prob = SelectionProblem(a=DenseMatrix.zeros(2, 0), b=DenseMatrix(data), k=2)
+    result = brute_force(prob)
+    s = np.linalg.svd(np.asarray(data)[:, list(subset)], compute_uv=False)
+    assert s[-1] > 1e-12 * s[0]  # full rank under the rank rule
+    assert result.all_values[subset][:2] == (math.inf, math.inf)
+    assert result.best_frob_sq < math.inf and subset != result.best_subset_frob
+
+
 def test_brute_force_guard():
     rng = np.random.default_rng(127)
     prob = random_problem(rng, n=2, m=45, ell=0, k=20)

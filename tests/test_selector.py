@@ -98,7 +98,10 @@ def test_build_isotropic_fixed_block_indices():
     inst = build_isotropic(prob)
     assert inst.l == 1
     assert inst.m == 3
-    assert inst.selectable == (1, 2, 3)
+    # in the frame of [a b], the fixed block is a and candidate j is column j of b
+    u_sigma = prob.stacked.u.data * np.asarray(prob.stacked.sigma)
+    assert np.allclose(u_sigma @ inst.fixed, a.data, rtol=0.0, atol=1e-12)
+    assert np.allclose(u_sigma @ inst.candidates, b.data, rtol=0.0, atol=1e-12)
     assert inst.r == 1
 
 
@@ -262,14 +265,20 @@ def test_verify_bound_refuses_norms_that_overflow(data, subset):
         verify_bound(prob, subset)
 
 
-def test_verify_bound_shares_the_slack_of_the_greedy_check(monkeypatch):
+def test_verify_bound_shares_the_slack_of_the_greedy_check():
     prob = SelectionProblem(a=empty_block(2), b=DOUBLED_IDENTITY, k=2)
     _, ratio_frob, ratio_spec = verify_bound(prob, (0, 1))
     worst = max(ratio_frob, ratio_spec)
-    monkeypatch.setattr(selector, "bound_factor", lambda _: worst / (1.0 + 5e-8))
+    object.__setattr__(prob, "bound_factor", worst / (1.0 + 5e-8))
     assert verify_bound(prob, (0, 1))[0]
-    monkeypatch.setattr(selector, "bound_factor", lambda _: worst / (1.0 + 2e-7))
+    object.__setattr__(prob, "bound_factor", worst / (1.0 + 2e-7))
     assert not verify_bound(prob, (0, 1))[0]
+
+
+def test_problem_refuses_a_bound_factor_that_overflows():
+    # [a b] is well conditioned, but |a^+ b|_F^2 = 2e400 leaves the float range
+    with pytest.raises(InvalidInput, match="bound factor .* must be a finite float, got inf"):
+        SelectionProblem(a=DenseMatrix([[1e-200]]), b=DenseMatrix([[1.0, 1.0]]), k=1)
 
 
 def _hand_built_report(**changes) -> SelectionReport:
@@ -315,7 +324,7 @@ def test_min_singular_check_values():
     prob = random_problem(rng, n=2, m=6, ell=0, k=3)
     inst = build_isotropic(prob)
     report = greedy_select(prob)
-    value = min_singular_check(inst, tuple(j + prob.l for j in report.subset))
+    value = min_singular_check(inst, report.subset)
     # with no fixed block the guarantee reduces to 1/gamma
     assert value >= 1.0 / gamma(prob.m, prob.n, prob.k, 0) - 10 * prob.eps
     # rank-deficient selection has near-zero smallest singular value
@@ -366,9 +375,14 @@ def test_bound_factor_matches_closed_form(case):
         * (1.0 + 2.0 * prob.k * prob.eps)
     )
     assert bound_factor(prob) == pytest.approx(expected, rel=1e-12)
+    # computed once, at construction, and read from there
+    assert prob.gamma == gamma(prob.m, prob.n, prob.k, prob.r)
+    assert prob.bound_factor == bound_factor(prob)
+    report = greedy_select(prob)
+    assert (report.gamma, report.bound_factor) == (prob.gamma, prob.bound_factor)
 
     # verify_bound's ratios against numpy's pseudoinverse norms
-    subset = greedy_select(prob).subset
+    subset = report.subset
     _, ratio_frob, ratio_spec = verify_bound(prob, subset)
     sel_pinv = np.linalg.pinv(np.hstack([a, b[:, list(subset)]]))
     base_pinv = np.linalg.pinv(np.hstack([a, b]))
@@ -402,8 +416,8 @@ def test_isotropic_guarantee_with_fixed_block():
         prob = random_problem(rng, n, m, ell, k)
         inst = build_isotropic(prob)
         report = greedy_select(prob)
-        value = min_singular_check(inst, tuple(j + prob.l for j in report.subset))
-        fixed = DenseMatrix(inst.y.data[:, : prob.l])
+        value = min_singular_check(inst, report.subset)
+        fixed = DenseMatrix(inst.fixed)
         m_pinv_frob_sq, _ = norms_sq(pseudoinverse(fixed))
         lower = (m - n + inst.r) / (
             (m - n + m_pinv_frob_sq) * gamma(m, n, k, inst.r)
@@ -424,7 +438,7 @@ def test_tree_root_lower_bound():
         inst = build_isotropic(prob)
         f = expected_poly(inst, ())
         lam = smallest_root(f, prob.eps)
-        fixed = DenseMatrix(inst.y.data[:, : prob.l])
+        fixed = DenseMatrix(inst.fixed)
         m_pinv_frob_sq, _ = norms_sq(pseudoinverse(fixed))
         lower = (m - n + inst.r) / (
             (m - n + m_pinv_frob_sq) * gamma(m, n, k, inst.r)
