@@ -200,9 +200,7 @@ def _run_oracle(args: argparse.Namespace) -> int:
     _emit_payload(
         {
             "num_subsets": len(enum.all_values),
-            "num_feasible": sum(
-                1 for frob, _, _ in enum.all_values.values() if math.isfinite(frob)
-            ),
+            "num_feasible": sum(math.isfinite(frob) for frob, _ in enum.all_values.values()),
             "best_subset_frob": list(enum.best_subset_frob),
             "best_frob_sq": enum.best_frob_sq,
             "best_subset_spec": list(enum.best_subset_spec),

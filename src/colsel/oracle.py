@@ -1,9 +1,9 @@
-"""Independent cross-check machinery: enumeration, barriers, companion
-roots, and the monomial-basis expected-polynomial pipeline.
+"""Independent cross-check machinery: enumeration (one SVD per subset),
+barriers, companion roots, and the monomial-basis expected-polynomial pipeline.
 
-Nothing here shares a code path with the root search, the y-basis
-transform or the greedy loop, which is the point: these are the oracles
-the test suite uses to falsify the production code.
+Nothing here shares a code path with the root search, the y-basis transform,
+the greedy loop or the selector's subset norms, which is the point: these
+are the oracles the test suite uses to falsify the production code.
 """
 from __future__ import annotations
 
@@ -14,7 +14,8 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DeflationFailure, InvalidInput, TooLarge
-from .linalg import DEFAULT_RANK_TOL, columns, hcat, pseudoinverse
+# pseudoinverse is unused; the benchmark harness's tracer test wraps colsel.oracle.pseudoinverse
+from .linalg import DEFAULT_RANK_TOL, columns, hcat, pseudoinverse  # noqa: F401
 from .poly import Polynomial, derivative, evaluate, monic
 from .selector import SelectionProblem
 
@@ -38,50 +39,49 @@ DEFLATION_REM_TOL = 1e-8
 class EnumerationResult:
     """Exhaustive evaluation of all size-k subsets.
 
-    ``all_values`` maps each subset (sorted tuple) to
-    ``(frob_sq, spec_sq, sigma_min_sq)`` of ``[a b_S]``; rank-deficient
-    subsets, and full-rank ones whose norms overflow, keep their smallest
-    singular value but get infinite norms so the map stays total.
+    ``all_values`` maps each subset (sorted tuple) to ``(frob_sq,
+    spec_sq)``, the squared pseudoinverse norms of ``[a b_S]``;
+    rank-deficient subsets, and full-rank ones whose norms overflow, get
+    infinite norms so the map stays total.
     """
 
     best_subset_frob: tuple[int, ...]
     best_subset_spec: tuple[int, ...]
     best_frob_sq: float
     best_spec_sq: float
-    all_values: dict[tuple[int, ...], tuple[float, float, float]]
+    all_values: dict[tuple[int, ...], tuple[float, float]]
 
 
 def brute_force(prob: SelectionProblem) -> EnumerationResult:
     """Exact optimum over all ``C(m, k)`` subsets for both norms.
 
-    Per subset it takes the singular values of ``[a b_S]`` with
-    ``np.linalg.svd``; the subset is full rank when ``sigma_min >
-    DEFAULT_RANK_TOL * sigma_max``.  Then ``|.^+|_F^2`` is the sum of
-    squares of the pseudoinverse formed by :func:`~colsel.linalg.pseudoinverse`
-    and ``|.^+|_2^2 = 1/sigma_min^2`` (clamped to the Frobenius value).
-    Neither goes through the selector's norm helper.
+    Per subset it takes one ``np.linalg.svd`` of ``[a b_S]``, full rank when
+    ``sigma_min > DEFAULT_RANK_TOL * sigma_max``, and forms ``[a b_S]^+ =
+    V diag(1/sigma) U^T`` from it: ``|.^+|_F^2`` sums its squared entries and
+    ``|.^+|_2^2 = 1/sigma_min^2`` (clamped to the Frobenius value).  Neither
+    goes through the selector's norm helper or :func:`~colsel.linalg.thin_svd`.
     """
     count = math.comb(prob.m, prob.k)
     if count > ENUMERATION_GUARD:
         raise TooLarge(
             f"C({prob.m}, {prob.k}) = {count} exceeds the {ENUMERATION_GUARD} subset guard"
         )
-    all_values: dict[tuple[int, ...], tuple[float, float, float]] = {}
+    all_values: dict[tuple[int, ...], tuple[float, float]] = {}
     best_frob = (math.inf, ())
     best_spec = (math.inf, ())
     for subset in combinations(range(prob.m), prob.k):
         selected = hcat(prob.a, columns(prob.b, subset))
-        s = np.linalg.svd(selected.data, compute_uv=False)  # n values, as l + k >= n
+        u, s, vt = np.linalg.svd(selected.data, full_matrices=False)  # n values: l + k >= n
         sigma_min_sq = float(s[-1]) ** 2
         frob_sq = spec_sq = math.inf
         # sigma_min^2 = 0 (underflow) means both norms overflow
         if s[-1] > DEFAULT_RANK_TOL * s[0] and sigma_min_sq > 0.0:
-            pinv = pseudoinverse(selected).data
+            pinv = (vt.T / s) @ u.T
             with np.errstate(over="ignore"):
                 frob = float(np.sum(pinv * pinv))
             if frob < math.inf:
                 frob_sq, spec_sq = frob, min(1.0 / sigma_min_sq, frob)
-        all_values[subset] = (frob_sq, spec_sq, sigma_min_sq)
+        all_values[subset] = (frob_sq, spec_sq)
         if frob_sq < best_frob[0]:
             best_frob = (frob_sq, subset)
         if spec_sq < best_spec[0]:

@@ -3,16 +3,16 @@
 The selection loop works in the isotropic frame obtained from the thin
 SVD of ``[A B]``: at each step it evaluates, for every remaining
 candidate column, an eps-approximate smallest root of the expected
-characteristic polynomial of the extended partial, and keeps the argmax
-(ties broken by smallest column index, so results are reproducible and
-independent of evaluation order).
+characteristic polynomial of the extended partial, and keeps the argmax.
+Candidates are scanned in ascending column order and only a strictly
+larger root replaces the best, so ties go to the smallest column index.
 """
 from __future__ import annotations
 
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -56,7 +56,8 @@ def gamma(m: int, n: int, k: int, r: int) -> float:
     addition and the division round: the result is within 2 ulp.
 
     Its preconditions are the bound's, so :class:`SelectionProblem`
-    validates its shape by calling it.
+    validates its shape by calling it.  Arguments too large for float
+    arithmetic raise :class:`InvalidInput` too.
     """
     if not (m > k >= n - r >= 0 and m >= n and r >= 0):
         raise InvalidInput(
@@ -65,7 +66,10 @@ def gamma(m: int, n: int, k: int, r: int) -> float:
         )
     a = (k + 1) * (m - n + r)
     b = (n - r) * (m - k - 1)
-    return (a + b + 2.0 * math.sqrt(a * b)) / (k + 1 - n + r) ** 2
+    try:
+        return (a + b + 2.0 * math.sqrt(a * b)) / (k + 1 - n + r) ** 2
+    except OverflowError:
+        raise InvalidInput(f"gamma(m={m}, n={n}, k={k}, r={r}) is out of float range") from None
 
 
 @dataclass(frozen=True)
@@ -233,18 +237,14 @@ def bound_factor(prob: SelectionProblem) -> float:
     return prob.gamma * fixed_block * (1.0 + 2.0 * prob.k * prob.eps)
 
 
-def greedy_select(
-    prob: SelectionProblem,
-    candidate_order: Callable[[Sequence[int]], Sequence[int]] | None = None,
-) -> SelectionReport:
+def greedy_select(prob: SelectionProblem) -> SelectionReport:
     """Run the deterministic greedy selection and report both norms.
 
-    ``candidate_order`` optionally permutes the evaluation order inside
-    one iteration; it exists to demonstrate that the argmax tie-break
-    (smallest column index) makes the result order-independent.
     Each candidate is scored by the smallest root of the expected
     polynomial of the extended partial (see
-    :func:`~colsel.expected_charpoly.expected_poly_from_gram`).
+    :func:`~colsel.expected_charpoly.expected_poly_from_gram`).  Each
+    iteration scans the remaining columns in ascending order and keeps a
+    strictly larger root only, so an exact tie goes to the smallest column.
 
     Raises :class:`NotRealRooted` for a polynomial with no real root,
     :class:`RankDeficient` when the selected ``[a b_S]`` fails the rank
@@ -259,13 +259,12 @@ def greedy_select(
     gram = inst.gram_fixed
 
     for _ in range(prob.k):
-        order = list(candidate_order(remaining)) if candidate_order else remaining
         best = (-math.inf, -1, gram)
-        for j in order:
+        for j in remaining:
             cand_gram = gram_update(gram, inst.candidates[:, j])
             f = expected_poly_from_gram(inst, cand_gram, len(chosen) + 1)
             lam = smallest_root(f, prob.eps)
-            if lam > best[0] or (lam == best[0] and j < best[1]):
+            if lam > best[0]:
                 best = (lam, j, cand_gram)
         lam, j, gram = best
         chosen.append(j)

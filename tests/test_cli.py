@@ -141,6 +141,9 @@ def test_gamma_subcommand_invalid(capsys):
     assert main(["gamma", "-m", "4", "-n", "2", "-k", "4", "-r", "0"]) == 1
     assert main(["gamma", "-m", "10", "-n", "2", "-k", "5", "-r", "-1"]) == 1
     assert "r >= 0" in capsys.readouterr().err
+    assert main(["gamma", "-m", str(10**160), "-n", "2", "-k", "3", "-r", "0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: gamma(m=") and err.count("\n") == 1
 
 
 def test_verify_subcommand(tmp_path, capsys):

@@ -26,7 +26,7 @@ def test_brute_force_doubled_identity():
     prob = SelectionProblem(a=DenseMatrix.zeros(2, 0), b=DOUBLED_IDENTITY, k=2)
     result = brute_force(prob)
     assert len(result.all_values) == 6
-    infeasible = [s for s, (f, _, _) in result.all_values.items() if math.isinf(f)]
+    infeasible = [s for s, (f, _) in result.all_values.items() if math.isinf(f)]
     assert sorted(infeasible) == [(0, 2), (1, 3)]
     assert result.best_frob_sq == pytest.approx(2.0, rel=1e-9)
     assert result.best_spec_sq == pytest.approx(1.0, rel=1e-9)
@@ -43,7 +43,7 @@ def test_brute_force_norms_match_numpy_pinv():
         result = brute_force(prob)
         assert math.isinf(result.all_values[(0, 5)][0])
         finite = 0
-        for subset, (frob_sq, spec_sq, _) in result.all_values.items():
+        for subset, (frob_sq, spec_sq) in result.all_values.items():
             sel = np.hstack([a, b[:, list(subset)]])
             if np.linalg.matrix_rank(sel) < 3:
                 assert math.isinf(frob_sq) and math.isinf(spec_sq)
@@ -71,8 +71,24 @@ def test_brute_force_records_overflowing_norms_as_infeasible(data, subset):
     result = brute_force(prob)
     s = np.linalg.svd(np.asarray(data)[:, list(subset)], compute_uv=False)
     assert s[-1] > 1e-12 * s[0]  # full rank under the rank rule
-    assert result.all_values[subset][:2] == (math.inf, math.inf)
+    assert result.all_values[subset] == (math.inf, math.inf)
     assert result.best_frob_sq < math.inf and subset != result.best_subset_frob
+
+
+def test_brute_force_takes_one_svd_per_subset(monkeypatch):
+    rng = np.random.default_rng(151)
+    prob = random_problem(rng, n=3, m=7, ell=1, k=3)
+    svd = np.linalg.svd
+    calls = []
+
+    def counting_svd(a, *args, **kwargs):
+        calls.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    result = brute_force(prob)
+    assert len(calls) == len(result.all_values) == math.comb(7, 3)
+    assert all(math.isfinite(f) for f, _ in result.all_values.values())
 
 
 def test_brute_force_guard():
