@@ -58,7 +58,8 @@ _ALGORITHM_ERRORS = (AlgorithmFailure, NotRealRooted)
 def parse_matrix_csv(path: str) -> DenseMatrix:
     """Read a headerless CSV of decimal rows into a matrix.
 
-    Rows must have equal length; NaN/Inf tokens are rejected.  A UTF-8
+    Rows must have equal length; NaN/Inf tokens, and the digit-group
+    underscores ``float()`` would accept, are rejected.  A UTF-8
     byte order mark, as spreadsheet exports write, is skipped.  Errors
     carry the offending line number.
     """
@@ -70,14 +71,18 @@ def parse_matrix_csv(path: str) -> DenseMatrix:
                 continue
             values = []
             for token in line.split(","):
+                token = token.strip()
                 try:
-                    v = float(token.strip())
+                    # float() also reads Python's digit-group underscores, as in "1_0"
+                    if "_" in token:
+                        raise ValueError(token)
+                    v = float(token)
                 except ValueError:
                     raise FormatError(
-                        f"line {lineno}: cannot parse {token.strip()!r} as a number"
+                        f"line {lineno}: cannot parse {token!r} as a number"
                     ) from None
                 if not math.isfinite(v):
-                    raise FormatError(f"line {lineno}: non-finite value {token.strip()!r}")
+                    raise FormatError(f"line {lineno}: non-finite value {token!r}")
                 values.append(v)
             if rows and len(values) != len(rows[0]):
                 raise FormatError(

@@ -1,5 +1,6 @@
-"""Independent cross-check machinery: enumeration (one SVD per subset),
-barriers, companion roots, and the monomial-basis expected-polynomial pipeline.
+"""Independent cross-check machinery: enumeration (one stacked SVD per batch
+of up to 256 subsets), barriers, companion roots, and the monomial-basis
+expected-polynomial pipeline.
 
 Nothing here shares a code path with the root search, the y-basis transform,
 the greedy loop or the selector's subset norms, which is the point: these
@@ -9,13 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
 from .errors import DeflationFailure, InvalidInput, TooLarge
 # pseudoinverse is unused; the benchmark harness's tracer test wraps colsel.oracle.pseudoinverse
-from .linalg import DEFAULT_RANK_TOL, columns, hcat, pseudoinverse  # noqa: F401
+from .linalg import DEFAULT_RANK_TOL, columns, pseudoinverse  # noqa: F401
 from .poly import Polynomial, derivative, evaluate, monic
 from .selector import SelectionProblem
 
@@ -32,17 +33,21 @@ __all__ = [
 ]
 
 ENUMERATION_GUARD = 10**6
+# subsets per stacked SVD: enough to amortise the LAPACK call, small enough to keep memory flat
+ENUMERATION_BATCH = 256
 DEFLATION_REM_TOL = 1e-8
 
 
 @dataclass(frozen=True)
 class EnumerationResult:
-    """Exhaustive evaluation of all size-k subsets.
+    """Exhaustive evaluation of all size-k subsets, one stacked SVD per batch
+    of up to 256 subsets.
 
     ``all_values`` maps each subset (sorted tuple) to ``(frob_sq,
     spec_sq)``, the squared pseudoinverse norms of ``[a b_S]``;
     rank-deficient subsets, and full-rank ones whose norms overflow, get
-    infinite norms so the map stays total.
+    infinite norms so the map stays total.  Ties go to the first subset in
+    ``combinations`` order.
     """
 
     best_subset_frob: tuple[int, ...]
@@ -55,37 +60,49 @@ class EnumerationResult:
 def brute_force(prob: SelectionProblem) -> EnumerationResult:
     """Exact optimum over all ``C(m, k)`` subsets for both norms.
 
-    Per subset it takes one ``np.linalg.svd`` of ``[a b_S]``, full rank when
-    ``sigma_min > DEFAULT_RANK_TOL * sigma_max``, and forms ``[a b_S]^+ =
-    V diag(1/sigma) U^T`` from it: ``|.^+|_F^2`` sums its squared entries and
-    ``|.^+|_2^2 = 1/sigma_min^2`` (clamped to the Frobenius value).  Neither
-    goes through the selector's norm helper or :func:`~colsel.linalg.thin_svd`.
+    It takes one stacked ``np.linalg.svd`` per batch of up to
+    ``ENUMERATION_BATCH`` (256) subsets' ``[a b_S]``.  A subset is full rank
+    when ``sigma_min > DEFAULT_RANK_TOL * sigma_max``; for those it forms
+    ``[a b_S]^+ = V diag(1/sigma) U^T``: ``|.^+|_F^2`` sums its squared
+    entries and ``|.^+|_2^2 = 1/sigma_min^2`` (clamped to the Frobenius
+    value).  Neither goes through the selector's norm helper or
+    :func:`~colsel.linalg.thin_svd`.
     """
     count = math.comb(prob.m, prob.k)
     if count > ENUMERATION_GUARD:
         raise TooLarge(
             f"C({prob.m}, {prob.k}) = {count} exceeds the {ENUMERATION_GUARD} subset guard"
         )
+    ell = prob.a.cols
     all_values: dict[tuple[int, ...], tuple[float, float]] = {}
     best_frob = (math.inf, ())
     best_spec = (math.inf, ())
-    for subset in combinations(range(prob.m), prob.k):
-        selected = hcat(prob.a, columns(prob.b, subset))
-        u, s, vt = np.linalg.svd(selected.data, full_matrices=False)  # n values: l + k >= n
-        sigma_min_sq = float(s[-1]) ** 2
-        frob_sq = spec_sq = math.inf
+    subsets = combinations(range(prob.m), prob.k)
+    while batch := list(islice(subsets, ENUMERATION_BATCH)):
+        stack = np.empty((len(batch), prob.a.rows, ell + prob.k))
+        stack[:, :, :ell] = prob.a.data
+        for i, subset in enumerate(batch):
+            stack[i, :, ell:] = columns(prob.b, subset).data
+        u, s, vt = np.linalg.svd(stack, full_matrices=False)  # n values: l + k >= n
+        sigma_min_sq = s[:, -1] ** 2
         # sigma_min^2 = 0 (underflow) means both norms overflow
-        if s[-1] > DEFAULT_RANK_TOL * s[0] and sigma_min_sq > 0.0:
-            pinv = (vt.T / s) @ u.T
-            with np.errstate(over="ignore"):
-                frob = float(np.sum(pinv * pinv))
-            if frob < math.inf:
-                frob_sq, spec_sq = frob, min(1.0 / sigma_min_sq, frob)
-        all_values[subset] = (frob_sq, spec_sq)
-        if frob_sq < best_frob[0]:
-            best_frob = (frob_sq, subset)
-        if spec_sq < best_spec[0]:
-            best_spec = (spec_sq, subset)
+        feasible = (s[:, -1] > DEFAULT_RANK_TOL * s[:, 0]) & (sigma_min_sq > 0.0)
+        # V diag(1/sigma) U^T for the feasible rows only, so nothing divides by a zero sigma
+        v_over_s = vt[feasible].transpose(0, 2, 1) / s[feasible, None, :]
+        pinv = v_over_s @ u[feasible].transpose(0, 2, 1)
+        frob_sq = np.full(len(batch), math.inf)
+        with np.errstate(over="ignore"):
+            frob_sq[feasible] = np.sum(pinv * pinv, axis=(1, 2))
+        spec_sq = np.full(len(batch), math.inf)
+        feasible &= frob_sq < math.inf
+        spec_sq[feasible] = np.minimum(1.0 / sigma_min_sq[feasible], frob_sq[feasible])
+        all_values.update(zip(batch, zip(frob_sq.tolist(), spec_sq.tolist())))
+        # argmin takes the first minimum; a strict < keeps an earlier batch's tie
+        i, j = int(np.argmin(frob_sq)), int(np.argmin(spec_sq))
+        if frob_sq[i] < best_frob[0]:
+            best_frob = (float(frob_sq[i]), batch[i])
+        if spec_sq[j] < best_spec[0]:
+            best_spec = (float(spec_sq[j]), batch[j])
     return EnumerationResult(
         best_subset_frob=best_frob[1],
         best_subset_spec=best_spec[1],

@@ -60,6 +60,20 @@ def test_parse_matrix_csv_rejects_nan_and_garbage(tmp_path):
     assert "line 1" in str(err.value)
 
 
+def test_parse_matrix_csv_rejects_digit_group_underscores(tmp_path, capsys):
+    # float("1_0") is 10.0; a CSV entry with an underscore is not a decimal
+    path = write(tmp_path, "B.csv", "1_0,0,1,0\n0,1,0,1\n")
+    with pytest.raises(FormatError) as err:
+        parse_matrix_csv(path)
+    assert "line 1" in str(err.value) and "'1_0'" in str(err.value)
+    with pytest.raises(FormatError) as err:
+        parse_matrix_csv(write(tmp_path, "c.csv", "1,0\n0,1e_1\n"))
+    assert "line 2" in str(err.value)
+    assert main(["select", "--b", path, "-k", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "line 1" in captured.err
+
+
 def test_report_round_trip():
     prob = SelectionProblem(
         a=DenseMatrix.zeros(2, 0),

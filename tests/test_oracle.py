@@ -2,12 +2,14 @@
 from __future__ import annotations
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 
+import colsel.oracle
 from colsel.errors import InvalidInput, TooLarge
-from colsel.linalg import DenseMatrix
+from colsel.linalg import DEFAULT_RANK_TOL, DenseMatrix
 from colsel.oracle import (
     barrier,
     barrier_descent_check,
@@ -75,20 +77,97 @@ def test_brute_force_records_overflowing_norms_as_infeasible(data, subset):
     assert result.best_frob_sq < math.inf and subset != result.best_subset_frob
 
 
-def test_brute_force_takes_one_svd_per_subset(monkeypatch):
+def test_brute_force_batches_its_svds(monkeypatch):
     rng = np.random.default_rng(151)
-    prob = random_problem(rng, n=3, m=7, ell=1, k=3)
-    svd = np.linalg.svd
-    calls = []
+    prob = random_problem(rng, n=3, m=12, ell=1, k=4)  # C(12, 4) = 495 subsets
+    svd, gather = np.linalg.svd, colsel.oracle.columns
+    svd_shapes, gathers = [], []
 
     def counting_svd(a, *args, **kwargs):
-        calls.append(a.shape)
+        svd_shapes.append(a.shape)
         return svd(a, *args, **kwargs)
 
+    def counting_columns(q, s):
+        gathers.append(s)
+        return gather(q, s)
+
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(colsel.oracle, "columns", counting_columns)
     result = brute_force(prob)
-    assert len(calls) == len(result.all_values) == math.comb(7, 3)
+    assert len(result.all_values) == 495
+    assert len(svd_shapes) == math.ceil(495 / 256) == 2
+    assert all(len(shape) == 3 for shape in svd_shapes)
+    assert sum(shape[0] for shape in svd_shapes) == 495
+    assert len(gathers) == 495
     assert all(math.isfinite(f) for f, _ in result.all_values.values())
+
+
+def _per_subset_values(prob):
+    """The enumeration with one SVD per subset, as it stood before batching."""
+    values = {}
+    for subset in combinations(range(prob.m), prob.k):
+        selected = np.hstack([prob.a.data, prob.b.data[:, list(subset)]])
+        u, s, vt = np.linalg.svd(selected, full_matrices=False)
+        sigma_min_sq = float(s[-1]) ** 2
+        frob_sq = spec_sq = math.inf
+        if s[-1] > DEFAULT_RANK_TOL * s[0] and sigma_min_sq > 0.0:
+            pinv = (vt.T / s) @ u.T
+            with np.errstate(over="ignore"):
+                frob = float(np.sum(pinv * pinv))
+            if frob < math.inf:
+                frob_sq, spec_sq = frob, min(1.0 / sigma_min_sq, frob)
+        values[subset] = (frob_sq, spec_sq)
+    return values
+
+
+@pytest.mark.parametrize("n, m, ell, k", [(3, 14, 0, 3), (4, 14, 1, 3), (4, 13, 0, 4)])
+def test_brute_force_matches_the_per_subset_loop(n, m, ell, k):
+    # l + k = n, and the last column of b repeats the first, so the subsets
+    # holding both are rank-deficient
+    rng = np.random.default_rng([157, n, m])
+    for _ in range(3):
+        a = rng.standard_normal((n, ell))
+        b = rng.standard_normal((n, m - 1))
+        b = np.hstack([b, b[:, :1]])
+        prob = SelectionProblem(a=DenseMatrix(a), b=DenseMatrix(b), k=k)
+        assert math.comb(m, k) > 256  # several batches
+        result = brute_force(prob)
+        expected = _per_subset_values(prob)
+        assert list(result.all_values) == list(expected)
+        feasible = {s for s, (f, _) in expected.items() if math.isfinite(f)}
+        assert {s for s, (f, _) in result.all_values.items() if math.isfinite(f)} == feasible
+        assert 0 < len(feasible) < len(expected)
+        for subset in expected:
+            frob_sq, spec_sq = result.all_values[subset]
+            assert type(frob_sq) is float and type(spec_sq) is float
+            assert frob_sq == expected[subset][0]
+            if subset in feasible:
+                assert spec_sq == pytest.approx(expected[subset][1], rel=1e-15, abs=0.0)
+            else:
+                assert spec_sq == math.inf
+
+
+def test_brute_force_ties_go_to_the_first_subset_across_batches():
+    # b = [c c]: a subset of one half and its twin in the other gather the same [a b_S]
+    rng = np.random.default_rng(163)
+    order = list(combinations(range(12), 4))
+    across = [0, 0]  # draws whose minimum is reached in both batches, per norm
+    for _ in range(40):
+        c = rng.standard_normal((3, 6))
+        prob = SelectionProblem(a=DenseMatrix.zeros(3, 0), b=DenseMatrix(np.hstack([c, c])), k=4)
+        result = brute_force(prob)
+        assert list(result.all_values) == order
+        for s in combinations(range(6), 4):
+            assert result.all_values[tuple(j + 6 for j in s)] == result.all_values[s]
+        for norm, best, best_sq in [
+            (0, result.best_subset_frob, result.best_frob_sq),
+            (1, result.best_subset_spec, result.best_spec_sq),
+        ]:
+            reaching = [i for i, s in enumerate(order) if result.all_values[s][norm] == best_sq]
+            assert best == order[reaching[0]]
+            across[norm] += reaching[0] < 256 <= reaching[-1]
+    # the exact copies that reach the minimum fall in different batches of 256
+    assert min(across) > 0
 
 
 def test_brute_force_guard():

@@ -15,8 +15,9 @@ Every instance with ``C(m, k) <= 2002`` (all shapes but the first) also
 runs ``brute_force``; the comparison lists the instances whose best
 subsets or sets of feasible subsets differ and reports the largest
 relative difference of each norm over the subsets feasible in both.
-Exit status 1 if any subset, root value, best subset or feasible set
-differs.
+It also prints each tree's total ``brute_force`` wall time over those
+instances, for information only.  Exit status 1 if any subset, root
+value, best subset or feasible set differs.
 """
 from __future__ import annotations
 
@@ -25,6 +26,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 # (n, m, l, k, rank of the fixed block or None for a Gaussian block, instances)
 SHAPES = (
@@ -69,7 +71,9 @@ def dump() -> None:
             }
             record.update((v, getattr(report, v)) for v in VALUES[:5])
             if math.comb(m, k) <= BRUTE_FORCE_LIMIT:
+                t0 = time.perf_counter()
                 enum = brute_force(prob)
+                record["brute_force_s"] = time.perf_counter() - t0
                 # value[:2] is (frob_sq, spec_sq), whatever else a tree stores
                 record["brute_force"] = {
                     "best": [enum.best_subset_frob, enum.best_subset_spec],
@@ -133,6 +137,8 @@ def main(old_src: str, new_src: str) -> int:
         print(f"  max relative difference of {v}: {rel:.2e}")
     print(f"{len(enums)} brute-force instances")
     print(f"  best subset or feasible set mismatches: {len(enum_mismatches)}", *enum_mismatches)
+    old_s, new_s = (sum(r.get("brute_force_s", 0.0) for r in tree) for tree in (old, new))
+    print(f"  total brute_force wall time: old {old_s:.3f} s, new {new_s:.3f} s")
     for v, rel in enum_worst.items():
         print(f"  max relative difference of {v} over feasible subsets: {rel:.2e}")
     return 1 if subsets or roots or enum_mismatches else 0
