@@ -1,16 +1,20 @@
-"""Command-line front end: CSV matrix ingestion and JSON report output.
+"""Command-line front end: CSV matrix ingestion and report output.
 
 Subcommands: ``select`` (run the greedy algorithm), ``verify`` (check a
 given subset against the bound), ``oracle`` (exhaustive enumeration
 plus greedy comparison), and ``gamma`` (print the approximation
 factor).  ``main`` parses the arguments and hands the argparse
 namespace to the subcommand's handler; the library validates the
-inputs.  Exit codes: 0 success, 1 input/validation error, 2 algorithm
-failure.
+inputs.  ``select``, ``verify`` and ``oracle`` return one payload dict
+(``select``'s is :class:`~colsel.selector.SelectionReport` as a dict),
+which ``main`` renders as JSON or as ``key: value`` lines and writes to
+stdout or ``--out``; ``gamma`` prints a bare number.  Exit codes: 0
+success, 1 usage, input or validation error, 2 algorithm failure.
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -28,9 +32,9 @@ from .errors import (
 from .linalg import DenseMatrix
 from .oracle import brute_force
 from .selector import (
+    DEFAULT_EPS,
     SelectionProblem,
     SelectionReport,
-    TraceStep,
     gamma,
     greedy_select,
     verify_bound,
@@ -39,7 +43,6 @@ from .selector import (
 __all__ = [
     "parse_matrix_csv",
     "serialize_report",
-    "parse_report",
     "main",
 ]
 
@@ -94,60 +97,28 @@ def parse_matrix_csv(path: str) -> DenseMatrix:
     return DenseMatrix(rows)
 
 
-def report_to_dict(report: SelectionReport) -> dict:
-    return {
-        "subset": list(report.subset),
-        "frob_sq": report.frob_sq,
-        "spec_sq": report.spec_sq,
-        "baseline_frob_sq": report.baseline_frob_sq,
-        "baseline_spec_sq": report.baseline_spec_sq,
-        "gamma": report.gamma,
-        "bound_factor": report.bound_factor,
-        "eps": report.eps,
-        "trace": [
-            {"index": step.index, "lambda_min": step.lambda_min} for step in report.trace
-        ],
-    }
-
-
-def report_from_dict(payload: dict) -> SelectionReport:
-    return SelectionReport(
-        subset=tuple(int(j) for j in payload["subset"]),
-        frob_sq=float(payload["frob_sq"]),
-        spec_sq=float(payload["spec_sq"]),
-        baseline_frob_sq=float(payload["baseline_frob_sq"]),
-        baseline_spec_sq=float(payload["baseline_spec_sq"]),
-        gamma=float(payload["gamma"]),
-        bound_factor=float(payload["bound_factor"]),
-        eps=float(payload["eps"]),
-        trace=tuple(
-            TraceStep(index=int(t["index"]), lambda_min=float(t["lambda_min"]))
-            for t in payload["trace"]
-        ),
-    )
-
-
 def serialize_report(report: SelectionReport) -> str:
-    return json.dumps(report_to_dict(report), indent=2)
+    """The report as indented JSON, keyed in :class:`SelectionReport` field order."""
+    return json.dumps(dataclasses.asdict(report), indent=2)
 
 
-def parse_report(text: str) -> SelectionReport:
-    return report_from_dict(json.loads(text))
+def _render(payload: dict, fmt: str) -> str:
+    """``payload`` as indented JSON or as ``key: value`` lines.
 
-
-def _report_as_text(report: SelectionReport) -> str:
-    lines = [
-        "subset: " + ",".join(str(j) for j in report.subset),
-        f"frob_sq: {report.frob_sq!r}",
-        f"spec_sq: {report.spec_sq!r}",
-        f"baseline_frob_sq: {report.baseline_frob_sq!r}",
-        f"baseline_spec_sq: {report.baseline_spec_sq!r}",
-        f"gamma: {report.gamma!r}",
-        f"bound_factor: {report.bound_factor!r}",
-        f"eps: {report.eps!r}",
-    ]
-    for step in report.trace:
-        lines.append(f"step: index={step.index} lambda_min={step.lambda_min!r}")
+    In text, a list of numbers prints comma-joined and a list of records
+    prints one ``key: field=value ...`` line per record.
+    """
+    if fmt == "json":
+        return json.dumps(payload, indent=2)
+    lines = []
+    for key, value in payload.items():
+        if not isinstance(value, (list, tuple)):
+            lines.append(f"{key}: {value}")
+        elif value and isinstance(value[0], dict):
+            for item in value:
+                lines.append(f"{key}: " + " ".join(f"{name}={v}" for name, v in item.items()))
+        else:
+            lines.append(f"{key}: " + ",".join(str(v) for v in value))
     return "\n".join(lines)
 
 
@@ -157,74 +128,45 @@ def _load_problem(args: argparse.Namespace, k: int) -> SelectionProblem:
     return SelectionProblem(a=a, b=b, k=k, eps=args.eps)
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output is None:
-        print(text)
-    else:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+def _run_select(args: argparse.Namespace) -> dict:
+    return dataclasses.asdict(greedy_select(_load_problem(args, args.k)))
 
 
-def _emit_payload(payload: dict, args: argparse.Namespace) -> None:
-    if args.format == "text":
-        _emit("\n".join(f"{key}: {value}" for key, value in payload.items()), args.out)
-    else:
-        _emit(json.dumps(payload, indent=2), args.out)
-
-
-def _run_select(args: argparse.Namespace) -> int:
-    report = greedy_select(_load_problem(args, args.k))
-    if args.format == "text":
-        _emit(_report_as_text(report), args.out)
-    else:
-        _emit(serialize_report(report), args.out)
-    return 0
-
-
-def _run_verify(args: argparse.Namespace) -> int:
+def _run_verify(args: argparse.Namespace) -> dict:
     subset = _parse_subset(args.subset)
     prob = _load_problem(args, len(subset))
     holds, ratio_frob, ratio_spec = verify_bound(prob, subset)
-    _emit_payload(
-        {
-            "subset": list(subset),
-            "holds": holds,
-            "ratio_frob": ratio_frob,
-            "ratio_spec": ratio_spec,
-            "gamma": prob.gamma,
-        },
-        args,
-    )
-    return 0
+    return {
+        "subset": subset,
+        "holds": holds,
+        "ratio_frob": ratio_frob,
+        "ratio_spec": ratio_spec,
+        "gamma": prob.gamma,
+    }
 
 
-def _run_oracle(args: argparse.Namespace) -> int:
+def _run_oracle(args: argparse.Namespace) -> dict:
     prob = _load_problem(args, args.k)
     enum = brute_force(prob)
     report = greedy_select(prob)
-    _emit_payload(
-        {
-            "num_subsets": len(enum.all_values),
-            "num_feasible": sum(math.isfinite(frob) for frob, _ in enum.all_values.values()),
-            "best_subset_frob": list(enum.best_subset_frob),
-            "best_frob_sq": enum.best_frob_sq,
-            "best_subset_spec": list(enum.best_subset_spec),
-            "best_spec_sq": enum.best_spec_sq,
-            "greedy_subset": list(report.subset),
-            "greedy_frob_sq": report.frob_sq,
-            "greedy_spec_sq": report.spec_sq,
-            "bound_factor": report.bound_factor,
-            "baseline_frob_sq": report.baseline_frob_sq,
-            "baseline_spec_sq": report.baseline_spec_sq,
-        },
-        args,
-    )
-    return 0
+    return {
+        "num_subsets": len(enum.all_values),
+        "num_feasible": sum(math.isfinite(frob) for frob, _ in enum.all_values.values()),
+        "best_subset_frob": enum.best_subset_frob,
+        "best_frob_sq": enum.best_frob_sq,
+        "best_subset_spec": enum.best_subset_spec,
+        "best_spec_sq": enum.best_spec_sq,
+        "greedy_subset": report.subset,
+        "greedy_frob_sq": report.frob_sq,
+        "greedy_spec_sq": report.spec_sq,
+        "bound_factor": report.bound_factor,
+        "baseline_frob_sq": report.baseline_frob_sq,
+        "baseline_spec_sq": report.baseline_spec_sq,
+    }
 
 
-def _run_gamma(args: argparse.Namespace) -> int:
-    _emit(str(gamma(args.m, args.n, args.k, args.r)), args.out)
-    return 0
+def _run_gamma(args: argparse.Namespace) -> float:
+    return gamma(args.m, args.n, args.k, args.r)
 
 
 _HANDLERS = {
@@ -255,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--a", default=None, help="CSV file with the fixed block A")
         if with_k:
             p.add_argument("-k", type=int, required=True, help="number of columns to select")
-        p.add_argument("--eps", type=float, default=1e-6, help="root approximation accuracy")
+        p.add_argument("--eps", type=float, default=DEFAULT_EPS, help="root approximation accuracy")
         p.add_argument("--out", default=None, help="write the report to this file")
         p.add_argument("--format", choices=("json", "text"), default="json")
 
@@ -282,16 +224,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Parse ``argv`` and run the subcommand; map errors to exit codes 1 and 2."""
-    args = build_parser().parse_args(argv)
+    """Parse ``argv``, run the subcommand and write its result to stdout or
+    ``--out``; return 0, or 1 for a usage or input error, 2 for an algorithm failure."""
     try:
-        return _HANDLERS[args.subcommand](args)
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
+        return 0 if exc.code == 0 else 1
+    try:
+        result = _HANDLERS[args.subcommand](args)
+        text = _render(result, args.format) if isinstance(result, dict) else str(result)
+        if args.out is None:
+            sys.stdout.write(text + "\n")
+        else:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
     except _ALGORITHM_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

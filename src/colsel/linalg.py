@@ -78,7 +78,8 @@ class DenseMatrix:
         return self.shape == other.shape and bool(np.array_equal(self.data, other.data))
 
     def __hash__(self) -> int:
-        return hash((self.shape, self.data.tobytes()))
+        # + 0.0 turns -0.0 into 0.0, which __eq__ already equates
+        return hash((self.shape, (self.data + 0.0).tobytes()))
 
     def __repr__(self) -> str:
         return f"DenseMatrix({self.rows}x{self.cols})"

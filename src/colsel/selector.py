@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -39,6 +39,9 @@ __all__ = [
     "verify_bound",
     "min_singular_check",
 ]
+
+# Root-approximation accuracy of a :class:`SelectionProblem` unless one is given.
+DEFAULT_EPS = 1e-6
 
 # Relative slack of the one comparison against the proven bound
 # (:func:`_within_bound`); covers float arithmetic only, not algorithmic error.
@@ -92,7 +95,7 @@ class SelectionProblem:
     a: DenseMatrix
     b: DenseMatrix
     k: int
-    eps: float = 1e-6
+    eps: float = DEFAULT_EPS
     a_svd: SvdFactors = field(init=False, repr=False, compare=False)
     stacked: SvdFactors = field(init=False, repr=False, compare=False)
     baseline_norms_sq: tuple[float, float] = field(init=False, repr=False, compare=False)
@@ -152,7 +155,8 @@ class SelectionProblem:
         return self.a_svd.rank
 
 
-class TraceStep(NamedTuple):
+@dataclass(frozen=True)
+class TraceStep:
     """One greedy iteration: chosen column of ``b`` and its root value."""
 
     index: int
@@ -163,7 +167,8 @@ class TraceStep(NamedTuple):
 class SelectionReport:
     """Outcome of a greedy run: the subset, both squared pseudoinverse
     norms, the corresponding baseline norms of ``[a b]``, and the proven
-    multiplicative bound factor."""
+    multiplicative bound factor.  Its fields, and those of :class:`TraceStep`,
+    in order, are the keys of the JSON report (``colsel.cli.serialize_report``)."""
 
     subset: tuple[int, ...]
     frob_sq: float

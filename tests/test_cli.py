@@ -1,21 +1,14 @@
-"""CSV ingestion, subcommand dispatch, JSON report round-trips, exit codes."""
+"""CSV ingestion, subcommand dispatch, the report schema, output formats, exit codes."""
 from __future__ import annotations
 
 import json
 
 import pytest
 
-from colsel.cli import (
-    main,
-    parse_matrix_csv,
-    parse_report,
-    report_from_dict,
-    report_to_dict,
-    serialize_report,
-)
+from colsel.cli import main, parse_matrix_csv, serialize_report
 from colsel.errors import FormatError
 from colsel.linalg import DenseMatrix
-from colsel.selector import SelectionProblem, greedy_select
+from colsel.selector import SelectionProblem, SelectionReport, TraceStep, greedy_select
 
 DOUBLED_IDENTITY_CSV = "1,0,1,0\n0,1,0,1\n"
 
@@ -74,15 +67,34 @@ def test_parse_matrix_csv_rejects_digit_group_underscores(tmp_path, capsys):
     assert captured.out == "" and "line 1" in captured.err
 
 
-def test_report_round_trip():
+def test_report_json_keys_and_values_are_the_dataclass_fields():
     prob = SelectionProblem(
         a=DenseMatrix.zeros(2, 0),
         b=DenseMatrix([[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]]),
         k=2,
     )
     report = greedy_select(prob)
-    assert parse_report(serialize_report(report)) == report
-    assert report_from_dict(report_to_dict(report)) == report
+    payload = json.loads(serialize_report(report))
+    assert list(payload) == [
+        "subset",
+        "frob_sq",
+        "spec_sq",
+        "baseline_frob_sq",
+        "baseline_spec_sq",
+        "gamma",
+        "bound_factor",
+        "eps",
+        "trace",
+    ]
+    assert [list(step) for step in payload["trace"]] == [["index", "lambda_min"]] * 2
+    rebuilt = SelectionReport(
+        **{
+            **payload,
+            "subset": tuple(payload["subset"]),
+            "trace": tuple(TraceStep(**step) for step in payload["trace"]),
+        }
+    )
+    assert rebuilt == report
 
 
 def test_select_subcommand(tmp_path, capsys):
@@ -121,6 +133,38 @@ def test_select_text_format(tmp_path, capsys):
     assert "frob_sq: 2.0" in out
 
 
+@pytest.mark.parametrize(
+    "argv, pinned",
+    [
+        (
+            ["select", "-k", "2"],
+            ["subset: 2,3", "frob_sq: 2.0", "spec_sq: 1.0", "eps: 1e-06"],
+        ),
+        (["verify", "--subset", "2,3"], ["subset: 2,3", "holds: True"]),
+        (
+            ["oracle", "-k", "2"],
+            ["num_subsets: 6", "num_feasible: 4", "best_subset_frob: 0,1", "greedy_subset: 2,3"],
+        ),
+    ],
+    ids=["select", "verify", "oracle"],
+)
+def test_text_format_prints_a_line_per_key_and_per_trace_step(tmp_path, capsys, argv, pinned):
+    b = write(tmp_path, "b.csv", DOUBLED_IDENTITY_CSV)
+    assert main(argv + ["--b", b]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert main(argv + ["--b", b, "--format", "text"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    trace = payload.get("trace", [])
+    keys = [key for key in payload if key != "trace"] + ["trace"] * len(trace)
+    assert [line.split(": ", 1)[0] for line in lines] == keys
+    assert set(pinned) <= set(lines)
+    assert lines[len(lines) - len(trace):] == [
+        f"trace: index={step['index']} lambda_min={step['lambda_min']!r}" for step in trace
+    ]
+    if trace:
+        assert [line.split(" ")[1] for line in lines[-2:]] == ["index=2", "index=3"]
+
+
 def test_select_with_fixed_block(tmp_path, capsys):
     a = write(tmp_path, "a.csv", "1\n0\n")
     b = write(tmp_path, "b.csv", DOUBLED_IDENTITY_CSV)
@@ -139,6 +183,37 @@ def test_select_eps_below_float_spacing_terminates(tmp_path, capsys):
     b = write(tmp_path, "b.csv", DOUBLED_IDENTITY_CSV)
     assert main(["select", "--b", b, "-k", "2", "--eps", "1e-300"]) == 0
     assert json.loads(capsys.readouterr().out)["eps"] == 1e-300
+
+
+def test_select_reports_the_problem_default_eps(tmp_path, capsys):
+    b = write(tmp_path, "b.csv", DOUBLED_IDENTITY_CSV)
+    assert main(["select", "--b", b, "-k", "2"]) == 0
+    default = SelectionProblem(a=DenseMatrix.zeros(2, 0), b=parse_matrix_csv(b), k=2).eps
+    assert json.loads(capsys.readouterr().out)["eps"] == default
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["select", "--b", "B"], 1),
+        (["select", "--b", "B", "-k", "x"], 1),
+        (["select", "--b", "B", "-k", "2", "--eps", "abc"], 1),
+        (["select", "--b", "B", "-k", "2", "--format", "xml"], 1),
+        (["frobnicate", "--b", "B"], 1),
+        (["--help"], 0),
+        (["select", "--help"], 0),
+    ],
+    ids=["missing_k", "k_not_int", "eps_not_float", "unknown_format", "unknown_subcommand",
+         "help", "subcommand_help"],
+)
+def test_usage_errors_exit_1_and_help_exits_0(tmp_path, capsys, argv, code):
+    b = write(tmp_path, "b.csv", DOUBLED_IDENTITY_CSV)
+    assert main([b if arg == "B" else arg for arg in argv]) == code
+    captured = capsys.readouterr()
+    if code == 0:
+        assert captured.out.startswith("usage: colsel") and captured.err == ""
+    else:
+        assert captured.out == "" and captured.err.startswith("usage: colsel")
 
 
 def test_select_missing_file(tmp_path, capsys):

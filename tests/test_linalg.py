@@ -16,6 +16,7 @@ from colsel.linalg import (
     pseudoinverse,
     thin_svd,
 )
+from colsel.selector import SelectionProblem
 
 
 def test_dense_matrix_rejects_non_finite():
@@ -29,6 +30,17 @@ def test_dense_matrix_is_immutable():
     q = DenseMatrix([[1.0, 2.0]])
     with pytest.raises(ValueError):
         q.data[0, 0] = 5.0
+
+
+def test_dense_matrix_equal_across_signed_zeros_hashes_alike():
+    a, b = DenseMatrix([[0.0, 1.0]]), DenseMatrix([[-0.0, 1.0]])
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    c = DenseMatrix([[2.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]])
+    problems = {
+        SelectionProblem(a=DenseMatrix([[zero], [1.0]]), b=c, k=2) for zero in (0.0, -0.0)
+    }
+    assert len(problems) == 1
 
 
 def test_thin_svd_diagonal():
