@@ -108,12 +108,13 @@ def _psd_eigenvalues(g: DenseMatrix) -> list[float]:
     if g.rows != g.cols:
         raise InvalidInput(f"matrix must be square, got {g.rows}x{g.cols}")
     a = g.data
-    scale = max(1.0, float(np.max(np.abs(a))) if a.size else 0.0)
-    if a.size and float(np.max(np.abs(a - a.T))) > _SYMMETRY_TOL * scale:
+    # ufunc reductions run at C level; initial=0.0 covers the empty matrix.
+    scale = max(1.0, float(np.maximum.reduce(np.abs(a), axis=None, initial=0.0)))
+    if np.maximum.reduce(np.abs(a - a.T), axis=None, initial=0.0) > _SYMMETRY_TOL * scale:
         raise InvalidInput("matrix is not symmetric to 1e-10")
-    eig = np.linalg.eigvalsh(a) if a.size else np.zeros(0)
+    eig = np.linalg.eigvalsh(a).tolist()
     clamp = _EIGENVALUE_CLAMP_TOL * scale
-    return [0.0 if -clamp <= v < 0.0 else float(v) for v in eig]
+    return [0.0 if -clamp <= v < 0.0 else v for v in eig]
 
 
 def charpoly_psd(g: DenseMatrix) -> Polynomial:

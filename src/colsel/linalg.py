@@ -41,10 +41,13 @@ class DenseMatrix:
     data: np.ndarray
 
     def __init__(self, data: np.ndarray | Sequence[Sequence[float]]):
-        a = np.array(data, dtype=float, order="C", copy=True)
+        a = np.asarray(data)
+        if a.dtype.kind == "c":
+            raise InvalidInput(f"matrix entries must be real, got dtype {a.dtype}")
+        a = np.array(a, dtype=float, order="C", copy=True)
         if a.ndim != 2:
             raise InvalidInput(f"matrix data must be 2-dimensional, got ndim={a.ndim}")
-        if a.size and not np.isfinite(a).all():
+        if np.count_nonzero(np.isfinite(a)) != a.size:
             raise InvalidInput("matrix entries must be finite (no NaN/Inf)")
         a.setflags(write=False)
         object.__setattr__(self, "data", a)
@@ -158,12 +161,14 @@ def norms_sq(q: DenseMatrix) -> tuple[float, float]:
 
 
 def _as_index(value: object, error: type[ValueError], what: str) -> int:
-    """``operator.index(value)``: Python and numpy integers pass; a float
-    or any other non-integer raises ``error``."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise error(f"{what} must be an integer, got {value!r}") from None
+    """``operator.index(value)``: Python and numpy integers pass; a bool
+    (Python's or numpy's), a float or any other non-integer raises ``error``."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise error(f"{what} must be an integer, got {value!r}")
 
 
 def _as_indices(values: Iterable[object], count: int, error: type[ValueError]) -> list[int]:
@@ -179,7 +184,7 @@ def _as_indices(values: Iterable[object], count: int, error: type[ValueError]) -
 
 def columns(q: DenseMatrix, s: Iterable[int]) -> DenseMatrix:
     """Extract the columns of ``q`` indexed by the integers ``s``, in the order listed."""
-    return DenseMatrix(q.data[:, _as_indices(s, q.cols, InvalidSubset)])
+    return DenseMatrix(q.data.take(_as_indices(s, q.cols, InvalidSubset), axis=1))
 
 
 def hcat(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
@@ -196,4 +201,11 @@ def gram_update(g: DenseMatrix, y: np.ndarray | Sequence[float]) -> DenseMatrix:
         raise DimensionMismatch(f"gram matrix must be square, got {g.rows}x{g.cols}")
     if v.shape[0] != g.rows:
         raise DimensionMismatch(f"vector length {v.shape[0]} != matrix size {g.rows}")
-    return DenseMatrix(g.data + np.outer(v, v))
+    return _gram_updates(g, v[:, None])[0]
+
+
+def _gram_updates(g: DenseMatrix, v: np.ndarray) -> list[DenseMatrix]:
+    """``g + v_c v_c^T`` for each column ``v_c`` of the ``n x C`` array ``v``,
+    from one broadcast; :func:`gram_update` is its one-column case."""
+    t = v.T
+    return [DenseMatrix(u) for u in g.data + t[:, :, None] * t[:, None, :]]

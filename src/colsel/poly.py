@@ -16,8 +16,7 @@ certificates leave open.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import InvalidInput, NotRealRooted
@@ -63,8 +62,8 @@ class Polynomial:
     coeffs: tuple[float, ...]
 
     def __init__(self, coeffs: Iterable[float]):
-        c = [float(v) for v in coeffs]
-        if not all(math.isfinite(v) for v in c):
+        c = list(map(float, coeffs))
+        if not all(map(math.isfinite, c)):
             raise InvalidInput("polynomial coefficients must be finite")
         while c and c[-1] == 0.0:
             c.pop()
@@ -92,19 +91,19 @@ class SturmChain:
     gcd of p and p' when a remainder vanishes to tolerance, which keeps
     counting correct near multiple roots.  The sign variations at -inf
     depend only on the chain's leading coefficients and degrees, so they
-    are computed once per chain, on first use.
+    are computed once per chain, when it is built.
     """
 
     chain: tuple[Polynomial, ...]
+    # Sign variations at ``-inf``, where each entry has sign lead * (-1)^degree.
+    variations_at_minus_inf: int = field(init=False, repr=False, compare=False)
 
-    @cached_property
-    def variations_at_minus_inf(self) -> int:
-        """Sign variations at ``-inf``, where each entry has sign lead * (-1)^degree."""
+    def __post_init__(self) -> None:
         signs = []
         for q in self.chain:
             s = 1 if q.coeffs[-1] > 0.0 else -1
             signs.append(-s if q.degree % 2 == 1 else s)
-        return _variations(signs)
+        object.__setattr__(self, "variations_at_minus_inf", _variations(signs))
 
 
 def evaluate(p: Polynomial, x: float) -> float:
@@ -153,21 +152,6 @@ def derivative(p: Polynomial, times: int = 1) -> Polynomial:
     return Polynomial(c)
 
 
-def _remainder(num: Sequence[float], den: Sequence[float]) -> list[float]:
-    """Remainder of the Euclidean division of ascending coefficient lists; den must be nonzero."""
-    rem = list(num)
-    dd = len(den) - 1
-    lead = den[-1]
-    for i in range(len(rem) - 1, dd - 1, -1):
-        f = rem[i] / lead
-        if f != 0.0:
-            for j in range(dd + 1):
-                rem[i - dd + j] -= f * den[j]
-        rem[i] = 0.0
-    del rem[dd:]
-    return rem
-
-
 def sturm_chain(p: Polynomial) -> SturmChain:
     """Build the (generalized) Sturm chain of ``p``."""
     if p.is_zero:
@@ -175,14 +159,24 @@ def sturm_chain(p: Polynomial) -> SturmChain:
     if p.degree == 0:
         return SturmChain((p,))
     chain = [p, derivative(p, 1)]
-    while chain[-1].degree >= 1:
-        dividend = chain[-2]
-        rem = _remainder(dividend.coeffs, chain[-1].coeffs)
-        rem_scale = max((abs(v) for v in rem), default=0.0)
-        dividend_scale = max(abs(v) for v in dividend.coeffs)
-        if rem_scale <= _GCD_REMAINDER_TOL * dividend_scale:
+    dividend, divisor = p.coeffs, chain[-1].coeffs
+    while len(divisor) >= 2:
+        # Remainder of dividend / divisor: step i cancels rem[i], which the
+        # del drops, so only the dd entries below it are updated.
+        dd = len(divisor) - 1
+        lead = divisor[-1]
+        rem = list(dividend)
+        for i in range(len(rem) - 1, dd - 1, -1):
+            f = rem[i] / lead
+            if f != 0.0:
+                for j in range(dd):
+                    rem[i - dd + j] -= f * divisor[j]
+        del rem[dd:]
+        rem_scale = max(map(abs, rem), default=0.0)
+        if rem_scale <= _GCD_REMAINDER_TOL * max(map(abs, dividend)):
             break  # chain[-1] is (numerically) the gcd of p and p'
         chain.append(Polynomial(-v / rem_scale for v in rem))
+        dividend, divisor = divisor, chain[-1].coeffs
     return SturmChain(tuple(chain))
 
 
@@ -203,12 +197,20 @@ def _variations_at(chain: SturmChain, x: float) -> int:
     # treated as a zero entry.  Snapping small values to zero looks
     # safer but biases the bisection by up to (snap threshold)/|p'| near
     # a root, which is far worse than living with sign noise confined
-    # to the float ambiguity region of the evaluation.
-    signs = []
+    # to the float ambiguity region of the evaluation.  Horner runs
+    # inline, as in :func:`evaluate`, to save a call per chain entry.
+    count = 0
+    prev = None
     for q in chain.chain:
-        value = evaluate(q, x)
-        signs.append(0 if value == 0.0 else (1 if value > 0.0 else -1))
-    return _variations(signs)
+        value = 0.0
+        for c in reversed(q.coeffs):
+            value = value * x + c
+        if value != 0.0:
+            positive = value > 0.0
+            if prev is not None and positive != prev:
+                count += 1
+            prev = positive
+    return count
 
 
 def count_roots_leq(chain: SturmChain, x: float) -> int:
@@ -218,7 +220,7 @@ def count_roots_leq(chain: SturmChain, x: float) -> int:
 
 def _cauchy_radius(p: Polynomial) -> float:
     lead = abs(p.coeffs[-1])
-    return max(abs(c) for c in p.coeffs[:-1]) / lead if p.degree >= 1 else 0.0
+    return max(map(abs, p.coeffs[:-1])) / lead if p.degree >= 1 else 0.0
 
 
 def _compensated_value(p: Polynomial, x: float) -> float:
@@ -281,9 +283,16 @@ def _newton_from_left(p: Polynomial, dp: Polynomial, lo: float, hi: float, eps: 
     x = mean - spread
     if not lo < x < hi:
         x = lo
+    dc = dp.coeffs
     for _ in range(_NEWTON_MAX_STEPS):
-        slope = evaluate(dp, x)
-        step = -evaluate(p, x) / slope if slope else 0.0
+        # Horner for p'(x) and p(x) inline, as in :func:`evaluate`, to save two calls.
+        slope = 0.0
+        for coeff in reversed(dc):
+            slope = slope * x + coeff
+        value = 0.0
+        for coeff in reversed(c):
+            value = value * x + coeff
+        step = -value / slope if slope else 0.0
         if n * step <= 0.25 * eps or not lo < x + step < hi:
             break
         x += step

@@ -22,8 +22,8 @@ from .linalg import (
     DenseMatrix,
     SvdFactors,
     _as_index,
+    _gram_updates,
     columns,
-    gram_update,
     hcat,
     thin_svd,
 )
@@ -265,9 +265,11 @@ def greedy_select(prob: SelectionProblem) -> SelectionReport:
 
     for _ in range(prob.k):
         best = (-math.inf, -1, gram)
-        for j in remaining:
-            cand_gram = gram_update(gram, inst.candidates[:, j])
-            f = expected_poly_from_gram(inst, cand_gram, len(chosen) + 1)
+        size = len(chosen) + 1
+        # The Grams gram + v v^T of every remaining candidate, from one broadcast.
+        cand_grams = _gram_updates(gram, inst.candidates[:, remaining])
+        for j, cand_gram in zip(remaining, cand_grams):
+            f = expected_poly_from_gram(inst, cand_gram, size)
             lam = smallest_root(f, prob.eps)
             if lam > best[0]:
                 best = (lam, j, cand_gram)

@@ -26,6 +26,12 @@ def test_dense_matrix_rejects_non_finite():
         DenseMatrix([[float("inf")], [0.0]])
 
 
+@pytest.mark.parametrize("data", [np.array([[1 + 2j, 3]]), [[1 + 2j, 3.0]], np.array([[1 + 0j]])])
+def test_dense_matrix_rejects_complex_entries(data):
+    with pytest.raises(InvalidInput, match="must be real"):
+        DenseMatrix(data)
+
+
 def test_dense_matrix_is_immutable():
     q = DenseMatrix([[1.0, 2.0]])
     with pytest.raises(ValueError):
@@ -167,6 +173,8 @@ def test_columns_takes_integer_indices_only():
     assert columns(q, [np.int64(2)]) == DenseMatrix([[3.0], [6.0]])
     with pytest.raises(InvalidSubset, match="must be an integer"):
         columns(q, [2.7])
+    with pytest.raises(InvalidSubset, match="must be an integer, got False"):
+        columns(q, [False, True])
 
 
 def test_hcat():

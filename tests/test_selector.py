@@ -10,7 +10,7 @@ import pytest
 from colsel import expected_charpoly, selector
 from colsel.errors import AlgorithmFailure, InvalidInput, InvalidSubset, RankDeficient
 from colsel.expected_charpoly import expected_poly
-from colsel.linalg import DenseMatrix, norms_sq, pseudoinverse, thin_svd
+from colsel.linalg import DenseMatrix, gram_update, norms_sq, pseudoinverse, thin_svd
 from colsel.poly import smallest_root
 from colsel.selector import (
     SelectionProblem,
@@ -187,6 +187,49 @@ def test_greedy_breaks_ties_by_smallest_column(monkeypatch):
     assert [t.lambda_min for t in report.trace] == [0.5] * 3
 
 
+def _per_candidate_greedy(prob: SelectionProblem) -> tuple[list[int], list[float]]:
+    """The greedy loop with one ``gram_update`` per candidate: the subset and its roots."""
+    inst = build_isotropic(prob)
+    remaining, chosen, roots = list(range(prob.m)), [], []
+    gram = inst.gram_fixed
+    for _ in range(prob.k):
+        best = (-math.inf, -1, gram)
+        for j in remaining:
+            cand_gram = gram_update(gram, inst.candidates[:, j])
+            f = expected_charpoly.expected_poly_from_gram(inst, cand_gram, len(chosen) + 1)
+            lam = smallest_root(f, prob.eps)
+            if lam > best[0]:
+                best = (lam, j, cand_gram)
+        lam, j, gram = best
+        chosen.append(j)
+        remaining.remove(j)
+        roots.append(lam)
+    return chosen, roots
+
+
+@pytest.mark.parametrize(
+    "n, m, ell, k, rank_a",
+    [
+        (6, 48, 3, 12, None),  # the benchmark's wide shape
+        (5, 14, 4, 4, 2),  # a rank-deficient fixed block
+        (4, 7, 0, 5, None),  # a = m - n - j < 0 from j = 4: exact zeros in the charpoly
+    ],
+)
+def test_batched_grams_replay_the_per_candidate_loop_bit_for_bit(n, m, ell, k, rank_a):
+    rng = np.random.default_rng([n, m, ell, k])
+    for _ in range(2):
+        if rank_a is None:
+            a = rng.standard_normal((n, ell))
+        else:
+            a = rng.standard_normal((n, rank_a)) @ rng.standard_normal((rank_a, ell))
+        prob = SelectionProblem(a=DenseMatrix(a), b=DenseMatrix(rng.standard_normal((n, m))), k=k)
+        report = greedy_select(prob)
+        chosen, roots = _per_candidate_greedy(prob)
+        assert report.subset == tuple(chosen)
+        assert [t.index for t in report.trace] == chosen
+        assert [t.lambda_min for t in report.trace] == roots
+
+
 def test_verify_bound_accepts_greedy_output():
     rng = np.random.default_rng(107)
     prob = random_problem(rng, n=3, m=8, ell=2, k=4)
@@ -215,6 +258,9 @@ def test_problem_takes_an_integer_budget_only():
     assert SelectionProblem(a=empty_block(2), b=DOUBLED_IDENTITY, k=np.int64(2)).k == 2
     with pytest.raises(InvalidInput, match="k must be an integer"):
         SelectionProblem(a=empty_block(2), b=DOUBLED_IDENTITY, k=2.5)
+    # n - r = 1, so k = 1 would be a valid budget here
+    with pytest.raises(InvalidInput, match="k must be an integer, got True"):
+        SelectionProblem(a=empty_block(1), b=DenseMatrix([[1.0, 2.0, 3.0]]), k=True)
 
 
 def test_verify_bound_takes_integer_indices_only():
@@ -222,6 +268,8 @@ def test_verify_bound_takes_integer_indices_only():
     assert verify_bound(prob, (np.int64(0), np.int64(1))) == verify_bound(prob, (0, 1))
     with pytest.raises(InvalidSubset, match="must be an integer"):
         verify_bound(prob, [0.9, 1.9])
+    with pytest.raises(InvalidSubset, match="must be an integer, got True"):
+        verify_bound(prob, (True, False))
 
 
 # Inputs at the edges of the rank rule and of the float range: on each,
