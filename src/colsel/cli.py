@@ -17,6 +17,7 @@ import argparse
 import dataclasses
 import json
 import math
+import re
 import sys
 
 from .errors import (
@@ -177,10 +178,26 @@ _HANDLERS = {
 }
 
 
+# Unlike int(), no digit-group underscores ("1_0") and no non-ASCII digits.
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _parse_int(text: str) -> int:
+    """``text``, stripped of surrounding whitespace, as a base-10 integer of
+    ASCII digits with an optional sign; the one parser of every integer
+    argument."""
+    if _INTEGER.fullmatch(text.strip()) is not None:
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def _parse_subset(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(part) for part in text.split(",") if part.strip() != "")
-    except ValueError:
+        return tuple(_parse_int(part) for part in text.split(",") if part.strip() != "")
+    except argparse.ArgumentTypeError:
         raise InvalidInput(f"subset must be comma-separated integers, got {text!r}") from None
 
 
@@ -196,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--b", required=True, help="CSV file with the candidate matrix B")
         p.add_argument("--a", default=None, help="CSV file with the fixed block A")
         if with_k:
-            p.add_argument("-k", type=int, required=True, help="number of columns to select")
+            p.add_argument("-k", type=_parse_int, required=True, help="number of columns to select")
         p.add_argument("--eps", type=float, default=DEFAULT_EPS, help="root approximation accuracy")
         p.add_argument("--out", default=None, help="write the report to this file")
         p.add_argument("--format", choices=("json", "text"), default="json")
@@ -214,10 +231,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_matrix_args(p_oracle, with_k=True)
 
     p_gamma = sub.add_parser("gamma", help="print the approximation factor")
-    p_gamma.add_argument("-m", type=int, required=True)
-    p_gamma.add_argument("-n", type=int, required=True)
-    p_gamma.add_argument("-k", type=int, required=True)
-    p_gamma.add_argument("-r", type=int, required=True)
+    p_gamma.add_argument("-m", type=_parse_int, required=True)
+    p_gamma.add_argument("-n", type=_parse_int, required=True)
+    p_gamma.add_argument("-k", type=_parse_int, required=True)
+    p_gamma.add_argument("-r", type=_parse_int, required=True)
     p_gamma.add_argument("--out", default=None)
 
     return parser

@@ -13,6 +13,14 @@ the partial's characteristic polynomial, written in the basis
 
 and the result is already monic of degree ``n``.  It is returned in the
 monomial ``x`` basis.
+
+The transform works on a stack of Gram matrices at once, as the greedy
+loop scores every remaining candidate of an iteration: one stacked
+``eigvalsh`` call, then each stage (sort by ``|r|``, exact zeros, root
+expansion, weights, ``y -> x`` shift) as one array operation per
+coefficient over all rows.  Each row takes the same float operations, in
+the same order, as the scalar loops of :func:`~colsel.poly.from_roots`
+and Horner's rule on that Gram alone.
 """
 from __future__ import annotations
 
@@ -24,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidInput
-from .linalg import DenseMatrix, _as_indices, gram_update, thin_svd
+from .linalg import DenseMatrix, _as_indices, _gram_updates, gram_update, thin_svd
 from .poly import Polynomial, from_roots
 
 __all__ = [
@@ -102,19 +110,43 @@ class IsotropicInstance:
         return DenseMatrix(self.fixed @ self.fixed.T)
 
 
-def _psd_eigenvalues(g: DenseMatrix) -> list[float]:
-    """Eigenvalues of a symmetric PSD matrix, with mildly negative ones
-    (rounding noise) clamped to zero."""
-    if g.rows != g.cols:
-        raise InvalidInput(f"matrix must be square, got {g.rows}x{g.cols}")
-    a = g.data
+def _psd_eigenvalues(grams: np.ndarray) -> np.ndarray:
+    """Eigenvalues of each symmetric PSD matrix of the ``(C, n, n)`` stack
+    ``grams``, one row per matrix, ascending, from one stacked solver call.
+
+    Each matrix is checked, and its mildly negative eigenvalues (rounding
+    noise) are clamped to zero, against its own scale ``max(1, max|G|)``.
+    A failure raises :class:`InvalidInput` naming the matrix's position.
+    """
+    if grams.ndim != 3 or grams.shape[1] != grams.shape[2]:
+        raise InvalidInput(f"matrices must be a (C, n, n) stack, got shape {grams.shape}")
+    finite = np.isfinite(grams).all(axis=(1, 2))
+    if not finite.all():
+        raise InvalidInput(f"matrix {int(np.argmin(finite))} of the stack has a non-finite entry")
     # ufunc reductions run at C level; initial=0.0 covers the empty matrix.
-    scale = max(1.0, float(np.maximum.reduce(np.abs(a), axis=None, initial=0.0)))
-    if np.maximum.reduce(np.abs(a - a.T), axis=None, initial=0.0) > _SYMMETRY_TOL * scale:
-        raise InvalidInput("matrix is not symmetric to 1e-10")
-    eig = np.linalg.eigvalsh(a).tolist()
-    clamp = _EIGENVALUE_CLAMP_TOL * scale
-    return [0.0 if -clamp <= v < 0.0 else v for v in eig]
+    scale = np.maximum(1.0, np.maximum.reduce(np.abs(grams), axis=(1, 2), initial=0.0))
+    asymmetry = np.maximum.reduce(
+        np.abs(grams - grams.transpose(0, 2, 1)), axis=(1, 2), initial=0.0
+    )
+    asymmetric = asymmetry > _SYMMETRY_TOL * scale
+    if asymmetric.any():
+        raise InvalidInput(
+            f"matrix {int(np.argmax(asymmetric))} of the stack is not symmetric to 1e-10"
+        )
+    try:
+        eig = np.linalg.eigvalsh(grams)
+    except np.linalg.LinAlgError:
+        # The stacked call does not say which matrix failed; one call per matrix does.
+        for i, g in enumerate(grams):
+            try:
+                np.linalg.eigvalsh(g)
+            except np.linalg.LinAlgError:
+                raise InvalidInput(
+                    f"eigenvalues of matrix {i} of the stack did not converge"
+                ) from None
+        raise
+    clamp = (_EIGENVALUE_CLAMP_TOL * scale)[:, None]
+    return np.where((-clamp <= eig) & (eig < 0.0), 0.0, eig)
 
 
 def charpoly_psd(g: DenseMatrix) -> Polynomial:
@@ -123,11 +155,35 @@ def charpoly_psd(g: DenseMatrix) -> Polynomial:
     Eigenvalues are computed with a symmetric solver and mildly negative
     ones (rounding noise) are clamped to zero before the root expansion.
     """
-    return from_roots(_psd_eigenvalues(g))
+    return from_roots(_psd_eigenvalues(g.data[None])[0].tolist())
 
 
-def _shifted_charpoly(gram: DenseMatrix, a: int) -> list[float]:
-    """Coefficients ``c_i`` of ``det[(y + 1)I - gram]`` in powers of ``y = x - 1``.
+def _by_abs(r: np.ndarray) -> np.ndarray:
+    """Each row of ``r`` sorted by ``|r|``; the sort is stable, so ties keep
+    the order ``sorted(row, key=abs)`` gives them."""
+    return np.take_along_axis(r, np.argsort(np.abs(r), axis=1, kind="stable"), axis=1)
+
+
+def _from_roots_rows(roots: np.ndarray) -> np.ndarray:
+    """Row ``i``: the monic polynomial with roots ``roots[i]``, ascending
+    coefficients.  Factors are multiplied in column order, each by the
+    update of :func:`~colsel.poly.from_roots`, so each row is bit for bit
+    ``from_roots`` of the same roots already sorted by ``|r|``."""
+    rows, n = roots.shape
+    c = np.zeros((rows, n + 1))
+    c[:, 0] = 1.0
+    for t in range(n):
+        r = roots[:, t]
+        # c <- c * (x - r); the right-hand sides read the old values
+        c[:, t + 1] = c[:, t]
+        c[:, 1 : t + 1] = c[:, :t] - r[:, None] * c[:, 1 : t + 1]
+        c[:, 0] = -r * c[:, 0]
+    return c
+
+
+def _shifted_charpolys(grams: np.ndarray, a: int) -> np.ndarray:
+    """Row ``i``: the coefficients ``c`` of ``det[(y + 1)I - grams[i]]`` in
+    powers of ``y = x - 1``, ascending.
 
     For ``a < 0`` the ``-a`` roots of smallest magnitude are set to exactly
     zero.  They are zero in exact arithmetic: with ``a = m - n - j``, the
@@ -135,43 +191,54 @@ def _shifted_charpoly(gram: DenseMatrix, a: int) -> list[float]:
     rank-one terms, so the Gram has eigenvalue one with multiplicity at
     least ``-a``.  ``IsotropicInstance`` checks ``y y^T = I`` to 1e-8.
     """
-    roots = sorted((mu - 1.0 for mu in _psd_eigenvalues(gram)), key=abs)
-    exact_zeros = max(-a, 0)
-    roots[:exact_zeros] = [0.0] * exact_zeros
-    return list(from_roots(roots).coeffs)
+    r = _by_abs(_psd_eigenvalues(grams) - 1.0)
+    r[:, : max(-a, 0)] = 0.0
+    return _from_roots_rows(r)
 
 
 def _falling_weights(n: int, a: int, d: int) -> list[int]:
     """``prod_{t<d} (i+a-t)`` for ``i = 0..n``: the factor that multiplying
     by ``y^a``, differentiating ``d`` times and dividing by ``y^(a-d)``
     puts on ``y^i``.  Where ``i + a < 0`` the coefficient ``c_i`` is zero
-    (see :func:`_shifted_charpoly`), so the weight is too."""
+    (see :func:`_shifted_charpolys`), so the weight is too."""
     return [math.perm(i + a, d) if i + a >= 0 else 0 for i in range(n + 1)]
 
 
-def _from_shifted(f: Sequence[float]) -> Polynomial:
-    """Expand ``sum f_i (x - 1)^i`` into monomial coefficients (Horner)."""
-    coeffs = [f[-1]]
-    for c in reversed(f[:-1]):
-        # coeffs <- coeffs * (x - 1) + c
-        coeffs.append(coeffs[-1])
-        for i in range(len(coeffs) - 2, 0, -1):
-            coeffs[i] = coeffs[i - 1] - coeffs[i]
-        coeffs[0] = c - coeffs[0]
-    return Polynomial(coeffs)
+def _from_shifted(f: np.ndarray) -> np.ndarray:
+    """Row ``i``: ``sum_q f[i, q] (x - 1)^q`` in monomial coefficients
+    (Horner, one slice update per power over all rows)."""
+    n = f.shape[1] - 1
+    c = np.empty_like(f)
+    c[:, 0] = f[:, n]
+    for t in range(1, n + 1):
+        # c <- c * (x - 1) + f[:, n - t]; the right-hand sides read the old values
+        c[:, t] = c[:, t - 1]
+        c[:, 1:t] = c[:, : t - 1] - c[:, 1:t]
+        c[:, 0] = f[:, n - t] - c[:, 0]
+    return c
 
 
 def expected_poly_from_gram(
-    inst: IsotropicInstance, gram: DenseMatrix, j: int
-) -> Polynomial:
-    """Expected polynomial for a size-``j`` partial whose
-    selected-plus-fixed Gram matrix is ``gram``; monic of degree ``n``."""
+    inst: IsotropicInstance, grams: np.ndarray, j: int
+) -> list[Polynomial]:
+    """Expected polynomials of size-``j`` partials, one per matrix of the
+    ``(C, n, n)`` stack ``grams`` of selected-plus-fixed Gram matrices;
+    each is monic of degree ``n``.
+
+    The whole stack goes through one eigenvalue call and one transform;
+    each row takes the same float operations, in the same order, as a
+    stack holding that Gram alone.  :class:`InvalidInput` names the
+    position of a Gram that fails a check.
+    """
     if not 0 <= j <= inst.k:
         raise InvalidInput(f"partial size {j} outside [0, k={inst.k}]")
     n, a, d = inst.n, inst.m - inst.n - j, inst.k - j
-    c = _shifted_charpoly(gram, a)
+    if grams.shape[1:] != (n, n):
+        raise InvalidInput(f"Gram stack must have shape (C, {n}, {n}), got {grams.shape}")
     w = _falling_weights(n, a, d)
-    return _from_shifted([ci * (wi / w[n]) for ci, wi in zip(c, w)])
+    # Python-int true division rounds once; w can exceed 2**53
+    ratio = np.array([wi / w[n] for wi in w])
+    return [Polynomial(f) for f in _from_shifted(_shifted_charpolys(grams, a) * ratio).tolist()]
 
 
 def _partial_gram(
@@ -195,7 +262,7 @@ def expected_poly(inst: IsotropicInstance, partial: Sequence[int]) -> Polynomial
     degree ``n``.
     """
     idx, gram = _partial_gram(inst, partial, inst.k)
-    return expected_poly_from_gram(inst, gram, len(idx))
+    return expected_poly_from_gram(inst, gram.data[None], len(idx))[0]
 
 
 def root_sum_identity_check(inst: IsotropicInstance, s: Sequence[int]) -> float:
@@ -212,14 +279,11 @@ def root_sum_identity_check(inst: IsotropicInstance, s: Sequence[int]) -> float:
     n, m = inst.n, inst.m
 
     children = [j for j in range(m) if j not in idx]
-    lhs = np.zeros(n + 1)
-    for j in children:
-        lhs += np.asarray(charpoly_psd(gram_update(gram, inst.candidates[:, j])).coeffs)
+    child_grams = _gram_updates(gram.data, inst.candidates[:, children])
+    lhs = _from_roots_rows(_by_abs(_psd_eigenvalues(child_grams))).sum(axis=0)
 
     a = m - n - len(idx)
-    c = _shifted_charpoly(gram, a)
-    rhs = np.asarray(
-        _from_shifted([ci * wi for ci, wi in zip(c, _falling_weights(n, a, 1))]).coeffs
-    )
+    w = np.array(_falling_weights(n, a, 1), dtype=float)
+    rhs = _from_shifted(_shifted_charpolys(gram.data[None], a) * w)[0]
 
     return float(np.max(np.abs(lhs - rhs)) / len(children))

@@ -201,11 +201,12 @@ def gram_update(g: DenseMatrix, y: np.ndarray | Sequence[float]) -> DenseMatrix:
         raise DimensionMismatch(f"gram matrix must be square, got {g.rows}x{g.cols}")
     if v.shape[0] != g.rows:
         raise DimensionMismatch(f"vector length {v.shape[0]} != matrix size {g.rows}")
-    return _gram_updates(g, v[:, None])[0]
+    return DenseMatrix(_gram_updates(g.data, v[:, None])[0])
 
 
-def _gram_updates(g: DenseMatrix, v: np.ndarray) -> list[DenseMatrix]:
-    """``g + v_c v_c^T`` for each column ``v_c`` of the ``n x C`` array ``v``,
-    from one broadcast; :func:`gram_update` is its one-column case."""
+def _gram_updates(g: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The ``(C, n, n)`` stack ``g + v_c v_c^T`` over the columns ``v_c`` of the
+    ``n x C`` array ``v``, from one broadcast; :func:`gram_update` is its
+    one-column case."""
     t = v.T
-    return [DenseMatrix(u) for u in g.data + t[:, :, None] * t[:, None, :]]
+    return g + t[:, :, None] * t[:, None, :]

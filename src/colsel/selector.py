@@ -246,9 +246,12 @@ def greedy_select(prob: SelectionProblem) -> SelectionReport:
     """Run the deterministic greedy selection and report both norms.
 
     Each candidate is scored by the smallest root of the expected
-    polynomial of the extended partial (see
-    :func:`~colsel.expected_charpoly.expected_poly_from_gram`).  Each
-    iteration scans the remaining columns in ascending order and keeps a
+    polynomial of the extended partial.  Each iteration forms the Grams of
+    all remaining candidates as one stack and hands it to one
+    :func:`~colsel.expected_charpoly.expected_poly_from_gram` call (one
+    stacked eigenvalue call, one array-level transform), then finds each
+    candidate's root with its own :func:`~colsel.poly.smallest_root` call.
+    It scans the remaining columns in ascending order and keeps a
     strictly larger root only, so an exact tie goes to the smallest column.
 
     Raises :class:`NotRealRooted` for a polynomial with no real root,
@@ -261,22 +264,22 @@ def greedy_select(prob: SelectionProblem) -> SelectionReport:
     remaining = list(range(prob.m))
     chosen: list[int] = []
     trace: list[TraceStep] = []
-    gram = inst.gram_fixed
+    gram = inst.gram_fixed.data
 
     for _ in range(prob.k):
-        best = (-math.inf, -1, gram)
-        size = len(chosen) + 1
-        # The Grams gram + v v^T of every remaining candidate, from one broadcast.
-        cand_grams = _gram_updates(gram, inst.candidates[:, remaining])
-        for j, cand_gram in zip(remaining, cand_grams):
-            f = expected_poly_from_gram(inst, cand_gram, size)
+        # The Grams gram + v v^T of every remaining candidate, from one
+        # broadcast, and their expected polynomials, from one transform.
+        grams = _gram_updates(gram, inst.candidates[:, remaining])
+        polys = expected_poly_from_gram(inst, grams, len(chosen) + 1)
+        best_lam, best = -math.inf, -1
+        for i, f in enumerate(polys):
             lam = smallest_root(f, prob.eps)
-            if lam > best[0]:
-                best = (lam, j, cand_gram)
-        lam, j, gram = best
+            if lam > best_lam:
+                best_lam, best = lam, i
+        j = remaining.pop(best)
+        gram = grams[best]
         chosen.append(j)
-        remaining.remove(j)
-        trace.append(TraceStep(index=j, lambda_min=lam))
+        trace.append(TraceStep(index=j, lambda_min=best_lam))
 
     frob_sq, spec_sq = _subset_norms_sq(prob, chosen)
     baseline_frob_sq, baseline_spec_sq = prob.baseline_norms_sq

@@ -323,6 +323,42 @@ def test_verify_malformed_subset(tmp_path, capsys):
     assert "'0,x'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--b", "B", "--subset", "0_2,3"],
+        ["verify", "--b", "B", "--subset", "\uff12,3"],  # a full-width 2
+        ["select", "--b", "B", "-k", "0_2"],
+        ["select", "--b", "B", "-k", "\uff12"],
+        ["oracle", "--b", "B", "-k", "0_2"],
+        ["gamma", "-m", "1_0", "-n", "2", "-k", "3", "-r", "0"],
+        ["gamma", "-m", "4", "-n", "\u0662", "-k", "3", "-r", "0"],  # an Arabic-Indic 2
+        ["gamma", "-m", "4", "-n", "2", "-k", "3_0", "-r", "0"],
+        ["gamma", "-m", "4", "-n", "2", "-k", "3", "-r", "0_0"],
+    ],
+    ids=["subset_underscore", "subset_fullwidth", "select_k_underscore", "select_k_fullwidth",
+         "oracle_k_underscore", "gamma_m_underscore", "gamma_n_arabic_indic",
+         "gamma_k_underscore", "gamma_r_underscore"],
+)
+def test_integer_arguments_take_ascii_digits_only(tmp_path, capsys, argv):
+    b = write(tmp_path, "b.csv", DOUBLED_IDENTITY_CSV)
+    assert main([b if arg == "B" else arg for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "int" in errors[0]
+
+
+def test_integer_arguments_keep_sign_and_surrounding_spaces(tmp_path, capsys):
+    b = write(tmp_path, "b.csv", DOUBLED_IDENTITY_CSV)
+    assert main(["verify", "--b", b, "--subset", " 2, +3,"]) == 0
+    assert json.loads(capsys.readouterr().out)["subset"] == [2, 3]
+    assert main(["select", "--b", b, "-k", " 2 "]) == 0
+    assert json.loads(capsys.readouterr().out)["subset"] == [2, 3]
+    assert main(["gamma", "-m", "+4", "-n", "2", "-k", "3", "-r", "0"]) == 0
+    assert capsys.readouterr().out == "2.0\n"
+
+
 def test_console_script_entry_point(tmp_path):
     import subprocess
     import sys

@@ -1,6 +1,7 @@
 """Expected characteristic polynomials: pipeline, identities, interlacing."""
 from __future__ import annotations
 
+import math
 from itertools import combinations
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from colsel.errors import InvalidInput
 from colsel.expected_charpoly import (
     IsotropicInstance,
+    _psd_eigenvalues,
     charpoly_psd,
     expected_poly,
     expected_poly_from_gram,
@@ -140,7 +142,7 @@ def test_expected_poly_closed_form_at_empty_partial():
                 inst.gram_fixed.data + inst.candidates[:, partial] @ inst.candidates[:, partial].T
             )
             want = np.asarray(shifted_pipeline(charpoly_psd(gram), m - n - j, k - j).coeffs)
-            have = np.asarray(expected_poly_from_gram(inst, gram, j).coeffs)
+            have = np.asarray(expected_poly_from_gram(inst, gram.data[None], j)[0].coeffs)
             assert np.max(np.abs(have - want)) <= 1e-12 * np.max(np.abs(want))
             beyond += j > m - n
     assert beyond > 0
@@ -175,12 +177,68 @@ def test_expected_poly_input_validation():
         expected_poly(inst, (0.0,))
 
 
+def _candidate_grams(inst: IsotropicInstance) -> np.ndarray:
+    return np.stack(
+        [gram_update(inst.gram_fixed, inst.candidates[:, j]).data for j in range(inst.m)]
+    )
+
+
+def test_gram_stack_checks_name_the_failing_position():
+    rng = np.random.default_rng(63)
+    inst = random_isotropic(rng, n=3, m=6, ell=2, k=3)
+    grams = _candidate_grams(inst)
+    assert len(expected_poly_from_gram(inst, grams, 1)) == inst.m
+
+    asymmetric = grams.copy()
+    asymmetric[2, 0, 1] += 1e-6
+    with pytest.raises(InvalidInput, match="matrix 2 of the stack is not symmetric"):
+        expected_poly_from_gram(inst, asymmetric, 1)
+
+    for bad in (np.nan, np.inf):
+        nonfinite = grams.copy()
+        nonfinite[4, 1, 1] = bad
+        with pytest.raises(InvalidInput, match="matrix 4 of the stack has a non-finite entry"):
+            expected_poly_from_gram(inst, nonfinite, 1)
+
+    with pytest.raises(InvalidInput, match="must have shape"):
+        expected_poly_from_gram(inst, grams[0], 1)  # one Gram, not a stack
+
+
+def test_gram_stack_names_a_matrix_whose_eigenvalues_do_not_converge(monkeypatch):
+    eigvalsh = np.linalg.eigvalsh
+
+    def fails_on_sevens(a):
+        if np.any(a == 7.0):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fails_on_sevens)
+    stack = np.stack([np.eye(2), 7.0 * np.eye(2), np.eye(2)])
+    with pytest.raises(InvalidInput, match="eigenvalues of matrix 1 of the stack did not converge"):
+        _psd_eigenvalues(stack)
+
+
+def test_gram_stack_clamps_against_each_matrix_own_scale():
+    # Diagonal, so eigvalsh returns the diagonal exactly; each matrix's
+    # clamp is 1e-12 * max(1, max|G|) of that matrix alone.
+    stack = np.stack([
+        np.diag([-1e-14 * 5.0, 2.0, 5.0]),  # clamped to exactly 0.0
+        np.diag([-1e-11, 1.0, 1000.0]),  # clamped: its scale is 1000
+        np.diag([-1e-11, 1.0, 1.0]),  # kept: its scale is 1
+        np.diag([-2e-12 * 5.0, 2.0, 5.0]),  # kept: twice the clamp
+    ])
+    eig = _psd_eigenvalues(stack)
+    assert [math.copysign(1.0, v) for v in eig[:2, 0]] == [1.0, 1.0]
+    assert eig[:, 0].tolist() == [0.0, 0.0, -1e-11, -2e-12 * 5.0]
+    assert charpoly_psd(DenseMatrix(stack[0])).coeffs[0] == 0.0
+
+
 def test_expected_poly_names_a_candidate_by_its_column_of_b():
     rng = np.random.default_rng(62)
     inst = random_isotropic(rng, n=3, m=6, ell=2, k=3)
     for j in range(inst.m):
         gram = gram_update(inst.gram_fixed, inst.candidates[:, j])
-        assert expected_poly(inst, (j,)) == expected_poly_from_gram(inst, gram, 1)
+        assert expected_poly(inst, (j,)) == expected_poly_from_gram(inst, gram.data[None], 1)[0]
 
 
 def test_root_sum_identity_tiny_case():

@@ -11,7 +11,7 @@ from colsel import expected_charpoly, selector
 from colsel.errors import AlgorithmFailure, InvalidInput, InvalidSubset, RankDeficient
 from colsel.expected_charpoly import expected_poly
 from colsel.linalg import DenseMatrix, gram_update, norms_sq, pseudoinverse, thin_svd
-from colsel.poly import smallest_root
+from colsel.poly import Polynomial, from_roots, smallest_root
 from colsel.selector import (
     SelectionProblem,
     SelectionReport,
@@ -187,8 +187,31 @@ def test_greedy_breaks_ties_by_smallest_column(monkeypatch):
     assert [t.lambda_min for t in report.trace] == [0.5] * 3
 
 
+def _scalar_expected_poly(inst, gram: DenseMatrix, j: int) -> Polynomial:
+    """The expected-polynomial transform of one Gram in Python floats, as
+    the package computed it one candidate at a time: its own ``eigvalsh``
+    call and clamp, ``sorted(key=abs)``, the exact zeros, the integer
+    weight ratio and the ``y -> x`` Horner shift."""
+    n, a, d = inst.n, inst.m - inst.n - j, inst.k - j
+    clamp = 1e-12 * max(1.0, float(np.max(np.abs(gram.data))))
+    eig = [0.0 if -clamp <= v < 0.0 else v for v in np.linalg.eigvalsh(gram.data).tolist()]
+    roots = sorted((mu - 1.0 for mu in eig), key=abs)
+    roots[: max(-a, 0)] = [0.0] * max(-a, 0)
+    c = from_roots(roots).coeffs
+    w = [math.perm(i + a, d) if i + a >= 0 else 0 for i in range(n + 1)]
+    f = [ci * (wi / w[n]) for ci, wi in zip(c, w)]
+    coeffs = [f[-1]]
+    for fi in reversed(f[:-1]):
+        coeffs.append(coeffs[-1])
+        for i in range(len(coeffs) - 2, 0, -1):
+            coeffs[i] = coeffs[i - 1] - coeffs[i]
+        coeffs[0] = fi - coeffs[0]
+    return Polynomial(coeffs)
+
+
 def _per_candidate_greedy(prob: SelectionProblem) -> tuple[list[int], list[float]]:
-    """The greedy loop with one ``gram_update`` per candidate: the subset and its roots."""
+    """The greedy loop with one ``gram_update`` and one scalar transform per
+    candidate: the subset and its roots."""
     inst = build_isotropic(prob)
     remaining, chosen, roots = list(range(prob.m)), [], []
     gram = inst.gram_fixed
@@ -196,8 +219,7 @@ def _per_candidate_greedy(prob: SelectionProblem) -> tuple[list[int], list[float
         best = (-math.inf, -1, gram)
         for j in remaining:
             cand_gram = gram_update(gram, inst.candidates[:, j])
-            f = expected_charpoly.expected_poly_from_gram(inst, cand_gram, len(chosen) + 1)
-            lam = smallest_root(f, prob.eps)
+            lam = smallest_root(_scalar_expected_poly(inst, cand_gram, len(chosen) + 1), prob.eps)
             if lam > best[0]:
                 best = (lam, j, cand_gram)
         lam, j, gram = best
@@ -213,6 +235,9 @@ def _per_candidate_greedy(prob: SelectionProblem) -> tuple[list[int], list[float
         (6, 48, 3, 12, None),  # the benchmark's wide shape
         (5, 14, 4, 4, 2),  # a rank-deficient fixed block
         (4, 7, 0, 5, None),  # a = m - n - j < 0 from j = 4: exact zeros in the charpoly
+        # At j = 1 and 2 some weight ratio w_i / w_n, with w_n > 2**53, comes out
+        # different from float(w_i) / float(w_n), which rounds twice.
+        (2, 33, 0, 16, None),
     ],
 )
 def test_batched_grams_replay_the_per_candidate_loop_bit_for_bit(n, m, ell, k, rank_a):

@@ -3,7 +3,7 @@
 Usage: python tools/compare_trees.py OLD_SRC NEW_SRC
 
 Each tree is imported in its own subprocess (``PYTHONPATH=<src>``), runs
-``greedy_select`` and ``verify_bound`` on the same 140 instances, and
+``greedy_select`` and ``verify_bound`` on the same 160 instances, and
 prints one JSON record per instance.  The comparison lists the instances
 whose subsets (selected indices in selection order) differ.  Apart from
 those, it counts the instances whose trace root values differ and
@@ -15,8 +15,9 @@ Every instance with ``C(m, k) <= 2002`` (all shapes but the first) also
 runs ``brute_force``; the comparison lists the instances whose best
 subsets or sets of feasible subsets differ and reports the largest
 relative difference of each norm over the subsets feasible in both.
-It also prints each tree's total ``brute_force`` wall time over those
-instances, for information only.  Exit status 1 if any subset, root
+It also prints each tree's total ``greedy_select`` wall time over all
+instances and total ``brute_force`` wall time over those, for
+information only.  Exit status 1 if any subset, root
 value, best subset or feasible set differs.
 """
 from __future__ import annotations
@@ -37,6 +38,9 @@ SHAPES = (
     (5, 10, 1, 4, None, 20),
     (4, 12, 3, 5, 1, 10),
     (5, 14, 4, 4, 2, 10),
+    # a = m - n - j < 0 in the last iterations: the transform sets exact zeros
+    (4, 7, 0, 5, None, 10),
+    (5, 9, 2, 7, None, 10),
 )
 BRUTE_FORCE_LIMIT = 2002  # C(14, 5), the benchmark's oracle shape
 VALUES = ("frob_sq", "spec_sq", "baseline_frob_sq", "baseline_spec_sq", "bound_factor",
@@ -58,7 +62,9 @@ def dump() -> None:
             prob = SelectionProblem(
                 a=DenseMatrix(a), b=DenseMatrix(rng.standard_normal((n, m))), k=k
             )
+            t0 = time.perf_counter()
             report = greedy_select(prob)
+            greedy_s = time.perf_counter() - t0
             _, ratio_frob, ratio_spec = verify_bound(prob, report.subset)
             record = {
                 "shape": [n, m, ell, k, rank_a],
@@ -68,6 +74,7 @@ def dump() -> None:
                 "trace": [t.lambda_min.hex() for t in report.trace],
                 "ratio_frob": ratio_frob,
                 "ratio_spec": ratio_spec,
+                "greedy_s": greedy_s,
             }
             record.update((v, getattr(report, v)) for v in VALUES[:5])
             if math.comb(m, k) <= BRUTE_FORCE_LIMIT:
@@ -133,6 +140,8 @@ def main(old_src: str, new_src: str) -> int:
     print(f"{len(old)} instances")
     print(f"  subset or order mismatches: {len(subsets)}", *subsets)
     print(f"  root value mismatches: {roots}; max |old - new| / eps: {root_gap:.3g}")
+    old_s, new_s = (sum(r["greedy_s"] for r in tree) for tree in (old, new))
+    print(f"  total greedy_select wall time: old {old_s:.3f} s, new {new_s:.3f} s")
     for v, rel in worst.items():
         print(f"  max relative difference of {v}: {rel:.2e}")
     print(f"{len(enums)} brute-force instances")
