@@ -58,14 +58,19 @@ _INPUT_ERRORS = (
 )
 _ALGORITHM_ERRORS = (AlgorithmFailure, NotRealRooted)
 
+# Unlike int() and float(), no digit-group underscores ("1_0") and no
+# non-ASCII digits; unlike float(), no "inf" or "nan" either.
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+_DECIMAL = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+
 
 def parse_matrix_csv(path: str) -> DenseMatrix:
     """Read a headerless CSV of decimal rows into a matrix.
 
-    Rows must have equal length; NaN/Inf tokens, and the digit-group
-    underscores ``float()`` would accept, are rejected.  A UTF-8
-    byte order mark, as spreadsheet exports write, is skipped.  Errors
-    carry the offending line number.
+    Rows must have equal length, and each cell is an ASCII decimal
+    literal (sign, digits, optional point and exponent) with a finite
+    value.  A UTF-8 byte order mark, as spreadsheet exports write, is
+    skipped.  Errors carry the offending line number.
     """
     rows: list[list[float]] = []
     with open(path, "r", encoding="utf-8-sig") as fh:
@@ -76,15 +81,9 @@ def parse_matrix_csv(path: str) -> DenseMatrix:
             values = []
             for token in line.split(","):
                 token = token.strip()
-                try:
-                    # float() also reads Python's digit-group underscores, as in "1_0"
-                    if "_" in token:
-                        raise ValueError(token)
-                    v = float(token)
-                except ValueError:
-                    raise FormatError(
-                        f"line {lineno}: cannot parse {token!r} as a number"
-                    ) from None
+                if _DECIMAL.fullmatch(token) is None:
+                    raise FormatError(f"line {lineno}: cannot parse {token!r} as a number")
+                v = float(token)
                 if not math.isfinite(v):
                     raise FormatError(f"line {lineno}: non-finite value {token!r}")
                 values.append(v)
@@ -178,10 +177,6 @@ _HANDLERS = {
 }
 
 
-# Unlike int(), no digit-group underscores ("1_0") and no non-ASCII digits.
-_INTEGER = re.compile(r"[+-]?[0-9]+")
-
-
 def _parse_int(text: str) -> int:
     """``text``, stripped of surrounding whitespace, as a base-10 integer of
     ASCII digits with an optional sign; the one parser of every integer
@@ -192,6 +187,13 @@ def _parse_int(text: str) -> int:
         except ValueError:  # more digits than int() converts
             pass
     raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
+def _parse_eps(text: str) -> float:
+    """``text``, stripped of surrounding whitespace, as an ASCII decimal literal."""
+    if _DECIMAL.fullmatch(text.strip()) is None:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    return float(text)
 
 
 def _parse_subset(text: str) -> tuple[int, ...]:
@@ -214,7 +216,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--a", default=None, help="CSV file with the fixed block A")
         if with_k:
             p.add_argument("-k", type=_parse_int, required=True, help="number of columns to select")
-        p.add_argument("--eps", type=float, default=DEFAULT_EPS, help="root approximation accuracy")
+        p.add_argument(
+            "--eps", type=_parse_eps, default=DEFAULT_EPS, help="root approximation accuracy"
+        )
         p.add_argument("--out", default=None, help="write the report to this file")
         p.add_argument("--format", choices=("json", "text"), default="json")
 

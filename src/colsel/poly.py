@@ -1,11 +1,12 @@
 """Dense univariate real polynomials, Sturm chains, and smallest-root isolation.
 
-Coefficients are stored ascending by degree.  The polynomials handled
-here have the row count ``n`` as degree (the expected-polynomial
-transform never raises it), so plain tuples and Horner evaluation are
-both the simplest and the fastest option.  Tolerances are
-calibrated for float64; near-multiple roots are absorbed into gcd layers
-rather than resolved exactly.
+Coefficients are stored ascending by degree, as plain tuples: one in a
+:class:`Polynomial`, one per entry in a :class:`SturmChain`.  The
+polynomials handled here have the row count ``n`` as degree (the
+expected-polynomial transform never raises it), so plain tuples and
+Horner evaluation are both the simplest and the fastest option.
+Tolerances are calibrated for float64; near-multiple roots are absorbed
+into gcd layers rather than resolved exactly.
 
 :func:`smallest_root` finds a root by Newton's method from the left,
 with ``p'`` from the Sturm chain and compensated-Horner last steps,
@@ -16,7 +17,7 @@ certificates leave open.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import InvalidInput, NotRealRooted
@@ -62,12 +63,7 @@ class Polynomial:
     coeffs: tuple[float, ...]
 
     def __init__(self, coeffs: Iterable[float]):
-        c = list(map(float, coeffs))
-        if not all(map(math.isfinite, c)):
-            raise InvalidInput("polynomial coefficients must be finite")
-        while c and c[-1] == 0.0:
-            c.pop()
-        object.__setattr__(self, "coeffs", tuple(c))
+        object.__setattr__(self, "coeffs", _finite_stripped(coeffs))
 
     @property
     def degree(self) -> int:
@@ -82,28 +78,29 @@ class Polynomial:
         return evaluate(self, x)
 
 
+def _finite_stripped(values: Iterable[float]) -> tuple[float, ...]:
+    """``values`` as floats without trailing zeros; :class:`InvalidInput` if one is not finite."""
+    c = list(map(float, values))
+    if not all(map(math.isfinite, c)):
+        raise InvalidInput("polynomial coefficients must be finite")
+    while c and c[-1] == 0.0:
+        c.pop()
+    return tuple(c)
+
+
 @dataclass(frozen=True)
 class SturmChain:
-    """Sequence p, p', then negated remainders, with degrees strictly decreasing.
+    """p, p', then negated remainders, as stripped coefficient tuples of decreasing degree.
 
     Remainders are rescaled to unit max coefficient (a positive scaling,
     invisible to sign-variation counts).  The chain stops early at the
     gcd of p and p' when a remainder vanishes to tolerance, which keeps
-    counting correct near multiple roots.  The sign variations at -inf
-    depend only on the chain's leading coefficients and degrees, so they
-    are computed once per chain, when it is built.
+    counting correct near multiple roots.  :func:`sturm_chain` counts
+    ``variations_at_minus_inf`` as it builds the chain.
     """
 
-    chain: tuple[Polynomial, ...]
-    # Sign variations at ``-inf``, where each entry has sign lead * (-1)^degree.
-    variations_at_minus_inf: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        signs = []
-        for q in self.chain:
-            s = 1 if q.coeffs[-1] > 0.0 else -1
-            signs.append(-s if q.degree % 2 == 1 else s)
-        object.__setattr__(self, "variations_at_minus_inf", _variations(signs))
+    chain: tuple[tuple[float, ...], ...]
+    variations_at_minus_inf: int
 
 
 def evaluate(p: Polynomial, x: float) -> float:
@@ -153,13 +150,14 @@ def derivative(p: Polynomial, times: int = 1) -> Polynomial:
 
 
 def sturm_chain(p: Polynomial) -> SturmChain:
-    """Build the (generalized) Sturm chain of ``p``."""
+    """The (generalized) Sturm chain of ``p``; an overflowing remainder raises InvalidInput."""
     if p.is_zero:
         raise InvalidInput("sturm_chain requires a nonzero polynomial")
     if p.degree == 0:
-        return SturmChain((p,))
-    chain = [p, derivative(p, 1)]
-    dividend, divisor = p.coeffs, chain[-1].coeffs
+        return SturmChain((p.coeffs,), 0)
+    dividend, divisor = p.coeffs, derivative(p, 1).coeffs
+    chain = [dividend, divisor]
+    variations = 1  # p, p' at -inf; entries differ there iff lead signs xor degree parities do
     while len(divisor) >= 2:
         # Remainder of dividend / divisor: step i cancels rem[i], which the
         # del drops, so only the dd entries below it are updated.
@@ -175,47 +173,33 @@ def sturm_chain(p: Polynomial) -> SturmChain:
         rem_scale = max(map(abs, rem), default=0.0)
         if rem_scale <= _GCD_REMAINDER_TOL * max(map(abs, dividend)):
             break  # chain[-1] is (numerically) the gcd of p and p'
-        chain.append(Polynomial(-v / rem_scale for v in rem))
-        dividend, divisor = divisor, chain[-1].coeffs
-    return SturmChain(tuple(chain))
+        rem = _finite_stripped(-v / rem_scale for v in rem)
+        variations += (lead > 0.0) ^ (rem[-1] > 0.0) ^ (len(divisor) - len(rem)) % 2
+        chain.append(rem)
+        dividend, divisor = divisor, rem
+    return SturmChain(tuple(chain), variations)
 
 
-def _variations(signs: Iterable[int]) -> int:
-    count = 0
-    prev = 0
-    for s in signs:
-        if s == 0:
-            continue
-        if prev != 0 and s != prev:
-            count += 1
-        prev = s
-    return count
+def count_roots_leq(chain: SturmChain, x: float) -> int:
+    """Number of distinct real roots in ``(-inf, x]``: sign variations at ``-inf`` minus at ``x``.
 
-
-def _variations_at(chain: SturmChain, x: float) -> int:
-    # Signs come straight from the computed values; only an exact 0.0 is
-    # treated as a zero entry.  Snapping small values to zero looks
-    # safer but biases the bisection by up to (snap threshold)/|p'| near
-    # a root, which is far worse than living with sign noise confined
-    # to the float ambiguity region of the evaluation.  Horner runs
-    # inline, as in :func:`evaluate`, to save a call per chain entry.
-    count = 0
+    Only an exact 0.0 is a zero entry: snapping small values to zero
+    biases the bisection by up to (snap threshold)/|p'| near a root, far
+    worse than sign noise in the float ambiguity region of the
+    evaluation.  Horner runs inline, to save a call per chain entry.
+    """
+    count = chain.variations_at_minus_inf
     prev = None
-    for q in chain.chain:
+    for coeffs in chain.chain:
         value = 0.0
-        for c in reversed(q.coeffs):
+        for c in reversed(coeffs):
             value = value * x + c
         if value != 0.0:
             positive = value > 0.0
             if prev is not None and positive != prev:
-                count += 1
+                count -= 1
             prev = positive
     return count
-
-
-def count_roots_leq(chain: SturmChain, x: float) -> int:
-    """Number of distinct real roots in ``(-inf, x]`` by sign variations."""
-    return chain.variations_at_minus_inf - _variations_at(chain, x)
 
 
 def _cauchy_radius(p: Polynomial) -> float:
@@ -250,28 +234,22 @@ def _compensated_value(p: Polynomial, x: float) -> float:
     return value + error
 
 
-def _sign_change(p: Polynomial, a: float, b: float) -> bool:
-    """True when the compensated values of ``p`` at ``a`` and ``b`` differ in sign; a zero counts."""
-    at_a, at_b = _compensated_value(p, a), _compensated_value(p, b)
-    return at_a <= 0.0 <= at_b or at_b <= 0.0 <= at_a
-
-
-def _newton_from_left(p: Polynomial, dp: Polynomial, lo: float, hi: float, eps: float) -> float:
+def _newton_from_left(p: Polynomial, chain: SturmChain, lo: float, hi: float, eps: float) -> float:
     """Newton's method from a lower bound on the roots, for the smallest root.
 
-    ``dp`` is ``p'``, taken from the Sturm chain of ``p``.  The start is
-    the Laguerre-Samuelson bound ``mean - sqrt(n-1) * std`` of the roots,
-    from the top three coefficients.  Left of the smallest root of a
-    real-rooted ``p``, Newton climbs monotonically towards it, and
-    ``root - x <= n * (-p(x)/p'(x))`` (the lower barrier), so the loop
-    stops once that bound is at most ``eps/4``, or at a step to the
+    ``chain`` is the Sturm chain of ``p``; its second entry is ``p'``.
+    The start is the Laguerre-Samuelson bound ``mean - sqrt(n-1) * std``
+    of the roots, from the top three coefficients.  Left of the smallest
+    root of a real-rooted ``p``, Newton climbs monotonically towards it,
+    and ``root - x <= n * (-p(x)/p'(x))`` (the lower barrier), so the
+    loop stops once that bound is at most ``eps/4``, or at a step to the
     left, which means ``x`` is not left of the smallest root (or ``p`` is
     not real-rooted).  Plain Horner's rounding error caps how close that
     loop gets to a root with close neighbours, so two last steps take
     ``p(x)`` from :func:`_compensated_value`; every step takes ``p'(x)``
-    from plain Horner on ``dp``.  Nothing here is trusted: the result is
-    a finite guess inside ``(lo, hi)`` that :func:`smallest_root`
-    certifies or discards.
+    from plain Horner on the chain's ``p'``.  Nothing here is trusted:
+    the result is a finite guess inside ``(lo, hi)`` that
+    :func:`smallest_root` certifies or discards.
     """
     c = p.coeffs
     n = p.degree
@@ -283,11 +261,11 @@ def _newton_from_left(p: Polynomial, dp: Polynomial, lo: float, hi: float, eps: 
     x = mean - spread
     if not lo < x < hi:
         x = lo
-    dc = dp.coeffs
+    dp = chain.chain[1]
     for _ in range(_NEWTON_MAX_STEPS):
         # Horner for p'(x) and p(x) inline, as in :func:`evaluate`, to save two calls.
         slope = 0.0
-        for coeff in reversed(dc):
+        for coeff in reversed(dp):
             slope = slope * x + coeff
         value = 0.0
         for coeff in reversed(c):
@@ -297,7 +275,9 @@ def _newton_from_left(p: Polynomial, dp: Polynomial, lo: float, hi: float, eps: 
             break
         x += step
     for _ in range(_COMPENSATED_STEPS):
-        slope = evaluate(dp, x)
+        slope = 0.0
+        for coeff in reversed(dp):
+            slope = slope * x + coeff
         corrected = x - _compensated_value(p, x) / slope if slope else x
         if not lo < corrected < hi:
             break
@@ -340,12 +320,16 @@ def smallest_root(p: Polynomial, eps: float) -> float:
     chain = sturm_chain(p)
     radius = _cauchy_radius(p)
     lo, hi = -1.0 - radius, 1.0 + radius
-    x = _newton_from_left(p, chain.chain[1], lo, hi, eps)
+    x = _newton_from_left(p, chain, lo, hi, eps)
     below, above = x - 0.25 * eps, x + 0.25 * eps
     # The certificates only narrow the bracket: an eps wider than it
     # leaves the Cauchy ends in place.  A sign change proves a root, so
-    # only without one does hi need a Sturm count.
-    if above < hi and _sign_change(p, below, above):
+    # only without one does hi need a Sturm count.  A zero counts as a sign
+    # change; a product of the two values could underflow to a false zero.
+    at_below = at_above = 1.0
+    if above < hi:
+        at_below, at_above = _compensated_value(p, below), _compensated_value(p, above)
+    if at_below <= 0.0 <= at_above or at_above <= 0.0 <= at_below:
         hi = above
     elif count_roots_leq(chain, hi) == 0:
         raise NotRealRooted(f"no real root found in [-{1 + radius}, {1 + radius}]")
@@ -371,8 +355,6 @@ def is_real_rooted(p: Polynomial) -> bool:
     """
     if p.is_zero:
         raise InvalidInput("is_real_rooted requires a nonzero polynomial")
-    if p.degree == 0:
-        return True
     return _real_count_with_multiplicity(p) == p.degree
 
 
@@ -382,7 +364,5 @@ def _real_count_with_multiplicity(p: Polynomial) -> int:
     chain = sturm_chain(p)
     radius = _cauchy_radius(p)
     distinct = count_roots_leq(chain, 1.0 + radius)
-    tail = chain.chain[-1]
-    if tail.degree <= 0:
-        return distinct
-    return distinct + _real_count_with_multiplicity(monic(tail))
+    gcd = chain.chain[-1]  # of p and p': a constant unless p has a multiple root
+    return distinct + _real_count_with_multiplicity(monic(Polynomial(gcd)))

@@ -359,6 +359,59 @@ def test_integer_arguments_keep_sign_and_surrounding_spaces(tmp_path, capsys):
     assert capsys.readouterr().out == "2.0\n"
 
 
+@pytest.mark.parametrize(
+    "argv, csv, token",
+    [
+        (["select", "--b", "B", "-k", "2", "--eps", "1_0e-7"], DOUBLED_IDENTITY_CSV, "1_0e-7"),
+        # a full-width 1
+        (["select", "--b", "B", "-k", "2", "--eps", "\uff11e-6"], DOUBLED_IDENTITY_CSV,
+         "\uff11e-6"),
+        # an Arabic-Indic 6
+        (["verify", "--b", "B", "--subset", "2,3", "--eps", "1e-\u0666"], DOUBLED_IDENTITY_CSV,
+         "1e-\u0666"),
+        (["select", "--b", "B", "-k", "2"], "\uff11,0,1,0\n0,1,0,1\n", "\uff11"),
+        (["oracle", "--b", "B", "-k", "2"], "1,0,1,0\n0,1,0,\u0661\n", "\u0661"),
+        (["select", "--b", "B", "-k", "2"], "1,0,1,0\n0,1,0,1_0\n", "1_0"),
+    ],
+    ids=["eps_underscore", "eps_fullwidth", "eps_arabic_indic", "csv_fullwidth",
+         "csv_arabic_indic", "csv_underscore"],
+)
+def test_decimal_arguments_and_cells_take_ascii_literals_only(tmp_path, capsys, argv, csv, token):
+    (tmp_path / "B.csv").write_bytes(csv.encode("utf-8"))
+    assert main([str(tmp_path / "B.csv") if arg == "B" else arg for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and repr(token) in errors[0]
+
+
+@pytest.mark.parametrize(
+    "argv, csv",
+    [
+        (["select", "--b", "B", "-k", "2", "--eps", "nan"], DOUBLED_IDENTITY_CSV),
+        (["select", "--b", "B", "-k", "2", "--eps", "inf"], DOUBLED_IDENTITY_CSV),
+        (["select", "--b", "B", "-k", "2", "--eps", "1e999"], DOUBLED_IDENTITY_CSV),
+        (["select", "--b", "B", "-k", "2"], "1,0,1,0\n0,1,0,nan\n"),
+        (["select", "--b", "B", "-k", "2"], "1,0,1,0\n0,1,0,1e999\n"),
+    ],
+    ids=["eps_nan", "eps_inf", "eps_overflow", "csv_nan", "csv_overflow"],
+)
+def test_decimal_arguments_and_cells_reject_non_finite_values(tmp_path, capsys, argv, csv):
+    b = write(tmp_path, "b.csv", csv)
+    assert main([b if arg == "B" else arg for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len([line for line in captured.err.splitlines() if "error:" in line]) == 1
+
+
+def test_decimal_arguments_and_cells_keep_sign_point_exponent_and_spaces(tmp_path, capsys):
+    b = write(tmp_path, "b.csv", " +1.,0 ,.1e1,-0\n0, 1E+0,0.0,10e-1\n")
+    assert parse_matrix_csv(b) == parse_matrix_csv(write(tmp_path, "i.csv", DOUBLED_IDENTITY_CSV))
+    for eps in (" 1e-6 ", "+.000001", "1E-6", "1e-300"):
+        assert main(["select", "--b", b, "-k", "2", "--eps", eps]) == 0
+        assert json.loads(capsys.readouterr().out)["eps"] == float(eps)
+
+
 def test_console_script_entry_point(tmp_path):
     import subprocess
     import sys

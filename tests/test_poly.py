@@ -74,27 +74,57 @@ def test_mul_deflate_round_trip():
 
 def test_sturm_chain_textbook():
     chain = sturm_chain(Polynomial([-1.0, 0.0, 1.0])).chain
-    assert [q.degree for q in chain] == [2, 1, 0]
-    assert chain[0].coeffs == (-1.0, 0.0, 1.0)
-    assert chain[1].coeffs == (0.0, 2.0)
-    assert chain[2].coeffs[-1] > 0.0  # +1 up to positive scaling
+    assert [len(q) - 1 for q in chain] == [2, 1, 0]
+    assert chain[0] == (-1.0, 0.0, 1.0)
+    assert chain[1] == (0.0, 2.0)
+    assert chain[2][-1] > 0.0  # +1 up to positive scaling
 
 
 def test_sturm_chain_linear():
     chain = sturm_chain(Polynomial([-3.0, 1.0])).chain
-    assert [q.degree for q in chain] == [1, 0]
+    assert [len(q) - 1 for q in chain] == [1, 0]
 
 
 def test_sturm_chain_detects_gcd():
     # (x-1)^2: remainder vanishes, chain ends at the gcd x - 1
     chain = sturm_chain(from_roots([1.0, 1.0])).chain
     assert len(chain) == 2
-    assert chain[-1].degree == 1
+    assert len(chain[-1]) - 1 == 1
 
 
 def test_sturm_chain_rejects_zero():
     with pytest.raises(InvalidInput):
         sturm_chain(Polynomial([]))
+
+
+def test_sturm_chain_strips_an_exactly_cancelled_lead():
+    # x^4 - 1 divided by 4x^3 leaves -1: the x^3, x^2 and x terms cancel exactly
+    chain = sturm_chain(Polynomial([-1.0, 0.0, 0.0, 0.0, 1.0]))
+    assert [len(q) - 1 for q in chain.chain] == [4, 3, 0]
+    assert chain.variations_at_minus_inf == 2
+    assert count_roots_leq(chain, 0.0) == 1
+    assert count_roots_leq(chain, 2.0) == 2
+
+
+def test_sturm_chain_rejects_a_remainder_that_overflows():
+    # p' = (1e-300, 2e200, 3e-300) is finite; the remainder of p by p' is not
+    p = Polynomial([1e-300, 1e-300, 1e200, 1e-300])
+    with pytest.raises(InvalidInput):
+        sturm_chain(p)
+    with pytest.raises(InvalidInput):
+        smallest_root(p, 1e-6)
+
+
+def test_sturm_chain_variations_at_minus_inf_match_the_signs_far_left():
+    # Left of every entry's Cauchy bound, each entry has its sign at -inf.
+    rng = np.random.default_rng(37)
+    polys = [Polynomial(rng.uniform(-2.0, 2.0, size=int(rng.integers(2, 14)))) for _ in range(100)]
+    polys += [random_real_rooted(rng, low=-1.0)[0] for _ in range(100)]
+    for p in polys:
+        chain = sturm_chain(p)
+        x = -2.0 * max(1.0 + max(map(abs, q)) / abs(q[-1]) for q in chain.chain)
+        signs = [np.polyval(q[::-1], x) > 0.0 for q in chain.chain]
+        assert chain.variations_at_minus_inf == sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 def test_count_roots_leq():
@@ -289,6 +319,15 @@ def test_smallest_root_complex_pair_falls_back(pair, real_roots):
     p = _times(Polynomial(pair), from_roots(real_roots))
     for eps in (1e-4, 1e-6):
         assert abs(smallest_root(p, eps) - real_roots[0]) <= eps
+
+
+def test_smallest_root_sign_test_survives_tiny_values():
+    # The stall near -1 +/- 0.5i, with every coefficient scaled by 1e-170:
+    # p is about 1e-170 on both sides of Newton's guess, so the product of
+    # the two values underflows to 0.0 and would certify a root at -0.618.
+    p = _times(Polynomial([1.25e-170, 2e-170, 1e-170]), from_roots((0.5, 0.7)))
+    for eps in (1e-4, 1e-6):
+        assert abs(smallest_root(p, eps) - 0.5) <= eps
 
 
 def test_rolle_consistency():

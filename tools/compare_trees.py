@@ -3,7 +3,7 @@
 Usage: python tools/compare_trees.py OLD_SRC NEW_SRC
 
 Each tree is imported in its own subprocess (``PYTHONPATH=<src>``), runs
-``greedy_select`` and ``verify_bound`` on the same 160 instances, and
+``greedy_select`` and ``verify_bound`` on the same 163 instances, and
 prints one JSON record per instance.  The comparison lists the instances
 whose subsets (selected indices in selection order) differ.  Apart from
 those, it counts the instances whose trace root values differ and
@@ -11,14 +11,14 @@ reports the largest root difference ``|old - new| / eps``.  It also
 reports the largest relative difference of the norms, the bound factor
 and the verify ratios.
 
-Every instance with ``C(m, k) <= 2002`` (all shapes but the first) also
-runs ``brute_force``; the comparison lists the instances whose best
-subsets or sets of feasible subsets differ and reports the largest
-relative difference of each norm over the subsets feasible in both.
-It also prints each tree's total ``greedy_select`` wall time over all
-instances and total ``brute_force`` wall time over those, for
-information only.  Exit status 1 if any subset, root
-value, best subset or feasible set differs.
+Every instance with ``C(m, k) <= 2002`` (all shapes but the first and
+the last) also runs ``brute_force``; the comparison lists the instances
+whose best subsets or sets of feasible subsets differ and reports the
+largest relative difference of each norm over the subsets feasible in
+both.  It also prints each tree's total ``greedy_select`` wall time over
+all instances and total ``brute_force`` wall time over those, for
+information only.  Exit status 1 if any subset, root value, best subset
+or feasible set differs.
 """
 from __future__ import annotations
 
@@ -41,6 +41,8 @@ SHAPES = (
     # a = m - n - j < 0 in the last iterations: the transform sets exact zeros
     (4, 7, 0, 5, None, 10),
     (5, 9, 2, 7, None, 10),
+    # the benchmark's large shape: degree 12, so the longest Sturm chains
+    (12, 100, 0, 40, None, 3),
 )
 BRUTE_FORCE_LIMIT = 2002  # C(14, 5), the benchmark's oracle shape
 VALUES = ("frob_sq", "spec_sq", "baseline_frob_sq", "baseline_spec_sq", "bound_factor",
