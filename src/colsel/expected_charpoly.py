@@ -16,11 +16,11 @@ monomial ``x`` basis.
 
 The transform works on a stack of Gram matrices at once, as the greedy
 loop scores every remaining candidate of an iteration: one stacked
-``eigvalsh`` call, then each stage (sort by ``|r|``, exact zeros, root
-expansion, weights, ``y -> x`` shift) as one array operation per
-coefficient over all rows.  Each row takes the same float operations, in
-the same order, as the scalar loops of :func:`~colsel.poly.from_roots`
-and Horner's rule on that Gram alone.
+``eigvalsh`` call, then each stage (exact zeros, root expansion,
+weights, ``y -> x`` shift) as one array operation per coefficient over
+all rows.  Each row takes the same float operations, in the same order,
+as the scalar loops of :func:`~colsel.poly.from_roots` and Horner's rule
+on that Gram alone.
 """
 from __future__ import annotations
 
@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidInput
-from .linalg import DenseMatrix, _as_indices, _gram_updates, gram_update, thin_svd
+from .linalg import DenseMatrix, _as_index, _as_indices, _gram_updates, gram_update, thin_svd
 from .poly import Polynomial, from_roots
 
 __all__ = [
@@ -58,7 +58,8 @@ class IsotropicInstance:
     by its column ``j`` of ``b``.  ``r`` is the rank of the fixed block,
     decided by the caller (``from_y`` takes it with
     :func:`~colsel.linalg.thin_svd`), and ``k`` is the selection budget
-    with ``n - r <= k <= m - 1``.
+    with ``n - r <= k <= m - 1``.  ``l``, ``r`` and ``k`` are integers (a
+    bool is not).
     """
 
     y: DenseMatrix
@@ -67,6 +68,8 @@ class IsotropicInstance:
     k: int
 
     def __post_init__(self) -> None:
+        for name in ("l", "r", "k"):
+            object.__setattr__(self, name, _as_index(getattr(self, name), InvalidInput, name))
         n = self.y.rows
         if not 0 <= self.l <= self.y.cols:
             raise InvalidInput(f"fixed block width l={self.l} outside [0, {self.y.cols}]")
@@ -83,8 +86,8 @@ class IsotropicInstance:
     def from_y(cls, y: DenseMatrix, l: int, k: int) -> "IsotropicInstance":
         """Build an instance from ``y`` alone, taking ``r`` as the numerical
         rank of its first ``l`` columns."""
-        r = thin_svd(DenseMatrix(y.data[:, :l])).rank
-        return cls(y=y, l=int(l), r=r, k=int(k))
+        r = thin_svd(DenseMatrix(y.data[:, : _as_index(l, InvalidInput, "l")])).rank
+        return cls(y=y, l=l, r=r, k=k)
 
     @property
     def n(self) -> int:
@@ -158,17 +161,11 @@ def charpoly_psd(g: DenseMatrix) -> Polynomial:
     return from_roots(_psd_eigenvalues(g.data[None])[0].tolist())
 
 
-def _by_abs(r: np.ndarray) -> np.ndarray:
-    """Each row of ``r`` sorted by ``|r|``; the sort is stable, so ties keep
-    the order ``sorted(row, key=abs)`` gives them."""
-    return np.take_along_axis(r, np.argsort(np.abs(r), axis=1, kind="stable"), axis=1)
-
-
 def _from_roots_rows(roots: np.ndarray) -> np.ndarray:
     """Row ``i``: the monic polynomial with roots ``roots[i]``, ascending
     coefficients.  Factors are multiplied in column order, each by the
     update of :func:`~colsel.poly.from_roots`, so each row is bit for bit
-    ``from_roots`` of the same roots already sorted by ``|r|``."""
+    ``from_roots`` of the same roots when they come in ascending ``|r|``."""
     rows, n = roots.shape
     c = np.zeros((rows, n + 1))
     c[:, 0] = 1.0
@@ -185,13 +182,20 @@ def _shifted_charpolys(grams: np.ndarray, a: int) -> np.ndarray:
     """Row ``i``: the coefficients ``c`` of ``det[(y + 1)I - grams[i]]`` in
     powers of ``y = x - 1``, ascending.
 
-    For ``a < 0`` the ``-a`` roots of smallest magnitude are set to exactly
-    zero.  They are zero in exact arithmetic: with ``a = m - n - j``, the
-    identity minus the Gram of a size-``j`` partial is a sum of ``m - j``
-    rank-one terms, so the Gram has eigenvalue one with multiplicity at
-    least ``-a``.  ``IsotropicInstance`` checks ``y y^T = I`` to 1e-8.
+    The roots ``r = mu - 1`` come in descending ``mu``, ``eigvalsh``'s order
+    reversed: a partial Gram has ``0 <= mu <= 1`` (``y_S y_S^T <= y y^T = I``),
+    so that is ascending ``|r|``, the order ``from_roots`` sorts into.  A
+    product of factors ``y + |r|`` has no cancellation in any order; this
+    one is kept only so that reports stay bit-identical.
+
+    For ``a < 0`` the first ``-a`` roots, those of the largest eigenvalues,
+    are set to exactly zero.  They are zero in exact arithmetic: with
+    ``a = m - n - j``, the identity minus the Gram of a size-``j`` partial
+    is a sum of ``m - j`` rank-one terms, so the Gram has eigenvalue one
+    with multiplicity at least ``-a``.  ``IsotropicInstance`` checks
+    ``y y^T = I`` to 1e-8.
     """
-    r = _by_abs(_psd_eigenvalues(grams) - 1.0)
+    r = _psd_eigenvalues(grams)[:, ::-1] - 1.0
     r[:, : max(-a, 0)] = 0.0
     return _from_roots_rows(r)
 
@@ -230,7 +234,7 @@ def expected_poly_from_gram(
     stack holding that Gram alone.  :class:`InvalidInput` names the
     position of a Gram that fails a check.
     """
-    if not 0 <= j <= inst.k:
+    if not 0 <= _as_index(j, InvalidInput, "partial size") <= inst.k:
         raise InvalidInput(f"partial size {j} outside [0, k={inst.k}]")
     n, a, d = inst.n, inst.m - inst.n - j, inst.k - j
     if grams.shape[1:] != (n, n):
@@ -280,7 +284,7 @@ def root_sum_identity_check(inst: IsotropicInstance, s: Sequence[int]) -> float:
 
     children = [j for j in range(m) if j not in idx]
     child_grams = _gram_updates(gram.data, inst.candidates[:, children])
-    lhs = _from_roots_rows(_by_abs(_psd_eigenvalues(child_grams))).sum(axis=0)
+    lhs = _from_roots_rows(_psd_eigenvalues(child_grams)).sum(axis=0)
 
     a = m - n - len(idx)
     w = np.array(_falling_weights(n, a, 1), dtype=float)

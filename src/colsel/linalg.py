@@ -120,10 +120,7 @@ def thin_svd(q: DenseMatrix) -> SvdFactors:
             rank=0,
         )
     u, s, vt = np.linalg.svd(a, full_matrices=False)
-    if s.size == 0 or s[0] <= 0.0:
-        rank = 0
-    else:
-        rank = int(np.count_nonzero(s > DEFAULT_RANK_TOL * s[0]))
+    rank = 0 if s[0] <= 0.0 else int(np.count_nonzero(s > DEFAULT_RANK_TOL * s[0]))
     return SvdFactors(
         u=DenseMatrix(u[:, :rank]),
         sigma=tuple(float(v) for v in s[:rank]),
@@ -156,7 +153,7 @@ def norms_sq(q: DenseMatrix) -> tuple[float, float]:
     if a.size == 0:
         return 0.0, 0.0
     s = np.linalg.svd(a, compute_uv=False)
-    spec_sq = float(s[0]) ** 2 if s.size else 0.0
+    spec_sq = float(s[0]) ** 2
     return frob_sq, min(spec_sq, frob_sq)
 
 

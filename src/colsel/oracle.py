@@ -118,11 +118,9 @@ def companion_smallest_root(p: Polynomial) -> float:
     Independent oracle for :func:`~colsel.poly.smallest_root`; the caller guarantees
     real-rootedness, so the minimum of the real parts is the answer.
     """
-    if p.is_zero or p.degree < 1:
+    if p.degree < 1:
         raise InvalidInput("companion_smallest_root requires degree >= 1")
-    c = monic(p).coeffs
-    roots = np.roots(list(reversed(c)))
-    return float(np.min(roots.real))
+    return float(_all_roots(p)[0])
 
 
 def _all_roots(p: Polynomial) -> np.ndarray:

@@ -105,8 +105,13 @@ class SturmChain:
 
 def evaluate(p: Polynomial, x: float) -> float:
     """Horner evaluation."""
+    return _horner(p.coeffs, x)
+
+
+def _horner(coeffs: Sequence[float], x: float) -> float:
+    """The polynomial with ascending ``coeffs`` at ``x``, by Horner's rule."""
     acc = 0.0
-    for c in reversed(p.coeffs):
+    for c in reversed(coeffs):
         acc = acc * x + c
     return acc
 
@@ -186,14 +191,12 @@ def count_roots_leq(chain: SturmChain, x: float) -> int:
     Only an exact 0.0 is a zero entry: snapping small values to zero
     biases the bisection by up to (snap threshold)/|p'| near a root, far
     worse than sign noise in the float ambiguity region of the
-    evaluation.  Horner runs inline, to save a call per chain entry.
+    evaluation.
     """
     count = chain.variations_at_minus_inf
     prev = None
     for coeffs in chain.chain:
-        value = 0.0
-        for c in reversed(coeffs):
-            value = value * x + c
+        value = _horner(coeffs, x)
         if value != 0.0:
             positive = value > 0.0
             if prev is not None and positive != prev:
@@ -203,12 +206,11 @@ def count_roots_leq(chain: SturmChain, x: float) -> int:
 
 
 def _cauchy_radius(p: Polynomial) -> float:
-    lead = abs(p.coeffs[-1])
-    return max(map(abs, p.coeffs[:-1])) / lead if p.degree >= 1 else 0.0
+    return max(map(abs, p.coeffs[:-1])) / abs(p.coeffs[-1])
 
 
-def _compensated_value(p: Polynomial, x: float) -> float:
-    """``p(x)`` by compensated Horner.
+def _compensated_value(coeffs: Sequence[float], x: float) -> float:
+    """The polynomial with ascending ``coeffs`` at ``x``, by compensated Horner.
 
     Compensated Horner (Graillat, Langlois and Louvet, 2005) adds back
     the rounding error of every step: each product's error comes from
@@ -221,7 +223,7 @@ def _compensated_value(p: Polynomial, x: float) -> float:
     x_lo = x - x_hi
     value = 0.0
     error = 0.0
-    for coeff in reversed(p.coeffs):
+    for coeff in reversed(coeffs):
         prod = value * x
         c = _SPLITTER * value
         v_hi = c - (c - value)
@@ -234,25 +236,25 @@ def _compensated_value(p: Polynomial, x: float) -> float:
     return value + error
 
 
-def _newton_from_left(p: Polynomial, chain: SturmChain, lo: float, hi: float, eps: float) -> float:
+def _newton_from_left(chain: SturmChain, lo: float, hi: float, eps: float) -> float:
     """Newton's method from a lower bound on the roots, for the smallest root.
 
-    ``chain`` is the Sturm chain of ``p``; its second entry is ``p'``.
-    The start is the Laguerre-Samuelson bound ``mean - sqrt(n-1) * std``
-    of the roots, from the top three coefficients.  Left of the smallest
-    root of a real-rooted ``p``, Newton climbs monotonically towards it,
-    and ``root - x <= n * (-p(x)/p'(x))`` (the lower barrier), so the
-    loop stops once that bound is at most ``eps/4``, or at a step to the
-    left, which means ``x`` is not left of the smallest root (or ``p`` is
-    not real-rooted).  Plain Horner's rounding error caps how close that
-    loop gets to a root with close neighbours, so two last steps take
-    ``p(x)`` from :func:`_compensated_value`; every step takes ``p'(x)``
-    from plain Horner on the chain's ``p'``.  Nothing here is trusted:
-    the result is a finite guess inside ``(lo, hi)`` that
-    :func:`smallest_root` certifies or discards.
+    ``chain`` is the Sturm chain of ``p``; its first two entries are ``p``
+    and ``p'``.  The start is the Laguerre-Samuelson bound
+    ``mean - sqrt(n-1) * std`` of the roots, from the top three
+    coefficients.  Left of the smallest root of a real-rooted ``p``,
+    Newton climbs monotonically towards it, and
+    ``root - x <= n * (-p(x)/p'(x))`` (the lower barrier), so the loop
+    stops once that bound is at most ``eps/4``, or at a step to the left,
+    which means ``x`` is not left of the smallest root (or ``p`` is not
+    real-rooted).  Plain Horner's rounding error caps how close that loop
+    gets to a root with close neighbours, so two last steps take ``p(x)``
+    from :func:`_compensated_value`; every step takes ``p'(x)`` from plain
+    Horner.  Nothing here is trusted: the result is a finite guess inside
+    ``(lo, hi)`` that :func:`smallest_root` certifies or discards.
     """
-    c = p.coeffs
-    n = p.degree
+    c, dp = chain.chain[0], chain.chain[1]
+    n = len(c) - 1
     mean = -c[n - 1] / (n * c[n])
     spread = 0.0
     if n >= 2:
@@ -261,24 +263,15 @@ def _newton_from_left(p: Polynomial, chain: SturmChain, lo: float, hi: float, ep
     x = mean - spread
     if not lo < x < hi:
         x = lo
-    dp = chain.chain[1]
     for _ in range(_NEWTON_MAX_STEPS):
-        # Horner for p'(x) and p(x) inline, as in :func:`evaluate`, to save two calls.
-        slope = 0.0
-        for coeff in reversed(dp):
-            slope = slope * x + coeff
-        value = 0.0
-        for coeff in reversed(c):
-            value = value * x + coeff
-        step = -value / slope if slope else 0.0
+        slope = _horner(dp, x)
+        step = -_horner(c, x) / slope if slope else 0.0
         if n * step <= 0.25 * eps or not lo < x + step < hi:
             break
         x += step
     for _ in range(_COMPENSATED_STEPS):
-        slope = 0.0
-        for coeff in reversed(dp):
-            slope = slope * x + coeff
-        corrected = x - _compensated_value(p, x) / slope if slope else x
+        slope = _horner(dp, x)
+        corrected = x - _compensated_value(c, x) / slope if slope else x
         if not lo < corrected < hi:
             break
         x = corrected
@@ -315,12 +308,12 @@ def smallest_root(p: Polynomial, eps: float) -> float:
     """
     if not eps > 0.0:
         raise InvalidInput(f"eps must be > 0, got {eps}")
-    if p.is_zero or p.degree < 1:
+    if p.degree < 1:
         raise NotRealRooted("polynomial has no roots")
     chain = sturm_chain(p)
     radius = _cauchy_radius(p)
     lo, hi = -1.0 - radius, 1.0 + radius
-    x = _newton_from_left(p, chain, lo, hi, eps)
+    x = _newton_from_left(chain, lo, hi, eps)
     below, above = x - 0.25 * eps, x + 0.25 * eps
     # The certificates only narrow the bracket: an eps wider than it
     # leaves the Cauchy ends in place.  A sign change proves a root, so
@@ -328,7 +321,7 @@ def smallest_root(p: Polynomial, eps: float) -> float:
     # change; a product of the two values could underflow to a false zero.
     at_below = at_above = 1.0
     if above < hi:
-        at_below, at_above = _compensated_value(p, below), _compensated_value(p, above)
+        at_below, at_above = (_compensated_value(p.coeffs, v) for v in (below, above))
     if at_below <= 0.0 <= at_above or at_above <= 0.0 <= at_below:
         hi = above
     elif count_roots_leq(chain, hi) == 0:

@@ -10,6 +10,7 @@ larger root replaces the best, so ties go to the smallest column index.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -59,9 +60,11 @@ def gamma(m: int, n: int, k: int, r: int) -> float:
     addition and the division round: the result is within 2 ulp.
 
     Its preconditions are the bound's, so :class:`SelectionProblem`
-    validates its shape by calling it.  Arguments too large for float
-    arithmetic raise :class:`InvalidInput` too.
+    validates its shape by calling it.  Arguments that are not integers
+    (a bool is not), or too large for float arithmetic, raise
+    :class:`InvalidInput` too.
     """
+    m, n, k, r = (_as_index(v, InvalidInput, name) for v, name in zip((m, n, k, r), "mnkr"))
     if not (m > k >= n - r >= 0 and m >= n and r >= 0):
         raise InvalidInput(
             f"the bound requires m > k >= n - r >= 0, m >= n and r >= 0; "
@@ -88,8 +91,9 @@ class SelectionProblem:
     and :class:`InvalidInput` unless the row counts agree, ``k`` is an
     integer ``>= 1``, ``m``, ``n``, ``k`` and ``r = rank(a)`` meet the
     preconditions of :func:`gamma` (``m > k >= n - r`` and ``m >= n``),
-    ``0 < eps < 1/(2k)``, both baseline norms are finite, positive normal
-    floats, and the bound factor is a finite float.
+    ``eps`` is a real number (stored as a float) with ``0 < eps < 1/(2k)``,
+    both baseline norms are finite, positive normal floats, and the bound
+    factor is a finite float.
     """
 
     a: DenseMatrix
@@ -123,6 +127,9 @@ class SelectionProblem:
         if _as_index(self.k, InvalidInput, "k") < 1:
             raise InvalidInput(f"k must be >= 1, got {self.k}")
         object.__setattr__(self, "gamma", gamma(self.m, n, self.k, a_svd.rank))
+        if not isinstance(self.eps, numbers.Real) or isinstance(self.eps, bool):
+            raise InvalidInput(f"eps must be a real number, got {self.eps!r}")
+        object.__setattr__(self, "eps", float(self.eps))
         if not 0.0 < self.eps < 1.0 / (2 * self.k):
             raise InvalidInput(
                 f"eps must be in (0, 1/(2k)) = (0, {1.0 / (2 * self.k)}), got {self.eps}"

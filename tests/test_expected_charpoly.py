@@ -66,6 +66,19 @@ def test_instance_validation():
             IsotropicInstance(y, l=ell, r=0, k=2)
 
 
+def test_instance_takes_integers_only():
+    y = thin_svd(DenseMatrix(np.random.default_rng(0).standard_normal((2, 5)))).vt
+    inst = IsotropicInstance.from_y(y, np.int64(1), np.int64(2))
+    assert (type(inst.l), type(inst.r), type(inst.k)) == (int, int, int)
+    with pytest.raises(InvalidInput, match="k must be an integer, got 2.9"):
+        IsotropicInstance.from_y(y, 1, 2.9)
+    with pytest.raises(InvalidInput, match="l must be an integer, got 1.5"):
+        IsotropicInstance.from_y(y, 1.5, 2)
+    for bad, name in ((dict(k=2.9), "k"), (dict(l=True), "l"), (dict(r=1.0), "r")):
+        with pytest.raises(InvalidInput, match=f"{name} must be an integer"):
+            IsotropicInstance(y, **{"l": 1, "r": 1, "k": 2, **bad})
+
+
 def test_instance_prefix_layout():
     rng = np.random.default_rng(37)
     for ell in (0, 1, 3):
@@ -175,6 +188,11 @@ def test_expected_poly_input_validation():
     assert expected_poly(inst, (np.int64(0),)) == expected_poly(inst, (0,))
     with pytest.raises(InvalidInput, match="must be an integer"):
         expected_poly(inst, (0.0,))
+    grams = inst.gram_fixed.data[None]
+    for j in (True, 1.0):
+        with pytest.raises(InvalidInput, match="partial size must be an integer"):
+            expected_poly_from_gram(inst, grams, j)
+    assert expected_poly_from_gram(inst, grams, np.int64(0)) == [expected_poly(inst, ())]
 
 
 def _candidate_grams(inst: IsotropicInstance) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Greedy selection loop, reduction to the isotropic frame, bounds."""
 from __future__ import annotations
 
+import json
 import math
 from decimal import Decimal, localcontext
 
@@ -8,8 +9,9 @@ import numpy as np
 import pytest
 
 from colsel import expected_charpoly, selector
+from colsel.cli import serialize_report
 from colsel.errors import AlgorithmFailure, InvalidInput, InvalidSubset, RankDeficient
-from colsel.expected_charpoly import expected_poly
+from colsel.expected_charpoly import _psd_eigenvalues, expected_poly, expected_poly_from_gram
 from colsel.linalg import DenseMatrix, gram_update, norms_sq, pseudoinverse, thin_svd
 from colsel.poly import Polynomial, from_roots, smallest_root
 from colsel.selector import (
@@ -64,6 +66,16 @@ def test_gamma_validation():
         gamma(10, 2, 5, -1)  # negative rank
     with pytest.raises(InvalidInput, match="n=2, k=3, r=0"):
         gamma(10**160, 2, 3, 0)  # sqrt(A B) leaves the float range
+    assert gamma(np.int64(4), np.int64(2), np.int64(3), np.int64(0)) == 2.0
+    for args, name in (
+        ((4.5, 2, 3, 0), "m"),
+        ((4, 2.0, 3, 0), "n"),
+        ((4, 2, 3.0, 0), "k"),
+        ((4, 2, 3, 0.5), "r"),
+        ((4, 2, 3, False), "r"),
+    ):
+        with pytest.raises(InvalidInput, match=f"{name} must be an integer"):
+            gamma(*args)
 
 
 def test_problem_validation():
@@ -229,6 +241,15 @@ def _per_candidate_greedy(prob: SelectionProblem) -> tuple[list[int], list[float
     return chosen, roots
 
 
+def _assert_replays(prob: SelectionProblem) -> None:
+    """``greedy_select`` picks the subset and roots of the per-candidate loop, bit for bit."""
+    report = greedy_select(prob)
+    chosen, roots = _per_candidate_greedy(prob)
+    assert report.subset == tuple(chosen)
+    assert [t.index for t in report.trace] == chosen
+    assert [t.lambda_min for t in report.trace] == roots
+
+
 @pytest.mark.parametrize(
     "n, m, ell, k, rank_a",
     [
@@ -248,11 +269,43 @@ def test_batched_grams_replay_the_per_candidate_loop_bit_for_bit(n, m, ell, k, r
         else:
             a = rng.standard_normal((n, rank_a)) @ rng.standard_normal((rank_a, ell))
         prob = SelectionProblem(a=DenseMatrix(a), b=DenseMatrix(rng.standard_normal((n, m))), k=k)
-        report = greedy_select(prob)
-        chosen, roots = _per_candidate_greedy(prob)
-        assert report.subset == tuple(chosen)
-        assert [t.index for t in report.trace] == chosen
-        assert [t.lambda_min for t in report.trace] == roots
+        _assert_replays(prob)
+
+
+def test_batched_grams_replay_an_eigenvalue_exactly_one():
+    # Row 0 of b is zero but in column 0, so every partial Gram holding
+    # column 0 has the eigenvalue one exactly.  eigvalsh returns it within
+    # rounding on either side of one, where the reference's order by
+    # |mu - 1| and the transform's by descending mu can differ.
+    rng = np.random.default_rng([4, 7, 0, 5, 1])
+    above_one = 0
+    for _ in range(40):
+        b = rng.standard_normal((4, 7))
+        b[0, 1:] = 0.0
+        prob = SelectionProblem(a=empty_block(4), b=DenseMatrix(b), k=5)
+        inst = build_isotropic(prob)
+        full = gram_update(inst.gram_fixed, inst.candidates[:, 0]).data
+        above_one += np.linalg.eigvalsh(full)[-1] > 1.0
+        _assert_replays(prob)
+    assert above_one > 0
+
+
+@pytest.mark.parametrize("n, m, ell, k", [(6, 48, 3, 12), (12, 100, 0, 40), (4, 7, 0, 5)])
+def test_greedy_grams_have_eigenvalues_in_the_unit_interval(monkeypatch, n, m, ell, k):
+    # The transform lists r = mu - 1 by ascending |r| as eigvalsh's order
+    # reversed, which holds because every mu lies in [0, 1].
+    seen = []
+
+    def recording(inst, grams, j):
+        seen.append(_psd_eigenvalues(grams))
+        return expected_poly_from_gram(inst, grams, j)
+
+    monkeypatch.setattr(selector, "expected_poly_from_gram", recording)
+    rng = np.random.default_rng([n, m, ell, k])
+    greedy_select(random_problem(rng, n, m, ell, k))
+    assert len(seen) == k
+    for eig in seen:
+        assert eig.min() >= 0.0 and eig.max() <= 1.0 + 1e-12
 
 
 def test_verify_bound_accepts_greedy_output():
@@ -286,6 +339,26 @@ def test_problem_takes_an_integer_budget_only():
     # n - r = 1, so k = 1 would be a valid budget here
     with pytest.raises(InvalidInput, match="k must be an integer, got True"):
         SelectionProblem(a=empty_block(1), b=DenseMatrix([[1.0, 2.0, 3.0]]), k=True)
+
+
+def test_problem_stores_eps_as_a_float():
+    # A numpy float runs the greedy and its report serializes.
+    prob = SelectionProblem(a=empty_block(2), b=DOUBLED_IDENTITY, k=2, eps=np.float32(1e-6))
+    assert type(prob.eps) is float and prob.eps == float(np.float32(1e-6))
+    report = greedy_select(prob)
+    assert json.loads(serialize_report(report))["eps"] == prob.eps
+    prob = SelectionProblem(a=empty_block(2), b=DOUBLED_IDENTITY, k=2, eps=np.float64(0.1))
+    assert type(prob.eps) is float and prob.eps == 0.1
+
+
+@pytest.mark.parametrize(
+    "eps",
+    ["1e-6", None, True, np.bool_(True), 1e-6j],
+    ids=["str", "none", "bool", "numpy_bool", "complex"],
+)
+def test_problem_takes_a_real_eps_only(eps):
+    with pytest.raises(InvalidInput, match="eps must be a real number"):
+        SelectionProblem(a=empty_block(2), b=DOUBLED_IDENTITY, k=2, eps=eps)
 
 
 def test_verify_bound_takes_integer_indices_only():
