@@ -57,9 +57,9 @@ class IsotropicInstance:
     views :attr:`fixed` and :attr:`candidates` and names candidate ``j``
     by its column ``j`` of ``b``.  ``r`` is the rank of the fixed block,
     decided by the caller (``from_y`` takes it with
-    :func:`~colsel.linalg.thin_svd`), and ``k`` is the selection budget
-    with ``n - r <= k <= m - 1``.  ``l``, ``r`` and ``k`` are integers (a
-    bool is not).
+    :func:`~colsel.linalg.thin_svd`) in ``[0, min(n, l)]``, and ``k`` is
+    the selection budget with ``max(1, n - r) <= k <= m - 1``.  ``l``,
+    ``r`` and ``k`` are integers (a bool is not).
     """
 
     y: DenseMatrix
@@ -73,13 +73,17 @@ class IsotropicInstance:
         n = self.y.rows
         if not 0 <= self.l <= self.y.cols:
             raise InvalidInput(f"fixed block width l={self.l} outside [0, {self.y.cols}]")
+        if not 0 <= self.r <= min(n, self.l):
+            raise InvalidInput(
+                f"fixed block rank r={self.r} outside [0, min(n, l)] = [0, {min(n, self.l)}]"
+            )
         gram = self.y.data @ self.y.data.T
         if np.max(np.abs(gram - np.eye(n))) > _ORTHONORMALITY_TOL:
             raise InvalidInput("rows of y are not orthonormal: y y^T != I to 1e-8")
-        if not n - self.r <= self.k <= self.m - 1:
+        if not max(1, n - self.r) <= self.k <= self.m - 1:
             raise InvalidInput(
-                f"selection budget k={self.k} outside [n - r, m - 1] = "
-                f"[{n - self.r}, {self.m - 1}]"
+                f"selection budget k={self.k} outside [max(1, n - r), m - 1] = "
+                f"[{max(1, n - self.r)}, {self.m - 1}]"
             )
 
     @classmethod

@@ -9,14 +9,16 @@ Tolerances are calibrated for float64; near-multiple roots are absorbed
 into gcd layers rather than resolved exactly.
 
 :func:`smallest_root` finds a root by Newton's method from the left,
-with ``p'`` from the Sturm chain and compensated-Horner last steps,
-and returns it only inside a bracket that a sign change and a Sturm
-count certify; bisection on the Sturm count covers whatever the
-certificates leave open.
+with ``p'`` from the Fourier sequence ``p, p', ..., p^(n)`` and
+compensated-Horner last steps, and returns it only inside a bracket
+that a sign change and a Budan-Fourier count certify.  The Sturm chain
+is built only where those fail: its count then certifies the ends, and
+bisection on it covers whatever the certificates leave open.
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -90,13 +92,19 @@ def _finite_stripped(values: Iterable[float]) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class SturmChain:
-    """p, p', then negated remainders, as stripped coefficient tuples of decreasing degree.
+    """A sequence that starts p, p', as stripped coefficient tuples of decreasing degree.
 
-    Remainders are rescaled to unit max coefficient (a positive scaling,
-    invisible to sign-variation counts).  The chain stops early at the
-    gcd of p and p' when a remainder vanishes to tolerance, which keeps
-    counting correct near multiple roots.  :func:`sturm_chain` counts
+    From :func:`sturm_chain`, the rest are negated remainders, rescaled
+    to unit max coefficient (a positive scaling, invisible to
+    sign-variation counts).  The chain stops early at the gcd of p and
+    p' when a remainder vanishes to tolerance, which keeps counting
+    correct near multiple roots.  :func:`sturm_chain` counts
     ``variations_at_minus_inf`` as it builds the chain.
+
+    :func:`smallest_root` also keeps the Fourier sequence ``p, p', ...,
+    p^(n)`` in this container, with ``variations_at_minus_inf = n``: the
+    derivatives' leading coefficients share p's sign and their degrees
+    fall by one, so their signs alternate at ``-inf``.
     """
 
     chain: tuple[tuple[float, ...], ...]
@@ -186,7 +194,15 @@ def sturm_chain(p: Polynomial) -> SturmChain:
 
 
 def count_roots_leq(chain: SturmChain, x: float) -> int:
-    """Number of distinct real roots in ``(-inf, x]``: sign variations at ``-inf`` minus at ``x``.
+    """Sign variations of ``chain`` at ``-inf`` minus at ``x``, zero entries dropped.
+
+    For a Sturm chain this is the exact number of distinct real roots in
+    ``(-inf, x]``.  For the Fourier sequence ``p, p', ..., p^(n)`` it is,
+    by the Budan-Fourier theorem, an upper bound on the real roots in
+    ``(-inf, x]`` counted with multiplicity, for any real ``p``; it is
+    exact (zero) when ``p`` is real-rooted and every root lies right of
+    ``x``.  Either way a count of zero proves that no root is at or
+    below ``x``.
 
     Only an exact 0.0 is a zero entry: snapping small values to zero
     biases the bisection by up to (snap threshold)/|p'| near a root, far
@@ -236,11 +252,32 @@ def _compensated_value(coeffs: Sequence[float], x: float) -> float:
     return value + error
 
 
+def _fourier_sequence(p: Polynomial) -> SturmChain | None:
+    """The Fourier sequence ``p, p', ..., p^(n)`` of ``p``, of degree ``n >= 1``.
+
+    Each derivative is computed as :func:`derivative` computes it.  Where
+    one of them overflows this is ``None``: a coefficient that overflows
+    to infinity stays infinite through the later derivatives down to the
+    constant term of one of them, so the constant terms tell (a sum of
+    them that overflows also reads as not finite, which only costs a
+    Sturm fallback).
+    """
+    c = p.coeffs
+    seq = [c]
+    for _ in range(p.degree):
+        c = tuple(map(operator.mul, range(1, len(c)), c[1:]))
+        seq.append(c)
+    if not math.isfinite(sum(d[0] for d in seq)):
+        return None
+    return SturmChain(tuple(seq), p.degree)
+
+
 def _newton_from_left(chain: SturmChain, lo: float, hi: float, eps: float) -> float:
     """Newton's method from a lower bound on the roots, for the smallest root.
 
-    ``chain`` is the Sturm chain of ``p``; its first two entries are ``p``
-    and ``p'``.  The start is the Laguerre-Samuelson bound
+    ``chain`` is the Fourier sequence of ``p`` (or any
+    :class:`SturmChain` of it); only its first two entries, ``p`` and
+    ``p'``, are read.  The start is the Laguerre-Samuelson bound
     ``mean - sqrt(n-1) * std`` of the roots, from the top three
     coefficients.  Left of the smallest root of a real-rooted ``p``,
     Newton climbs monotonically towards it, and
@@ -284,22 +321,29 @@ def smallest_root(p: Polynomial, eps: float) -> float:
     Checks, in order: ``eps`` must be greater than zero (a NaN is not),
     else :class:`InvalidInput`.  From the Cauchy bracket ``[lo, hi]``,
     which has no root at or below ``lo``, Newton's method from the left
-    (:func:`_newton_from_left`) proposes a root ``x``.  Then ``hi`` moves
-    down to ``x + eps/4`` if the compensated values of ``p`` at
-    ``x -/+ eps/4`` differ in sign; only if they do not is the Sturm
-    count at ``hi`` taken, and a zero count raises :class:`NotRealRooted`.
-    Last, ``lo`` moves up to ``x - eps/4`` if the Sturm count there is
-    zero.  A certificate that does not hold, or an ``eps`` wider than the
-    bracket, leaves the Cauchy end in place.  Bisection on the Sturm
-    count then halves whatever is left, until the bracket is at most
-    ``eps`` wide or its midpoint is no longer a float strictly inside it;
-    so an ``eps`` below the float spacing at the root gives the root at
-    float resolution instead of looping forever.
+    (:func:`_newton_from_left`, with ``p'`` from the Fourier sequence
+    ``p, p', ..., p^(n)``) proposes a root ``x``.  Then ``hi`` moves down
+    to ``x + eps/4`` if the compensated values of ``p`` at ``x -/+ eps/4``
+    differ in sign, and ``lo`` moves up to ``x - eps/4`` if the
+    Budan-Fourier count there (:func:`count_roots_leq` on the Fourier
+    sequence) is zero; a root then costs that one count.  Wherever one
+    of the two fails, the Sturm chain is built and certifies as it
+    always did: without a sign change its count at ``hi`` is taken, and
+    a zero count raises :class:`NotRealRooted`; ``lo`` moves up to
+    ``x - eps/4`` if the Sturm count there is zero.  A certificate that
+    does not hold, or an ``eps`` wider than the bracket, leaves the
+    Cauchy end in place.  Bisection on the Sturm count then halves
+    whatever is left, until the bracket is at most ``eps`` wide or its
+    midpoint is no longer a float strictly inside it; so an ``eps``
+    below the float spacing at the root gives the root at float
+    resolution instead of looping forever.  Where a derivative
+    overflows there is no Fourier sequence, and the Sturm chain does
+    all of this.
 
     Accuracy contract: the result is the midpoint of a bracket at most
     ``eps`` wide that holds the smallest root, so it is within ``eps/2``
-    of that root, as far as the float Sturm counts and compensated signs
-    are right.  Near a multiple root they are not: within about 1e-8 of
+    of that root, as far as the float counts and compensated signs are
+    right.  Near a multiple root they are not: within about 1e-8 of
     the double root of ``(x-1)^2 (x-2)`` the value of ``p`` is below its
     rounding error, and an ``eps`` of 1e-9 gives ``1 - 7.6e-9``.
 
@@ -310,10 +354,13 @@ def smallest_root(p: Polynomial, eps: float) -> float:
         raise InvalidInput(f"eps must be > 0, got {eps}")
     if p.degree < 1:
         raise NotRealRooted("polynomial has no roots")
-    chain = sturm_chain(p)
+    fourier = _fourier_sequence(p)
+    # Where a derivative overflows there is no Fourier sequence, and the
+    # Sturm chain serves Newton and every count, built first as before.
+    chain = sturm_chain(p) if fourier is None else None
     radius = _cauchy_radius(p)
     lo, hi = -1.0 - radius, 1.0 + radius
-    x = _newton_from_left(chain, lo, hi, eps)
+    x = _newton_from_left(fourier if chain is None else chain, lo, hi, eps)
     below, above = x - 0.25 * eps, x + 0.25 * eps
     # The certificates only narrow the bracket: an eps wider than it
     # leaves the Cauchy ends in place.  A sign change proves a root, so
@@ -322,7 +369,19 @@ def smallest_root(p: Polynomial, eps: float) -> float:
     at_below = at_above = 1.0
     if above < hi:
         at_below, at_above = (_compensated_value(p.coeffs, v) for v in (below, above))
-    if at_below <= 0.0 <= at_above or at_above <= 0.0 <= at_below:
+    sign_change = at_below <= 0.0 <= at_above or at_above <= 0.0 <= at_below
+    if sign_change and chain is None:
+        hi = above
+        if lo < below and count_roots_leq(fourier, below) == 0:
+            lo = below
+        if hi - lo <= eps:
+            return 0.5 * (lo + hi)
+    # Any other bracket is certified and bisected on the Sturm chain.  A
+    # nonzero Budan-Fourier count is only an upper bound, so the Sturm
+    # count has the last word on lo.
+    if chain is None:
+        chain = sturm_chain(p)
+    if sign_change:
         hi = above
     elif count_roots_leq(chain, hi) == 0:
         raise NotRealRooted(f"no real root found in [-{1 + radius}, {1 + radius}]")

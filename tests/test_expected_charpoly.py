@@ -64,6 +64,14 @@ def test_instance_validation():
     for ell in (-1, 6):  # fixed block wider than y, or of negative width
         with pytest.raises(InvalidInput, match="fixed block width"):
             IsotropicInstance(y, l=ell, r=0, k=2)
+    # the fixed block's rank lies in [0, min(n, l)]
+    for ell, r, k in ((0, 5, 0), (0, 5, 2), (1, 2, 2), (3, 3, 2), (2, -1, 2)):
+        with pytest.raises(InvalidInput, match="fixed block rank"):
+            IsotropicInstance(y, l=ell, r=r, k=k)
+    # k >= 1 even where the fixed block has full rank, n - r = 0
+    with pytest.raises(InvalidInput, match="selection budget"):
+        IsotropicInstance(y, l=2, r=2, k=0)
+    assert IsotropicInstance(y, l=2, r=2, k=1).k == 1
 
 
 def test_instance_takes_integers_only():

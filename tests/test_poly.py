@@ -1,6 +1,7 @@
 """Polynomial arithmetic, Sturm chains, and root isolation."""
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -193,12 +194,27 @@ def _counting_count_roots_leq(monkeypatch) -> list[int]:
     return calls
 
 
+def _counting_sturm_chain(monkeypatch) -> list[int]:
+    """Route ``poly.sturm_chain`` through a counter; returns the counter."""
+    calls = [0]
+    real = poly.sturm_chain
+
+    def counting(p):
+        calls[0] += 1
+        return real(p)
+
+    monkeypatch.setattr(poly, "sturm_chain", counting)
+    return calls
+
+
 def test_smallest_root_certifies_wide_shape_roots(monkeypatch):
     # The benchmark's wide shape (n, m, l, k) = (6, 48, 3, 12).  Newton and
-    # the two certificates settle every root with one Sturm count, for
-    # the lower end: the sign change certifies the upper end, so the
-    # Cauchy end needs no count, and nothing is bisected.
+    # the two certificates settle every root with one Budan-Fourier count,
+    # for the lower end: the sign change certifies the upper end, so the
+    # Cauchy end needs no count, nothing is bisected, and no Sturm chain
+    # is built.
     calls = _counting_count_roots_leq(monkeypatch)
+    chains = _counting_sturm_chain(monkeypatch)
     per_root = []
     real_smallest_root = selector.smallest_root
 
@@ -212,21 +228,18 @@ def test_smallest_root_certifies_wide_shape_roots(monkeypatch):
     selector.greedy_select(random_problem(np.random.default_rng(3), 6, 48, 3, 12))
     assert len(per_root) == sum(48 - j for j in range(12))
     assert set(per_root) == {1}
+    assert chains[0] == 0
 
 
-def _exact_smallest_root(p: Polynomial, x: float, radius: float, tol: Fraction) -> Fraction:
-    """Smallest root of ``p``, its float coefficients read as exact rationals.
+def _exact_value(coeffs, t: Fraction) -> Fraction:
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * t + c
+    return acc
 
-    An exact Sturm chain checks that ``(x - radius, x + radius]`` holds the
-    smallest root and no other; bisection on the exact sign of ``p`` then
-    narrows that interval to ``tol``.
-    """
 
-    def value(coeffs, t):
-        acc = Fraction(0)
-        for c in reversed(coeffs):
-            acc = acc * t + c
-        return acc
+def _exact_sturm_chain(p: Polynomial) -> list[list[Fraction]]:
+    """Sturm chain of ``p``, its float coefficients read as exact rationals."""
 
     def remainder(num, den):
         num = list(num)
@@ -247,19 +260,32 @@ def _exact_smallest_root(p: Polynomial, x: float, radius: float, tol: Fraction) 
         if not rem:
             break
         chain.append([-c for c in rem])
+    return chain
 
-    def variations(t):
-        signs = [v > 0 for v in (value(q, t) for q in chain) if v != 0]
-        return sum(a != b for a, b in zip(signs, signs[1:]))
 
+def _exact_variations(chain, t: Fraction) -> int:
+    signs = [v > 0 for v in (_exact_value(q, t) for q in chain) if v != 0]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _exact_smallest_root(p: Polynomial, x: float, radius: float, tol: Fraction) -> Fraction:
+    """Smallest root of ``p``, its float coefficients read as exact rationals.
+
+    An exact Sturm chain checks that ``(x - radius, x + radius]`` holds the
+    smallest root and no other; bisection on the exact sign of ``p`` then
+    narrows that interval to ``tol``.
+    """
+    chain = _exact_sturm_chain(p)
+    coeffs = chain[0]
     bound = 1 + max(abs(c) for c in coeffs[:-1]) / abs(coeffs[-1])
     lo, hi = Fraction(x) - Fraction(radius), Fraction(x) + Fraction(radius)
-    assert variations(-bound) - variations(lo) == 0  # no root at or below lo
-    assert variations(lo) - variations(hi) == 1  # exactly one in (lo, hi]
-    lo_positive = value(coeffs, lo) > 0
+    at_lo = _exact_variations(chain, lo)
+    assert _exact_variations(chain, -bound) - at_lo == 0  # no root at or below lo
+    assert at_lo - _exact_variations(chain, hi) == 1  # exactly one in (lo, hi]
+    lo_positive = _exact_value(coeffs, lo) > 0
     while hi - lo > tol:
         mid = (lo + hi) / 2
-        if (value(coeffs, mid) > 0) == lo_positive:
+        if (_exact_value(coeffs, mid) > 0) == lo_positive:
             lo = mid
         else:
             hi = mid
@@ -279,6 +305,38 @@ def test_smallest_root_exact_on_criterion_06_trial_157():
     got = smallest_root(p, 1e-6)
     exact = _exact_smallest_root(p, got, 1e-4, Fraction(1, 10**16))
     assert abs(Fraction(got) - exact) <= Fraction(1, 10**12)
+
+
+def test_fourier_count_is_a_sound_certificate():
+    # Budan-Fourier: the sign variations of p, p', ..., p^(n) bound the
+    # real roots at or below a point from above.  So wherever the float
+    # count is zero the exact count of the float polynomial's roots must
+    # be zero too, and the float count is never below the exact one.
+    # Points lie left of the roots, between them, and right of them.
+    rng = np.random.default_rng(71)
+    zeros = counted = 0
+    for trial in range(45):
+        if trial % 3:
+            p, roots = random_real_rooted(rng)
+        else:  # every root doubled
+            _, roots = random_real_rooted(rng, max_degree=6)
+            roots = np.sort(np.concatenate([roots, roots]))
+            p = from_roots(list(roots))
+        fourier = poly._fourier_sequence(p)
+        chain = _exact_sturm_chain(p)
+        bound = 1 + max(abs(c) for c in chain[0][:-1]) / abs(chain[0][-1])
+        at_minus_inf = _exact_variations(chain, -bound)
+        points = [roots[0] - d for d in (0.5, 1e-2, 1e-4)]
+        points += [0.5 * (a + b) for a, b in zip(roots, roots[1:]) if a < b]
+        points += [roots[-1] + d for d in (1e-4, 0.5)]
+        for x in points:
+            got = count_roots_leq(fourier, float(x))
+            exact = at_minus_inf - _exact_variations(chain, Fraction(float(x)))
+            assert got >= exact, (trial, x)  # so a zero count means exact == 0
+            zeros += got == 0
+            counted += 1
+    # every left point reads zero, and most other points do not
+    assert zeros >= 3 * 45 and counted > 2 * zeros
 
 
 def test_smallest_root_double_root():
@@ -311,6 +369,13 @@ def _times(p: Polynomial, q: Polynomial) -> Polynomial:
         ((1.25, 2.0, 1.0), (0.5, 0.7)),
         # complex pair 5 +/- 5i: the Laguerre-Samuelson start lies right of 0.1
         ((50.0, -10.0, 1.0), (0.1, 0.2)),
+        # complex pair 1 +/- i: Newton stops at 1.025, between the roots 0.1
+        # and 2, where p does not change sign
+        ((2.0, -2.0, 1.0), (0.1, 2.0)),
+        # complex pair 2 +/- 2i: Newton lands on the larger real root 1, where
+        # p changes sign; the Budan-Fourier count at its lower end is 1 (the
+        # root -1), so only a zero count may certify it
+        ((8.0, -4.0, 1.0), (-1.0, 1.0)),
     ],
 )
 def test_smallest_root_complex_pair_falls_back(pair, real_roots):
@@ -319,6 +384,54 @@ def test_smallest_root_complex_pair_falls_back(pair, real_roots):
     p = _times(Polynomial(pair), from_roots(real_roots))
     for eps in (1e-4, 1e-6):
         assert abs(smallest_root(p, eps) - real_roots[0]) <= eps
+
+
+@pytest.mark.parametrize(
+    "pair, real_root",
+    [
+        ((2.0, 2.0, 1.0), 1.0),  # complex pair -1 +/- i, left of the root
+        ((0.01, 0.0, 1.0), 0.2),  # complex pair +/- 0.1i, just left of the root
+    ],
+)
+def test_smallest_root_falls_back_to_sturm_where_fourier_counts_a_complex_pair(
+    monkeypatch, pair, real_root
+):
+    # Left of the real root the Budan-Fourier count still counts the
+    # complex pair, so only the Sturm count certifies the lower end.
+    p = _times(Polynomial(pair), from_roots([real_root]))
+    assert count_roots_leq(poly._fourier_sequence(p), real_root - 1e-6) == 2
+    assert count_roots_leq(sturm_chain(p), real_root - 1e-6) == 0
+    chains = _counting_sturm_chain(monkeypatch)
+    calls = _counting_count_roots_leq(monkeypatch)
+    for eps in (1e-4, 1e-6):
+        before, counts_before = chains[0], calls[0]
+        assert abs(smallest_root(p, eps) - real_root) <= eps
+        # one chain, and one count on each sequence: nothing is bisected
+        assert chains[0] == before + 1
+        assert calls[0] == counts_before + 2
+
+
+def test_smallest_root_falls_back_to_sturm_where_a_derivative_overflows(monkeypatch):
+    # Leading coefficient 1e300 at degree 12: p' is finite, but 12! * 1e300
+    # is not, so there is no Fourier sequence: one Sturm chain serves
+    # Newton and takes every count.
+    p = Polynomial(1e300 * c for c in from_roots([0.1 * i + 0.05 for i in range(12)]).coeffs)
+    assert poly._fourier_sequence(p) is None
+    chains = _counting_sturm_chain(monkeypatch)
+    counted = []
+    real = poly.count_roots_leq
+
+    def recording(chain, x):
+        counted.append(all(math.isfinite(v) for c in chain.chain for v in c))
+        return real(chain, x)
+
+    monkeypatch.setattr(poly, "count_roots_leq", recording)
+    assert abs(smallest_root(p, 1e-6) - 0.05) <= 1e-6
+    assert chains[0] == 1
+    assert counted and all(counted)
+    # an overflowing p' raises, as the Sturm chain's does
+    with pytest.raises(InvalidInput, match="must be finite"):
+        smallest_root(Polynomial([-1.0, 0.0, 1e308]), 1e-6)
 
 
 def test_smallest_root_sign_test_survives_tiny_values():

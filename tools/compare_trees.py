@@ -3,7 +3,7 @@
 Usage: python tools/compare_trees.py OLD_SRC NEW_SRC
 
 Each tree is imported in its own subprocess (``PYTHONPATH=<src>``), runs
-``greedy_select`` and ``verify_bound`` on the same 163 instances, and
+``greedy_select`` and ``verify_bound`` on the same 165 instances, and
 prints one JSON record per instance.  The comparison lists the instances
 whose subsets (selected indices in selection order) differ.  Apart from
 those, it counts the instances whose trace root values differ and
@@ -12,7 +12,7 @@ reports the largest relative difference of the norms, the bound factor
 and the verify ratios.
 
 Every instance with ``C(m, k) <= 2002`` (all shapes but the first and
-the last) also runs ``brute_force``; the comparison lists the instances
+the last two) also runs ``brute_force``; the comparison lists the instances
 whose best subsets or sets of feasible subsets differ and reports the
 largest relative difference of each norm over the subsets feasible in
 both.  It also prints each tree's total ``greedy_select`` wall time over
@@ -43,6 +43,9 @@ SHAPES = (
     (5, 9, 2, 7, None, 10),
     # the benchmark's large shape: degree 12, so the longest Sturm chains
     (12, 100, 0, 40, None, 3),
+    # degree 12 with a fixed block: some roots need the Sturm fallback, so
+    # both of smallest_root's certificate paths are compared
+    (12, 100, 6, 40, None, 2),
 )
 BRUTE_FORCE_LIMIT = 2002  # C(14, 5), the benchmark's oracle shape
 VALUES = ("frob_sq", "spec_sq", "baseline_frob_sq", "baseline_spec_sq", "bound_factor",
