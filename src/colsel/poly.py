@@ -8,16 +8,20 @@ Horner evaluation are both the simplest and the fastest option.
 Tolerances are calibrated for float64; near-multiple roots are absorbed
 into gcd layers rather than resolved exactly.
 
-:func:`smallest_root` finds a root by Newton's method from the left,
-with ``p'`` from the Fourier sequence ``p, p', ..., p^(n)`` and
-compensated-Horner last steps, and returns it only inside a bracket
-that a sign change and a Budan-Fourier count certify.  The Sturm chain
-is built only where those fail: its count then certifies the ends, and
-bisection on it covers whatever the certificates leave open.
+:func:`smallest_root` finds a root by Newton's method from the left on
+``p`` and ``p'``, and certifies it in one of two ways.  A root that
+cannot beat a given incumbent is certified only from above, by one
+compensated sign of ``p``.  Any other root takes compensated-Horner
+last Newton steps and is returned only inside a bracket that a sign
+change and a Budan-Fourier count on ``p, p', ..., p^(n)`` certify.  The
+Sturm chain is built only where those fail: its count then certifies
+the ends, and bisection on it covers whatever the certificates leave
+open.
 """
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -272,25 +276,21 @@ def _fourier_sequence(p: Polynomial) -> SturmChain | None:
     return SturmChain(tuple(seq), p.degree)
 
 
-def _newton_from_left(chain: SturmChain, lo: float, hi: float, eps: float) -> float:
-    """Newton's method from a lower bound on the roots, for the smallest root.
+def _newton_from_left(c: Sequence[float], dp: Sequence[float], lo: float, hi: float,
+                      eps: float) -> float:
+    """Plain Newton steps from a lower bound on the roots, for the smallest root.
 
-    ``chain`` is the Fourier sequence of ``p`` (or any
-    :class:`SturmChain` of it); only its first two entries, ``p`` and
-    ``p'``, are read.  The start is the Laguerre-Samuelson bound
-    ``mean - sqrt(n-1) * std`` of the roots, from the top three
-    coefficients.  Left of the smallest root of a real-rooted ``p``,
-    Newton climbs monotonically towards it, and
-    ``root - x <= n * (-p(x)/p'(x))`` (the lower barrier), so the loop
-    stops once that bound is at most ``eps/4``, or at a step to the left,
-    which means ``x`` is not left of the smallest root (or ``p`` is not
-    real-rooted).  Plain Horner's rounding error caps how close that loop
-    gets to a root with close neighbours, so two last steps take ``p(x)``
-    from :func:`_compensated_value`; every step takes ``p'(x)`` from plain
-    Horner.  Nothing here is trusted: the result is a finite guess inside
-    ``(lo, hi)`` that :func:`smallest_root` certifies or discards.
+    ``c`` and ``dp`` are the ascending coefficients of ``p`` and ``p'``.
+    The start is the Laguerre-Samuelson bound ``mean - sqrt(n-1) * std``
+    of the roots, from the top three coefficients.  Left of the smallest
+    root of a real-rooted ``p``, Newton climbs monotonically towards it,
+    and ``root - x <= n * (-p(x)/p'(x))`` (the lower barrier), so the
+    loop stops once that bound is at most ``eps/4``, or at a step to the
+    left, which means ``x`` is not left of the smallest root (or ``p`` is
+    not real-rooted).  Nothing here is trusted: the result is a finite
+    guess inside ``(lo, hi)`` that :func:`smallest_root` certifies, after
+    :func:`_polished` where it must certify both ends, or discards.
     """
-    c, dp = chain.chain[0], chain.chain[1]
     n = len(c) - 1
     mean = -c[n - 1] / (n * c[n])
     spread = 0.0
@@ -306,6 +306,17 @@ def _newton_from_left(chain: SturmChain, lo: float, hi: float, eps: float) -> fl
         if n * step <= 0.25 * eps or not lo < x + step < hi:
             break
         x += step
+    return x
+
+
+def _polished(c: Sequence[float], dp: Sequence[float], x: float, lo: float, hi: float) -> float:
+    """``x`` after the last Newton steps, which take ``p(x)`` from :func:`_compensated_value`.
+
+    Plain Horner's rounding error caps how close :func:`_newton_from_left`
+    gets to a root with close neighbours; every step here still takes
+    ``p'(x)`` from plain Horner, and a step that leaves ``(lo, hi)`` ends
+    the polish.
+    """
     for _ in range(_COMPENSATED_STEPS):
         slope = _horner(dp, x)
         corrected = x - _compensated_value(c, x) / slope if slope else x
@@ -315,52 +326,97 @@ def _newton_from_left(chain: SturmChain, lo: float, hi: float, eps: float) -> fl
     return x
 
 
-def smallest_root(p: Polynomial, eps: float) -> float:
-    """Smallest real root of ``p`` within ``eps``: the midpoint of a checked bracket.
+def _check_real(name: str, value: object) -> None:
+    """:class:`InvalidInput` naming ``name`` unless ``value`` is a real number other than NaN.
 
-    Checks, in order: ``eps`` must be greater than zero (a NaN is not),
-    else :class:`InvalidInput`.  From the Cauchy bracket ``[lo, hi]``,
-    which has no root at or below ``lo``, Newton's method from the left
-    (:func:`_newton_from_left`, with ``p'`` from the Fourier sequence
-    ``p, p', ..., p^(n)``) proposes a root ``x``.  Then ``hi`` moves down
-    to ``x + eps/4`` if the compensated values of ``p`` at ``x -/+ eps/4``
+    A float, the type of every value the greedy loop passes, skips the
+    slower abstract-class check.
+    """
+    real = type(value) is float or isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not real or value != value:
+        raise InvalidInput(f"{name} must be a real number other than NaN, got {value!r}")
+
+
+def smallest_root(p: Polynomial, eps: float, incumbent: float = -math.inf) -> float:
+    """Smallest real root of ``p`` within ``eps``, unless it cannot beat ``incumbent``.
+
+    Checks, in order: ``eps`` must be a real number (a bool is not)
+    greater than zero, and ``incumbent`` a real number other than NaN,
+    else :class:`InvalidInput` naming the argument; ``p'`` must have
+    finite coefficients, else :class:`InvalidInput`, as the Sturm chain's
+    does.  From the Cauchy bracket ``[lo, hi]``, which has no root at or
+    below ``lo``, plain Newton steps from the left
+    (:func:`_newton_from_left`) propose a root ``x``.
+
+    *A root that cannot win.*  If the midpoint of ``[x - eps/4, x + eps/4]``
+    is below ``incumbent - eps`` and the compensated value of ``p`` at
+    ``x + eps/4`` is nonzero with the sign opposite to ``p``'s sign at
+    ``-inf`` (``lead * (-1)^n``), a root lies at or below ``x + eps/4``,
+    about ``3 eps/4`` or more below the incumbent, and that midpoint is
+    the result at once.  It is certified only from above: nothing checks
+    that no root lies below ``x - eps/4``, and the polish, the count and
+    the Fourier sequence are skipped.
+
+    *Every other root* is certified in full.  Two compensated Newton
+    steps (:func:`_polished`) move ``x``.  Then ``hi`` moves down to
+    ``x + eps/4`` if the compensated values of ``p`` at ``x -/+ eps/4``
     differ in sign, and ``lo`` moves up to ``x - eps/4`` if the
     Budan-Fourier count there (:func:`count_roots_leq` on the Fourier
-    sequence) is zero; a root then costs that one count.  Wherever one
-    of the two fails, the Sturm chain is built and certifies as it
-    always did: without a sign change its count at ``hi`` is taken, and
-    a zero count raises :class:`NotRealRooted`; ``lo`` moves up to
-    ``x - eps/4`` if the Sturm count there is zero.  A certificate that
-    does not hold, or an ``eps`` wider than the bracket, leaves the
-    Cauchy end in place.  Bisection on the Sturm count then halves
-    whatever is left, until the bracket is at most ``eps`` wide or its
-    midpoint is no longer a float strictly inside it; so an ``eps``
+    sequence ``p, p', ..., p^(n)``) is zero; a root then costs that one
+    count.  Wherever one of the two fails, the Sturm chain is built and
+    certifies as it always did: without a sign change its count at ``hi``
+    is taken, and a zero count raises :class:`NotRealRooted`; ``lo``
+    moves up to ``x - eps/4`` if the Sturm count there is zero.  A
+    certificate that does not hold, or an ``eps`` wider than the bracket,
+    leaves the Cauchy end in place.  Bisection on the Sturm count then
+    halves whatever is left, until the bracket is at most ``eps`` wide or
+    its midpoint is no longer a float strictly inside it; so an ``eps``
     below the float spacing at the root gives the root at float
-    resolution instead of looping forever.  Where a derivative
-    overflows there is no Fourier sequence, and the Sturm chain does
-    all of this.
+    resolution instead of looping forever.  Where a higher derivative
+    overflows there is no Fourier sequence, and the Sturm chain does all
+    of this.
 
-    Accuracy contract: the result is the midpoint of a bracket at most
-    ``eps`` wide that holds the smallest root, so it is within ``eps/2``
-    of that root, as far as the float counts and compensated signs are
-    right.  Near a multiple root they are not: within about 1e-8 of
-    the double root of ``(x-1)^2 (x-2)`` the value of ``p`` is below its
-    rounding error, and an ``eps`` of 1e-9 gives ``1 - 7.6e-9``.
+    Accuracy contract: with the default ``incumbent = -inf`` the result
+    is the midpoint of a bracket at most ``eps`` wide that holds the
+    smallest root, so it is within ``eps/2`` of that root, as far as the
+    float counts and compensated signs are right.  Near a multiple root
+    they are not: within about 1e-8 of the double root of
+    ``(x-1)^2 (x-2)`` the value of ``p`` is below its rounding error, and
+    an ``eps`` of 1e-9 gives ``1 - 7.6e-9``.  With a finite ``incumbent``
+    the outcome is either the one without it, or an early exit: a result
+    below ``incumbent - eps`` with the smallest root at most about
+    ``eps/4`` above it, which under the contract above would not have
+    come out above ``incumbent`` either.  So a caller that keeps only
+    results strictly above its running best, and passes that best as
+    ``incumbent``, keeps the same results as with no incumbent.
 
     The caller is responsible for real-rootedness; a polynomial with no
     real root in the Cauchy bracket raises :class:`NotRealRooted`.
     """
+    _check_real("eps", eps)
     if not eps > 0.0:
         raise InvalidInput(f"eps must be > 0, got {eps}")
+    _check_real("incumbent", incumbent)
     if p.degree < 1:
         raise NotRealRooted("polynomial has no roots")
-    fourier = _fourier_sequence(p)
-    # Where a derivative overflows there is no Fourier sequence, and the
-    # Sturm chain serves Newton and every count, built first as before.
-    chain = sturm_chain(p) if fourier is None else None
+    c = p.coeffs
+    dp = tuple(map(operator.mul, range(1, len(c)), c[1:]))
+    if not all(map(math.isfinite, dp)):
+        raise InvalidInput("polynomial coefficients must be finite")
     radius = _cauchy_radius(p)
     lo, hi = -1.0 - radius, 1.0 + radius
-    x = _newton_from_left(fourier if chain is None else chain, lo, hi, eps)
+    x = _newton_from_left(c, dp, lo, hi, eps)
+    above = x + 0.25 * eps
+    early = 0.5 * ((x - 0.25 * eps) + above)
+    if early < incumbent - eps:
+        # p's sign at -inf is that of lead * (-1)^n; the opposite sign at
+        # x + eps/4 (not a zero, and not the NaN of an x at -inf) puts a root
+        # at or below it, so this root cannot win.
+        negative_at_minus_inf = (c[-1] > 0.0) == (len(c) % 2 == 0)
+        value = _compensated_value(c, above)
+        if (value > 0.0) if negative_at_minus_inf else (value < 0.0):
+            return early
+    x = _polished(c, dp, x, lo, hi)
     below, above = x - 0.25 * eps, x + 0.25 * eps
     # The certificates only narrow the bracket: an eps wider than it
     # leaves the Cauchy ends in place.  A sign change proves a root, so
@@ -368,9 +424,12 @@ def smallest_root(p: Polynomial, eps: float) -> float:
     # change; a product of the two values could underflow to a false zero.
     at_below = at_above = 1.0
     if above < hi:
-        at_below, at_above = (_compensated_value(p.coeffs, v) for v in (below, above))
+        at_below, at_above = (_compensated_value(c, v) for v in (below, above))
     sign_change = at_below <= 0.0 <= at_above or at_above <= 0.0 <= at_below
-    if sign_change and chain is None:
+    # Where a higher derivative overflows there is no Fourier sequence, and
+    # the Sturm chain takes every count.
+    fourier = _fourier_sequence(p) if sign_change else None
+    if fourier is not None:
         hi = above
         if lo < below and count_roots_leq(fourier, below) == 0:
             lo = below
@@ -379,8 +438,7 @@ def smallest_root(p: Polynomial, eps: float) -> float:
     # Any other bracket is certified and bisected on the Sturm chain.  A
     # nonzero Budan-Fourier count is only an upper bound, so the Sturm
     # count has the last word on lo.
-    if chain is None:
-        chain = sturm_chain(p)
+    chain = sturm_chain(p)
     if sign_change:
         hi = above
     elif count_roots_leq(chain, hi) == 0:

@@ -260,6 +260,10 @@ def greedy_select(prob: SelectionProblem) -> SelectionReport:
     candidate's root with its own :func:`~colsel.poly.smallest_root` call.
     It scans the remaining columns in ascending order and keeps a
     strictly larger root only, so an exact tie goes to the smallest column.
+    Each call gets the running best root as its incumbent (``-inf`` for
+    the first candidate), so a root that cannot beat it is certified only
+    from above; the roots kept, and so the report, are those of calls
+    without an incumbent.
 
     Raises :class:`NotRealRooted` for a polynomial with no real root,
     :class:`RankDeficient` when the selected ``[a b_S]`` fails the rank
@@ -280,7 +284,7 @@ def greedy_select(prob: SelectionProblem) -> SelectionReport:
         polys = expected_poly_from_gram(inst, grams, len(chosen) + 1)
         best_lam, best = -math.inf, -1
         for i, f in enumerate(polys):
-            lam = smallest_root(f, prob.eps)
+            lam = smallest_root(f, prob.eps, best_lam)
             if lam > best_lam:
                 best_lam, best = lam, i
         j = remaining.pop(best)

@@ -112,8 +112,12 @@ def test_sturm_chain_rejects_a_remainder_that_overflows():
     p = Polynomial([1e-300, 1e-300, 1e200, 1e-300])
     with pytest.raises(InvalidInput):
         sturm_chain(p)
-    with pytest.raises(InvalidInput):
-        smallest_root(p, 1e-6)
+    # The Cauchy radius overflows too, so Newton starts at -inf, where p's
+    # value is NaN, a sign that certifies nothing, with any incumbent.
+    for q in (p, Polynomial(-c for c in p.coeffs)):
+        for incumbent in (-math.inf, 0.0, math.inf):
+            with pytest.raises(InvalidInput):
+                smallest_root(q, 1e-6, incumbent)
 
 
 def test_sturm_chain_variations_at_minus_inf_match_the_signs_far_left():
@@ -171,6 +175,14 @@ def test_smallest_root_validation():
             smallest_root(Polynomial([1.0, 0.0, 1.0]), eps)
     with pytest.raises(NotRealRooted):
         smallest_root(Polynomial([3.0]), 1e-6)
+    # eps and incumbent must be real numbers; a bool is not, and NaN is refused
+    p = from_roots([0.3, 0.7])
+    for eps in (True, "1e-6", None, 1e-6 + 0j):
+        with pytest.raises(InvalidInput, match="eps"):
+            smallest_root(p, eps)
+    for incumbent in (float("nan"), False, "0.5", None, 0.5 + 0j):
+        with pytest.raises(InvalidInput, match="incumbent"):
+            smallest_root(p, 1e-6, incumbent)
 
 
 def test_smallest_root_accuracy_random():
@@ -208,26 +220,28 @@ def _counting_sturm_chain(monkeypatch) -> list[int]:
 
 
 def test_smallest_root_certifies_wide_shape_roots(monkeypatch):
-    # The benchmark's wide shape (n, m, l, k) = (6, 48, 3, 12).  Newton and
-    # the two certificates settle every root with one Budan-Fourier count,
-    # for the lower end: the sign change certifies the upper end, so the
-    # Cauchy end needs no count, nothing is bisected, and no Sturm chain
-    # is built.
+    # The benchmark's wide shape (n, m, l, k) = (6, 48, 3, 12).  A root that
+    # becomes the running best is settled by Newton and the two
+    # certificates with one Budan-Fourier count, for the lower end: the
+    # sign change certifies the upper end, so the Cauchy end needs no
+    # count, nothing is bisected, and no Sturm chain is built.  Every other
+    # root is certified from above only, below its incumbent, with no count.
     calls = _counting_count_roots_leq(monkeypatch)
     chains = _counting_sturm_chain(monkeypatch)
-    per_root = []
+    won, lost = [], []
     real_smallest_root = selector.smallest_root
 
-    def counted_smallest_root(p, eps):
+    def counted_smallest_root(p, eps, incumbent):
         before = calls[0]
-        root = real_smallest_root(p, eps)
-        per_root.append(calls[0] - before)
+        root = real_smallest_root(p, eps, incumbent)
+        (won if root > incumbent else lost).append(calls[0] - before)
         return root
 
     monkeypatch.setattr(selector, "smallest_root", counted_smallest_root)
     selector.greedy_select(random_problem(np.random.default_rng(3), 6, 48, 3, 12))
-    assert len(per_root) == sum(48 - j for j in range(12))
-    assert set(per_root) == {1}
+    assert len(won) + len(lost) == sum(48 - j for j in range(12))
+    assert set(won) == {1} and set(lost) == {0}
+    assert len(won) < len(lost)
     assert chains[0] == 0
 
 
@@ -360,24 +374,30 @@ def _times(p: Polynomial, q: Polynomial) -> Polynomial:
     return Polynomial(out)
 
 
-@pytest.mark.parametrize(
-    "pair, real_roots",
-    [
-        # complex pair -2 +/- i, left of the real roots
-        ((5.0, 4.0, 1.0), (0.5, 0.7)),
-        # complex pair -1 +/- 0.5i: Newton stalls near the pair, left of every real root
-        ((1.25, 2.0, 1.0), (0.5, 0.7)),
-        # complex pair 5 +/- 5i: the Laguerre-Samuelson start lies right of 0.1
-        ((50.0, -10.0, 1.0), (0.1, 0.2)),
-        # complex pair 1 +/- i: Newton stops at 1.025, between the roots 0.1
-        # and 2, where p does not change sign
-        ((2.0, -2.0, 1.0), (0.1, 2.0)),
-        # complex pair 2 +/- 2i: Newton lands on the larger real root 1, where
-        # p changes sign; the Budan-Fourier count at its lower end is 1 (the
-        # root -1), so only a zero count may certify it
-        ((8.0, -4.0, 1.0), (-1.0, 1.0)),
-    ],
-)
+# (coefficients of a quadratic with a complex pair, the real roots beside it)
+_COMPLEX_PAIR_CASES = [
+    # complex pair -2 +/- i, left of the real roots
+    ((5.0, 4.0, 1.0), (0.5, 0.7)),
+    # complex pair -1 +/- 0.5i: Newton stalls near the pair, left of every real root
+    ((1.25, 2.0, 1.0), (0.5, 0.7)),
+    # complex pair 5 +/- 5i: the Laguerre-Samuelson start lies right of 0.1
+    ((50.0, -10.0, 1.0), (0.1, 0.2)),
+    # complex pair 1 +/- i: Newton stops at 1.025, between the roots 0.1
+    # and 2, where p does not change sign
+    ((2.0, -2.0, 1.0), (0.1, 2.0)),
+    # complex pair 2 +/- 2i: Newton lands on the larger real root 1, where
+    # p changes sign; the Budan-Fourier count at its lower end is 1 (the
+    # root -1), so only a zero count may certify it
+    ((8.0, -4.0, 1.0), (-1.0, 1.0)),
+]
+# (the same, with one real root that the Budan-Fourier count cannot certify)
+_FOURIER_PAIR_CASES = [
+    ((2.0, 2.0, 1.0), 1.0),  # complex pair -1 +/- i, left of the root
+    ((0.01, 0.0, 1.0), 0.2),  # complex pair +/- 0.1i, just left of the root
+]
+
+
+@pytest.mark.parametrize("pair, real_roots", _COMPLEX_PAIR_CASES)
 def test_smallest_root_complex_pair_falls_back(pair, real_roots):
     # Not real-rooted: Newton's start and its barrier stop are no longer
     # bounds, so whatever the certificates reject is bisected.
@@ -386,13 +406,7 @@ def test_smallest_root_complex_pair_falls_back(pair, real_roots):
         assert abs(smallest_root(p, eps) - real_roots[0]) <= eps
 
 
-@pytest.mark.parametrize(
-    "pair, real_root",
-    [
-        ((2.0, 2.0, 1.0), 1.0),  # complex pair -1 +/- i, left of the root
-        ((0.01, 0.0, 1.0), 0.2),  # complex pair +/- 0.1i, just left of the root
-    ],
-)
+@pytest.mark.parametrize("pair, real_root", _FOURIER_PAIR_CASES)
 def test_smallest_root_falls_back_to_sturm_where_fourier_counts_a_complex_pair(
     monkeypatch, pair, real_root
 ):
@@ -429,9 +443,78 @@ def test_smallest_root_falls_back_to_sturm_where_a_derivative_overflows(monkeypa
     assert abs(smallest_root(p, 1e-6) - 0.05) <= 1e-6
     assert chains[0] == 1
     assert counted and all(counted)
-    # an overflowing p' raises, as the Sturm chain's does
-    with pytest.raises(InvalidInput, match="must be finite"):
-        smallest_root(Polynomial([-1.0, 0.0, 1e308]), 1e-6)
+    # An overflowing p' raises, as the Sturm chain's does, with any
+    # incumbent, and before Newton's start, which squares c[3] / c[4] = 1e200
+    # in the second polynomial and would raise OverflowError.
+    for q in (Polynomial([-1.0, 0.0, 1e308]), Polynomial([0.0, 0.0, 1e308, 1e100, 1e-100])):
+        for incumbent in (-math.inf, 0.0, 10.0, math.inf):
+            with pytest.raises(InvalidInput, match="must be finite"):
+                smallest_root(q, 1e-6, incumbent)
+
+
+def _contract_polynomials() -> list[Polynomial]:
+    """Seeded real-rooted polynomials, some with every root doubled, the
+    complex-pair cases above, and criterion 06's clustered trial 157."""
+    rng = np.random.default_rng(83)
+    polys = [random_real_rooted(rng)[0] for _ in range(24)]
+    for _ in range(8):
+        _, roots = random_real_rooted(rng, max_degree=6)
+        polys.append(from_roots(list(np.sort(np.concatenate([roots, roots])))))
+    polys += [_times(Polynomial(pair), from_roots(roots)) for pair, roots in _COMPLEX_PAIR_CASES]
+    polys += [_times(Polynomial(pair), from_roots([root])) for pair, root in _FOURIER_PAIR_CASES]
+    rng = np.random.default_rng(6)
+    for _ in range(158):
+        p, _ = random_real_rooted(rng)
+    return polys + [p]
+
+
+def _root_or_error(p: Polynomial, eps: float, incumbent: float = -math.inf):
+    """``smallest_root``'s result as ``(hex, None)``, or ``(None, exception type)``."""
+    try:
+        return smallest_root(p, eps, incumbent).hex(), None
+    except NotRealRooted as exc:
+        return None, type(exc)
+
+
+def test_smallest_root_keeps_its_result_or_certifies_it_below_the_incumbent(monkeypatch):
+    # With an incumbent the outcome is the one without (the same float, or
+    # the same exception), or an early exit: below incumbent - eps, with
+    # the exact smallest root of the float polynomial at most eps/4 above
+    # it, and no count or Sturm chain taken.  Incumbents lie left of the
+    # root, within eps of it and right of it.  Some doubled-root
+    # polynomials raise NotRealRooted without an incumbent; they are kept.
+    calls = _counting_count_roots_leq(monkeypatch)
+    chains = _counting_sturm_chain(monkeypatch)
+    early = kept = 0
+    for p in _contract_polynomials():
+        exact_chain = _exact_sturm_chain(p)
+        coeffs = exact_chain[0]
+        bound = 1 + max(abs(c) for c in coeffs[:-1]) / abs(coeffs[-1])
+        at_minus_inf = _exact_variations(exact_chain, -bound)
+        for eps in (1e-4, 1e-6):
+            before = calls[0]
+            plain = _root_or_error(p, eps)
+            assert calls[0] > before  # so a call with no count exited early
+            center = 0.5 if plain[0] is None else float.fromhex(plain[0])
+            offsets = (-0.5, -eps, -0.5 * eps, 0.0, 0.5 * eps, eps, 2.0 * eps, 0.5)
+            for incumbent in [center + d for d in offsets] + [-math.inf, math.inf]:
+                before, chains_before = calls[0], chains[0]
+                got = _root_or_error(p, eps, incumbent)
+                if calls[0] == before and chains[0] == chains_before:
+                    # a result is within eps/2 of the root, so no root at or
+                    # right of the incumbent is certified from above
+                    assert plain[0] is None or incumbent > center
+                    early += 1
+                    root = float.fromhex(got[0])
+                    assert root < incumbent - eps
+                    top = Fraction(root) + Fraction(eps) / 4
+                    assert at_minus_inf - _exact_variations(exact_chain, top) >= 1
+                else:
+                    kept += 1
+                    assert got == plain
+    # Most incumbents at least 2 eps right of the root exit early; not at a
+    # double root, where p keeps its sign.
+    assert early > 200 and kept > 2 * early
 
 
 def test_smallest_root_sign_test_survives_tiny_values():

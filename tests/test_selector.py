@@ -193,7 +193,7 @@ def test_greedy_breaks_ties_by_smallest_column(monkeypatch):
     rng = np.random.default_rng(103)
     b = DenseMatrix(np.hstack([np.eye(2), np.eye(2), rng.standard_normal((2, 3))]))
     prob = SelectionProblem(a=empty_block(2), b=b, k=3)
-    monkeypatch.setattr(selector, "smallest_root", lambda f, eps: 0.5)
+    monkeypatch.setattr(selector, "smallest_root", lambda f, eps, incumbent: 0.5)
     report = greedy_select(prob)
     assert report.subset == (0, 1, 2)
     assert [t.lambda_min for t in report.trace] == [0.5] * 3
@@ -259,6 +259,8 @@ def _assert_replays(prob: SelectionProblem) -> None:
         # At j = 1 and 2 some weight ratio w_i / w_n, with w_n > 2**53, comes out
         # different from float(w_i) / float(w_n), which rounds twice.
         (2, 33, 0, 16, None),
+        # degree 12 with a fixed block: some contenders take the Sturm fallback
+        (12, 100, 6, 40, None),
     ],
 )
 def test_batched_grams_replay_the_per_candidate_loop_bit_for_bit(n, m, ell, k, rank_a):
@@ -270,6 +272,19 @@ def test_batched_grams_replay_the_per_candidate_loop_bit_for_bit(n, m, ell, k, r
             a = rng.standard_normal((n, rank_a)) @ rng.standard_normal((rank_a, ell))
         prob = SelectionProblem(a=DenseMatrix(a), b=DenseMatrix(rng.standard_normal((n, m))), k=k)
         _assert_replays(prob)
+
+
+def test_greedy_replays_near_tied_columns():
+    # Columns 1 and 3 are within 1e-9 of columns 0 and 2, so their roots
+    # come within eps of the running best, where an incumbent that let a
+    # contender exit early would keep its unpolished root.
+    for seed in range(4):
+        rng = np.random.default_rng([4, 10, 1, 5, seed])
+        b = rng.standard_normal((4, 10))
+        b[:, 1] = b[:, 0] + 1e-9 * rng.standard_normal(4)
+        b[:, 3] = b[:, 2] * (1 + 1e-9)
+        a = DenseMatrix(rng.standard_normal((4, 1)))
+        _assert_replays(SelectionProblem(a=a, b=DenseMatrix(b), k=5))
 
 
 def test_batched_grams_replay_an_eigenvalue_exactly_one():

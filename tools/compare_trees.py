@@ -3,8 +3,11 @@
 Usage: python tools/compare_trees.py OLD_SRC NEW_SRC
 
 Each tree is imported in its own subprocess (``PYTHONPATH=<src>``), runs
-``greedy_select`` and ``verify_bound`` on the same 165 instances, and
-prints one JSON record per instance.  The comparison lists the instances
+``greedy_select`` and ``verify_bound`` on the same 170 instances, and
+prints one JSON record per instance.  An instance whose ``greedy_select``
+raises is recorded with the exception's type and message instead; the
+comparison lists the instances whose outcomes differ, and compares the
+rest only where both trees returned a report.  It lists the instances
 whose subsets (selected indices in selection order) differ.  Apart from
 those, it counts the instances whose trace root values differ and
 reports the largest root difference ``|old - new| / eps``.  It also
@@ -12,13 +15,13 @@ reports the largest relative difference of the norms, the bound factor
 and the verify ratios.
 
 Every instance with ``C(m, k) <= 2002`` (all shapes but the first and
-the last two) also runs ``brute_force``; the comparison lists the instances
+the last four) also runs ``brute_force``; the comparison lists the instances
 whose best subsets or sets of feasible subsets differ and reports the
 largest relative difference of each norm over the subsets feasible in
 both.  It also prints each tree's total ``greedy_select`` wall time over
 all instances and total ``brute_force`` wall time over those, for
-information only.  Exit status 1 if any subset, root value, best subset
-or feasible set differs.
+information only.  Exit status 1 if any outcome, subset, root value,
+best subset or feasible set differs.
 """
 from __future__ import annotations
 
@@ -46,6 +49,10 @@ SHAPES = (
     # degree 12 with a fixed block: some roots need the Sturm fallback, so
     # both of smallest_root's certificate paths are compared
     (12, 100, 6, 40, None, 2),
+    # the minimal budget k = n - r, where greedy_select raises
+    # AlgorithmFailure on every instance here: the outcomes are compared
+    (8, 200, 0, 8, None, 3),
+    (12, 150, 0, 12, None, 2),
 )
 BRUTE_FORCE_LIMIT = 2002  # C(14, 5), the benchmark's oracle shape
 VALUES = ("frob_sq", "spec_sq", "baseline_frob_sq", "baseline_spec_sq", "bound_factor",
@@ -67,20 +74,25 @@ def dump() -> None:
             prob = SelectionProblem(
                 a=DenseMatrix(a), b=DenseMatrix(rng.standard_normal((n, m))), k=k
             )
+            record = {"shape": [n, m, ell, k, rank_a], "seed": seed}
             t0 = time.perf_counter()
-            report = greedy_select(prob)
+            try:
+                report = greedy_select(prob)
+            except Exception as exc:  # an outcome to compare, not a reason to stop
+                record.update(error=[type(exc).__name__, str(exc)],
+                              greedy_s=time.perf_counter() - t0)
+                print(json.dumps(record))
+                continue
             greedy_s = time.perf_counter() - t0
             _, ratio_frob, ratio_spec = verify_bound(prob, report.subset)
-            record = {
-                "shape": [n, m, ell, k, rank_a],
-                "seed": seed,
+            record.update({
                 "subset": list(report.subset),
                 "eps": report.eps,
                 "trace": [t.lambda_min.hex() for t in report.trace],
                 "ratio_frob": ratio_frob,
                 "ratio_spec": ratio_spec,
                 "greedy_s": greedy_s,
-            }
+            })
             record.update((v, getattr(report, v)) for v in VALUES[:5])
             if math.comb(m, k) <= BRUTE_FORCE_LIMIT:
                 t0 = time.perf_counter()
@@ -109,7 +121,8 @@ def run(src: str) -> list[dict]:
 def main(old_src: str, new_src: str) -> int:
     old, new = run(old_src), run(new_src)
     assert len(old) == len(new)
-    pairs = list(zip(old, new))
+    outcomes = [(o["shape"], o["seed"]) for o, c in zip(old, new) if o.get("error") != c.get("error")]
+    pairs = [(o, c) for o, c in zip(old, new) if "error" not in o and "error" not in c]
     subsets = [(o["shape"], o["seed"]) for o, c in pairs if o["subset"] != c["subset"]]
     roots = sum(o["subset"] == c["subset"] and o["trace"] != c["trace"] for o, c in pairs)
     root_gap = max(
@@ -121,7 +134,8 @@ def main(old_src: str, new_src: str) -> int:
         ),
         default=0.0,
     )
-    worst = {v: max(abs(c[v] - o[v]) / abs(o[v]) for o, c in pairs) for v in VALUES}
+    worst = {v: max((abs(c[v] - o[v]) / abs(o[v]) for o, c in pairs), default=0.0)
+             for v in VALUES}
     enums = [
         (o["shape"], o["seed"], o["brute_force"], c["brute_force"])
         for o, c in pairs
@@ -142,7 +156,9 @@ def main(old_src: str, new_src: str) -> int:
         v: max((abs(c[i] - o[i]) / o[i] for o, c in feasible_in_both), default=0.0)
         for i, v in enumerate(("frob_sq", "spec_sq"))
     }
-    print(f"{len(old)} instances")
+    errors = sorted({r["error"][0] for r in old + new if "error" in r})
+    print(f"{len(old)} instances, {len(old) - len(pairs)} raising in either tree", *errors)
+    print(f"  outcome mismatches: {len(outcomes)}", *outcomes)
     print(f"  subset or order mismatches: {len(subsets)}", *subsets)
     print(f"  root value mismatches: {roots}; max |old - new| / eps: {root_gap:.3g}")
     old_s, new_s = (sum(r["greedy_s"] for r in tree) for tree in (old, new))
@@ -155,7 +171,7 @@ def main(old_src: str, new_src: str) -> int:
     print(f"  total brute_force wall time: old {old_s:.3f} s, new {new_s:.3f} s")
     for v, rel in enum_worst.items():
         print(f"  max relative difference of {v} over feasible subsets: {rel:.2e}")
-    return 1 if subsets or roots or enum_mismatches else 0
+    return 1 if outcomes or subsets or roots or enum_mismatches else 0
 
 
 if __name__ == "__main__":
