@@ -244,11 +244,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built by the first main() call and reused: parse_args leaves the parser as it found it
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
     """Parse ``argv``, run the subcommand and write its result to stdout or
     ``--out``; return 0, or 1 for a usage or input error, 2 for an algorithm failure."""
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
     try:
-        args = build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
         return 0 if exc.code == 0 else 1
     try:

@@ -170,7 +170,8 @@ def _as_index(value: object, error: type[ValueError], what: str) -> int:
 
 def _as_indices(values: Iterable[object], count: int, error: type[ValueError]) -> list[int]:
     """``values`` as distinct integer column indices in ``[0, count)``, or ``error``."""
-    idx = [_as_index(j, error, "column index") for j in values]
+    # an exact int, the type combinations() yields, skips the slower check; a bool is not one
+    idx = [j if type(j) is int else _as_index(j, error, "column index") for j in values]
     for j in idx:
         if not 0 <= j < count:
             raise error(f"column index {j} out of range [0, {count})")
@@ -179,9 +180,22 @@ def _as_indices(values: Iterable[object], count: int, error: type[ValueError]) -
     return idx
 
 
+def _wrap(a: np.ndarray) -> DenseMatrix:
+    """``a`` as a :class:`DenseMatrix` without a copy or a finiteness scan.
+
+    Only for a fresh C-contiguous 2-d float64 array with finite entries
+    that nothing else holds; it is set read-only here.
+    """
+    a.setflags(write=False)
+    q = object.__new__(DenseMatrix)
+    object.__setattr__(q, "data", a)
+    return q
+
+
 def columns(q: DenseMatrix, s: Iterable[int]) -> DenseMatrix:
     """Extract the columns of ``q`` indexed by the integers ``s``, in the order listed."""
-    return DenseMatrix(q.data.take(_as_indices(s, q.cols, InvalidSubset), axis=1))
+    # take() returns a fresh C-contiguous copy, finite because q's entries are
+    return _wrap(q.data.take(_as_indices(s, q.cols, InvalidSubset), axis=1))
 
 
 def hcat(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:

@@ -1,6 +1,6 @@
-"""Independent cross-check machinery: enumeration (one stacked SVD per batch
-of up to 256 subsets), barriers, companion roots, and the monomial-basis
-expected-polynomial pipeline.
+"""Independent cross-check machinery: enumeration (one stacked singular-value
+call per batch of up to 256 subsets), barriers, companion roots, and the
+monomial-basis expected-polynomial pipeline.
 
 Nothing here shares a code path with the root search, the y-basis transform,
 the greedy loop or the selector's subset norms, which is the point: these
@@ -40,8 +40,8 @@ DEFLATION_REM_TOL = 1e-8
 
 @dataclass(frozen=True)
 class EnumerationResult:
-    """Exhaustive evaluation of all size-k subsets, one stacked SVD per batch
-    of up to 256 subsets.
+    """Exhaustive evaluation of all size-k subsets, from the singular values
+    of one stacked SVD per batch of up to 256 subsets.
 
     ``all_values`` maps each subset (sorted tuple) to ``(frob_sq,
     spec_sq)``, the squared pseudoinverse norms of ``[a b_S]``;
@@ -60,13 +60,13 @@ class EnumerationResult:
 def brute_force(prob: SelectionProblem) -> EnumerationResult:
     """Exact optimum over all ``C(m, k)`` subsets for both norms.
 
-    It takes one stacked ``np.linalg.svd`` per batch of up to
+    It takes the singular values alone, from one stacked
+    ``np.linalg.svd(..., compute_uv=False)`` per batch of up to
     ``ENUMERATION_BATCH`` (256) subsets' ``[a b_S]``.  A subset is full rank
-    when ``sigma_min > DEFAULT_RANK_TOL * sigma_max``; for those it forms
-    ``[a b_S]^+ = V diag(1/sigma) U^T``: ``|.^+|_F^2`` sums its squared
-    entries and ``|.^+|_2^2 = 1/sigma_min^2`` (clamped to the Frobenius
-    value).  Neither goes through the selector's norm helper or
-    :func:`~colsel.linalg.thin_svd`.
+    when ``sigma_min > DEFAULT_RANK_TOL * sigma_max``; for those
+    ``|[a b_S]^+|_F^2 = sum sigma_i^-2`` and ``|[a b_S]^+|_2^2 =
+    sigma_min^-2`` (clamped to the Frobenius value).  Neither goes through
+    the selector's norm helper or :func:`~colsel.linalg.thin_svd`.
     """
     count = math.comb(prob.m, prob.k)
     if count > ENUMERATION_GUARD:
@@ -81,18 +81,16 @@ def brute_force(prob: SelectionProblem) -> EnumerationResult:
     while batch := list(islice(subsets, ENUMERATION_BATCH)):
         stack = np.empty((len(batch), prob.a.rows, ell + prob.k))
         stack[:, :, :ell] = prob.a.data
-        for i, subset in enumerate(batch):
-            stack[i, :, ell:] = columns(prob.b, subset).data
-        u, s, vt = np.linalg.svd(stack, full_matrices=False)  # n values: l + k >= n
+        stack[:, :, ell:] = np.stack([columns(prob.b, subset).data for subset in batch])
+        s = np.linalg.svd(stack, compute_uv=False)  # n values: l + k >= n
         sigma_min_sq = s[:, -1] ** 2
         # sigma_min^2 = 0 (underflow) means both norms overflow
         feasible = (s[:, -1] > DEFAULT_RANK_TOL * s[:, 0]) & (sigma_min_sq > 0.0)
-        # V diag(1/sigma) U^T for the feasible rows only, so nothing divides by a zero sigma
-        v_over_s = vt[feasible].transpose(0, 2, 1) / s[feasible, None, :]
-        pinv = v_over_s @ u[feasible].transpose(0, 2, 1)
+        # the feasible rows only, so nothing divides by a zero sigma
+        s_feasible = s[feasible]
         frob_sq = np.full(len(batch), math.inf)
         with np.errstate(over="ignore"):
-            frob_sq[feasible] = np.sum(pinv * pinv, axis=(1, 2))
+            frob_sq[feasible] = np.sum(1.0 / (s_feasible * s_feasible), axis=1)
         spec_sq = np.full(len(batch), math.inf)
         feasible &= frob_sq < math.inf
         spec_sq[feasible] = np.minimum(1.0 / sigma_min_sq[feasible], frob_sq[feasible])

@@ -295,7 +295,12 @@ def _newton_from_left(c: Sequence[float], dp: Sequence[float], lo: float, hi: fl
     mean = -c[n - 1] / (n * c[n])
     spread = 0.0
     if n >= 2:
-        sum_sq = (c[n - 1] / c[n]) ** 2 - 2.0 * c[n - 2] / c[n]
+        # A float ** raises on overflow where q * q gives inf, but q * q can
+        # differ from ** 2 by an ulp, which would move the start.
+        try:
+            sum_sq = (c[n - 1] / c[n]) ** 2 - 2.0 * c[n - 2] / c[n]
+        except OverflowError:  # the start falls back to lo
+            sum_sq = math.inf
         spread = math.sqrt(max((n - 1) * (sum_sq / n - mean * mean), 0.0))
     x = mean - spread
     if not lo < x < hi:

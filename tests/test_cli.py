@@ -208,12 +208,21 @@ def test_select_reports_the_problem_default_eps(tmp_path, capsys):
 )
 def test_usage_errors_exit_1_and_help_exits_0(tmp_path, capsys, argv, code):
     b = write(tmp_path, "b.csv", DOUBLED_IDENTITY_CSV)
+    select = ["select", "--b", b, "-k", "2"]
+    assert main(select) == 0
+    selected = capsys.readouterr()
     assert main([b if arg == "B" else arg for arg in argv]) == code
     captured = capsys.readouterr()
     if code == 0:
         assert captured.out.startswith("usage: colsel") and captured.err == ""
     else:
         assert captured.out == "" and captured.err.startswith("usage: colsel")
+    # main builds its parser once: the same call prints the same bytes again,
+    # and a call after a usage error or --help runs as before it
+    assert main([b if arg == "B" else arg for arg in argv]) == code
+    assert capsys.readouterr() == captured
+    assert main(select) == 0
+    assert capsys.readouterr() == selected
 
 
 def test_select_missing_file(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Matrix substrate: SVD, pseudoinverse, norms, slicing, Gram updates."""
 from __future__ import annotations
 
+import enum
 import math
 
 import numpy as np
@@ -160,19 +161,41 @@ def test_columns_basic():
     assert columns(q, []) == DenseMatrix.zeros(2, 0)
 
 
+def test_columns_returns_a_read_only_copy():
+    q = DenseMatrix([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+    for s in ([0, 2], [2, 1, 0], [1], []):
+        data = columns(q, s).data
+        assert data.dtype == np.float64 and data.flags.c_contiguous
+        assert not data.flags.writeable
+        assert not np.shares_memory(data, q.data)
+        with pytest.raises(ValueError):
+            data[...] = 0.0
+    assert q == DenseMatrix([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+
+
 def test_columns_error_cases():
     q = DenseMatrix([[1.0, 2.0], [3.0, 4.0]])
     with pytest.raises(InvalidSubset):
         columns(q, [0, 2])
     with pytest.raises(InvalidSubset):
+        columns(q, [-1])
+    with pytest.raises(InvalidSubset):
         columns(q, [1, 1])
+    with pytest.raises(InvalidSubset):
+        columns(q, [np.int64(1), 1])
+
+
+class _Column(enum.IntEnum):
+    LAST = 2
 
 
 def test_columns_takes_integer_indices_only():
     q = DenseMatrix([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
     assert columns(q, [np.int64(2)]) == DenseMatrix([[3.0], [6.0]])
-    with pytest.raises(InvalidSubset, match="must be an integer"):
-        columns(q, [2.7])
+    assert columns(q, [_Column.LAST, 0]) == DenseMatrix([[3.0, 1.0], [6.0, 4.0]])
+    for bad in (2.7, 1.0, True, np.True_):
+        with pytest.raises(InvalidSubset, match="must be an integer"):
+            columns(q, [bad])
     with pytest.raises(InvalidSubset, match="must be an integer, got False"):
         columns(q, [False, True])
 

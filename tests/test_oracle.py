@@ -103,17 +103,16 @@ def test_brute_force_batches_its_svds(monkeypatch):
 
 
 def _per_subset_values(prob):
-    """The enumeration with one SVD per subset, as it stood before batching."""
+    """The enumeration with one SVD per subset: ``|.^+|_F^2 = sum sigma^-2``."""
     values = {}
     for subset in combinations(range(prob.m), prob.k):
         selected = np.hstack([prob.a.data, prob.b.data[:, list(subset)]])
-        u, s, vt = np.linalg.svd(selected, full_matrices=False)
+        s = np.linalg.svd(selected, compute_uv=False)
         sigma_min_sq = float(s[-1]) ** 2
         frob_sq = spec_sq = math.inf
         if s[-1] > DEFAULT_RANK_TOL * s[0] and sigma_min_sq > 0.0:
-            pinv = (vt.T / s) @ u.T
             with np.errstate(over="ignore"):
-                frob = float(np.sum(pinv * pinv))
+                frob = float(np.sum(1.0 / (s * s)))
             if frob < math.inf:
                 frob_sq, spec_sq = frob, min(1.0 / sigma_min_sq, frob)
         values[subset] = (frob_sq, spec_sq)
@@ -137,6 +136,7 @@ def test_brute_force_matches_the_per_subset_loop(n, m, ell, k):
         feasible = {s for s, (f, _) in expected.items() if math.isfinite(f)}
         assert {s for s, (f, _) in result.all_values.items() if math.isfinite(f)} == feasible
         assert 0 < len(feasible) < len(expected)
+        pinv_feasible = set()
         for subset in expected:
             frob_sq, spec_sq = result.all_values[subset]
             assert type(frob_sq) is float and type(spec_sq) is float
@@ -145,6 +145,15 @@ def test_brute_force_matches_the_per_subset_loop(n, m, ell, k):
                 assert spec_sq == pytest.approx(expected[subset][1], rel=1e-15, abs=0.0)
             else:
                 assert spec_sq == math.inf
+            # the explicit pseudoinverse, which drops sigma <= DEFAULT_RANK_TOL * sigma_max:
+            # its rank is the trace of the projector selected @ pinv
+            selected = np.hstack([a, b[:, list(subset)]])
+            pinv = np.linalg.pinv(selected, DEFAULT_RANK_TOL)
+            if round(float(np.trace(selected @ pinv))) == n:
+                pinv_feasible.add(subset)
+                assert frob_sq == pytest.approx(np.sum(pinv * pinv), rel=1e-12, abs=0.0)
+                assert spec_sq == pytest.approx(np.linalg.norm(pinv, 2) ** 2, rel=1e-12, abs=0.0)
+        assert pinv_feasible == feasible
 
 
 def test_brute_force_ties_go_to_the_first_subset_across_batches():

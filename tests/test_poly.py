@@ -452,6 +452,19 @@ def test_smallest_root_falls_back_to_sturm_where_a_derivative_overflows(monkeypa
                 smallest_root(q, 1e-6, incumbent)
 
 
+def test_smallest_root_survives_an_overflowing_newton_start():
+    # Newton's start squares c[n-1] / c[n] = +-1e200, and a float ** that
+    # overflows raises OverflowError; the roots of the first are -1e200 and 0.
+    for c in ([0.0, 1e200, 1.0], [0.0, -1e200, 1.0], [1.0, 1e200, 1.0], [0.0, 1e160, 1e-150]):
+        for eps in (1e-6, 1e-4):
+            for incumbent in (-math.inf, 0.0, math.inf):
+                try:
+                    root = smallest_root(Polynomial(c), eps, incumbent)
+                except (InvalidInput, NotRealRooted):
+                    continue
+                assert type(root) is float and math.isfinite(root)
+
+
 def _contract_polynomials() -> list[Polynomial]:
     """Seeded real-rooted polynomials, some with every root doubled, the
     complex-pair cases above, and criterion 06's clustered trial 157."""

@@ -21,7 +21,9 @@ largest relative difference of each norm over the subsets feasible in
 both.  It also prints each tree's total ``greedy_select`` wall time over
 all instances and total ``brute_force`` wall time over those, for
 information only.  Exit status 1 if any outcome, subset, root value,
-best subset or feasible set differs.
+best subset or feasible set differs, or if a brute-force norm's largest
+relative difference exceeds ``BRUTE_FORCE_RTOL`` (1e-12): two ways of
+taking the same singular values may round differently, but by a few ulps.
 """
 from __future__ import annotations
 
@@ -55,6 +57,7 @@ SHAPES = (
     (12, 150, 0, 12, None, 2),
 )
 BRUTE_FORCE_LIMIT = 2002  # C(14, 5), the benchmark's oracle shape
+BRUTE_FORCE_RTOL = 1e-12
 VALUES = ("frob_sq", "spec_sq", "baseline_frob_sq", "baseline_spec_sq", "bound_factor",
           "ratio_frob", "ratio_spec")
 
@@ -170,8 +173,10 @@ def main(old_src: str, new_src: str) -> int:
     old_s, new_s = (sum(r.get("brute_force_s", 0.0) for r in tree) for tree in (old, new))
     print(f"  total brute_force wall time: old {old_s:.3f} s, new {new_s:.3f} s")
     for v, rel in enum_worst.items():
-        print(f"  max relative difference of {v} over feasible subsets: {rel:.2e}")
-    return 1 if outcomes or subsets or roots or enum_mismatches else 0
+        print(f"  max relative difference of {v} over feasible subsets: {rel:.2e}"
+              f" (gate {BRUTE_FORCE_RTOL:.0e})")
+    drift = max(enum_worst.values()) > BRUTE_FORCE_RTOL
+    return 1 if outcomes or subsets or roots or enum_mismatches or drift else 0
 
 
 if __name__ == "__main__":
