@@ -11,16 +11,17 @@ the partial's characteristic polynomial, written in the basis
 
     f_i = c_i * prod_{t<d} (i+a-t) / (n+a-t)
 
-and the result is already monic of degree ``n``.  It is returned in the
-monomial ``x`` basis.
+and the result is already monic of degree ``n``.  It is returned in that
+basis, as the coefficients ``f_i`` of ``y^i``: its roots are those of
+the average in ``x``, each less one.  Only :func:`charpoly_psd` returns
+a polynomial in ``x``.
 
 The transform works on a stack of Gram matrices at once, as the greedy
 loop scores every remaining candidate of an iteration: one stacked
 ``eigvalsh`` call, then each stage (exact zeros, root expansion,
-weights, ``y -> x`` shift) as one array operation per coefficient over
-all rows.  Each row takes the same float operations, in the same order,
-as the scalar loops of :func:`~colsel.poly.from_roots` and Horner's rule
-on that Gram alone.
+weights) as one array operation per coefficient over all rows.  Each
+row takes the same float operations, in the same order, as the stack
+holding that Gram alone.
 """
 from __future__ import annotations
 
@@ -168,8 +169,7 @@ def charpoly_psd(g: DenseMatrix) -> Polynomial:
 def _from_roots_rows(roots: np.ndarray) -> np.ndarray:
     """Row ``i``: the monic polynomial with roots ``roots[i]``, ascending
     coefficients.  Factors are multiplied in column order, each by the
-    update of :func:`~colsel.poly.from_roots`, so each row is bit for bit
-    ``from_roots`` of the same roots when they come in ascending ``|r|``."""
+    update of :func:`~colsel.poly.from_roots`."""
     rows, n = roots.shape
     c = np.zeros((rows, n + 1))
     c[:, 0] = 1.0
@@ -189,8 +189,10 @@ def _shifted_charpolys(grams: np.ndarray, a: int) -> np.ndarray:
     The roots ``r = mu - 1`` come in descending ``mu``, ``eigvalsh``'s order
     reversed: a partial Gram has ``0 <= mu <= 1`` (``y_S y_S^T <= y y^T = I``),
     so that is ascending ``|r|``, the order ``from_roots`` sorts into.  A
-    product of factors ``y + |r|`` has no cancellation in any order; this
-    one is kept only so that reports stay bit-identical.
+    product of factors ``y + |r|`` has no cancellation in any order, but
+    the order still moves the rounding: in ``eigvalsh``'s own order the
+    greedy subsets of ``tools/compare_trees.py`` stayed the same, while
+    degree-12 roots moved by up to 47.5 eps.
 
     For ``a < 0`` the first ``-a`` roots, those of the largest eigenvalues,
     are set to exactly zero.  They are zero in exact arithmetic: with
@@ -212,26 +214,12 @@ def _falling_weights(n: int, a: int, d: int) -> list[int]:
     return [math.perm(i + a, d) if i + a >= 0 else 0 for i in range(n + 1)]
 
 
-def _from_shifted(f: np.ndarray) -> np.ndarray:
-    """Row ``i``: ``sum_q f[i, q] (x - 1)^q`` in monomial coefficients
-    (Horner, one slice update per power over all rows)."""
-    n = f.shape[1] - 1
-    c = np.empty_like(f)
-    c[:, 0] = f[:, n]
-    for t in range(1, n + 1):
-        # c <- c * (x - 1) + f[:, n - t]; the right-hand sides read the old values
-        c[:, t] = c[:, t - 1]
-        c[:, 1:t] = c[:, : t - 1] - c[:, 1:t]
-        c[:, 0] = f[:, n - t] - c[:, 0]
-    return c
-
-
 def expected_poly_from_gram(
     inst: IsotropicInstance, grams: np.ndarray, j: int
 ) -> list[Polynomial]:
     """Expected polynomials of size-``j`` partials, one per matrix of the
     ``(C, n, n)`` stack ``grams`` of selected-plus-fixed Gram matrices;
-    each is monic of degree ``n``.
+    each is monic of degree ``n``, in powers of ``y = x - 1``.
 
     The whole stack goes through one eigenvalue call and one transform;
     each row takes the same float operations, in the same order, as a
@@ -246,7 +234,7 @@ def expected_poly_from_gram(
     w = _falling_weights(n, a, d)
     # Python-int true division rounds once; w can exceed 2**53
     ratio = np.array([wi / w[n] for wi in w])
-    return [Polynomial(f) for f in _from_shifted(_shifted_charpolys(grams, a) * ratio).tolist()]
+    return [Polynomial(f) for f in (_shifted_charpolys(grams, a) * ratio).tolist()]
 
 
 def _partial_gram(
@@ -267,7 +255,7 @@ def expected_poly(inst: IsotropicInstance, partial: Sequence[int]) -> Polynomial
 
     ``partial`` holds distinct candidates, each named by its column of
     ``b`` (column ``j`` of ``inst.candidates``); the result is monic of
-    degree ``n``.
+    degree ``n``, in powers of ``y = x - 1``.
     """
     idx, gram = _partial_gram(inst, partial, inst.k)
     return expected_poly_from_gram(inst, gram.data[None], len(idx))[0]
@@ -279,19 +267,19 @@ def root_sum_identity_check(inst: IsotropicInstance, s: Sequence[int]) -> float:
 
     Compares the sum of the child characteristic polynomials of ``s``
     against the one-derivative weights (``d = 1``, not normalised)
-    applied to the polynomial of ``s`` itself; both sides have the number
-    of children as leading coefficient, and the residual is scaled by
-    it.  Test helper.
+    applied to the polynomial of ``s`` itself, both in powers of
+    ``y = x - 1``; both sides have the number of children as leading
+    coefficient, and the residual is scaled by it.  Test helper.
     """
     idx, gram = _partial_gram(inst, s, inst.m - 1)
     n, m = inst.n, inst.m
 
     children = [j for j in range(m) if j not in idx]
     child_grams = _gram_updates(gram.data, inst.candidates[:, children])
-    lhs = _from_roots_rows(_psd_eigenvalues(child_grams)).sum(axis=0)
+    lhs = _from_roots_rows(_psd_eigenvalues(child_grams) - 1.0).sum(axis=0)
 
     a = m - n - len(idx)
     w = np.array(_falling_weights(n, a, 1), dtype=float)
-    rhs = _from_shifted(_shifted_charpolys(gram.data[None], a) * w)[0]
+    rhs = (_shifted_charpolys(gram.data[None], a) * w)[0]
 
     return float(np.max(np.abs(lhs - rhs)) / len(children))

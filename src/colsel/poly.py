@@ -295,12 +295,9 @@ def _newton_from_left(c: Sequence[float], dp: Sequence[float], lo: float, hi: fl
     mean = -c[n - 1] / (n * c[n])
     spread = 0.0
     if n >= 2:
-        # A float ** raises on overflow where q * q gives inf, but q * q can
-        # differ from ** 2 by an ulp, which would move the start.
-        try:
-            sum_sq = (c[n - 1] / c[n]) ** 2 - 2.0 * c[n - 2] / c[n]
-        except OverflowError:  # the start falls back to lo
-            sum_sq = math.inf
+        # q * q, not q ** 2, which raises on overflow: an inf start falls back to lo
+        q = c[n - 1] / c[n]
+        sum_sq = q * q - 2.0 * c[n - 2] / c[n]
         spread = math.sqrt(max((n - 1) * (sum_sq / n - mean * mean), 0.0))
     x = mean - spread
     if not lo < x < hi:

@@ -258,12 +258,14 @@ def greedy_select(prob: SelectionProblem) -> SelectionReport:
     :func:`~colsel.expected_charpoly.expected_poly_from_gram` call (one
     stacked eigenvalue call, one array-level transform), then finds each
     candidate's root with its own :func:`~colsel.poly.smallest_root` call.
-    It scans the remaining columns in ascending order and keeps a
-    strictly larger root only, so an exact tie goes to the smallest column.
-    Each call gets the running best root as its incumbent (``-inf`` for
-    the first candidate), so a root that cannot beat it is certified only
-    from above; the roots kept, and so the report, are those of calls
-    without an incumbent.
+    The polynomials come in powers of ``y = x - 1``, so the roots, and the
+    running best, are ``y`` values; a trace step records the chosen root
+    in ``x``, as ``1 + y``.  The loop scans the remaining columns in
+    ascending order and keeps a strictly larger root only, so an exact tie
+    goes to the smallest column.  Each call gets the running best root as
+    its incumbent (``-inf`` for the first candidate), so a root that cannot
+    beat it is certified only from above; the roots kept, and so the
+    report, are those of calls without an incumbent.
 
     Raises :class:`NotRealRooted` for a polynomial with no real root,
     :class:`RankDeficient` when the selected ``[a b_S]`` fails the rank
@@ -282,15 +284,15 @@ def greedy_select(prob: SelectionProblem) -> SelectionReport:
         # broadcast, and their expected polynomials, from one transform.
         grams = _gram_updates(gram, inst.candidates[:, remaining])
         polys = expected_poly_from_gram(inst, grams, len(chosen) + 1)
-        best_lam, best = -math.inf, -1
+        best_y, best = -math.inf, -1
         for i, f in enumerate(polys):
-            lam = smallest_root(f, prob.eps, best_lam)
-            if lam > best_lam:
-                best_lam, best = lam, i
+            root_y = smallest_root(f, prob.eps, best_y)
+            if root_y > best_y:
+                best_y, best = root_y, i
         j = remaining.pop(best)
         gram = grams[best]
         chosen.append(j)
-        trace.append(TraceStep(index=j, lambda_min=best_lam))
+        trace.append(TraceStep(index=j, lambda_min=1.0 + best_y))
 
     frob_sq, spec_sq = _subset_norms_sq(prob, chosen)
     baseline_frob_sq, baseline_spec_sq = prob.baseline_norms_sq

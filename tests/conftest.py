@@ -32,6 +32,13 @@ def valid_budgets(n: int, ell: int, m: int) -> range:
     return range(max(1, n - r), m)
 
 
+def in_x(p: Polynomial) -> Polynomial:
+    """``p``, given in powers of ``y = x - 1`` as expected polynomials are, in
+    powers of ``x``: numpy's composition with ``x - 1``, no package code."""
+    x_minus_1 = np.polynomial.Polynomial([-1.0, 1.0])
+    return Polynomial(np.polynomial.Polynomial(p.coeffs)(x_minus_1).coef)
+
+
 def random_real_rooted(
     rng: np.random.Generator, max_degree: int = 12, low: float = 0.0, high: float = 1.0
 ) -> tuple[Polynomial, np.ndarray]:

@@ -24,7 +24,7 @@ from colsel.selector import (
     gamma,
     greedy_select,
 )
-from conftest import random_isotropic, random_problem, random_real_rooted, valid_budgets
+from conftest import in_x, random_isotropic, random_problem, random_real_rooted, valid_budgets
 
 EPS = 1e-6
 
@@ -68,7 +68,7 @@ def test_criterion_02_two_column_equality_case():
     # m=2, n=1, k=1, no fixed block: the root polynomial is x - 1/2 and
     # the barrier lower bound 1/gamma(2,1,1,0) meets it exactly.
     inst = random_isotropic(np.random.default_rng(2), n=1, m=2, ell=0, k=1)
-    f = expected_poly(inst, ())
+    f = in_x(expected_poly(inst, ()))
     assert np.asarray(f.coeffs) == pytest.approx((-0.5, 1.0), abs=1e-9)
     lam = smallest_root(f, 1e-10)
     bound = 1.0 / gamma(2, 1, 1, 0)
@@ -105,7 +105,7 @@ def test_criterion_04_expectation_consistency():
             for m in range(n + 1, 9):
                 for k in valid_budgets(n, ell, m):
                     inst = random_isotropic(rng, n, m, ell, k)
-                    f = np.asarray(expected_poly(inst, ()).coeffs)
+                    f = np.asarray(in_x(expected_poly(inst, ())).coeffs)
                     acc = np.zeros(n + 1)
                     count = 0
                     for subset in combinations(range(inst.m), k):
@@ -157,7 +157,7 @@ def test_criterion_05_interlacing_family():
                 v = inst.candidates[:, s]
                 g += np.outer(v, v)
             best_leaf = max(best_leaf, float(np.linalg.eigvalsh(g)[0]))
-        tree_root = smallest_root(expected_poly(inst, ()), 1e-9)
+        tree_root = smallest_root(in_x(expected_poly(inst, ())), 1e-9)
         assert best_leaf >= tree_root - 1e-8, trial
         enumerable += 1
     _report(5, "interlacing family", f"500 convex combos, {enumerable} enumerable instances")

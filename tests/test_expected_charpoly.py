@@ -19,7 +19,7 @@ from colsel.expected_charpoly import (
 from colsel.linalg import DenseMatrix, gram_update, thin_svd
 from colsel.oracle import shifted_pipeline
 from colsel.poly import Polynomial, from_roots, is_real_rooted, smallest_root
-from conftest import random_isotropic, valid_budgets
+from conftest import in_x, random_isotropic, valid_budgets
 
 
 def leaf_charpoly(inst: IsotropicInstance, subset) -> Polynomial:
@@ -101,14 +101,14 @@ def test_instance_prefix_layout():
 def test_expected_poly_two_column_average():
     # one row, two unit-norm columns: the root polynomial is x - 1/2
     inst = IsotropicInstance.from_y(DenseMatrix([[0.6, 0.8]]), 0, k=1)
-    assert expected_poly(inst, ()).coeffs == pytest.approx((-0.5, 1.0))
+    assert in_x(expected_poly(inst, ())).coeffs == pytest.approx((-0.5, 1.0))
 
 
 def test_expected_poly_full_partial_is_leaf():
     rng = np.random.default_rng(41)
     inst = random_isotropic(rng, n=2, m=5, ell=1, k=3)
     partial = (0, 1, 2)
-    f = expected_poly(inst, partial)
+    f = in_x(expected_poly(inst, partial))
     leaf = leaf_charpoly(inst, partial)
     assert np.asarray(f.coeffs) == pytest.approx(np.asarray(leaf.coeffs), abs=1e-10)
 
@@ -116,7 +116,7 @@ def test_expected_poly_full_partial_is_leaf():
 def test_expected_poly_empty_partial_matches_enumeration():
     rng = np.random.default_rng(43)
     inst = random_isotropic(rng, n=2, m=3, ell=0, k=2)
-    f = expected_poly(inst, ())
+    f = in_x(expected_poly(inst, ()))
     assert np.asarray(f.coeffs) == pytest.approx(leaf_average(inst), abs=1e-8)
 
 
@@ -133,7 +133,7 @@ def test_expected_poly_matches_enumeration_at_all_depths():
         partial = tuple(
             int(v) for v in rng.choice(inst.m, size=j, replace=False)
         )
-        f = expected_poly(inst, partial)
+        f = in_x(expected_poly(inst, partial))
         assert np.asarray(f.coeffs) == pytest.approx(leaf_average(inst, partial), abs=1e-8)
 
 
@@ -154,7 +154,7 @@ def test_expected_poly_closed_form_at_empty_partial():
         sigma = thin_svd(fixed_cols).sigma
         seed = from_roots([0.0] * (n - inst.r) + [s * s for s in sigma])
         expect = shifted_pipeline(seed, m - n, k)
-        got = expected_poly(inst, ())
+        got = in_x(expected_poly(inst, ()))
         assert np.asarray(got.coeffs) == pytest.approx(np.asarray(expect.coeffs), abs=1e-8)
 
         for j in range(k + 1):
@@ -163,7 +163,7 @@ def test_expected_poly_closed_form_at_empty_partial():
                 inst.gram_fixed.data + inst.candidates[:, partial] @ inst.candidates[:, partial].T
             )
             want = np.asarray(shifted_pipeline(charpoly_psd(gram), m - n - j, k - j).coeffs)
-            have = np.asarray(expected_poly_from_gram(inst, gram.data[None], j)[0].coeffs)
+            have = np.asarray(in_x(expected_poly_from_gram(inst, gram.data[None], j)[0]).coeffs)
             assert np.max(np.abs(have - want)) <= 1e-12 * np.max(np.abs(want))
             beyond += j > m - n
     assert beyond > 0
@@ -330,6 +330,6 @@ def test_root_comparison_interlacing_family():
             ))[0])
             for subset in combinations(range(inst.m), k)
         ]
-        tree_root = smallest_root(expected_poly(inst, ()), eps)
+        tree_root = smallest_root(in_x(expected_poly(inst, ())), eps)
         assert min(leaf_roots) <= tree_root + 1e-6
         assert tree_root <= max(leaf_roots) + 1e-6

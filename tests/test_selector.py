@@ -25,7 +25,7 @@ from colsel.selector import (
     min_singular_check,
     verify_bound,
 )
-from conftest import random_problem, valid_budgets
+from conftest import in_x, random_problem, valid_budgets
 
 DOUBLED_IDENTITY = DenseMatrix([[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]])
 
@@ -193,7 +193,8 @@ def test_greedy_breaks_ties_by_smallest_column(monkeypatch):
     rng = np.random.default_rng(103)
     b = DenseMatrix(np.hstack([np.eye(2), np.eye(2), rng.standard_normal((2, 3))]))
     prob = SelectionProblem(a=empty_block(2), b=b, k=3)
-    monkeypatch.setattr(selector, "smallest_root", lambda f, eps, incumbent: 0.5)
+    # roots come in y = x - 1, and the trace records them in x
+    monkeypatch.setattr(selector, "smallest_root", lambda f, eps, incumbent: -0.5)
     report = greedy_select(prob)
     assert report.subset == (0, 1, 2)
     assert [t.lambda_min for t in report.trace] == [0.5] * 3
@@ -202,8 +203,8 @@ def test_greedy_breaks_ties_by_smallest_column(monkeypatch):
 def _scalar_expected_poly(inst, gram: DenseMatrix, j: int) -> Polynomial:
     """The expected-polynomial transform of one Gram in Python floats, as
     the package computed it one candidate at a time: its own ``eigvalsh``
-    call and clamp, ``sorted(key=abs)``, the exact zeros, the integer
-    weight ratio and the ``y -> x`` Horner shift."""
+    call and clamp, ``sorted(key=abs)``, the exact zeros and the integer
+    weight ratio, in powers of ``y = x - 1``."""
     n, a, d = inst.n, inst.m - inst.n - j, inst.k - j
     clamp = 1e-12 * max(1.0, float(np.max(np.abs(gram.data))))
     eig = [0.0 if -clamp <= v < 0.0 else v for v in np.linalg.eigvalsh(gram.data).tolist()]
@@ -211,19 +212,12 @@ def _scalar_expected_poly(inst, gram: DenseMatrix, j: int) -> Polynomial:
     roots[: max(-a, 0)] = [0.0] * max(-a, 0)
     c = from_roots(roots).coeffs
     w = [math.perm(i + a, d) if i + a >= 0 else 0 for i in range(n + 1)]
-    f = [ci * (wi / w[n]) for ci, wi in zip(c, w)]
-    coeffs = [f[-1]]
-    for fi in reversed(f[:-1]):
-        coeffs.append(coeffs[-1])
-        for i in range(len(coeffs) - 2, 0, -1):
-            coeffs[i] = coeffs[i - 1] - coeffs[i]
-        coeffs[0] = fi - coeffs[0]
-    return Polynomial(coeffs)
+    return Polynomial(ci * (wi / w[n]) for ci, wi in zip(c, w))
 
 
 def _per_candidate_greedy(prob: SelectionProblem) -> tuple[list[int], list[float]]:
     """The greedy loop with one ``gram_update`` and one scalar transform per
-    candidate: the subset and its roots."""
+    candidate: the subset and its roots, in ``x``."""
     inst = build_isotropic(prob)
     remaining, chosen, roots = list(range(prob.m)), [], []
     gram = inst.gram_fixed
@@ -237,7 +231,7 @@ def _per_candidate_greedy(prob: SelectionProblem) -> tuple[list[int], list[float
         lam, j, gram = best
         chosen.append(j)
         remaining.remove(j)
-        roots.append(lam)
+        roots.append(1.0 + lam)
     return chosen, roots
 
 
@@ -321,6 +315,61 @@ def test_greedy_grams_have_eigenvalues_in_the_unit_interval(monkeypatch, n, m, e
     assert len(seen) == k
     for eig in seen:
         assert eig.min() >= 0.0 and eig.max() <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("n, m, ell, k", [(6, 48, 3, 12), (4, 14, 2, 5), (4, 7, 0, 5)])
+def test_every_score_lies_between_the_candidate_gram_and_the_identity(monkeypatch, n, m, ell, k):
+    # Every size-k superset T of a partial extended by v has
+    # G + v v^T <= G_T <= I, so the average of the det(xI - G_T) has no
+    # root outside [mu_min(G + v v^T), 1].  In powers of y = x - 1 each
+    # det((y + 1)I - G_T) has roots mu - 1 <= 0, so no negative coefficient.
+    seen = []
+
+    def recording(inst, grams, j):
+        polys = expected_poly_from_gram(inst, grams, j)
+        seen.append((grams, polys))
+        return polys
+
+    monkeypatch.setattr(selector, "expected_poly_from_gram", recording)
+    for seed in range(3):
+        seen.clear()
+        prob = random_problem(np.random.default_rng([n, m, ell, k, seed]), n, m, ell, k)
+        report = greedy_select(prob)
+        assert len(seen) == k
+        for step, (grams, polys) in zip(report.trace, seen):
+            mu_min = np.linalg.eigvalsh(grams)[:, 0]
+            lam = 1.0 + np.array([smallest_root(f, prob.eps) for f in polys])
+            assert np.all(mu_min - prob.eps <= lam) and np.all(lam <= 1.0 + prob.eps)
+            assert step.lambda_min == lam.max()
+            for f in polys:
+                c = np.asarray(f.coeffs)
+                assert c.min() >= -1e-12 * np.abs(c).max()
+
+
+def _corner_problem(case: str, seed: int) -> SelectionProblem:
+    """A problem at (n, m, l, k) = (6, 48, 3, 12) with one of the corner column sets."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((6, 3))
+    b = rng.standard_normal((6, 48))
+    if case in ("duplicated", "duplicated, a from b"):
+        b = np.hstack([b[:, :24], b[:, :24]])
+        if case == "duplicated, a from b":
+            a = b[:, :3]
+    elif case == "zero columns":
+        b[:, rng.choice(48, size=8, replace=False)] = 0.0
+    else:  # 40 columns within 1e-6 of one direction
+        b[:, :40] = b[:, [0]] + 1e-6 * rng.standard_normal((6, 40))
+    return SelectionProblem(a=DenseMatrix(a), b=DenseMatrix(b), k=12)
+
+
+@pytest.mark.parametrize(
+    "case", ["duplicated", "duplicated, a from b", "zero columns", "near-parallel"]
+)
+def test_greedy_holds_the_bound_on_corner_columns(case):
+    for seed in range(6):
+        prob = _corner_problem(case, seed)
+        report = greedy_select(prob)
+        assert verify_bound(prob, report.subset)[0], seed
 
 
 def test_verify_bound_accepts_greedy_output():
@@ -597,7 +646,7 @@ def test_tree_root_lower_bound():
         k = int(rng.integers(budgets.start, budgets.stop))
         prob = random_problem(rng, n, m, ell, k)
         inst = build_isotropic(prob)
-        f = expected_poly(inst, ())
+        f = in_x(expected_poly(inst, ()))
         lam = smallest_root(f, prob.eps)
         fixed = DenseMatrix(inst.fixed)
         m_pinv_frob_sq, _ = norms_sq(pseudoinverse(fixed))
