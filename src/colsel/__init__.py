@@ -4,7 +4,9 @@ Select k columns of a candidate matrix to supplement a fixed block so
 that the pseudoinverse of the combined matrix has provably bounded
 Frobenius and spectral norms.  The selector runs a greedy loop over
 expected characteristic polynomials, locating smallest roots by Newton's
-method inside Sturm-certified brackets; an exhaustive oracle and
+method inside certified brackets: a sign of the polynomial shows a root
+at or below the upper end, and a Budan-Fourier or Sturm count of zero
+shows no root at or below the lower end.  An exhaustive oracle and
 barrier-function checks make every step independently verifiable.
 """
 from .errors import (
@@ -44,7 +46,6 @@ from .oracle import (
 )
 from .poly import (
     Polynomial,
-    SturmChain,
     count_roots_leq,
     derivative,
     is_real_rooted,
@@ -83,7 +84,6 @@ __all__ = [
     "hcat",
     "gram_update",
     "Polynomial",
-    "SturmChain",
     "derivative",
     "sturm_chain",
     "count_roots_leq",

@@ -1,22 +1,23 @@
 """Dense univariate real polynomials, Sturm chains, and smallest-root isolation.
 
 Coefficients are stored ascending by degree, as plain tuples: one in a
-:class:`Polynomial`, one per entry in a :class:`SturmChain`.  The
+:class:`Polynomial`, one per entry of a counting sequence (a Sturm chain
+or a Fourier sequence), which is a plain tuple of them.  The
 polynomials handled here have the row count ``n`` as degree (the
 expected-polynomial transform never raises it), so plain tuples and
 Horner evaluation are both the simplest and the fastest option.
 Tolerances are calibrated for float64; near-multiple roots are absorbed
 into gcd layers rather than resolved exactly.
 
-:func:`smallest_root` finds a root by Newton's method from the left on
-``p`` and ``p'``, and certifies it in one of two ways.  A root that
-cannot beat a given incumbent is certified only from above, by one
-compensated sign of ``p``.  Any other root takes compensated-Horner
-last Newton steps and is returned only inside a bracket that a sign
-change and a Budan-Fourier count on ``p, p', ..., p^(n)`` certify.  The
-Sturm chain is built only where those fail: its count then certifies
-the ends, and bisection on it covers whatever the certificates leave
-open.
+:func:`smallest_root` finds a root ``x`` by Newton's method from the
+left on ``p`` and ``p'`` and certifies its bracket with two one-sided
+tests.  "A root at or below x + eps/4": one compensated sign of ``p``
+there, opposite to its sign at ``-inf``; every root gets this test.
+"No root at or below x - eps/4": a zero count (:func:`count_roots_leq`)
+there on the Fourier sequence ``p, p', ..., p^(n)``, and on the Sturm
+chain only where that count fails; only a root that can beat the given
+incumbent gets this test.  Bisection on the Sturm count covers whatever
+the tests leave open.
 """
 from __future__ import annotations
 
@@ -30,7 +31,6 @@ from .errors import InvalidInput, NotRealRooted
 
 __all__ = [
     "Polynomial",
-    "SturmChain",
     "evaluate",
     "monic",
     "from_roots",
@@ -94,27 +94,6 @@ def _finite_stripped(values: Iterable[float]) -> tuple[float, ...]:
     return tuple(c)
 
 
-@dataclass(frozen=True)
-class SturmChain:
-    """A sequence that starts p, p', as stripped coefficient tuples of decreasing degree.
-
-    From :func:`sturm_chain`, the rest are negated remainders, rescaled
-    to unit max coefficient (a positive scaling, invisible to
-    sign-variation counts).  The chain stops early at the gcd of p and
-    p' when a remainder vanishes to tolerance, which keeps counting
-    correct near multiple roots.  :func:`sturm_chain` counts
-    ``variations_at_minus_inf`` as it builds the chain.
-
-    :func:`smallest_root` also keeps the Fourier sequence ``p, p', ...,
-    p^(n)`` in this container, with ``variations_at_minus_inf = n``: the
-    derivatives' leading coefficients share p's sign and their degrees
-    fall by one, so their signs alternate at ``-inf``.
-    """
-
-    chain: tuple[tuple[float, ...], ...]
-    variations_at_minus_inf: int
-
-
 def evaluate(p: Polynomial, x: float) -> float:
     """Horner evaluation."""
     return _horner(p.coeffs, x)
@@ -166,15 +145,23 @@ def derivative(p: Polynomial, times: int = 1) -> Polynomial:
     return Polynomial(c)
 
 
-def sturm_chain(p: Polynomial) -> SturmChain:
-    """The (generalized) Sturm chain of ``p``; an overflowing remainder raises InvalidInput."""
+def sturm_chain(p: Polynomial) -> tuple[tuple[float, ...], ...]:
+    """The (generalized) Sturm chain of ``p``, for :func:`count_roots_leq`.
+
+    A tuple of stripped ascending coefficient tuples of decreasing degree:
+    ``p``, ``p'``, then negated remainders, rescaled to unit max
+    coefficient (a positive scaling, invisible to sign-variation counts).
+    The chain stops early at the gcd of ``p`` and ``p'`` when a remainder
+    vanishes to tolerance, which keeps counting correct near multiple
+    roots.  A nonzero ``p`` is required, and a remainder that overflows
+    raises :class:`InvalidInput`.
+    """
     if p.is_zero:
         raise InvalidInput("sturm_chain requires a nonzero polynomial")
     if p.degree == 0:
-        return SturmChain((p.coeffs,), 0)
+        return (p.coeffs,)
     dividend, divisor = p.coeffs, derivative(p, 1).coeffs
     chain = [dividend, divisor]
-    variations = 1  # p, p' at -inf; entries differ there iff lead signs xor degree parities do
     while len(divisor) >= 2:
         # Remainder of dividend / divisor: step i cancels rem[i], which the
         # del drops, so only the dd entries below it are updated.
@@ -191,31 +178,39 @@ def sturm_chain(p: Polynomial) -> SturmChain:
         if rem_scale <= _GCD_REMAINDER_TOL * max(map(abs, dividend)):
             break  # chain[-1] is (numerically) the gcd of p and p'
         rem = _finite_stripped(-v / rem_scale for v in rem)
-        variations += (lead > 0.0) ^ (rem[-1] > 0.0) ^ (len(divisor) - len(rem)) % 2
         chain.append(rem)
         dividend, divisor = divisor, rem
-    return SturmChain(tuple(chain), variations)
+    return tuple(chain)
 
 
-def count_roots_leq(chain: SturmChain, x: float) -> int:
-    """Sign variations of ``chain`` at ``-inf`` minus at ``x``, zero entries dropped.
+def count_roots_leq(seq: Sequence[Sequence[float]], x: float) -> int:
+    """Sign variations of ``seq`` at ``-inf`` minus at ``x``, zero entries dropped.
 
-    For a Sturm chain this is the exact number of distinct real roots in
-    ``(-inf, x]``.  For the Fourier sequence ``p, p', ..., p^(n)`` it is,
-    by the Budan-Fourier theorem, an upper bound on the real roots in
-    ``(-inf, x]`` counted with multiplicity, for any real ``p``; it is
-    exact (zero) when ``p`` is real-rooted and every root lies right of
-    ``x``.  Either way a count of zero proves that no root is at or
-    below ``x``.
+    ``seq`` is a tuple of ascending coefficient tuples, each with a
+    nonzero leading coefficient, so its sign at ``-inf`` is that of
+    ``lead * (-1)^degree``; a non-finite ``x`` raises
+    :class:`InvalidInput`.  For a Sturm chain the result is the exact
+    number of distinct real roots at or below ``x``.  For the Fourier
+    sequence ``p, p', ..., p^(n)`` it is, by the Budan-Fourier theorem,
+    an upper bound on the real roots at or below ``x`` counted with
+    multiplicity, for any real ``p``; it is exact (zero) when ``p`` is
+    real-rooted with no root at or below ``x``.  Either way a count of
+    zero proves that there is no root at or below ``x``.
 
     Only an exact 0.0 is a zero entry: snapping small values to zero
     biases the bisection by up to (snap threshold)/|p'| near a root, far
     worse than sign noise in the float ambiguity region of the
     evaluation.
     """
-    count = chain.variations_at_minus_inf
-    prev = None
-    for coeffs in chain.chain:
+    if not math.isfinite(x):
+        raise InvalidInput(f"count_roots_leq needs a finite point, got {x!r}")
+    count = 0
+    prev_left = prev = None
+    for coeffs in seq:
+        left = (coeffs[-1] > 0.0) != (len(coeffs) % 2 == 0)
+        if prev_left is not None and left != prev_left:
+            count += 1
+        prev_left = left
         value = _horner(coeffs, x)
         if value != 0.0:
             positive = value > 0.0
@@ -256,24 +251,25 @@ def _compensated_value(coeffs: Sequence[float], x: float) -> float:
     return value + error
 
 
-def _fourier_sequence(p: Polynomial) -> SturmChain | None:
-    """The Fourier sequence ``p, p', ..., p^(n)`` of ``p``, of degree ``n >= 1``.
+def _fourier_sequence(
+    c: tuple[float, ...], dp: tuple[float, ...]
+) -> tuple[tuple[float, ...], ...] | None:
+    """The Fourier sequence ``p, p', ..., p^(n)``, from the ascending ``c`` and ``dp`` of p, p'.
 
-    Each derivative is computed as :func:`derivative` computes it.  Where
-    one of them overflows this is ``None``: a coefficient that overflows
-    to infinity stays infinite through the later derivatives down to the
-    constant term of one of them, so the constant terms tell (a sum of
-    them that overflows also reads as not finite, which only costs a
-    Sturm fallback).
+    Each higher derivative is computed as :func:`derivative` computes it.
+    Where one of them overflows this is ``None``: a coefficient that
+    overflows to infinity stays infinite through the later derivatives
+    down to the constant term of one of them, so the constant terms tell
+    (a sum of them that overflows also reads as not finite, which only
+    costs a Sturm fallback).
     """
-    c = p.coeffs
-    seq = [c]
-    for _ in range(p.degree):
-        c = tuple(map(operator.mul, range(1, len(c)), c[1:]))
-        seq.append(c)
+    seq = [c, dp]
+    while len(dp) > 1:
+        dp = tuple(map(operator.mul, range(1, len(dp)), dp[1:]))
+        seq.append(dp)
     if not math.isfinite(sum(d[0] for d in seq)):
         return None
-    return SturmChain(tuple(seq), p.degree)
+    return tuple(seq)
 
 
 def _newton_from_left(c: Sequence[float], dp: Sequence[float], lo: float, hi: float,
@@ -339,6 +335,16 @@ def _check_real(name: str, value: object) -> None:
         raise InvalidInput(f"{name} must be a real number other than NaN, got {value!r}")
 
 
+def _root_at_or_below(c: Sequence[float], t: float) -> bool:
+    """True if ``p`` (ascending ``c``) at ``t`` has the sign opposite to its sign at ``-inf``.
+
+    That sign is the one of ``lead * (-1)^n``.  The value is compensated,
+    and a zero is no sign, so True proves a root at or below ``t``.
+    """
+    value = _compensated_value(c, t)
+    return value > 0.0 if (c[-1] > 0.0) == (len(c) % 2 == 0) else value < 0.0
+
+
 def smallest_root(p: Polynomial, eps: float, incumbent: float = -math.inf) -> float:
     """Smallest real root of ``p`` within ``eps``, unless it cannot beat ``incumbent``.
 
@@ -346,37 +352,31 @@ def smallest_root(p: Polynomial, eps: float, incumbent: float = -math.inf) -> fl
     greater than zero, and ``incumbent`` a real number other than NaN,
     else :class:`InvalidInput` naming the argument; ``p'`` must have
     finite coefficients, else :class:`InvalidInput`, as the Sturm chain's
-    does.  From the Cauchy bracket ``[lo, hi]``, which has no root at or
-    below ``lo``, plain Newton steps from the left
-    (:func:`_newton_from_left`) propose a root ``x``.
+    does, and so must the Cauchy bound ``1 + radius`` on the roots.  From
+    the Cauchy bracket ``[lo, hi]``, with no root at or below ``lo``,
+    plain Newton steps from the left (:func:`_newton_from_left`) propose
+    a root ``x``.
 
     *A root that cannot win.*  If the midpoint of ``[x - eps/4, x + eps/4]``
-    is below ``incumbent - eps`` and the compensated value of ``p`` at
-    ``x + eps/4`` is nonzero with the sign opposite to ``p``'s sign at
-    ``-inf`` (``lead * (-1)^n``), a root lies at or below ``x + eps/4``,
-    about ``3 eps/4`` or more below the incumbent, and that midpoint is
-    the result at once.  It is certified only from above: nothing checks
-    that no root lies below ``x - eps/4``, and the polish, the count and
-    the Fourier sequence are skipped.
+    is below ``incumbent - eps`` and :func:`_root_at_or_below` shows a
+    root at or below ``x + eps/4``, that midpoint is the result at once,
+    certified only from above: the polish and the counts are skipped.
 
     *Every other root* is certified in full.  Two compensated Newton
-    steps (:func:`_polished`) move ``x``.  Then ``hi`` moves down to
-    ``x + eps/4`` if the compensated values of ``p`` at ``x -/+ eps/4``
-    differ in sign, and ``lo`` moves up to ``x - eps/4`` if the
-    Budan-Fourier count there (:func:`count_roots_leq` on the Fourier
-    sequence ``p, p', ..., p^(n)``) is zero; a root then costs that one
-    count.  Wherever one of the two fails, the Sturm chain is built and
-    certifies as it always did: without a sign change its count at ``hi``
-    is taken, and a zero count raises :class:`NotRealRooted`; ``lo``
-    moves up to ``x - eps/4`` if the Sturm count there is zero.  A
-    certificate that does not hold, or an ``eps`` wider than the bracket,
-    leaves the Cauchy end in place.  Bisection on the Sturm count then
-    halves whatever is left, until the bracket is at most ``eps`` wide or
-    its midpoint is no longer a float strictly inside it; so an ``eps``
-    below the float spacing at the root gives the root at float
-    resolution instead of looping forever.  Where a higher derivative
-    overflows there is no Fourier sequence, and the Sturm chain does all
-    of this.
+    steps (:func:`_polished`) move ``x``.  ``hi`` moves down to
+    ``x + eps/4`` if there is a root at or below it; otherwise the Sturm
+    chain is built, and a zero Sturm count at ``hi`` raises
+    :class:`NotRealRooted`.  ``lo`` moves up to ``x - eps/4`` if a zero
+    :func:`count_roots_leq` there shows no root at or below it, on the
+    Fourier sequence ``p, p', ..., p^(n)`` or, where that count is not
+    zero or a derivative overflows, on the Sturm chain.  So a root that
+    passes both tests costs three compensated evaluations and one count.
+    A test that fails, or an ``eps`` wider than the bracket, leaves the
+    Cauchy end in place.  Bisection on the Sturm count then halves
+    whatever is left, until the bracket is at most ``eps`` wide or its
+    midpoint is no longer a float strictly inside it; so an ``eps`` below
+    the float spacing at the root gives the root at float resolution
+    instead of looping forever.
 
     Accuracy contract: with the default ``incumbent = -inf`` the result
     is the midpoint of a bracket at most ``eps`` wide that holds the
@@ -406,51 +406,39 @@ def smallest_root(p: Polynomial, eps: float, incumbent: float = -math.inf) -> fl
     if not all(map(math.isfinite, dp)):
         raise InvalidInput("polynomial coefficients must be finite")
     radius = _cauchy_radius(p)
+    if not math.isfinite(radius):
+        raise InvalidInput("the Cauchy bound on the roots overflows")
     lo, hi = -1.0 - radius, 1.0 + radius
     x = _newton_from_left(c, dp, lo, hi, eps)
     above = x + 0.25 * eps
     early = 0.5 * ((x - 0.25 * eps) + above)
-    if early < incumbent - eps:
-        # p's sign at -inf is that of lead * (-1)^n; the opposite sign at
-        # x + eps/4 (not a zero, and not the NaN of an x at -inf) puts a root
-        # at or below it, so this root cannot win.
-        negative_at_minus_inf = (c[-1] > 0.0) == (len(c) % 2 == 0)
-        value = _compensated_value(c, above)
-        if (value > 0.0) if negative_at_minus_inf else (value < 0.0):
-            return early
+    if early < incumbent - eps and _root_at_or_below(c, above):
+        return early
     x = _polished(c, dp, x, lo, hi)
     below, above = x - 0.25 * eps, x + 0.25 * eps
     # The certificates only narrow the bracket: an eps wider than it
-    # leaves the Cauchy ends in place.  A sign change proves a root, so
-    # only without one does hi need a Sturm count.  A zero counts as a sign
-    # change; a product of the two values could underflow to a false zero.
-    at_below = at_above = 1.0
-    if above < hi:
-        at_below, at_above = (_compensated_value(c, v) for v in (below, above))
-    sign_change = at_below <= 0.0 <= at_above or at_above <= 0.0 <= at_below
-    # Where a higher derivative overflows there is no Fourier sequence, and
-    # the Sturm chain takes every count.
-    fourier = _fourier_sequence(p) if sign_change else None
-    if fourier is not None:
+    # leaves the Cauchy ends in place.  A nonzero Budan-Fourier count is
+    # only an upper bound, so the Sturm count has the last word on lo.
+    chain = None
+    if above < hi and _root_at_or_below(c, above):
         hi = above
-        if lo < below and count_roots_leq(fourier, below) == 0:
+    else:
+        chain = sturm_chain(p)
+        if count_roots_leq(chain, hi) == 0:
+            raise NotRealRooted(f"no real root found in [-{1 + radius}, {1 + radius}]")
+    if lo < below:
+        fourier = _fourier_sequence(c, dp)
+        if fourier is not None and count_roots_leq(fourier, below) == 0:
             lo = below
-        if hi - lo <= eps:
-            return 0.5 * (lo + hi)
-    # Any other bracket is certified and bisected on the Sturm chain.  A
-    # nonzero Budan-Fourier count is only an upper bound, so the Sturm
-    # count has the last word on lo.
-    chain = sturm_chain(p)
-    if sign_change:
-        hi = above
-    elif count_roots_leq(chain, hi) == 0:
-        raise NotRealRooted(f"no real root found in [-{1 + radius}, {1 + radius}]")
-    if lo < below and count_roots_leq(chain, below) == 0:
-        lo = below
+        else:
+            chain = chain or sturm_chain(p)
+            if count_roots_leq(chain, below) == 0:
+                lo = below
     while hi - lo > eps:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
+        chain = chain or sturm_chain(p)
         if count_roots_leq(chain, mid) >= 1:
             hi = mid
         else:
@@ -476,5 +464,5 @@ def _real_count_with_multiplicity(p: Polynomial) -> int:
     chain = sturm_chain(p)
     radius = _cauchy_radius(p)
     distinct = count_roots_leq(chain, 1.0 + radius)
-    gcd = chain.chain[-1]  # of p and p': a constant unless p has a multiple root
+    gcd = chain[-1]  # of p and p': a constant unless p has a multiple root
     return distinct + _real_count_with_multiplicity(monic(Polynomial(gcd)))

@@ -12,7 +12,10 @@ whose subsets (selected indices in selection order) differ.  Apart from
 those, it counts the instances whose trace root values differ and
 reports the largest root difference ``|old - new| / eps``.  It also
 reports the largest relative difference of the norms, the bound factor
-and the verify ratios.
+and the verify ratios.  One line per ``SHAPES`` entry repeats the
+instance, raising, outcome, subset and root-value counts and the largest
+root difference for that shape alone, so a large difference at degree
+12 does not hide the benchmark's ``wide`` and ``oracle`` shapes.
 
 Every instance with ``C(m, k) <= 2002`` (all shapes but the first and
 the last four) also runs ``brute_force``; the comparison lists the instances
@@ -121,9 +124,13 @@ def run(src: str) -> list[dict]:
     return [json.loads(line) for line in out.splitlines()]
 
 
-def main(old_src: str, new_src: str) -> int:
-    old, new = run(old_src), run(new_src)
-    assert len(old) == len(new)
+def compare_greedy(old: list[dict], new: list[dict]) -> tuple[list, list, list, int, float]:
+    """Compare the records ``old`` and ``new`` of the same instances.
+
+    Returns the outcome mismatches, the pairs where both trees returned a
+    report, the subset mismatches, the number of root value mismatches
+    and the largest root difference ``|old - new| / eps``.
+    """
     outcomes = [(o["shape"], o["seed"]) for o, c in zip(old, new) if o.get("error") != c.get("error")]
     pairs = [(o, c) for o, c in zip(old, new) if "error" not in o and "error" not in c]
     subsets = [(o["shape"], o["seed"]) for o, c in pairs if o["subset"] != c["subset"]]
@@ -137,6 +144,13 @@ def main(old_src: str, new_src: str) -> int:
         ),
         default=0.0,
     )
+    return outcomes, pairs, subsets, roots, root_gap
+
+
+def main(old_src: str, new_src: str) -> int:
+    old, new = run(old_src), run(new_src)
+    assert len(old) == len(new)
+    outcomes, pairs, subsets, roots, root_gap = compare_greedy(old, new)
     worst = {v: max((abs(c[v] - o[v]) / abs(o[v]) for o, c in pairs), default=0.0)
              for v in VALUES}
     enums = [
@@ -164,6 +178,13 @@ def main(old_src: str, new_src: str) -> int:
     print(f"  outcome mismatches: {len(outcomes)}", *outcomes)
     print(f"  subset or order mismatches: {len(subsets)}", *subsets)
     print(f"  root value mismatches: {roots}; max |old - new| / eps: {root_gap:.3g}")
+    print("  per shape (n, m, l, k, rank of the fixed block): instances, raising in either tree;"
+          " outcome, subset and root value mismatches; max |old - new| / eps")
+    for shape in SHAPES:
+        rows = [(o, c) for o, c in zip(old, new) if o["shape"] == list(shape[:5])]
+        s_outcomes, s_pairs, s_subsets, s_roots, s_gap = compare_greedy(*zip(*rows))
+        print(f"    {shape[:5]}: {len(rows)}, {len(rows) - len(s_pairs)};"
+              f" {len(s_outcomes)}, {len(s_subsets)}, {s_roots}; {s_gap:.3g}")
     old_s, new_s = (sum(r["greedy_s"] for r in tree) for tree in (old, new))
     print(f"  total greedy_select wall time: old {old_s:.3f} s, new {new_s:.3f} s")
     for v, rel in worst.items():
