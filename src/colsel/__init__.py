@@ -8,10 +8,12 @@ method inside certified brackets: a sign of the polynomial shows a root
 at or below the upper end, and a Budan-Fourier or Sturm count of zero
 shows no root at or below the lower end.  An exhaustive oracle and
 barrier-function checks make every step independently verifiable.
+
+The root exports the selection path; helpers stay in ``colsel.linalg``,
+``colsel.poly``, ``colsel.expected_charpoly`` and ``colsel.oracle``.
 """
 from .errors import (
     AlgorithmFailure,
-    DeflationFailure,
     DimensionMismatch,
     FormatError,
     InvalidInput,
@@ -20,46 +22,16 @@ from .errors import (
     RankDeficient,
     TooLarge,
 )
-from .expected_charpoly import (
-    IsotropicInstance,
-    charpoly_psd,
-    expected_poly,
-    root_sum_identity_check,
-)
-from .linalg import (
-    DenseMatrix,
-    SvdFactors,
-    columns,
-    gram_update,
-    hcat,
-    norms_sq,
-    pseudoinverse,
-    thin_svd,
-)
-from .oracle import (
-    EnumerationResult,
-    barrier,
-    barrier_descent_check,
-    brute_force,
-    companion_smallest_root,
-    interlacing_check,
-)
-from .poly import (
-    Polynomial,
-    count_roots_leq,
-    derivative,
-    is_real_rooted,
-    smallest_root,
-    sturm_chain,
-)
+from .linalg import DenseMatrix
+from .oracle import EnumerationResult, brute_force
+# kept at the root only for the benchmark tracer, which wraps colsel.smallest_root
+from .poly import Polynomial, smallest_root
 from .selector import (
     SelectionProblem,
     SelectionReport,
     TraceStep,
-    build_isotropic,
     gamma,
     greedy_select,
-    min_singular_check,
     verify_bound,
 )
 
@@ -67,7 +39,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlgorithmFailure",
-    "DeflationFailure",
     "DimensionMismatch",
     "FormatError",
     "InvalidInput",
@@ -76,36 +47,15 @@ __all__ = [
     "RankDeficient",
     "TooLarge",
     "DenseMatrix",
-    "SvdFactors",
-    "thin_svd",
-    "pseudoinverse",
-    "norms_sq",
-    "columns",
-    "hcat",
-    "gram_update",
-    "Polynomial",
-    "derivative",
-    "sturm_chain",
-    "count_roots_leq",
-    "smallest_root",
-    "is_real_rooted",
-    "IsotropicInstance",
-    "charpoly_psd",
-    "expected_poly",
-    "root_sum_identity_check",
     "SelectionProblem",
     "SelectionReport",
     "TraceStep",
     "gamma",
-    "build_isotropic",
     "greedy_select",
     "verify_bound",
-    "min_singular_check",
     "EnumerationResult",
     "brute_force",
-    "barrier",
-    "barrier_descent_check",
-    "companion_smallest_root",
-    "interlacing_check",
+    "Polynomial",
+    "smallest_root",
     "__version__",
 ]

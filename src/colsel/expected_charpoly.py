@@ -59,8 +59,9 @@ class IsotropicInstance:
     by its column ``j`` of ``b``.  ``r`` is the rank of the fixed block,
     decided by the caller (``from_y`` takes it with
     :func:`~colsel.linalg.thin_svd`) in ``[0, min(n, l)]``, and ``k`` is
-    the selection budget with ``max(1, n - r) <= k <= m - 1``.  ``l``,
-    ``r`` and ``k`` are integers (a bool is not).
+    the selection budget with ``max(1, n - r) <= k <= m - 1``.  ``y`` is a
+    :class:`~colsel.linalg.DenseMatrix`, and ``l``, ``r`` and ``k`` are
+    integers (a bool is not).
     """
 
     y: DenseMatrix
@@ -69,6 +70,8 @@ class IsotropicInstance:
     k: int
 
     def __post_init__(self) -> None:
+        if not isinstance(self.y, DenseMatrix):
+            raise InvalidInput(f"y must be a DenseMatrix, got {type(self.y).__name__}")
         for name in ("l", "r", "k"):
             object.__setattr__(self, name, _as_index(getattr(self, name), InvalidInput, name))
         n = self.y.rows

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import InvalidInput, NotRealRooted
+from .linalg import _as_index
 
 __all__ = [
     "Polynomial",
@@ -69,7 +70,13 @@ class Polynomial:
     coeffs: tuple[float, ...]
 
     def __init__(self, coeffs: Iterable[float]):
-        object.__setattr__(self, "coeffs", _finite_stripped(coeffs))
+        try:
+            stripped = _finite_stripped(coeffs)
+        except TypeError:  # a complex number, or not an iterable at all
+            raise InvalidInput(
+                f"coeffs must be an iterable of real numbers, got {coeffs!r}"
+            ) from None
+        object.__setattr__(self, "coeffs", stripped)
 
     @property
     def degree(self) -> int:
@@ -134,8 +141,8 @@ def from_roots(roots: Sequence[float]) -> Polynomial:
 
 
 def derivative(p: Polynomial, times: int = 1) -> Polynomial:
-    """``times``-fold formal derivative."""
-    if times < 0:
+    """``times``-fold formal derivative; ``times`` is an integer (a bool is not)."""
+    if _as_index(times, InvalidInput, "times") < 0:
         raise InvalidInput(f"times must be >= 0, got {times}")
     c = list(p.coeffs)
     for _ in range(times):

@@ -88,7 +88,8 @@ class SelectionProblem:
     the baseline norms ``baseline_norms_sq = (|[a b]^+|_F^2, |[a b]^+|_2^2)``,
     ``gamma = gamma(m, n, k, r)`` and ``bound_factor`` (:func:`bound_factor`).
     It raises :class:`RankDeficient` unless ``[a b]`` has full row rank,
-    and :class:`InvalidInput` unless the row counts agree, ``k`` is an
+    and :class:`InvalidInput` unless ``a`` and ``b`` are
+    :class:`~colsel.linalg.DenseMatrix` values whose row counts agree, ``k`` is an
     integer ``>= 1``, ``m``, ``n``, ``k`` and ``r = rank(a)`` meet the
     preconditions of :func:`gamma` (``m > k >= n - r`` and ``m >= n``),
     ``eps`` is a real number (stored as a float) with ``0 < eps < 1/(2k)``,
@@ -107,6 +108,9 @@ class SelectionProblem:
     bound_factor: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        for name, value in (("a", self.a), ("b", self.b)):
+            if not isinstance(value, DenseMatrix):
+                raise InvalidInput(f"{name} must be a DenseMatrix, got {type(value).__name__}")
         if self.a.rows != self.b.rows:
             raise InvalidInput(
                 f"a and b must have equal row counts, got {self.a.rows} and {self.b.rows}"

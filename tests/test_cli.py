@@ -5,8 +5,9 @@ import json
 
 import pytest
 
+from colsel import cli
 from colsel.cli import main, parse_matrix_csv, serialize_report
-from colsel.errors import FormatError
+from colsel.errors import AlgorithmFailure, FormatError
 from colsel.linalg import DenseMatrix
 from colsel.selector import SelectionProblem, SelectionReport, TraceStep, greedy_select
 
@@ -22,6 +23,18 @@ def write(tmp_path, name, text):
 def test_parse_matrix_csv_identity(tmp_path):
     path = write(tmp_path, "m.csv", "1,0\n0,1\n")
     assert parse_matrix_csv(path) == DenseMatrix.identity(2)
+
+
+def test_parse_matrix_csv_skips_blank_lines(tmp_path):
+    path = write(tmp_path, "m.csv", "1,0\n\n  \n0,1\n")
+    assert parse_matrix_csv(path) == DenseMatrix.identity(2)
+
+
+def test_empty_matrix_file_exits_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "E.csv", "")
+    assert main(["select", "--b", "E.csv", "-k", "2"]) == 1
+    assert capsys.readouterr().err == "error: E.csv: empty matrix file\n"
 
 
 def test_parse_matrix_csv_scientific_and_negative(tmp_path):
@@ -228,6 +241,17 @@ def test_usage_errors_exit_1_and_help_exits_0(tmp_path, capsys, argv, code):
 def test_select_missing_file(tmp_path, capsys):
     assert main(["select", "--b", str(tmp_path / "none.csv"), "-k", "2"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_algorithm_failure_exits_2(tmp_path, capsys, monkeypatch):
+    def planted(prob):
+        raise AlgorithmFailure("planted failure")
+
+    monkeypatch.setattr(cli, "greedy_select", planted)
+    b = write(tmp_path, "b.csv", DOUBLED_IDENTITY_CSV)
+    assert main(["select", "--b", b, "-k", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: planted failure\n")
 
 
 def test_gamma_subcommand(capsys):

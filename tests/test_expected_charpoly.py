@@ -74,6 +74,11 @@ def test_instance_validation():
     assert IsotropicInstance(y, l=2, r=2, k=1).k == 1
 
 
+def test_instance_takes_a_dense_matrix_only():
+    with pytest.raises(InvalidInput, match="y must be a DenseMatrix, got ndarray"):
+        IsotropicInstance(np.eye(2, 4), 0, 0, 2)
+
+
 def test_instance_takes_integers_only():
     y = thin_svd(DenseMatrix(np.random.default_rng(0).standard_normal((2, 5)))).vt
     inst = IsotropicInstance.from_y(y, np.int64(1), np.int64(2))
@@ -199,6 +204,9 @@ def test_expected_poly_input_validation():
     grams = inst.gram_fixed.data[None]
     for j in (True, 1.0):
         with pytest.raises(InvalidInput, match="partial size must be an integer"):
+            expected_poly_from_gram(inst, grams, j)
+    for j in (-1, inst.k + 1):
+        with pytest.raises(InvalidInput, match=rf"partial size {j} outside \[0, k=2\]"):
             expected_poly_from_gram(inst, grams, j)
     assert expected_poly_from_gram(inst, grams, np.int64(0)) == [expected_poly(inst, ())]
 

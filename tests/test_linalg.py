@@ -33,10 +33,19 @@ def test_dense_matrix_rejects_complex_entries(data):
         DenseMatrix(data)
 
 
+def test_dense_matrix_rejects_data_that_is_not_2d():
+    for data in ([1.0, 2.0], np.zeros((1, 1, 1))):
+        with pytest.raises(InvalidInput, match="must be 2-dimensional"):
+            DenseMatrix(data)
+
+
 def test_dense_matrix_is_immutable():
     q = DenseMatrix([[1.0, 2.0]])
     with pytest.raises(ValueError):
         q.data[0, 0] = 5.0
+    with pytest.raises(AttributeError, match="DenseMatrix is immutable"):
+        q.data = np.zeros((1, 2))
+    assert q == DenseMatrix([[1.0, 2.0]])
 
 
 def test_dense_matrix_equal_across_signed_zeros_hashes_alike():
@@ -214,6 +223,8 @@ def test_gram_update_basic():
     assert gram_update(g, [0.0, 0.0]) == g
     with pytest.raises(DimensionMismatch):
         gram_update(g, [1.0, 2.0, 3.0])
+    with pytest.raises(DimensionMismatch, match="must be square, got 2x3"):
+        gram_update(DenseMatrix.zeros(2, 3), [1.0, 0.0])
 
 
 def test_gram_update_accumulates_to_identity():

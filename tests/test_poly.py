@@ -39,12 +39,26 @@ def test_polynomial_normalization():
         Polynomial([float("nan")])
 
 
+@pytest.mark.parametrize("coeffs", [[1j, 1.0], 5.0])
+def test_polynomial_takes_real_coefficients_only(coeffs):
+    with pytest.raises(InvalidInput, match="coeffs must be an iterable of real numbers"):
+        Polynomial(coeffs)
+
+
 def test_derivative():
     assert derivative(Polynomial([-1.0, 0.0, 1.0])).coeffs == (0.0, 2.0)
     assert derivative(Polynomial([0.0, 0.0, 0.0, 1.0]), times=3).coeffs == (6.0,)
     assert derivative(Polynomial([5.0])).is_zero
     with pytest.raises(InvalidInput):
         derivative(Polynomial([1.0]), times=-1)
+
+
+def test_derivative_takes_an_integer_count_only():
+    p = Polynomial([0.0, 0.0, 1.0])
+    assert derivative(p, np.int64(2)).coeffs == (2.0,)
+    for times in (True, 1.5):
+        with pytest.raises(InvalidInput, match=f"times must be an integer, got {times}"):
+            derivative(p, times)
 
 
 def test_mul_shifted_power():

@@ -95,6 +95,17 @@ def test_problem_validation():
     a, b = (DenseMatrix(rng.standard_normal((3, 2))) for _ in range(2))
     with pytest.raises(InvalidInput, match="m >= n"):
         SelectionProblem(a=a, b=b, k=1)
+    with pytest.raises(InvalidInput, match="equal row counts, got 3 and 2"):
+        SelectionProblem(a=empty_block(3), b=good, k=2)
+    with pytest.raises(InvalidInput, match="k must be >= 1, got 0"):
+        SelectionProblem(a=DenseMatrix(np.eye(2)), b=good, k=0)  # n - r = 0
+
+
+@pytest.mark.parametrize("name", ["a", "b"])
+def test_problem_takes_dense_matrices_only(name):
+    args = {"a": empty_block(2), "b": DOUBLED_IDENTITY, name: np.eye(2, 4)}
+    with pytest.raises(InvalidInput, match=f"{name} must be a DenseMatrix, got ndarray"):
+        SelectionProblem(**args, k=2)
 
 
 def test_build_isotropic_no_fixed_block():
@@ -388,6 +399,13 @@ def test_verify_bound_doubled_identity_ratios():
     assert holds
     assert ratio_frob == pytest.approx(2.0, rel=1e-9)
     assert ratio_spec == pytest.approx(2.0, rel=1e-9)
+
+
+def test_verify_bound_takes_a_subset_of_size_k():
+    prob = SelectionProblem(a=empty_block(2), b=DOUBLED_IDENTITY, k=2)
+    for subset in ((0,), (0, 1, 2)):
+        with pytest.raises(InvalidSubset, match=f"size k = 2, got {len(subset)}"):
+            verify_bound(prob, subset)
 
 
 def test_verify_bound_rejects_rank_deficient_subset():
@@ -696,3 +714,56 @@ def test_greedy_size_grid(n, m, ell, k, seed):
     report = greedy_select(prob)
     holds, _, _ = verify_bound(prob, report.subset)
     assert holds
+
+
+_CORNERS = {
+    # b's columns spread over twelve orders of magnitude
+    "scaled columns": (8, 60, 0, 20),
+    "m = n + 1": (6, 7, 0, 6),
+    "k = m - 1": (6, 48, 0, 47),
+    "full-rank a, k = 1": (6, 48, 8, 1),
+    "rank-2 a of width 5": (6, 48, 5, 4),
+    "minimal budget k = n": (8, 200, 0, 8),
+    "minimal budget k = n - r": (8, 200, 4, 4),
+}
+
+
+def _corner_of_the_preconditions(case: str, seed: int) -> SelectionProblem:
+    n, m, ell, k = _CORNERS[case]
+    rng = np.random.default_rng(seed)
+    if case == "scaled columns":
+        prob = random_problem(rng, n, m, ell, k)
+        return SelectionProblem(a=prob.a, b=DenseMatrix(prob.b.data * np.logspace(-6, 6, m)), k=k)
+    if case == "rank-2 a of width 5":
+        a = rng.standard_normal((n, 2)) @ rng.standard_normal((2, ell))
+        return SelectionProblem(a=DenseMatrix(a), b=DenseMatrix(rng.standard_normal((n, m))), k=k)
+    return random_problem(rng, n, m, ell, k)
+
+
+_MINIMAL_BUDGET_FAILS = _still_fails(
+    "minimal budget k = n - r with m/n = 25: the trace guard fires, or at (8, 200, 0, 8) "
+    "seed 0 the spectral bound breaks; open until scores come from eigenvalues (ROADMAP item 4)"
+)
+
+
+@pytest.mark.parametrize(
+    "case, seed",
+    [
+        (case, seed)
+        for case in ("scaled columns", "m = n + 1", "k = m - 1", "full-rank a, k = 1",
+                     "rank-2 a of width 5")
+        for seed in range(6)
+    ]
+    + [
+        pytest.param(case, seed, marks=_MINIMAL_BUDGET_FAILS)
+        for case in ("minimal budget k = n", "minimal budget k = n - r")
+        for seed in range(3)
+    ],
+)
+def test_greedy_corners(case, seed):
+    # The corners of the paper's preconditions: extreme column scales, the
+    # smallest m, the largest k, a full-rank or rank-deficient fixed block,
+    # and the minimal budget with many candidates per row.
+    prob = _corner_of_the_preconditions(case, seed)
+    report = greedy_select(prob)
+    assert verify_bound(prob, report.subset)[0]

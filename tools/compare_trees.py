@@ -15,7 +15,13 @@ reports the largest relative difference of the norms, the bound factor
 and the verify ratios.  One line per ``SHAPES`` entry repeats the
 instance, raising, outcome, subset and root-value counts and the largest
 root difference for that shape alone, so a large difference at degree
-12 does not hide the benchmark's ``wide`` and ``oracle`` shapes.
+12 does not hide the benchmark's ``wide`` and ``oracle`` shapes.  Each
+tree also counts its ``sturm_chain`` calls inside ``greedy_select``.
+``smallest_root`` builds at most one chain per root, and only where a sign
+or Budan-Fourier certificate fails, so the count is the number of roots
+that took the Sturm fallback.  The totals, and each per-shape line, print
+both trees' counts out of the roots scored (one per remaining candidate
+per step); they are for information only and do not change the exit status.
 
 Every instance with ``C(m, k) <= 2002`` (all shapes but the first and
 the last four) also runs ``brute_force``; the comparison lists the instances
@@ -68,7 +74,19 @@ VALUES = ("frob_sq", "spec_sq", "baseline_frob_sq", "baseline_spec_sq", "bound_f
 def dump() -> None:
     import numpy as np
 
+    import colsel.poly
     from colsel import DenseMatrix, SelectionProblem, brute_force, greedy_select, verify_bound
+
+    # smallest_root looks sturm_chain up in colsel.poly, so this sees every fallback
+    sturm_chains = 0
+    sturm_chain = colsel.poly.sturm_chain
+
+    def counted_sturm_chain(p):
+        nonlocal sturm_chains
+        sturm_chains += 1
+        return sturm_chain(p)
+
+    colsel.poly.sturm_chain = counted_sturm_chain
 
     for shape_id, (n, m, ell, k, rank_a, count) in enumerate(SHAPES):
         for seed in range(count):
@@ -81,15 +99,17 @@ def dump() -> None:
                 a=DenseMatrix(a), b=DenseMatrix(rng.standard_normal((n, m))), k=k
             )
             record = {"shape": [n, m, ell, k, rank_a], "seed": seed}
+            sturm_chains = 0
             t0 = time.perf_counter()
             try:
                 report = greedy_select(prob)
             except Exception as exc:  # an outcome to compare, not a reason to stop
                 record.update(error=[type(exc).__name__, str(exc)],
-                              greedy_s=time.perf_counter() - t0)
+                              greedy_s=time.perf_counter() - t0, sturm_chains=sturm_chains)
                 print(json.dumps(record))
                 continue
             greedy_s = time.perf_counter() - t0
+            record["sturm_chains"] = sturm_chains
             _, ratio_frob, ratio_spec = verify_bound(prob, report.subset)
             record.update({
                 "subset": list(report.subset),
@@ -147,6 +167,13 @@ def compare_greedy(old: list[dict], new: list[dict]) -> tuple[list, list, list, 
     return outcomes, pairs, subsets, roots, root_gap
 
 
+def sturm_fallbacks(old: list[dict], new: list[dict]) -> str:
+    """Each tree's Sturm-chain count over ``old`` and ``new``, out of the roots scored."""
+    scored = sum(k * m - k * (k - 1) // 2 for (_, m, _, k, _) in (r["shape"] for r in old))
+    counts = (sum(r["sturm_chains"] for r in tree) for tree in (old, new))
+    return "Sturm fallbacks old {}, new {} of {} roots".format(*counts, scored)
+
+
 def main(old_src: str, new_src: str) -> int:
     old, new = run(old_src), run(new_src)
     assert len(old) == len(new)
@@ -178,13 +205,15 @@ def main(old_src: str, new_src: str) -> int:
     print(f"  outcome mismatches: {len(outcomes)}", *outcomes)
     print(f"  subset or order mismatches: {len(subsets)}", *subsets)
     print(f"  root value mismatches: {roots}; max |old - new| / eps: {root_gap:.3g}")
+    print(f"  {sturm_fallbacks(old, new)}")
     print("  per shape (n, m, l, k, rank of the fixed block): instances, raising in either tree;"
-          " outcome, subset and root value mismatches; max |old - new| / eps")
+          " outcome, subset and root value mismatches; max |old - new| / eps; Sturm fallbacks")
     for shape in SHAPES:
         rows = [(o, c) for o, c in zip(old, new) if o["shape"] == list(shape[:5])]
         s_outcomes, s_pairs, s_subsets, s_roots, s_gap = compare_greedy(*zip(*rows))
         print(f"    {shape[:5]}: {len(rows)}, {len(rows) - len(s_pairs)};"
-              f" {len(s_outcomes)}, {len(s_subsets)}, {s_roots}; {s_gap:.3g}")
+              f" {len(s_outcomes)}, {len(s_subsets)}, {s_roots}; {s_gap:.3g};"
+              f" {sturm_fallbacks(*zip(*rows))}")
     old_s, new_s = (sum(r["greedy_s"] for r in tree) for tree in (old, new))
     print(f"  total greedy_select wall time: old {old_s:.3f} s, new {new_s:.3f} s")
     for v, rel in worst.items():
