@@ -3,11 +3,13 @@
 Select k columns of a candidate matrix to supplement a fixed block so
 that the pseudoinverse of the combined matrix has provably bounded
 Frobenius and spectral norms.  The selector runs a greedy loop over
-expected characteristic polynomials, locating smallest roots by Newton's
-method inside certified brackets: a sign of the polynomial shows a root
-at or below the upper end, and a Budan-Fourier or Sturm count of zero
-shows no root at or below the lower end.  An exhaustive oracle and
-barrier-function checks make every step independently verifiable.
+expected characteristic polynomials, locating smallest roots by Laguerre's
+method inside certified brackets: a sign of the polynomial, from plain
+Horner where it clears a rounding-error bound and compensated Horner
+otherwise, shows a root at or below the upper end, and a Budan-Fourier
+or Sturm count of zero shows no root at or below the lower end.  An
+exhaustive oracle and barrier-function checks make every step
+independently verifiable.
 
 The root exports the selection path; helpers stay in ``colsel.linalg``,
 ``colsel.poly``, ``colsel.expected_charpoly`` and ``colsel.oracle``.

@@ -9,10 +9,12 @@ Horner evaluation are both the simplest and the fastest option.
 Tolerances are calibrated for float64; near-multiple roots are absorbed
 into gcd layers rather than resolved exactly.
 
-:func:`smallest_root` finds a root ``x`` by Newton's method from the
-left on ``p`` and ``p'`` and certifies its bracket with two one-sided
-tests.  "A root at or below x + eps/4": one compensated sign of ``p``
-there, opposite to its sign at ``-inf``; every root gets this test.
+:func:`smallest_root` finds a root ``x`` by Laguerre's method from the
+left, each step one Horner pass for ``p``, ``p'`` and ``p''``, and
+certifies its bracket with two one-sided tests.  "A root at or below
+x + eps/4": one sign of ``p`` there, opposite to its sign at ``-inf``,
+from plain Horner where its value clears a running error bound and
+compensated otherwise; every root gets this test.
 "No root at or below x - eps/4": a zero count (:func:`count_roots_leq`)
 there on the Fourier sequence ``p, p', ..., p^(n)``, and on the Sturm
 chain only where that count fails; only a root that can beat the given
@@ -24,6 +26,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -48,10 +51,16 @@ _GCD_REMAINDER_TOL = 1e-12
 # Dekker's splitting constant 2**27 + 1: splits a double into two halves
 # whose products are exact.
 _SPLITTER = 134217729.0
-# Newton from the left converges at least linearly; a cluster of nearly
-# equal roots can still make it slow, and bisection takes over then.
-_NEWTON_MAX_STEPS = 64
-# Compensated Newton steps after the plain ones.  From where plain Horner
+# Laguerre from the left converges cubically to a simple smallest root and
+# linearly to a cluster of nearly equal ones; where that is too slow,
+# bisection takes over.
+_LAGUERRE_MAX_STEPS = 64
+# 4 u, with u = 2**-53: a plain Horner value of a degree-n polynomial
+# whose magnitude exceeds 4 (n+1) u sum |c_i| |t|^i has the exact sign.
+_HORNER_ERROR = 4.0 * 2.0**-53
+# The smallest normal double: below it the rounding bound above fails.
+_TINY = sys.float_info.min
+# Compensated Newton steps after the Laguerre ones.  From where plain Horner
 # leaves a root with close neighbours (3.3e-7 off on criterion 06's
 # degree-12 trial 157), one step gets within 1.2e-11, two within 1e-16.
 # A compensated evaluation costs about three plain ones, so only these
@@ -71,12 +80,18 @@ class Polynomial:
 
     def __init__(self, coeffs: Iterable[float]):
         try:
-            stripped = _finite_stripped(coeffs)
-        except TypeError:  # a complex number, or not an iterable at all
-            raise InvalidInput(
-                f"coeffs must be an iterable of real numbers, got {coeffs!r}"
-            ) from None
-        object.__setattr__(self, "coeffs", stripped)
+            values = coeffs if type(coeffs) is list else list(coeffs)
+            floats = list(map(float, values))
+        except (TypeError, RuntimeWarning):  # complex, or not an iterable at all
+            floats = None
+        # float() keeps only the real part of a NumPy complex scalar and
+        # warns (a ComplexWarning, caught above where warnings are errors).
+        # A list of floats converts to itself, so only other input is scanned.
+        if floats is None or floats != values and any(
+            isinstance(v, numbers.Complex) and v.imag for v in values
+        ):
+            raise InvalidInput(f"coeffs must be an iterable of real numbers, got {coeffs!r}")
+        object.__setattr__(self, "coeffs", _finite_stripped(floats))
 
     @property
     def degree(self) -> int:
@@ -91,9 +106,11 @@ class Polynomial:
         return evaluate(self, x)
 
 
-def _finite_stripped(values: Iterable[float]) -> tuple[float, ...]:
-    """``values`` as floats without trailing zeros; :class:`InvalidInput` if one is not finite."""
-    c = list(map(float, values))
+def _finite_stripped(c: list[float]) -> tuple[float, ...]:
+    """``c`` as a tuple without trailing zeros; :class:`InvalidInput` if one is not finite.
+
+    The zeros are popped from the list ``c`` in place.
+    """
     if not all(map(math.isfinite, c)):
         raise InvalidInput("polynomial coefficients must be finite")
     while c and c[-1] == 0.0:
@@ -184,7 +201,7 @@ def sturm_chain(p: Polynomial) -> tuple[tuple[float, ...], ...]:
         rem_scale = max(map(abs, rem), default=0.0)
         if rem_scale <= _GCD_REMAINDER_TOL * max(map(abs, dividend)):
             break  # chain[-1] is (numerically) the gcd of p and p'
-        rem = _finite_stripped(-v / rem_scale for v in rem)
+        rem = _finite_stripped([-v / rem_scale for v in rem])
         chain.append(rem)
         dividend, divisor = divisor, rem
     return tuple(chain)
@@ -279,20 +296,24 @@ def _fourier_sequence(
     return tuple(seq)
 
 
-def _newton_from_left(c: Sequence[float], dp: Sequence[float], lo: float, hi: float,
-                      eps: float) -> float:
-    """Plain Newton steps from a lower bound on the roots, for the smallest root.
+def _laguerre_from_left(c: Sequence[float], lo: float, hi: float, eps: float) -> float:
+    """Laguerre steps from a lower bound on the roots, for the smallest root.
 
-    ``c`` and ``dp`` are the ascending coefficients of ``p`` and ``p'``.
-    The start is the Laguerre-Samuelson bound ``mean - sqrt(n-1) * std``
-    of the roots, from the top three coefficients.  Left of the smallest
-    root of a real-rooted ``p``, Newton climbs monotonically towards it,
-    and ``root - x <= n * (-p(x)/p'(x))`` (the lower barrier), so the
-    loop stops once that bound is at most ``eps/4``, or at a step to the
-    left, which means ``x`` is not left of the smallest root (or ``p`` is
-    not real-rooted).  Nothing here is trusted: the result is a finite
-    guess inside ``(lo, hi)`` that :func:`smallest_root` certifies, after
-    :func:`_polished` where it must certify both ends, or discards.
+    ``c`` holds the ascending coefficients of ``p``.  The start is the
+    Laguerre-Samuelson bound ``mean - sqrt(n-1) * std`` of the roots, from
+    the top three coefficients.  Each step takes ``p``, ``p'`` and
+    ``p''/2`` at ``x`` from one Horner pass.  With ``G = p'/p`` and
+    ``H = G^2 - p''/p``, the discriminant ``(n-1)(n H - G^2)`` is at least
+    zero wherever ``p`` is real-rooted (Cauchy-Schwarz over the roots), and
+    the step is ``-n / (G - sqrt(disc))``; left of the smallest root of a
+    real-rooted ``p`` it climbs monotonically and converges cubically.
+    Where the discriminant is negative (``p`` is not real-rooted) the step
+    is Newton's ``-1/G``.  The loop stops once the lower barrier
+    ``root - x <= -n/G`` is at most ``eps/4``, at a zero ``p``, ``p'`` or
+    ``G``, or at a step that leaves ``(lo, hi)``.  Nothing here is
+    trusted: the result is a finite guess inside ``(lo, hi)`` that
+    :func:`smallest_root` certifies, after :func:`_polished` where it must
+    certify both ends, or discards.
     """
     n = len(c) - 1
     mean = -c[n - 1] / (n * c[n])
@@ -305,10 +326,20 @@ def _newton_from_left(c: Sequence[float], dp: Sequence[float], lo: float, hi: fl
     x = mean - spread
     if not lo < x < hi:
         x = lo
-    for _ in range(_NEWTON_MAX_STEPS):
-        slope = _horner(dp, x)
-        step = -_horner(c, x) / slope if slope else 0.0
-        if n * step <= 0.25 * eps or not lo < x + step < hi:
+    for _ in range(_LAGUERRE_MAX_STEPS):
+        value = slope = half_curve = 0.0
+        for coeff in reversed(c):
+            half_curve = half_curve * x + slope
+            slope = slope * x + value
+            value = value * x + coeff
+        if not value or not slope:
+            break
+        g = slope / value
+        if not g or -n / g <= 0.25 * eps:
+            break
+        disc = (n - 1) * (n * (g * g - 2.0 * half_curve / value) - g * g)
+        step = -n / (g - math.sqrt(disc)) if disc >= 0.0 else -1.0 / g
+        if not lo < x + step < hi:
             break
         x += step
     return x
@@ -317,7 +348,7 @@ def _newton_from_left(c: Sequence[float], dp: Sequence[float], lo: float, hi: fl
 def _polished(c: Sequence[float], dp: Sequence[float], x: float, lo: float, hi: float) -> float:
     """``x`` after the last Newton steps, which take ``p(x)`` from :func:`_compensated_value`.
 
-    Plain Horner's rounding error caps how close :func:`_newton_from_left`
+    Plain Horner's rounding error caps how close :func:`_laguerre_from_left`
     gets to a root with close neighbours; every step here still takes
     ``p'(x)`` from plain Horner, and a step that leaves ``(lo, hi)`` ends
     the polish.
@@ -345,10 +376,22 @@ def _check_real(name: str, value: object) -> None:
 def _root_at_or_below(c: Sequence[float], t: float) -> bool:
     """True if ``p`` (ascending ``c``) at ``t`` has the sign opposite to its sign at ``-inf``.
 
-    That sign is the one of ``lead * (-1)^n``.  The value is compensated,
-    and a zero is no sign, so True proves a root at or below ``t``.
+    That sign is the one of ``lead * (-1)^n``.  One pass takes plain
+    Horner's value and ``mu = sum |c_i| |t|^i``; the plain sign is trusted
+    when ``|value| > 4 (n+1) u mu``, with ``u = 2^-53``, which bounds
+    Horner's rounding error (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 5.1) with room to spare.  Where ``mu`` or the lead is
+    below the normal range, so that underflow can break that bound, or
+    the value does not clear it, the value is compensated.  A zero is no
+    sign, so True proves a root at or below ``t``.
     """
-    value = _compensated_value(c, t)
+    value = mu = 0.0
+    size = abs(t)
+    for coeff in reversed(c):
+        value = value * t + coeff
+        mu = mu * size + abs(coeff)
+    if not (abs(value) > _HORNER_ERROR * len(c) * mu and mu >= _TINY and abs(c[-1]) >= _TINY):
+        value = _compensated_value(c, t)
     return value > 0.0 if (c[-1] > 0.0) == (len(c) % 2 == 0) else value < 0.0
 
 
@@ -361,8 +404,10 @@ def smallest_root(p: Polynomial, eps: float, incumbent: float = -math.inf) -> fl
     finite coefficients, else :class:`InvalidInput`, as the Sturm chain's
     does, and so must the Cauchy bound ``1 + radius`` on the roots.  From
     the Cauchy bracket ``[lo, hi]``, with no root at or below ``lo``,
-    plain Newton steps from the left (:func:`_newton_from_left`) propose
-    a root ``x``.
+    Laguerre steps from the left (:func:`_laguerre_from_left`) propose a
+    root ``x``.  Each sign that :func:`_root_at_or_below` takes is plain
+    Horner's where its value clears a running error bound, and
+    compensated Horner's otherwise.
 
     *A root that cannot win.*  If the midpoint of ``[x - eps/4, x + eps/4]``
     is below ``incumbent - eps`` and :func:`_root_at_or_below` shows a
@@ -377,7 +422,8 @@ def smallest_root(p: Polynomial, eps: float, incumbent: float = -math.inf) -> fl
     :func:`count_roots_leq` there shows no root at or below it, on the
     Fourier sequence ``p, p', ..., p^(n)`` or, where that count is not
     zero or a derivative overflows, on the Sturm chain.  So a root that
-    passes both tests costs three compensated evaluations and one count.
+    passes both tests costs two compensated evaluations and one count,
+    and a third evaluation where the sign at ``x + eps/4`` is not trusted.
     A test that fails, or an ``eps`` wider than the bracket, leaves the
     Cauchy end in place.  Bisection on the Sturm count then halves
     whatever is left, until the bracket is at most ``eps`` wide or its
@@ -388,7 +434,7 @@ def smallest_root(p: Polynomial, eps: float, incumbent: float = -math.inf) -> fl
     Accuracy contract: with the default ``incumbent = -inf`` the result
     is the midpoint of a bracket at most ``eps`` wide that holds the
     smallest root, so it is within ``eps/2`` of that root, as far as the
-    float counts and compensated signs are right.  Near a multiple root
+    float counts and the signs are right.  Near a multiple root
     they are not: within about 1e-8 of the double root of
     ``(x-1)^2 (x-2)`` the value of ``p`` is below its rounding error, and
     an ``eps`` of 1e-9 gives ``1 - 7.6e-9``.  With a finite ``incumbent``
@@ -416,7 +462,7 @@ def smallest_root(p: Polynomial, eps: float, incumbent: float = -math.inf) -> fl
     if not math.isfinite(radius):
         raise InvalidInput("the Cauchy bound on the roots overflows")
     lo, hi = -1.0 - radius, 1.0 + radius
-    x = _newton_from_left(c, dp, lo, hi, eps)
+    x = _laguerre_from_left(c, lo, hi, eps)
     above = x + 0.25 * eps
     early = 0.5 * ((x - 0.25 * eps) + above)
     if early < incumbent - eps and _root_at_or_below(c, above):
