@@ -16,12 +16,20 @@ basis, as the coefficients ``f_i`` of ``y^i``: its roots are those of
 the average in ``x``, each less one.  Only :func:`charpoly_psd` returns
 a polynomial in ``x``.
 
-The transform works on a stack of Gram matrices at once, as the greedy
-loop scores every remaining candidate of an iteration: one stacked
-``eigvalsh`` call, then each stage (exact zeros, root expansion,
-weights) as one array operation per coefficient over all rows.  Each
-row takes the same float operations, in the same order, as the stack
-holding that Gram alone.
+The greedy loop scores every remaining candidate of an iteration, and
+each candidate's Gram is the partial's Gram ``G`` plus ``v v^T``.  So
+the transform takes ``G`` and the candidate columns ``v``: one ``eigh``
+of ``G`` gives its roots ``r = mu - 1`` and the weights
+``w = (Q^T v)^2``, and by the matrix determinant lemma
+
+    det[(y + 1)I - G - v v^T] = p_G(y) - sum_i w_i p_G(y) / (y - r_i),
+    p_G(y) = det[(y + 1)I - G] = prod_i (y - r_i),
+
+every candidate's coefficients are ``p_G``'s less one matrix product of
+``w`` with those of the ``n`` quotients ``p_G / (y - r_i)``.  No
+candidate's Gram is formed and none is decomposed.  The stacked path,
+one ``eigvalsh`` per candidate Gram, is kept as a reference in
+:mod:`colsel.oracle`.
 """
 from __future__ import annotations
 
@@ -33,8 +41,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidInput
-from .linalg import DenseMatrix, _as_index, _as_indices, _gram_updates, gram_update, thin_svd
-from .poly import Polynomial, from_roots
+from .linalg import DenseMatrix, _as_index, _as_indices, gram_update, thin_svd
+from .poly import Polynomial, _wrap, from_roots
 
 __all__ = [
     "IsotropicInstance",
@@ -121,6 +129,37 @@ class IsotropicInstance:
         return DenseMatrix(self.fixed @ self.fixed.T)
 
 
+def _checked_scales(grams: np.ndarray, label: str) -> np.ndarray:
+    """The scale ``max(1, max|G|)`` of each matrix of the ``(C, n, n)``
+    stack ``grams``, each checked to be finite and symmetric to ``1e-10``
+    of its own scale.  A failure raises :class:`InvalidInput` naming
+    matrix ``i`` as ``label.format(i)``.
+    """
+    # ufunc reductions run at C level; initial=0.0 covers the empty matrix.
+    # maximum propagates NaN, so the largest entry is finite only if all are.
+    largest = np.maximum.reduce(np.abs(grams), axis=(1, 2), initial=0.0)
+    finite = largest < math.inf
+    if not finite.all():
+        raise InvalidInput(f"{label.format(int(np.argmin(finite)))} has a non-finite entry")
+    scale = np.maximum(1.0, largest)
+    asymmetry = np.maximum.reduce(
+        np.abs(grams - grams.transpose(0, 2, 1)), axis=(1, 2), initial=0.0
+    )
+    asymmetric = asymmetry > _SYMMETRY_TOL * scale
+    if asymmetric.any():
+        raise InvalidInput(
+            f"{label.format(int(np.argmax(asymmetric)))} is not symmetric to 1e-10"
+        )
+    return scale
+
+
+def _clamped(eig: np.ndarray, scale: np.ndarray | float) -> np.ndarray:
+    """``eig`` with its mildly negative values (rounding noise), down to
+    ``-1e-12 * scale``, set to zero."""
+    clamp = _EIGENVALUE_CLAMP_TOL * scale
+    return np.where((-clamp <= eig) & (eig < 0.0), 0.0, eig)
+
+
 def _psd_eigenvalues(grams: np.ndarray) -> np.ndarray:
     """Eigenvalues of each symmetric PSD matrix of the ``(C, n, n)`` stack
     ``grams``, one row per matrix, ascending, from one stacked solver call.
@@ -131,19 +170,7 @@ def _psd_eigenvalues(grams: np.ndarray) -> np.ndarray:
     """
     if grams.ndim != 3 or grams.shape[1] != grams.shape[2]:
         raise InvalidInput(f"matrices must be a (C, n, n) stack, got shape {grams.shape}")
-    finite = np.isfinite(grams).all(axis=(1, 2))
-    if not finite.all():
-        raise InvalidInput(f"matrix {int(np.argmin(finite))} of the stack has a non-finite entry")
-    # ufunc reductions run at C level; initial=0.0 covers the empty matrix.
-    scale = np.maximum(1.0, np.maximum.reduce(np.abs(grams), axis=(1, 2), initial=0.0))
-    asymmetry = np.maximum.reduce(
-        np.abs(grams - grams.transpose(0, 2, 1)), axis=(1, 2), initial=0.0
-    )
-    asymmetric = asymmetry > _SYMMETRY_TOL * scale
-    if asymmetric.any():
-        raise InvalidInput(
-            f"matrix {int(np.argmax(asymmetric))} of the stack is not symmetric to 1e-10"
-        )
+    scale = _checked_scales(grams, "matrix {} of the stack")
     try:
         eig = np.linalg.eigvalsh(grams)
     except np.linalg.LinAlgError:
@@ -156,8 +183,20 @@ def _psd_eigenvalues(grams: np.ndarray) -> np.ndarray:
                     f"eigenvalues of matrix {i} of the stack did not converge"
                 ) from None
         raise
-    clamp = (_EIGENVALUE_CLAMP_TOL * scale)[:, None]
-    return np.where((-clamp <= eig) & (eig < 0.0), 0.0, eig)
+    return _clamped(eig, scale[:, None])
+
+
+def _psd_eigh(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues, ascending, and eigenvectors, as columns, of the
+    symmetric PSD matrix ``gram``, with the checks and the clamp of
+    :func:`_psd_eigenvalues`; a failure raises :class:`InvalidInput`
+    naming ``gram``."""
+    scale = _checked_scales(gram[None], "gram")[0]
+    try:
+        mu, q = np.linalg.eigh(gram)
+    except np.linalg.LinAlgError:
+        raise InvalidInput("eigenvalues of gram did not converge") from None
+    return _clamped(mu, scale), q
 
 
 def charpoly_psd(g: DenseMatrix) -> Polynomial:
@@ -174,83 +213,125 @@ def _from_roots_rows(roots: np.ndarray) -> np.ndarray:
     coefficients.  Factors are multiplied in column order, each by the
     update of :func:`~colsel.poly.from_roots`."""
     rows, n = roots.shape
-    c = np.zeros((rows, n + 1))
-    c[:, 0] = 1.0
+    # column 0 stays zero: the coefficient below the constant one
+    c = np.zeros((rows, n + 2))
+    c[:, 1] = 1.0
     for t in range(n):
-        r = roots[:, t]
-        # c <- c * (x - r); the right-hand sides read the old values
-        c[:, t + 1] = c[:, t]
-        c[:, 1 : t + 1] = c[:, :t] - r[:, None] * c[:, 1 : t + 1]
-        c[:, 0] = -r * c[:, 0]
-    return c
+        # c <- c * (x - r), one array operation over the t + 2 live
+        # coefficients; the right-hand side reads the old values
+        c[:, 1 : t + 3] = c[:, : t + 2] - roots[:, t : t + 1] * c[:, 1 : t + 3]
+    return c[:, 1:]
 
 
-def _shifted_charpolys(grams: np.ndarray, a: int) -> np.ndarray:
-    """Row ``i``: the coefficients ``c`` of ``det[(y + 1)I - grams[i]]`` in
-    powers of ``y = x - 1``, ascending.
+def _candidate_charpolys(gram: np.ndarray, v: np.ndarray, a: int) -> np.ndarray:
+    """Row ``c``: the coefficients of ``det[(y + 1)I - gram - v_c v_c^T]``
+    in powers of ``y = x - 1``, ascending, for each column ``v_c`` of the
+    ``n x C`` array ``v``, from one eigendecomposition of ``gram``.
 
-    The roots ``r = mu - 1`` come in descending ``mu``, ``eigvalsh``'s order
-    reversed: a partial Gram has ``0 <= mu <= 1`` (``y_S y_S^T <= y y^T = I``),
-    so that is ascending ``|r|``, the order ``from_roots`` sorts into.  A
-    product of factors ``y + |r|`` has no cancellation in any order, but
-    the order still moves the rounding: in ``eigvalsh``'s own order the
-    greedy subsets of ``tools/compare_trees.py`` stayed the same, while
-    degree-12 roots moved by up to 47.5 eps.
+    With ``gram = Q diag(mu) Q^T``, ``r = mu - 1`` and ``w = (Q^T v_c)^2``,
+    the row is ``p(y) - sum_i w_i p(y) / (y - r_i)``, ``p = prod (y - r_i)``
+    (the matrix determinant lemma).  One root expansion gives ``p`` and
+    the quotients at once: its row ``i + 1`` has ``r_i`` replaced by zero,
+    which makes it ``y p(y) / (y - r_i)``, the quotient shifted exactly.
+    The roots come in descending ``mu``, ascending ``|r|``: a partial Gram
+    has ``0 <= mu <= 1`` (``y_S y_S^T <= y y^T = I``), and a product of
+    factors ``y + |r|`` has no cancellation.
 
-    For ``a < 0`` the first ``-a`` roots, those of the largest eigenvalues,
-    are set to exactly zero.  They are zero in exact arithmetic: with
-    ``a = m - n - j``, the identity minus the Gram of a size-``j`` partial
-    is a sum of ``m - j`` rank-one terms, so the Gram has eigenvalue one
-    with multiplicity at least ``-a``.  ``IsotropicInstance`` checks
+    ``a = m - n - j`` for the candidates' partial size ``j``.  For ``a < 0``
+    the first ``-a`` coefficients of every row are set to exactly zero:
+    the identity minus the Gram of a size-``j`` partial is a sum of
+    ``m - j`` rank-one terms, so that Gram has eigenvalue one with
+    multiplicity at least ``-a``.  For the same reason ``gram``, a
+    size-``j - 1`` partial's, has at least ``-a - 1``; their roots are set
+    to zero, and so are their weights, since ``gram + v v^T <= I`` puts
+    ``v`` orthogonal to that eigenspace.  ``IsotropicInstance`` checks
     ``y y^T = I`` to 1e-8.
     """
-    r = _psd_eigenvalues(grams)[:, ::-1] - 1.0
-    r[:, : max(-a, 0)] = 0.0
-    return _from_roots_rows(r)
+    n = gram.shape[0]
+    mu, q = _psd_eigh(gram)
+    r = mu[::-1] - 1.0
+    w = np.square(q[:, ::-1].T @ v)
+    unit = max(-a - 1, 0)
+    r[:unit] = 0.0
+    w[:unit] = 0.0
+    roots = np.tile(r, (n + 1, 1))
+    np.fill_diagonal(roots[1:], 0.0)
+    c = _from_roots_rows(roots)
+    rows = np.empty((v.shape[1], n + 1))
+    rows[:, :n] = c[0, :n] - w.T @ c[1:, 1:]
+    rows[:, n] = 1.0
+    rows[:, : max(-a, 0)] = 0.0
+    return rows
 
 
 def _falling_weights(n: int, a: int, d: int) -> list[int]:
     """``prod_{t<d} (i+a-t)`` for ``i = 0..n``: the factor that multiplying
     by ``y^a``, differentiating ``d`` times and dividing by ``y^(a-d)``
     puts on ``y^i``.  Where ``i + a < 0`` the coefficient ``c_i`` is zero
-    (see :func:`_shifted_charpolys`), so the weight is too."""
+    (see :func:`_candidate_charpolys`), so the weight is too."""
     return [math.perm(i + a, d) if i + a >= 0 else 0 for i in range(n + 1)]
 
 
-def expected_poly_from_gram(
-    inst: IsotropicInstance, grams: np.ndarray, j: int
-) -> list[Polynomial]:
-    """Expected polynomials of size-``j`` partials, one per matrix of the
-    ``(C, n, n)`` stack ``grams`` of selected-plus-fixed Gram matrices;
-    each is monic of degree ``n``, in powers of ``y = x - 1``.
+def _weight_ratios(n: int, a: int, d: int) -> np.ndarray:
+    """The weights of :func:`_falling_weights` over the leading one, which
+    keep the result monic; Python-int true division rounds once, and the
+    weights can exceed ``2**53``."""
+    w = _falling_weights(n, a, d)
+    return np.array([wi / w[n] for wi in w])
 
-    The whole stack goes through one eigenvalue call and one transform;
-    each row takes the same float operations, in the same order, as a
-    stack holding that Gram alone.  :class:`InvalidInput` names the
-    position of a Gram that fails a check.
+
+def expected_poly_from_gram(
+    inst: IsotropicInstance, gram: np.ndarray, j: int, v: np.ndarray
+) -> list[Polynomial]:
+    """Expected polynomials of size-``j`` partials, one per column of the
+    ``n x C`` array ``v``: the partial whose selected-plus-fixed Gram is
+    ``gram`` (``n x n``) extended by that column.  Each is monic of
+    degree ``n``, in powers of ``y = x - 1``.
+
+    All of them come from one eigendecomposition of ``gram`` and one
+    matrix product (:func:`_candidate_charpolys`).  The products' blocking
+    depends on the number of columns, so a row may differ in its last bits
+    from the one ``v[:, [c]]`` alone gives.  An empty partial (``j = 0``)
+    is scored by ``gram`` with a zero column.
+    :class:`InvalidInput` names ``gram`` when it fails a check, and the
+    position of a column of ``v`` that is not finite or whose polynomial
+    is not.
     """
     if not 0 <= _as_index(j, InvalidInput, "partial size") <= inst.k:
         raise InvalidInput(f"partial size {j} outside [0, k={inst.k}]")
     n, a, d = inst.n, inst.m - inst.n - j, inst.k - j
-    if grams.shape[1:] != (n, n):
-        raise InvalidInput(f"Gram stack must have shape (C, {n}, {n}), got {grams.shape}")
-    w = _falling_weights(n, a, d)
-    # Python-int true division rounds once; w can exceed 2**53
-    ratio = np.array([wi / w[n] for wi in w])
-    return [Polynomial(f) for f in (_shifted_charpolys(grams, a) * ratio).tolist()]
+    if gram.shape != (n, n):
+        raise InvalidInput(f"gram must have shape ({n}, {n}), got {gram.shape}")
+    if v.ndim != 2 or v.shape[0] != n:
+        raise InvalidInput(f"candidate columns v must have shape ({n}, C), got {v.shape}")
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below names the column
+        f = _candidate_charpolys(gram, v, a) * _weight_ratios(n, a, d)
+    # A non-finite entry of v_c reaches row c's coefficient of y^(n-1), -sum r_i - sum w_i.
+    if not np.isfinite(f).all():
+        column = int(np.argmin(np.isfinite(f).all(axis=1)))
+        if not np.isfinite(v[:, column]).all():
+            raise InvalidInput(f"column {column} of v has a non-finite entry")
+        raise InvalidInput(
+            f"the expected polynomial of column {column} of v has a non-finite coefficient"
+        )
+    # each row is finite and monic, so no check and no stripping is left
+    return [_wrap(tuple(row)) for row in f.tolist()]
 
 
-def _partial_gram(
-    inst: IsotropicInstance, partial: Sequence[int], max_size: int
-) -> tuple[list[int], DenseMatrix]:
-    """The candidates ``partial``, checked, and the Gram matrix of the fixed block plus them."""
+def _checked_partial(inst: IsotropicInstance, partial: Sequence[int], max_size: int) -> list[int]:
+    """The candidates ``partial``, checked: distinct, in range, at most ``max_size``."""
     idx = _as_indices(partial, inst.m, InvalidInput)
     if len(idx) > max_size:
         raise InvalidInput(f"partial selection of size {len(idx)} exceeds {max_size}")
+    return idx
+
+
+def _partial_gram(inst: IsotropicInstance, idx: Sequence[int]) -> DenseMatrix:
+    """The Gram matrix of the fixed block plus the checked candidates ``idx``."""
     g = inst.gram_fixed
     for j in idx:
         g = gram_update(g, inst.candidates[:, j])
-    return idx, g
+    return g
 
 
 def expected_poly(inst: IsotropicInstance, partial: Sequence[int]) -> Polynomial:
@@ -258,31 +339,35 @@ def expected_poly(inst: IsotropicInstance, partial: Sequence[int]) -> Polynomial
 
     ``partial`` holds distinct candidates, each named by its column of
     ``b`` (column ``j`` of ``inst.candidates``); the result is monic of
-    degree ``n``, in powers of ``y = x - 1``.
+    degree ``n``, in powers of ``y = x - 1``.  It is scored as the greedy
+    loop scores it: the Gram of all but the last candidate, extended by
+    the last.
     """
-    idx, gram = _partial_gram(inst, partial, inst.k)
-    return expected_poly_from_gram(inst, gram.data[None], len(idx))[0]
+    idx = _checked_partial(inst, partial, inst.k)
+    v = inst.candidates[:, idx[-1:]] if idx else np.zeros((inst.n, 1))
+    return expected_poly_from_gram(inst, _partial_gram(inst, idx[:-1]).data, len(idx), v)[0]
 
 
 def root_sum_identity_check(inst: IsotropicInstance, s: Sequence[int]) -> float:
     """Residual of the one-step summation identity at subset ``s``, which
     names at most ``m - 1`` candidates by their columns of ``b``.
 
-    Compares the sum of the child characteristic polynomials of ``s``
-    against the one-derivative weights (``d = 1``, not normalised)
-    applied to the polynomial of ``s`` itself, both in powers of
-    ``y = x - 1``; both sides have the number of children as leading
-    coefficient, and the residual is scaled by it.  Test helper.
+    Compares the sum of the child characteristic polynomials of ``s``,
+    the rows :func:`expected_poly_from_gram` weights, against the
+    one-derivative weights (``d = 1``, not normalised) applied to the
+    polynomial of ``s`` itself, both in powers of ``y = x - 1``; both
+    sides have the number of children as leading coefficient, and the
+    residual is scaled by it.  Test helper.
     """
-    idx, gram = _partial_gram(inst, s, inst.m - 1)
+    idx = _checked_partial(inst, s, inst.m - 1)
+    gram = _partial_gram(inst, idx).data
     n, m = inst.n, inst.m
 
     children = [j for j in range(m) if j not in idx]
-    child_grams = _gram_updates(gram.data, inst.candidates[:, children])
-    lhs = _from_roots_rows(_psd_eigenvalues(child_grams) - 1.0).sum(axis=0)
-
     a = m - n - len(idx)
+    lhs = _candidate_charpolys(gram, inst.candidates[:, children], a - 1).sum(axis=0)
+
     w = np.array(_falling_weights(n, a, 1), dtype=float)
-    rhs = (_shifted_charpolys(gram.data[None], a) * w)[0]
+    rhs = _candidate_charpolys(gram, np.zeros((n, 1)), a)[0] * w
 
     return float(np.max(np.abs(lhs - rhs)) / len(children))

@@ -1,10 +1,14 @@
 """Independent cross-check machinery: enumeration (one stacked singular-value
-call per batch of up to 256 subsets), barriers, companion roots, and the
-monomial-basis expected-polynomial pipeline.
+call per batch of up to 256 subsets), barriers, companion roots, the
+monomial-basis expected-polynomial pipeline, and the stacked ``y``-basis
+transform (one eigensolve per candidate Gram).
 
-Nothing here shares a code path with the root search, the y-basis transform,
-the greedy loop or the selector's subset norms, which is the point: these
-are the oracles the test suite uses to falsify the production code.
+Nothing here shares a code path with the root search, the greedy loop or
+the selector's subset norms, which is the point: these are the oracles the
+test suite uses to falsify the production code.  The stacked transform
+shares only the eigenvalue checks and the root expansion with the
+production one, which scores candidates by the matrix determinant lemma
+instead of decomposing their Grams.
 """
 from __future__ import annotations
 
@@ -15,6 +19,12 @@ from itertools import combinations, islice
 import numpy as np
 
 from .errors import DeflationFailure, InvalidInput, TooLarge
+from .expected_charpoly import (
+    IsotropicInstance,
+    _from_roots_rows,
+    _psd_eigenvalues,
+    _weight_ratios,
+)
 # pseudoinverse is unused; the benchmark harness's tracer test wraps colsel.oracle.pseudoinverse
 from .linalg import DEFAULT_RANK_TOL, columns, pseudoinverse  # noqa: F401
 from .poly import Polynomial, derivative, evaluate, monic
@@ -30,6 +40,8 @@ __all__ = [
     "mul_shifted_power",
     "deflate_shifted_power",
     "shifted_pipeline",
+    "stacked_charpolys",
+    "stacked_expected_polys",
 ]
 
 ENUMERATION_GUARD = 10**6
@@ -241,3 +253,38 @@ def shifted_pipeline(p: Polynomial, a: int, d: int) -> Polynomial:
         return mul_shifted_power(q, power) if power >= 0 else deflate_shifted_power(q, -power)
 
     return monic(shift(derivative(shift(p, a), d), d - a))
+
+
+def stacked_charpolys(grams: np.ndarray, a: int) -> np.ndarray:
+    """Row ``i``: the coefficients ``c`` of ``det[(y + 1)I - grams[i]]`` in
+    powers of ``y = x - 1``, ascending, from one stacked ``eigvalsh`` call
+    on the ``(C, n, n)`` stack ``grams`` and one root expansion per row.
+
+    The roots ``r = mu - 1`` come in descending ``mu``, ascending ``|r|``
+    for a partial Gram, as in the production transform.  For ``a < 0``
+    the first ``-a`` roots, those of the largest eigenvalues, are set to
+    exactly zero: with ``a = m - n - j``, the Gram of a size-``j`` partial
+    has eigenvalue one with multiplicity at least ``-a``.
+    """
+    r = _psd_eigenvalues(grams)[:, ::-1] - 1.0
+    r[:, : max(-a, 0)] = 0.0
+    return _from_roots_rows(r)
+
+
+def stacked_expected_polys(
+    inst: IsotropicInstance, grams: np.ndarray, j: int
+) -> list[Polynomial]:
+    """Expected polynomials of size-``j`` partials, one per matrix of the
+    ``(C, n, n)`` stack ``grams`` of their selected-plus-fixed Grams, in
+    powers of ``y = x - 1``: :func:`stacked_charpolys` and the weights of
+    :func:`~colsel.expected_charpoly.expected_poly_from_gram`, which takes
+    the same polynomials from one eigendecomposition of the partial's Gram
+    instead.  Each row takes the same float operations, in the same order,
+    as the stack holding that Gram alone.
+    """
+    n = inst.n
+    if grams.shape[1:] != (n, n):
+        raise InvalidInput(f"Gram stack must have shape (C, {n}, {n}), got {grams.shape}")
+    a = inst.m - n - j
+    f = stacked_charpolys(grams, a) * _weight_ratios(n, a, inst.k - j)
+    return [Polynomial(row) for row in f.tolist()]

@@ -118,6 +118,16 @@ def _finite_stripped(c: list[float]) -> tuple[float, ...]:
     return tuple(c)
 
 
+def _wrap(coeffs: tuple[float, ...]) -> Polynomial:
+    """``coeffs`` as a :class:`Polynomial` without conversion or checks.
+
+    Only for a tuple of finite floats whose last entry is nonzero.
+    """
+    p = object.__new__(Polynomial)
+    object.__setattr__(p, "coeffs", coeffs)
+    return p
+
+
 def evaluate(p: Polynomial, x: float) -> float:
     """Horner evaluation."""
     return _horner(p.coeffs, x)

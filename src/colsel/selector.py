@@ -18,7 +18,12 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AlgorithmFailure, InvalidInput, InvalidSubset, RankDeficient
-from .expected_charpoly import IsotropicInstance, _partial_gram, expected_poly_from_gram
+from .expected_charpoly import (
+    IsotropicInstance,
+    _checked_partial,
+    _partial_gram,
+    expected_poly_from_gram,
+)
 from .linalg import (
     DenseMatrix,
     SvdFactors,
@@ -257,11 +262,13 @@ def greedy_select(prob: SelectionProblem) -> SelectionReport:
     """Run the deterministic greedy selection and report both norms.
 
     Each candidate is scored by the smallest root of the expected
-    polynomial of the extended partial.  Each iteration forms the Grams of
-    all remaining candidates as one stack and hands it to one
+    polynomial of the extended partial.  Each iteration hands the
+    partial's Gram and the remaining candidate columns to one
     :func:`~colsel.expected_charpoly.expected_poly_from_gram` call (one
-    stacked eigenvalue call, one array-level transform), then finds each
-    candidate's root with its own :func:`~colsel.poly.smallest_root` call.
+    eigendecomposition of that Gram and one matrix product, with no
+    candidate Gram formed), then finds each candidate's root with its own
+    :func:`~colsel.poly.smallest_root` call.  Only the winner's Gram is
+    formed, as the next iteration's partial Gram.
     The polynomials come in powers of ``y = x - 1``, so the roots, and the
     running best, are ``y`` values; a trace step records the chosen root
     in ``x``, as ``1 + y``.  The loop scans the remaining columns in
@@ -284,17 +291,16 @@ def greedy_select(prob: SelectionProblem) -> SelectionReport:
     gram = inst.gram_fixed.data
 
     for _ in range(prob.k):
-        # The Grams gram + v v^T of every remaining candidate, from one
-        # broadcast, and their expected polynomials, from one transform.
-        grams = _gram_updates(gram, inst.candidates[:, remaining])
-        polys = expected_poly_from_gram(inst, grams, len(chosen) + 1)
+        # Every remaining candidate's expected polynomial, from one transform.
+        v = inst.candidates[:, remaining]
+        polys = expected_poly_from_gram(inst, gram, len(chosen) + 1, v)
         best_y, best = -math.inf, -1
         for i, f in enumerate(polys):
             root_y = smallest_root(f, prob.eps, best_y)
             if root_y > best_y:
                 best_y, best = root_y, i
         j = remaining.pop(best)
-        gram = grams[best]
+        gram = _gram_updates(gram, v[:, best : best + 1])[0]
         chosen.append(j)
         trace.append(TraceStep(index=j, lambda_min=1.0 + best_y))
 
@@ -369,5 +375,5 @@ def min_singular_check(inst: IsotropicInstance, subset: Sequence[int]) -> float:
     Test helper for the isotropic guarantee; ``subset`` names distinct
     candidates by their columns of ``b``, as a report's ``subset`` does.
     """
-    _, gram = _partial_gram(inst, subset, inst.m)
+    gram = _partial_gram(inst, _checked_partial(inst, subset, inst.m))
     return float(np.linalg.eigvalsh(gram.data)[0])

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -10,14 +11,15 @@ import pytest
 from colsel.errors import InvalidInput
 from colsel.expected_charpoly import (
     IsotropicInstance,
+    _candidate_charpolys,
     _psd_eigenvalues,
     charpoly_psd,
     expected_poly,
     expected_poly_from_gram,
     root_sum_identity_check,
 )
-from colsel.linalg import DenseMatrix, gram_update, thin_svd
-from colsel.oracle import shifted_pipeline
+from colsel.linalg import DenseMatrix, _gram_updates, thin_svd
+from colsel.oracle import shifted_pipeline, stacked_charpolys
 from colsel.poly import Polynomial, from_roots, is_real_rooted, smallest_root
 from conftest import in_x, random_isotropic, valid_budgets
 
@@ -168,7 +170,10 @@ def test_expected_poly_closed_form_at_empty_partial():
                 inst.gram_fixed.data + inst.candidates[:, partial] @ inst.candidates[:, partial].T
             )
             want = np.asarray(shifted_pipeline(charpoly_psd(gram), m - n - j, k - j).coeffs)
-            have = np.asarray(in_x(expected_poly_from_gram(inst, gram.data[None], j)[0]).coeffs)
+            # the transform takes the Gram of all but the last pick, and the last as a column
+            head = inst.gram_fixed.data + inst.candidates[:, partial[:-1]] @ inst.candidates[:, partial[:-1]].T
+            last = inst.candidates[:, partial[-1:]] if j else np.zeros((n, 1))
+            have = np.asarray(in_x(expected_poly_from_gram(inst, head, j, last)[0]).coeffs)
             assert np.max(np.abs(have - want)) <= 1e-12 * np.max(np.abs(want))
             beyond += j > m - n
     assert beyond > 0
@@ -201,41 +206,59 @@ def test_expected_poly_input_validation():
     assert expected_poly(inst, (np.int64(0),)) == expected_poly(inst, (0,))
     with pytest.raises(InvalidInput, match="must be an integer"):
         expected_poly(inst, (0.0,))
-    grams = inst.gram_fixed.data[None]
+    gram, zero = inst.gram_fixed.data, np.zeros((inst.n, 1))
     for j in (True, 1.0):
         with pytest.raises(InvalidInput, match="partial size must be an integer"):
-            expected_poly_from_gram(inst, grams, j)
+            expected_poly_from_gram(inst, gram, j, inst.candidates)
     for j in (-1, inst.k + 1):
         with pytest.raises(InvalidInput, match=rf"partial size {j} outside \[0, k=2\]"):
-            expected_poly_from_gram(inst, grams, j)
-    assert expected_poly_from_gram(inst, grams, np.int64(0)) == [expected_poly(inst, ())]
-
-
-def _candidate_grams(inst: IsotropicInstance) -> np.ndarray:
-    return np.stack(
-        [gram_update(inst.gram_fixed, inst.candidates[:, j]).data for j in range(inst.m)]
-    )
+            expected_poly_from_gram(inst, gram, j, inst.candidates)
+    assert expected_poly_from_gram(inst, gram, np.int64(0), zero) == [expected_poly(inst, ())]
 
 
 def test_gram_stack_checks_name_the_failing_position():
+    # One Gram and the candidate columns: a failing Gram is named as such,
+    # a non-finite column by its position.
     rng = np.random.default_rng(63)
     inst = random_isotropic(rng, n=3, m=6, ell=2, k=3)
-    grams = _candidate_grams(inst)
-    assert len(expected_poly_from_gram(inst, grams, 1)) == inst.m
+    gram, v = inst.gram_fixed.data, inst.candidates
+    assert len(expected_poly_from_gram(inst, gram, 1, v)) == inst.m
 
-    asymmetric = grams.copy()
-    asymmetric[2, 0, 1] += 1e-6
-    with pytest.raises(InvalidInput, match="matrix 2 of the stack is not symmetric"):
-        expected_poly_from_gram(inst, asymmetric, 1)
+    asymmetric = gram.copy()
+    asymmetric[0, 1] += 1e-6
+    with pytest.raises(InvalidInput, match="gram is not symmetric"):
+        expected_poly_from_gram(inst, asymmetric, 1, v)
 
     for bad in (np.nan, np.inf):
-        nonfinite = grams.copy()
-        nonfinite[4, 1, 1] = bad
-        with pytest.raises(InvalidInput, match="matrix 4 of the stack has a non-finite entry"):
-            expected_poly_from_gram(inst, nonfinite, 1)
+        nonfinite = gram.copy()
+        nonfinite[1, 1] = bad
+        with pytest.raises(InvalidInput, match="gram has a non-finite entry"):
+            expected_poly_from_gram(inst, nonfinite, 1, v)
+        column = v.copy()
+        column[1, 4] = bad
+        with pytest.raises(InvalidInput, match="column 4 of v has a non-finite entry"):
+            expected_poly_from_gram(inst, gram, 1, column)
 
-    with pytest.raises(InvalidInput, match="must have shape"):
-        expected_poly_from_gram(inst, grams[0], 1)  # one Gram, not a stack
+    huge = v.copy()
+    huge[:, 2] *= 1e200  # finite, but its weight (Q^T v)^2 overflows
+    with pytest.raises(InvalidInput, match="polynomial of column 2 of v has a non-finite"):
+        expected_poly_from_gram(inst, gram, 1, huge)
+
+    with pytest.raises(InvalidInput, match="gram must have shape"):
+        expected_poly_from_gram(inst, gram[None], 1, v)  # a stack, not one Gram
+    with pytest.raises(InvalidInput, match="candidate columns v must have shape"):
+        expected_poly_from_gram(inst, gram, 1, v[:, 0])  # one column as a vector
+
+
+def test_the_gram_names_itself_when_its_eigenvalues_do_not_converge(monkeypatch):
+    def fails(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fails)
+    rng = np.random.default_rng(63)
+    inst = random_isotropic(rng, n=3, m=6, ell=2, k=3)
+    with pytest.raises(InvalidInput, match="eigenvalues of gram did not converge"):
+        expected_poly_from_gram(inst, inst.gram_fixed.data, 1, inst.candidates)
 
 
 def test_gram_stack_names_a_matrix_whose_eigenvalues_do_not_converge(monkeypatch):
@@ -270,9 +293,81 @@ def test_gram_stack_clamps_against_each_matrix_own_scale():
 def test_expected_poly_names_a_candidate_by_its_column_of_b():
     rng = np.random.default_rng(62)
     inst = random_isotropic(rng, n=3, m=6, ell=2, k=3)
+    gram, v = inst.gram_fixed.data, inst.candidates
+    polys = expected_poly_from_gram(inst, gram, 1, v)
     for j in range(inst.m):
-        gram = gram_update(inst.gram_fixed, inst.candidates[:, j])
-        assert expected_poly(inst, (j,)) == expected_poly_from_gram(inst, gram.data[None], 1)[0]
+        assert expected_poly(inst, (j,)) == expected_poly_from_gram(inst, gram, 1, v[:, [j]])[0]
+        # a matrix product over more columns may round its last bits differently
+        assert expected_poly(inst, (j,)).coeffs == pytest.approx(polys[j].coeffs, rel=1e-14)
+
+
+def _exact_shifted_charpoly(mat: np.ndarray) -> list[Fraction]:
+    """Coefficients of ``det[(y + 1)I - mat]`` in powers of ``y``, ascending,
+    exact in fractions for the float entries of ``mat``: Faddeev-LeVerrier
+    for the polynomial in ``x``, then the exact shift ``x = y + 1``."""
+    n = len(mat)
+    a = [[Fraction(v) for v in row] for row in mat.tolist()]
+    c = [Fraction(0)] * n + [Fraction(1)]
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for t in range(1, n + 1):
+        # M_t = A M_{t-1} + c_{n-t+1} I, and c_{n-t} = -tr(A M_t) / t
+        m = [
+            [sum(a[i][l] * m[l][q] for l in range(n)) + (c[n - t + 1] if i == q else 0)
+             for q in range(n)]
+            for i in range(n)
+        ]
+        c[n - t] = -sum(a[i][l] * m[l][i] for i in range(n) for l in range(n)) / t
+    return [sum(c[i] * math.comb(i, t) for i in range(t, n + 1)) for t in range(n + 1)]
+
+
+# A root r = mu - 1 carries the eigensolver's absolute error, about u, so
+# a coefficient's relative error scales as u / min|r| (each coefficient
+# is an elementary symmetric function of the |r_i|, and d e_s / d|r_i|
+# <= e_s / |r_i|).  Bound on the relative error times min|r| over the
+# roots not set to zero: 10x the largest measured below (1.7e-15, on the
+# stacked rows; 1.1e-15 on the determinant-lemma rows).  Without that
+# factor it reached 2.4e-10, on a candidate with mu = 1 - 4.96e-7.
+_EXACT_RTOL = 2e-14
+
+
+def test_both_transforms_match_the_exact_charpoly_of_the_float_candidate_gram():
+    # For every step of random partials: the determinant-lemma rows (one
+    # eigendecomposition of G) and the oracle's stacked rows (one eigvalsh
+    # per G + v v^T) against the exact characteristic polynomial of the
+    # float matrix G + v v^T.  Shapes include a = m - n - j < 0, where both
+    # set the first -a coefficients to zero and the exact ones are rounding
+    # noise, and a rank-deficient fixed block.
+    rng = np.random.default_rng(79)
+    shapes = [(2, 5, 1, 3), (3, 6, 2, 4), (4, 6, 0, 5), (4, 9, 2, 4), (3, 4, 1, 3), (4, 5, 3, 4)]
+    worst, negative_a = 0.0, 0
+    for n, m, ell, k in shapes:
+        for rank_a in (None, 1):
+            a = rng.standard_normal((n, ell))
+            if rank_a is not None and ell > 1:
+                a = rng.standard_normal((n, 1)) @ rng.standard_normal((1, ell))
+            y = thin_svd(DenseMatrix(np.hstack([a, rng.standard_normal((n, m))]))).vt
+            inst = IsotropicInstance.from_y(y, ell, min(k, m - 1))
+            order = [int(c) for c in rng.permutation(m)]
+            gram = inst.gram_fixed.data
+            for j in range(1, inst.k + 1):
+                shift = m - n - j
+                v = inst.candidates[:, order[j - 1 :]]
+                rows = (_candidate_charpolys(gram, v, shift),
+                        stacked_charpolys(_gram_updates(gram, v), shift))
+                for c, cand in enumerate(_gram_updates(gram, v)):
+                    exact = _exact_shifted_charpoly(cand)
+                    zeros = max(-shift, 0)
+                    min_r = np.sort(np.abs(np.linalg.eigvalsh(cand) - 1.0))[zeros]
+                    for got in rows:
+                        assert got[c, :zeros].tolist() == [0.0] * zeros
+                        assert all(abs(e) < 1e-12 for e in exact[:zeros])
+                        for g, e in zip(got[c, zeros:].tolist(), exact[zeros:]):
+                            assert e != 0
+                            worst = max(worst, float(abs(Fraction(g) - e) / abs(e)) * min_r)
+                negative_a += shift < 0
+                gram = _gram_updates(gram, inst.candidates[:, order[j - 1 : j]])[0]
+    assert negative_a > 0
+    assert worst <= _EXACT_RTOL
 
 
 def test_root_sum_identity_tiny_case():

@@ -12,8 +12,9 @@ from colsel import expected_charpoly, selector
 from colsel.cli import serialize_report
 from colsel.errors import AlgorithmFailure, InvalidInput, InvalidSubset, RankDeficient
 from colsel.expected_charpoly import _psd_eigenvalues, expected_poly, expected_poly_from_gram
-from colsel.linalg import DenseMatrix, gram_update, norms_sq, pseudoinverse, thin_svd
-from colsel.poly import Polynomial, from_roots, smallest_root
+from colsel.linalg import DenseMatrix, _gram_updates, gram_update, norms_sq, pseudoinverse, thin_svd
+from colsel.oracle import stacked_expected_polys
+from colsel.poly import smallest_root
 from colsel.selector import (
     SelectionProblem,
     SelectionReport,
@@ -211,48 +212,56 @@ def test_greedy_breaks_ties_by_smallest_column(monkeypatch):
     assert [t.lambda_min for t in report.trace] == [0.5] * 3
 
 
-def _scalar_expected_poly(inst, gram: DenseMatrix, j: int) -> Polynomial:
-    """The expected-polynomial transform of one Gram in Python floats, as
-    the package computed it one candidate at a time: its own ``eigvalsh``
-    call and clamp, ``sorted(key=abs)``, the exact zeros and the integer
-    weight ratio, in powers of ``y = x - 1``."""
-    n, a, d = inst.n, inst.m - inst.n - j, inst.k - j
-    clamp = 1e-12 * max(1.0, float(np.max(np.abs(gram.data))))
-    eig = [0.0 if -clamp <= v < 0.0 else v for v in np.linalg.eigvalsh(gram.data).tolist()]
-    roots = sorted((mu - 1.0 for mu in eig), key=abs)
-    roots[: max(-a, 0)] = [0.0] * max(-a, 0)
-    c = from_roots(roots).coeffs
-    w = [math.perm(i + a, d) if i + a >= 0 else 0 for i in range(n + 1)]
-    return Polynomial(ci * (wi / w[n]) for ci, wi in zip(c, w))
-
-
-def _per_candidate_greedy(prob: SelectionProblem) -> tuple[list[int], list[float]]:
-    """The greedy loop with one ``gram_update`` and one scalar transform per
-    candidate: the subset and its roots, in ``x``."""
+def _stacked_greedy(prob: SelectionProblem) -> tuple[list[int], list[float], list[np.ndarray]]:
+    """The greedy loop as it scored before the determinant lemma: every
+    remaining candidate's Gram, as one ``(C, n, n)`` stack, through the
+    oracle's stacked transform, one ``eigvalsh`` per Gram.  The subset,
+    its roots in ``x``, and the Gram each iteration starts from."""
     inst = build_isotropic(prob)
-    remaining, chosen, roots = list(range(prob.m)), [], []
-    gram = inst.gram_fixed
+    remaining, chosen, roots, trajectory = list(range(prob.m)), [], [], []
+    gram = inst.gram_fixed.data
     for _ in range(prob.k):
-        best = (-math.inf, -1, gram)
-        for j in remaining:
-            cand_gram = gram_update(gram, inst.candidates[:, j])
-            lam = smallest_root(_scalar_expected_poly(inst, cand_gram, len(chosen) + 1), prob.eps)
-            if lam > best[0]:
-                best = (lam, j, cand_gram)
-        lam, j, gram = best
-        chosen.append(j)
-        remaining.remove(j)
-        roots.append(1.0 + lam)
-    return chosen, roots
+        trajectory.append(gram)
+        grams = _gram_updates(gram, inst.candidates[:, remaining])
+        polys = stacked_expected_polys(inst, grams, len(chosen) + 1)
+        scores = [smallest_root(f, prob.eps) for f in polys]
+        best = max(range(len(scores)), key=scores.__getitem__)  # the first of a tie
+        chosen.append(remaining.pop(best))
+        roots.append(1.0 + scores[best])
+        gram = grams[best]
+    return chosen, roots, trajectory
 
 
-def _assert_replays(prob: SelectionProblem) -> None:
-    """``greedy_select`` picks the subset and roots of the per-candidate loop, bit for bit."""
+# Trace roots of the determinant-lemma transform within this many eps of
+# the stacked one's: 10x the largest difference measured on the n <= 6
+# replays below, 1.25e-4 at the wide shape.
+_REPLAY_ROOT_TOL = 1.3e-3
+
+
+def _assert_replays(
+    monkeypatch, prob: SelectionProblem, root_tol: float | None, steps: int | None = None
+) -> float:
+    """``greedy_select`` picks the subset of the stacked loop, from the same
+    Gram trajectory bit for bit, with trace roots within ``root_tol * eps``
+    of its roots (unchecked for ``None``); only the first ``steps`` picks
+    if given.  Returns the largest root difference over ``eps``."""
+    trajectory = []
+
+    def recording(inst, gram, j, v):
+        trajectory.append(gram.tobytes())
+        return expected_poly_from_gram(inst, gram, j, v)
+
+    monkeypatch.setattr(selector, "expected_poly_from_gram", recording)
     report = greedy_select(prob)
-    chosen, roots = _per_candidate_greedy(prob)
-    assert report.subset == tuple(chosen)
-    assert [t.index for t in report.trace] == chosen
-    assert [t.lambda_min for t in report.trace] == roots
+    chosen, roots, stacked_trajectory = _stacked_greedy(prob)
+    steps = prob.k if steps is None else steps
+    assert report.subset[:steps] == tuple(chosen[:steps])
+    assert [t.index for t in report.trace[:steps]] == chosen[:steps]
+    # the Gram iteration i starts from holds the first i picks
+    assert trajectory[:steps + 1] == [g.tobytes() for g in stacked_trajectory[:steps + 1]]
+    gap = max(abs(t.lambda_min - r) for t, r in zip(report.trace[:steps], roots)) / prob.eps
+    assert root_tol is None or gap <= root_tol
+    return gap
 
 
 @pytest.mark.parametrize(
@@ -268,7 +277,16 @@ def _assert_replays(prob: SelectionProblem) -> None:
         (12, 100, 6, 40, None),
     ],
 )
-def test_batched_grams_replay_the_per_candidate_loop_bit_for_bit(n, m, ell, k, rank_a):
+def test_batched_grams_replay_the_per_candidate_loop_bit_for_bit(monkeypatch, n, m, ell, k, rank_a):
+    # The determinant-lemma transform against the oracle's stacked one.  At
+    # degree 12 a root moves by up to tens of eps under last-bit changes of
+    # the coefficients (ROADMAP items 2 and 4): the trace roots of steps
+    # 1-38 differ by up to 10.7 eps, and at step 39 (d = k - j = 1) of the
+    # first instance the two transforms pick different columns, whose exact
+    # scores are 22.5 eps apart.  Their last trace values are then off the
+    # exact mu_min of the selected Gram by 1.9e4 and -577 eps (second
+    # instance: -10.5 and -6.6).  So only the picks and Grams of the first
+    # k - 2 steps are pinned there, and no root.
     rng = np.random.default_rng([n, m, ell, k])
     for _ in range(2):
         if rank_a is None:
@@ -276,10 +294,13 @@ def test_batched_grams_replay_the_per_candidate_loop_bit_for_bit(n, m, ell, k, r
         else:
             a = rng.standard_normal((n, rank_a)) @ rng.standard_normal((rank_a, ell))
         prob = SelectionProblem(a=DenseMatrix(a), b=DenseMatrix(rng.standard_normal((n, m))), k=k)
-        _assert_replays(prob)
+        if n == 12:
+            _assert_replays(monkeypatch, prob, None, steps=k - 2)
+        else:
+            _assert_replays(monkeypatch, prob, _REPLAY_ROOT_TOL)
 
 
-def test_greedy_replays_near_tied_columns():
+def test_greedy_replays_near_tied_columns(monkeypatch):
     # Columns 1 and 3 are within 1e-9 of columns 0 and 2, so their roots
     # come within eps of the running best, where an incumbent that let a
     # contender exit early would keep its unpolished root.
@@ -289,14 +310,14 @@ def test_greedy_replays_near_tied_columns():
         b[:, 1] = b[:, 0] + 1e-9 * rng.standard_normal(4)
         b[:, 3] = b[:, 2] * (1 + 1e-9)
         a = DenseMatrix(rng.standard_normal((4, 1)))
-        _assert_replays(SelectionProblem(a=a, b=DenseMatrix(b), k=5))
+        _assert_replays(monkeypatch, SelectionProblem(a=a, b=DenseMatrix(b), k=5), _REPLAY_ROOT_TOL)
 
 
-def test_batched_grams_replay_an_eigenvalue_exactly_one():
+def test_batched_grams_replay_an_eigenvalue_exactly_one(monkeypatch):
     # Row 0 of b is zero but in column 0, so every partial Gram holding
     # column 0 has the eigenvalue one exactly.  eigvalsh returns it within
-    # rounding on either side of one, where the reference's order by
-    # |mu - 1| and the transform's by descending mu can differ.
+    # rounding on either side of one, where an order by |mu - 1| and the
+    # transforms' by descending mu can differ.
     rng = np.random.default_rng([4, 7, 0, 5, 1])
     above_one = 0
     for _ in range(40):
@@ -306,8 +327,34 @@ def test_batched_grams_replay_an_eigenvalue_exactly_one():
         inst = build_isotropic(prob)
         full = gram_update(inst.gram_fixed, inst.candidates[:, 0]).data
         above_one += np.linalg.eigvalsh(full)[-1] > 1.0
-        _assert_replays(prob)
+        _assert_replays(monkeypatch, prob, _REPLAY_ROOT_TOL)
     assert above_one > 0
+
+
+@pytest.mark.parametrize("n, m, ell, k", [(6, 48, 3, 12), (4, 7, 0, 5)])
+def test_greedy_takes_one_eigendecomposition_and_no_candidate_grams_per_step(
+    monkeypatch, n, m, ell, k
+):
+    # Each iteration decomposes the partial's n x n Gram once and forms the
+    # winner's Gram alone: no (C, n, n) stack and no eigensolve per candidate.
+    prob = random_problem(np.random.default_rng([n, m, ell, k]), n, m, ell, k)
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        def counted(a, *args, _name=name, _solver=getattr(np.linalg, name), **kwargs):
+            calls.append((_name, np.shape(a)))
+            return _solver(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    updates = []
+
+    def recorded_updates(g, v):
+        updates.append(np.shape(v))
+        return _gram_updates(g, v)
+
+    monkeypatch.setattr(selector, "_gram_updates", recorded_updates)
+    greedy_select(prob)
+    assert calls == [("eigh", (n, n))] * k
+    assert updates == [(n, 1)] * k
 
 
 @pytest.mark.parametrize("n, m, ell, k", [(6, 48, 3, 12), (12, 100, 0, 40), (4, 7, 0, 5)])
@@ -316,9 +363,9 @@ def test_greedy_grams_have_eigenvalues_in_the_unit_interval(monkeypatch, n, m, e
     # reversed, which holds because every mu lies in [0, 1].
     seen = []
 
-    def recording(inst, grams, j):
-        seen.append(_psd_eigenvalues(grams))
-        return expected_poly_from_gram(inst, grams, j)
+    def recording(inst, gram, j, v):
+        seen.append(_psd_eigenvalues(_gram_updates(gram, v)))
+        return expected_poly_from_gram(inst, gram, j, v)
 
     monkeypatch.setattr(selector, "expected_poly_from_gram", recording)
     rng = np.random.default_rng([n, m, ell, k])
@@ -336,9 +383,9 @@ def test_every_score_lies_between_the_candidate_gram_and_the_identity(monkeypatc
     # det((y + 1)I - G_T) has roots mu - 1 <= 0, so no negative coefficient.
     seen = []
 
-    def recording(inst, grams, j):
-        polys = expected_poly_from_gram(inst, grams, j)
-        seen.append((grams, polys))
+    def recording(inst, gram, j, v):
+        polys = expected_poly_from_gram(inst, gram, j, v)
+        seen.append((_gram_updates(gram, v), polys))
         return polys
 
     monkeypatch.setattr(selector, "expected_poly_from_gram", recording)
@@ -758,7 +805,12 @@ _MINIMAL_BUDGET_FAILS = _still_fails(
         pytest.param(case, seed, marks=_MINIMAL_BUDGET_FAILS)
         for case in ("minimal budget k = n", "minimal budget k = n - r")
         for seed in range(3)
-    ],
+        # Passes by luck, not by accuracy: at steps 1, 2 and 4 the argmax
+        # differs from the exact one of the float eigenvalues, by 10, 140
+        # and 1,080 eps, with every score off by 3e4 to 6e4 eps.
+        if (case, seed) != ("minimal budget k = n - r", 1)
+    ]
+    + [("minimal budget k = n - r", 1)],
 )
 def test_greedy_corners(case, seed):
     # The corners of the paper's preconditions: extreme column scales, the

@@ -21,7 +21,17 @@ tree also counts its ``sturm_chain`` calls inside ``greedy_select``.
 or Budan-Fourier certificate fails, so the count is the number of roots
 that took the Sturm fallback.  The totals, and each per-shape line, print
 both trees' counts out of the roots scored (one per remaining candidate
-per step); they are for information only and do not change the exit status.
+per step).  Each per-shape line also prints each tree's largest last-step
+error ``|trace[-1] - mu_min(G_S)| / eps``, where ``G_S`` is the Gram of the
+fixed and selected columns in the isotropic frame, taken with numpy alone
+from the thin SVD of ``[A B]``.  At ``d = k - j = 0`` the expected
+polynomial is the selected Gram's own characteristic polynomial, so its
+smallest root is exactly ``mu_min(G_S) - 1``.  An instance whose report
+fails ``_check_report`` is measured too, from the report that check was
+given.  So where both trees are thousands of eps off at degree 12, an
+outcome that flips there reads as such, not as a new fault.  These
+counts and errors are for information only and do not change the exit
+status.
 
 Every instance with ``C(m, k) <= 2002`` (all shapes but the first and
 the last four) also runs ``brute_force``; the comparison lists the instances
@@ -76,6 +86,7 @@ def dump() -> None:
     import numpy as np
 
     import colsel.poly
+    import colsel.selector
     from colsel import DenseMatrix, SelectionProblem, brute_force, greedy_select, verify_bound
 
     # smallest_root looks sturm_chain up in colsel.poly, so this sees every fallback
@@ -89,6 +100,25 @@ def dump() -> None:
 
     colsel.poly.sturm_chain = counted_sturm_chain
 
+    # greedy_select looks _check_report up in colsel.selector, so this sees
+    # the report of an instance that then raises AlgorithmFailure
+    checked = None
+    check_report = colsel.selector._check_report
+
+    def recorded_check_report(report, prob):
+        nonlocal checked
+        checked = report
+        return check_report(report, prob)
+
+    colsel.selector._check_report = recorded_check_report
+
+    def last_step_error(a, b, report) -> float:
+        """``|trace[-1] - mu_min(G_S)| / eps``, from numpy's thin SVD of ``[a b]``."""
+        vt = np.linalg.svd(np.hstack([a, b]), full_matrices=False)[2]
+        y = vt[:, list(range(a.shape[1])) + [a.shape[1] + j for j in report.subset]]
+        mu_min = float(np.linalg.eigvalsh(y @ y.T)[0])
+        return abs(report.trace[-1].lambda_min - mu_min) / report.eps
+
     for shape_id, (n, m, ell, k, rank_a, count) in enumerate(SHAPES):
         for seed in range(count):
             rng = np.random.default_rng([shape_id, seed])
@@ -100,14 +130,17 @@ def dump() -> None:
                 a=DenseMatrix(a), b=DenseMatrix(rng.standard_normal((n, m))), k=k
             )
             record = {"shape": [n, m, ell, k, rank_a], "seed": seed}
-            sturm_chains = 0
+            sturm_chains, checked = 0, None
             try:
                 report = greedy_select(prob)
             except Exception as exc:  # an outcome to compare, not a reason to stop
                 record.update(error=[type(exc).__name__, str(exc)], sturm_chains=sturm_chains)
+                if checked is not None:
+                    record["last_step_error"] = last_step_error(a, prob.b.data, checked)
                 print(json.dumps(record))
                 continue
             record["sturm_chains"] = sturm_chains
+            record["last_step_error"] = last_step_error(a, prob.b.data, report)
             _, ratio_frob, ratio_spec = verify_bound(prob, report.subset)
             record.update({
                 "subset": list(report.subset),
@@ -169,6 +202,12 @@ def sturm_fallbacks(old: list[dict], new: list[dict]) -> str:
     return "Sturm fallbacks old {}, new {} of {} roots".format(*counts, scored)
 
 
+def last_step_errors(old: list[dict], new: list[dict]) -> str:
+    """Each tree's largest last-step error over ``old`` and ``new``, in eps."""
+    worst = (max((r.get("last_step_error", 0.0) for r in tree), default=0.0) for tree in (old, new))
+    return "last-step error / eps old {:.3g}, new {:.3g}".format(*worst)
+
+
 def main(old_src: str, new_src: str) -> int:
     old, new = run(old_src), run(new_src)
     assert len(old) == len(new)
@@ -202,13 +241,14 @@ def main(old_src: str, new_src: str) -> int:
     print(f"  root value mismatches: {roots}; max |old - new| / eps: {root_gap:.3g}")
     print(f"  {sturm_fallbacks(old, new)}")
     print("  per shape (n, m, l, k, rank of the fixed block): instances, raising in either tree;"
-          " outcome, subset and root value mismatches; max |old - new| / eps; Sturm fallbacks")
+          " outcome, subset and root value mismatches; max |old - new| / eps; Sturm fallbacks;"
+          " max |trace[-1] - mu_min(G_S)| / eps")
     for shape in SHAPES:
         rows = [(o, c) for o, c in zip(old, new) if o["shape"] == list(shape[:5])]
         s_outcomes, s_pairs, s_subsets, s_roots, s_gap = compare_greedy(*zip(*rows))
         print(f"    {shape[:5]}: {len(rows)}, {len(rows) - len(s_pairs)};"
               f" {len(s_outcomes)}, {len(s_subsets)}, {s_roots}; {s_gap:.3g};"
-              f" {sturm_fallbacks(*zip(*rows))}")
+              f" {sturm_fallbacks(*zip(*rows))}; {last_step_errors(*zip(*rows))}")
     for v, rel in worst.items():
         print(f"  max relative difference of {v}: {rel:.2e}")
     print(f"{len(enums)} brute-force instances")
