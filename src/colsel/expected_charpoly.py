@@ -282,11 +282,14 @@ def _weight_ratios(n: int, a: int, d: int) -> np.ndarray:
 
 def expected_poly_from_gram(
     inst: IsotropicInstance, gram: np.ndarray, j: int, v: np.ndarray
-) -> list[Polynomial]:
+) -> np.ndarray:
     """Expected polynomials of size-``j`` partials, one per column of the
     ``n x C`` array ``v``: the partial whose selected-plus-fixed Gram is
-    ``gram`` (``n x n``) extended by that column.  Each is monic of
-    degree ``n``, in powers of ``y = x - 1``.
+    ``gram`` (``n x n``) extended by that column.  Row ``c`` of the
+    returned ``(C, n+1)`` array holds column ``c``'s coefficients in
+    powers of ``y = x - 1``, ascending; every row is finite and monic of
+    degree ``n``, so it is a :class:`~colsel.poly.Polynomial`'s
+    coefficients as they are.
 
     All of them come from one eigendecomposition of ``gram`` and one
     matrix product (:func:`_candidate_charpolys`).  The products' blocking
@@ -314,8 +317,7 @@ def expected_poly_from_gram(
         raise InvalidInput(
             f"the expected polynomial of column {column} of v has a non-finite coefficient"
         )
-    # each row is finite and monic, so no check and no stripping is left
-    return [_wrap(tuple(row)) for row in f.tolist()]
+    return f
 
 
 def _checked_partial(inst: IsotropicInstance, partial: Sequence[int], max_size: int) -> list[int]:
@@ -345,7 +347,8 @@ def expected_poly(inst: IsotropicInstance, partial: Sequence[int]) -> Polynomial
     """
     idx = _checked_partial(inst, partial, inst.k)
     v = inst.candidates[:, idx[-1:]] if idx else np.zeros((inst.n, 1))
-    return expected_poly_from_gram(inst, _partial_gram(inst, idx[:-1]).data, len(idx), v)[0]
+    row = expected_poly_from_gram(inst, _partial_gram(inst, idx[:-1]).data, len(idx), v)[0]
+    return _wrap(tuple(row.tolist()))
 
 
 def root_sum_identity_check(inst: IsotropicInstance, s: Sequence[int]) -> float:

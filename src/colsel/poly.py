@@ -14,12 +14,18 @@ left, each step one Horner pass for ``p``, ``p'`` and ``p''``, and
 certifies its bracket with two one-sided tests.  "A root at or below
 x + eps/4": one sign of ``p`` there, opposite to its sign at ``-inf``,
 from plain Horner where its value clears a running error bound and
-compensated otherwise; every root gets this test.
-"No root at or below x - eps/4": a zero count (:func:`count_roots_leq`)
-there on the Fourier sequence ``p, p', ..., p^(n)``, and on the Sturm
-chain only where that count fails; only a root that can beat the given
-incumbent gets this test.  Bisection on the Sturm count covers whatever
-the tests leave open.
+compensated otherwise.  "No root at or below x - eps/4": a zero count
+(:func:`count_roots_leq`) there on the Fourier sequence
+``p, p', ..., p^(n)``, and on the Sturm chain only where that count
+fails.  Bisection on the Sturm count covers whatever the tests leave
+open.
+
+The greedy loop needs only the row whose smallest root is the largest.
+Two helpers work on a ``(C, n+1)`` array of coefficient rows at once:
+:func:`_smallest_root_guesses` takes a few Laguerre steps on every row,
+which picks the row to certify first, and :func:`_roots_at_or_below` is
+the one-sided sign test above, row by row at one point, which drops
+every row with a root at or below it.
 """
 from __future__ import annotations
 
@@ -29,6 +35,8 @@ import operator
 import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import InvalidInput, NotRealRooted
 from .linalg import _as_index
@@ -66,6 +74,9 @@ _TINY = sys.float_info.min
 # A compensated evaluation costs about three plain ones, so only these
 # last steps use it.
 _COMPENSATED_STEPS = 2
+# Batched Laguerre steps behind the guesses that choose the first root to
+# certify; see _smallest_root_guesses.
+_GUESS_STEPS = 2
 
 
 @dataclass(frozen=True)
@@ -405,32 +416,94 @@ def _root_at_or_below(c: Sequence[float], t: float) -> bool:
     return value > 0.0 if (c[-1] > 0.0) == (len(c) % 2 == 0) else value < 0.0
 
 
-def smallest_root(p: Polynomial, eps: float, incumbent: float = -math.inf) -> float:
-    """Smallest real root of ``p`` within ``eps``, unless it cannot beat ``incumbent``.
+def _roots_at_or_below(rows: np.ndarray, t: float) -> np.ndarray:
+    """:func:`_root_at_or_below` at ``t`` for each row of ``rows``, a
+    ``(C, n+1)`` array of ascending coefficients, as a boolean array.
+
+    Plain Horner's value and ``mu`` run over all rows at once, with the
+    float operations of the scalar pass, so the trusted rows, their signs
+    and the rows sent to :func:`_compensated_value` are the scalar test's.
+    """
+    n = rows.shape[1] - 1
+    value = np.zeros(len(rows))
+    mu = np.zeros(len(rows))
+    magnitudes = np.abs(rows)
+    size = abs(t)
+    for i in range(n, -1, -1):
+        value *= t
+        value += rows[:, i]
+        mu *= size
+        mu += magnitudes[:, i]
+    lead = rows[:, n]
+    trusted = (np.abs(value) > _HORNER_ERROR * (n + 1) * mu) & (mu >= _TINY) & (
+        np.abs(lead) >= _TINY
+    )
+    if not trusted.all():
+        for i in np.flatnonzero(~trusted).tolist():
+            value[i] = _compensated_value(rows[i].tolist(), t)
+    # the sign at -inf is lead's times (-1)^n, and a product with +-1 is exact
+    return value * (np.sign(lead) * (-1.0) ** n) < 0.0
+
+
+def _smallest_root_guesses(rows: np.ndarray) -> np.ndarray:
+    """A guess at the smallest root of each row of ``rows``, a ``(C, n+1)``
+    array of ascending coefficients with ``n >= 1`` and a nonzero last column.
+
+    :func:`_laguerre_from_left` over all rows at once, for a fixed
+    ``_GUESS_STEPS`` steps: the same Laguerre-Samuelson start, and each
+    step takes ``p``, ``p'`` and ``p''/2`` of every row from one matrix
+    product with the powers of its ``x``.  A row keeps its ``x`` where the
+    step is not finite (a negative discriminant included) or where
+    ``p'/p >= 0``, which left of the roots of a real-rooted ``p`` it is
+    not.  A guess may be infinite but is never NaN.  Nothing here is
+    certified: the guesses only choose which row :func:`smallest_root`
+    certifies first.
+    """
+    count, n = rows.shape[0], rows.shape[1] - 1
+    degrees = np.arange(n + 1.0)
+    # p, p' and p''/2 side by side, so that one product evaluates all three
+    derivatives = np.zeros((count, n + 1, 3))
+    derivatives[:, :, 0] = rows
+    derivatives[:, :n, 1] = rows[:, 1:] * degrees[1:]
+    derivatives[:, : n - 1, 2] = rows[:, 2:] * (degrees[2:] * (degrees[2:] - 1.0) / 2.0)
+    powers = np.empty((count, 1, n + 1))
+    with np.errstate(all="ignore"):
+        lead = rows[:, n]
+        x = -rows[:, n - 1] / (n * lead)
+        if n >= 2:
+            q = rows[:, n - 1] / lead
+            sum_sq = q * q - 2.0 * rows[:, n - 2] / lead
+            # fmax, not maximum: a NaN spread (inf - inf) reads as zero
+            x = x - np.sqrt(np.fmax((n - 1) * (sum_sq / n - x * x), 0.0))
+        for _ in range(_GUESS_STEPS):
+            powers[:, 0, 0] = 1.0
+            powers[:, 0, 1:] = x[:, None]
+            np.multiply.accumulate(powers, axis=2, out=powers)
+            value, slope, half_curve = (powers @ derivatives)[:, 0, :].T
+            g = slope / value
+            disc = (n - 1) * ((n - 1) * g * g - 2.0 * n * half_curve / value)
+            moved = x - n / (g - np.sqrt(disc))
+            np.copyto(x, moved, where=np.isfinite(moved) & (g < 0.0))
+    return x
+
+
+def smallest_root(p: Polynomial, eps: float) -> float:
+    """Smallest real root of ``p`` within ``eps``.
 
     Checks, in order: ``eps`` must be a real number (a bool is not)
-    greater than zero, and ``incumbent`` a real number other than NaN,
-    else :class:`InvalidInput` naming the argument; ``p'`` must have
+    greater than zero, else :class:`InvalidInput`; ``p'`` must have
     finite coefficients, else :class:`InvalidInput`, as the Sturm chain's
     does, and so must the Cauchy bound ``1 + radius`` on the roots.  From
     the Cauchy bracket ``[lo, hi]``, with no root at or below ``lo``,
     Laguerre steps from the left (:func:`_laguerre_from_left`) propose a
-    root ``x``.  Each sign that :func:`_root_at_or_below` takes is plain
-    Horner's where its value clears a running error bound, and
-    compensated Horner's otherwise.
-
-    *A root that cannot win.*  If the midpoint of ``[x - eps/4, x + eps/4]``
-    is below ``incumbent - eps`` and :func:`_root_at_or_below` shows a
-    root at or below ``x + eps/4``, that midpoint is the result at once,
-    certified only from above: the polish and the counts are skipped.
-
-    *Every other root* is certified in full.  Two compensated Newton
-    steps (:func:`_polished`) move ``x``.  ``hi`` moves down to
-    ``x + eps/4`` if there is a root at or below it; otherwise the Sturm
-    chain is built, and a zero Sturm count at ``hi`` raises
-    :class:`NotRealRooted`.  ``lo`` moves up to ``x - eps/4`` if a zero
-    :func:`count_roots_leq` there shows no root at or below it, on the
-    Fourier sequence ``p, p', ..., p^(n)`` or, where that count is not
+    root ``x``, and two compensated Newton steps (:func:`_polished`) move
+    it.  ``hi`` moves down to ``x + eps/4`` if :func:`_root_at_or_below`
+    shows a root at or below it, from plain Horner's sign where its value
+    clears a running error bound and compensated Horner's otherwise;
+    otherwise the Sturm chain is built, and a zero Sturm count at ``hi``
+    raises :class:`NotRealRooted`.  ``lo`` moves up to ``x - eps/4`` if a
+    zero :func:`count_roots_leq` there shows no root at or below it, on
+    the Fourier sequence ``p, p', ..., p^(n)`` or, where that count is not
     zero or a derivative overflows, on the Sturm chain.  So a root that
     passes both tests costs two compensated evaluations and one count,
     and a third evaluation where the sign at ``x + eps/4`` is not trusted.
@@ -441,19 +514,12 @@ def smallest_root(p: Polynomial, eps: float, incumbent: float = -math.inf) -> fl
     the float spacing at the root gives the root at float resolution
     instead of looping forever.
 
-    Accuracy contract: with the default ``incumbent = -inf`` the result
-    is the midpoint of a bracket at most ``eps`` wide that holds the
-    smallest root, so it is within ``eps/2`` of that root, as far as the
-    float counts and the signs are right.  Near a multiple root
-    they are not: within about 1e-8 of the double root of
-    ``(x-1)^2 (x-2)`` the value of ``p`` is below its rounding error, and
-    an ``eps`` of 1e-9 gives ``1 - 7.6e-9``.  With a finite ``incumbent``
-    the outcome is either the one without it, or an early exit: a result
-    below ``incumbent - eps`` with the smallest root at most about
-    ``eps/4`` above it, which under the contract above would not have
-    come out above ``incumbent`` either.  So a caller that keeps only
-    results strictly above its running best, and passes that best as
-    ``incumbent``, keeps the same results as with no incumbent.
+    Accuracy contract: the result is the midpoint of a bracket at most
+    ``eps`` wide that holds the smallest root, so it is within ``eps/2``
+    of that root, as far as the float counts and the signs are right.
+    Near a multiple root they are not: within about 1e-8 of the double
+    root of ``(x-1)^2 (x-2)`` the value of ``p`` is below its rounding
+    error, and an ``eps`` of 1e-9 gives ``1 - 7.6e-9``.
 
     The caller is responsible for real-rootedness; a polynomial with no
     real root in the Cauchy bracket raises :class:`NotRealRooted`.
@@ -461,7 +527,6 @@ def smallest_root(p: Polynomial, eps: float, incumbent: float = -math.inf) -> fl
     _check_real("eps", eps)
     if not eps > 0.0:
         raise InvalidInput(f"eps must be > 0, got {eps}")
-    _check_real("incumbent", incumbent)
     if p.degree < 1:
         raise NotRealRooted("polynomial has no roots")
     c = p.coeffs
@@ -472,12 +537,7 @@ def smallest_root(p: Polynomial, eps: float, incumbent: float = -math.inf) -> fl
     if not math.isfinite(radius):
         raise InvalidInput("the Cauchy bound on the roots overflows")
     lo, hi = -1.0 - radius, 1.0 + radius
-    x = _laguerre_from_left(c, lo, hi, eps)
-    above = x + 0.25 * eps
-    early = 0.5 * ((x - 0.25 * eps) + above)
-    if early < incumbent - eps and _root_at_or_below(c, above):
-        return early
-    x = _polished(c, dp, x, lo, hi)
+    x = _polished(c, dp, _laguerre_from_left(c, lo, hi, eps), lo, hi)
     below, above = x - 0.25 * eps, x + 0.25 * eps
     # The certificates only narrow the bracket: an eps wider than it
     # leaves the Cauchy ends in place.  A nonzero Budan-Fourier count is

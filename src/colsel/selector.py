@@ -1,10 +1,11 @@
 """Greedy column selection with a fixed block, plus bound evaluation.
 
 The selection loop works in the isotropic frame obtained from the thin
-SVD of ``[A B]``: at each step it evaluates, for every remaining
-candidate column, an eps-approximate smallest root of the expected
-characteristic polynomial of the extended partial, and keeps the argmax.
-Candidates are scanned in ascending column order and only a strictly
+SVD of ``[A B]``: at each step it keeps the remaining candidate column
+whose extended partial's expected characteristic polynomial has the
+largest eps-approximate smallest root.  A batched sign test shows most
+candidates below the bar set by one certified root, so only the rest are
+rooted.  They are scanned in ascending column order and only a strictly
 larger root replaces the best, so ties go to the smallest column index.
 """
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .linalg import (
     hcat,
     thin_svd,
 )
-from .poly import smallest_root
+from .poly import _roots_at_or_below, _smallest_root_guesses, _wrap, smallest_root
 
 __all__ = [
     "SelectionProblem",
@@ -266,17 +267,16 @@ def greedy_select(prob: SelectionProblem) -> SelectionReport:
     partial's Gram and the remaining candidate columns to one
     :func:`~colsel.expected_charpoly.expected_poly_from_gram` call (one
     eigendecomposition of that Gram and one matrix product, with no
-    candidate Gram formed), then finds each candidate's root with its own
-    :func:`~colsel.poly.smallest_root` call.  Only the winner's Gram is
-    formed, as the next iteration's partial Gram.
-    The polynomials come in powers of ``y = x - 1``, so the roots, and the
-    running best, are ``y`` values; a trace step records the chosen root
-    in ``x``, as ``1 + y``.  The loop scans the remaining columns in
-    ascending order and keeps a strictly larger root only, so an exact tie
-    goes to the smallest column.  Each call gets the running best root as
-    its incumbent (``-inf`` for the first candidate), so a root that cannot
-    beat it is certified only from above; the roots kept, and so the
-    report, are those of calls without an incumbent.
+    candidate Gram formed), which returns one coefficient row per
+    candidate.  :func:`_best_candidate` then takes the argmax of their
+    :func:`~colsel.poly.smallest_root` values while calling it only on the
+    rows that can still win, about one per step.  Only the winner's Gram
+    is formed, as the next iteration's partial Gram.
+    The polynomials come in powers of ``y = x - 1``, so the roots are
+    ``y`` values; a trace step records the chosen root in ``x``, as
+    ``1 + y``.  An exact tie goes to the smallest column.  The winner and
+    its root are those of a loop that roots every candidate, as far as
+    each root is within ``eps/2`` of the polynomial's smallest root.
 
     Raises :class:`NotRealRooted` for a polynomial with no real root,
     :class:`RankDeficient` when the selected ``[a b_S]`` fails the rank
@@ -293,12 +293,8 @@ def greedy_select(prob: SelectionProblem) -> SelectionReport:
     for _ in range(prob.k):
         # Every remaining candidate's expected polynomial, from one transform.
         v = inst.candidates[:, remaining]
-        polys = expected_poly_from_gram(inst, gram, len(chosen) + 1, v)
-        best_y, best = -math.inf, -1
-        for i, f in enumerate(polys):
-            root_y = smallest_root(f, prob.eps, best_y)
-            if root_y > best_y:
-                best_y, best = root_y, i
+        rows = expected_poly_from_gram(inst, gram, len(chosen) + 1, v)
+        best, best_y = _best_candidate(rows, prob.eps)
         j = remaining.pop(best)
         gram = _gram_updates(gram, v[:, best : best + 1])[0]
         chosen.append(j)
@@ -319,6 +315,38 @@ def greedy_select(prob: SelectionProblem) -> SelectionReport:
     )
     _check_report(report, prob)
     return report
+
+
+def _best_candidate(rows: np.ndarray, eps: float) -> tuple[int, float]:
+    """The first row of ``rows`` whose :func:`~colsel.poly.smallest_root`
+    is the largest, and that root; ``rows`` holds one candidate's
+    coefficients per row, as :func:`expected_poly_from_gram` returns them.
+
+    The batched guesses pick a row, and its certified root ``R0`` is the
+    bar.  One row-wise sign test at ``t = R0 - eps`` drops every row with
+    a root at or below ``t``: its certified root is within ``eps/2`` of
+    its smallest root, so below ``R0`` and neither a win nor a tie.  The
+    rows left, the guessed one among them, are scanned in ascending order
+    and only a strictly larger root is kept, so a tie goes to the first.
+    A row with no real root keeps its sign at ``-inf`` everywhere, so it
+    is never dropped, and its :func:`~colsel.poly.smallest_root` call
+    raises :class:`NotRealRooted` as in a loop that roots every row.
+    """
+
+    def root(i: int) -> float:
+        return smallest_root(_wrap(tuple(rows[i].tolist())), eps)
+
+    guess = int(np.argmax(_smallest_root_guesses(rows)))
+    guess_y = root(guess)
+    contenders = ~_roots_at_or_below(rows, guess_y - eps)
+    # R0 competes even where the guessed row's own sign contradicts it
+    contenders[guess] = True
+    best_y, best = -math.inf, -1
+    for i in np.flatnonzero(contenders).tolist():
+        root_y = guess_y if i == guess else root(i)
+        if root_y > best_y:
+            best_y, best = root_y, i
+    return best, best_y
 
 
 def _check_report(report: SelectionReport, prob: SelectionProblem) -> None:

@@ -147,11 +147,10 @@ def test_sturm_chain_rejects_a_remainder_that_overflows():
     with pytest.raises(InvalidInput):
         sturm_chain(p)
     # The Cauchy radius overflows too, and smallest_root refuses that
-    # before it builds a chain, with any incumbent.
+    # before it builds a chain.
     for q in (p, Polynomial(-c for c in p.coeffs)):
-        for incumbent in (-math.inf, 0.0, math.inf):
-            with pytest.raises(InvalidInput):
-                smallest_root(q, 1e-6, incumbent)
+        with pytest.raises(InvalidInput):
+            smallest_root(q, 1e-6)
 
 
 def test_sturm_chain_variations_at_minus_inf_match_the_signs_far_left():
@@ -219,23 +218,18 @@ def test_smallest_root_validation():
             smallest_root(Polynomial([1.0, 0.0, 1.0]), eps)
     with pytest.raises(NotRealRooted):
         smallest_root(Polynomial([3.0]), 1e-6)
-    # eps and incumbent must be real numbers; a bool is not, and NaN is refused
+    # eps must be a real number; a bool is not
     p = from_roots([0.3, 0.7])
     for eps in (True, "1e-6", None, 1e-6 + 0j):
         with pytest.raises(InvalidInput, match="eps"):
             smallest_root(p, eps)
-    for incumbent in (float("nan"), False, "0.5", None, 0.5 + 0j):
-        with pytest.raises(InvalidInput, match="incumbent"):
-            smallest_root(p, 1e-6, incumbent)
 
 
 def test_smallest_root_refuses_an_overflowing_cauchy_bound():
     # The root 1 / 5e-324 is not a float: the Cauchy radius is inf, Newton
     # would start at -inf and bisect [-inf, inf], whose midpoint is NaN.
-    p = Polynomial([-1.0, 5e-324])
-    for incumbent in (-math.inf, 0.0, math.inf):
-        with pytest.raises(InvalidInput, match="Cauchy"):
-            smallest_root(p, 1e-6, incumbent)
+    with pytest.raises(InvalidInput, match="Cauchy"):
+        smallest_root(Polynomial([-1.0, 5e-324]), 1e-6)
 
 
 def test_smallest_root_accuracy_random():
@@ -272,41 +266,45 @@ def _counting_sturm_chain(monkeypatch) -> list[int]:
     return calls
 
 
+def _counting_compensated_value(monkeypatch) -> list[int]:
+    """Route ``poly._compensated_value`` through a counter; returns the counter."""
+    calls = [0]
+    real = poly._compensated_value
+
+    def counting(c, x):
+        calls[0] += 1
+        return real(c, x)
+
+    monkeypatch.setattr(poly, "_compensated_value", counting)
+    return calls
+
+
 def test_smallest_root_certifies_wide_shape_roots(monkeypatch):
-    # The benchmark's wide shape (n, m, l, k) = (6, 48, 3, 12).  A root that
-    # becomes the running best is settled by Laguerre and the two one-sided
+    # The benchmark's wide shape (n, m, l, k) = (6, 48, 3, 12).  Every root
+    # the greedy loop asks for is settled by Laguerre and the two one-sided
     # tests: one plain Horner sign that clears its error bound shows a root
     # at or below the upper end, after two compensated Newton steps, and
     # one Budan-Fourier count shows no root at or below the lower end.  So
     # it takes two compensated evaluations and one count, nothing is
-    # bisected, and no Sturm chain is built.  Every other root is certified
-    # from above only, below its incumbent, with one trusted plain sign: no
-    # compensated evaluation and no count.
+    # bisected, and no Sturm chain is built.  The screen's row-wise signs
+    # all clear their bound too: no compensated evaluation outside a root.
     calls = _counting_count_roots_leq(monkeypatch)
     chains = _counting_sturm_chain(monkeypatch)
-    values = [0]
-    real_compensated_value = poly._compensated_value
-
-    def counted_compensated_value(c, x):
-        values[0] += 1
-        return real_compensated_value(c, x)
-
-    monkeypatch.setattr(poly, "_compensated_value", counted_compensated_value)
-    won, lost = [], []
+    values = _counting_compensated_value(monkeypatch)
+    costs = []
     real_smallest_root = selector.smallest_root
 
-    def counted_smallest_root(p, eps, incumbent):
+    def counted_smallest_root(p, eps):
         before = calls[0], values[0]
-        root = real_smallest_root(p, eps, incumbent)
-        cost = (calls[0] - before[0], values[0] - before[1])
-        (won if root > incumbent else lost).append(cost)
+        root = real_smallest_root(p, eps)
+        costs.append((calls[0] - before[0], values[0] - before[1]))
         return root
 
     monkeypatch.setattr(selector, "smallest_root", counted_smallest_root)
     selector.greedy_select(random_problem(np.random.default_rng(3), 6, 48, 3, 12))
-    assert len(won) + len(lost) == sum(48 - j for j in range(12))
-    assert set(won) == {(1, 2)} and set(lost) == {(0, 0)}
-    assert len(won) < len(lost)
+    assert 12 <= len(costs) <= 24
+    assert set(costs) == {(1, 2)}
+    assert values[0] == 2 * len(costs)
     assert chains[0] == 0
 
 
@@ -413,19 +411,6 @@ def test_laguerre_stops_just_left_of_the_exact_smallest_root(monkeypatch):
                 assert exact - Fraction(x) <= Fraction(eps) / 4, (degree, eps)
 
 
-def _counting_compensated_value(monkeypatch) -> list[int]:
-    """Route ``poly._compensated_value`` through a counter; returns the counter."""
-    calls = [0]
-    real = poly._compensated_value
-
-    def counting(c, x):
-        calls[0] += 1
-        return real(c, x)
-
-    monkeypatch.setattr(poly, "_compensated_value", counting)
-    return calls
-
-
 def _exact_root_at_or_below(coeffs, t: float) -> bool:
     """``_root_at_or_below`` from the exact value at ``t``."""
     value = _exact_value([Fraction(c) for c in coeffs], Fraction(t))
@@ -470,6 +455,32 @@ def test_a_clustered_root_takes_the_compensated_sign(monkeypatch):
         before = calls[0]
         assert poly._root_at_or_below(c, t) == _exact_root_at_or_below(c, t)
         assert calls[0] == before, t
+
+
+def test_the_row_wise_sign_test_is_the_scalar_one(monkeypatch):
+    # _roots_at_or_below against _root_at_or_below on every row, at points
+    # on and within 1e-12 of one row's roots, where plain Horner's value is
+    # closest to its rounding error, and at a near-double root, where it is
+    # below it.  Rows are scaled by factors of either sign, down to 1e-310,
+    # whose lead is no normal float, so every branch runs: trusted plain
+    # signs, and compensated ones for a small value or a tiny row.
+    calls = _counting_compensated_value(monkeypatch)
+    rng = np.random.default_rng(19)
+    fallbacks = rows_seen = 0
+    for degree in (1, 2, 5, 6, 12):
+        roots = [sorted(rng.uniform(-1.0, 0.0, degree)) for _ in range(30)]
+        roots.append(([-0.5, -0.5 + 1e-9] + [-0.1] * degree)[:degree])
+        rows = np.array([from_roots(r).coeffs for r in roots])
+        rows *= rng.choice([-1.0, 1.0], (len(rows), 1)) * 10.0 ** rng.integers(-3, 4, (len(rows), 1))
+        rows[-2] *= 1e-310
+        points = [r + d for r in roots[0] for d in (-1e-12, 0.0, 1e-12)] + [-0.5, -0.5 + 5e-10]
+        for t in points:
+            before = calls[0]
+            got = poly._roots_at_or_below(rows, t)
+            fallbacks += calls[0] - before
+            rows_seen += len(rows)
+            assert got.tolist() == [poly._root_at_or_below(r, t) for r in rows.tolist()], (degree, t)
+    assert 100 < fallbacks < rows_seen / 10
 
 
 def test_fourier_count_is_a_sound_certificate():
@@ -625,13 +636,12 @@ def test_smallest_root_falls_back_to_sturm_where_a_derivative_overflows(monkeypa
     assert abs(smallest_root(p, 1e-6) - 0.05) <= 1e-6
     assert chains[0] == 1
     assert counted and all(counted)
-    # An overflowing p' raises, as the Sturm chain's does, with any
-    # incumbent, and before Newton's start, which squares c[3] / c[4] = 1e200
-    # in the second polynomial and would raise OverflowError.
+    # An overflowing p' raises, as the Sturm chain's does, and before
+    # Newton's start, which squares c[3] / c[4] = 1e200 in the second
+    # polynomial and would raise OverflowError.
     for q in (Polynomial([-1.0, 0.0, 1e308]), Polynomial([0.0, 0.0, 1e308, 1e100, 1e-100])):
-        for incumbent in (-math.inf, 0.0, 10.0, math.inf):
-            with pytest.raises(InvalidInput, match="must be finite"):
-                smallest_root(q, 1e-6, incumbent)
+        with pytest.raises(InvalidInput, match="must be finite"):
+            smallest_root(q, 1e-6)
 
 
 def test_smallest_root_survives_an_overflowing_newton_start():
@@ -639,12 +649,11 @@ def test_smallest_root_survives_an_overflowing_newton_start():
     # overflows raises OverflowError; the roots of the first are -1e200 and 0.
     for c in ([0.0, 1e200, 1.0], [0.0, -1e200, 1.0], [1.0, 1e200, 1.0], [0.0, 1e160, 1e-150]):
         for eps in (1e-6, 1e-4):
-            for incumbent in (-math.inf, 0.0, math.inf):
-                try:
-                    root = smallest_root(Polynomial(c), eps, incumbent)
-                except (InvalidInput, NotRealRooted):
-                    continue
-                assert type(root) is float and math.isfinite(root)
+            try:
+                root = smallest_root(Polynomial(c), eps)
+            except (InvalidInput, NotRealRooted):
+                continue
+            assert type(root) is float and math.isfinite(root)
 
 
 def _contract_polynomials() -> list[Polynomial]:
@@ -663,53 +672,42 @@ def _contract_polynomials() -> list[Polynomial]:
     return polys + [p]
 
 
-def _root_or_error(p: Polynomial, eps: float, incumbent: float = -math.inf):
+def _root_or_error(p: Polynomial, eps: float):
     """``smallest_root``'s result as ``(hex, None)``, or ``(None, exception type)``."""
     try:
-        return smallest_root(p, eps, incumbent).hex(), None
+        return smallest_root(p, eps).hex(), None
     except NotRealRooted as exc:
         return None, type(exc)
 
 
-def test_smallest_root_keeps_its_result_or_certifies_it_below_the_incumbent(monkeypatch):
-    # With an incumbent the outcome is the one without (the same float, or
-    # the same exception), or an early exit: below incumbent - eps, with
-    # the exact smallest root of the float polynomial at most eps/4 above
-    # it, and no count or Sturm chain taken.  Incumbents lie left of the
-    # root, within eps of it and right of it.  Some doubled-root
-    # polynomials raise NotRealRooted without an incumbent; they are kept.
-    calls = _counting_count_roots_leq(monkeypatch)
-    chains = _counting_sturm_chain(monkeypatch)
-    early = kept = 0
+def test_a_row_the_screen_drops_cannot_win():
+    # The greedy loop drops a row when _roots_at_or_below shows a root at or
+    # below t = R0 - eps, R0 being the root it certified first.  Then the
+    # exact smallest root of the float polynomial is at or below t, and
+    # smallest_root's result is below t + eps/2 < R0: the row can neither
+    # win nor tie.  Points lie left of the root, within eps of it and
+    # right of it.  Some doubled-root polynomials raise NotRealRooted; p
+    # keeps its sign there, so the screen drops them at no point.
+    dropped = kept = 0
     for p in _contract_polynomials():
         exact_chain = _exact_sturm_chain(p)
         coeffs = exact_chain[0]
         bound = 1 + max(abs(c) for c in coeffs[:-1]) / abs(coeffs[-1])
         at_minus_inf = _exact_variations(exact_chain, -bound)
+        row = np.array([p.coeffs])
         for eps in (1e-4, 1e-6):
-            before = calls[0]
             plain = _root_or_error(p, eps)
-            assert calls[0] > before  # so a call with no count exited early
             center = 0.5 if plain[0] is None else float.fromhex(plain[0])
-            offsets = (-0.5, -eps, -0.5 * eps, 0.0, 0.5 * eps, eps, 2.0 * eps, 0.5)
-            for incumbent in [center + d for d in offsets] + [-math.inf, math.inf]:
-                before, chains_before = calls[0], chains[0]
-                got = _root_or_error(p, eps, incumbent)
-                if calls[0] == before and chains[0] == chains_before:
-                    # a result is within eps/2 of the root, so no root at or
-                    # right of the incumbent is certified from above
-                    assert plain[0] is None or incumbent > center
-                    early += 1
-                    root = float.fromhex(got[0])
-                    assert root < incumbent - eps
-                    top = Fraction(root) + Fraction(eps) / 4
-                    assert at_minus_inf - _exact_variations(exact_chain, top) >= 1
+            offsets = (-0.5, -eps, -0.5 * eps, -0.25 * eps, 0.0, 0.5 * eps, eps, 2.0 * eps, 0.5)
+            for t in [center + d for d in offsets]:
+                if poly._roots_at_or_below(row, t)[0]:
+                    dropped += 1
+                    assert plain[1] is None
+                    assert float.fromhex(plain[0]) < t + 0.5 * eps
+                    assert at_minus_inf - _exact_variations(exact_chain, Fraction(t)) >= 1
                 else:
                     kept += 1
-                    assert got == plain
-    # Most incumbents at least 2 eps right of the root exit early; not at a
-    # double root, where p keeps its sign.
-    assert early > 200 and kept > 2 * early
+    assert dropped > 200 and kept > 200
 
 
 def test_smallest_root_sign_test_survives_tiny_values():

@@ -13,8 +13,8 @@ from colsel.cli import serialize_report
 from colsel.errors import AlgorithmFailure, InvalidInput, InvalidSubset, RankDeficient
 from colsel.expected_charpoly import _psd_eigenvalues, expected_poly, expected_poly_from_gram
 from colsel.linalg import DenseMatrix, _gram_updates, gram_update, norms_sq, pseudoinverse, thin_svd
-from colsel.oracle import stacked_expected_polys
-from colsel.poly import smallest_root
+from colsel.oracle import companion_smallest_root, stacked_expected_polys
+from colsel.poly import Polynomial, from_roots, smallest_root
 from colsel.selector import (
     SelectionProblem,
     SelectionReport,
@@ -201,15 +201,153 @@ def test_greedy_is_deterministic():
 
 
 def test_greedy_breaks_ties_by_smallest_column(monkeypatch):
-    # every candidate scores the same root, so each iteration is an exact tie
+    # Columns j and j + 3 of b are equal.  The frame built here, [Y Y] / sqrt(2)
+    # with Y the right singular vectors of the first half, is b's exact
+    # isotropic frame with bit-identical twins, so a column and its twin get
+    # bit-identical expected polynomials at every step: an exact tie, which
+    # goes to the smaller column.
     rng = np.random.default_rng(103)
-    b = DenseMatrix(np.hstack([np.eye(2), np.eye(2), rng.standard_normal((2, 3))]))
-    prob = SelectionProblem(a=empty_block(2), b=b, k=3)
-    # roots come in y = x - 1, and the trace records them in x
-    monkeypatch.setattr(selector, "smallest_root", lambda f, eps, incumbent: -0.5)
+    half = rng.standard_normal((2, 3))
+    prob = SelectionProblem(a=empty_block(2), b=DenseMatrix(np.hstack([half, half])), k=3)
+    y = thin_svd(DenseMatrix(half)).vt.data / math.sqrt(2.0)
+    inst = expected_charpoly.IsotropicInstance(y=DenseMatrix(np.hstack([y, y])), l=0, r=0, k=3)
+    monkeypatch.setattr(selector, "build_isotropic", lambda _: inst)
+    steps = []
+
+    def recording(inst, gram, j, v):
+        steps.append(expected_poly_from_gram(inst, gram, j, v))
+        return steps[-1]
+
+    monkeypatch.setattr(selector, "expected_poly_from_gram", recording)
     report = greedy_select(prob)
-    assert report.subset == (0, 1, 2)
-    assert [t.lambda_min for t in report.trace] == [0.5] * 3
+    assert report.subset == (2, 1, 0)
+    remaining = list(range(6))
+    for j, rows in zip(report.subset, steps):
+        assert rows[remaining.index(j)].tobytes() == rows[remaining.index(j + 3)].tobytes()
+        remaining.remove(j)
+
+
+def _reference_greedy(prob: SelectionProblem) -> SelectionReport:
+    """The greedy loop with no screen: one :func:`smallest_root` call per
+    remaining candidate, ascending, keeping a strictly larger root only,
+    then the report and its checks as :func:`greedy_select` makes them."""
+    inst = build_isotropic(prob)
+    remaining, chosen, trace = list(range(prob.m)), [], []
+    gram = inst.gram_fixed.data
+    for _ in range(prob.k):
+        v = inst.candidates[:, remaining]
+        rows = expected_poly_from_gram(inst, gram, len(chosen) + 1, v)
+        best_y, best = -math.inf, -1
+        for i, row in enumerate(rows.tolist()):
+            root_y = smallest_root(Polynomial(row), prob.eps)
+            if root_y > best_y:
+                best_y, best = root_y, i
+        chosen.append(remaining.pop(best))
+        gram = _gram_updates(gram, v[:, best : best + 1])[0]
+        trace.append(TraceStep(index=chosen[-1], lambda_min=1.0 + best_y))
+    frob_sq, spec_sq = selector._subset_norms_sq(prob, chosen)
+    report = SelectionReport(
+        subset=tuple(chosen),
+        frob_sq=frob_sq,
+        spec_sq=spec_sq,
+        baseline_frob_sq=prob.baseline_norms_sq[0],
+        baseline_spec_sq=prob.baseline_norms_sq[1],
+        gamma=prob.gamma,
+        bound_factor=prob.bound_factor,
+        eps=prob.eps,
+        trace=tuple(trace),
+    )
+    selector._check_report(report, prob)
+    return report
+
+
+def _outcome(select, prob: SelectionProblem):
+    """``select(prob)``, or the type and message of what it raised."""
+    try:
+        return select(prob)
+    except AlgorithmFailure as exc:
+        return type(exc), str(exc)
+
+
+def _near_tied_problem(seed: int) -> SelectionProblem:
+    """(4, 10, 1, 5) with columns 1 and 3 within 1e-9 of columns 0 and 2."""
+    rng = np.random.default_rng([4, 10, 1, 5, seed])
+    b = rng.standard_normal((4, 10))
+    b[:, 1] = b[:, 0] + 1e-9 * rng.standard_normal(4)
+    b[:, 3] = b[:, 2] * (1 + 1e-9)
+    return SelectionProblem(a=DenseMatrix(rng.standard_normal((4, 1))), b=DenseMatrix(b), k=5)
+
+
+@pytest.mark.parametrize(
+    "n, m, ell, k, seeds",
+    [(6, 48, 3, 12, 3), (4, 14, 2, 5, 6), (4, 7, 0, 5, 6), (2, 33, 0, 16, 3), (12, 100, 6, 40, 1)],
+)
+def test_greedy_replays_the_loop_that_roots_every_candidate(n, m, ell, k, seeds):
+    # The screen drops only rows whose roots are certified below the bar, so
+    # reports (subset, trace values, norms) or failures are the full loop's.
+    for seed in range(seeds):
+        prob = random_problem(np.random.default_rng([n, m, ell, k, seed]), n, m, ell, k)
+        assert _outcome(greedy_select, prob) == _outcome(_reference_greedy, prob)
+
+
+def test_greedy_replays_the_full_loop_on_near_ties_and_duplicated_columns():
+    for seed in range(4):
+        prob = _near_tied_problem(seed)
+        assert greedy_select(prob) == _reference_greedy(prob)
+    for case in ("duplicated", "duplicated, a from b"):
+        prob = _corner_problem(case, 0)
+        assert greedy_select(prob) == _reference_greedy(prob)
+
+
+def test_every_row_the_screen_drops_has_its_root_below_the_bar(monkeypatch):
+    # A dropped row has a root at or below t = R0 - eps, where R0 is the
+    # certified root of the first row rooted; the companion oracle, good to
+    # about 1e-8 here, agrees to within eps/4.
+    screens = []
+    real = selector._roots_at_or_below
+
+    def recording(rows, t):
+        dropped = real(rows, t)
+        screens.append((rows, t, dropped))
+        return dropped
+
+    monkeypatch.setattr(selector, "_roots_at_or_below", recording)
+    for shape in ((6, 48, 3, 12), (4, 14, 2, 5), (4, 7, 0, 5)):
+        prob = random_problem(np.random.default_rng(list(shape)), *shape)
+        greedy_select(prob)
+    greedy_select(_near_tied_problem(0))
+    assert sum(int(dropped.sum()) for _, _, dropped in screens) > 500
+    eps = selector.DEFAULT_EPS  # every problem here has the default eps
+    for rows, t, dropped in screens:
+        for row in rows[dropped]:
+            assert companion_smallest_root(Polynomial(row)) <= t + 0.25 * eps
+
+
+def test_the_guessed_row_competes_even_where_its_own_sign_drops_it(monkeypatch):
+    # The float certificates behind smallest_root can fail (at the minimal
+    # budget they do), and then the sign at R0 - eps may contradict R0 on
+    # the guessed row itself.  That row still competes, so a step always
+    # ends with a winner and its root.
+    monkeypatch.setattr(selector, "_roots_at_or_below", lambda rows, t: np.ones(len(rows), bool))
+    rows = np.array([from_roots(r).coeffs for r in ([-0.5, -0.1], [-0.2, -0.1], [-0.8, -0.3])])
+    best, best_y = selector._best_candidate(rows, 1e-6)
+    assert best == 1 and best_y == smallest_root(Polynomial(rows[1]), 1e-6)
+
+
+def test_the_screen_leaves_few_roots_to_certify(monkeypatch):
+    # On the wide shape the guesses pick the winner nearly always, and the
+    # screen drops every other row: without it each step roots all 42.5
+    # candidates left on average.
+    calls = []
+
+    def counted(p, eps):
+        calls.append(p)
+        return smallest_root(p, eps)
+
+    monkeypatch.setattr(selector, "smallest_root", counted)
+    for seed in range(3):
+        greedy_select(random_problem(np.random.default_rng(seed), 6, 48, 3, 12))
+    assert len(calls) / (3 * 12) <= 3
 
 
 def _stacked_greedy(prob: SelectionProblem) -> tuple[list[int], list[float], list[np.ndarray]]:
@@ -302,15 +440,9 @@ def test_batched_grams_replay_the_per_candidate_loop_bit_for_bit(monkeypatch, n,
 
 def test_greedy_replays_near_tied_columns(monkeypatch):
     # Columns 1 and 3 are within 1e-9 of columns 0 and 2, so their roots
-    # come within eps of the running best, where an incumbent that let a
-    # contender exit early would keep its unpolished root.
+    # come within eps of the running best, where the screen keeps both.
     for seed in range(4):
-        rng = np.random.default_rng([4, 10, 1, 5, seed])
-        b = rng.standard_normal((4, 10))
-        b[:, 1] = b[:, 0] + 1e-9 * rng.standard_normal(4)
-        b[:, 3] = b[:, 2] * (1 + 1e-9)
-        a = DenseMatrix(rng.standard_normal((4, 1)))
-        _assert_replays(monkeypatch, SelectionProblem(a=a, b=DenseMatrix(b), k=5), _REPLAY_ROOT_TOL)
+        _assert_replays(monkeypatch, _near_tied_problem(seed), _REPLAY_ROOT_TOL)
 
 
 def test_batched_grams_replay_an_eigenvalue_exactly_one(monkeypatch):
@@ -384,9 +516,9 @@ def test_every_score_lies_between_the_candidate_gram_and_the_identity(monkeypatc
     seen = []
 
     def recording(inst, gram, j, v):
-        polys = expected_poly_from_gram(inst, gram, j, v)
-        seen.append((_gram_updates(gram, v), polys))
-        return polys
+        rows = expected_poly_from_gram(inst, gram, j, v)
+        seen.append((_gram_updates(gram, v), rows))
+        return rows
 
     monkeypatch.setattr(selector, "expected_poly_from_gram", recording)
     for seed in range(3):
@@ -394,13 +526,12 @@ def test_every_score_lies_between_the_candidate_gram_and_the_identity(monkeypatc
         prob = random_problem(np.random.default_rng([n, m, ell, k, seed]), n, m, ell, k)
         report = greedy_select(prob)
         assert len(seen) == k
-        for step, (grams, polys) in zip(report.trace, seen):
+        for step, (grams, rows) in zip(report.trace, seen):
             mu_min = np.linalg.eigvalsh(grams)[:, 0]
-            lam = 1.0 + np.array([smallest_root(f, prob.eps) for f in polys])
+            lam = 1.0 + np.array([smallest_root(Polynomial(c), prob.eps) for c in rows])
             assert np.all(mu_min - prob.eps <= lam) and np.all(lam <= 1.0 + prob.eps)
             assert step.lambda_min == lam.max()
-            for f in polys:
-                c = np.asarray(f.coeffs)
+            for c in rows:
                 assert c.min() >= -1e-12 * np.abs(c).max()
 
 

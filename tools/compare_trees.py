@@ -16,12 +16,14 @@ and the verify ratios.  One line per ``SHAPES`` entry repeats the
 instance, raising, outcome, subset and root-value counts and the largest
 root difference for that shape alone, so a large difference at degree
 12 does not hide the benchmark's ``wide`` and ``oracle`` shapes.  Each
-tree also counts its ``sturm_chain`` calls inside ``greedy_select``.
-``smallest_root`` builds at most one chain per root, and only where a sign
-or Budan-Fourier certificate fails, so the count is the number of roots
-that took the Sturm fallback.  The totals, and each per-shape line, print
-both trees' counts out of the roots scored (one per remaining candidate
-per step).  Each per-shape line also prints each tree's largest last-step
+tree also counts, inside ``greedy_select``, its ``smallest_root`` calls
+and its ``sturm_chain`` calls.  A tree need not root every candidate it
+scores (one per remaining candidate per step): one that screens them
+roots only those that can still win.  ``smallest_root`` builds at most
+one chain per root, and only where a sign or Budan-Fourier certificate
+fails, so the chain count is the number of roots that took the Sturm
+fallback.  The totals, and each per-shape line, print both trees' counts
+beside the candidates scored.  Each per-shape line also prints each tree's largest last-step
 error ``|trace[-1] - mu_min(G_S)| / eps``, where ``G_S`` is the Gram of the
 fixed and selected columns in the isotropic frame, taken with numpy alone
 from the thin SVD of ``[A B]``.  At ``d = k - j = 0`` the expected
@@ -100,6 +102,17 @@ def dump() -> None:
 
     colsel.poly.sturm_chain = counted_sturm_chain
 
+    # greedy_select looks smallest_root up in colsel.selector
+    root_calls = 0
+    smallest_root = colsel.selector.smallest_root
+
+    def counted_smallest_root(*args):
+        nonlocal root_calls
+        root_calls += 1
+        return smallest_root(*args)
+
+    colsel.selector.smallest_root = counted_smallest_root
+
     # greedy_select looks _check_report up in colsel.selector, so this sees
     # the report of an instance that then raises AlgorithmFailure
     checked = None
@@ -130,16 +143,20 @@ def dump() -> None:
                 a=DenseMatrix(a), b=DenseMatrix(rng.standard_normal((n, m))), k=k
             )
             record = {"shape": [n, m, ell, k, rank_a], "seed": seed}
-            sturm_chains, checked = 0, None
+            sturm_chains, root_calls, checked = 0, 0, None
             try:
                 report = greedy_select(prob)
             except Exception as exc:  # an outcome to compare, not a reason to stop
-                record.update(error=[type(exc).__name__, str(exc)], sturm_chains=sturm_chains)
+                record.update(
+                    error=[type(exc).__name__, str(exc)],
+                    sturm_chains=sturm_chains,
+                    root_calls=root_calls,
+                )
                 if checked is not None:
                     record["last_step_error"] = last_step_error(a, prob.b.data, checked)
                 print(json.dumps(record))
                 continue
-            record["sturm_chains"] = sturm_chains
+            record.update(sturm_chains=sturm_chains, root_calls=root_calls)
             record["last_step_error"] = last_step_error(a, prob.b.data, report)
             _, ratio_frob, ratio_spec = verify_bound(prob, report.subset)
             record.update({
@@ -195,11 +212,15 @@ def compare_greedy(old: list[dict], new: list[dict]) -> tuple[list, list, list, 
     return outcomes, pairs, subsets, roots, root_gap
 
 
-def sturm_fallbacks(old: list[dict], new: list[dict]) -> str:
-    """Each tree's Sturm-chain count over ``old`` and ``new``, out of the roots scored."""
+def root_counts(old: list[dict], new: list[dict]) -> str:
+    """The candidates scored over ``old`` and ``new``, and each tree's
+    ``smallest_root`` and Sturm-chain counts."""
     scored = sum(k * m - k * (k - 1) // 2 for (_, m, _, k, _) in (r["shape"] for r in old))
-    counts = (sum(r["sturm_chains"] for r in tree) for tree in (old, new))
-    return "Sturm fallbacks old {}, new {} of {} roots".format(*counts, scored)
+    calls = (sum(r["root_calls"] for r in tree) for tree in (old, new))
+    chains = (sum(r["sturm_chains"] for r in tree) for tree in (old, new))
+    return "{} candidates scored; smallest_root calls old {}, new {}; Sturm fallbacks old {}, new {}".format(
+        scored, *calls, *chains
+    )
 
 
 def last_step_errors(old: list[dict], new: list[dict]) -> str:
@@ -239,16 +260,16 @@ def main(old_src: str, new_src: str) -> int:
     print(f"  outcome mismatches: {len(outcomes)}", *outcomes)
     print(f"  subset or order mismatches: {len(subsets)}", *subsets)
     print(f"  root value mismatches: {roots}; max |old - new| / eps: {root_gap:.3g}")
-    print(f"  {sturm_fallbacks(old, new)}")
+    print(f"  {root_counts(old, new)}")
     print("  per shape (n, m, l, k, rank of the fixed block): instances, raising in either tree;"
-          " outcome, subset and root value mismatches; max |old - new| / eps; Sturm fallbacks;"
-          " max |trace[-1] - mu_min(G_S)| / eps")
+          " outcome, subset and root value mismatches; max |old - new| / eps; candidates scored,"
+          " smallest_root calls and Sturm fallbacks; max |trace[-1] - mu_min(G_S)| / eps")
     for shape in SHAPES:
         rows = [(o, c) for o, c in zip(old, new) if o["shape"] == list(shape[:5])]
         s_outcomes, s_pairs, s_subsets, s_roots, s_gap = compare_greedy(*zip(*rows))
         print(f"    {shape[:5]}: {len(rows)}, {len(rows) - len(s_pairs)};"
               f" {len(s_outcomes)}, {len(s_subsets)}, {s_roots}; {s_gap:.3g};"
-              f" {sturm_fallbacks(*zip(*rows))}; {last_step_errors(*zip(*rows))}")
+              f" {root_counts(*zip(*rows))}; {last_step_errors(*zip(*rows))}")
     for v, rel in worst.items():
         print(f"  max relative difference of {v}: {rel:.2e}")
     print(f"{len(enums)} brute-force instances")
