@@ -14,7 +14,6 @@ success, 1 usage, input or validation error, 2 algorithm failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import re
@@ -97,9 +96,15 @@ def parse_matrix_csv(path: str) -> DenseMatrix:
     return DenseMatrix(rows)
 
 
+def _report_dict(report: SelectionReport) -> dict:
+    """``dataclasses.asdict(report)`` without its deep copy: the fields in
+    order, each trace step as a dict of its own fields."""
+    return dict(vars(report), trace=[dict(vars(step)) for step in report.trace])
+
+
 def serialize_report(report: SelectionReport) -> str:
     """The report as indented JSON, keyed in :class:`SelectionReport` field order."""
-    return json.dumps(dataclasses.asdict(report), indent=2)
+    return json.dumps(_report_dict(report), indent=2)
 
 
 def _render(payload: dict, fmt: str) -> str:
@@ -129,7 +134,7 @@ def _load_problem(args: argparse.Namespace, k: int) -> SelectionProblem:
 
 
 def _run_select(args: argparse.Namespace) -> dict:
-    return dataclasses.asdict(greedy_select(_load_problem(args, args.k)))
+    return _report_dict(greedy_select(_load_problem(args, args.k)))
 
 
 def _run_verify(args: argparse.Namespace) -> dict:

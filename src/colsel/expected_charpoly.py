@@ -191,7 +191,13 @@ def _psd_eigh(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     symmetric PSD matrix ``gram``, with the checks and the clamp of
     :func:`_psd_eigenvalues`; a failure raises :class:`InvalidInput`
     naming ``gram``."""
-    scale = _checked_scales(gram[None], "gram")[0]
+    # max propagates NaN, so the largest entry is finite only if all are
+    largest = np.abs(gram).max(initial=0.0)
+    if not largest < math.inf:
+        raise InvalidInput("gram has a non-finite entry")
+    scale = max(1.0, float(largest))
+    if np.abs(gram - gram.T).max(initial=0.0) > _SYMMETRY_TOL * scale:
+        raise InvalidInput("gram is not symmetric to 1e-10")
     try:
         mu, q = np.linalg.eigh(gram)
     except np.linalg.LinAlgError:
@@ -221,6 +227,23 @@ def _from_roots_rows(roots: np.ndarray) -> np.ndarray:
         # coefficients; the right-hand side reads the old values
         c[:, 1 : t + 3] = c[:, : t + 2] - roots[:, t : t + 1] * c[:, 1 : t + 3]
     return c[:, 1:]
+
+
+# Read-only arrays of _quotient_mask and _weight_ratios, by their arguments.
+_QUOTIENT_MASKS: dict[int, np.ndarray] = {}
+_WEIGHT_RATIOS: dict[tuple[int, int, int], np.ndarray] = {}
+
+
+def _quotient_mask(n: int) -> np.ndarray:
+    """The ``(n+1, n)`` boolean mask that keeps every root in row 0 and
+    all but root ``i`` in row ``i + 1``; built once per ``n``, read-only."""
+    mask = _QUOTIENT_MASKS.get(n)
+    if mask is None:
+        mask = np.ones((n + 1, n), dtype=bool)
+        np.fill_diagonal(mask[1:], False)
+        mask.setflags(write=False)
+        _QUOTIENT_MASKS[n] = mask
+    return mask
 
 
 def _candidate_charpolys(gram: np.ndarray, v: np.ndarray, a: int) -> np.ndarray:
@@ -254,9 +277,7 @@ def _candidate_charpolys(gram: np.ndarray, v: np.ndarray, a: int) -> np.ndarray:
     unit = max(-a - 1, 0)
     r[:unit] = 0.0
     w[:unit] = 0.0
-    roots = np.tile(r, (n + 1, 1))
-    np.fill_diagonal(roots[1:], 0.0)
-    c = _from_roots_rows(roots)
+    c = _from_roots_rows(np.where(_quotient_mask(n), r, 0.0))
     rows = np.empty((v.shape[1], n + 1))
     rows[:, :n] = c[0, :n] - w.T @ c[1:, 1:]
     rows[:, n] = 1.0
@@ -275,9 +296,14 @@ def _falling_weights(n: int, a: int, d: int) -> list[int]:
 def _weight_ratios(n: int, a: int, d: int) -> np.ndarray:
     """The weights of :func:`_falling_weights` over the leading one, which
     keep the result monic; Python-int true division rounds once, and the
-    weights can exceed ``2**53``."""
-    w = _falling_weights(n, a, d)
-    return np.array([wi / w[n] for wi in w])
+    weights can exceed ``2**53``.  Built once per ``(n, a, d)``, read-only."""
+    ratios = _WEIGHT_RATIOS.get((n, a, d))
+    if ratios is None:
+        w = _falling_weights(n, a, d)
+        ratios = np.array([wi / w[n] for wi in w])
+        ratios.setflags(write=False)
+        _WEIGHT_RATIOS[n, a, d] = ratios
+    return ratios
 
 
 def expected_poly_from_gram(

@@ -420,29 +420,56 @@ def _roots_at_or_below(rows: np.ndarray, t: float) -> np.ndarray:
     """:func:`_root_at_or_below` at ``t`` for each row of ``rows``, a
     ``(C, n+1)`` array of ascending coefficients, as a boolean array.
 
-    Plain Horner's value and ``mu`` run over all rows at once, with the
-    float operations of the scalar pass, so the trusted rows, their signs
-    and the rows sent to :func:`_compensated_value` are the scalar test's.
+    A row's value is ``rows @ t_pow`` and its ``mu`` is ``|rows| @ |t_pow|``,
+    with ``t_pow`` the cumulative powers of ``t``.  Each term ``c_i t^i``
+    carries at most ``i - 1`` roundings from its power, one from its
+    product and ``n`` from the summation, in any order, with or without
+    FMA: at most ``2n``, so the error is at most ``gamma_2n sum |c_i| |t|^i``
+    (Higham, 3.1), Horner's bound (5.1), and the scalar test's threshold
+    ``4 (n+1) u mu`` on the computed ``mu`` covers it.  The bound leaves
+    out underflow.  So, as in the scalar test, a row whose ``mu`` or lead
+    is below the normal range is compensated, and so is every row once a
+    power of a nonzero ``t`` falls below it.
     """
     n = rows.shape[1] - 1
-    value = np.zeros(len(rows))
-    mu = np.zeros(len(rows))
-    magnitudes = np.abs(rows)
-    size = abs(t)
-    for i in range(n, -1, -1):
-        value *= t
-        value += rows[:, i]
-        mu *= size
-        mu += magnitudes[:, i]
+    t_pow = np.full(n + 1, t)
+    t_pow[0] = 1.0
+    np.multiply.accumulate(t_pow, out=t_pow)
+    value = rows @ t_pow
+    mu = np.abs(rows) @ np.abs(t_pow)
     lead = rows[:, n]
     trusted = (np.abs(value) > _HORNER_ERROR * (n + 1) * mu) & (mu >= _TINY) & (
         np.abs(lead) >= _TINY
     )
+    if not (t == 0.0 or abs(t_pow[n]) >= _TINY):
+        trusted[:] = False
     if not trusted.all():
         for i in np.flatnonzero(~trusted).tolist():
             value[i] = _compensated_value(rows[i].tolist(), t)
     # the sign at -inf is lead's times (-1)^n, and a product with +-1 is exact
     return value * (np.sign(lead) * (-1.0) ** n) < 0.0
+
+
+# Read-only derivative maps of _derivative_map, one per degree.
+_DERIVATIVE_MAPS: dict[int, np.ndarray] = {}
+
+
+def _derivative_map(n: int) -> np.ndarray:
+    """The ``(n+1, 3(n+1))`` map ``D_n`` that takes ascending coefficients
+    of degree ``n`` to those of ``p``, ``p'`` and ``p''/2`` interleaved:
+    columns ``3j``, ``3j + 1`` and ``3j + 2`` get their coefficients of
+    ``x^j``, ``c_j``, ``(j+1) c_{j+1}`` and ``(j+2)(j+1)/2 c_{j+2}``.
+    It is built once per degree and read-only."""
+    d = _DERIVATIVE_MAPS.get(n)
+    if d is None:
+        i = np.arange(n + 1)
+        d = np.zeros((n + 1, 3 * (n + 1)))
+        d[i, 3 * i] = 1.0
+        d[i[1:], 3 * i[:-1] + 1] = i[1:]
+        d[i[2:], 3 * i[:-2] + 2] = i[2:] * (i[2:] - 1) / 2
+        d.setflags(write=False)
+        _DERIVATIVE_MAPS[n] = d
+    return d
 
 
 def _smallest_root_guesses(rows: np.ndarray) -> np.ndarray:
@@ -452,20 +479,20 @@ def _smallest_root_guesses(rows: np.ndarray) -> np.ndarray:
     :func:`_laguerre_from_left` over all rows at once, for a fixed
     ``_GUESS_STEPS`` steps: the same Laguerre-Samuelson start, and each
     step takes ``p``, ``p'`` and ``p''/2`` of every row from one matrix
-    product with the powers of its ``x``.  A row keeps its ``x`` where the
-    step is not finite (a negative discriminant included) or where
-    ``p'/p >= 0``, which left of the roots of a real-rooted ``p`` it is
-    not.  A guess may be infinite but is never NaN.  Nothing here is
+    product with the powers of its ``x``.  Their coefficients come from
+    one exact product, ``rows @ D_n`` (:func:`_derivative_map`), with one
+    nonzero term per output, so ``rows`` must be finite, as
+    :func:`~colsel.expected_charpoly.expected_poly_from_gram` returns them:
+    an infinite one times a zero of ``D_n`` is NaN.  A row keeps its
+    ``x`` where the step is not finite (a negative discriminant included)
+    or where ``p'/p >= 0``, which left of the roots of a real-rooted ``p``
+    it is not.  A guess may be infinite but is never NaN.  Nothing here is
     certified: the guesses only choose which row :func:`smallest_root`
     certifies first.
     """
     count, n = rows.shape[0], rows.shape[1] - 1
-    degrees = np.arange(n + 1.0)
     # p, p' and p''/2 side by side, so that one product evaluates all three
-    derivatives = np.zeros((count, n + 1, 3))
-    derivatives[:, :, 0] = rows
-    derivatives[:, :n, 1] = rows[:, 1:] * degrees[1:]
-    derivatives[:, : n - 1, 2] = rows[:, 2:] * (degrees[2:] * (degrees[2:] - 1.0) / 2.0)
+    derivatives = (rows @ _derivative_map(n)).reshape(count, n + 1, 3)
     powers = np.empty((count, 1, n + 1))
     with np.errstate(all="ignore"):
         lead = rows[:, n]

@@ -1,8 +1,10 @@
 """CSV ingestion, subcommand dispatch, the report schema, output formats, exit codes."""
 from __future__ import annotations
 
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from colsel import cli
@@ -10,6 +12,7 @@ from colsel.cli import main, parse_matrix_csv, serialize_report
 from colsel.errors import AlgorithmFailure, FormatError
 from colsel.linalg import DenseMatrix
 from colsel.selector import SelectionProblem, SelectionReport, TraceStep, greedy_select
+from conftest import random_problem
 
 DOUBLED_IDENTITY_CSV = "1,0,1,0\n0,1,0,1\n"
 
@@ -108,6 +111,17 @@ def test_report_json_keys_and_values_are_the_dataclass_fields():
         }
     )
     assert rebuilt == report
+
+
+@pytest.mark.parametrize(
+    "shape", [(6, 48, 3, 12), (4, 7, 0, 5), (2, 5, 1, 1)], ids=["wide", "no_fixed_block", "k_1"]
+)
+def test_report_bytes_are_those_of_asdict(shape):
+    # serialize_report builds its dict from the fields without
+    # dataclasses.asdict's deep copy; the JSON must not change by a byte.
+    report = greedy_select(random_problem(np.random.default_rng(7), *shape))
+    assert len(report.trace) == shape[3]
+    assert serialize_report(report) == json.dumps(dataclasses.asdict(report), indent=2)
 
 
 def test_select_subcommand(tmp_path, capsys):

@@ -7,6 +7,7 @@ import pkgutil
 import pytest
 
 import colsel
+from colsel import expected_charpoly, poly
 
 # The selection path and the errors it raises; smallest_root and its argument
 # type stay only because the benchmark's tracer test wraps colsel.smallest_root.
@@ -65,7 +66,8 @@ def test_helpers_import_from_their_modules(module, name):
 def test_no_module_level_binding_has_wrapped():
     # The tracer treats any binding with __wrapped__ as one of its own span
     # wrappers, so a functools.cache, lru_cache or wraps decorator at module
-    # level looks like a tracer left installed in an untraced run.
+    # level looks like a tracer left installed in an untraced run.  The
+    # harness checks every module-level value, callable or not.
     modules = [colsel] + [
         importlib.import_module(info.name)
         for info in pkgutil.walk_packages(colsel.__path__, prefix="colsel.")
@@ -74,9 +76,27 @@ def test_no_module_level_binding_has_wrapped():
         f"{mod.__name__}.{key}"
         for mod in modules
         for key, value in vars(mod).items()
-        if callable(value) and hasattr(value, "__wrapped__")
+        if hasattr(value, "__wrapped__")
     ]
     assert not wrapped, (
         f"{wrapped} carry __wrapped__, which fails "
         "benchmarks/test_harness.py::test_untraced_run_installs_no_wrapper"
     )
+
+
+@pytest.mark.parametrize(
+    "cached",
+    [
+        lambda: expected_charpoly._weight_ratios(6, 39, 12),
+        lambda: expected_charpoly._quotient_mask(6),
+        lambda: poly._derivative_map(6),
+    ],
+    ids=["weight_ratios", "quotient_mask", "derivative_map"],
+)
+def test_cached_arrays_are_shared_and_read_only(cached):
+    # The caches are plain module dicts, and every caller gets the same
+    # array, so a write into one must fail rather than reach the next caller.
+    array = cached()
+    assert cached() is array
+    with pytest.raises(ValueError, match="read-only"):
+        array[0] = array[-1]

@@ -457,16 +457,14 @@ def test_a_clustered_root_takes_the_compensated_sign(monkeypatch):
         assert calls[0] == before, t
 
 
-def test_the_row_wise_sign_test_is_the_scalar_one(monkeypatch):
-    # _roots_at_or_below against _root_at_or_below on every row, at points
-    # on and within 1e-12 of one row's roots, where plain Horner's value is
-    # closest to its rounding error, and at a near-double root, where it is
-    # below it.  Rows are scaled by factors of either sign, down to 1e-310,
-    # whose lead is no normal float, so every branch runs: trusted plain
-    # signs, and compensated ones for a small value or a tiny row.
-    calls = _counting_compensated_value(monkeypatch)
+def _sign_test_grid() -> list[tuple[np.ndarray, float]]:
+    """``(rows, t)`` pairs: rows of degree 1, 2, 5, 6 and 12 at points on
+    and within 1e-12 of the first row's roots, where plain Horner's value
+    is closest to its rounding error, and at the near-double root of the
+    last row, where it is below it.  Rows are scaled by factors of either
+    sign, and the next-to-last down to 1e-310, whose lead is no normal float."""
     rng = np.random.default_rng(19)
-    fallbacks = rows_seen = 0
+    grid = []
     for degree in (1, 2, 5, 6, 12):
         roots = [sorted(rng.uniform(-1.0, 0.0, degree)) for _ in range(30)]
         roots.append(([-0.5, -0.5 + 1e-9] + [-0.1] * degree)[:degree])
@@ -474,13 +472,61 @@ def test_the_row_wise_sign_test_is_the_scalar_one(monkeypatch):
         rows *= rng.choice([-1.0, 1.0], (len(rows), 1)) * 10.0 ** rng.integers(-3, 4, (len(rows), 1))
         rows[-2] *= 1e-310
         points = [r + d for r in roots[0] for d in (-1e-12, 0.0, 1e-12)] + [-0.5, -0.5 + 5e-10]
-        for t in points:
-            before = calls[0]
-            got = poly._roots_at_or_below(rows, t)
-            fallbacks += calls[0] - before
-            rows_seen += len(rows)
-            assert got.tolist() == [poly._root_at_or_below(r, t) for r in rows.tolist()], (degree, t)
+        grid += [(rows, t) for t in points]
+    return grid
+
+
+def test_the_row_wise_sign_test_is_the_scalar_one(monkeypatch):
+    # _roots_at_or_below against _root_at_or_below on every row of the
+    # grid, where every branch runs: trusted plain signs, and compensated
+    # ones for a small value or a tiny row.
+    calls = _counting_compensated_value(monkeypatch)
+    fallbacks = rows_seen = 0
+    for rows, t in _sign_test_grid():
+        before = calls[0]
+        got = poly._roots_at_or_below(rows, t)
+        fallbacks += calls[0] - before
+        rows_seen += len(rows)
+        assert got.tolist() == [poly._root_at_or_below(r, t) for r in rows.tolist()], t
     assert 100 < fallbacks < rows_seen / 10
+
+
+def _recording_compensated_value(monkeypatch) -> list[tuple[float, ...]]:
+    """Route ``poly._compensated_value`` through a recorder of the
+    coefficients it evaluates; returns the record."""
+    seen = []
+    real = poly._compensated_value
+
+    def recording(c, x):
+        seen.append(tuple(c))
+        return real(c, x)
+
+    monkeypatch.setattr(poly, "_compensated_value", recording)
+    return seen
+
+
+def test_the_screens_trusted_signs_are_exact(monkeypatch):
+    # Wherever _roots_at_or_below keeps the sign of its power sum on the
+    # grid (the row is not compensated), that sign is the exact sign of
+    # the float coefficients at t.  Degree-12 rows at |t| = 1e-200, where
+    # t^2 underflows, and a row whose power sum loses its dominant term to
+    # that underflow, must all be compensated, and get the exact sign: the
+    # error bound does not cover underflow.
+    seen = _recording_compensated_value(monkeypatch)
+    cases = _sign_test_grid()
+    cases += [(cases[-1][0], t) for t in (-1e-200, 1e-200)]  # the degree-12 rows
+    cases.append((np.array([[-1e-300, 0.0, 1e300]]), 1e-200))
+    trusted = 0
+    for rows, t in cases:
+        seen.clear()
+        got = poly._roots_at_or_below(rows, t)
+        for row, at_or_below in zip(rows.tolist(), got.tolist()):
+            compensated = tuple(row) in seen
+            assert compensated or abs(t) > 1e-100, t
+            trusted += not compensated
+            if not compensated or abs(t) < 1e-100:
+                assert at_or_below == _exact_root_at_or_below(row, t), (row, t)
+    assert trusted > 2000, trusted
 
 
 def test_fourier_count_is_a_sound_certificate():
@@ -678,6 +724,63 @@ def _root_or_error(p: Polynomial, eps: float):
         return smallest_root(p, eps).hex(), None
     except NotRealRooted as exc:
         return None, type(exc)
+
+
+def _reference_guesses(rows: np.ndarray) -> np.ndarray:
+    """``poly._smallest_root_guesses`` with its ``p``, ``p'`` and ``p''/2``
+    coefficients built from a zero array and scaled slice copies."""
+    count, n = rows.shape[0], rows.shape[1] - 1
+    degrees = np.arange(n + 1.0)
+    derivatives = np.zeros((count, n + 1, 3))
+    derivatives[:, :, 0] = rows
+    derivatives[:, :n, 1] = rows[:, 1:] * degrees[1:]
+    derivatives[:, : n - 1, 2] = rows[:, 2:] * (degrees[2:] * (degrees[2:] - 1.0) / 2.0)
+    powers = np.empty((count, 1, n + 1))
+    with np.errstate(all="ignore"):
+        lead = rows[:, n]
+        x = -rows[:, n - 1] / (n * lead)
+        if n >= 2:
+            q = rows[:, n - 1] / lead
+            sum_sq = q * q - 2.0 * rows[:, n - 2] / lead
+            x = x - np.sqrt(np.fmax((n - 1) * (sum_sq / n - x * x), 0.0))
+        for _ in range(poly._GUESS_STEPS):
+            powers[:, 0, 0] = 1.0
+            powers[:, 0, 1:] = x[:, None]
+            np.multiply.accumulate(powers, axis=2, out=powers)
+            value, slope, half_curve = (powers @ derivatives)[:, 0, :].T
+            g = slope / value
+            disc = (n - 1) * ((n - 1) * g * g - 2.0 * n * half_curve / value)
+            moved = x - n / (g - np.sqrt(disc))
+            np.copyto(x, moved, where=np.isfinite(moved) & (g < 0.0))
+    return x
+
+
+def test_the_guesses_are_bit_identical_to_the_reference(monkeypatch):
+    # The derivative coefficients come from one product with a map that
+    # has one nonzero term per output, which is exact for finite rows, so
+    # the guesses are the reference's bit for bit: on every step's rows of
+    # three wide instances, and on random rows of degree 1 to 12 scaled
+    # by +-10^-3 to 10^3, many of them not real-rooted.  No guess is NaN.
+    batches = []
+    real_guesses = selector._smallest_root_guesses
+
+    def recording(rows):
+        batches.append(rows.copy())
+        return real_guesses(rows)
+
+    monkeypatch.setattr(selector, "_smallest_root_guesses", recording)
+    for seed in range(3):
+        selector.greedy_select(random_problem(np.random.default_rng(seed), 6, 48, 3, 12))
+    assert len(batches) == 36
+    rng = np.random.default_rng(29)
+    for degree in range(1, 13):
+        rows = rng.standard_normal((40, degree + 1))
+        rows *= rng.choice([-1.0, 1.0], (40, 1)) * 10.0 ** rng.integers(-3, 4, (40, 1))
+        batches.append(rows)
+    for rows in batches:
+        got = poly._smallest_root_guesses(rows)
+        assert np.array_equal(got, _reference_guesses(rows)), rows.shape
+        assert not np.isnan(got).any()
 
 
 def test_a_row_the_screen_drops_cannot_win():

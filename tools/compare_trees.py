@@ -33,7 +33,13 @@ fails ``_check_report`` is measured too, from the report that check was
 given.  So where both trees are thousands of eps off at degree 12, an
 outcome that flips there reads as such, not as a new fault.  These
 counts and errors are for information only and do not change the exit
-status.
+status.  Each tree also counts, in total and per shape, the
+``smallest_root`` results that ``_root_at_or_below(coeffs, root - eps/2)``
+contradicts: there a certified sign shows a real root of the float
+polynomial more than ``eps/2`` left of the result, which breaks its
+contract.  They are split into calls that built no Sturm chain and calls
+that did, and one on a shape with ``n <= 6`` in either tree sets exit
+status 1.
 
 Every instance with ``C(m, k) <= 2002`` (all shapes but the first and
 the last four) also runs ``brute_force``; the comparison lists the instances
@@ -43,7 +49,8 @@ both.  It prints no wall times: one sequential run per tree is too
 noisy to compare speed (identical ``brute_force`` code has read 1.15 s
 and 1.52 s on a 2-vCPU machine), so speed claims come from alternating
 ``benchmarks/run.py`` runs.  Exit status 1 if any outcome, subset, root
-value, best subset or feasible set differs, or if a brute-force norm's
+value, best subset or feasible set differs, if a root at ``n <= 6`` is
+contradicted, or if a brute-force norm's
 largest relative difference exceeds ``BRUTE_FORCE_RTOL`` (1e-12): two
 ways of taking the same singular values may round differently, but by a
 few ulps.
@@ -102,14 +109,23 @@ def dump() -> None:
 
     colsel.poly.sturm_chain = counted_sturm_chain
 
-    # greedy_select looks smallest_root up in colsel.selector
+    # greedy_select looks smallest_root up in colsel.selector.  A result
+    # with a real root more than eps/2 to its left, shown by a certified
+    # sign, breaks smallest_root's contract; such results are counted
+    # apart for calls that built no Sturm chain and for calls that did.
     root_calls = 0
+    contradicted = [0, 0]
     smallest_root = colsel.selector.smallest_root
+    root_at_or_below = colsel.poly._root_at_or_below
 
-    def counted_smallest_root(*args):
+    def counted_smallest_root(p, eps):
         nonlocal root_calls
         root_calls += 1
-        return smallest_root(*args)
+        chains = sturm_chains
+        root = smallest_root(p, eps)
+        if root_at_or_below(p.coeffs, root - 0.5 * eps):
+            contradicted[sturm_chains > chains] += 1
+        return root
 
     colsel.selector.smallest_root = counted_smallest_root
 
@@ -144,6 +160,7 @@ def dump() -> None:
             )
             record = {"shape": [n, m, ell, k, rank_a], "seed": seed}
             sturm_chains, root_calls, checked = 0, 0, None
+            contradicted[:] = 0, 0
             try:
                 report = greedy_select(prob)
             except Exception as exc:  # an outcome to compare, not a reason to stop
@@ -151,12 +168,15 @@ def dump() -> None:
                     error=[type(exc).__name__, str(exc)],
                     sturm_chains=sturm_chains,
                     root_calls=root_calls,
+                    contradicted=list(contradicted),
                 )
                 if checked is not None:
                     record["last_step_error"] = last_step_error(a, prob.b.data, checked)
                 print(json.dumps(record))
                 continue
-            record.update(sturm_chains=sturm_chains, root_calls=root_calls)
+            record.update(
+                sturm_chains=sturm_chains, root_calls=root_calls, contradicted=list(contradicted)
+            )
             record["last_step_error"] = last_step_error(a, prob.b.data, report)
             _, ratio_frob, ratio_spec = verify_bound(prob, report.subset)
             record.update({
@@ -223,6 +243,13 @@ def root_counts(old: list[dict], new: list[dict]) -> str:
     )
 
 
+def contradicted_roots(old: list[dict], new: list[dict]) -> str:
+    """Each tree's contradicted ``smallest_root`` results over ``old`` and
+    ``new``: on calls that built no Sturm chain, and on calls that did."""
+    counts = [sum(r["contradicted"][i] for r in tree) for tree in (old, new) for i in (0, 1)]
+    return "contradicted roots old {} + {} Sturm, new {} + {} Sturm".format(*counts)
+
+
 def last_step_errors(old: list[dict], new: list[dict]) -> str:
     """Each tree's largest last-step error over ``old`` and ``new``, in eps."""
     worst = (max((r.get("last_step_error", 0.0) for r in tree), default=0.0) for tree in (old, new))
@@ -260,16 +287,18 @@ def main(old_src: str, new_src: str) -> int:
     print(f"  outcome mismatches: {len(outcomes)}", *outcomes)
     print(f"  subset or order mismatches: {len(subsets)}", *subsets)
     print(f"  root value mismatches: {roots}; max |old - new| / eps: {root_gap:.3g}")
-    print(f"  {root_counts(old, new)}")
+    print(f"  {root_counts(old, new)}; {contradicted_roots(old, new)}")
     print("  per shape (n, m, l, k, rank of the fixed block): instances, raising in either tree;"
           " outcome, subset and root value mismatches; max |old - new| / eps; candidates scored,"
-          " smallest_root calls and Sturm fallbacks; max |trace[-1] - mu_min(G_S)| / eps")
+          " smallest_root calls and Sturm fallbacks; contradicted roots;"
+          " max |trace[-1] - mu_min(G_S)| / eps")
     for shape in SHAPES:
         rows = [(o, c) for o, c in zip(old, new) if o["shape"] == list(shape[:5])]
         s_outcomes, s_pairs, s_subsets, s_roots, s_gap = compare_greedy(*zip(*rows))
         print(f"    {shape[:5]}: {len(rows)}, {len(rows) - len(s_pairs)};"
               f" {len(s_outcomes)}, {len(s_subsets)}, {s_roots}; {s_gap:.3g};"
-              f" {root_counts(*zip(*rows))}; {last_step_errors(*zip(*rows))}")
+              f" {root_counts(*zip(*rows))}; {contradicted_roots(*zip(*rows))};"
+              f" {last_step_errors(*zip(*rows))}")
     for v, rel in worst.items():
         print(f"  max relative difference of {v}: {rel:.2e}")
     print(f"{len(enums)} brute-force instances")
@@ -278,7 +307,12 @@ def main(old_src: str, new_src: str) -> int:
         print(f"  max relative difference of {v} over feasible subsets: {rel:.2e}"
               f" (gate {BRUTE_FORCE_RTOL:.0e})")
     drift = max(enum_worst.values()) > BRUTE_FORCE_RTOL
-    return 1 if outcomes or subsets or roots or enum_mismatches or drift else 0
+    # below degree 7 every root is expected to keep its contract
+    broken = [
+        (r["shape"], r["seed"]) for r in old + new if r["shape"][0] <= 6 and any(r["contradicted"])
+    ]
+    print(f"contradicted roots at n <= 6: {len(broken)}", *broken)
+    return 1 if outcomes or subsets or roots or enum_mismatches or drift or broken else 0
 
 
 if __name__ == "__main__":
