@@ -1,7 +1,7 @@
-"""Independent cross-check machinery: enumeration (one stacked singular-value
-call per batch of up to 256 subsets), barriers, companion roots, the
-monomial-basis expected-polynomial pipeline, and the stacked ``y``-basis
-transform (one eigensolve per candidate Gram).
+"""Independent cross-check machinery: enumeration (one column gather and one
+stacked singular-value call per batch of up to 256 subsets), barriers,
+companion roots, the monomial-basis expected-polynomial pipeline, and the
+stacked ``y``-basis transform (one eigensolve per candidate Gram).
 
 Nothing here shares a code path with the root search, the greedy loop or
 the selector's subset norms, which is the point: these are the oracles the
@@ -26,7 +26,7 @@ from .expected_charpoly import (
     _weight_ratios,
 )
 # pseudoinverse is unused; the benchmark harness's tracer test wraps colsel.oracle.pseudoinverse
-from .linalg import DEFAULT_RANK_TOL, columns, pseudoinverse  # noqa: F401
+from .linalg import DEFAULT_RANK_TOL, pseudoinverse  # noqa: F401
 from .poly import Polynomial, derivative, evaluate, monic
 from .selector import SelectionProblem
 
@@ -74,7 +74,9 @@ def brute_force(prob: SelectionProblem) -> EnumerationResult:
 
     It takes the singular values alone, from one stacked
     ``np.linalg.svd(..., compute_uv=False)`` per batch of up to
-    ``ENUMERATION_BATCH`` (256) subsets' ``[a b_S]``.  A subset is full rank
+    ``ENUMERATION_BATCH`` (256) subsets' ``[a b_S]``.  A batch's ``b_S``
+    blocks come from one fancy index of ``b`` by the batch's ``(B, k)``
+    array of subsets, in ``combinations`` order.  A subset is full rank
     when ``sigma_min > DEFAULT_RANK_TOL * sigma_max``; for those
     ``|[a b_S]^+|_F^2 = sum sigma_i^-2`` and ``|[a b_S]^+|_2^2 =
     sigma_min^-2`` (clamped to the Frobenius value).  Neither goes through
@@ -93,7 +95,8 @@ def brute_force(prob: SelectionProblem) -> EnumerationResult:
     while batch := list(islice(subsets, ENUMERATION_BATCH)):
         stack = np.empty((len(batch), prob.a.rows, ell + prob.k))
         stack[:, :, :ell] = prob.a.data
-        stack[:, :, ell:] = np.stack([columns(prob.b, subset).data for subset in batch])
+        # (n, B, k) -> (B, n, k): row i holds b's columns batch[i], in order
+        stack[:, :, ell:] = prob.b.data[:, np.array(batch)].transpose(1, 0, 2)
         s = np.linalg.svd(stack, compute_uv=False)  # n values: l + k >= n
         sigma_min_sq = s[:, -1] ** 2
         # sigma_min^2 = 0 (underflow) means both norms overflow

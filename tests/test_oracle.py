@@ -7,7 +7,6 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-import colsel.oracle
 from colsel.errors import InvalidInput, TooLarge
 from colsel.linalg import DEFAULT_RANK_TOL, DenseMatrix
 from colsel.oracle import (
@@ -80,25 +79,25 @@ def test_brute_force_records_overflowing_norms_as_infeasible(data, subset):
 def test_brute_force_batches_its_svds(monkeypatch):
     rng = np.random.default_rng(151)
     prob = random_problem(rng, n=3, m=12, ell=1, k=4)  # C(12, 4) = 495 subsets
-    svd, gather = np.linalg.svd, colsel.oracle.columns
-    svd_shapes, gathers = [], []
+    svd = np.linalg.svd
+    stacks = []
 
-    def counting_svd(a, *args, **kwargs):
-        svd_shapes.append(a.shape)
+    def capturing_svd(a, *args, **kwargs):
+        stacks.append(a.copy())
         return svd(a, *args, **kwargs)
 
-    def counting_columns(q, s):
-        gathers.append(s)
-        return gather(q, s)
-
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    monkeypatch.setattr(colsel.oracle, "columns", counting_columns)
+    monkeypatch.setattr(np.linalg, "svd", capturing_svd)
     result = brute_force(prob)
     assert len(result.all_values) == 495
-    assert len(svd_shapes) == math.ceil(495 / 256) == 2
-    assert all(len(shape) == 3 for shape in svd_shapes)
-    assert sum(shape[0] for shape in svd_shapes) == 495
-    assert len(gathers) == 495
+    assert len(stacks) == math.ceil(495 / 256) == 2
+    assert [stack.shape for stack in stacks] == [(256, 3, 5), (239, 3, 5)]
+    # each row is [a b_S] of the next subset in combinations order, bit for bit
+    rows = [row for stack in stacks for row in stack]
+    subsets = list(combinations(range(prob.m), prob.k))
+    assert list(result.all_values) == subsets
+    for row, subset in zip(rows, subsets):
+        expected = np.hstack([prob.a.data, prob.b.data[:, list(subset)]])
+        assert row.tobytes() == expected.tobytes(), subset
     assert all(math.isfinite(f) for f, _ in result.all_values.values())
 
 

@@ -535,6 +535,130 @@ def test_every_score_lies_between_the_candidate_gram_and_the_identity(monkeypatc
                 assert c.min() >= -1e-12 * np.abs(c).max()
 
 
+def _reference_scores(
+    gram: np.ndarray, v: np.ndarray, m: int, k: int, j: int, eps: float
+) -> np.ndarray:
+    """Every candidate's score, the smallest root in ``y = x - 1`` of its
+    expected polynomial, in ``np.longdouble`` from the float eigenvalues of
+    its Gram ``gram + v_c v_c^T``, with no coefficient expansion.
+
+    With ``a = m - n - j`` and ``d = k - j``, let ``rho`` be those
+    eigenvalues less one, without the largest ``max(-a, 0)``, which are
+    exactly zero; ``q`` values are left.  With ``A = max(a, 0)`` and
+    ``P(y) = y^A prod(y - rho_i)``, the score is the smallest root of
+    ``P^(d)``, and ``P^(d)(y)/d! = sum_t C(A, L - t) y^(L - t) e_t(y - rho)``
+    with ``L = m - k``.  Newton on ``T = P^(d)/y^B``, ``B = max(A - d, 0)``,
+    starts at ``min rho``, left of every root by interlacing, and rises to
+    the smallest; it stops once every step is at most ``1e-6 eps``, far
+    above where rounding stalls it (about ``3e-11 eps`` at degree 12).
+    """
+    n = gram.shape[0]
+    a, d = m - n - j, k - j
+    big_a = max(a, 0)
+    low = max(big_a - d, 0)
+    mu = np.linalg.eigvalsh(_gram_updates(gram, v))[:, : n - max(-a, 0)]
+    rho = mu.T.astype(np.longdouble) - 1
+    q = rho.shape[0]
+    # T0 = P^(d)/(d! y^B) = sum_t w0_t y^(deg - t) e_t(y - rho), with deg = L - B <= q,
+    # and T1 = y P^(d+1)/((d+1)! y^B), the same sum with w1
+    deg = m - k - low
+    w0 = np.array([math.comb(big_a, m - k - t) for t in range(deg + 1)], np.longdouble)
+    w1 = np.array([math.comb(big_a, m - k - 1 - t) if t < m - k else 0 for t in range(deg + 1)],
+                  np.longdouble)
+    y = rho[0].copy()
+    active = np.arange(y.size)
+    for _ in range(200):
+        ya, rho_a = y[active], rho[:, active]
+        e = np.zeros((q + 1, active.size), np.longdouble)  # e[t] = e_t(y - rho), by one recurrence
+        e[0] = 1
+        for r in rho_a:
+            e[1:] += (ya - r) * e[:-1]
+        t0 = t1 = np.zeros(active.size, np.longdouble)
+        for t in range(deg + 1):
+            t0, t1 = t0 * ya + w0[t] * e[t], t1 * ya + w1[t] * e[t]
+        # at d = 0, T0 vanishes at min rho, the root itself
+        root = t0 == 0
+        step = -ya * t0 / np.where(root, 1, (d + 1) * t1 - low * t0)
+        step[root] = 0
+        y[active] = ya + step
+        active = active[np.abs(step) > 1e-6 * eps]
+        if not active.size:
+            return y
+    raise AssertionError(f"reference Newton did not converge at partial size {j}")
+
+
+class _WrongPick(AssertionError):
+    """A greedy step picked a column more than 2 eps below the reference argmax."""
+
+
+def _greedy_checked_against_the_reference(monkeypatch, prob: SelectionProblem) -> int:
+    """Run :func:`greedy_select`, checking each pick as it is taken: where the
+    reference scores another column more than ``2 eps`` above the pick,
+    raise :class:`_WrongPick` naming both and the margin.  Each trace value
+    must lie within ``eps`` of the pick's reference root; that is asserted
+    after the run, so a run that drifts and then picks wrong fails on the
+    pick.  Returns the number of steps checked."""
+    eps = prob.eps
+    remaining, drift, steps = list(range(prob.m)), [], []
+    transform, best_candidate = selector.expected_poly_from_gram, selector._best_candidate
+
+    def recording(inst, gram, j, v):
+        steps.append((gram, j, v))
+        return transform(inst, gram, j, v)
+
+    def checked(rows, eps):
+        best, best_y = best_candidate(rows, eps)
+        gram, j, v = steps[-1]
+        ref = _reference_scores(gram, v, prob.m, prob.k, j, eps)
+        top = int(np.argmax(ref))
+        margin = float((ref[top] - ref[best]) / eps)
+        if margin > 2:
+            raise _WrongPick(
+                f"step {j}: picked column {remaining[best]}, but column {remaining[top]} "
+                f"scores {margin:.1f} eps higher by the reference"
+            )
+        error = float(abs(best_y - ref[best]) / eps)
+        if error > 1:
+            drift.append(f"step {j}: column {remaining[best]}'s trace value is {error:.3g} eps off")
+        remaining.pop(best)
+        return best, best_y
+
+    with monkeypatch.context() as patch:
+        patch.setattr(selector, "expected_poly_from_gram", recording)
+        patch.setattr(selector, "_best_candidate", checked)
+        greedy_select(prob)
+    assert not drift, drift
+    return len(steps)
+
+
+def _wrong_pick(reason: str):
+    return pytest.mark.xfail(strict=True, raises=_WrongPick, reason=reason)
+
+
+@pytest.mark.parametrize(
+    "n, m, ell, k, seed",
+    [
+        (n, m, ell, k, seed)
+        for n, m, ell, k in ((6, 48, 3, 12), (4, 14, 2, 5), (4, 7, 0, 5), (2, 33, 0, 16))
+        for seed in range(3)
+    ]
+    + [
+        pytest.param(12, 100, 0, 40, 1, marks=_wrong_pick("step 40: column 3 over 56, 1,857 eps")),
+        pytest.param(12, 100, 0, 40, 11, marks=_wrong_pick("step 39: column 15 over 93, 44.7 eps")),
+        pytest.param(12, 100, 6, 40, 3, marks=_wrong_pick("step 39: column 19 over 22, 3,769 eps")),
+        pytest.param(8, 200, 0, 8, 0, marks=_wrong_pick("step 1: column 44 over 94, 99.5 eps")),
+        pytest.param(12, 150, 0, 60, 1, marks=_wrong_pick("step 55: column 147 over 129, 479 eps")),
+    ],
+)
+def test_greedy_picks_the_reference_argmax(monkeypatch, n, m, ell, k, seed):
+    # The reference is exact to far below eps only with a 64-bit mantissa:
+    # numpy's longdouble has one on x86-64, and is a plain double elsewhere.
+    if np.finfo(np.longdouble).nmant < 63:
+        pytest.fail(f"np.longdouble has a {np.finfo(np.longdouble).nmant}-bit mantissa, not 63")
+    prob = random_problem(np.random.default_rng(seed), n, m, ell, k)
+    assert _greedy_checked_against_the_reference(monkeypatch, prob) == k
+
+
 def _corner_problem(case: str, seed: int) -> SelectionProblem:
     """A problem at (n, m, l, k) = (6, 48, 3, 12) with one of the corner column sets."""
     rng = np.random.default_rng(seed)
