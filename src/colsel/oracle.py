@@ -1,7 +1,9 @@
 """Independent cross-check machinery: enumeration (one column gather and one
-stacked singular-value call per batch of up to 256 subsets), barriers,
-companion roots, the monomial-basis expected-polynomial pipeline, and the
-stacked ``y``-basis transform (one eigensolve per candidate Gram).
+stacked singular-value call per batch of up to 256 subsets, the batches
+split over one thread per available CPU and merged in order by the
+calling thread), barriers, companion roots, the monomial-basis
+expected-polynomial pipeline, and the stacked ``y``-basis transform (one
+eigensolve per candidate Gram).
 
 Nothing here shares a code path with the root search, the greedy loop or
 the selector's subset norms, which is the point: these are the oracles the
@@ -13,6 +15,8 @@ instead of decomposing their Grams.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from itertools import combinations, islice
 
@@ -69,6 +73,14 @@ class EnumerationResult:
     all_values: dict[tuple[int, ...], tuple[float, float]]
 
 
+def _available_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def brute_force(prob: SelectionProblem) -> EnumerationResult:
     """Exact optimum over all ``C(m, k)`` subsets for both norms.
 
@@ -81,22 +93,32 @@ def brute_force(prob: SelectionProblem) -> EnumerationResult:
     ``|[a b_S]^+|_F^2 = sum sigma_i^-2`` and ``|[a b_S]^+|_2^2 =
     sigma_min^-2`` (clamped to the Frobenius value).  Neither goes through
     the selector's norm helper or :func:`~colsel.linalg.thin_svd`.
+
+    The batches are split over ``W`` slots, one per CPU the process may
+    run on (never more than there are batches): batch ``i`` goes to slot
+    ``i mod W``.  Slot 0 is the calling thread, and each other slot is a
+    helper thread, started for this call and joined before it returns,
+    that runs numpy only, under the caller's floating-point error state;
+    the stacked ``svd`` releases the interpreter lock.  Each slot builds
+    one batch's stack at a time.  After the join the calling thread merges
+    the batches' norms in ``combinations`` order, so ``all_values``, the
+    ties and the norms are those of one thread, bit for bit.  A slot's
+    exception stops every slot at its next batch and is raised in the
+    calling thread.
     """
     count = math.comb(prob.m, prob.k)
     if count > ENUMERATION_GUARD:
         raise TooLarge(
             f"C({prob.m}, {prob.k}) = {count} exceeds the {ENUMERATION_GUARD} subset guard"
         )
-    ell = prob.a.cols
-    all_values: dict[tuple[int, ...], tuple[float, float]] = {}
-    best_frob = (math.inf, ())
-    best_spec = (math.inf, ())
-    subsets = combinations(range(prob.m), prob.k)
-    while batch := list(islice(subsets, ENUMERATION_BATCH)):
-        stack = np.empty((len(batch), prob.a.rows, ell + prob.k))
-        stack[:, :, :ell] = prob.a.data
+    a, b, n, ell, k = prob.a.data, prob.b.data, prob.a.rows, prob.a.cols, prob.k
+    errstate = np.geterr()
+
+    def norms(batch: list[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
+        stack = np.empty((len(batch), n, ell + k))
+        stack[:, :, :ell] = a
         # (n, B, k) -> (B, n, k): row i holds b's columns batch[i], in order
-        stack[:, :, ell:] = prob.b.data[:, np.array(batch)].transpose(1, 0, 2)
+        stack[:, :, ell:] = b[:, np.array(batch)].transpose(1, 0, 2)
         s = np.linalg.svd(stack, compute_uv=False)  # n values: l + k >= n
         sigma_min_sq = s[:, -1] ** 2
         # sigma_min^2 = 0 (underflow) means both norms overflow
@@ -109,6 +131,38 @@ def brute_force(prob: SelectionProblem) -> EnumerationResult:
         spec_sq = np.full(len(batch), math.inf)
         feasible &= frob_sq < math.inf
         spec_sq[feasible] = np.minimum(1.0 / sigma_min_sq[feasible], frob_sq[feasible])
+        return frob_sq, spec_sq
+
+    def run(slot: int) -> None:
+        with np.errstate(**errstate):
+            try:
+                for i in range(slot, len(batches), slots):
+                    if errors:  # another slot failed: stop early
+                        return
+                    results[i] = norms(batches[i])
+            except BaseException as exc:  # the calling thread raises it after the join
+                errors.append(exc)
+
+    subsets = combinations(range(prob.m), k)
+    batches = list(iter(lambda: list(islice(subsets, ENUMERATION_BATCH)), []))
+    slots = min(_available_cpus(), len(batches))
+    results: list[tuple[np.ndarray, np.ndarray] | None] = [None] * len(batches)
+    errors: list[BaseException] = []
+    helpers = [threading.Thread(target=run, args=(slot,)) for slot in range(1, slots)]
+    try:
+        for thread in helpers:
+            thread.start()
+        run(0)
+    finally:
+        for thread in helpers:
+            if thread.is_alive():  # a thread that failed to start cannot be joined
+                thread.join()
+    if errors:
+        raise errors[0]
+    all_values: dict[tuple[int, ...], tuple[float, float]] = {}
+    best_frob = (math.inf, ())
+    best_spec = (math.inf, ())
+    for batch, (frob_sq, spec_sq) in zip(batches, results):
         all_values.update(zip(batch, zip(frob_sq.tolist(), spec_sq.tolist())))
         # argmin takes the first minimum; a strict < keeps an earlier batch's tie
         i, j = int(np.argmin(frob_sq)), int(np.argmin(spec_sq))
