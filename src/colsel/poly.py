@@ -14,18 +14,20 @@ left, each step one Horner pass for ``p``, ``p'`` and ``p''``, and
 certifies its bracket with two one-sided tests.  "A root at or below
 x + eps/4": one sign of ``p`` there, opposite to its sign at ``-inf``,
 from plain Horner where its value clears a running error bound and
-compensated otherwise.  "No root at or below x - eps/4": a zero count
-(:func:`count_roots_leq`) there on the Fourier sequence
-``p, p', ..., p^(n)``, and on the Sturm chain only where that count
-fails.  Bisection on the Sturm count covers whatever the tests leave
-open.
+compensated otherwise.  "No root at or below x - eps/4": a zero
+sign-variation count there on the Fourier sequence ``p, p', ..., p^(n)``,
+each sign taken as the one above is, and on the Sturm chain
+(:func:`count_roots_leq`) only where that count fails.  Bisection on
+the Sturm count covers whatever the tests leave open.
 
 The greedy loop needs only the row whose smallest root is the largest.
 Two helpers work on a ``(C, n+1)`` array of coefficient rows at once:
-:func:`_smallest_root_guesses` takes a few Laguerre steps on every row,
-which picks the row to certify first, and :func:`_roots_at_or_below` is
-the one-sided sign test above, row by row at one point, which drops
-every row with a root at or below it.
+:func:`_laguerre_guesses` takes one Laguerre step on every row from one
+point ``y0``, the larger of the parent's score and the rows' largest
+Laguerre-Samuelson bound, less ``eps``, which picks the row to certify
+first; and :func:`_roots_at_or_below` is the one-sided sign test above,
+row by row at one point, which drops every row with a root at or below
+it.
 """
 from __future__ import annotations
 
@@ -34,7 +36,7 @@ import numbers
 import operator
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -74,9 +76,6 @@ _TINY = sys.float_info.min
 # A compensated evaluation costs about three plain ones, so only these
 # last steps use it.
 _COMPENSATED_STEPS = 2
-# Batched Laguerre steps behind the guesses that choose the first root to
-# certify; see _smallest_root_guesses.
-_GUESS_STEPS = 2
 
 
 @dataclass(frozen=True)
@@ -249,6 +248,13 @@ def count_roots_leq(seq: Sequence[Sequence[float]], x: float) -> int:
     """
     if not math.isfinite(x):
         raise InvalidInput(f"count_roots_leq needs a finite point, got {x!r}")
+    return _variations_lost(seq, x, _horner)
+
+
+def _variations_lost(
+    seq: Sequence[Sequence[float]], x: float, value_at: Callable[[Sequence[float], float], float]
+) -> int:
+    """:func:`count_roots_leq`'s count, with each entry's value at ``x`` from ``value_at``."""
     count = 0
     prev_left = prev = None
     for coeffs in seq:
@@ -256,7 +262,7 @@ def count_roots_leq(seq: Sequence[Sequence[float]], x: float) -> int:
         if prev_left is not None and left != prev_left:
             count += 1
         prev_left = left
-        value = _horner(coeffs, x)
+        value = value_at(coeffs, x)
         if value != 0.0:
             positive = value > 0.0
             if prev is not None and positive != prev:
@@ -394,17 +400,16 @@ def _check_real(name: str, value: object) -> None:
         raise InvalidInput(f"{name} must be a real number other than NaN, got {value!r}")
 
 
-def _root_at_or_below(c: Sequence[float], t: float) -> bool:
-    """True if ``p`` (ascending ``c``) at ``t`` has the sign opposite to its sign at ``-inf``.
+def _trusted_value(c: Sequence[float], t: float) -> float:
+    """The polynomial with ascending ``c`` at ``t``, plain where its sign is certain.
 
-    That sign is the one of ``lead * (-1)^n``.  One pass takes plain
-    Horner's value and ``mu = sum |c_i| |t|^i``; the plain sign is trusted
-    when ``|value| > 4 (n+1) u mu``, with ``u = 2^-53``, which bounds
-    Horner's rounding error (Higham, *Accuracy and Stability of Numerical
-    Algorithms*, 5.1) with room to spare.  Where ``mu`` or the lead is
-    below the normal range, so that underflow can break that bound, or
-    the value does not clear it, the value is compensated.  A zero is no
-    sign, so True proves a root at or below ``t``.
+    One pass takes plain Horner's value and ``mu = sum |c_i| |t|^i``; the
+    plain value is kept when ``|value| > 4 (n+1) u mu``, with ``u = 2^-53``,
+    which bounds Horner's rounding error (Higham, *Accuracy and Stability
+    of Numerical Algorithms*, 5.1) with room to spare, so its sign is
+    exact.  Where ``mu`` or the lead is below the normal range, so that
+    underflow can break that bound, or the value does not clear it, the
+    value is compensated (:func:`_compensated_value`).
     """
     value = mu = 0.0
     size = abs(t)
@@ -413,6 +418,17 @@ def _root_at_or_below(c: Sequence[float], t: float) -> bool:
         mu = mu * size + abs(coeff)
     if not (abs(value) > _HORNER_ERROR * len(c) * mu and mu >= _TINY and abs(c[-1]) >= _TINY):
         value = _compensated_value(c, t)
+    return value
+
+
+def _root_at_or_below(c: Sequence[float], t: float) -> bool:
+    """True if ``p`` (ascending ``c``) at ``t`` has the sign opposite to its sign at ``-inf``.
+
+    That sign is the one of ``lead * (-1)^n``, and the value at ``t`` is
+    :func:`_trusted_value`'s.  A zero is no sign, so True proves a root
+    at or below ``t``.
+    """
+    value = _trusted_value(c, t)
     return value > 0.0 if (c[-1] > 0.0) == (len(c) % 2 == 0) else value < 0.0
 
 
@@ -450,68 +466,49 @@ def _roots_at_or_below(rows: np.ndarray, t: float) -> np.ndarray:
     return value * (np.sign(lead) * (-1.0) ** n) < 0.0
 
 
-# Read-only derivative maps of _derivative_map, one per degree.
-_DERIVATIVE_MAPS: dict[int, np.ndarray] = {}
+def _laguerre_guesses(rows: np.ndarray, floor: float, eps: float) -> tuple[float, np.ndarray]:
+    """``(y0, guesses)``: a guess at the smallest root of each row of
+    ``rows``, a ``(C, n+1)`` array of ascending coefficients with
+    ``n >= 1`` and a nonzero last column, from one Laguerre step
+    (:func:`_laguerre_from_left`'s) at the one point ``y0``, or ``-inf``.
 
-
-def _derivative_map(n: int) -> np.ndarray:
-    """The ``(n+1, 3(n+1))`` map ``D_n`` that takes ascending coefficients
-    of degree ``n`` to those of ``p``, ``p'`` and ``p''/2`` interleaved:
-    columns ``3j``, ``3j + 1`` and ``3j + 2`` get their coefficients of
-    ``x^j``, ``c_j``, ``(j+1) c_{j+1}`` and ``(j+2)(j+1)/2 c_{j+2}``.
-    It is built once per degree and read-only."""
-    d = _DERIVATIVE_MAPS.get(n)
-    if d is None:
-        i = np.arange(n + 1)
-        d = np.zeros((n + 1, 3 * (n + 1)))
-        d[i, 3 * i] = 1.0
-        d[i[1:], 3 * i[:-1] + 1] = i[1:]
-        d[i[2:], 3 * i[:-2] + 2] = i[2:] * (i[2:] - 1) / 2
-        d.setflags(write=False)
-        _DERIVATIVE_MAPS[n] = d
-    return d
-
-
-def _smallest_root_guesses(rows: np.ndarray) -> np.ndarray:
-    """A guess at the smallest root of each row of ``rows``, a ``(C, n+1)``
-    array of ascending coefficients with ``n >= 1`` and a nonzero last column.
-
-    :func:`_laguerre_from_left` over all rows at once, for a fixed
-    ``_GUESS_STEPS`` steps: the same Laguerre-Samuelson start, and each
-    step takes ``p``, ``p'`` and ``p''/2`` of every row from one matrix
-    product with the powers of its ``x``.  Their coefficients come from
-    one exact product, ``rows @ D_n`` (:func:`_derivative_map`), with one
-    nonzero term per output, so ``rows`` must be finite, as
-    :func:`~colsel.expected_charpoly.expected_poly_from_gram` returns them:
-    an infinite one times a zero of ``D_n`` is NaN.  A row keeps its
-    ``x`` where the step is not finite (a negative discriminant included)
-    or where ``p'/p >= 0``, which left of the roots of a real-rooted ``p``
-    it is not.  A guess may be infinite but is never NaN.  Nothing here is
-    certified: the guesses only choose which row :func:`smallest_root`
-    certifies first.
+    ``y0`` is ``max(floor, b) - eps``, with ``b`` the largest
+    Laguerre-Samuelson bound ``mean - sqrt(n-1) * std`` over the rows,
+    each from its top three coefficients; a bound that is NaN is left
+    out.  Where a row is real-rooted its bound is at most its smallest
+    root (and equal to it at ``n <= 2``), so ``b`` is at most the largest
+    smallest root.  ``p``, ``p'`` and ``p''/2`` of every row at ``y0``
+    come from one product of ``rows`` with the ``(n+1, 3)`` matrix of
+    ``C(i, r) y0^(i-r)``.  Left of the roots of a real-rooted row,
+    ``p(y0)`` has the sign at ``-inf`` and the step climbs to at most the
+    smallest root; at ``n = 1`` it is Newton's step, which lands on the
+    root.  A row whose value at ``y0`` shows a root at or below ``y0``,
+    or whose step is not finite or not positive, guesses ``-inf``.  A
+    guess is never NaN.  Nothing here is certified: the guesses only
+    choose which row :func:`smallest_root` certifies first.
     """
-    count, n = rows.shape[0], rows.shape[1] - 1
-    # p, p' and p''/2 side by side, so that one product evaluates all three
-    derivatives = (rows @ _derivative_map(n)).reshape(count, n + 1, 3)
-    powers = np.empty((count, 1, n + 1))
+    n = rows.shape[1] - 1
     with np.errstate(all="ignore"):
+        # n (mean - sqrt(n-1) std) = -(a + sqrt((n-1)^2 a^2 - 2n(n-1) b)), with
+        # a = c_{n-1} / c_n and b = c_{n-2} / c_n; at n = 1 the spread is zero
         lead = rows[:, n]
-        x = -rows[:, n - 1] / (n * lead)
+        a = rows[:, n - 1] / lead
         if n >= 2:
-            q = rows[:, n - 1] / lead
-            sum_sq = q * q - 2.0 * rows[:, n - 2] / lead
-            # fmax, not maximum: a NaN spread (inf - inf) reads as zero
-            x = x - np.sqrt(np.fmax((n - 1) * (sum_sq / n - x * x), 0.0))
-        for _ in range(_GUESS_STEPS):
-            powers[:, 0, 0] = 1.0
-            powers[:, 0, 1:] = x[:, None]
-            np.multiply.accumulate(powers, axis=2, out=powers)
-            value, slope, half_curve = (powers @ derivatives)[:, 0, :].T
-            g = slope / value
-            disc = (n - 1) * ((n - 1) * g * g - 2.0 * n * half_curve / value)
-            moved = x - n / (g - np.sqrt(disc))
-            np.copyto(x, moved, where=np.isfinite(moved) & (g < 0.0))
-    return x
+            a += np.sqrt(a * a * (n - 1) ** 2 - rows[:, n - 2] / lead * (2 * n * (n - 1)))
+        bound = -float(np.fmin.reduce(a)) / n
+        y0 = (bound if bound > floor else floor) - eps
+        # rows C(i, r) y0^(i-r) for r = 0, 1, 2, each from the row above, and
+        # times (-1)^n, so that a value left of the roots has the lead's sign
+        taylor = [(-1.0) ** n, 0.0, 0.0]
+        for _ in range(n):
+            v, s, h = taylor[-3:]
+            taylor += (v * y0, s * y0 + v, h * y0 + s)
+        value, slope, half_curve = (rows @ np.array(taylor).reshape(n + 1, 3)).T
+        g = slope / value
+        disc = g * g * (n - 1) ** 2 - half_curve / value * (2 * n * (n - 1))
+        step = n / (np.sqrt(disc) - g)
+        ok = (value * lead > 0.0) & (step > 0.0) & (step < math.inf)
+        return y0, np.where(ok, y0 + step, -math.inf)
 
 
 def smallest_root(p: Polynomial, eps: float) -> float:
@@ -529,11 +526,13 @@ def smallest_root(p: Polynomial, eps: float) -> float:
     clears a running error bound and compensated Horner's otherwise;
     otherwise the Sturm chain is built, and a zero Sturm count at ``hi``
     raises :class:`NotRealRooted`.  ``lo`` moves up to ``x - eps/4`` if a
-    zero :func:`count_roots_leq` there shows no root at or below it, on
-    the Fourier sequence ``p, p', ..., p^(n)`` or, where that count is not
-    zero or a derivative overflows, on the Sturm chain.  So a root that
-    passes both tests costs two compensated evaluations and one count,
-    and a third evaluation where the sign at ``x + eps/4`` is not trusted.
+    zero count of sign variations lost there shows no root at or below
+    it: on the Fourier sequence ``p, p', ..., p^(n)``, each value from
+    :func:`_trusted_value`, so that a plain sign counts only where it
+    clears the same error bound, or, where that count is not zero or a
+    derivative overflows, on the Sturm chain (:func:`count_roots_leq`).
+    So a root that passes both tests costs two compensated evaluations
+    and one count, and more evaluations where a sign is not trusted.
     A test that fails, or an ``eps`` wider than the bracket, leaves the
     Cauchy end in place.  Bisection on the Sturm count then halves
     whatever is left, until the bracket is at most ``eps`` wide or its
@@ -578,7 +577,7 @@ def smallest_root(p: Polynomial, eps: float) -> float:
             raise NotRealRooted(f"no real root found in [-{1 + radius}, {1 + radius}]")
     if lo < below:
         fourier = _fourier_sequence(c, dp)
-        if fourier is not None and count_roots_leq(fourier, below) == 0:
+        if fourier is not None and _variations_lost(fourier, below, _trusted_value) == 0:
             lo = below
         else:
             chain = chain or sturm_chain(p)

@@ -34,7 +34,7 @@ from .linalg import (
     hcat,
     thin_svd,
 )
-from .poly import _roots_at_or_below, _smallest_root_guesses, _wrap, smallest_root
+from .poly import _laguerre_guesses, _roots_at_or_below, _wrap, smallest_root
 
 __all__ = [
     "SelectionProblem",
@@ -270,8 +270,11 @@ def greedy_select(prob: SelectionProblem) -> SelectionReport:
     candidate Gram formed), which returns one coefficient row per
     candidate.  :func:`_best_candidate` then takes the argmax of their
     :func:`~colsel.poly.smallest_root` values while calling it only on the
-    rows that can still win, about one per step.  Only the winner's Gram
-    is formed, as the next iteration's partial Gram.
+    rows that can still win, about one per step.  It is given the
+    previous step's root (``-inf`` at the first step), which by
+    interlacing lies at most ``eps/2`` right of the winner's exact root,
+    so that its guesses start from one common point left of that root.
+    Only the winner's Gram is formed, as the next iteration's partial Gram.
     The polynomials come in powers of ``y = x - 1``, so the roots are
     ``y`` values; a trace step records the chosen root in ``x``, as
     ``1 + y``.  An exact tie goes to the smallest column.  The winner and
@@ -289,12 +292,13 @@ def greedy_select(prob: SelectionProblem) -> SelectionReport:
     chosen: list[int] = []
     trace: list[TraceStep] = []
     gram = inst.gram_fixed.data
+    best_y = -math.inf
 
     for _ in range(prob.k):
         # Every remaining candidate's expected polynomial, from one transform.
         v = inst.candidates[:, remaining]
         rows = expected_poly_from_gram(inst, gram, len(chosen) + 1, v)
-        best, best_y = _best_candidate(rows, prob.eps)
+        best, best_y = _best_candidate(rows, prob.eps, best_y)
         j = remaining.pop(best)
         gram = _gram_updates(gram, v[:, best : best + 1])[0]
         chosen.append(j)
@@ -317,26 +321,37 @@ def greedy_select(prob: SelectionProblem) -> SelectionReport:
     return report
 
 
-def _best_candidate(rows: np.ndarray, eps: float) -> tuple[int, float]:
+def _best_candidate(rows: np.ndarray, eps: float, previous: float) -> tuple[int, float]:
     """The first row of ``rows`` whose :func:`~colsel.poly.smallest_root`
     is the largest, and that root; ``rows`` holds one candidate's
-    coefficients per row, as :func:`expected_poly_from_gram` returns them.
+    coefficients per row, as :func:`expected_poly_from_gram` returns them,
+    and ``previous`` is the root the previous step certified, or ``-inf``.
 
-    The batched guesses pick a row, and its certified root ``R0`` is the
-    bar.  One row-wise sign test at ``t = R0 - eps`` drops every row with
-    a root at or below ``t``: its certified root is within ``eps/2`` of
-    its smallest root, so below ``R0`` and neither a win nor a tie.  The
-    rows left, the guessed one among them, are scanned in ascending order
-    and only a strictly larger root is kept, so a tie goes to the first.
-    A row with no real root keeps its sign at ``-inf`` everywhere, so it
-    is never dropped, and its :func:`~colsel.poly.smallest_root` call
-    raises :class:`NotRealRooted` as in a loop that roots every row.
+    The parent's expected polynomial is an average of its children's, and
+    they form an interlacing family, so some child's smallest root is at
+    least the parent's: the winner's exact root is at least
+    ``previous - eps/2``.  It is at least the largest Laguerre-Samuelson
+    bound over the rows too, which is exact at ``n <= 2``.  So ``y0``, the
+    larger of the two less ``eps``, lies left of it, and not so near that
+    the winner's value there is rounding noise.  From ``y0`` one Laguerre
+    step on every row (:func:`~colsel.poly._laguerre_guesses`) guesses
+    each root, and the row with the largest guess is rooted first; its
+    certified root ``R0`` is the bar.  One row-wise sign test at ``t = R0 - eps`` drops
+    every row with a root at or below ``t``: its certified root is within
+    ``eps/2`` of its smallest root, so below ``R0`` and neither a win nor
+    a tie.  The rows left, the guessed one among them, are scanned in
+    ascending order and only a strictly larger root is kept, so a tie goes
+    to the first.  The guesses choose only which row is rooted first, so
+    the winner and its root do not depend on them or on ``previous``.  A
+    row with no real root keeps its sign at ``-inf`` everywhere, so it is
+    never dropped, and its :func:`~colsel.poly.smallest_root` call raises
+    :class:`NotRealRooted` as in a loop that roots every row.
     """
 
     def root(i: int) -> float:
         return smallest_root(_wrap(tuple(rows[i].tolist())), eps)
 
-    guess = int(np.argmax(_smallest_root_guesses(rows)))
+    guess = int(_laguerre_guesses(rows, previous, eps)[1].argmax())
     guess_y = root(guess)
     contenders = ~_roots_at_or_below(rows, guess_y - eps)
     # R0 competes even where the guessed row's own sign contradicts it

@@ -7,7 +7,7 @@ import pkgutil
 import pytest
 
 import colsel
-from colsel import expected_charpoly, poly
+from colsel import expected_charpoly
 
 # The selection path and the errors it raises; smallest_root and its argument
 # type stay only because the benchmark's tracer test wraps colsel.smallest_root.
@@ -89,9 +89,8 @@ def test_no_module_level_binding_has_wrapped():
     [
         lambda: expected_charpoly._weight_ratios(6, 39, 12),
         lambda: expected_charpoly._quotient_mask(6),
-        lambda: poly._derivative_map(6),
     ],
-    ids=["weight_ratios", "quotient_mask", "derivative_map"],
+    ids=["weight_ratios", "quotient_mask"],
 )
 def test_cached_arrays_are_shared_and_read_only(cached):
     # The caches are plain module dicts, and every caller gets the same

@@ -10,7 +10,7 @@ import pytest
 
 from colsel import poly, selector
 from colsel.errors import DeflationFailure, InvalidInput, NotRealRooted
-from colsel.oracle import deflate_shifted_power, mul_shifted_power
+from colsel.oracle import companion_smallest_root, deflate_shifted_power, mul_shifted_power
 from colsel.poly import (
     Polynomial,
     count_roots_leq,
@@ -240,16 +240,17 @@ def test_smallest_root_accuracy_random():
             assert abs(smallest_root(p, eps) - roots[0]) <= eps
 
 
-def _counting_count_roots_leq(monkeypatch) -> list[int]:
-    """Route ``poly.count_roots_leq`` through a counter; returns the counter."""
+def _counting_counts(monkeypatch) -> list[int]:
+    """Route ``poly._variations_lost``, which takes every count on a Sturm
+    chain or a Fourier sequence, through a counter; returns the counter."""
     calls = [0]
-    real = poly.count_roots_leq
+    real = poly._variations_lost
 
-    def counting(chain, x):
+    def counting(seq, x, value_at):
         calls[0] += 1
-        return real(chain, x)
+        return real(seq, x, value_at)
 
-    monkeypatch.setattr(poly, "count_roots_leq", counting)
+    monkeypatch.setattr(poly, "_variations_lost", counting)
     return calls
 
 
@@ -288,7 +289,7 @@ def test_smallest_root_certifies_wide_shape_roots(monkeypatch):
     # it takes two compensated evaluations and one count, nothing is
     # bisected, and no Sturm chain is built.  The screen's row-wise signs
     # all clear their bound too: no compensated evaluation outside a root.
-    calls = _counting_count_roots_leq(monkeypatch)
+    calls = _counting_counts(monkeypatch)
     chains = _counting_sturm_chain(monkeypatch)
     values = _counting_compensated_value(monkeypatch)
     costs = []
@@ -561,6 +562,43 @@ def test_fourier_count_is_a_sound_certificate():
     assert zeros >= 3 * 45 and counted > 2 * zeros
 
 
+# A degree-12 expected polynomial of a greedy step at (12, 150, 0, 12), and
+# the point x - eps/4 at which plain Horner's Fourier signs counted no root
+# for the root x that smallest_root returned, with eps = 1e-6; a certified
+# sign shows a root more than eps/2 left of x.
+_FALSE_ZERO_ROW = (
+    "0x1.3429af5cbd86ap-2", "0x1.00f5f39222260p+2", "0x1.885c7f6d3417fp+4",
+    "0x1.6aaed597c6808p+6", "0x1.c415ebfb9be90p+7", "0x1.904c42178f7dap+8",
+    "0x1.022d20e536723p+9", "0x1.e8d844ac7e1fbp+8", "0x1.511f8b6d99282p+8",
+    "0x1.4a54f81cae5e1p+7", "0x1.b48c88e961884p+5", "0x1.5d52d5e175bd9p+3",
+    "0x1.0000000000000p+0",
+)
+_FALSE_ZERO_POINT = float.fromhex("-0x1.0602f564da9c7p+0") - 0.25e-6
+
+
+def test_the_fourier_count_trusts_a_sign_only_where_it_clears_its_error_bound(monkeypatch):
+    # At the captured point, plain Horner's signs of p, p', ..., p^(12) lose
+    # no sign variation, yet the float polynomial has a root there.  Some
+    # of those signs are below their rounding-error bound; compensated, the
+    # count is 1, so it no longer certifies the lower end, and smallest_root
+    # builds the Sturm chain.  (The float Sturm count misses that root too,
+    # so the result stays where it was: the chain's signs carry no bound.)
+    p = Polynomial(float.fromhex(c) for c in _FALSE_ZERO_ROW)
+    fourier = poly._fourier_sequence(p.coeffs, derivative(p).coeffs)
+    x, eps = _FALSE_ZERO_POINT, 1e-6
+    exact_chain = _exact_sturm_chain(p)
+    bound = 1 + max(abs(c) for c in exact_chain[0][:-1]) / abs(exact_chain[0][-1])
+    at_minus_inf = _exact_variations(exact_chain, -bound)
+    assert at_minus_inf - _exact_variations(exact_chain, Fraction(x)) >= 1
+    assert count_roots_leq(fourier, x) == 0
+    values = _counting_compensated_value(monkeypatch)
+    assert poly._variations_lost(fourier, x, poly._trusted_value) == 1
+    assert values[0] >= 2
+    chains = _counting_sturm_chain(monkeypatch)
+    smallest_root(p, eps)
+    assert chains[0] == 1
+
+
 def test_smallest_root_double_root():
     # (x-1)^2 (x-2): p does not change sign at 1, so no sign shows a root
     # at or below the upper end, and bisection narrows it.
@@ -655,7 +693,7 @@ def test_smallest_root_falls_back_to_sturm_where_fourier_counts_a_complex_pair(
     assert count_roots_leq(fourier, real_root - 1e-6) == 2
     assert count_roots_leq(sturm_chain(p), real_root - 1e-6) == 0
     chains = _counting_sturm_chain(monkeypatch)
-    calls = _counting_count_roots_leq(monkeypatch)
+    calls = _counting_counts(monkeypatch)
     for eps in (1e-4, 1e-6):
         before, counts_before = chains[0], calls[0]
         assert abs(smallest_root(p, eps) - real_root) <= eps
@@ -726,61 +764,52 @@ def _root_or_error(p: Polynomial, eps: float):
         return None, type(exc)
 
 
-def _reference_guesses(rows: np.ndarray) -> np.ndarray:
-    """``poly._smallest_root_guesses`` with its ``p``, ``p'`` and ``p''/2``
-    coefficients built from a zero array and scaled slice copies."""
-    count, n = rows.shape[0], rows.shape[1] - 1
-    degrees = np.arange(n + 1.0)
-    derivatives = np.zeros((count, n + 1, 3))
-    derivatives[:, :, 0] = rows
-    derivatives[:, :n, 1] = rows[:, 1:] * degrees[1:]
-    derivatives[:, : n - 1, 2] = rows[:, 2:] * (degrees[2:] * (degrees[2:] - 1.0) / 2.0)
-    powers = np.empty((count, 1, n + 1))
-    with np.errstate(all="ignore"):
-        lead = rows[:, n]
-        x = -rows[:, n - 1] / (n * lead)
-        if n >= 2:
-            q = rows[:, n - 1] / lead
-            sum_sq = q * q - 2.0 * rows[:, n - 2] / lead
-            x = x - np.sqrt(np.fmax((n - 1) * (sum_sq / n - x * x), 0.0))
-        for _ in range(poly._GUESS_STEPS):
-            powers[:, 0, 0] = 1.0
-            powers[:, 0, 1:] = x[:, None]
-            np.multiply.accumulate(powers, axis=2, out=powers)
-            value, slope, half_curve = (powers @ derivatives)[:, 0, :].T
-            g = slope / value
-            disc = (n - 1) * ((n - 1) * g * g - 2.0 * n * half_curve / value)
-            moved = x - n / (g - np.sqrt(disc))
-            np.copyto(x, moved, where=np.isfinite(moved) & (g < 0.0))
-    return x
+def test_laguerre_guesses_lie_between_the_common_point_and_the_smallest_root(monkeypatch):
+    # One Laguerre step from y0, left of a real-rooted row's roots, climbs
+    # to at most its smallest root: on every step's rows of three wide
+    # instances, from the parent's score as the loop takes it, and on
+    # random real-rooted rows of degree 1 to 12, scaled by +-10^-3 to 10^3,
+    # with no floor and with floors among their roots.  A row whose sign at
+    # y0 shows a root at or below it guesses -inf; other rows with a root at
+    # or below y0, by the companion oracle, are checked for NaN only.  At
+    # degree 1 the step is Newton's, which lands on the root.
+    cases = []
+    real = selector._laguerre_guesses
 
+    def recording(rows, floor, eps):
+        cases.append((rows.copy(), floor, eps))
+        return real(rows, floor, eps)
 
-def test_the_guesses_are_bit_identical_to_the_reference(monkeypatch):
-    # The derivative coefficients come from one product with a map that
-    # has one nonzero term per output, which is exact for finite rows, so
-    # the guesses are the reference's bit for bit: on every step's rows of
-    # three wide instances, and on random rows of degree 1 to 12 scaled
-    # by +-10^-3 to 10^3, many of them not real-rooted.  No guess is NaN.
-    batches = []
-    real_guesses = selector._smallest_root_guesses
-
-    def recording(rows):
-        batches.append(rows.copy())
-        return real_guesses(rows)
-
-    monkeypatch.setattr(selector, "_smallest_root_guesses", recording)
+    monkeypatch.setattr(selector, "_laguerre_guesses", recording)
     for seed in range(3):
         selector.greedy_select(random_problem(np.random.default_rng(seed), 6, 48, 3, 12))
-    assert len(batches) == 36
+    assert len(cases) == 36
     rng = np.random.default_rng(29)
     for degree in range(1, 13):
-        rows = rng.standard_normal((40, degree + 1))
+        roots = np.sort(rng.uniform(-1.0, 0.0, (40, degree)), axis=1)
+        rows = np.array([from_roots(r).coeffs for r in roots])
         rows *= rng.choice([-1.0, 1.0], (40, 1)) * 10.0 ** rng.integers(-3, 4, (40, 1))
-        batches.append(rows)
-    for rows in batches:
-        got = poly._smallest_root_guesses(rows)
-        assert np.array_equal(got, _reference_guesses(rows)), rows.shape
-        assert not np.isnan(got).any()
+        cases += [(rows, floor, 1e-6) for floor in (-math.inf, -0.75, -0.5, -0.25)]
+    checked = dropped = 0
+    for rows, floor, eps in cases:
+        y0, guesses = poly._laguerre_guesses(rows, floor, eps)
+        assert y0 >= floor - eps
+        assert not np.isnan(guesses).any()
+        for row, guess in zip(rows.tolist(), guesses.tolist()):
+            if poly._root_at_or_below(row, y0):
+                assert guess == -math.inf, (row, y0)
+                dropped += 1
+            root = companion_smallest_root(Polynomial(row))
+            if root <= y0 + 1e-8:
+                continue
+            assert y0 <= guess <= root + 1e-8, (row, y0)
+            if len(row) == 2:
+                assert guess == pytest.approx(-row[0] / row[1], rel=4e-16, abs=4e-16 * abs(y0))
+            checked += 1
+    assert checked > 800 and dropped > 200
+    # a point that is not finite leaves every row unguessed
+    for floor in (math.inf, math.nan):
+        assert (poly._laguerre_guesses(rows, floor, 1e-6)[1] == -math.inf).all()
 
 
 def test_a_row_the_screen_drops_cannot_win():
