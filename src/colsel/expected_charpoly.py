@@ -28,7 +28,7 @@ of ``G`` gives its roots ``r = mu - 1`` and the weights
 every candidate's coefficients are ``p_G``'s less one matrix product of
 ``w`` with those of the ``n`` quotients ``p_G / (y - r_i)``.  No
 candidate's Gram is formed and none is decomposed.  The stacked path,
-one ``eigvalsh`` per candidate Gram, is kept as a reference in
+one :func:`_psd_eigh` per candidate Gram, is kept as a reference in
 :mod:`colsel.oracle`.
 """
 from __future__ import annotations
@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import InvalidInput
 from .linalg import DenseMatrix, _as_index, _as_indices, gram_update, thin_svd
-from .poly import Polynomial, _wrap, from_roots
+from .poly import Polynomial, _from_roots_rows, _wrap, from_roots
 
 __all__ = [
     "IsotropicInstance",
@@ -129,80 +129,41 @@ class IsotropicInstance:
         return DenseMatrix(self.fixed @ self.fixed.T)
 
 
-def _checked_scales(grams: np.ndarray, label: str) -> np.ndarray:
-    """The scale ``max(1, max|G|)`` of each matrix of the ``(C, n, n)``
-    stack ``grams``, each checked to be finite and symmetric to ``1e-10``
-    of its own scale.  A failure raises :class:`InvalidInput` naming
-    matrix ``i`` as ``label.format(i)``.
-    """
-    # ufunc reductions run at C level; initial=0.0 covers the empty matrix.
-    # maximum propagates NaN, so the largest entry is finite only if all are.
-    largest = np.maximum.reduce(np.abs(grams), axis=(1, 2), initial=0.0)
-    finite = largest < math.inf
-    if not finite.all():
-        raise InvalidInput(f"{label.format(int(np.argmin(finite)))} has a non-finite entry")
-    scale = np.maximum(1.0, largest)
-    asymmetry = np.maximum.reduce(
-        np.abs(grams - grams.transpose(0, 2, 1)), axis=(1, 2), initial=0.0
-    )
-    asymmetric = asymmetry > _SYMMETRY_TOL * scale
-    if asymmetric.any():
-        raise InvalidInput(
-            f"{label.format(int(np.argmax(asymmetric)))} is not symmetric to 1e-10"
-        )
-    return scale
-
-
-def _clamped(eig: np.ndarray, scale: np.ndarray | float) -> np.ndarray:
-    """``eig`` with its mildly negative values (rounding noise), down to
-    ``-1e-12 * scale``, set to zero."""
-    clamp = _EIGENVALUE_CLAMP_TOL * scale
-    return np.where((-clamp <= eig) & (eig < 0.0), 0.0, eig)
-
-
 def _psd_eigenvalues(grams: np.ndarray) -> np.ndarray:
     """Eigenvalues of each symmetric PSD matrix of the ``(C, n, n)`` stack
-    ``grams``, one row per matrix, ascending, from one stacked solver call.
-
-    Each matrix is checked, and its mildly negative eigenvalues (rounding
-    noise) are clamped to zero, against its own scale ``max(1, max|G|)``.
-    A failure raises :class:`InvalidInput` naming the matrix's position.
+    ``grams``, one row per matrix, ascending: :func:`_psd_eigh` on one
+    matrix at a time, so each is checked and clamped against its own
+    scale, and a failure names it as ``matrix i of the stack``.
     """
     if grams.ndim != 3 or grams.shape[1] != grams.shape[2]:
         raise InvalidInput(f"matrices must be a (C, n, n) stack, got shape {grams.shape}")
-    scale = _checked_scales(grams, "matrix {} of the stack")
-    try:
-        eig = np.linalg.eigvalsh(grams)
-    except np.linalg.LinAlgError:
-        # The stacked call does not say which matrix failed; one call per matrix does.
-        for i, g in enumerate(grams):
-            try:
-                np.linalg.eigvalsh(g)
-            except np.linalg.LinAlgError:
-                raise InvalidInput(
-                    f"eigenvalues of matrix {i} of the stack did not converge"
-                ) from None
-        raise
-    return _clamped(eig, scale[:, None])
+    eig = [_psd_eigh(g, f"matrix {i} of the stack")[0] for i, g in enumerate(grams)]
+    return np.reshape(eig, grams.shape[:2])  # (0, n) for an empty stack
 
 
-def _psd_eigh(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _psd_eigh(gram: np.ndarray, name: str = "gram") -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues, ascending, and eigenvectors, as columns, of the
-    symmetric PSD matrix ``gram``, with the checks and the clamp of
-    :func:`_psd_eigenvalues`; a failure raises :class:`InvalidInput`
-    naming ``gram``."""
+    symmetric PSD matrix ``gram``: the one eigensolver every Gram spectrum
+    in the package goes through.
+
+    ``gram`` must be finite and symmetric to ``1e-10`` of its scale
+    ``max(1, max|G|)``, and its mildly negative eigenvalues (rounding
+    noise), down to ``-1e-12`` of that scale, are set to zero.  A failure
+    raises :class:`InvalidInput` naming ``gram`` as ``name``.
+    """
     # max propagates NaN, so the largest entry is finite only if all are
     largest = np.abs(gram).max(initial=0.0)
     if not largest < math.inf:
-        raise InvalidInput("gram has a non-finite entry")
+        raise InvalidInput(f"{name} has a non-finite entry")
     scale = max(1.0, float(largest))
     if np.abs(gram - gram.T).max(initial=0.0) > _SYMMETRY_TOL * scale:
-        raise InvalidInput("gram is not symmetric to 1e-10")
+        raise InvalidInput(f"{name} is not symmetric to 1e-10")
     try:
         mu, q = np.linalg.eigh(gram)
     except np.linalg.LinAlgError:
-        raise InvalidInput("eigenvalues of gram did not converge") from None
-    return _clamped(mu, scale), q
+        raise InvalidInput(f"eigenvalues of {name} did not converge") from None
+    clamp = _EIGENVALUE_CLAMP_TOL * scale
+    return np.where((-clamp <= mu) & (mu < 0.0), 0.0, mu), q
 
 
 def charpoly_psd(g: DenseMatrix) -> Polynomial:
@@ -212,21 +173,6 @@ def charpoly_psd(g: DenseMatrix) -> Polynomial:
     ones (rounding noise) are clamped to zero before the root expansion.
     """
     return from_roots(_psd_eigenvalues(g.data[None])[0].tolist())
-
-
-def _from_roots_rows(roots: np.ndarray) -> np.ndarray:
-    """Row ``i``: the monic polynomial with roots ``roots[i]``, ascending
-    coefficients.  Factors are multiplied in column order, each by the
-    update of :func:`~colsel.poly.from_roots`."""
-    rows, n = roots.shape
-    # column 0 stays zero: the coefficient below the constant one
-    c = np.zeros((rows, n + 2))
-    c[:, 1] = 1.0
-    for t in range(n):
-        # c <- c * (x - r), one array operation over the t + 2 live
-        # coefficients; the right-hand side reads the old values
-        c[:, 1 : t + 3] = c[:, : t + 2] - roots[:, t : t + 1] * c[:, 1 : t + 3]
-    return c[:, 1:]
 
 
 # Read-only arrays of _quotient_mask and _weight_ratios, by their arguments.

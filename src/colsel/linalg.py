@@ -33,7 +33,11 @@ class DenseMatrix:
 
     Entries are stored row-major as a read-only C-contiguous float64
     array.  All entries must be finite; zero column counts are allowed
-    (an empty fixed block is a legitimate input).
+    (an empty fixed block is a legitimate input).  Bool, integer and
+    float data convert, as do other numbers ``float()`` takes, such as a
+    ``Fraction``; ragged rows, strings and bytes (even ones that parse
+    as numbers), complex entries, dates, records and anything else
+    ``float()`` rejects raise :class:`InvalidInput`.
     """
 
     __slots__ = ("data",)
@@ -41,10 +45,15 @@ class DenseMatrix:
     data: np.ndarray
 
     def __init__(self, data: np.ndarray | Sequence[Sequence[float]]):
-        a = np.asarray(data)
-        if a.dtype.kind == "c":
-            raise InvalidInput(f"matrix entries must be real, got dtype {a.dtype}")
-        a = np.array(a, dtype=float, order="C", copy=True)
+        try:
+            a = np.asarray(data)
+            # bool, integer, float, or objects for float(): strings and bytes
+            # would parse as numbers, and dates or records convert silently
+            if a.dtype.kind not in "biufO":
+                raise TypeError(f"got dtype {a.dtype}")
+            a = np.array(a, dtype=float, order="C", copy=True)
+        except (TypeError, ValueError, OverflowError) as exc:  # also ragged rows, 10**400, {}
+            raise InvalidInput(f"matrix entries must be real numbers: {exc}") from None
         if a.ndim != 2:
             raise InvalidInput(f"matrix data must be 2-dimensional, got ndim={a.ndim}")
         if np.count_nonzero(np.isfinite(a)) != a.size:

@@ -1,16 +1,20 @@
 """Independent cross-check machinery: enumeration (one column gather and one
 stacked singular-value call per batch of up to 256 subsets, the batches
-split over one thread per available CPU and merged in order by the
-calling thread), barriers, companion roots, the monomial-basis
-expected-polynomial pipeline, and the stacked ``y``-basis transform (one
-eigensolve per candidate Gram).
+split over one thread per available CPU, then joined by the calling
+thread into one array per norm whose first minimum is the optimum),
+barriers, companion roots, the monomial-basis expected-polynomial
+pipeline, and the stacked ``y``-basis transform (one eigensolve per
+candidate Gram).
 
 Nothing here shares a code path with the root search, the greedy loop or
 the selector's subset norms, which is the point: these are the oracles the
 test suite uses to falsify the production code.  The stacked transform
-shares only the eigenvalue checks and the root expansion with the
-production one, which scores candidates by the matrix determinant lemma
-instead of decomposing their Grams.
+runs the production one's own eigensolver,
+:func:`~colsel.expected_charpoly._psd_eigh` (through
+:func:`~colsel.expected_charpoly._psd_eigenvalues`, one Gram at a time),
+its root expansion, :func:`~colsel.poly._from_roots_rows`, and its
+weights; it differs only in decomposing every candidate's Gram, where the
+production transform scores candidates by the matrix determinant lemma.
 """
 from __future__ import annotations
 
@@ -18,20 +22,15 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import combinations
 
 import numpy as np
 
 from .errors import DeflationFailure, InvalidInput, TooLarge
-from .expected_charpoly import (
-    IsotropicInstance,
-    _from_roots_rows,
-    _psd_eigenvalues,
-    _weight_ratios,
-)
+from .expected_charpoly import IsotropicInstance, _psd_eigenvalues, _weight_ratios
 # pseudoinverse is unused; the benchmark harness's tracer test wraps colsel.oracle.pseudoinverse
 from .linalg import DEFAULT_RANK_TOL, pseudoinverse  # noqa: F401
-from .poly import Polynomial, derivative, evaluate, monic
+from .poly import Polynomial, _from_roots_rows, derivative, evaluate, monic
 from .selector import SelectionProblem
 
 __all__ = [
@@ -100,9 +99,13 @@ def brute_force(prob: SelectionProblem) -> EnumerationResult:
     helper thread, started for this call and joined before it returns,
     that runs numpy only, under the caller's floating-point error state;
     the stacked ``svd`` releases the interpreter lock.  Each slot builds
-    one batch's stack at a time.  After the join the calling thread merges
-    the batches' norms in ``combinations`` order, so ``all_values``, the
-    ties and the norms are those of one thread, bit for bit.  A slot's
+    one batch's stack at a time.  The batches are slices of one list of
+    the subsets in ``combinations`` order.  After the join the calling
+    thread concatenates each norm's batches, in that order, into one
+    array: its first minimum (one ``np.argmin``) is the optimum, and
+    ``all_values`` pairs the list with the arrays, so the ties and the
+    norms are those of one thread, bit for bit.  Where no subset is
+    feasible both optima are ``()`` with an infinite norm.  A slot's
     exception stops every slot at its next batch and is raised in the
     calling thread.
     """
@@ -143,8 +146,8 @@ def brute_force(prob: SelectionProblem) -> EnumerationResult:
             except BaseException as exc:  # the calling thread raises it after the join
                 errors.append(exc)
 
-    subsets = combinations(range(prob.m), k)
-    batches = list(iter(lambda: list(islice(subsets, ENUMERATION_BATCH)), []))
+    subsets = list(combinations(range(prob.m), k))
+    batches = [subsets[i : i + ENUMERATION_BATCH] for i in range(0, count, ENUMERATION_BATCH)]
     slots = min(_available_cpus(), len(batches))
     results: list[tuple[np.ndarray, np.ndarray] | None] = [None] * len(batches)
     errors: list[BaseException] = []
@@ -159,23 +162,17 @@ def brute_force(prob: SelectionProblem) -> EnumerationResult:
                 thread.join()
     if errors:
         raise errors[0]
-    all_values: dict[tuple[int, ...], tuple[float, float]] = {}
-    best_frob = (math.inf, ())
-    best_spec = (math.inf, ())
-    for batch, (frob_sq, spec_sq) in zip(batches, results):
-        all_values.update(zip(batch, zip(frob_sq.tolist(), spec_sq.tolist())))
-        # argmin takes the first minimum; a strict < keeps an earlier batch's tie
-        i, j = int(np.argmin(frob_sq)), int(np.argmin(spec_sq))
-        if frob_sq[i] < best_frob[0]:
-            best_frob = (float(frob_sq[i]), batch[i])
-        if spec_sq[j] < best_spec[0]:
-            best_spec = (float(spec_sq[j]), batch[j])
+    frob_sq, spec_sq = map(np.concatenate, zip(*results))
+    # the first minima, in combinations order; a subset is feasible iff its
+    # Frobenius norm is finite, and then so is its spectral one
+    i, j = int(np.argmin(frob_sq)), int(np.argmin(spec_sq))
+    feasible = frob_sq[i] < math.inf
     return EnumerationResult(
-        best_subset_frob=best_frob[1],
-        best_subset_spec=best_spec[1],
-        best_frob_sq=best_frob[0],
-        best_spec_sq=best_spec[0],
-        all_values=all_values,
+        best_subset_frob=subsets[i] if feasible else (),
+        best_subset_spec=subsets[j] if feasible else (),
+        best_frob_sq=float(frob_sq[i]),
+        best_spec_sq=float(spec_sq[j]),
+        all_values=dict(zip(subsets, zip(frob_sq.tolist(), spec_sq.tolist()))),
     )
 
 
@@ -314,8 +311,10 @@ def shifted_pipeline(p: Polynomial, a: int, d: int) -> Polynomial:
 
 def stacked_charpolys(grams: np.ndarray, a: int) -> np.ndarray:
     """Row ``i``: the coefficients ``c`` of ``det[(y + 1)I - grams[i]]`` in
-    powers of ``y = x - 1``, ascending, from one stacked ``eigvalsh`` call
-    on the ``(C, n, n)`` stack ``grams`` and one root expansion per row.
+    powers of ``y = x - 1``, ascending, for the ``(C, n, n)`` stack
+    ``grams``: the greedy loop's eigensolver on each matrix
+    (:func:`~colsel.expected_charpoly._psd_eigenvalues`), then its root
+    expansion (:func:`~colsel.poly._from_roots_rows`) on all rows at once.
 
     The roots ``r = mu - 1`` come in descending ``mu``, ascending ``|r|``
     for a partial Gram, as in the production transform.  For ``a < 0``

@@ -162,19 +162,34 @@ def monic(p: Polynomial) -> Polynomial:
 
 
 def from_roots(roots: Sequence[float]) -> Polynomial:
-    """Monic polynomial with the given roots.
+    """Monic polynomial with the given roots: the one-row case of
+    :func:`_from_roots_rows`, on the roots in ascending ``|root|`` order,
+    which keeps cancellation small when they span several magnitudes.
 
-    Factors are multiplied in ascending ``|root|`` order, which keeps
-    cancellation small when the roots span several magnitudes.
+    A complex root gives complex coefficients and a non-finite one a
+    non-finite coefficient, and :class:`Polynomial` rejects both with
+    :class:`InvalidInput`.
     """
-    coeffs = [1.0]
-    for r in sorted(roots, key=abs):
-        # multiply by (x - r) in place
-        coeffs.append(coeffs[-1])
-        for i in range(len(coeffs) - 2, 0, -1):
-            coeffs[i] = coeffs[i - 1] - r * coeffs[i]
-        coeffs[0] = -r * coeffs[0]
-    return Polynomial(coeffs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        row = _from_roots_rows(np.array([sorted(roots, key=abs)]))[0]
+    return Polynomial(row.tolist())
+
+
+def _from_roots_rows(roots: np.ndarray) -> np.ndarray:
+    """Row ``i``: the monic polynomial with roots ``roots[i]``, ascending
+    coefficients, for the ``(C, n)`` array ``roots``; every root expansion
+    in the package runs through here.  Factors are multiplied in column
+    order, one array operation per factor over all rows, in
+    ``np.result_type(roots, np.float64)``: float64 for real roots."""
+    rows, n = roots.shape
+    # column 0 stays zero: the coefficient below the constant one
+    c = np.zeros((rows, n + 2), np.result_type(roots, np.float64))
+    c[:, 1] = 1.0
+    for t in range(n):
+        # c <- c * (x - r), one array operation over the t + 2 live
+        # coefficients; the right-hand side reads the old values
+        c[:, 1 : t + 3] = c[:, : t + 2] - roots[:, t : t + 1] * c[:, 1 : t + 3]
+    return c[:, 1:]
 
 
 def derivative(p: Polynomial, times: int = 1) -> Polynomial:

@@ -23,6 +23,7 @@ from .expected_charpoly import (
     IsotropicInstance,
     _checked_partial,
     _partial_gram,
+    _psd_eigh,
     expected_poly_from_gram,
 )
 from .linalg import (
@@ -417,6 +418,8 @@ def min_singular_check(inst: IsotropicInstance, subset: Sequence[int]) -> float:
 
     Test helper for the isotropic guarantee; ``subset`` names distinct
     candidates by their columns of ``b``, as a report's ``subset`` does.
+    The eigenvalue is :func:`~colsel.expected_charpoly._psd_eigh`'s, with
+    its checks and its clamp of rounding noise to zero.
     """
     gram = _partial_gram(inst, _checked_partial(inst, subset, inst.m))
-    return float(np.linalg.eigvalsh(gram.data)[0])
+    return float(_psd_eigh(gram.data)[0][0])

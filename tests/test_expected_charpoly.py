@@ -263,22 +263,35 @@ def test_the_gram_names_itself_when_its_eigenvalues_do_not_converge(monkeypatch)
         expected_poly_from_gram(inst, inst.gram_fixed.data, 1, inst.candidates)
 
 
-def test_gram_stack_names_a_matrix_whose_eigenvalues_do_not_converge(monkeypatch):
-    eigvalsh = np.linalg.eigvalsh
+@pytest.mark.parametrize(
+    "matrix, message",
+    [
+        (np.diag([1.0, np.nan]), "matrix 1 of the stack has a non-finite entry"),
+        (np.array([[1.0, 1e-6], [0.0, 1.0]]), "matrix 1 of the stack is not symmetric"),
+        (7.0 * np.eye(2), "eigenvalues of matrix 1 of the stack did not converge"),
+    ],
+    ids=["non-finite", "asymmetric", "non-converging"],
+)
+def test_gram_stack_names_a_matrix_whose_eigenvalues_do_not_converge(
+    monkeypatch, matrix, message
+):
+    # Every check of the stack names the failing matrix by its position;
+    # the solver fails only on a matrix holding a 7.
+    eigh = np.linalg.eigh
 
     def fails_on_sevens(a):
         if np.any(a == 7.0):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        return eigvalsh(a)
+        return eigh(a)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", fails_on_sevens)
-    stack = np.stack([np.eye(2), 7.0 * np.eye(2), np.eye(2)])
-    with pytest.raises(InvalidInput, match="eigenvalues of matrix 1 of the stack did not converge"):
+    monkeypatch.setattr(np.linalg, "eigh", fails_on_sevens)
+    stack = np.stack([np.eye(2), matrix, np.eye(2)])
+    with pytest.raises(InvalidInput, match=message):
         _psd_eigenvalues(stack)
 
 
 def test_gram_stack_clamps_against_each_matrix_own_scale():
-    # Diagonal, so eigvalsh returns the diagonal exactly; each matrix's
+    # Diagonal, so eigh returns the diagonal exactly; each matrix's
     # clamp is 1e-12 * max(1, max|G|) of that matrix alone.
     stack = np.stack([
         np.diag([-1e-14 * 5.0, 2.0, 5.0]),  # clamped to exactly 0.0
@@ -335,7 +348,7 @@ _EXACT_RTOL = 2e-14
 
 def test_both_transforms_match_the_exact_charpoly_of_the_float_candidate_gram():
     # For every step of random partials: the determinant-lemma rows (one
-    # eigendecomposition of G) and the oracle's stacked rows (one eigvalsh
+    # eigendecomposition of G) and the oracle's stacked rows (one eigh
     # per G + v v^T) against the exact characteristic polynomial of the
     # float matrix G + v v^T.  Shapes include a = m - n - j < 0, where both
     # set the first -a coefficients to zero and the exact ones are rounding

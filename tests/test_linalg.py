@@ -33,6 +33,33 @@ def test_dense_matrix_rejects_complex_entries(data):
         DenseMatrix(data)
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        [[1.0, 2.0], [3.0]],  # ragged
+        [["x"]],
+        [[{}]],
+        [[10**400]],  # overflows a float
+        [["1.5"]],  # a string is not a number, even one that parses
+        [[b"1"]],
+        np.array([["1.5"]]),
+        np.array([[1]], dtype="timedelta64[s]"),
+        np.zeros((1, 1), dtype=[("x", float)]),  # a structured record
+    ],
+    ids=["ragged", "str", "dict", "huge-int", "numeric-str", "bytes", "str-array", "timedelta",
+         "record"],
+)
+def test_dense_matrix_rejects_entries_that_are_not_real_numbers(data):
+    with pytest.raises(InvalidInput, match="must be real numbers"):
+        DenseMatrix(data)
+
+
+def test_dense_matrix_converts_bool_int_and_float_data():
+    for data in ([[True, False]], [[1, 0]], np.array([[1, 0]], dtype=np.int8), [[1.0, 0.0]]):
+        q = DenseMatrix(data)
+        assert q.data.dtype == np.float64 and q.data.tolist() == [[1.0, 0.0]]
+
+
 def test_dense_matrix_rejects_data_that_is_not_2d():
     for data in ([1.0, 2.0], np.zeros((1, 1, 1))):
         with pytest.raises(InvalidInput, match="must be 2-dimensional"):

@@ -66,6 +66,20 @@ def test_polynomial_converts_real_numbers_of_any_type():
         0.5, 2.0, 3.0, 1 / 3)
 
 
+def test_from_roots_matches_the_row_expansion_and_rejects_roots_that_are_not_real():
+    # The one-row case of the stacked expansion, on the roots by |root|;
+    # in the order given, these roots expand to other last bits.
+    roots = [2.5, 0.7, -0.3, 0.1, 1e-8]
+    rows = poly._from_roots_rows(np.array([sorted(roots, key=abs), roots]))
+    assert from_roots(roots).coeffs == tuple(rows[0].tolist()) != tuple(rows[1].tolist())
+    assert from_roots([]).coeffs == (1.0,)
+    assert from_roots([Fraction(1, 2), 2]).coeffs == (1.0, -2.5, 1.0)
+    # A non-finite or complex root is InvalidInput, never a numpy warning.
+    for bad in ([math.inf], [1.0, math.nan], [1e300] * 3, [1j], np.array([0.5, 1j])):
+        with pytest.raises(InvalidInput):
+            from_roots(bad)
+
+
 def test_derivative():
     assert derivative(Polynomial([-1.0, 0.0, 1.0])).coeffs == (0.0, 2.0)
     assert derivative(Polynomial([0.0, 0.0, 0.0, 1.0]), times=3).coeffs == (6.0,)

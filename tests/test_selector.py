@@ -357,7 +357,7 @@ def test_the_screen_leaves_few_roots_to_certify(monkeypatch):
 def _stacked_greedy(prob: SelectionProblem) -> tuple[list[int], list[float], list[np.ndarray]]:
     """The greedy loop as it scored before the determinant lemma: every
     remaining candidate's Gram, as one ``(C, n, n)`` stack, through the
-    oracle's stacked transform, one ``eigvalsh`` per Gram.  The subset,
+    oracle's stacked transform, one ``eigh`` per Gram.  The subset,
     its roots in ``x``, and the Gram each iteration starts from."""
     inst = build_isotropic(prob)
     remaining, chosen, roots, trajectory = list(range(prob.m)), [], [], []
@@ -495,7 +495,7 @@ def test_greedy_takes_one_eigendecomposition_and_no_candidate_grams_per_step(
 
 @pytest.mark.parametrize("n, m, ell, k", [(6, 48, 3, 12), (12, 100, 0, 40), (4, 7, 0, 5)])
 def test_greedy_grams_have_eigenvalues_in_the_unit_interval(monkeypatch, n, m, ell, k):
-    # The transform lists r = mu - 1 by ascending |r| as eigvalsh's order
+    # The transform lists r = mu - 1 by ascending |r| as eigh's order
     # reversed, which holds because every mu lies in [0, 1].
     seen = []
 
@@ -867,6 +867,13 @@ def test_min_singular_check_values():
     assert min_singular_check(dup_inst, (0, 2)) < 1e-10
     with pytest.raises(InvalidInput):
         min_singular_check(dup_inst, (0, 0))  # duplicate index
+    # a repeated column in the isotropic frame: the eigensolver's rounding
+    # noise below zero is clamped, so the value is never negative
+    b = rng.standard_normal((3, 8))
+    b[:, 4:] = b[:, :4]
+    twins = build_isotropic(SelectionProblem(a=empty_block(3), b=DenseMatrix(b), k=4))
+    for j in range(4):
+        assert 0.0 <= min_singular_check(twins, (j, j + 4)) < 1e-10
 
 
 def test_greedy_fixed_block_wider_than_rows():

@@ -34,12 +34,14 @@ given.  So where both trees are thousands of eps off at degree 12, an
 outcome that flips there reads as such, not as a new fault.  These
 counts and errors are for information only and do not change the exit
 status.  Each tree also counts, in total and per shape, the
-``smallest_root`` results that ``_root_at_or_below(coeffs, root - eps/2)``
-contradicts: there a certified sign shows a real root of the float
-polynomial more than ``eps/2`` left of the result, which breaks its
-contract.  They are split into calls that built no Sturm chain and calls
-that did, and one on a shape with ``n <= 6`` in either tree sets exit
-status 1.
+``smallest_root`` results that an exact sign contradicts: the float
+coefficients, evaluated in ``fractions`` at ``root - eps/2``, have the
+sign opposite to their sign at ``-inf``, so the float polynomial has a
+real root more than ``eps/2`` left of the result, which breaks its
+contract.  The sign is the tool's own, so every tree is held to the
+same rule.  The results are split into calls that built no Sturm chain
+and calls that did, and one on a shape with ``n <= 6`` in either tree
+sets exit status 1.
 
 Every instance with ``C(m, k) <= 2002`` (all shapes but the first and
 the last four) also runs ``brute_force``; the comparison lists the instances
@@ -62,6 +64,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 # (n, m, l, k, rank of the fixed block or None for a Gaussian block, instances)
 SHAPES = (
@@ -91,6 +94,17 @@ VALUES = ("frob_sq", "spec_sq", "baseline_frob_sq", "baseline_spec_sq", "bound_f
           "ratio_frob", "ratio_spec")
 
 
+def root_at_or_below(coeffs: tuple[float, ...], t: float) -> bool:
+    """True if the polynomial with the ascending float ``coeffs``, evaluated
+    exactly at ``t``, has the sign opposite to its sign at ``-inf``, that of
+    ``lead * (-1)^degree``: then it has a real root at or below ``t``."""
+    x, value = Fraction(t), Fraction(0)
+    for c in reversed(coeffs):
+        value = value * x + Fraction(c)
+    positive_at_minus_inf = (coeffs[-1] > 0.0) == (len(coeffs) % 2 == 1)
+    return value < 0 if positive_at_minus_inf else value > 0
+
+
 def dump() -> None:
     import numpy as np
 
@@ -110,13 +124,12 @@ def dump() -> None:
     colsel.poly.sturm_chain = counted_sturm_chain
 
     # greedy_select looks smallest_root up in colsel.selector.  A result
-    # with a real root more than eps/2 to its left, shown by a certified
+    # with a real root more than eps/2 to its left, shown by an exact
     # sign, breaks smallest_root's contract; such results are counted
     # apart for calls that built no Sturm chain and for calls that did.
     root_calls = 0
     contradicted = [0, 0]
     smallest_root = colsel.selector.smallest_root
-    root_at_or_below = colsel.poly._root_at_or_below
 
     def counted_smallest_root(p, eps):
         nonlocal root_calls
