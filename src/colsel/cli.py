@@ -139,6 +139,8 @@ def _run_select(args: argparse.Namespace) -> dict:
 
 def _run_verify(args: argparse.Namespace) -> dict:
     subset = _parse_subset(args.subset)
+    if not subset:  # else SelectionProblem blames k = 0 on -k, a flag verify has not
+        raise InvalidSubset(f"--subset names no column, got {args.subset!r}")
     prob = _load_problem(args, len(subset))
     holds, ratio_frob, ratio_spec = verify_bound(prob, subset)
     return {

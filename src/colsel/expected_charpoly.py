@@ -175,23 +175,6 @@ def charpoly_psd(g: DenseMatrix) -> Polynomial:
     return from_roots(_psd_eigenvalues(g.data[None])[0].tolist())
 
 
-# Read-only arrays of _quotient_mask and _weight_ratios, by their arguments.
-_QUOTIENT_MASKS: dict[int, np.ndarray] = {}
-_WEIGHT_RATIOS: dict[tuple[int, int, int], np.ndarray] = {}
-
-
-def _quotient_mask(n: int) -> np.ndarray:
-    """The ``(n+1, n)`` boolean mask that keeps every root in row 0 and
-    all but root ``i`` in row ``i + 1``; built once per ``n``, read-only."""
-    mask = _QUOTIENT_MASKS.get(n)
-    if mask is None:
-        mask = np.ones((n + 1, n), dtype=bool)
-        np.fill_diagonal(mask[1:], False)
-        mask.setflags(write=False)
-        _QUOTIENT_MASKS[n] = mask
-    return mask
-
-
 def _candidate_charpolys(gram: np.ndarray, v: np.ndarray, a: int) -> np.ndarray:
     """Row ``c``: the coefficients of ``det[(y + 1)I - gram - v_c v_c^T]``
     in powers of ``y = x - 1``, ascending, for each column ``v_c`` of the
@@ -223,7 +206,11 @@ def _candidate_charpolys(gram: np.ndarray, v: np.ndarray, a: int) -> np.ndarray:
     unit = max(-a - 1, 0)
     r[:unit] = 0.0
     w[:unit] = 0.0
-    c = _from_roots_rows(np.where(_quotient_mask(n), r, 0.0))
+    # every root in row 0, and all but root i, set to zero, in row i + 1
+    roots = np.empty((n + 1, n))
+    roots[:] = r
+    roots[1:].flat[:: n + 1] = 0.0
+    c = _from_roots_rows(roots)
     rows = np.empty((v.shape[1], n + 1))
     rows[:, :n] = c[0, :n] - w.T @ c[1:, 1:]
     rows[:, n] = 1.0
@@ -242,14 +229,9 @@ def _falling_weights(n: int, a: int, d: int) -> list[int]:
 def _weight_ratios(n: int, a: int, d: int) -> np.ndarray:
     """The weights of :func:`_falling_weights` over the leading one, which
     keep the result monic; Python-int true division rounds once, and the
-    weights can exceed ``2**53``.  Built once per ``(n, a, d)``, read-only."""
-    ratios = _WEIGHT_RATIOS.get((n, a, d))
-    if ratios is None:
-        w = _falling_weights(n, a, d)
-        ratios = np.array([wi / w[n] for wi in w])
-        ratios.setflags(write=False)
-        _WEIGHT_RATIOS[n, a, d] = ratios
-    return ratios
+    weights can exceed ``2**53``."""
+    w = _falling_weights(n, a, d)
+    return np.array([wi / w[n] for wi in w])
 
 
 def expected_poly_from_gram(

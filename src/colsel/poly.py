@@ -23,11 +23,10 @@ the Sturm count covers whatever the tests leave open.
 The greedy loop needs only the row whose smallest root is the largest.
 Two helpers work on a ``(C, n+1)`` array of coefficient rows at once:
 :func:`_laguerre_guesses` takes one Laguerre step on every row from one
-point ``y0``, the larger of the parent's score and the rows' largest
-Laguerre-Samuelson bound, less ``eps``, which picks the row to certify
-first; and :func:`_roots_at_or_below` is the one-sided sign test above,
-row by row at one point, which drops every row with a root at or below
-it.
+point ``y0``, the parent's score less ``eps``, which picks the row to
+certify first; and :func:`_roots_at_or_below` is the one-sided sign
+test above, row by row at one point, which drops every row with a root
+at or below it.
 """
 from __future__ import annotations
 
@@ -168,10 +167,14 @@ def from_roots(roots: Sequence[float]) -> Polynomial:
 
     A complex root gives complex coefficients and a non-finite one a
     non-finite coefficient, and :class:`Polynomial` rejects both with
-    :class:`InvalidInput`.
+    :class:`InvalidInput`.  A root that is not a number, such as a string
+    or ``None``, raises :class:`InvalidInput` too.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        row = _from_roots_rows(np.array([sorted(roots, key=abs)]))[0]
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            row = _from_roots_rows(np.array([sorted(roots, key=abs)]))[0]
+    except TypeError:  # a root with no abs, or one the expansion cannot multiply
+        raise InvalidInput(f"roots must be real numbers, got {roots!r}") from None
     return Polynomial(row.tolist())
 
 
@@ -481,37 +484,25 @@ def _roots_at_or_below(rows: np.ndarray, t: float) -> np.ndarray:
     return value * (np.sign(lead) * (-1.0) ** n) < 0.0
 
 
-def _laguerre_guesses(rows: np.ndarray, floor: float, eps: float) -> tuple[float, np.ndarray]:
-    """``(y0, guesses)``: a guess at the smallest root of each row of
-    ``rows``, a ``(C, n+1)`` array of ascending coefficients with
-    ``n >= 1`` and a nonzero last column, from one Laguerre step
-    (:func:`_laguerre_from_left`'s) at the one point ``y0``, or ``-inf``.
+def _laguerre_guesses(rows: np.ndarray, y0: float) -> np.ndarray:
+    """A guess at the smallest root of each row of ``rows``, a ``(C, n+1)``
+    array of ascending coefficients with ``n >= 1`` and a nonzero last
+    column, from one Laguerre step (:func:`_laguerre_from_left`'s) at the
+    one point ``y0``, or ``-inf``.
 
-    ``y0`` is ``max(floor, b) - eps``, with ``b`` the largest
-    Laguerre-Samuelson bound ``mean - sqrt(n-1) * std`` over the rows,
-    each from its top three coefficients; a bound that is NaN is left
-    out.  Where a row is real-rooted its bound is at most its smallest
-    root (and equal to it at ``n <= 2``), so ``b`` is at most the largest
-    smallest root.  ``p``, ``p'`` and ``p''/2`` of every row at ``y0``
-    come from one product of ``rows`` with the ``(n+1, 3)`` matrix of
+    ``p``, ``p'`` and ``p''/2`` of every row at ``y0`` come from one
+    product of ``rows`` with the ``(n+1, 3)`` matrix of
     ``C(i, r) y0^(i-r)``.  Left of the roots of a real-rooted row,
     ``p(y0)`` has the sign at ``-inf`` and the step climbs to at most the
     smallest root; at ``n = 1`` it is Newton's step, which lands on the
     root.  A row whose value at ``y0`` shows a root at or below ``y0``,
-    or whose step is not finite or not positive, guesses ``-inf``.  A
-    guess is never NaN.  Nothing here is certified: the guesses only
-    choose which row :func:`smallest_root` certifies first.
+    or whose step is not finite or not positive, guesses ``-inf``, and so
+    does every row at a ``y0`` that is not finite.  A guess is never NaN.
+    Nothing here is certified: the guesses only choose which row
+    :func:`smallest_root` certifies first.
     """
     n = rows.shape[1] - 1
     with np.errstate(all="ignore"):
-        # n (mean - sqrt(n-1) std) = -(a + sqrt((n-1)^2 a^2 - 2n(n-1) b)), with
-        # a = c_{n-1} / c_n and b = c_{n-2} / c_n; at n = 1 the spread is zero
-        lead = rows[:, n]
-        a = rows[:, n - 1] / lead
-        if n >= 2:
-            a += np.sqrt(a * a * (n - 1) ** 2 - rows[:, n - 2] / lead * (2 * n * (n - 1)))
-        bound = -float(np.fmin.reduce(a)) / n
-        y0 = (bound if bound > floor else floor) - eps
         # rows C(i, r) y0^(i-r) for r = 0, 1, 2, each from the row above, and
         # times (-1)^n, so that a value left of the roots has the lead's sign
         taylor = [(-1.0) ** n, 0.0, 0.0]
@@ -522,8 +513,8 @@ def _laguerre_guesses(rows: np.ndarray, floor: float, eps: float) -> tuple[float
         g = slope / value
         disc = g * g * (n - 1) ** 2 - half_curve / value * (2 * n * (n - 1))
         step = n / (np.sqrt(disc) - g)
-        ok = (value * lead > 0.0) & (step > 0.0) & (step < math.inf)
-        return y0, np.where(ok, y0 + step, -math.inf)
+        ok = (value * rows[:, n] > 0.0) & (step > 0.0) & (step < math.inf)
+        return np.where(ok, y0 + step, -math.inf)
 
 
 def smallest_root(p: Polynomial, eps: float) -> float:

@@ -272,9 +272,11 @@ def greedy_select(prob: SelectionProblem) -> SelectionReport:
     candidate.  :func:`_best_candidate` then takes the argmax of their
     :func:`~colsel.poly.smallest_root` values while calling it only on the
     rows that can still win, about one per step.  It is given the
-    previous step's root (``-inf`` at the first step), which by
-    interlacing lies at most ``eps/2`` right of the winner's exact root,
-    so that its guesses start from one common point left of that root.
+    previous step's root, which by interlacing lies at most ``eps/2``
+    right of the winner's exact root, so that its guesses start from one
+    common point left of that root.  At the first step that root is
+    ``-1``: every superset Gram ``G_T`` has ``0 <= G_T <= y y^T = I``, so
+    every root lies in ``[-1, 0]``.
     Only the winner's Gram is formed, as the next iteration's partial Gram.
     The polynomials come in powers of ``y = x - 1``, so the roots are
     ``y`` values; a trace step records the chosen root in ``x``, as
@@ -293,7 +295,7 @@ def greedy_select(prob: SelectionProblem) -> SelectionReport:
     chosen: list[int] = []
     trace: list[TraceStep] = []
     gram = inst.gram_fixed.data
-    best_y = -math.inf
+    best_y = -1.0
 
     for _ in range(prob.k):
         # Every remaining candidate's expected polynomial, from one transform.
@@ -326,18 +328,18 @@ def _best_candidate(rows: np.ndarray, eps: float, previous: float) -> tuple[int,
     """The first row of ``rows`` whose :func:`~colsel.poly.smallest_root`
     is the largest, and that root; ``rows`` holds one candidate's
     coefficients per row, as :func:`expected_poly_from_gram` returns them,
-    and ``previous`` is the root the previous step certified, or ``-inf``.
+    and ``previous`` is the root the previous step certified, or ``-1``.
 
     The parent's expected polynomial is an average of its children's, and
     they form an interlacing family, so some child's smallest root is at
     least the parent's: the winner's exact root is at least
-    ``previous - eps/2``.  It is at least the largest Laguerre-Samuelson
-    bound over the rows too, which is exact at ``n <= 2``.  So ``y0``, the
-    larger of the two less ``eps``, lies left of it, and not so near that
-    the winner's value there is rounding noise.  From ``y0`` one Laguerre
-    step on every row (:func:`~colsel.poly._laguerre_guesses`) guesses
-    each root, and the row with the largest guess is rooted first; its
-    certified root ``R0`` is the bar.  One row-wise sign test at ``t = R0 - eps`` drops
+    ``previous - eps/2``.  At the first step it is at least ``-1``, the
+    floor of every root.  So ``y0 = previous - eps`` lies left of it, and
+    not so near that the winner's value there is rounding noise.  From
+    ``y0`` one Laguerre step on every row
+    (:func:`~colsel.poly._laguerre_guesses`) guesses each root, and the
+    row with the largest guess is rooted first; its certified root ``R0``
+    is the bar.  One row-wise sign test at ``t = R0 - eps`` drops
     every row with a root at or below ``t``: its certified root is within
     ``eps/2`` of its smallest root, so below ``R0`` and neither a win nor
     a tie.  The rows left, the guessed one among them, are scanned in
@@ -352,7 +354,7 @@ def _best_candidate(rows: np.ndarray, eps: float, previous: float) -> tuple[int,
     def root(i: int) -> float:
         return smallest_root(_wrap(tuple(rows[i].tolist())), eps)
 
-    guess = int(_laguerre_guesses(rows, previous, eps)[1].argmax())
+    guess = int(_laguerre_guesses(rows, previous - eps).argmax())
     guess_y = root(guess)
     contenders = ~_roots_at_or_below(rows, guess_y - eps)
     # R0 competes even where the guessed row's own sign contradicts it

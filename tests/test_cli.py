@@ -370,6 +370,16 @@ def test_verify_malformed_subset(tmp_path, capsys):
     assert "'0,x'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("subset", ["", ","])
+def test_verify_empty_subset_names_the_subset_flag(tmp_path, capsys, subset):
+    # An empty subset is k = 0, but verify has no -k flag to blame.
+    b = write(tmp_path, "b.csv", DOUBLED_IDENTITY_CSV)
+    assert main(["verify", "--b", b, "--subset", subset]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --subset names no column, got {subset!r}\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

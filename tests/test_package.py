@@ -7,7 +7,6 @@ import pkgutil
 import pytest
 
 import colsel
-from colsel import expected_charpoly
 
 # The selection path and the errors it raises; smallest_root and its argument
 # type stay only because the benchmark's tracer test wraps colsel.smallest_root.
@@ -82,20 +81,3 @@ def test_no_module_level_binding_has_wrapped():
         f"{wrapped} carry __wrapped__, which fails "
         "benchmarks/test_harness.py::test_untraced_run_installs_no_wrapper"
     )
-
-
-@pytest.mark.parametrize(
-    "cached",
-    [
-        lambda: expected_charpoly._weight_ratios(6, 39, 12),
-        lambda: expected_charpoly._quotient_mask(6),
-    ],
-    ids=["weight_ratios", "quotient_mask"],
-)
-def test_cached_arrays_are_shared_and_read_only(cached):
-    # The caches are plain module dicts, and every caller gets the same
-    # array, so a write into one must fail rather than reach the next caller.
-    array = cached()
-    assert cached() is array
-    with pytest.raises(ValueError, match="read-only"):
-        array[0] = array[-1]

@@ -78,6 +78,10 @@ def test_from_roots_matches_the_row_expansion_and_rejects_roots_that_are_not_rea
     for bad in ([math.inf], [1.0, math.nan], [1e300] * 3, [1j], np.array([0.5, 1j])):
         with pytest.raises(InvalidInput):
             from_roots(bad)
+    # A root that is not a number is InvalidInput too, not the sort's TypeError.
+    for bad in (["1"], [None]):
+        with pytest.raises(InvalidInput, match="roots must be real numbers"):
+            from_roots(bad)
 
 
 def test_derivative():
@@ -781,33 +785,34 @@ def _root_or_error(p: Polynomial, eps: float):
 def test_laguerre_guesses_lie_between_the_common_point_and_the_smallest_root(monkeypatch):
     # One Laguerre step from y0, left of a real-rooted row's roots, climbs
     # to at most its smallest root: on every step's rows of three wide
-    # instances, from the parent's score as the loop takes it, and on
-    # random real-rooted rows of degree 1 to 12, scaled by +-10^-3 to 10^3,
-    # with no floor and with floors among their roots.  A row whose sign at
-    # y0 shows a root at or below it guesses -inf; other rows with a root at
-    # or below y0, by the companion oracle, are checked for NaN only.  At
-    # degree 1 the step is Newton's, which lands on the root.
+    # instances, at the parent's score less eps as the loop takes it, and
+    # on random real-rooted rows of degree 1 to 12, scaled by +-10^-3 to
+    # 10^3, at the floor -1 - eps of their roots and at points among them.
+    # A row whose sign at y0 shows a root at or below it guesses -inf;
+    # other rows with a root at or below y0, by the companion oracle, are
+    # checked for NaN only.  At degree 1 the step is Newton's, which lands
+    # on the root.
     cases = []
     real = selector._laguerre_guesses
 
-    def recording(rows, floor, eps):
-        cases.append((rows.copy(), floor, eps))
-        return real(rows, floor, eps)
+    def recording(rows, y0):
+        cases.append((rows.copy(), y0))
+        return real(rows, y0)
 
     monkeypatch.setattr(selector, "_laguerre_guesses", recording)
     for seed in range(3):
         selector.greedy_select(random_problem(np.random.default_rng(seed), 6, 48, 3, 12))
     assert len(cases) == 36
+    assert [y0 for _, y0 in cases[::12]] == [-1.0 - selector.DEFAULT_EPS] * 3
     rng = np.random.default_rng(29)
     for degree in range(1, 13):
         roots = np.sort(rng.uniform(-1.0, 0.0, (40, degree)), axis=1)
         rows = np.array([from_roots(r).coeffs for r in roots])
         rows *= rng.choice([-1.0, 1.0], (40, 1)) * 10.0 ** rng.integers(-3, 4, (40, 1))
-        cases += [(rows, floor, 1e-6) for floor in (-math.inf, -0.75, -0.5, -0.25)]
+        cases += [(rows, y0 - 1e-6) for y0 in (-1.0, -0.75, -0.5, -0.25)]
     checked = dropped = 0
-    for rows, floor, eps in cases:
-        y0, guesses = poly._laguerre_guesses(rows, floor, eps)
-        assert y0 >= floor - eps
+    for rows, y0 in cases:
+        guesses = poly._laguerre_guesses(rows, y0)
         assert not np.isnan(guesses).any()
         for row, guess in zip(rows.tolist(), guesses.tolist()):
             if poly._root_at_or_below(row, y0):
@@ -822,8 +827,8 @@ def test_laguerre_guesses_lie_between_the_common_point_and_the_smallest_root(mon
             checked += 1
     assert checked > 800 and dropped > 200
     # a point that is not finite leaves every row unguessed
-    for floor in (math.inf, math.nan):
-        assert (poly._laguerre_guesses(rows, floor, 1e-6)[1] == -math.inf).all()
+    for y0 in (math.inf, -math.inf, math.nan):
+        assert (poly._laguerre_guesses(rows, y0) == -math.inf).all()
 
 
 def test_a_row_the_screen_drops_cannot_win():
