@@ -1,10 +1,11 @@
-"""Independent cross-check machinery: enumeration (one column gather and one
-stacked singular-value call per batch of up to 256 subsets, the batches
-split over one thread per available CPU, then joined by the calling
-thread into one array per norm whose first minimum is the optimum),
-barriers, companion roots, the monomial-basis expected-polynomial
-pipeline, and the stacked ``y``-basis transform (one eigensolve per
-candidate Gram).
+"""Independent cross-check machinery: enumeration (per batch of up to 4096
+subsets, on the calling thread, one column gather, one stacked Gram
+product and ``eigvalsh``, and one stacked singular-value call for the
+subsets whose Gram cannot decide their norms, then one ``np.argmin`` per
+norm for the first optimum), barriers, companion roots, the
+monomial-basis expected-polynomial pipeline, the stacked ``y``-basis
+transform (one eigensolve per candidate Gram), and the ``longdouble``
+reference scores.
 
 Nothing here shares a code path with the root search, the greedy loop or
 the selector's subset norms, which is the point: these are the oracles the
@@ -19,17 +20,15 @@ production transform scores candidates by the matrix determinant lemma.
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
 from .errors import DeflationFailure, InvalidInput, TooLarge
 from .expected_charpoly import IsotropicInstance, _psd_eigenvalues, _weight_ratios
 # pseudoinverse is unused; the benchmark harness's tracer test wraps colsel.oracle.pseudoinverse
-from .linalg import DEFAULT_RANK_TOL, pseudoinverse  # noqa: F401
+from .linalg import DEFAULT_RANK_TOL, _gram_updates, pseudoinverse  # noqa: F401
 from .poly import Polynomial, _from_roots_rows, derivative, evaluate, monic
 from .selector import SelectionProblem
 
@@ -45,18 +44,20 @@ __all__ = [
     "shifted_pipeline",
     "stacked_charpolys",
     "stacked_expected_polys",
+    "reference_scores",
 ]
 
 ENUMERATION_GUARD = 10**6
-# subsets per stacked SVD: enough to amortise the LAPACK call, small enough to keep memory flat
-ENUMERATION_BATCH = 256
+# subsets per stack: the whole of a C(14, 5) enumeration, and memory stays flat up to the guard
+ENUMERATION_BATCH = 4096
 DEFLATION_REM_TOL = 1e-8
 
 
 @dataclass(frozen=True)
 class EnumerationResult:
-    """Exhaustive evaluation of all size-k subsets, from the singular values
-    of one stacked SVD per batch of up to 256 subsets.
+    """Exhaustive evaluation of all size-k subsets, from the eigenvalues of
+    each subset's Gram ``[a b_S][a b_S]^T`` where they are well conditioned,
+    and from its singular values under the rank rule elsewhere.
 
     ``all_values`` maps each subset (sorted tuple) to ``(frob_sq,
     spec_sq)``, the squared pseudoinverse norms of ``[a b_S]``;
@@ -72,42 +73,41 @@ class EnumerationResult:
     all_values: dict[tuple[int, ...], tuple[float, float]]
 
 
-def _available_cpus() -> int:
-    """The CPUs this process may run on: its affinity mask where the
-    platform has one, else the machine's count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def brute_force(prob: SelectionProblem) -> EnumerationResult:
     """Exact optimum over all ``C(m, k)`` subsets for both norms.
 
-    It takes the singular values alone, from one stacked
-    ``np.linalg.svd(..., compute_uv=False)`` per batch of up to
-    ``ENUMERATION_BATCH`` (256) subsets' ``[a b_S]``.  A batch's ``b_S``
-    blocks come from one fancy index of ``b`` by the batch's ``(B, k)``
-    array of subsets, in ``combinations`` order.  A subset is full rank
-    when ``sigma_min > DEFAULT_RANK_TOL * sigma_max``; for those
-    ``|[a b_S]^+|_F^2 = sum sigma_i^-2`` and ``|[a b_S]^+|_2^2 =
-    sigma_min^-2`` (clamped to the Frobenius value).  Neither goes through
-    the selector's norm helper or :func:`~colsel.linalg.thin_svd`.
+    The subsets, in ``combinations`` order, go in batches of up to
+    ``ENUMERATION_BATCH`` (4096) on the calling thread.  A batch's
+    ``[a b_S]`` stack comes from one fancy index of ``b`` by the batch's
+    ``(B, k)`` slice of one subset array.  With ``M = [a b_S]``,
+    ``|M^+|_F^2 = tr((M M^T)^-1)`` and ``|M^+|_2^2 = 1/lambda_min(M M^T)``,
+    so one stacked product gives every Gram ``G = M M^T`` and one stacked
+    ``eigvalsh`` its eigenvalues ``lambda``, with floating-point errors
+    ignored there and a Gram that is not finite zeroed first.  A subset is
+    decided by its Gram when ``G`` is finite, ``lambda_min >= 1e-2 *
+    lambda_max`` and ``lambda_min >= 1e-290``: then ``frob_sq = sum
+    1/lambda_i`` and ``spec_sq = min(1/lambda_min, frob_sq)``.  Forming
+    ``G`` (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    section 3.5) and a backward-stable symmetric eigensolver give, by
+    Weyl's inequality, ``|lambda_hat_i - lambda_i| <= (gamma_{l+k} n + c n
+    u) lambda_max``, with ``u`` the unit roundoff.  Under the gate that is
+    at most 100 times as much relative to ``lambda_min``: about ``1e-12``
+    at ``(n, l + k) = (4, 7)``, where the measured error is ``4e-14``.
+    Such a subset has ``sigma_min / sigma_max >= 0.1``, far above the rank
+    rule, and both norms are finite.
 
-    The batches are split over ``W`` slots, one per CPU the process may
-    run on (never more than there are batches): batch ``i`` goes to slot
-    ``i mod W``.  Slot 0 is the calling thread, and each other slot is a
-    helper thread, started for this call and joined before it returns,
-    that runs numpy only, under the caller's floating-point error state;
-    the stacked ``svd`` releases the interpreter lock.  Each slot builds
-    one batch's stack at a time.  The batches are slices of one list of
-    the subsets in ``combinations`` order.  After the join the calling
-    thread concatenates each norm's batches, in that order, into one
-    array: its first minimum (one ``np.argmin``) is the optimum, and
-    ``all_values`` pairs the list with the arrays, so the ties and the
-    norms are those of one thread, bit for bit.  Where no subset is
-    feasible both optima are ``()`` with an infinite norm.  A slot's
-    exception stops every slot at its next batch and is raised in the
-    calling thread.
+    Every other subset (rank-deficient, ill-conditioned, or with a Gram
+    that overflows or underflows) takes the rank rule, from one stacked
+    ``np.linalg.svd(..., compute_uv=False)`` per batch under the caller's
+    floating-point error state: it is full rank when ``sigma_min >
+    DEFAULT_RANK_TOL * sigma_max``, and then ``frob_sq = sum sigma_i^-2``
+    and ``spec_sq = sigma_min^-2``, clamped to the Frobenius value.  So
+    the feasible set is the rank rule's.  Neither path goes through the
+    selector's norm helper or :func:`~colsel.linalg.thin_svd`.  Each
+    matrix's product and eigensolve do not depend on its batch, so exact
+    twins tie exactly, and one ``np.argmin`` per norm takes the first
+    optimum in ``combinations`` order.  Where no subset is feasible both
+    optima are ``()`` with an infinite norm.
     """
     count = math.comb(prob.m, prob.k)
     if count > ENUMERATION_GUARD:
@@ -115,54 +115,28 @@ def brute_force(prob: SelectionProblem) -> EnumerationResult:
             f"C({prob.m}, {prob.k}) = {count} exceeds the {ENUMERATION_GUARD} subset guard"
         )
     a, b, n, ell, k = prob.a.data, prob.b.data, prob.a.rows, prob.a.cols, prob.k
-    errstate = np.geterr()
-
-    def norms(batch: list[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
+    subsets = list(combinations(range(prob.m), k))
+    index = np.fromiter(chain.from_iterable(subsets), np.intp, count * k).reshape(count, k)
+    frob_sq = np.full(count, math.inf)
+    spec_sq = np.full(count, math.inf)
+    for start in range(0, count, ENUMERATION_BATCH):
+        rows = slice(start, start + ENUMERATION_BATCH)
+        batch = index[rows]
         stack = np.empty((len(batch), n, ell + k))
         stack[:, :, :ell] = a
         # (n, B, k) -> (B, n, k): row i holds b's columns batch[i], in order
-        stack[:, :, ell:] = b[:, np.array(batch)].transpose(1, 0, 2)
-        s = np.linalg.svd(stack, compute_uv=False)  # n values: l + k >= n
-        sigma_min_sq = s[:, -1] ** 2
-        # sigma_min^2 = 0 (underflow) means both norms overflow
-        feasible = (s[:, -1] > DEFAULT_RANK_TOL * s[:, 0]) & (sigma_min_sq > 0.0)
-        # the feasible rows only, so nothing divides by a zero sigma
-        s_feasible = s[feasible]
-        frob_sq = np.full(len(batch), math.inf)
-        with np.errstate(over="ignore"):
-            frob_sq[feasible] = np.sum(1.0 / (s_feasible * s_feasible), axis=1)
-        spec_sq = np.full(len(batch), math.inf)
-        feasible &= frob_sq < math.inf
-        spec_sq[feasible] = np.minimum(1.0 / sigma_min_sq[feasible], frob_sq[feasible])
-        return frob_sq, spec_sq
-
-    def run(slot: int) -> None:
-        with np.errstate(**errstate):
-            try:
-                for i in range(slot, len(batches), slots):
-                    if errors:  # another slot failed: stop early
-                        return
-                    results[i] = norms(batches[i])
-            except BaseException as exc:  # the calling thread raises it after the join
-                errors.append(exc)
-
-    subsets = list(combinations(range(prob.m), k))
-    batches = [subsets[i : i + ENUMERATION_BATCH] for i in range(0, count, ENUMERATION_BATCH)]
-    slots = min(_available_cpus(), len(batches))
-    results: list[tuple[np.ndarray, np.ndarray] | None] = [None] * len(batches)
-    errors: list[BaseException] = []
-    helpers = [threading.Thread(target=run, args=(slot,)) for slot in range(1, slots)]
-    try:
-        for thread in helpers:
-            thread.start()
-        run(0)
-    finally:
-        for thread in helpers:
-            if thread.is_alive():  # a thread that failed to start cannot be joined
-                thread.join()
-    if errors:
-        raise errors[0]
-    frob_sq, spec_sq = map(np.concatenate, zip(*results))
+        stack[:, :, ell:] = b[:, batch].transpose(1, 0, 2)
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            gram = stack @ stack.transpose(0, 2, 1)
+            finite = np.isfinite(gram).all(axis=(1, 2))
+            gram[~finite] = 0.0
+            lam = np.linalg.eigvalsh(gram)  # ascending
+        decided = finite & (lam[:, 0] >= 1e-2 * lam[:, -1]) & (lam[:, 0] >= 1e-290)
+        frob, spec = frob_sq[rows], spec_sq[rows]  # views: writing them fills the results
+        frob[decided] = np.sum(1.0 / lam[decided], axis=1)
+        spec[decided] = np.minimum(1.0 / lam[decided, 0], frob[decided])
+        if not decided.all():
+            frob[~decided], spec[~decided] = _rank_rule_norms(stack[~decided])
     # the first minima, in combinations order; a subset is feasible iff its
     # Frobenius norm is finite, and then so is its spectral one
     i, j = int(np.argmin(frob_sq)), int(np.argmin(spec_sq))
@@ -174,6 +148,25 @@ def brute_force(prob: SelectionProblem) -> EnumerationResult:
         best_spec_sq=float(spec_sq[j]),
         all_values=dict(zip(subsets, zip(frob_sq.tolist(), spec_sq.tolist()))),
     )
+
+
+def _rank_rule_norms(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both squared pseudoinverse norms of each ``n x (l + k)`` matrix of
+    ``stack`` from its singular values, infinite where the rank rule finds
+    it rank-deficient or where a norm overflows."""
+    s = np.linalg.svd(stack, compute_uv=False)  # n values: l + k >= n
+    sigma_min_sq = s[:, -1] ** 2
+    # sigma_min^2 = 0 (underflow) means both norms overflow
+    feasible = (s[:, -1] > DEFAULT_RANK_TOL * s[:, 0]) & (sigma_min_sq > 0.0)
+    # the feasible rows only, so nothing divides by a zero sigma
+    s_feasible = s[feasible]
+    frob_sq = np.full(len(stack), math.inf)
+    with np.errstate(over="ignore"):
+        frob_sq[feasible] = np.sum(1.0 / (s_feasible * s_feasible), axis=1)
+    spec_sq = np.full(len(stack), math.inf)
+    feasible &= frob_sq < math.inf
+    spec_sq[feasible] = np.minimum(1.0 / sigma_min_sq[feasible], frob_sq[feasible])
+    return frob_sq, spec_sq
 
 
 def companion_smallest_root(p: Polynomial) -> float:
@@ -344,3 +337,58 @@ def stacked_expected_polys(
     a = inst.m - n - j
     f = stacked_charpolys(grams, a) * _weight_ratios(n, a, inst.k - j)
     return [Polynomial(row) for row in f.tolist()]
+
+
+def reference_scores(
+    gram: np.ndarray, v: np.ndarray, m: int, k: int, j: int, eps: float
+) -> np.ndarray:
+    """Every candidate's score, the smallest root in ``y = x - 1`` of its
+    expected polynomial, in ``np.longdouble`` from the float eigenvalues of
+    its Gram ``gram + v_c v_c^T``, with no coefficient expansion.
+
+    With ``a = m - n - j`` and ``d = k - j``, let ``rho`` be those
+    eigenvalues less one, without the largest ``max(-a, 0)``, which are
+    exactly zero; ``q`` values are left.  With ``A = max(a, 0)`` and
+    ``P(y) = y^A prod(y - rho_i)``, the score is the smallest root of
+    ``P^(d)``, and ``P^(d)(y)/d! = sum_t C(A, L - t) y^(L - t) e_t(y - rho)``
+    with ``L = m - k``.  Newton on ``T = P^(d)/y^B``, ``B = max(A - d, 0)``,
+    starts at ``min rho``, left of every root by interlacing, and rises to
+    the smallest; it stops once every step is at most ``1e-6 eps``, far
+    above where rounding stalls it (about ``3e-11 eps`` at degree 12).
+    It needs a 64-bit ``longdouble`` mantissa, as on x86-64: with a
+    ``longdouble`` that is a plain double, it is no more exact than the
+    scores it checks.
+    """
+    n = gram.shape[0]
+    a, d = m - n - j, k - j
+    big_a = max(a, 0)
+    low = max(big_a - d, 0)
+    mu = np.linalg.eigvalsh(_gram_updates(gram, v))[:, : n - max(-a, 0)]
+    rho = mu.T.astype(np.longdouble) - 1
+    q = rho.shape[0]
+    # T0 = P^(d)/(d! y^B) = sum_t w0_t y^(deg - t) e_t(y - rho), with deg = L - B <= q,
+    # and T1 = y P^(d+1)/((d+1)! y^B), the same sum with w1
+    deg = m - k - low
+    w0 = np.array([math.comb(big_a, m - k - t) for t in range(deg + 1)], np.longdouble)
+    w1 = np.array([math.comb(big_a, m - k - 1 - t) if t < m - k else 0 for t in range(deg + 1)],
+                  np.longdouble)
+    y = rho[0].copy()
+    active = np.arange(y.size)
+    for _ in range(200):
+        ya, rho_a = y[active], rho[:, active]
+        e = np.zeros((q + 1, active.size), np.longdouble)  # e[t] = e_t(y - rho), by one recurrence
+        e[0] = 1
+        for r in rho_a:
+            e[1:] += (ya - r) * e[:-1]
+        t0 = t1 = np.zeros(active.size, np.longdouble)
+        for t in range(deg + 1):
+            t0, t1 = t0 * ya + w0[t] * e[t], t1 * ya + w1[t] * e[t]
+        # at d = 0, T0 vanishes at min rho, the root itself
+        root = t0 == 0
+        step = -ya * t0 / np.where(root, 1, (d + 1) * t1 - low * t0)
+        step[root] = 0
+        y[active] = ya + step
+        active = active[np.abs(step) > 1e-6 * eps]
+        if not active.size:
+            return y
+    raise AssertionError(f"reference Newton did not converge at partial size {j}")

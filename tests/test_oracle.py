@@ -1,11 +1,8 @@
 """Brute-force enumeration, barrier checks, companion-root cross-oracle."""
 from __future__ import annotations
 
-import inspect
 import math
-import sys
-import threading
-import time
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -81,44 +78,62 @@ def test_brute_force_records_overflowing_norms_as_infeasible(data, subset):
     assert result.best_frob_sq < math.inf and subset != result.best_subset_frob
 
 
-def test_brute_force_batches_its_svds(monkeypatch):
+def _selected(prob, subset):
+    return np.hstack([prob.a.data, prob.b.data[:, list(subset)]])
+
+
+def test_brute_force_sends_the_svd_only_what_the_gram_cannot_decide(monkeypatch):
     rng = np.random.default_rng(151)
-    prob = random_problem(rng, n=3, m=12, ell=1, k=4)  # C(12, 4) = 495 subsets
-    svd = np.linalg.svd
-    stacks = []
-    lock = threading.Lock()
+    b = rng.standard_normal((4, 11))
+    # l + k = n, and the last column repeats the first, so the subsets
+    # holding both are rank-deficient
+    b = DenseMatrix(np.hstack([b, b[:, :1]]))
+    prob = SelectionProblem(a=DenseMatrix.zeros(4, 0), b=b, k=4)
+    monkeypatch.setattr(oracle, "ENUMERATION_BATCH", 256)  # C(12, 4) = 495: two batches
+    eigvalsh, svd = np.linalg.eigvalsh, np.linalg.svd
+    grams, spectra, stacks = [], [], []
+
+    def capturing_eigvalsh(a, *args, **kwargs):
+        grams.append(a.copy())
+        spectra.append(eigvalsh(a, *args, **kwargs))
+        return spectra[-1]
 
     def capturing_svd(a, *args, **kwargs):
-        with lock:  # the batches may run on several threads, in any order
-            stacks.append(a.copy())
+        stacks.append(a.copy())
         return svd(a, *args, **kwargs)
 
+    monkeypatch.setattr(np.linalg, "eigvalsh", capturing_eigvalsh)
     monkeypatch.setattr(np.linalg, "svd", capturing_svd)
     result = brute_force(prob)
-    assert len(result.all_values) == 495
-    assert len(stacks) == math.ceil(495 / 256) == 2
     subsets = list(combinations(range(prob.m), prob.k))
     assert list(result.all_values) == subsets
+    # eigvalsh takes every batch's Grams, in combinations order
+    assert [gram.shape for gram in grams] == [(256, 4, 4), (239, 4, 4)]
+    for gram, subset in zip(np.concatenate(grams), subsets):
+        selected = _selected(prob, subset)
+        expected = selected @ selected.T
+        assert np.abs(gram - expected).max() <= 1e-14 * np.abs(expected).max(), subset
+    lam = np.concatenate(spectra)
+    decided = (lam[:, 0] >= 1e-2 * lam[:, -1]) & (lam[:, 0] >= 1e-290)
+    # the svd takes, in one call per batch, exactly the batch's undecided subsets, bit for bit
+    undecided = [[s for s, d in zip(subsets[i : i + 256], decided[i : i + 256]) if not d]
+                 for i in (0, 256)]
+    assert all(undecided)
+    assert [stack.shape for stack in stacks] == [(len(u), 4, 4) for u in undecided]
+    for stack, batch in zip(stacks, undecided):
+        for row, subset in zip(stack, batch):
+            assert row.tobytes() == _selected(prob, subset).tobytes(), subset
+    rank_deficient = [s for s in subsets if s[0] == 0 and s[-1] == 11]
+    assert not decided[[subsets.index(s) for s in rank_deficient]].any()
+    assert 0 < decided.sum() < 495
+    # a subset its Gram decides is feasible
+    assert all(math.isfinite(result.all_values[s][0]) for s, d in zip(subsets, decided) if d)
 
-    def selected(subset):
-        return np.hstack([prob.a.data, prob.b.data[:, list(subset)]])
 
-    # match each stack to its batch by content: the batch whose first subset gives its first row
-    first_rows = {selected(subsets[i]).tobytes(): i // 256 for i in range(0, 495, 256)}
-    batch_of = [first_rows[stack[0].tobytes()] for stack in stacks]
-    assert sorted(batch_of) == [0, 1]
-    stacks = [stacks[batch_of.index(i)] for i in range(2)]
-    assert [stack.shape for stack in stacks] == [(256, 3, 5), (239, 3, 5)]
-    # each row is [a b_S] of the next subset in combinations order, bit for bit
-    rows = [row for stack in stacks for row in stack]
-    for row, subset in zip(rows, subsets):
-        assert row.tobytes() == selected(subset).tobytes(), subset
-    assert all(math.isfinite(f) for f, _ in result.all_values.values())
-
-
-def _slot_problems():
-    """Enumerations of 4 to 8 batches: rank-deficient subsets, overflowing
-    norms, exact ties across batches, a fixed block, and no feasible subset."""
+def _batch_problems():
+    """Enumerations of 4 to 8 batches of 256: rank-deficient subsets,
+    overflowing norms, exact ties across batches, a fixed block, and no
+    feasible subset."""
     rng = np.random.default_rng(167)
     e1, e2 = np.eye(2)
     tiny = [1e-163 * e1, 1e-163 * e2, 1e-310 * e1, 1e-310 * e2, [1e-150, 0.0], [0.0, 1e-155]]
@@ -156,35 +171,30 @@ def _enumeration_bits(result):
     )
 
 
-@pytest.mark.parametrize("name", list(_slot_problems()))
-def test_brute_force_is_bit_identical_on_every_slot_count(monkeypatch, name):
-    prob = _slot_problems()[name]
-    batches = math.ceil(math.comb(prob.m, prob.k) / 256)
-    assert 4 <= batches <= 8
-    svd = np.linalg.svd
-    threads = set()
+@pytest.mark.parametrize("name", list(_batch_problems()))
+def test_brute_force_is_bit_identical_on_every_batch_size(monkeypatch, name):
+    prob = _batch_problems()[name]
+    count = math.comb(prob.m, prob.k)
+    assert 4 <= math.ceil(count / 256) <= 8 and count <= oracle.ENUMERATION_BATCH
+    eigvalsh = np.linalg.eigvalsh
+    calls = []
 
-    def recording_svd(a, *args, **kwargs):
-        threads.add(threading.current_thread())
-        return svd(a, *args, **kwargs)
+    def counting_eigvalsh(a, *args, **kwargs):
+        calls.append(len(a))
+        return eigvalsh(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
     results = {}
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
-    try:
-        for slots in (1, 2, 3):
-            monkeypatch.setattr(oracle, "_available_cpus", lambda: slots)
-            threads.clear()
-            results[slots] = brute_force(prob)
-            # slot 0 is the calling thread; each other slot is its own helper
-            assert threading.current_thread() in threads and len(threads) == slots
-    finally:
-        sys.setswitchinterval(interval)
-    assert _enumeration_bits(results[2]) == _enumeration_bits(results[1])
-    assert _enumeration_bits(results[3]) == _enumeration_bits(results[1])
+    for size in (1, 7, 256, oracle.ENUMERATION_BATCH):
+        monkeypatch.setattr(oracle, "ENUMERATION_BATCH", size)
+        calls.clear()
+        results[size] = brute_force(prob)
+        # one eigensolve per batch
+        assert calls == [min(size, count - start) for start in range(0, count, size)]
+    result = results.pop(size)
+    for other in results.values():
+        assert _enumeration_bits(other) == _enumeration_bits(result)
 
-    result = results[1]
     order = list(combinations(range(prob.m), prob.k))
     assert list(result.all_values) == order
     frob = np.array([f for f, _ in result.all_values.values()])
@@ -202,112 +212,33 @@ def test_brute_force_is_bit_identical_on_every_slot_count(monkeypatch, name):
         assert result.best_subset_frob == result.best_subset_spec == order[0]
         for norm, best_sq in enumerate([result.best_frob_sq, result.best_spec_sq]):
             reaching = [i for i, v in enumerate(result.all_values.values()) if v[norm] == best_sq]
-            assert reaching[0] == 0 and reaching[-1] >= 512  # a tie across batches
+            assert reaching[0] == 0 and reaching[-1] >= 512  # a tie across batches of 256
 
 
-def test_brute_force_keeps_the_callers_error_state_on_every_slot(monkeypatch):
+def test_brute_force_keeps_the_callers_error_state():
     # columns 38 and 39 are 1e-150 apart by an angle of 1e-10: only the last
-    # subset, (38, 39), underflows in sigma_min^2, and its batch is the fourth
+    # subset, (38, 39), underflows in sigma_min^2.  The Gram of a subset
+    # holding either is below the 1e-290 floor, so the rank rule takes it.
     rng = np.random.default_rng(173)
+    head = rng.standard_normal((2, 38))
     tail = 1e-150 * np.array([[1.0, 1.0], [0.0, 1e-10]])
-    b = np.hstack([rng.standard_normal((2, 38)), tail])
-    prob = SelectionProblem(a=DenseMatrix.zeros(2, 0), b=DenseMatrix(b), k=2)
-    for slots in (1, 2, 3, 4):
-        monkeypatch.setattr(oracle, "_available_cpus", lambda: slots)
+    prob = SelectionProblem(a=DenseMatrix.zeros(2, 0), b=DenseMatrix(np.hstack([head, tail])), k=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert len(brute_force(prob).all_values) == 780
-        with np.errstate(under="raise"), pytest.raises(FloatingPointError, match="underflow"):
-            brute_force(prob)
-
-
-def _colsel_codes():
-    """The code of every function bound in a ``colsel`` module, methods and
-    property getters of its classes included."""
-    codes = set()
-    for name, module in list(sys.modules.items()):
-        if name != "colsel" and not name.startswith("colsel."):
-            continue
-        for value in vars(module).values():
-            members = [value]
-            if inspect.isclass(value) and value.__module__.startswith("colsel"):
-                members = list(vars(value).values())
-            for member in members:
-                member = getattr(member, "fget", None) or getattr(member, "__func__", member)
-                if inspect.isfunction(member):
-                    codes.add(member.__code__)
-    return codes
-
-
-def test_brute_force_helpers_call_no_colsel_function(monkeypatch):
-    # the benchmark's tracer wraps module-level colsel functions, and its spans
-    # assume one thread: a helper thread may run numpy only
-    monkeypatch.setattr(oracle, "_available_cpus", lambda: 2)
-    prob = _slot_problems()["fixed_block"]
-    calls = []
-
-    def profile(frame, event, arg):
-        if event == "call":
-            calls.append(frame.f_code)
-
-    threading.setprofile(profile)  # threads started from now on, not this one
-    try:
-        result = brute_force(prob)
-    finally:
-        threading.setprofile(None)
-    assert len(result.all_values) == 2002
-    names = {code.co_name for code in calls}
-    assert {"run", "norms", "svd"} <= names  # a helper ran the batches
-    codes = _colsel_codes()
-    assert oracle.brute_force.__code__ in codes and len(codes) > 100
-    assert [code for code in calls if code in codes] == []
-
-
-def test_a_helpers_error_is_raised_and_every_helper_joined(monkeypatch):
-    monkeypatch.setattr(oracle, "_available_cpus", lambda: 3)
-    prob = _slot_problems()["fixed_block"]  # 8 batches: the calling thread has 0, 3 and 6
-    expected = _enumeration_bits(brute_force(prob))
-    svd = np.linalg.svd
-    caller = threading.current_thread()
-    raised, failed, caller_calls = [], [], []
-    lock = threading.Lock()
-
-    def failing_svd(a, *args, **kwargs):
-        thread = threading.current_thread()
-        with lock:  # exactly one helper batch fails
-            fail = thread is not caller and not raised
-            if fail:
-                raised.append(np.linalg.LinAlgError("SVD did not converge"))
-                failed.append(thread)
-        if fail:
-            raise raised[0]
-        if thread is caller:
-            caller_calls.append(a.shape)
-            # hold the first batch until the failed helper has exited
-            deadline = time.monotonic() + 10.0
-            while not (failed and not failed[0].is_alive()) and time.monotonic() < deadline:
-                time.sleep(1e-3)
-        return svd(a, *args, **kwargs)
-
-    before = threading.active_count()
-    monkeypatch.setattr(np.linalg, "svd", failing_svd)
-    with pytest.raises(np.linalg.LinAlgError) as info:
+    with np.errstate(under="raise"), pytest.raises(FloatingPointError, match="underflow"):
         brute_force(prob)
-    assert info.value is raised[0]
-    assert not failed[0].is_alive()
-    # the failure stopped the calling thread before its next batch; it may
-    # even have come before the first
-    assert len(caller_calls) <= 1
-    assert threading.active_count() == before
-    monkeypatch.setattr(np.linalg, "svd", svd)
-    assert _enumeration_bits(brute_force(prob)) == expected
-    assert threading.active_count() == before
+    # the floating-point errors ignored while forming and solving the Grams stay there
+    head_prob = SelectionProblem(a=DenseMatrix.zeros(2, 0), b=DenseMatrix(head), k=2)
+    with np.errstate(all="raise"):
+        assert len(brute_force(head_prob).all_values) == 703
 
 
 def _per_subset_values(prob):
     """The enumeration with one SVD per subset: ``|.^+|_F^2 = sum sigma^-2``."""
     values = {}
     for subset in combinations(range(prob.m), prob.k):
-        selected = np.hstack([prob.a.data, prob.b.data[:, list(subset)]])
-        s = np.linalg.svd(selected, compute_uv=False)
+        s = np.linalg.svd(_selected(prob, subset), compute_uv=False)
         sigma_min_sq = float(s[-1]) ** 2
         frob_sq = spec_sq = math.inf
         if s[-1] > DEFAULT_RANK_TOL * s[0] and sigma_min_sq > 0.0:
@@ -319,8 +250,39 @@ def _per_subset_values(prob):
     return values
 
 
+def _rank_rule_run(monkeypatch, prob):
+    """``brute_force(prob)``, and the subsets whose ``[a b_S]`` the stacked
+    SVD took, found by content."""
+    svd = np.linalg.svd
+    stacks = []
+
+    def capturing_svd(a, *args, **kwargs):
+        stacks.append(a.copy())
+        return svd(a, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "svd", capturing_svd)
+        result = brute_force(prob)
+    taken = {row.tobytes() for stack in stacks for row in stack}
+    return result, {s for s in result.all_values if _selected(prob, s).tobytes() in taken}
+
+
+def _assert_matches_the_per_subset_svd(result, rank_rule, expected):
+    """The rank rule's Frobenius values equal the per-subset loop's bit for
+    bit, and its spectral ones to ``1e-15``; the Gram's agree with them to
+    the cross-tree tolerance ``1e-12``."""
+    assert list(result.all_values) == list(expected)
+    for subset, values in result.all_values.items():
+        assert type(values[0]) is float and type(values[1]) is float
+        if subset in rank_rule:
+            assert values[0] == expected[subset][0], subset
+            assert values[1] == pytest.approx(expected[subset][1], rel=1e-15, abs=0.0), subset
+        else:
+            assert values == pytest.approx(expected[subset], rel=1e-12, abs=0.0), subset
+
+
 @pytest.mark.parametrize("n, m, ell, k", [(3, 14, 0, 3), (4, 14, 1, 3), (4, 13, 0, 4)])
-def test_brute_force_matches_the_per_subset_loop(n, m, ell, k):
+def test_brute_force_matches_the_per_subset_loop(monkeypatch, n, m, ell, k):
     # l + k = n, and the last column of b repeats the first, so the subsets
     # holding both are rank-deficient
     rng = np.random.default_rng([157, n, m])
@@ -329,25 +291,20 @@ def test_brute_force_matches_the_per_subset_loop(n, m, ell, k):
         b = rng.standard_normal((n, m - 1))
         b = np.hstack([b, b[:, :1]])
         prob = SelectionProblem(a=DenseMatrix(a), b=DenseMatrix(b), k=k)
-        assert math.comb(m, k) > 256  # several batches
-        result = brute_force(prob)
+        result, rank_rule = _rank_rule_run(monkeypatch, prob)
         expected = _per_subset_values(prob)
-        assert list(result.all_values) == list(expected)
+        _assert_matches_the_per_subset_svd(result, rank_rule, expected)
         feasible = {s for s, (f, _) in expected.items() if math.isfinite(f)}
         assert {s for s, (f, _) in result.all_values.items() if math.isfinite(f)} == feasible
         assert 0 < len(feasible) < len(expected)
+        # both paths decide feasible subsets
+        assert feasible & rank_rule and feasible - rank_rule
         pinv_feasible = set()
         for subset in expected:
             frob_sq, spec_sq = result.all_values[subset]
-            assert type(frob_sq) is float and type(spec_sq) is float
-            assert frob_sq == expected[subset][0]
-            if subset in feasible:
-                assert spec_sq == pytest.approx(expected[subset][1], rel=1e-15, abs=0.0)
-            else:
-                assert spec_sq == math.inf
             # the explicit pseudoinverse, which drops sigma <= DEFAULT_RANK_TOL * sigma_max:
             # its rank is the trace of the projector selected @ pinv
-            selected = np.hstack([a, b[:, list(subset)]])
+            selected = _selected(prob, subset)
             pinv = np.linalg.pinv(selected, DEFAULT_RANK_TOL)
             if round(float(np.trace(selected @ pinv))) == n:
                 pinv_feasible.add(subset)
@@ -356,7 +313,46 @@ def test_brute_force_matches_the_per_subset_loop(n, m, ell, k):
         assert pinv_feasible == feasible
 
 
-def test_brute_force_ties_go_to_the_first_subset_across_batches():
+# tools/compare_trees.py's brute-force shapes, (n, m, l, k, rank of the
+# fixed block or None for a Gaussian block)
+@pytest.mark.parametrize(
+    "n, m, ell, k, rank_a",
+    [(4, 14, 2, 5, None), (3, 9, 0, 4, None), (4, 12, 2, 6, None), (5, 10, 1, 4, None),
+     (4, 12, 3, 5, 1), (5, 14, 4, 4, 2)],
+)
+def test_gram_decided_norms_match_the_per_subset_svd(monkeypatch, n, m, ell, k, rank_a):
+    for seed in range(2):
+        rng = np.random.default_rng([191, n, m, ell, k, seed])
+        if rank_a is None:
+            a = rng.standard_normal((n, ell))
+        else:
+            a = rng.standard_normal((n, rank_a)) @ rng.standard_normal((rank_a, ell))
+        prob = SelectionProblem(a=DenseMatrix(a), b=DenseMatrix(rng.standard_normal((n, m))), k=k)
+        result, rank_rule = _rank_rule_run(monkeypatch, prob)
+        assert len(rank_rule) < len(result.all_values)
+        _assert_matches_the_per_subset_svd(result, rank_rule, _per_subset_values(prob))
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e-160])
+def test_tiny_columns_take_the_rank_rule(monkeypatch, scale):
+    # at 1e-150 a subset of three tiny columns is feasible, but its Gram's
+    # lambda_min is below the 1e-290 floor; at 1e-160 its Gram underflows
+    rng = np.random.default_rng(193)
+    b = np.hstack([rng.standard_normal((3, 6)), scale * rng.standard_normal((3, 5))])
+    prob = SelectionProblem(a=DenseMatrix.zeros(3, 0), b=DenseMatrix(b), k=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result, rank_rule = _rank_rule_run(monkeypatch, prob)
+    tiny = {s for s in result.all_values if s[-1] >= 6}
+    assert len(tiny) == 145 and tiny <= rank_rule
+    expected = _per_subset_values(prob)
+    _assert_matches_the_per_subset_svd(result, rank_rule, expected)
+    assert all(result.all_values[s] == expected[s] for s in tiny)  # bit for bit
+    assert math.isfinite(result.all_values[(6, 7, 8)][0]) == (scale == 1e-150)
+
+
+def test_brute_force_ties_go_to_the_first_subset_across_batches(monkeypatch):
+    monkeypatch.setattr(oracle, "ENUMERATION_BATCH", 256)
     # b = [c c]: a subset of one half and its twin in the other gather the same [a b_S]
     rng = np.random.default_rng(163)
     order = list(combinations(range(12), 4))

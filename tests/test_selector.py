@@ -13,7 +13,7 @@ from colsel.cli import serialize_report
 from colsel.errors import AlgorithmFailure, InvalidInput, InvalidSubset, RankDeficient
 from colsel.expected_charpoly import _psd_eigenvalues, expected_poly, expected_poly_from_gram
 from colsel.linalg import DenseMatrix, _gram_updates, gram_update, norms_sq, pseudoinverse, thin_svd
-from colsel.oracle import companion_smallest_root, stacked_expected_polys
+from colsel.oracle import companion_smallest_root, reference_scores, stacked_expected_polys
 from colsel.poly import Polynomial, from_roots, smallest_root
 from colsel.selector import (
     SelectionProblem,
@@ -541,58 +541,6 @@ def test_every_score_lies_between_the_candidate_gram_and_the_identity(monkeypatc
                 assert c.min() >= -1e-12 * np.abs(c).max()
 
 
-def _reference_scores(
-    gram: np.ndarray, v: np.ndarray, m: int, k: int, j: int, eps: float
-) -> np.ndarray:
-    """Every candidate's score, the smallest root in ``y = x - 1`` of its
-    expected polynomial, in ``np.longdouble`` from the float eigenvalues of
-    its Gram ``gram + v_c v_c^T``, with no coefficient expansion.
-
-    With ``a = m - n - j`` and ``d = k - j``, let ``rho`` be those
-    eigenvalues less one, without the largest ``max(-a, 0)``, which are
-    exactly zero; ``q`` values are left.  With ``A = max(a, 0)`` and
-    ``P(y) = y^A prod(y - rho_i)``, the score is the smallest root of
-    ``P^(d)``, and ``P^(d)(y)/d! = sum_t C(A, L - t) y^(L - t) e_t(y - rho)``
-    with ``L = m - k``.  Newton on ``T = P^(d)/y^B``, ``B = max(A - d, 0)``,
-    starts at ``min rho``, left of every root by interlacing, and rises to
-    the smallest; it stops once every step is at most ``1e-6 eps``, far
-    above where rounding stalls it (about ``3e-11 eps`` at degree 12).
-    """
-    n = gram.shape[0]
-    a, d = m - n - j, k - j
-    big_a = max(a, 0)
-    low = max(big_a - d, 0)
-    mu = np.linalg.eigvalsh(_gram_updates(gram, v))[:, : n - max(-a, 0)]
-    rho = mu.T.astype(np.longdouble) - 1
-    q = rho.shape[0]
-    # T0 = P^(d)/(d! y^B) = sum_t w0_t y^(deg - t) e_t(y - rho), with deg = L - B <= q,
-    # and T1 = y P^(d+1)/((d+1)! y^B), the same sum with w1
-    deg = m - k - low
-    w0 = np.array([math.comb(big_a, m - k - t) for t in range(deg + 1)], np.longdouble)
-    w1 = np.array([math.comb(big_a, m - k - 1 - t) if t < m - k else 0 for t in range(deg + 1)],
-                  np.longdouble)
-    y = rho[0].copy()
-    active = np.arange(y.size)
-    for _ in range(200):
-        ya, rho_a = y[active], rho[:, active]
-        e = np.zeros((q + 1, active.size), np.longdouble)  # e[t] = e_t(y - rho), by one recurrence
-        e[0] = 1
-        for r in rho_a:
-            e[1:] += (ya - r) * e[:-1]
-        t0 = t1 = np.zeros(active.size, np.longdouble)
-        for t in range(deg + 1):
-            t0, t1 = t0 * ya + w0[t] * e[t], t1 * ya + w1[t] * e[t]
-        # at d = 0, T0 vanishes at min rho, the root itself
-        root = t0 == 0
-        step = -ya * t0 / np.where(root, 1, (d + 1) * t1 - low * t0)
-        step[root] = 0
-        y[active] = ya + step
-        active = active[np.abs(step) > 1e-6 * eps]
-        if not active.size:
-            return y
-    raise AssertionError(f"reference Newton did not converge at partial size {j}")
-
-
 class _WrongPick(AssertionError):
     """A greedy step picked a column more than 2 eps below the reference argmax."""
 
@@ -615,7 +563,7 @@ def _greedy_checked_against_the_reference(monkeypatch, prob: SelectionProblem) -
     def checked(rows, eps, previous):
         best, best_y = best_candidate(rows, eps, previous)
         gram, j, v = steps[-1]
-        ref = _reference_scores(gram, v, prob.m, prob.k, j, eps)
+        ref = reference_scores(gram, v, prob.m, prob.k, j, eps)
         top = int(np.argmax(ref))
         margin = float((ref[top] - ref[best]) / eps)
         if margin > 2:
