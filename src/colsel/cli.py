@@ -157,8 +157,8 @@ def _run_oracle(args: argparse.Namespace) -> dict:
     enum = brute_force(prob)
     report = greedy_select(prob)
     return {
-        "num_subsets": len(enum.all_values),
-        "num_feasible": sum(math.isfinite(frob) for frob, _ in enum.all_values.values()),
+        "num_subsets": enum.num_subsets,
+        "num_feasible": enum.num_feasible,
         "best_subset_frob": enum.best_subset_frob,
         "best_frob_sq": enum.best_frob_sq,
         "best_subset_spec": enum.best_subset_spec,

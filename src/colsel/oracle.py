@@ -1,11 +1,13 @@
 """Independent cross-check machinery: enumeration (per batch of up to 4096
 subsets, on the calling thread, one column gather, one stacked Gram
-product and ``eigvalsh``, and one stacked singular-value call for the
-subsets whose Gram cannot decide their norms, then one ``np.argmin`` per
-norm for the first optimum), barriers, companion roots, the
-monomial-basis expected-polynomial pipeline, the stacked ``y``-basis
-transform (one eigensolve per candidate Gram), and the ``longdouble``
-reference scores.
+product and an elementwise Cholesky factorisation that decides the
+Frobenius norm of every well-conditioned subset, one stacked
+singular-value call for the rest, and ``eigvalsh`` only for the subsets
+whose lower bound leaves them in reach of the spectral optimum; one
+``np.argmin`` per norm for the first optimum, and the full table only when
+read), barriers, companion roots, the monomial-basis expected-polynomial
+pipeline, the stacked ``y``-basis transform (one eigensolve per candidate
+Gram), and the ``longdouble`` reference scores.
 
 Nothing here shares a code path with the root search, the greedy loop or
 the selector's subset norms, which is the point: these are the oracles the
@@ -20,12 +22,13 @@ production transform scores candidates by the matrix determinant lemma.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain, combinations
 
 import numpy as np
 
-from .errors import DeflationFailure, InvalidInput, TooLarge
+from .errors import AlgorithmFailure, DeflationFailure, InvalidInput, TooLarge
 from .expected_charpoly import IsotropicInstance, _psd_eigenvalues, _weight_ratios
 # pseudoinverse is unused; the benchmark harness's tracer test wraps colsel.oracle.pseudoinverse
 from .linalg import DEFAULT_RANK_TOL, _gram_updates, pseudoinverse  # noqa: F401
@@ -50,104 +53,266 @@ __all__ = [
 ENUMERATION_GUARD = 10**6
 # subsets per stack: the whole of a C(14, 5) enumeration, and memory stays flat up to the guard
 ENUMERATION_BATCH = 4096
+# the Cholesky factor decides a subset only where tr(G) |L^-1|_F^2, which
+# bounds kappa(G), is at most this
+KAPPA_CAP = 400.0
+# the least Cholesky pivot and the least Gram eigenvalue either gate accepts: normal, with
+# room below them for the underflow of forming the Gram
+NORMAL_FLOOR = 1e-290
+# relative slack of the lower bound on |M^+|_2^2 that rules a subset out of the spectral optimum
+LOWER_BOUND_SLACK = 1e-9
+REFERENCE_NEWTON_STEPS = 200
 DEFLATION_REM_TOL = 1e-8
 
 
 @dataclass(frozen=True)
 class EnumerationResult:
-    """Exhaustive evaluation of all size-k subsets, from the eigenvalues of
-    each subset's Gram ``[a b_S][a b_S]^T`` where they are well conditioned,
-    and from its singular values under the rank rule elsewhere.
+    """Exhaustive evaluation of all size-k subsets: both optima, and the
+    full table of norms on demand.
 
-    ``all_values`` maps each subset (sorted tuple) to ``(frob_sq,
-    spec_sq)``, the squared pseudoinverse norms of ``[a b_S]``;
-    rank-deficient subsets, and full-rank ones whose norms overflow, get
-    infinite norms so the map stays total.  Ties go to the first subset in
-    ``combinations`` order.
+    ``num_subsets`` is ``C(m, k)`` and ``num_feasible`` the number of
+    subsets whose ``[a b_S]`` has full row rank under the rank rule and
+    finite norms.  ``all_values`` maps each subset (sorted tuple), in
+    ``combinations`` order, to ``(frob_sq, spec_sq)``, the squared
+    pseudoinverse norms of ``[a b_S]``; rank-deficient subsets, and
+    full-rank ones whose norms overflow, get infinite norms so the map
+    stays total.  It is built on first access, in batches, by the kernel
+    :func:`brute_force` runs, so every value that :func:`brute_force` took
+    is the table's bit for bit, and the two optima are the first minima of
+    its columns in ``combinations`` order.
     """
 
     best_subset_frob: tuple[int, ...]
     best_subset_spec: tuple[int, ...]
     best_frob_sq: float
     best_spec_sq: float
-    all_values: dict[tuple[int, ...], tuple[float, float]]
+    num_subsets: int
+    num_feasible: int
+    _problem: SelectionProblem = field(repr=False, compare=False)
+
+    @cached_property
+    def all_values(self) -> dict[tuple[int, ...], tuple[float, float]]:
+        prob = self._problem
+        index = _subset_index(prob.m, prob.k)
+        frob_sq, spec_sq = np.empty(len(index)), np.empty(len(index))
+        for start in range(0, len(index), ENUMERATION_BATCH):
+            rows = slice(start, start + ENUMERATION_BATCH)
+            stack, frob_sq[rows], spec_sq[rows], decided, _ = _first_pass(prob, index[rows])
+            spec = spec_sq[rows]  # a view: writing it fills the table
+            spec[decided] = _spectral_norms(stack[decided], frob_sq[rows][decided])
+        subsets = map(tuple, index.tolist())
+        return dict(zip(subsets, zip(frob_sq.tolist(), spec_sq.tolist())))
 
 
 def brute_force(prob: SelectionProblem) -> EnumerationResult:
     """Exact optimum over all ``C(m, k)`` subsets for both norms.
 
-    The subsets, in ``combinations`` order, go in batches of up to
-    ``ENUMERATION_BATCH`` (4096) on the calling thread.  A batch's
-    ``[a b_S]`` stack comes from one fancy index of ``b`` by the batch's
-    ``(B, k)`` slice of one subset array.  With ``M = [a b_S]``,
-    ``|M^+|_F^2 = tr((M M^T)^-1)`` and ``|M^+|_2^2 = 1/lambda_min(M M^T)``,
-    so one stacked product gives every Gram ``G = M M^T`` and one stacked
-    ``eigvalsh`` its eigenvalues ``lambda``, with floating-point errors
-    ignored there and a Gram that is not finite zeroed first.  A subset is
-    decided by its Gram when ``G`` is finite, ``lambda_min >= 1e-2 *
-    lambda_max`` and ``lambda_min >= 1e-290``: then ``frob_sq = sum
-    1/lambda_i`` and ``spec_sq = min(1/lambda_min, frob_sq)``.  Forming
-    ``G`` (Higham, *Accuracy and Stability of Numerical Algorithms*,
-    section 3.5) and a backward-stable symmetric eigensolver give, by
-    Weyl's inequality, ``|lambda_hat_i - lambda_i| <= (gamma_{l+k} n + c n
-    u) lambda_max``, with ``u`` the unit roundoff.  Under the gate that is
-    at most 100 times as much relative to ``lambda_min``: about ``1e-12``
-    at ``(n, l + k) = (4, 7)``, where the measured error is ``4e-14``.
-    Such a subset has ``sigma_min / sigma_max >= 0.1``, far above the rank
-    rule, and both norms are finite.
+    With ``M = [a b_S]`` and its Gram ``G = M M^T``, ``|M^+|_F^2 =
+    tr(G^-1)`` and ``|M^+|_2^2 = 1/lambda_min(G)``.  The subsets, in
+    ``combinations`` order, go in batches of up to ``ENUMERATION_BATCH``
+    (4096) on the calling thread.
+
+    Pass 1, per batch.  One fancy index of ``b`` by the batch's ``(B, k)``
+    slice of one subset array gathers every ``M``, and one stacked product
+    forms every ``G``.  Plain elementwise numpy over the whole stack then
+    factors ``G = L L^T`` (Cholesky, column by column) and forms ``X =
+    L^-1`` by forward substitution, with floating-point errors ignored; so
+    each matrix's bits do not depend on its batch or its place in it.
+    ``frob_sq = |X|_F^2``.  A subset is *Cholesky-decided* when every
+    pivot (``L_jj^2``) is at least ``NORMAL_FLOOR`` (1e-290) and ``tr(G)
+    frob_sq <= KAPPA_CAP`` (400), which no infinite or NaN pivot, trace or
+    ``frob_sq`` passes; as ``tr(G) >= lambda_max`` and ``frob_sq >=
+    1/lambda_min``, this bounds ``kappa(G) <= 400``.
+
+    Its ``frob_sq`` is then within ``1e-12`` of ``tr(G^-1)``, to first
+    order in the unit roundoff ``u``.  Forming ``G`` (Higham, *Accuracy
+    and Stability of Numerical Algorithms*, section 3.5) and the Cholesky
+    factorisation (theorem 10.3) give ``L L^T = G + E`` with ``|E|_2 <=
+    (gamma_{l+k} + gamma_{n+1}) tr(G)``, since ``| |M| |M|^T |_2 <=
+    |M|_F^2 = tr(G)`` and likewise for ``L``; so ``tr((G + E)^-1)`` is
+    within ``(gamma_{l+k} + gamma_{n+1}) 400`` of ``tr(G^-1)``, relative.
+    Forward substitution (theorem 8.5) solves each column of ``X`` for
+    ``L`` perturbed by ``gamma_n |L|``, which moves ``|X|_F^2`` by at most
+    ``2 gamma_n (tr(G)/lambda_min)^(1/2) <= 2 gamma_n 20`` relative, and
+    the sum of squares adds ``gamma_{n^2}``.  At ``(n, l + k) = (4, 7)``
+    that is ``4976 u = 5.5e-13``, and it stays below ``1e-12`` while ``n +
+    l + k <= 19``.  The pivot floor keeps ``lambda_min >= tr(G)/400 >=
+    1e-290/400``, so underflow in forming and factoring ``G`` adds about
+    ``1e-31 n (l + k)`` at most.
 
     Every other subset (rank-deficient, ill-conditioned, or with a Gram
-    that overflows or underflows) takes the rank rule, from one stacked
-    ``np.linalg.svd(..., compute_uv=False)`` per batch under the caller's
-    floating-point error state: it is full rank when ``sigma_min >
-    DEFAULT_RANK_TOL * sigma_max``, and then ``frob_sq = sum sigma_i^-2``
-    and ``spec_sq = sigma_min^-2``, clamped to the Frobenius value.  So
-    the feasible set is the rank rule's.  Neither path goes through the
-    selector's norm helper or :func:`~colsel.linalg.thin_svd`.  Each
-    matrix's product and eigensolve do not depend on its batch, so exact
-    twins tie exactly, and one ``np.argmin`` per norm takes the first
-    optimum in ``combinations`` order.  Where no subset is feasible both
-    optima are ``()`` with an infinite norm.
+    that overflows, underflows or is not finite) takes the rank rule, from
+    one stacked ``np.linalg.svd(..., compute_uv=False)`` per batch under
+    the caller's floating-point error state: it is full rank when
+    ``sigma_min > DEFAULT_RANK_TOL * sigma_max``, and then ``frob_sq = sum
+    sigma_i^-2`` and ``spec_sq = sigma_min^-2``, clamped to the Frobenius
+    value, with infinite norms where rank-deficient or where a norm
+    overflows.  A Cholesky-decided subset has ``sigma_min / sigma_max >=
+    0.05``, far above the rank rule, and finite norms, so the feasible set
+    is the rank rule's.  ``frob_sq`` is final after pass 1, and one
+    ``np.argmin`` takes its first minimum.
+
+    Pass 2, the spectral optimum.  The largest squared row or column norm
+    of ``X`` is a lower bound ``lb`` on ``|X|_2^2 = 1/lambda_min(G)``,
+    kept from pass 1.  The rank-rule subsets have their exact ``spec_sq``
+    already.  Two probes, the Frobenius optimum and the Cholesky-decided
+    subset of least ``lb``, take theirs by the rule below, and the least
+    exact ``spec_sq`` so far is the bar: the spectral optimum is at most
+    the bar.  Then only the Cholesky-decided subsets with ``lb <= bar (1 +
+    LOWER_BOUND_SLACK)`` (``1e-9``) take theirs too.  Their ``G``, formed
+    again, goes to one stacked ``eigvalsh`` per batch, with floating-point
+    errors ignored.  Where ``lambda_min >= 1e-2 * lambda_max`` and
+    ``lambda_min >= NORMAL_FLOOR``, ``spec_sq = min(1/lambda_min,
+    frob_sq)``: a backward-stable symmetric eigensolver and Weyl's
+    inequality put that ``lambda_min`` within about ``1e-12`` relative.
+    The rest take ``spec_sq`` from the rank rule, clamped to the same
+    ``frob_sq``.  A subset left out has ``lb`` above the bar by ``1e-9``
+    relative, far more than the rounding of ``lb`` and of
+    ``1/lambda_min``, so its ``spec_sq`` would be above the bar: it can
+    neither win nor tie.  So the first minimum over the subsets that took
+    a ``spec_sq``, in ``combinations`` order, from one ``np.argmin``, is
+    the first minimum over all subsets.  Exact twins tie exactly, as every
+    matrix's bits are its own.  Where no subset is feasible both optima
+    are ``()`` with an infinite norm.  Neither pass goes through the
+    selector's norm helper or :func:`~colsel.linalg.thin_svd`.  The full
+    table, ``all_values``, is built only when read.
     """
     count = math.comb(prob.m, prob.k)
     if count > ENUMERATION_GUARD:
         raise TooLarge(
             f"C({prob.m}, {prob.k}) = {count} exceeds the {ENUMERATION_GUARD} subset guard"
         )
-    a, b, n, ell, k = prob.a.data, prob.b.data, prob.a.rows, prob.a.cols, prob.k
-    subsets = list(combinations(range(prob.m), k))
-    index = np.fromiter(chain.from_iterable(subsets), np.intp, count * k).reshape(count, k)
-    frob_sq = np.full(count, math.inf)
-    spec_sq = np.full(count, math.inf)
+    index = _subset_index(prob.m, prob.k)
+    frob_sq, spec_sq = np.empty(count), np.empty(count)
+    decided, lower = np.empty(count, bool), np.empty(count)
     for start in range(0, count, ENUMERATION_BATCH):
         rows = slice(start, start + ENUMERATION_BATCH)
-        batch = index[rows]
-        stack = np.empty((len(batch), n, ell + k))
-        stack[:, :, :ell] = a
-        # (n, B, k) -> (B, n, k): row i holds b's columns batch[i], in order
-        stack[:, :, ell:] = b[:, batch].transpose(1, 0, 2)
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            gram = stack @ stack.transpose(0, 2, 1)
-            finite = np.isfinite(gram).all(axis=(1, 2))
-            gram[~finite] = 0.0
-            lam = np.linalg.eigvalsh(gram)  # ascending
-        decided = finite & (lam[:, 0] >= 1e-2 * lam[:, -1]) & (lam[:, 0] >= 1e-290)
-        frob, spec = frob_sq[rows], spec_sq[rows]  # views: writing them fills the results
-        frob[decided] = np.sum(1.0 / lam[decided], axis=1)
-        spec[decided] = np.minimum(1.0 / lam[decided, 0], frob[decided])
-        if not decided.all():
-            frob[~decided], spec[~decided] = _rank_rule_norms(stack[~decided])
-    # the first minima, in combinations order; a subset is feasible iff its
-    # Frobenius norm is finite, and then so is its spectral one
-    i, j = int(np.argmin(frob_sq)), int(np.argmin(spec_sq))
-    feasible = frob_sq[i] < math.inf
+        _, frob_sq[rows], spec_sq[rows], decided[rows], lower[rows] = _first_pass(
+            prob, index[rows]
+        )
+    # a subset is feasible iff its Frobenius norm is finite, and then so is its spectral one
+    i = int(np.argmin(frob_sq))
+    num_feasible = int(np.count_nonzero(frob_sq < math.inf))
+    if not num_feasible:
+        return EnumerationResult((), (), math.inf, math.inf, count, 0, prob)
+    if decided.any():
+        # pass 1 left spec_sq exact on the rank rule's subsets and infinite on
+        # the others: two probes, the Frobenius optimum and the subset of least
+        # lb, make the smallest exact value the bar
+        probes = np.array(sorted({i, int(np.argmin(np.where(decided, lower, math.inf)))}))
+        probes = probes[decided[probes]]
+        spec_sq[probes] = _candidate_norms(prob, index, frob_sq, probes)
+        keep = decided & (lower <= spec_sq.min() * (1.0 + LOWER_BOUND_SLACK))
+        keep[probes] = False
+        candidates = np.flatnonzero(keep)
+        spec_sq[candidates] = _candidate_norms(prob, index, frob_sq, candidates)
+    j = int(np.argmin(spec_sq))
     return EnumerationResult(
-        best_subset_frob=subsets[i] if feasible else (),
-        best_subset_spec=subsets[j] if feasible else (),
+        best_subset_frob=tuple(index[i].tolist()),
+        best_subset_spec=tuple(index[j].tolist()),
         best_frob_sq=float(frob_sq[i]),
         best_spec_sq=float(spec_sq[j]),
-        all_values=dict(zip(subsets, zip(frob_sq.tolist(), spec_sq.tolist()))),
+        num_subsets=count,
+        num_feasible=num_feasible,
+        _problem=prob,
     )
+
+
+def _subset_index(m: int, k: int) -> np.ndarray:
+    """The ``(C(m, k), k)`` array of all size-``k`` subsets of ``range(m)``,
+    in ``combinations`` order."""
+    count = math.comb(m, k)
+    flat = np.fromiter(chain.from_iterable(combinations(range(m), k)), np.intp, count * k)
+    return flat.reshape(count, k)
+
+
+def _gather(prob: SelectionProblem, batch: np.ndarray) -> np.ndarray:
+    """The ``(B, n, l + k)`` stack of ``[a b_S]`` for the subsets ``batch``."""
+    a, b = prob.a.data, prob.b.data
+    stack = np.empty((len(batch), prob.a.rows, prob.a.cols + prob.k))
+    stack[:, :, : prob.a.cols] = a
+    # (n, B, k) -> (B, n, k): row i holds b's columns batch[i], in order
+    stack[:, :, prob.a.cols :] = b[:, batch].transpose(1, 0, 2)
+    return stack
+
+
+def _first_pass(
+    prob: SelectionProblem, batch: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Pass 1 of :func:`brute_force` on the subsets ``batch``: the stack of
+    their ``[a b_S]``, ``frob_sq``, ``spec_sq`` (the rank rule's where not
+    Cholesky-decided, else infinite), the Cholesky-decided mask and the
+    lower bound ``lb`` on ``spec_sq``."""
+    stack = _gather(prob, batch)
+    n = stack.shape[1]
+    with np.errstate(all="ignore"):
+        # the Grams, batch axis last: every operand below is a run of B contiguous values
+        g = (stack @ stack.transpose(0, 2, 1)).transpose(1, 2, 0).copy()
+        trace = g[0, 0].copy()
+        for p in range(1, n):
+            trace += g[p, p]
+        # G = L L^T, column by column and in place: a column of the Schur
+        # complement, then of L, overwrites G's lower triangle
+        pivots = np.empty((n, len(stack)))
+        for j in range(n):
+            col = g[j:, j]
+            for p in range(j):
+                col -= g[j:, p] * g[j, p]
+            pivots[j] = col[0]
+            g[j, j] = np.sqrt(col[0])
+            g[j + 1 :, j] = col[1:] / g[j, j]
+        # L X = I by forward substitution, one row of X = L^-1 at a time
+        inv = np.zeros_like(g)
+        for i in range(n):
+            row = np.zeros((n, len(stack)))
+            row[i] = 1.0
+            for p in range(i):
+                row -= g[i, p] * inv[p]
+            inv[i] = row / g[i, i]
+        sq = np.square(inv, out=inv)
+        row_sq, col_sq = sq[:, 0].copy(), sq[0].copy()
+        for p in range(1, n):
+            row_sq += sq[:, p]
+            col_sq += sq[p]
+        frob = row_sq[0].copy()
+        for p in range(1, n):
+            frob += row_sq[p]
+        # an infinite or NaN pivot, trace or frob_sq fails one of the two tests:
+        # a pivot is infinite only where a diagonal entry of G is
+        decided = (pivots >= NORMAL_FLOOR).all(axis=0) & (trace * frob <= KAPPA_CAP)
+        lower = np.maximum(row_sq.max(axis=0), col_sq.max(axis=0))
+    spec = np.full(len(stack), math.inf)
+    if not decided.all():
+        frob[~decided], spec[~decided] = _rank_rule_norms(stack[~decided])
+    return stack, frob, spec, decided, lower
+
+
+def _candidate_norms(
+    prob: SelectionProblem, index: np.ndarray, frob_sq: np.ndarray, candidates: np.ndarray
+) -> np.ndarray:
+    """``spec_sq`` of the Cholesky-decided subsets ``index[candidates]``,
+    whose ``frob_sq`` pass 1 took, per batch of ``ENUMERATION_BATCH``."""
+    spec = np.empty(len(candidates))
+    for start in range(0, len(candidates), ENUMERATION_BATCH):
+        rows = candidates[start : start + ENUMERATION_BATCH]
+        spec[start : start + len(rows)] = _spectral_norms(
+            _gather(prob, index[rows]), frob_sq[rows]
+        )
+    return spec
+
+
+def _spectral_norms(stack: np.ndarray, frob_sq: np.ndarray) -> np.ndarray:
+    """``spec_sq = min(1/lambda_min, frob_sq)`` of each Cholesky-decided
+    matrix of ``stack``, from the eigenvalues of its Gram where they are
+    well conditioned and from the rank rule elsewhere."""
+    with np.errstate(all="ignore"):
+        lam = np.linalg.eigvalsh(stack @ stack.transpose(0, 2, 1))  # ascending
+    conditioned = (lam[:, 0] >= 1e-2 * lam[:, -1]) & (lam[:, 0] >= NORMAL_FLOOR)
+    spec = np.empty(len(stack))
+    spec[conditioned] = 1.0 / lam[conditioned, 0]
+    if not conditioned.all():
+        spec[~conditioned] = _rank_rule_norms(stack[~conditioned])[1]
+    return np.minimum(spec, frob_sq)
 
 
 def _rank_rule_norms(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -357,7 +522,8 @@ def reference_scores(
     above where rounding stalls it (about ``3e-11 eps`` at degree 12).
     It needs a 64-bit ``longdouble`` mantissa, as on x86-64: with a
     ``longdouble`` that is a plain double, it is no more exact than the
-    scores it checks.
+    scores it checks.  Newton that has not stopped after
+    ``REFERENCE_NEWTON_STEPS`` (200) steps raises :class:`AlgorithmFailure`.
     """
     n = gram.shape[0]
     a, d = m - n - j, k - j
@@ -374,7 +540,7 @@ def reference_scores(
                   np.longdouble)
     y = rho[0].copy()
     active = np.arange(y.size)
-    for _ in range(200):
+    for _ in range(REFERENCE_NEWTON_STEPS):
         ya, rho_a = y[active], rho[:, active]
         e = np.zeros((q + 1, active.size), np.longdouble)  # e[t] = e_t(y - rho), by one recurrence
         e[0] = 1
@@ -391,4 +557,6 @@ def reference_scores(
         active = active[np.abs(step) > 1e-6 * eps]
         if not active.size:
             return y
-    raise AssertionError(f"reference Newton did not converge at partial size {j}")
+    raise AlgorithmFailure(
+        f"reference Newton did not converge in {REFERENCE_NEWTON_STEPS} steps at partial size {j}"
+    )

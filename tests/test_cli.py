@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from colsel import cli
+from colsel import cli, oracle
 from colsel.cli import main, parse_matrix_csv, serialize_report
 from colsel.errors import AlgorithmFailure, FormatError
 from colsel.linalg import DenseMatrix
@@ -491,3 +491,14 @@ def test_oracle_subcommand(tmp_path, capsys):
     assert payload["num_feasible"] == 4
     assert payload["best_frob_sq"] == pytest.approx(2.0)
     assert payload["greedy_frob_sq"] >= payload["best_frob_sq"] - 1e-12
+
+
+def test_oracle_reads_the_counts_not_the_table(tmp_path, capsys, monkeypatch):
+    def unread(self):
+        raise AssertionError("colsel oracle built the full table")
+
+    monkeypatch.setattr(oracle.EnumerationResult, "all_values", property(unread))
+    b = write(tmp_path, "b.csv", DOUBLED_IDENTITY_CSV)
+    assert main(["oracle", "--b", b, "-k", "2"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["num_subsets"], payload["num_feasible"]) == (6, 4)

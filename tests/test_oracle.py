@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from colsel import oracle
-from colsel.errors import InvalidInput, TooLarge
+from colsel.errors import AlgorithmFailure, InvalidInput, TooLarge
 from colsel.linalg import DEFAULT_RANK_TOL, DenseMatrix
 from colsel.oracle import (
     barrier,
@@ -20,7 +20,7 @@ from colsel.oracle import (
 )
 from colsel.poly import Polynomial, derivative, from_roots, smallest_root
 from colsel.selector import SelectionProblem, greedy_select
-from conftest import random_problem, random_real_rooted
+from conftest import random_isotropic, random_problem, random_real_rooted
 
 DOUBLED_IDENTITY = DenseMatrix([[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]])
 
@@ -82,6 +82,19 @@ def _selected(prob, subset):
     return np.hstack([prob.a.data, prob.b.data[:, list(subset)]])
 
 
+def _first_passes(patch):
+    """Patch ``oracle._first_pass`` so that each call appends its batch and
+    its results to the returned list."""
+    first_pass, calls = oracle._first_pass, []
+
+    def recording(prob, batch):
+        calls.append((batch.copy(), *first_pass(prob, batch)))
+        return calls[-1][1:]
+
+    patch.setattr(oracle, "_first_pass", recording)
+    return calls
+
+
 def test_brute_force_sends_the_svd_only_what_the_gram_cannot_decide(monkeypatch):
     rng = np.random.default_rng(151)
     b = rng.standard_normal((4, 11))
@@ -90,44 +103,66 @@ def test_brute_force_sends_the_svd_only_what_the_gram_cannot_decide(monkeypatch)
     b = DenseMatrix(np.hstack([b, b[:, :1]]))
     prob = SelectionProblem(a=DenseMatrix.zeros(4, 0), b=b, k=4)
     monkeypatch.setattr(oracle, "ENUMERATION_BATCH", 256)  # C(12, 4) = 495: two batches
-    eigvalsh, svd = np.linalg.eigvalsh, np.linalg.svd
-    grams, spectra, stacks = [], [], []
-
-    def capturing_eigvalsh(a, *args, **kwargs):
-        grams.append(a.copy())
-        spectra.append(eigvalsh(a, *args, **kwargs))
-        return spectra[-1]
+    svd, eigvalsh = np.linalg.svd, np.linalg.eigvalsh
+    calls = []
 
     def capturing_svd(a, *args, **kwargs):
-        stacks.append(a.copy())
+        calls.append(("svd", a.copy()))
         return svd(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", capturing_eigvalsh)
+    def capturing_eigvalsh(a, *args, **kwargs):
+        calls.append(("eigvalsh", a.copy()))
+        return eigvalsh(a, *args, **kwargs)
+
     monkeypatch.setattr(np.linalg, "svd", capturing_svd)
+    monkeypatch.setattr(np.linalg, "eigvalsh", capturing_eigvalsh)
+    passes = _first_passes(monkeypatch)
     result = brute_force(prob)
     subsets = list(combinations(range(prob.m), prob.k))
-    assert list(result.all_values) == subsets
-    # eigvalsh takes every batch's Grams, in combinations order
-    assert [gram.shape for gram in grams] == [(256, 4, 4), (239, 4, 4)]
-    for gram, subset in zip(np.concatenate(grams), subsets):
-        selected = _selected(prob, subset)
-        expected = selected @ selected.T
-        assert np.abs(gram - expected).max() <= 1e-14 * np.abs(expected).max(), subset
-    lam = np.concatenate(spectra)
-    decided = (lam[:, 0] >= 1e-2 * lam[:, -1]) & (lam[:, 0] >= 1e-290)
-    # the svd takes, in one call per batch, exactly the batch's undecided subsets, bit for bit
+    # pass 1 takes the batches in combinations order, then pass 2 runs
+    assert [len(batch) for batch, *_ in passes] == [256, 239]
+    assert [tuple(s) for batch, *_ in passes for s in batch.tolist()] == subsets
+    decided = np.concatenate([d for *_, d, _ in passes])
+    # the svd takes, in one call per batch and before any eigensolve,
+    # exactly the batch's undecided subsets, bit for bit
     undecided = [[s for s, d in zip(subsets[i : i + 256], decided[i : i + 256]) if not d]
                  for i in (0, 256)]
     assert all(undecided)
-    assert [stack.shape for stack in stacks] == [(len(u), 4, 4) for u in undecided]
-    for stack, batch in zip(stacks, undecided):
+    first_eigensolve = [kind for kind, _ in calls].index("eigvalsh")
+    assert [kind for kind, _ in calls[:first_eigensolve]] == ["svd", "svd"]
+    for (_, stack), batch in zip(calls, undecided):
+        assert stack.shape == (len(batch), 4, 4)
         for row, subset in zip(stack, batch):
             assert row.tobytes() == _selected(prob, subset).tobytes(), subset
-    rank_deficient = [s for s in subsets if s[0] == 0 and s[-1] == 11]
-    assert not decided[[subsets.index(s) for s in rank_deficient]].any()
+    # the gate: kappa(G) <= tr(G) tr(G^-1) <= 400, here from each subset's singular values
+    for subset, d in zip(subsets, decided):
+        s = np.linalg.svd(_selected(prob, subset), compute_uv=False)
+        if s[-1] <= DEFAULT_RANK_TOL * s[0]:
+            assert not d, subset
+            continue
+        product = np.sum(s * s) * np.sum(1.0 / (s * s))
+        if product <= 400 * (1 - 1e-9) or product >= 400 * (1 + 1e-9):
+            assert d == (product < 400), subset
     assert 0 < decided.sum() < 495
-    # a subset its Gram decides is feasible
+    # a subset its Cholesky factor decides is feasible
     assert all(math.isfinite(result.all_values[s][0]) for s, d in zip(subsets, decided) if d)
+
+
+def test_the_lower_bound_is_below_every_spectral_norm(monkeypatch):
+    # max(row and column norms of L^-1)^2 <= |L^-1|_2^2 = 1/lambda_min(G)
+    for n, m, ell, k in [(4, 14, 2, 5), (5, 10, 1, 4), (3, 9, 0, 4)]:
+        rng = np.random.default_rng([199, n, m])
+        prob = random_problem(rng, n, m, ell, k)
+        with monkeypatch.context() as patch:
+            passes = _first_passes(patch)
+            result = brute_force(prob)
+        decided = np.concatenate([d for *_, d, _ in passes])
+        lower = np.concatenate([lb for *_, lb in passes])
+        spec = np.array([v for _, v in result.all_values.values()])
+        assert decided.sum() >= len(decided) / 4
+        assert np.all(lower[decided] <= spec[decided] * (1 + 1e-12))
+        # the bound is not vacuous: a few subsets come close to it, most stay far below
+        assert np.median(lower[decided] / spec[decided]) > 0.5
 
 
 def _batch_problems():
@@ -176,24 +211,20 @@ def test_brute_force_is_bit_identical_on_every_batch_size(monkeypatch, name):
     prob = _batch_problems()[name]
     count = math.comb(prob.m, prob.k)
     assert 4 <= math.ceil(count / 256) <= 8 and count <= oracle.ENUMERATION_BATCH
-    eigvalsh = np.linalg.eigvalsh
-    calls = []
-
-    def counting_eigvalsh(a, *args, **kwargs):
-        calls.append(len(a))
-        return eigvalsh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
-    results = {}
+    passes = _first_passes(monkeypatch)
+    results, bits = {}, {}
     for size in (1, 7, 256, oracle.ENUMERATION_BATCH):
         monkeypatch.setattr(oracle, "ENUMERATION_BATCH", size)
-        calls.clear()
+        batches = [min(size, count - start) for start in range(0, count, size)]
+        passes.clear()
         results[size] = brute_force(prob)
-        # one eigensolve per batch
-        assert calls == [min(size, count - start) for start in range(0, count, size)]
-    result = results.pop(size)
-    for other in results.values():
-        assert _enumeration_bits(other) == _enumeration_bits(result)
+        # one first pass per batch, and the table, built when read, takes the same batches
+        assert [len(batch) for batch, *_ in passes] == batches
+        bits[size] = _enumeration_bits(results[size])
+        assert [len(batch) for batch, *_ in passes] == batches + batches
+    result = results[size]
+    for other in bits.values():
+        assert other == bits[size]
 
     order = list(combinations(range(prob.m), prob.k))
     assert list(result.all_values) == order
@@ -251,26 +282,18 @@ def _per_subset_values(prob):
 
 
 def _rank_rule_run(monkeypatch, prob):
-    """``brute_force(prob)``, and the subsets whose ``[a b_S]`` the stacked
-    SVD took, found by content."""
-    svd = np.linalg.svd
-    stacks = []
-
-    def capturing_svd(a, *args, **kwargs):
-        stacks.append(a.copy())
-        return svd(a, *args, **kwargs)
-
+    """``brute_force(prob)``, and the subsets that its first pass did not
+    decide by their Cholesky factors, which take the rank rule."""
     with monkeypatch.context() as patch:
-        patch.setattr(np.linalg, "svd", capturing_svd)
+        passes = _first_passes(patch)
         result = brute_force(prob)
-    taken = {row.tobytes() for stack in stacks for row in stack}
-    return result, {s for s in result.all_values if _selected(prob, s).tobytes() in taken}
+    return result, {tuple(s) for batch, *_, decided, _ in passes for s in batch[~decided].tolist()}
 
 
 def _assert_matches_the_per_subset_svd(result, rank_rule, expected):
     """The rank rule's Frobenius values equal the per-subset loop's bit for
-    bit, and its spectral ones to ``1e-15``; the Gram's agree with them to
-    the cross-tree tolerance ``1e-12``."""
+    bit, and its spectral ones to ``1e-15``; the Cholesky-decided ones agree
+    with them to the cross-tree tolerance ``1e-12``."""
     assert list(result.all_values) == list(expected)
     for subset, values in result.all_values.items():
         assert type(values[0]) is float and type(values[1]) is float
@@ -315,28 +338,75 @@ def test_brute_force_matches_the_per_subset_loop(monkeypatch, n, m, ell, k):
 
 # tools/compare_trees.py's brute-force shapes, (n, m, l, k, rank of the
 # fixed block or None for a Gaussian block)
-@pytest.mark.parametrize(
-    "n, m, ell, k, rank_a",
-    [(4, 14, 2, 5, None), (3, 9, 0, 4, None), (4, 12, 2, 6, None), (5, 10, 1, 4, None),
-     (4, 12, 3, 5, 1), (5, 14, 4, 4, 2)],
-)
+COMPARE_TREES_SHAPES = [
+    (4, 14, 2, 5, None), (3, 9, 0, 4, None), (4, 12, 2, 6, None), (5, 10, 1, 4, None),
+    (4, 12, 3, 5, 1), (5, 14, 4, 4, 2),
+]
+
+
+def _shape_problem(n, m, ell, k, rank_a, seed):
+    rng = np.random.default_rng([191, n, m, ell, k, seed])
+    if rank_a is None:
+        a = rng.standard_normal((n, ell))
+    else:
+        a = rng.standard_normal((n, rank_a)) @ rng.standard_normal((rank_a, ell))
+    return SelectionProblem(a=DenseMatrix(a), b=DenseMatrix(rng.standard_normal((n, m))), k=k)
+
+
+@pytest.mark.parametrize("n, m, ell, k, rank_a", COMPARE_TREES_SHAPES)
 def test_gram_decided_norms_match_the_per_subset_svd(monkeypatch, n, m, ell, k, rank_a):
     for seed in range(2):
-        rng = np.random.default_rng([191, n, m, ell, k, seed])
-        if rank_a is None:
-            a = rng.standard_normal((n, ell))
-        else:
-            a = rng.standard_normal((n, rank_a)) @ rng.standard_normal((rank_a, ell))
-        prob = SelectionProblem(a=DenseMatrix(a), b=DenseMatrix(rng.standard_normal((n, m))), k=k)
+        prob = _shape_problem(n, m, ell, k, rank_a, seed)
         result, rank_rule = _rank_rule_run(monkeypatch, prob)
         assert len(rank_rule) < len(result.all_values)
         _assert_matches_the_per_subset_svd(result, rank_rule, _per_subset_values(prob))
 
 
+@pytest.mark.parametrize(
+    "prob",
+    [*_batch_problems().values(), *(_shape_problem(*shape, 0) for shape in COMPARE_TREES_SHAPES)],
+    ids=[*_batch_problems(), *("-".join(map(str, shape)) for shape in COMPARE_TREES_SHAPES)],
+)
+def test_the_optima_are_the_first_minima_of_the_table(prob):
+    # brute_force takes the spectral optimum from the subsets its lower bound
+    # keeps; the table, built afterwards, holds every subset's norms
+    result = brute_force(prob)
+    assert "all_values" not in vars(result)
+    order = list(result.all_values)
+    assert len(order) == result.num_subsets
+    values = np.array(list(result.all_values.values()))
+    assert np.count_nonzero(np.isfinite(values[:, 0])) == result.num_feasible
+    for norm, best, best_sq in [
+        (0, result.best_subset_frob, result.best_frob_sq),
+        (1, result.best_subset_spec, result.best_spec_sq),
+    ]:
+        i = int(np.argmin(values[:, norm]))  # the first minimum
+        assert np.float64(best_sq).tobytes() == values[i, norm].tobytes()
+        assert best == (order[i] if result.num_feasible else ())
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_eigvalsh_sees_few_subsets_while_the_table_is_unread(monkeypatch, seed):
+    prob = random_problem(np.random.default_rng(seed), n=4, m=14, ell=2, k=5)
+    eigvalsh, seen = np.linalg.eigvalsh, []
+
+    def counting_eigvalsh(a, *args, **kwargs):
+        seen.append(len(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    result = brute_force(prob)
+    assert "all_values" not in vars(result)
+    assert 0 < sum(seen) <= 0.1 * result.num_subsets
+    assert result.num_subsets == 2002
+    spec = [v for _, v in result.all_values.values()]
+    assert list(result.all_values)[int(np.argmin(spec))] == result.best_subset_spec
+
+
 @pytest.mark.parametrize("scale", [1e-150, 1e-160])
 def test_tiny_columns_take_the_rank_rule(monkeypatch, scale):
     # at 1e-150 a subset of three tiny columns is feasible, but its Gram's
-    # lambda_min is below the 1e-290 floor; at 1e-160 its Gram underflows
+    # Cholesky pivots are below the 1e-290 floor; at 1e-160 its Gram underflows
     rng = np.random.default_rng(193)
     b = np.hstack([rng.standard_normal((3, 6)), scale * rng.standard_normal((3, 5))])
     prob = SelectionProblem(a=DenseMatrix.zeros(3, 0), b=DenseMatrix(b), k=3)
@@ -349,6 +419,46 @@ def test_tiny_columns_take_the_rank_rule(monkeypatch, scale):
     _assert_matches_the_per_subset_svd(result, rank_rule, expected)
     assert all(result.all_values[s] == expected[s] for s in tiny)  # bit for bit
     assert math.isfinite(result.all_values[(6, 7, 8)][0]) == (scale == 1e-150)
+
+
+def test_non_finite_grams_take_the_rank_rule():
+    # SelectionProblem refuses columns whose Gram overflows (its baseline
+    # norms leave the normal range), so the data is swapped in afterwards.
+    # Columns 4 and 5 have norms about 1e160: every Gram holding one
+    # overflows, and the rank rule finds (4, 5) feasible, with sigma_min^2
+    # about 5e299, and all the others rank-deficient.
+    rng = np.random.default_rng(197)
+    prob = random_problem(rng, n=2, m=6, ell=0, k=2)
+    huge = np.hstack([rng.standard_normal((2, 4)), [[1e160, 1e160], [0.0, 1e150]]])
+    object.__setattr__(prob, "b", DenseMatrix(huge))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = brute_force(prob)
+        values = result.all_values
+    expected = _per_subset_values(prob)
+    overflowing = [s for s in values if s[-1] >= 4]
+    with np.errstate(over="ignore"):
+        for subset in overflowing:
+            selected = _selected(prob, subset)
+            assert not np.isfinite(selected @ selected.T).all(), subset
+    assert len(overflowing) == 9
+    for subset in overflowing:
+        assert np.array(values[subset]).tobytes() == np.array(expected[subset]).tobytes(), subset
+    assert math.isfinite(values[(4, 5)][0]) and math.isinf(values[(0, 4)][0])
+    # the feasible subset of tiny norms is both optima
+    assert result.best_subset_frob == result.best_subset_spec == (4, 5)
+    assert result.best_frob_sq == values[(4, 5)][0]
+
+
+def test_reference_newton_raises_when_out_of_steps(monkeypatch):
+    inst = random_isotropic(np.random.default_rng(211), n=3, m=8, ell=0, k=4)
+    gram, v = np.zeros((3, 3)), inst.candidates
+    eps = 1e-6
+    scores = oracle.reference_scores(gram, v, inst.m, inst.k, 0, eps)
+    assert scores.shape == (8,)
+    monkeypatch.setattr(oracle, "REFERENCE_NEWTON_STEPS", 1)
+    with pytest.raises(AlgorithmFailure, match="in 1 steps at partial size 0"):
+        oracle.reference_scores(gram, v, inst.m, inst.k, 0, eps)
 
 
 def test_brute_force_ties_go_to_the_first_subset_across_batches(monkeypatch):

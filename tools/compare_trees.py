@@ -54,9 +54,12 @@ and 1.52 s on a 2-vCPU machine), so speed claims come from alternating
 value, best subset or feasible set differs, if a root at ``n <= 6`` is
 contradicted, or if a brute-force norm's
 largest relative difference exceeds ``BRUTE_FORCE_RTOL`` (1e-12): a
-norm taken from a well-conditioned subset's Gram eigenvalues and the
-same norm from its singular values differ by about ``4e-14`` relative,
-and two ways of taking the same singular values by a few ulps.
+Frobenius norm taken from a well-conditioned subset's Cholesky factor
+is within ``5.5e-13`` of exact by its error bound at the oracle shape
+(measured: within about ``4e-14`` of the same norm from singular
+values or Gram eigenvalues), a spectral norm from the Gram's eigenvalues
+about as close, and two ways of taking the same singular values differ
+by a few ulps.
 """
 from __future__ import annotations
 
