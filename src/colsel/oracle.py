@@ -1,13 +1,13 @@
 """Independent cross-check machinery: enumeration (per batch of up to 4096
-subsets, on the calling thread, one column gather, one stacked Gram
-product and an elementwise Cholesky factorisation that decides the
-Frobenius norm of every well-conditioned subset, one stacked
-singular-value call for the rest, and ``eigvalsh`` only for the subsets
-whose lower bound leaves them in reach of the spectral optimum; one
-``np.argmin`` per norm for the first optimum, and the full table only when
-read), barriers, companion roots, the monomial-basis expected-polynomial
-pipeline, the stacked ``y``-basis transform (one eigensolve per candidate
-Gram), and the ``longdouble`` reference scores.
+subsets, on the calling thread, every Gram summed from per-column outer
+products and an elementwise Cholesky factorisation that decides the
+Frobenius norm of every well-conditioned subset, one column gather and
+one stacked singular-value call for the rest, and ``eigvalsh`` only for
+the subsets whose lower bound leaves them in reach of the spectral
+optimum; one ``np.argmin`` per norm for the first optimum, and the full
+table only when read), barriers, companion roots, the monomial-basis
+expected-polynomial pipeline, the stacked ``y``-basis transform (one
+eigensolve per candidate Gram), and the ``longdouble`` reference scores.
 
 Nothing here shares a code path with the root search, the greedy loop or
 the selector's subset norms, which is the point: these are the oracles the
@@ -94,12 +94,8 @@ class EnumerationResult:
     def all_values(self) -> dict[tuple[int, ...], tuple[float, float]]:
         prob = self._problem
         index = _subset_index(prob.m, prob.k)
-        frob_sq, spec_sq = np.empty(len(index)), np.empty(len(index))
-        for start in range(0, len(index), ENUMERATION_BATCH):
-            rows = slice(start, start + ENUMERATION_BATCH)
-            stack, frob_sq[rows], spec_sq[rows], decided, _ = _first_pass(prob, index[rows])
-            spec = spec_sq[rows]  # a view: writing it fills the table
-            spec[decided] = _spectral_norms(stack[decided], frob_sq[rows][decided])
+        frob_sq, spec_sq, decided, _ = _first_pass_table(prob, index)
+        spec_sq[decided] = _candidate_norms(prob, index, frob_sq, np.flatnonzero(decided))
         subsets = map(tuple, index.tolist())
         return dict(zip(subsets, zip(frob_sq.tolist(), spec_sq.tolist())))
 
@@ -112,21 +108,26 @@ def brute_force(prob: SelectionProblem) -> EnumerationResult:
     ``combinations`` order, go in batches of up to ``ENUMERATION_BATCH``
     (4096) on the calling thread.
 
-    Pass 1, per batch.  One fancy index of ``b`` by the batch's ``(B, k)``
-    slice of one subset array gathers every ``M``, and one stacked product
-    forms every ``G``.  Plain elementwise numpy over the whole stack then
-    factors ``G = L L^T`` (Cholesky, column by column) and forms ``X =
-    L^-1`` by forward substitution, with floating-point errors ignored; so
-    each matrix's bits do not depend on its batch or its place in it.
-    ``frob_sq = |X|_F^2``.  A subset is *Cholesky-decided* when every
-    pivot (``L_jj^2``) is at least ``NORMAL_FLOOR`` (1e-290) and ``tr(G)
-    frob_sq <= KAPPA_CAP`` (400), which no infinite or NaN pivot, trace or
-    ``frob_sq`` passes; as ``tr(G) >= lambda_max`` and ``frob_sq >=
-    1/lambda_min``, this bounds ``kappa(G) <= 400``.
+    Pass 1, per batch.  Every ``G`` is formed with the batch axis last,
+    from the outer products ``b_i b_i^T`` of ``b``'s columns, held as one
+    ``(n^2, m)`` array: ``a a^T``, once per batch, plus one contiguous
+    ``take`` of that array per position of the batch's ``(B, k)`` slice of
+    one subset array, in subset order.  No ``M`` is gathered.  Plain
+    elementwise numpy over the whole stack then factors ``G = L L^T``
+    (Cholesky, column by column) and forms ``X = L^-1`` by forward
+    substitution, with floating-point errors ignored; so each matrix's
+    bits depend only on ``a`` and its own columns in order, not on its
+    batch or its place in it.  ``frob_sq = |X|_F^2``.  A subset is
+    *Cholesky-decided* when every pivot (``L_jj^2``) is at least
+    ``NORMAL_FLOOR`` (1e-290) and ``tr(G) frob_sq <= KAPPA_CAP`` (400),
+    which no infinite or NaN pivot, trace or ``frob_sq`` passes; as
+    ``tr(G) >= lambda_max`` and ``frob_sq >= 1/lambda_min``, this bounds
+    ``kappa(G) <= 400``.
 
     Its ``frob_sq`` is then within ``1e-12`` of ``tr(G^-1)``, to first
-    order in the unit roundoff ``u``.  Forming ``G`` (Higham, *Accuracy
-    and Stability of Numerical Algorithms*, section 3.5) and the Cholesky
+    order in the unit roundoff ``u``.  Forming ``G``, each entry a sum of
+    ``l + k`` rounded products in some order (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, section 3.5), and the Cholesky
     factorisation (theorem 10.3) give ``L L^T = G + E`` with ``|E|_2 <=
     (gamma_{l+k} + gamma_{n+1}) tr(G)``, since ``| |M| |M|^T |_2 <=
     |M|_F^2 = tr(G)`` and likewise for ``L``; so ``tr((G + E)^-1)`` is
@@ -141,9 +142,10 @@ def brute_force(prob: SelectionProblem) -> EnumerationResult:
     ``1e-31 n (l + k)`` at most.
 
     Every other subset (rank-deficient, ill-conditioned, or with a Gram
-    that overflows, underflows or is not finite) takes the rank rule, from
-    one stacked ``np.linalg.svd(..., compute_uv=False)`` per batch under
-    the caller's floating-point error state: it is full rank when
+    that overflows, underflows or is not finite) takes the rank rule: one
+    fancy index of ``b`` gathers its ``M``, and one stacked
+    ``np.linalg.svd(..., compute_uv=False)`` per batch, under the caller's
+    floating-point error state, finds it full rank when
     ``sigma_min > DEFAULT_RANK_TOL * sigma_max``, and then ``frob_sq = sum
     sigma_i^-2`` and ``spec_sq = sigma_min^-2``, clamped to the Frobenius
     value, with infinite norms where rank-deficient or where a norm
@@ -160,11 +162,12 @@ def brute_force(prob: SelectionProblem) -> EnumerationResult:
     exact ``spec_sq`` so far is the bar: the spectral optimum is at most
     the bar.  Then only the Cholesky-decided subsets with ``lb <= bar (1 +
     LOWER_BOUND_SLACK)`` (``1e-9``) take theirs too.  Their ``G``, formed
-    again, goes to one stacked ``eigvalsh`` per batch, with floating-point
-    errors ignored.  Where ``lambda_min >= 1e-2 * lambda_max`` and
-    ``lambda_min >= NORMAL_FLOOR``, ``spec_sq = min(1/lambda_min,
-    frob_sq)``: a backward-stable symmetric eigensolver and Weyl's
-    inequality put that ``lambda_min`` within about ``1e-12`` relative.
+    again in the same way, goes to one stacked ``eigvalsh`` per batch,
+    with floating-point errors ignored.  Where ``lambda_min >= 1e-2 *
+    lambda_max`` and ``lambda_min >= NORMAL_FLOOR``, ``spec_sq =
+    min(1/lambda_min, frob_sq)``: a backward-stable symmetric eigensolver
+    and Weyl's inequality put that ``lambda_min`` within about ``1e-12``
+    relative.
     The rest take ``spec_sq`` from the rank rule, clamped to the same
     ``frob_sq``.  A subset left out has ``lb`` above the bar by ``1e-9``
     relative, far more than the rounding of ``lb`` and of
@@ -183,13 +186,7 @@ def brute_force(prob: SelectionProblem) -> EnumerationResult:
             f"C({prob.m}, {prob.k}) = {count} exceeds the {ENUMERATION_GUARD} subset guard"
         )
     index = _subset_index(prob.m, prob.k)
-    frob_sq, spec_sq = np.empty(count), np.empty(count)
-    decided, lower = np.empty(count, bool), np.empty(count)
-    for start in range(0, count, ENUMERATION_BATCH):
-        rows = slice(start, start + ENUMERATION_BATCH)
-        _, frob_sq[rows], spec_sq[rows], decided[rows], lower[rows] = _first_pass(
-            prob, index[rows]
-        )
+    frob_sq, spec_sq, decided, lower = _first_pass_table(prob, index)
     # a subset is feasible iff its Frobenius norm is finite, and then so is its spectral one
     i = int(np.argmin(frob_sq))
     num_feasible = int(np.count_nonzero(frob_sq < math.inf))
@@ -226,6 +223,26 @@ def _subset_index(m: int, k: int) -> np.ndarray:
     return flat.reshape(count, k)
 
 
+def _grams(prob: SelectionProblem, batch: np.ndarray) -> np.ndarray:
+    """The ``(n, n, B)`` stack of the Grams ``G = M M^T`` of ``M = [a
+    b_S]`` for the subsets ``batch``, batch axis last: ``a a^T``, then
+    ``b_i b_i^T`` for each column ``i`` of the subset in order, with
+    floating-point errors ignored.  Each entry is a sum of ``l + k``
+    rounded products, each ``G`` is exactly symmetric, and its bits depend
+    only on ``a`` and its own columns in order."""
+    a, b = prob.a.data, prob.b.data
+    n = prob.a.rows
+    with np.errstate(all="ignore"):
+        # (n^2, m): column i holds b_i b_i^T, so a take along axis 1 is contiguous
+        outer = (b[:, None] * b[None]).reshape(n * n, prob.m)
+        fixed = (a[:, None] * a[None]).reshape(n * n, prob.a.cols).sum(axis=1, keepdims=True)
+        grams = outer.take(batch[:, 0], axis=1)
+        grams += fixed
+        for t in range(1, prob.k):
+            grams += outer.take(batch[:, t], axis=1)
+    return grams.reshape(n, n, len(batch))
+
+
 def _gather(prob: SelectionProblem, batch: np.ndarray) -> np.ndarray:
     """The ``(B, n, l + k)`` stack of ``[a b_S]`` for the subsets ``batch``."""
     a, b = prob.a.data, prob.b.data
@@ -236,24 +253,37 @@ def _gather(prob: SelectionProblem, batch: np.ndarray) -> np.ndarray:
     return stack
 
 
+def _first_pass_table(
+    prob: SelectionProblem, index: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_first_pass` on every subset of ``index``, per batch of
+    ``ENUMERATION_BATCH``, its four results concatenated."""
+    count = len(index)
+    frob_sq, spec_sq = np.empty(count), np.empty(count)
+    decided, lower = np.empty(count, bool), np.empty(count)
+    for start in range(0, count, ENUMERATION_BATCH):
+        rows = slice(start, start + ENUMERATION_BATCH)
+        frob_sq[rows], spec_sq[rows], decided[rows], lower[rows] = _first_pass(prob, index[rows])
+    return frob_sq, spec_sq, decided, lower
+
+
 def _first_pass(
     prob: SelectionProblem, batch: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Pass 1 of :func:`brute_force` on the subsets ``batch``: the stack of
-    their ``[a b_S]``, ``frob_sq``, ``spec_sq`` (the rank rule's where not
-    Cholesky-decided, else infinite), the Cholesky-decided mask and the
-    lower bound ``lb`` on ``spec_sq``."""
-    stack = _gather(prob, batch)
-    n = stack.shape[1]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Pass 1 of :func:`brute_force` on the subsets ``batch``: ``frob_sq``,
+    ``spec_sq`` (the rank rule's where not Cholesky-decided, else
+    infinite), the Cholesky-decided mask and the lower bound ``lb`` on
+    ``spec_sq``."""
+    # batch axis last: every operand below is a run of B contiguous values
+    g = _grams(prob, batch)
+    n = g.shape[0]
     with np.errstate(all="ignore"):
-        # the Grams, batch axis last: every operand below is a run of B contiguous values
-        g = (stack @ stack.transpose(0, 2, 1)).transpose(1, 2, 0).copy()
         trace = g[0, 0].copy()
         for p in range(1, n):
             trace += g[p, p]
         # G = L L^T, column by column and in place: a column of the Schur
         # complement, then of L, overwrites G's lower triangle
-        pivots = np.empty((n, len(stack)))
+        pivots = np.empty((n, len(batch)))
         for j in range(n):
             col = g[j:, j]
             for p in range(j):
@@ -264,7 +294,7 @@ def _first_pass(
         # L X = I by forward substitution, one row of X = L^-1 at a time
         inv = np.zeros_like(g)
         for i in range(n):
-            row = np.zeros((n, len(stack)))
+            row = np.zeros((n, len(batch)))
             row[i] = 1.0
             for p in range(i):
                 row -= g[i, p] * inv[p]
@@ -281,10 +311,10 @@ def _first_pass(
         # a pivot is infinite only where a diagonal entry of G is
         decided = (pivots >= NORMAL_FLOOR).all(axis=0) & (trace * frob <= KAPPA_CAP)
         lower = np.maximum(row_sq.max(axis=0), col_sq.max(axis=0))
-    spec = np.full(len(stack), math.inf)
+    spec = np.full(len(batch), math.inf)
     if not decided.all():
-        frob[~decided], spec[~decided] = _rank_rule_norms(stack[~decided])
-    return stack, frob, spec, decided, lower
+        frob[~decided], spec[~decided] = _rank_rule_norms(_gather(prob, batch[~decided]))
+    return frob, spec, decided, lower
 
 
 def _candidate_norms(
@@ -295,23 +325,23 @@ def _candidate_norms(
     spec = np.empty(len(candidates))
     for start in range(0, len(candidates), ENUMERATION_BATCH):
         rows = candidates[start : start + ENUMERATION_BATCH]
-        spec[start : start + len(rows)] = _spectral_norms(
-            _gather(prob, index[rows]), frob_sq[rows]
-        )
+        spec[start : start + len(rows)] = _spectral_norms(prob, index[rows], frob_sq[rows])
     return spec
 
 
-def _spectral_norms(stack: np.ndarray, frob_sq: np.ndarray) -> np.ndarray:
+def _spectral_norms(
+    prob: SelectionProblem, batch: np.ndarray, frob_sq: np.ndarray
+) -> np.ndarray:
     """``spec_sq = min(1/lambda_min, frob_sq)`` of each Cholesky-decided
-    matrix of ``stack``, from the eigenvalues of its Gram where they are
+    subset of ``batch``, from the eigenvalues of its Gram where they are
     well conditioned and from the rank rule elsewhere."""
     with np.errstate(all="ignore"):
-        lam = np.linalg.eigvalsh(stack @ stack.transpose(0, 2, 1))  # ascending
+        lam = np.linalg.eigvalsh(_grams(prob, batch).transpose(2, 0, 1))  # ascending
     conditioned = (lam[:, 0] >= 1e-2 * lam[:, -1]) & (lam[:, 0] >= NORMAL_FLOOR)
-    spec = np.empty(len(stack))
+    spec = np.empty(len(batch))
     spec[conditioned] = 1.0 / lam[conditioned, 0]
     if not conditioned.all():
-        spec[~conditioned] = _rank_rule_norms(stack[~conditioned])[1]
+        spec[~conditioned] = _rank_rule_norms(_gather(prob, batch[~conditioned]))[1]
     return np.minimum(spec, frob_sq)
 
 

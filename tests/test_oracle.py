@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -362,6 +363,36 @@ def test_gram_decided_norms_match_the_per_subset_svd(monkeypatch, n, m, ell, k, 
         _assert_matches_the_per_subset_svd(result, rank_rule, _per_subset_values(prob))
 
 
+def test_built_grams_are_symmetric_and_within_the_forming_bound():
+    # each entry of G = M M^T, M = [a b_S], is a sum of l + k rounded
+    # products: |fl(G) - G| <= gamma_{l+k} |M| |M|^T entrywise (Higham, section 3.5)
+    u = Fraction(1, 2**53)
+    worst = Fraction(0)
+    for shape in COMPARE_TREES_SHAPES:
+        for seed in range(2):
+            prob = _shape_problem(*shape, seed)
+            index = oracle._subset_index(prob.m, prob.k)
+            rng = np.random.default_rng([223, *shape[:4], seed])
+            batch = index[np.sort(rng.choice(len(index), 24, replace=False))]
+            grams = oracle._grams(prob, batch)
+            assert grams.shape == (prob.a.rows, prob.a.rows, len(batch))
+            assert np.array_equal(grams, grams.transpose(1, 0, 2))
+            width = prob.a.cols + prob.k
+            gamma = width * u / (1 - width * u)
+            for subset, gram in zip(batch, grams.transpose(2, 0, 1)):
+                rows = [list(map(Fraction, row)) for row in _selected(prob, subset).tolist()]
+                # the lower triangle: the upper one is its mirror, bit for bit
+                for p in range(len(rows)):
+                    for q in range(p + 1):
+                        products = [x * y for x, y in zip(rows[p], rows[q])]
+                        error = abs(Fraction(gram[p, q]) - sum(products))
+                        bound = gamma * sum(map(abs, products))
+                        assert error <= bound, (shape, seed, subset.tolist(), p, q)
+                        worst = max(worst, error / bound)
+    # rounding did occur, so the bound was tested, and it stays well inside it
+    assert 0 < worst < 1
+
+
 @pytest.mark.parametrize(
     "prob",
     [*_batch_problems().values(), *(_shape_problem(*shape, 0) for shape in COMPARE_TREES_SHAPES)],
@@ -401,6 +432,31 @@ def test_eigvalsh_sees_few_subsets_while_the_table_is_unread(monkeypatch, seed):
     assert result.num_subsets == 2002
     spec = [v for _, v in result.all_values.values()]
     assert list(result.all_values)[int(np.argmin(spec))] == result.best_subset_spec
+
+
+def test_only_the_rank_rule_gathers_the_selected_columns(monkeypatch):
+    # the Cholesky pass and eigvalsh take their Grams from the per-column
+    # outer products: [a b_S] is gathered only for the singular values
+    gather, rank_rule_norms, rows = oracle._gather, oracle._rank_rule_norms, [0, 0]
+
+    def counting_gather(prob, batch):
+        rows[0] += len(batch)
+        return gather(prob, batch)
+
+    def counting_rank_rule_norms(stack):
+        rows[1] += len(stack)
+        return rank_rule_norms(stack)
+
+    monkeypatch.setattr(oracle, "_gather", counting_gather)
+    monkeypatch.setattr(oracle, "_rank_rule_norms", counting_rank_rule_norms)
+    for seed in range(10):
+        prob = random_problem(np.random.default_rng(seed), n=4, m=14, ell=2, k=5)
+        result = brute_force(prob)
+        assert rows[0] == rows[1], seed
+        # and so does the table, built when read
+        assert len(result.all_values) == 2002
+        assert rows[0] == rows[1], seed
+    assert 0 < rows[1] < 2002
 
 
 @pytest.mark.parametrize("scale", [1e-150, 1e-160])
@@ -483,6 +539,26 @@ def test_brute_force_ties_go_to_the_first_subset_across_batches(monkeypatch):
             across[norm] += reaching[0] < 256 <= reaching[-1]
     # the exact copies that reach the minimum fall in different batches of 256
     assert min(across) > 0
+
+
+@pytest.mark.parametrize("v", [5, 6])
+def test_spanning_trees_of_the_complete_graph(v):
+    # The incidence matrix of K_v has one column per edge (i, j), i < j, with
+    # 1 in row i and -1 in row j; grounding vertex 0 drops its row.  A set of
+    # v - 1 edges gives a nonsingular b_S iff it is a spanning tree, and then
+    # |b_S^-1|_F^2 is the sum of the tree's vertex depths below vertex 0.
+    # The first v - 1 edges are the star at vertex 0, where b_S = -I: the
+    # only tree of depth 1, so both norms' unique optimum.
+    edges = list(combinations(range(v), 2))
+    incidence = np.zeros((v, len(edges)))
+    for e, (i, j) in enumerate(edges):
+        incidence[i, e], incidence[j, e] = 1.0, -1.0
+    prob = SelectionProblem(a=DenseMatrix.zeros(v - 1, 0), b=DenseMatrix(incidence[1:]), k=v - 1)
+    result = brute_force(prob)
+    assert result.num_subsets == math.comb(len(edges), v - 1)
+    assert result.num_feasible == v ** (v - 2)  # Cayley's formula
+    assert result.best_subset_frob == result.best_subset_spec == tuple(range(v - 1))
+    assert result.best_frob_sq == v - 1 and result.best_spec_sq == 1.0
 
 
 def test_brute_force_guard():

@@ -44,22 +44,24 @@ and calls that did, and one on a shape with ``n <= 6`` in either tree
 sets exit status 1.
 
 Every instance with ``C(m, k) <= 2002`` (all shapes but the first and
-the last four) also runs ``brute_force``; the comparison lists the instances
-whose best subsets or sets of feasible subsets differ and reports the
-largest relative difference of each norm over the subsets feasible in
-both.  It prints no wall times: one sequential run per tree is too
-noisy to compare speed (identical ``brute_force`` code has read 1.15 s
+the last four) also runs ``brute_force``; the comparison lists the
+instances whose best subsets or sets of feasible subsets differ and
+reports the largest relative difference of each norm over the subsets
+feasible in both, overall and on one line per brute-force shape.  It
+prints no wall times: one sequential run per tree is too noisy to
+compare speed (identical ``brute_force`` code has read 1.15 s
 and 1.52 s on a 2-vCPU machine), so speed claims come from alternating
 ``benchmarks/run.py`` runs.  Exit status 1 if any outcome, subset, root
 value, best subset or feasible set differs, if a root at ``n <= 6`` is
 contradicted, or if a brute-force norm's
 largest relative difference exceeds ``BRUTE_FORCE_RTOL`` (1e-12): a
 Frobenius norm taken from a well-conditioned subset's Cholesky factor
-is within ``5.5e-13`` of exact by its error bound at the oracle shape
-(measured: within about ``4e-14`` of the same norm from singular
-values or Gram eigenvalues), a spectral norm from the Gram's eigenvalues
-about as close, and two ways of taking the same singular values differ
-by a few ulps.
+is within ``5.5e-13`` of exact by its error bound at the oracle shape,
+a spectral norm from the Gram's eigenvalues about as close, and two ways
+of taking the same singular values differ by a few ulps.  Measured
+between Grams summed from per-column outer products and Grams from one
+stacked matrix product: within ``2.6e-14`` for ``frob_sq`` and
+``4.8e-14`` for ``spec_sq``.
 """
 from __future__ import annotations
 
@@ -273,6 +275,22 @@ def last_step_errors(old: list[dict], new: list[dict]) -> str:
     return "last-step error / eps old {:.3g}, new {:.3g}".format(*worst)
 
 
+def brute_force_differences(enums: list[tuple]) -> dict[str, float]:
+    """The largest relative difference of each brute-force norm over the
+    subsets feasible in both trees, for the ``(shape, seed, old, new)``
+    records ``enums``."""
+    feasible_in_both = [
+        (value, ec["feasible"][s])
+        for _, _, eo, ec in enums
+        for s, value in eo["feasible"].items()
+        if s in ec["feasible"]
+    ]
+    return {
+        v: max((abs(c[i] - o[i]) / o[i] for o, c in feasible_in_both), default=0.0)
+        for i, v in enumerate(("frob_sq", "spec_sq"))
+    }
+
+
 def main(old_src: str, new_src: str) -> int:
     old, new = run(old_src), run(new_src)
     assert len(old) == len(new)
@@ -289,16 +307,7 @@ def main(old_src: str, new_src: str) -> int:
         for shape, seed, eo, ec in enums
         if eo["best"] != ec["best"] or eo["feasible"].keys() != ec["feasible"].keys()
     ]
-    feasible_in_both = [
-        (value, ec["feasible"][s])
-        for _, _, eo, ec in enums
-        for s, value in eo["feasible"].items()
-        if s in ec["feasible"]
-    ]
-    enum_worst = {
-        v: max((abs(c[i] - o[i]) / o[i] for o, c in feasible_in_both), default=0.0)
-        for i, v in enumerate(("frob_sq", "spec_sq"))
-    }
+    enum_worst = brute_force_differences(enums)
     errors = sorted({r["error"][0] for r in old + new if "error" in r})
     print(f"{len(old)} instances, {len(old) - len(pairs)} raising in either tree", *errors)
     print(f"  outcome mismatches: {len(outcomes)}", *outcomes)
@@ -323,6 +332,13 @@ def main(old_src: str, new_src: str) -> int:
     for v, rel in enum_worst.items():
         print(f"  max relative difference of {v} over feasible subsets: {rel:.2e}"
               f" (gate {BRUTE_FORCE_RTOL:.0e})")
+    print("  per shape (n, m, l, k, rank of the fixed block): instances;"
+          " max relative difference of frob_sq, spec_sq")
+    for shape in SHAPES:
+        rows = [e for e in enums if e[0] == list(shape[:5])]
+        if rows:
+            print("    {}: {}; {:.2e}, {:.2e}".format(
+                shape[:5], len(rows), *brute_force_differences(rows).values()))
     drift = max(enum_worst.values()) > BRUTE_FORCE_RTOL
     # below degree 7 every root is expected to keep its contract
     broken = [
