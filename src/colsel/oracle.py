@@ -1,13 +1,14 @@
-"""Independent cross-check machinery: enumeration (per batch of up to 4096
-subsets, on the calling thread, every Gram summed from per-column outer
-products and an elementwise Cholesky factorisation that decides the
-Frobenius norm of every well-conditioned subset, one column gather and
-one stacked singular-value call for the rest, and ``eigvalsh`` only for
-the subsets whose lower bound leaves them in reach of the spectral
-optimum; one ``np.argmin`` per norm for the first optimum, and the full
-table only when read), barriers, companion roots, the monomial-basis
-expected-polynomial pipeline, the stacked ``y``-basis transform (one
-eigensolve per candidate Gram), and the ``longdouble`` reference scores.
+"""Independent cross-check machinery: enumeration (one pass per batch of
+up to 4096 subsets, on the calling thread: every Gram summed from
+per-column outer products, an elementwise Cholesky factorisation that
+decides the Frobenius norm of every well-conditioned subset, one column
+gather and one stacked singular-value call for the rest, and
+``eigvalsh`` only for the subsets whose lower bound reaches a running
+spectral bar; one ``np.argmin`` per norm for the first optimum, and the
+full table, the same pass with nothing pruned, only when read),
+barriers, companion roots, the monomial-basis expected-polynomial
+pipeline, the stacked ``y``-basis transform (one eigensolve per
+candidate Gram), and the ``longdouble`` reference scores.
 
 Nothing here shares a code path with the root search, the greedy loop or
 the selector's subset norms, which is the point: these are the oracles the
@@ -56,8 +57,8 @@ ENUMERATION_BATCH = 4096
 # the Cholesky factor decides a subset only where tr(G) |L^-1|_F^2, which
 # bounds kappa(G), is at most this
 KAPPA_CAP = 400.0
-# the least Cholesky pivot and the least Gram eigenvalue either gate accepts: normal, with
-# room below them for the underflow of forming the Gram
+# the least Cholesky pivot the gate accepts: normal, with room below it for the underflow
+# of forming the Gram
 NORMAL_FLOOR = 1e-290
 # relative slack of the lower bound on |M^+|_2^2 that rules a subset out of the spectral optimum
 LOWER_BOUND_SLACK = 1e-9
@@ -76,10 +77,11 @@ class EnumerationResult:
     ``combinations`` order, to ``(frob_sq, spec_sq)``, the squared
     pseudoinverse norms of ``[a b_S]``; rank-deficient subsets, and
     full-rank ones whose norms overflow, get infinite norms so the map
-    stays total.  It is built on first access, in batches, by the kernel
-    :func:`brute_force` runs, so every value that :func:`brute_force` took
-    is the table's bit for bit, and the two optima are the first minima of
-    its columns in ``combinations`` order.
+    stays total.  It is built on first access by the batch loop that
+    :func:`brute_force` runs, with nothing pruned: every Cholesky-decided
+    subset takes ``eigvalsh``.  So every value that :func:`brute_force`
+    took is the table's bit for bit, and the two optima are the first
+    minima of its columns in ``combinations`` order.
     """
 
     best_subset_frob: tuple[int, ...]
@@ -94,8 +96,7 @@ class EnumerationResult:
     def all_values(self) -> dict[tuple[int, ...], tuple[float, float]]:
         prob = self._problem
         index = _subset_index(prob.m, prob.k)
-        frob_sq, spec_sq, decided, _ = _first_pass_table(prob, index)
-        spec_sq[decided] = _candidate_norms(prob, index, frob_sq, np.flatnonzero(decided))
+        frob_sq, spec_sq = _enumerate(prob, index, prune=False)
         subsets = map(tuple, index.tolist())
         return dict(zip(subsets, zip(frob_sq.tolist(), spec_sq.tolist())))
 
@@ -106,9 +107,10 @@ def brute_force(prob: SelectionProblem) -> EnumerationResult:
     With ``M = [a b_S]`` and its Gram ``G = M M^T``, ``|M^+|_F^2 =
     tr(G^-1)`` and ``|M^+|_2^2 = 1/lambda_min(G)``.  The subsets, in
     ``combinations`` order, go in batches of up to ``ENUMERATION_BATCH``
-    (4096) on the calling thread.
+    (4096) on the calling thread, and one pass over each batch, in two
+    steps, gives both norms before the next batch starts.
 
-    Pass 1, per batch.  Every ``G`` is formed with the batch axis last,
+    The Frobenius norm.  Every ``G`` is formed with the batch axis last,
     from the outer products ``b_i b_i^T`` of ``b``'s columns, held as one
     ``(n^2, m)`` array: ``a a^T``, once per batch, plus one contiguous
     ``take`` of that array per position of the batch's ``(B, k)`` slice of
@@ -151,34 +153,33 @@ def brute_force(prob: SelectionProblem) -> EnumerationResult:
     value, with infinite norms where rank-deficient or where a norm
     overflows.  A Cholesky-decided subset has ``sigma_min / sigma_max >=
     0.05``, far above the rank rule, and finite norms, so the feasible set
-    is the rank rule's.  ``frob_sq`` is final after pass 1, and one
-    ``np.argmin`` takes its first minimum.
+    is the rank rule's.  One ``np.argmin`` takes the first minimum of
+    ``frob_sq``.
 
-    Pass 2, the spectral optimum.  The largest squared row or column norm
-    of ``X`` is a lower bound ``lb`` on ``|X|_2^2 = 1/lambda_min(G)``,
-    kept from pass 1.  The rank-rule subsets have their exact ``spec_sq``
-    already.  Two probes, the Frobenius optimum and the Cholesky-decided
-    subset of least ``lb``, take theirs by the rule below, and the least
-    exact ``spec_sq`` so far is the bar: the spectral optimum is at most
-    the bar.  Then only the Cholesky-decided subsets with ``lb <= bar (1 +
-    LOWER_BOUND_SLACK)`` (``1e-9``) take theirs too.  Their ``G``, formed
-    again in the same way, goes to one stacked ``eigvalsh`` per batch,
-    with floating-point errors ignored.  Where ``lambda_min >= 1e-2 *
-    lambda_max`` and ``lambda_min >= NORMAL_FLOOR``, ``spec_sq =
-    min(1/lambda_min, frob_sq)``: a backward-stable symmetric eigensolver
-    and Weyl's inequality put that ``lambda_min`` within about ``1e-12``
-    relative.
-    The rest take ``spec_sq`` from the rank rule, clamped to the same
-    ``frob_sq``.  A subset left out has ``lb`` above the bar by ``1e-9``
-    relative, far more than the rounding of ``lb`` and of
-    ``1/lambda_min``, so its ``spec_sq`` would be above the bar: it can
-    neither win nor tie.  So the first minimum over the subsets that took
-    a ``spec_sq``, in ``combinations`` order, from one ``np.argmin``, is
-    the first minimum over all subsets.  Exact twins tie exactly, as every
-    matrix's bits are its own.  Where no subset is feasible both optima
-    are ``()`` with an infinite norm.  Neither pass goes through the
-    selector's norm helper or :func:`~colsel.linalg.thin_svd`.  The full
-    table, ``all_values``, is built only when read.
+    The spectral norm, in the same batch.  The largest squared row or
+    column norm of ``X`` is a lower bound ``lb`` on ``|X|_2^2 =
+    1/lambda_min(G)``.  The rank-rule subsets have their exact ``spec_sq``
+    already.  Two probes, the batch's Frobenius minimum and its
+    Cholesky-decided subset of least ``lb``, take theirs from
+    :func:`_spectral_norms`, and the least exact ``spec_sq`` so far, in
+    this batch and every earlier one, is the bar: the spectral optimum is
+    at most the bar, and the bar only falls.  Then only the batch's
+    Cholesky-decided subsets with ``lb <= bar (1 + LOWER_BOUND_SLACK)``
+    (``1e-9``) take theirs too.  :func:`_spectral_norms` forms their
+    ``G`` again in the same way, and one stacked ``eigvalsh`` gives
+    ``spec_sq = min(1/lambda_min, frob_sq)``, within about ``1e-12``
+    relative because the Cholesky gate bounds ``kappa(G) <= 400``.  A
+    subset left out has ``lb`` above a bar by ``1e-9`` relative, so above
+    the final bar too, far more than the rounding of ``lb`` and of
+    ``1/lambda_min``: its ``spec_sq`` would be above the final bar, and
+    it can neither win nor tie.  So the first minimum over the subsets
+    that took a ``spec_sq``, in ``combinations`` order, from one
+    ``np.argmin``, is the first minimum over all subsets.  Exact twins tie
+    exactly, as every matrix's bits are its own.  Where no subset is
+    feasible both optima are ``()`` with an infinite norm.  Nothing here
+    goes through the selector's norm helper or
+    :func:`~colsel.linalg.thin_svd`.  The full table, ``all_values``, is
+    the same batch loop with nothing pruned, run only when read.
     """
     count = math.comb(prob.m, prob.k)
     if count > ENUMERATION_GUARD:
@@ -186,24 +187,12 @@ def brute_force(prob: SelectionProblem) -> EnumerationResult:
             f"C({prob.m}, {prob.k}) = {count} exceeds the {ENUMERATION_GUARD} subset guard"
         )
     index = _subset_index(prob.m, prob.k)
-    frob_sq, spec_sq, decided, lower = _first_pass_table(prob, index)
+    frob_sq, spec_sq = _enumerate(prob, index, prune=True)
     # a subset is feasible iff its Frobenius norm is finite, and then so is its spectral one
-    i = int(np.argmin(frob_sq))
     num_feasible = int(np.count_nonzero(frob_sq < math.inf))
     if not num_feasible:
         return EnumerationResult((), (), math.inf, math.inf, count, 0, prob)
-    if decided.any():
-        # pass 1 left spec_sq exact on the rank rule's subsets and infinite on
-        # the others: two probes, the Frobenius optimum and the subset of least
-        # lb, make the smallest exact value the bar
-        probes = np.array(sorted({i, int(np.argmin(np.where(decided, lower, math.inf)))}))
-        probes = probes[decided[probes]]
-        spec_sq[probes] = _candidate_norms(prob, index, frob_sq, probes)
-        keep = decided & (lower <= spec_sq.min() * (1.0 + LOWER_BOUND_SLACK))
-        keep[probes] = False
-        candidates = np.flatnonzero(keep)
-        spec_sq[candidates] = _candidate_norms(prob, index, frob_sq, candidates)
-    j = int(np.argmin(spec_sq))
+    i, j = int(np.argmin(frob_sq)), int(np.argmin(spec_sq))
     return EnumerationResult(
         best_subset_frob=tuple(index[i].tolist()),
         best_subset_spec=tuple(index[j].tolist()),
@@ -253,27 +242,43 @@ def _gather(prob: SelectionProblem, batch: np.ndarray) -> np.ndarray:
     return stack
 
 
-def _first_pass_table(
-    prob: SelectionProblem, index: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`_first_pass` on every subset of ``index``, per batch of
-    ``ENUMERATION_BATCH``, its four results concatenated."""
-    count = len(index)
-    frob_sq, spec_sq = np.empty(count), np.empty(count)
-    decided, lower = np.empty(count, bool), np.empty(count)
-    for start in range(0, count, ENUMERATION_BATCH):
+def _enumerate(
+    prob: SelectionProblem, index: np.ndarray, prune: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """``frob_sq`` and ``spec_sq`` of every subset of ``index``, per batch
+    of ``ENUMERATION_BATCH``: :func:`_first_pass`, then
+    :func:`_spectral_norms` on the batch's Cholesky-decided subsets, all of
+    them, or where ``prune`` only the two probes and those whose ``lb``
+    reaches the running bar; the others keep an infinite ``spec_sq``."""
+    frob_sq, spec_sq = np.empty(len(index)), np.empty(len(index))
+    bar = math.inf
+    for start in range(0, len(index), ENUMERATION_BATCH):
         rows = slice(start, start + ENUMERATION_BATCH)
-        frob_sq[rows], spec_sq[rows], decided[rows], lower[rows] = _first_pass(prob, index[rows])
-    return frob_sq, spec_sq, decided, lower
+        batch = index[rows]
+        frob_sq[rows], spec_sq[rows], decided, lower = _first_pass(prob, batch)
+        frob, spec = frob_sq[rows], spec_sq[rows]  # views
+        keep = decided
+        if prune:
+            least = np.argmin(np.where(decided, lower, math.inf))
+            # not np.unique, which imports numpy.ma: 1.7 MB more peak memory
+            probes = np.array(sorted({np.argmin(frob), least}))
+            probes = probes[decided[probes]]
+            spec[probes] = _spectral_norms(prob, batch[probes], frob[probes])
+            bar = min(bar, spec.min())
+            # a new mask: the one _first_pass returned is left as it was
+            keep = decided & (lower <= bar * (1.0 + LOWER_BOUND_SLACK))
+            keep[probes] = False
+        spec[keep] = _spectral_norms(prob, batch[keep], frob[keep])
+    return frob_sq, spec_sq
 
 
 def _first_pass(
     prob: SelectionProblem, batch: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Pass 1 of :func:`brute_force` on the subsets ``batch``: ``frob_sq``,
-    ``spec_sq`` (the rank rule's where not Cholesky-decided, else
-    infinite), the Cholesky-decided mask and the lower bound ``lb`` on
-    ``spec_sq``."""
+    """The first step of :func:`brute_force` on the subsets ``batch``:
+    ``frob_sq``, ``spec_sq`` (the rank rule's where not Cholesky-decided,
+    else infinite), the Cholesky-decided mask and the lower bound ``lb``
+    on ``spec_sq``."""
     # batch axis last: every operand below is a run of B contiguous values
     g = _grams(prob, batch)
     n = g.shape[0]
@@ -317,32 +322,26 @@ def _first_pass(
     return frob, spec, decided, lower
 
 
-def _candidate_norms(
-    prob: SelectionProblem, index: np.ndarray, frob_sq: np.ndarray, candidates: np.ndarray
-) -> np.ndarray:
-    """``spec_sq`` of the Cholesky-decided subsets ``index[candidates]``,
-    whose ``frob_sq`` pass 1 took, per batch of ``ENUMERATION_BATCH``."""
-    spec = np.empty(len(candidates))
-    for start in range(0, len(candidates), ENUMERATION_BATCH):
-        rows = candidates[start : start + ENUMERATION_BATCH]
-        spec[start : start + len(rows)] = _spectral_norms(prob, index[rows], frob_sq[rows])
-    return spec
-
-
 def _spectral_norms(
     prob: SelectionProblem, batch: np.ndarray, frob_sq: np.ndarray
 ) -> np.ndarray:
     """``spec_sq = min(1/lambda_min, frob_sq)`` of each Cholesky-decided
-    subset of ``batch``, from the eigenvalues of its Gram where they are
-    well conditioned and from the rank rule elsewhere."""
-    with np.errstate(all="ignore"):
-        lam = np.linalg.eigvalsh(_grams(prob, batch).transpose(2, 0, 1))  # ascending
-    conditioned = (lam[:, 0] >= 1e-2 * lam[:, -1]) & (lam[:, 0] >= NORMAL_FLOOR)
-    spec = np.empty(len(batch))
-    spec[conditioned] = 1.0 / lam[conditioned, 0]
-    if not conditioned.all():
-        spec[~conditioned] = _rank_rule_norms(_gather(prob, batch[~conditioned]))[1]
-    return np.minimum(spec, frob_sq)
+    subset of ``batch``, from one stacked ``eigvalsh`` of its Gram ``G``.
+
+    The Cholesky gate is the only test: every subset here has pivots of at
+    least ``NORMAL_FLOOR`` and ``tr(G) frob_sq <= KAPPA_CAP``, so
+    ``kappa(G) <= 400`` and ``lambda_min >= tr(G)/400 >= 1e-290/400``, a
+    normal number.  Forming ``G`` perturbs it by ``|E|_2 <= gamma_{l+k}
+    tr(G)`` (see :func:`brute_force`), and a backward-stable symmetric
+    eigensolver returns the eigenvalues of a matrix within ``c n u |G|_2``
+    of the one it is given, ``c`` a modest constant.  By Weyl's
+    inequality the computed ``lambda_min`` is then within ``(gamma_{l+k} +
+    c n u) tr(G) <= 400 (gamma_{l+k} + c n u) lambda_min`` of the exact
+    one: about ``1e-12`` relative at ``(n, l + k) = (4, 7)``, the budget
+    the Frobenius norm already uses.  So ``1/lambda_min`` is finite and
+    that close, and no subset needs the rank rule here."""
+    lam_min = np.linalg.eigvalsh(_grams(prob, batch).transpose(2, 0, 1))[:, 0]  # ascending
+    return np.minimum(1.0 / lam_min, frob_sq)
 
 
 def _rank_rule_norms(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

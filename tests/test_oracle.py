@@ -120,18 +120,19 @@ def test_brute_force_sends_the_svd_only_what_the_gram_cannot_decide(monkeypatch)
     passes = _first_passes(monkeypatch)
     result = brute_force(prob)
     subsets = list(combinations(range(prob.m), prob.k))
-    # pass 1 takes the batches in combinations order, then pass 2 runs
+    # the first pass takes the batches in combinations order
     assert [len(batch) for batch, *_ in passes] == [256, 239]
     assert [tuple(s) for batch, *_ in passes for s in batch.tolist()] == subsets
     decided = np.concatenate([d for *_, d, _ in passes])
-    # the svd takes, in one call per batch and before any eigensolve,
+    # the svd takes, in one call per batch and before that batch's eigensolves,
     # exactly the batch's undecided subsets, bit for bit
     undecided = [[s for s, d in zip(subsets[i : i + 256], decided[i : i + 256]) if not d]
                  for i in (0, 256)]
     assert all(undecided)
-    first_eigensolve = [kind for kind, _ in calls].index("eigvalsh")
-    assert [kind for kind, _ in calls[:first_eigensolve]] == ["svd", "svd"]
-    for (_, stack), batch in zip(calls, undecided):
+    kinds = [kind for kind, _ in calls]
+    second = kinds.index("svd", 1)
+    assert kinds[0] == "svd" and set(kinds[1:second]) == set(kinds[second + 1 :]) == {"eigvalsh"}
+    for (_, stack), batch in zip([calls[0], calls[second]], undecided):
         assert stack.shape == (len(batch), 4, 4)
         for row, subset in zip(stack, batch):
             assert row.tobytes() == _selected(prob, subset).tobytes(), subset
@@ -363,6 +364,28 @@ def test_gram_decided_norms_match_the_per_subset_svd(monkeypatch, n, m, ell, k, 
         _assert_matches_the_per_subset_svd(result, rank_rule, _per_subset_values(prob))
 
 
+def test_gate_edge_spectral_norms_match_the_per_subset_svd(monkeypatch):
+    # The Cholesky gate lets through kappa(G) <= tr(G) tr(G^-1) <= 400, and
+    # eigvalsh alone then takes spec_sq, with an error bound that grows with
+    # kappa(G): the subsets with kappa(G) in (100, 400] are held to 1e-12.
+    edge = 0
+    for shape in COMPARE_TREES_SHAPES:
+        for seed in range(2):
+            prob = _shape_problem(*shape, seed)
+            result, rank_rule = _rank_rule_run(monkeypatch, prob)
+            decided = [subset for subset in result.all_values if subset not in rank_rule]
+            s = np.linalg.svd(np.array([_selected(prob, d) for d in decided]), compute_uv=False)
+            kappa = (s[:, 0] / s[:, -1]) ** 2
+            assert kappa.max() <= 400 * (1 + 1e-12)
+            for subset, sigma in zip(np.array(decided)[kappa > 100], s[kappa > 100]):
+                expected = min(sigma[-1] ** -2.0, float(np.sum(sigma**-2.0)))
+                spec_sq = result.all_values[tuple(subset.tolist())][1]
+                assert spec_sq == pytest.approx(expected, rel=1e-12, abs=0.0), (shape, seed, subset)
+                edge += 1
+    # hundreds of them, on most shapes
+    assert edge >= 500
+
+
 def test_built_grams_are_symmetric_and_within_the_forming_bound():
     # each entry of G = M M^T, M = [a b_S], is a sum of l + k rounded
     # products: |fl(G) - G| <= gamma_{l+k} |M| |M|^T entrywise (Higham, section 3.5)
@@ -515,6 +538,38 @@ def test_reference_newton_raises_when_out_of_steps(monkeypatch):
     monkeypatch.setattr(oracle, "REFERENCE_NEWTON_STEPS", 1)
     with pytest.raises(AlgorithmFailure, match="in 1 steps at partial size 0"):
         oracle.reference_scores(gram, v, inst.m, inst.k, 0, eps)
+
+
+@pytest.mark.parametrize("seed", [0, 5, 10, 12, 17, 23, 30])
+def test_the_lower_bound_slack_keeps_a_near_tie(monkeypatch, seed):
+    # S, the spectral optimum, is not the Frobenius one.  Column 14 repeats
+    # S's last column scaled by 1 + 1e-12, so O, S with that copy in its
+    # place, scores just below S, and O comes later in combinations order.
+    prob = random_problem(np.random.default_rng(seed), n=4, m=14, ell=2, k=5)
+    before = brute_force(prob)
+    s_best = before.best_subset_spec
+    assert s_best != before.best_subset_frob
+    b = prob.b.data
+    b = np.hstack([b, b[:, s_best[-1:]] * (1 + 1e-12)])
+    prob = SelectionProblem(a=prob.a, b=DenseMatrix(b), k=5, eps=prob.eps)
+    o_best = s_best[:-1] + (14,)
+    values = brute_force(prob).all_values
+    spec_s = values[s_best][1]
+    assert values[o_best][1] < spec_s and values[o_best][0] > min(f for f, _ in values.values())
+    # O's lower bound now reads spec_S (1 + 1e-10): S, the subset of least
+    # lower bound, makes spec_S the bar, and only LOWER_BOUND_SLACK keeps O
+    first_pass, least = oracle._first_pass, []
+
+    def raised(prob, batch):
+        frob, spec, decided, lower = first_pass(prob, batch)
+        lower = lower.copy()
+        lower[(batch == o_best).all(axis=1)] = spec_s * (1 + 1e-10)
+        least.append(tuple(batch[np.argmin(np.where(decided, lower, math.inf))].tolist()))
+        return frob, spec, decided, lower
+
+    monkeypatch.setattr(oracle, "_first_pass", raised)
+    assert brute_force(prob).best_subset_spec == o_best
+    assert least == [s_best]
 
 
 def test_brute_force_ties_go_to_the_first_subset_across_batches(monkeypatch):

@@ -1005,7 +1005,7 @@ def _corner_of_the_preconditions(case: str, seed: int) -> SelectionProblem:
 
 _MINIMAL_BUDGET_FAILS = _still_fails(
     "minimal budget k = n - r with m/n = 25: the trace guard fires, or at (8, 200, 0, 8) "
-    "seed 0 the spectral bound breaks; open until scores come from eigenvalues (ROADMAP item 4)"
+    "seed 0 the spectral bound breaks; open until scores come from eigenvalues (ROADMAP item 3)"
 )
 
 

@@ -3,7 +3,7 @@
 Usage: python tools/compare_trees.py OLD_SRC NEW_SRC
 
 Each tree is imported in its own subprocess (``PYTHONPATH=<src>``), runs
-``greedy_select`` and ``verify_bound`` on the same 170 instances, and
+``greedy_select`` and ``verify_bound`` on the same 173 instances, and
 prints one JSON record per instance.  An instance whose ``greedy_select``
 raises is recorded with the exception's type and message instead; the
 comparison lists the instances whose outcomes differ, and compares the
@@ -43,8 +43,9 @@ same rule.  The results are split into calls that built no Sturm chain
 and calls that did, and one on a shape with ``n <= 6`` in either tree
 sets exit status 1.
 
-Every instance with ``C(m, k) <= 2002`` (all shapes but the first and
-the last four) also runs ``brute_force``; the comparison lists the
+Every instance with ``C(m, k) <= 8008`` (all shapes but the first and
+the four at degree 8 and 12) also runs ``brute_force``, the last shape's
+8,008 subsets in two batches of 4096; the comparison lists the
 instances whose best subsets or sets of feasible subsets differ and
 reports the largest relative difference of each norm over the subsets
 feasible in both, overall and on one line per brute-force shape.  It
@@ -57,11 +58,13 @@ contradicted, or if a brute-force norm's
 largest relative difference exceeds ``BRUTE_FORCE_RTOL`` (1e-12): a
 Frobenius norm taken from a well-conditioned subset's Cholesky factor
 is within ``5.5e-13`` of exact by its error bound at the oracle shape,
-a spectral norm from the Gram's eigenvalues about as close, and two ways
-of taking the same singular values differ by a few ulps.  Measured
-between Grams summed from per-column outer products and Grams from one
-stacked matrix product: within ``2.6e-14`` for ``frob_sq`` and
-``4.8e-14`` for ``spec_sq``.
+a spectral norm from the eigenvalues of a Gram that the Cholesky test
+bounds to ``kappa(G) <= 400`` within ``400 (gamma_{l+k} + c n u)``, about
+``1e-12``, by Weyl's inequality, and two ways of taking the same
+singular values differ by a few ulps.  Measured between spectral norms
+taken from the singular values and from ``eigvalsh`` where ``kappa(G)``
+is in ``(100, 400]``: within ``8.1e-14`` for ``spec_sq``, with
+``frob_sq`` identical.
 """
 from __future__ import annotations
 
@@ -93,8 +96,10 @@ SHAPES = (
     # AlgorithmFailure on every instance here: the outcomes are compared
     (8, 200, 0, 8, None, 3),
     (12, 150, 0, 12, None, 2),
+    # C(16, 6) = 8008 subsets: brute_force spans two batches of 4096
+    (4, 16, 2, 6, None, 3),
 )
-BRUTE_FORCE_LIMIT = 2002  # C(14, 5), the benchmark's oracle shape
+BRUTE_FORCE_LIMIT = 8008  # C(16, 6), the last shape
 BRUTE_FORCE_RTOL = 1e-12
 VALUES = ("frob_sq", "spec_sq", "baseline_frob_sq", "baseline_spec_sq", "bound_factor",
           "ratio_frob", "ratio_spec")
