@@ -4,12 +4,14 @@ Select k columns of a candidate matrix to supplement a fixed block so
 that the pseudoinverse of the combined matrix has provably bounded
 Frobenius and spectral norms.  The selector runs a greedy loop over
 expected characteristic polynomials, locating smallest roots by Laguerre's
-method inside certified brackets: a sign of the polynomial, from plain
-Horner where it clears a rounding-error bound and compensated Horner
-otherwise, shows a root at or below the upper end, and a Budan-Fourier
-or Sturm count of zero shows no root at or below the lower end.  An
-exhaustive oracle and barrier-function checks make every step
-independently verifiable.
+method inside certified brackets.  One sign rule certifies both ends:
+a value times its sign at ``-inf``, from plain Horner where it clears a
+rounding-error bound and compensated Horner otherwise, is positive left
+of every root.  A negative one for the polynomial shows a root at or
+below the upper end.  Positive ones for the polynomial and each of its
+derivatives (a zero Budan-Fourier count), or else a zero Sturm count,
+show no root at or below the lower end.  An exhaustive oracle and
+barrier-function checks make every step independently verifiable.
 
 The root exports the selection path; helpers stay in ``colsel.linalg``,
 ``colsel.poly``, ``colsel.expected_charpoly`` and ``colsel.oracle``.

@@ -382,9 +382,12 @@ def _all_roots(p: Polynomial) -> np.ndarray:
 def barrier(p: Polynomial, x: float) -> float:
     """Lower barrier ``-p'(x)/p(x)``, the sum of ``1/(root - x)``.
 
-    Requires ``x`` strictly below the smallest root; a constant
-    polynomial has an empty root set and barrier zero.
+    Requires a finite ``x`` strictly below the smallest root, else
+    :class:`InvalidInput`; a constant polynomial has an empty root set
+    and barrier zero.
     """
+    if not math.isfinite(x):
+        raise InvalidInput(f"barrier needs a finite x, got {x!r}")
     if p.is_zero:
         raise InvalidInput("barrier of the zero polynomial is undefined")
     if p.degree == 0:
@@ -402,10 +405,13 @@ def barrier_descent_check(p: Polynomial, b: float, delta: float) -> bool:
     """Check the one-step barrier descent: the derivative's barrier at
     ``b + delta`` does not exceed the barrier of ``p`` at ``b``.
 
-    Preconditions (``b`` below the smallest root, ``barrier(p, b) <=
-    1/delta``) are validated; a degree-one ``p`` passes vacuously since
-    its derivative has no roots.
+    Preconditions (finite ``b`` and ``delta``, ``b`` below the smallest
+    root, ``barrier(p, b) <= 1/delta``) are validated; a degree-one ``p``
+    passes vacuously since its derivative has no roots.
     """
+    for name, value in (("b", b), ("delta", delta)):
+        if not math.isfinite(value):
+            raise InvalidInput(f"barrier_descent_check needs a finite {name}, got {value!r}")
     if delta <= 0.0:
         raise InvalidInput(f"delta must be > 0, got {delta}")
     phi_b = barrier(p, b)

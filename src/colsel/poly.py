@@ -1,32 +1,33 @@
 """Dense univariate real polynomials, Sturm chains, and smallest-root isolation.
 
 Coefficients are stored ascending by degree, as plain tuples: one in a
-:class:`Polynomial`, one per entry of a counting sequence (a Sturm chain
-or a Fourier sequence), which is a plain tuple of them.  The
-polynomials handled here have the row count ``n`` as degree (the
-expected-polynomial transform never raises it), so plain tuples and
-Horner evaluation are both the simplest and the fastest option.
+:class:`Polynomial`, one per entry of a Sturm chain, which is a plain
+tuple of them.  The polynomials handled here have the row count ``n`` as
+degree (the expected-polynomial transform never raises it), so plain
+tuples and Horner evaluation are both the simplest and the fastest
+option.
 Tolerances are calibrated for float64; near-multiple roots are absorbed
 into gcd layers rather than resolved exactly.
 
 :func:`smallest_root` finds a root ``x`` by Laguerre's method from the
 left, each step one Horner pass for ``p``, ``p'`` and ``p''``, and
-certifies its bracket with two one-sided tests.  "A root at or below
-x + eps/4": one sign of ``p`` there, opposite to its sign at ``-inf``,
-from plain Horner where its value clears a running error bound and
-compensated otherwise.  "No root at or below x - eps/4": a zero
-sign-variation count there on the Fourier sequence ``p, p', ..., p^(n)``,
-each sign taken as the one above is, and on the Sturm chain
-(:func:`count_roots_leq`) only where that count fails.  Bisection on
-the Sturm count covers whatever the tests leave open.
+certifies its bracket with one sign rule at each end: a value of a
+polynomial at ``t`` times its sign at ``-inf``, from plain Horner where
+the value clears a running error bound and compensated otherwise, is
+positive on the ``-inf`` side of its roots.  "A root at or below
+x + eps/4": that value of ``p`` is negative there.  "No root at or below
+x - eps/4": that value is positive there for every one of ``p, p', ...,
+p^(n)``, which is a zero Budan-Fourier count; only where it is not does
+the Sturm chain (:func:`count_roots_leq`) decide.  Bisection on the
+Sturm count covers whatever the tests leave open.
 
 The greedy loop needs only the row whose smallest root is the largest.
 Two helpers work on a ``(C, n+1)`` array of coefficient rows at once:
 :func:`_laguerre_guesses` takes one Laguerre step on every row from one
 point ``y0``, the parent's score less ``eps``, which picks the row to
-certify first; and :func:`_roots_at_or_below` is the one-sided sign
-test above, row by row at one point, which drops every row with a root
-at or below it.
+certify first; and :func:`_roots_at_or_below` is the upper end's sign
+test, row by row at one point, which drops every row with a root at or
+below it.
 """
 from __future__ import annotations
 
@@ -35,7 +36,7 @@ import numbers
 import operator
 import sys
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -199,12 +200,15 @@ def derivative(p: Polynomial, times: int = 1) -> Polynomial:
     """``times``-fold formal derivative; ``times`` is an integer (a bool is not)."""
     if _as_index(times, InvalidInput, "times") < 0:
         raise InvalidInput(f"times must be >= 0, got {times}")
-    c = list(p.coeffs)
-    for _ in range(times):
-        c = [i * c[i] for i in range(1, len(c))]
-        if not c:
-            break
+    c = p.coeffs
+    for _ in range(min(times, len(c))):
+        c = _derivative_step(c)
     return Polynomial(c)
+
+
+def _derivative_step(c: tuple[float, ...]) -> tuple[float, ...]:
+    """The ascending coefficients of the derivative of the polynomial with ascending ``c``."""
+    return tuple(map(operator.mul, range(1, len(c)), c[1:]))
 
 
 def sturm_chain(p: Polynomial) -> tuple[tuple[float, ...], ...]:
@@ -250,14 +254,15 @@ def count_roots_leq(seq: Sequence[Sequence[float]], x: float) -> int:
 
     ``seq`` is a tuple of ascending coefficient tuples, each with a
     nonzero leading coefficient, so its sign at ``-inf`` is that of
-    ``lead * (-1)^degree``; a non-finite ``x`` raises
-    :class:`InvalidInput`.  For a Sturm chain the result is the exact
-    number of distinct real roots at or below ``x``.  For the Fourier
-    sequence ``p, p', ..., p^(n)`` it is, by the Budan-Fourier theorem,
-    an upper bound on the real roots at or below ``x`` counted with
-    multiplicity, for any real ``p``; it is exact (zero) when ``p`` is
-    real-rooted with no root at or below ``x``.  Either way a count of
-    zero proves that there is no root at or below ``x``.
+    ``lead * (-1)^degree``; each value at ``x`` is plain Horner's, and a
+    non-finite ``x`` raises :class:`InvalidInput`.  For a Sturm chain the
+    result is the exact number of distinct real roots at or below ``x``,
+    as far as the float signs are right.  For the Fourier sequence
+    ``p, p', ..., p^(n)`` it is, by the Budan-Fourier theorem, an upper
+    bound on the real roots at or below ``x`` counted with multiplicity;
+    :func:`smallest_root` does not count on that sequence, but asks only
+    whether the count is zero, one sign at a time
+    (:func:`_left_of_every_root`).
 
     Only an exact 0.0 is a zero entry: snapping small values to zero
     biases the bisection by up to (snap threshold)/|p'| near a root, far
@@ -266,13 +271,6 @@ def count_roots_leq(seq: Sequence[Sequence[float]], x: float) -> int:
     """
     if not math.isfinite(x):
         raise InvalidInput(f"count_roots_leq needs a finite point, got {x!r}")
-    return _variations_lost(seq, x, _horner)
-
-
-def _variations_lost(
-    seq: Sequence[Sequence[float]], x: float, value_at: Callable[[Sequence[float], float], float]
-) -> int:
-    """:func:`count_roots_leq`'s count, with each entry's value at ``x`` from ``value_at``."""
     count = 0
     prev_left = prev = None
     for coeffs in seq:
@@ -280,7 +278,7 @@ def _variations_lost(
         if prev_left is not None and left != prev_left:
             count += 1
         prev_left = left
-        value = value_at(coeffs, x)
+        value = _horner(coeffs, x)
         if value != 0.0:
             positive = value > 0.0
             if prev is not None and positive != prev:
@@ -318,27 +316,6 @@ def _compensated_value(coeffs: Sequence[float], x: float) -> float:
         sum_error = (prod - (value - t)) + (coeff - t)
         error = error * x + (prod_error + sum_error)
     return value + error
-
-
-def _fourier_sequence(
-    c: tuple[float, ...], dp: tuple[float, ...]
-) -> tuple[tuple[float, ...], ...] | None:
-    """The Fourier sequence ``p, p', ..., p^(n)``, from the ascending ``c`` and ``dp`` of p, p'.
-
-    Each higher derivative is computed as :func:`derivative` computes it.
-    Where one of them overflows this is ``None``: a coefficient that
-    overflows to infinity stays infinite through the later derivatives
-    down to the constant term of one of them, so the constant terms tell
-    (a sum of them that overflows also reads as not finite, which only
-    costs a Sturm fallback).
-    """
-    seq = [c, dp]
-    while len(dp) > 1:
-        dp = tuple(map(operator.mul, range(1, len(dp)), dp[1:]))
-        seq.append(dp)
-    if not math.isfinite(sum(d[0] for d in seq)):
-        return None
-    return tuple(seq)
 
 
 def _laguerre_from_left(c: Sequence[float], lo: float, hi: float, eps: float) -> float:
@@ -418,16 +395,22 @@ def _check_real(name: str, value: object) -> None:
         raise InvalidInput(f"{name} must be a real number other than NaN, got {value!r}")
 
 
-def _trusted_value(c: Sequence[float], t: float) -> float:
-    """The polynomial with ascending ``c`` at ``t``, plain where its sign is certain.
+def _side(c: Sequence[float], t: float) -> float:
+    """The polynomial with ascending ``c`` at ``t``, times its sign at ``-inf``.
 
+    That sign is the one of ``lead * (-1)^n``, and a product with +-1 is
+    exact, so the result is positive on the ``-inf`` side of every root
+    and a negative one shows a root at or below ``t``; a zero is no sign.
     One pass takes plain Horner's value and ``mu = sum |c_i| |t|^i``; the
     plain value is kept when ``|value| > 4 (n+1) u mu``, with ``u = 2^-53``,
     which bounds Horner's rounding error (Higham, *Accuracy and Stability
     of Numerical Algorithms*, 5.1) with room to spare, so its sign is
     exact.  Where ``mu`` or the lead is below the normal range, so that
     underflow can break that bound, or the value does not clear it, the
-    value is compensated (:func:`_compensated_value`).
+    value is compensated (:func:`_compensated_value`).  A coefficient that
+    is not finite makes ``mu`` infinite or NaN, so the value is
+    compensated, and compensated Horner turns an infinite partial value
+    into NaN: the result is NaN, neither positive nor negative.
     """
     value = mu = 0.0
     size = abs(t)
@@ -436,23 +419,40 @@ def _trusted_value(c: Sequence[float], t: float) -> float:
         mu = mu * size + abs(coeff)
     if not (abs(value) > _HORNER_ERROR * len(c) * mu and mu >= _TINY and abs(c[-1]) >= _TINY):
         value = _compensated_value(c, t)
-    return value
+    return value if (c[-1] > 0.0) == (len(c) % 2 == 1) else -value
 
 
-def _root_at_or_below(c: Sequence[float], t: float) -> bool:
-    """True if ``p`` (ascending ``c``) at ``t`` has the sign opposite to its sign at ``-inf``.
+def _left_of_every_root(c: tuple[float, ...], dp: tuple[float, ...], t: float) -> bool:
+    """True if each of ``p, p', ..., p^(n)`` is strictly on its ``-inf``
+    side at ``t`` by :func:`_side`; ``c`` and ``dp`` are the ascending
+    coefficients of ``p`` and ``p'``.
 
-    That sign is the one of ``lead * (-1)^n``, and the value at ``t`` is
-    :func:`_trusted_value`'s.  A zero is no sign, so True proves a root
-    at or below ``t``.
+    The leads of this Fourier sequence share a sign and each degree drops
+    by one, so it has ``n`` sign variations at ``-inf``.  Its Budan-Fourier
+    count at ``t``, the variations lost, is zero exactly when every
+    ``p^(r)(t)`` is nonzero with the sign ``sign(lead) (-1)^(n-r)`` it has
+    at ``-inf``.  The count bounds the real roots at or below ``t``,
+    counted with multiplicity, from above for any real ``p``, so True
+    proves that there is none; it is zero when ``p`` is real-rooted with
+    no root at or below ``t``, but a complex pair can keep it above zero.
+    The higher derivatives come from ``dp`` one :func:`_derivative_step` at
+    a time, and the test stops with False at the first that is not on its
+    ``-inf`` side.  One with a coefficient that overflowed fails there:
+    its :func:`_side` is NaN.
     """
-    value = _trusted_value(c, t)
-    return value > 0.0 if (c[-1] > 0.0) == (len(c) % 2 == 0) else value < 0.0
+    if not _side(c, t) > 0.0:
+        return False
+    while dp:
+        if not _side(dp, t) > 0.0:
+            return False
+        dp = _derivative_step(dp)
+    return True
 
 
 def _roots_at_or_below(rows: np.ndarray, t: float) -> np.ndarray:
-    """:func:`_root_at_or_below` at ``t`` for each row of ``rows``, a
-    ``(C, n+1)`` array of ascending coefficients, as a boolean array.
+    """``_side(row, t) < 0`` for each row of ``rows``, a ``(C, n+1)``
+    array of ascending coefficients, as a boolean array: True shows a
+    root at or below ``t`` (:func:`_side`).
 
     A row's value is ``rows @ t_pow`` and its ``mu`` is ``|rows| @ |t_pow|``,
     with ``t_pow`` the cumulative powers of ``t``.  Each term ``c_i t^i``
@@ -527,18 +527,21 @@ def smallest_root(p: Polynomial, eps: float) -> float:
     the Cauchy bracket ``[lo, hi]``, with no root at or below ``lo``,
     Laguerre steps from the left (:func:`_laguerre_from_left`) propose a
     root ``x``, and two compensated Newton steps (:func:`_polished`) move
-    it.  ``hi`` moves down to ``x + eps/4`` if :func:`_root_at_or_below`
-    shows a root at or below it, from plain Horner's sign where its value
-    clears a running error bound and compensated Horner's otherwise;
-    otherwise the Sturm chain is built, and a zero Sturm count at ``hi``
-    raises :class:`NotRealRooted`.  ``lo`` moves up to ``x - eps/4`` if a
-    zero count of sign variations lost there shows no root at or below
-    it: on the Fourier sequence ``p, p', ..., p^(n)``, each value from
-    :func:`_trusted_value`, so that a plain sign counts only where it
-    clears the same error bound, or, where that count is not zero or a
-    derivative overflows, on the Sturm chain (:func:`count_roots_leq`).
-    So a root that passes both tests costs two compensated evaluations
-    and one count, and more evaluations where a sign is not trusted.
+    it.  Both ends then take one sign rule, :func:`_side`: the value at a
+    point times the sign at ``-inf``, from plain Horner where the value
+    clears a running error bound and compensated Horner otherwise, is
+    positive on the ``-inf`` side of the roots.  ``hi`` moves down to
+    ``x + eps/4`` if that value of ``p`` is negative there, which shows
+    a root at or below it; otherwise the Sturm chain is built, and a
+    zero Sturm count at ``hi`` raises :class:`NotRealRooted`.  ``lo``
+    moves up to ``x - eps/4`` if that value is positive there for each
+    of ``p, p', ..., p^(n)`` (:func:`_left_of_every_root`): a zero
+    Budan-Fourier count, which shows no root at or below it.  Where one
+    is not, for a complex pair, a sign that does not clear its bound or
+    a derivative that overflows, a zero Sturm count
+    (:func:`count_roots_leq`) at ``x - eps/4`` moves ``lo`` instead.  So
+    a root that passes both tests costs two compensated evaluations and
+    ``n + 2`` signs, and more evaluations where a sign is not trusted.
     A test that fails, or an ``eps`` wider than the bracket, leaves the
     Cauchy end in place.  Bisection on the Sturm count then halves
     whatever is left, until the bracket is at most ``eps`` wide or its
@@ -562,7 +565,7 @@ def smallest_root(p: Polynomial, eps: float) -> float:
     if p.degree < 1:
         raise NotRealRooted("polynomial has no roots")
     c = p.coeffs
-    dp = tuple(map(operator.mul, range(1, len(c)), c[1:]))
+    dp = _derivative_step(c)
     if not all(map(math.isfinite, dp)):
         raise InvalidInput("polynomial coefficients must be finite")
     radius = _cauchy_radius(p)
@@ -575,15 +578,14 @@ def smallest_root(p: Polynomial, eps: float) -> float:
     # leaves the Cauchy ends in place.  A nonzero Budan-Fourier count is
     # only an upper bound, so the Sturm count has the last word on lo.
     chain = None
-    if above < hi and _root_at_or_below(c, above):
+    if above < hi and _side(c, above) < 0.0:
         hi = above
     else:
         chain = sturm_chain(p)
         if count_roots_leq(chain, hi) == 0:
             raise NotRealRooted(f"no real root found in [-{1 + radius}, {1 + radius}]")
     if lo < below:
-        fourier = _fourier_sequence(c, dp)
-        if fourier is not None and _variations_lost(fourier, below, _trusted_value) == 0:
+        if _left_of_every_root(c, dp, below):
             lo = below
         else:
             chain = chain or sturm_chain(p)

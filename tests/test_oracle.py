@@ -680,6 +680,19 @@ def test_barrier_descent_validates_preconditions():
         barrier_descent_check(p, -3.0, -1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_barrier_checks_refuse_a_non_finite_point(bad):
+    # NaN and -inf pass the comparison with the smallest root, and there the
+    # ratio -p'(x)/p(x) is NaN: barrier returned NaN and the descent check
+    # False.
+    p = from_roots([0.3, 0.7])
+    with pytest.raises(InvalidInput, match=r"barrier needs a finite x, got (nan|-?inf)"):
+        barrier(p, bad)
+    for name, args in (("b", (bad, 0.1)), ("delta", (0.0, bad))):
+        with pytest.raises(InvalidInput, match=f"barrier_descent_check needs a finite {name}"):
+            barrier_descent_check(p, *args)
+
+
 def test_companion_smallest_root_examples():
     assert companion_smallest_root(from_roots([1.0, 3.0])) == pytest.approx(1.0, abs=1e-8)
     assert companion_smallest_root(Polynomial([-0.25, 1.0])) == pytest.approx(0.25)

@@ -171,6 +171,11 @@ def test_sturm_chain_rejects_a_remainder_that_overflows():
             smallest_root(q, 1e-6)
 
 
+def _fourier_sequence(p: Polynomial) -> tuple[tuple[float, ...], ...]:
+    """The Fourier sequence ``p, p', ..., p^(n)``, as :func:`count_roots_leq` takes a sequence."""
+    return tuple(derivative(p, r).coeffs for r in range(p.degree + 1))
+
+
 def test_sturm_chain_variations_at_minus_inf_match_the_signs_far_left():
     # Left of every entry's Cauchy bound, each entry has its sign at -inf,
     # so the count there, on the Sturm chain and on the Fourier sequence, is 0.
@@ -178,7 +183,7 @@ def test_sturm_chain_variations_at_minus_inf_match_the_signs_far_left():
     polys = [Polynomial(rng.uniform(-2.0, 2.0, size=int(rng.integers(2, 14)))) for _ in range(100)]
     polys += [random_real_rooted(rng, low=-1.0)[0] for _ in range(100)]
     for p in polys:
-        for seq in (sturm_chain(p), poly._fourier_sequence(p.coeffs, derivative(p).coeffs)):
+        for seq in (sturm_chain(p), _fourier_sequence(p)):
             x = -2.0 * max(1.0 + max(map(abs, q)) / abs(q[-1]) for q in seq)
             assert count_roots_leq(seq, x) == 0
 
@@ -196,7 +201,7 @@ def test_count_roots_leq_refuses_a_non_finite_point():
     # Horner at +-inf or NaN gives NaN for every entry, which would read as
     # "both roots at or below -inf".
     p = from_roots([0.3, 0.7])
-    for seq in (sturm_chain(p), poly._fourier_sequence(p.coeffs, derivative(p).coeffs)):
+    for seq in (sturm_chain(p), _fourier_sequence(p)):
         for x in (-math.inf, math.inf, math.nan):
             with pytest.raises(InvalidInput, match="finite"):
                 count_roots_leq(seq, x)
@@ -258,18 +263,24 @@ def test_smallest_root_accuracy_random():
             assert abs(smallest_root(p, eps) - roots[0]) <= eps
 
 
-def _counting_counts(monkeypatch) -> list[int]:
-    """Route ``poly._variations_lost``, which takes every count on a Sturm
-    chain or a Fourier sequence, through a counter; returns the counter."""
-    calls = [0]
-    real = poly._variations_lost
+def _counting_counts(monkeypatch) -> tuple[list[int], list[int]]:
+    """Route ``poly._left_of_every_root``, the lower-end certificate, and
+    ``poly.count_roots_leq``, which takes every Sturm count, through a
+    counter each; returns the two counters."""
+    certificates, counts = [0], [0]
+    real_certificate, real_count = poly._left_of_every_root, poly.count_roots_leq
 
-    def counting(seq, x, value_at):
-        calls[0] += 1
-        return real(seq, x, value_at)
+    def certificate(c, dp, t):
+        certificates[0] += 1
+        return real_certificate(c, dp, t)
 
-    monkeypatch.setattr(poly, "_variations_lost", counting)
-    return calls
+    def count(seq, x):
+        counts[0] += 1
+        return real_count(seq, x)
+
+    monkeypatch.setattr(poly, "_left_of_every_root", certificate)
+    monkeypatch.setattr(poly, "count_roots_leq", count)
+    return certificates, counts
 
 
 def _counting_sturm_chain(monkeypatch) -> list[int]:
@@ -303,26 +314,27 @@ def test_smallest_root_certifies_wide_shape_roots(monkeypatch):
     # the greedy loop asks for is settled by Laguerre and the two one-sided
     # tests: one plain Horner sign that clears its error bound shows a root
     # at or below the upper end, after two compensated Newton steps, and
-    # one Budan-Fourier count shows no root at or below the lower end.  So
-    # it takes two compensated evaluations and one count, nothing is
-    # bisected, and no Sturm chain is built.  The screen's row-wise signs
-    # all clear their bound too: no compensated evaluation outside a root.
-    calls = _counting_counts(monkeypatch)
+    # one lower-end certificate, a zero Budan-Fourier count, shows no root
+    # at or below the lower end.  So it takes two compensated evaluations,
+    # one certificate and no Sturm count, nothing is bisected, and no Sturm
+    # chain is built.  The screen's row-wise signs all clear their bound
+    # too: no compensated evaluation outside a root.
+    certificates, counts = _counting_counts(monkeypatch)
     chains = _counting_sturm_chain(monkeypatch)
     values = _counting_compensated_value(monkeypatch)
     costs = []
     real_smallest_root = selector.smallest_root
 
     def counted_smallest_root(p, eps):
-        before = calls[0], values[0]
+        before = certificates[0], counts[0], values[0]
         root = real_smallest_root(p, eps)
-        costs.append((calls[0] - before[0], values[0] - before[1]))
+        costs.append((certificates[0] - before[0], counts[0] - before[1], values[0] - before[2]))
         return root
 
     monkeypatch.setattr(selector, "smallest_root", counted_smallest_root)
     selector.greedy_select(random_problem(np.random.default_rng(3), 6, 48, 3, 12))
     assert 12 <= len(costs) <= 24
-    assert set(costs) == {(1, 2)}
+    assert set(costs) == {(1, 0, 2)}
     assert values[0] == 2 * len(costs)
     assert chains[0] == 0
 
@@ -430,16 +442,21 @@ def test_laguerre_stops_just_left_of_the_exact_smallest_root(monkeypatch):
                 assert exact - Fraction(x) <= Fraction(eps) / 4, (degree, eps)
 
 
-def _exact_root_at_or_below(coeffs, t: float) -> bool:
-    """``_root_at_or_below`` from the exact value at ``t``."""
+def _exact_side(coeffs, t: float) -> Fraction:
+    """``poly._side`` from the exact value at ``t``."""
     value = _exact_value([Fraction(c) for c in coeffs], Fraction(t))
-    return value > 0 if (coeffs[-1] > 0) == (len(coeffs) % 2 == 0) else value < 0
+    return value if (coeffs[-1] > 0) == (len(coeffs) % 2 == 1) else -value
+
+
+def _exact_root_at_or_below(coeffs, t: float) -> bool:
+    """``poly._side(coeffs, t) < 0`` from the exact value at ``t``."""
+    return _exact_side(coeffs, t) < 0
 
 
 def test_a_trusted_plain_sign_is_the_exact_sign(monkeypatch):
     # Points within 1e-12 of the roots, where plain Horner's value is
-    # closest to its rounding error: wherever _root_at_or_below keeps the
-    # plain sign (no compensated evaluation), that sign is exact.  Low
+    # closest to its rounding error: wherever _side keeps the plain sign
+    # (no compensated evaluation), that sign is exact.  Low
     # degrees keep most signs; high degrees send most to the fallback
     # (439 and 2,067 of the 2,506 points).
     calls = _counting_compensated_value(monkeypatch)
@@ -451,10 +468,11 @@ def test_a_trusted_plain_sign_is_the_exact_sign(monkeypatch):
             for offset in (-1e-12, -1e-13, -1e-15, 0.0, 1e-15, 1e-13, 1e-12):
                 t = float(root) + offset
                 before = calls[0]
-                got = poly._root_at_or_below(p.coeffs, t)
+                got = poly._side(p.coeffs, t)
                 if calls[0] == before:
                     trusted += 1
-                    assert got == _exact_root_at_or_below(p.coeffs, t), (p, t)
+                    exact = _exact_side(p.coeffs, t)
+                    assert (got > 0, got < 0) == (exact > 0, exact < 0), (p, t)
                 else:
                     fallback += 1
     assert trusted > 300 and fallback > 300
@@ -468,11 +486,11 @@ def test_a_clustered_root_takes_the_compensated_sign(monkeypatch):
     c = from_roots([1.0, 1.0, 1.0, 3.0]).coeffs
     for t in (1.0 - 1e-5, 1.0 - 1e-6, 1.0 + 1e-6, 1.0 + 1e-5):
         before = calls[0]
-        assert poly._root_at_or_below(c, t) == _exact_root_at_or_below(c, t)
+        assert (poly._side(c, t) < 0) == _exact_root_at_or_below(c, t)
         assert calls[0] == before + 1, t
     for t in (0.5, 2.0, 3.5):
         before = calls[0]
-        assert poly._root_at_or_below(c, t) == _exact_root_at_or_below(c, t)
+        assert (poly._side(c, t) < 0) == _exact_root_at_or_below(c, t)
         assert calls[0] == before, t
 
 
@@ -496,7 +514,7 @@ def _sign_test_grid() -> list[tuple[np.ndarray, float]]:
 
 
 def test_the_row_wise_sign_test_is_the_scalar_one(monkeypatch):
-    # _roots_at_or_below against _root_at_or_below on every row of the
+    # _roots_at_or_below against _side(row, t) < 0 on every row of the
     # grid, where every branch runs: trusted plain signs, and compensated
     # ones for a small value or a tiny row.
     calls = _counting_compensated_value(monkeypatch)
@@ -506,7 +524,7 @@ def test_the_row_wise_sign_test_is_the_scalar_one(monkeypatch):
         got = poly._roots_at_or_below(rows, t)
         fallbacks += calls[0] - before
         rows_seen += len(rows)
-        assert got.tolist() == [poly._root_at_or_below(r, t) for r in rows.tolist()], t
+        assert got.tolist() == [poly._side(r, t) < 0 for r in rows.tolist()], t
     assert 100 < fallbacks < rows_seen / 10
 
 
@@ -563,7 +581,7 @@ def test_fourier_count_is_a_sound_certificate():
             _, roots = random_real_rooted(rng, max_degree=6)
             roots = np.sort(np.concatenate([roots, roots]))
             p = from_roots(list(roots))
-        fourier = poly._fourier_sequence(p.coeffs, derivative(p).coeffs)
+        fourier = _fourier_sequence(p)
         chain = _exact_sturm_chain(p)
         bound = 1 + max(abs(c) for c in chain[0][:-1]) / abs(chain[0][-1])
         at_minus_inf = _exact_variations(chain, -bound)
@@ -578,6 +596,68 @@ def test_fourier_count_is_a_sound_certificate():
             counted += 1
     # every left point reads zero, and most other points do not
     assert zeros >= 3 * 45 and counted > 2 * zeros
+
+
+def _exact_fourier_count(p: Polynomial, t: float) -> int:
+    """Budan-Fourier count of ``p`` at ``t``: the sign variations of its
+    exact ``p, p', ..., p^(n)``, its float coefficients read as exact
+    rationals, at ``-inf`` (``n``: the leads share a sign and the degrees
+    drop by one) less those at ``t``."""
+    seq = [[Fraction(c) for c in p.coeffs]]
+    while len(seq[-1]) > 1:
+        seq.append([i * c for i, c in enumerate(seq[-1])][1:])
+    return p.degree - _exact_variations(seq, Fraction(t))
+
+
+def test_the_lower_end_rule_passes_only_a_zero_fourier_count():
+    # Soundness: wherever _left_of_every_root says "left of every root",
+    # the exact Budan-Fourier count is zero, so the float polynomial has no
+    # root at or below t.  Degrees 1 to 12, 30% of those of degree >= 3 with
+    # a complex pair in place of two roots; points 1e-3, 1e-9 and 1e-14 left
+    # of the smallest real root, 1e-9 right of it, and one uniform point.
+    # On these 3,000 cases the rule is also complete: it passes every zero.
+    rng = np.random.default_rng(41)
+    passed = zeros = pairs = 0
+    for _ in range(600):
+        degree = int(rng.integers(1, 13))
+        roots = np.sort(rng.uniform(0.0, 1.0, degree))
+        if degree >= 3 and rng.random() < 0.3:
+            a, b = rng.uniform(-0.5, 1.5), rng.uniform(1e-3, 0.5)
+            roots = roots[: degree - 2]
+            p = _times(Polynomial([a * a + b * b, -2.0 * a, 1.0]), from_roots(list(roots)))
+            pairs += 1
+        else:
+            p = from_roots(list(roots))
+        smallest = float(roots[0])
+        points = [smallest + d for d in (-1e-3, -1e-9, -1e-14, 1e-9)]
+        for t in points + [float(rng.uniform(-1.0, 2.0))]:
+            exact = _exact_fourier_count(p, t)
+            left = poly._left_of_every_root(p.coeffs, derivative(p).coeffs, t)
+            assert not left or exact == 0, (p, t, exact)
+            passed += left
+            zeros += exact == 0
+    assert pairs > 100 and passed == zeros > 1500
+
+
+def test_the_lower_end_rule_checks_every_derivative():
+    # (x+2)(x+1)(x-3) = x^3 - 7x - 6 at 0: p(0) = -6 has its sign at -inf,
+    # but p'(0) = -7 does not, and the roots -2 and -1 lie left of 0.
+    p = from_roots([-2.0, -1.0, 3.0])
+    assert p.coeffs == (-6.0, -7.0, 0.0, 1.0)
+    assert poly._side(p.coeffs, 0.0) > 0 > poly._side(derivative(p).coeffs, 0.0)
+    assert not poly._left_of_every_root(p.coeffs, derivative(p).coeffs, 0.0)
+    assert poly._left_of_every_root(p.coeffs, derivative(p).coeffs, -2.5)
+
+
+def test_the_lower_end_rule_takes_a_zero_for_no_sign():
+    # A zero value is on neither side.  x^2 - x is 0 at its root 0, where p'
+    # and p'' are on their -inf sides; x^2 + 1 has p'(0) = 0 between p and
+    # p'' on theirs, and its Budan-Fourier count at 0 is 2 (the pair +-i).
+    for coeffs in ((0.0, -1.0, 1.0), (1.0, 0.0, 1.0)):
+        p = Polynomial(coeffs)
+        assert _exact_fourier_count(p, 0.0) > 0
+        assert [poly._side(derivative(p, r).coeffs, 0.0) for r in range(3)].count(0.0) == 1
+        assert not poly._left_of_every_root(p.coeffs, derivative(p).coeffs, 0.0)
 
 
 # A degree-12 expected polynomial of a greedy step at (12, 150, 0, 12), and
@@ -596,13 +676,15 @@ _FALSE_ZERO_POINT = float.fromhex("-0x1.0602f564da9c7p+0") - 0.25e-6
 
 def test_the_fourier_count_trusts_a_sign_only_where_it_clears_its_error_bound(monkeypatch):
     # At the captured point, plain Horner's signs of p, p', ..., p^(12) lose
-    # no sign variation, yet the float polynomial has a root there.  Some
-    # of those signs are below their rounding-error bound; compensated, the
-    # count is 1, so it no longer certifies the lower end, and smallest_root
-    # builds the Sturm chain.  (The float Sturm count misses that root too,
-    # so the result stays where it was: the chain's signs carry no bound.)
+    # no sign variation (the rule with plain signs says "left of every
+    # root"), yet the float polynomial has a root there.  The sign of p is
+    # below its rounding-error bound; compensated, p is off its -inf side,
+    # so the rule refuses at p, after that one compensated evaluation, and
+    # smallest_root builds the Sturm chain.  (The float Sturm count misses
+    # that root too, so the result stays where it was: the chain's signs
+    # carry no bound.)
     p = Polynomial(float.fromhex(c) for c in _FALSE_ZERO_ROW)
-    fourier = poly._fourier_sequence(p.coeffs, derivative(p).coeffs)
+    fourier = _fourier_sequence(p)
     x, eps = _FALSE_ZERO_POINT, 1e-6
     exact_chain = _exact_sturm_chain(p)
     bound = 1 + max(abs(c) for c in exact_chain[0][:-1]) / abs(exact_chain[0][-1])
@@ -610,8 +692,8 @@ def test_the_fourier_count_trusts_a_sign_only_where_it_clears_its_error_bound(mo
     assert at_minus_inf - _exact_variations(exact_chain, Fraction(x)) >= 1
     assert count_roots_leq(fourier, x) == 0
     values = _counting_compensated_value(monkeypatch)
-    assert poly._variations_lost(fourier, x, poly._trusted_value) == 1
-    assert values[0] >= 2
+    assert not poly._left_of_every_root(p.coeffs, derivative(p).coeffs, x)
+    assert values[0] == 1
     chains = _counting_sturm_chain(monkeypatch)
     smallest_root(p, eps)
     assert chains[0] == 1
@@ -707,25 +789,34 @@ def test_smallest_root_falls_back_to_sturm_where_fourier_counts_a_complex_pair(
     # Left of the real root the Budan-Fourier count still counts the
     # complex pair, so only the Sturm count certifies the lower end.
     p = _times(Polynomial(pair), from_roots([real_root]))
-    fourier = poly._fourier_sequence(p.coeffs, derivative(p).coeffs)
+    fourier = _fourier_sequence(p)
     assert count_roots_leq(fourier, real_root - 1e-6) == 2
     assert count_roots_leq(sturm_chain(p), real_root - 1e-6) == 0
     chains = _counting_sturm_chain(monkeypatch)
-    calls = _counting_counts(monkeypatch)
+    certificates, counts = _counting_counts(monkeypatch)
     for eps in (1e-4, 1e-6):
-        before, counts_before = chains[0], calls[0]
+        before = chains[0], certificates[0], counts[0]
         assert abs(smallest_root(p, eps) - real_root) <= eps
-        # one chain, and one count on each sequence: nothing is bisected
-        assert chains[0] == before + 1
-        assert calls[0] == counts_before + 2
+        # one chain, one lower-end certificate that fails and one Sturm
+        # count: nothing is bisected
+        assert (chains[0], certificates[0], counts[0]) == (
+            before[0] + 1, before[1] + 1, before[2] + 1)
 
 
 def test_smallest_root_falls_back_to_sturm_where_a_derivative_overflows(monkeypatch):
-    # Leading coefficient 1e300 at degree 12: p' is finite, but 12! * 1e300
-    # is not, so there is no Fourier sequence: one Sturm chain takes every
-    # count.
+    # Leading coefficient 1e300 at degree 12: p' is finite, but the lead of
+    # p^(10), 12!/2 * 1e300, is not.  Left of every root each finite
+    # derivative is on its -inf side, so only the overflow makes the lower
+    # end's rule refuse: that derivative's signed value is NaN.  One Sturm
+    # chain takes every count.
     p = Polynomial(1e300 * c for c in from_roots([0.1 * i + 0.05 for i in range(12)]).coeffs)
-    assert poly._fourier_sequence(p.coeffs, derivative(p).coeffs) is None
+    fourier = [p.coeffs]
+    while fourier[-1]:
+        fourier.append(poly._derivative_step(fourier[-1]))
+    finite = [d for d in fourier[:-1] if all(map(math.isfinite, d))]
+    assert len(finite) == 10 and all(poly._side(d, 0.0) > 0 for d in finite)
+    assert math.isnan(poly._side(fourier[10], 0.0))
+    assert not poly._left_of_every_root(p.coeffs, fourier[1], 0.0)
     chains = _counting_sturm_chain(monkeypatch)
     counted = []
     real = poly.count_roots_leq
@@ -815,7 +906,7 @@ def test_laguerre_guesses_lie_between_the_common_point_and_the_smallest_root(mon
         guesses = poly._laguerre_guesses(rows, y0)
         assert not np.isnan(guesses).any()
         for row, guess in zip(rows.tolist(), guesses.tolist()):
-            if poly._root_at_or_below(row, y0):
+            if poly._side(row, y0) < 0:
                 assert guess == -math.inf, (row, y0)
                 dropped += 1
             root = companion_smallest_root(Polynomial(row))

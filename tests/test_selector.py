@@ -422,7 +422,7 @@ def _assert_replays(
 def test_batched_grams_replay_the_per_candidate_loop_bit_for_bit(monkeypatch, n, m, ell, k, rank_a):
     # The determinant-lemma transform against the oracle's stacked one.  At
     # degree 12 a root moves by up to tens of eps under last-bit changes of
-    # the coefficients (ROADMAP items 2 and 4): the trace roots of steps
+    # the coefficients (ROADMAP item 3): the trace roots of steps
     # 1-38 differ by up to 10.7 eps, and at step 39 (d = k - j = 1) of the
     # first instance the two transforms pick different columns, whose exact
     # scores are 22.5 eps apart.  Their last trace values are then off the

@@ -20,9 +20,10 @@ tree also counts, inside ``greedy_select``, its ``smallest_root`` calls
 and its ``sturm_chain`` calls.  A tree need not root every candidate it
 scores (one per remaining candidate per step): one that screens them
 roots only those that can still win.  ``smallest_root`` builds at most
-one chain per root, and only where a sign or Budan-Fourier certificate
-fails, so the chain count is the number of roots that took the Sturm
-fallback.  The totals, and each per-shape line, print both trees' counts
+one chain per root, and only where the sign rule fails at an end (the
+sign of ``p`` at the upper end, or those of ``p`` and every derivative
+at the lower end), so the chain count is the number of roots that took
+the Sturm fallback.  The totals, and each per-shape line, print both trees' counts
 beside the candidates scored.  Each per-shape line also prints each tree's largest last-step
 error ``|trace[-1] - mu_min(G_S)| / eps``, where ``G_S`` is the Gram of the
 fixed and selected columns in the isotropic frame, taken with numpy alone
