@@ -8,11 +8,15 @@ spectral bar; one ``np.argmin`` per norm for the first optimum, and the
 full table, the same pass with nothing pruned, only when read),
 barriers, companion roots, the monomial-basis expected-polynomial
 pipeline, the stacked ``y``-basis transform (one eigensolve per
-candidate Gram), and the ``longdouble`` reference scores.
+candidate Gram), the ``longdouble`` reference scores, and the replay that
+judges every pick of a greedy report by them.
 
 Nothing here shares a code path with the root search, the greedy loop or
 the selector's subset norms, which is the point: these are the oracles the
-test suite uses to falsify the production code.  The stacked transform
+test suite uses to falsify the production code.  The replay
+(:func:`replay_steps`) takes the isotropic frame and the one-column Gram
+update the greedy loop takes, so that the Grams it judges are the run's
+bit for bit; it shares nothing with how a run scores.  The stacked transform
 runs the production one's own eigensolver,
 :func:`~colsel.expected_charpoly._psd_eigh` (through
 :func:`~colsel.expected_charpoly._psd_eigenvalues`, one Gram at a time),
@@ -26,15 +30,16 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, combinations
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import AlgorithmFailure, DeflationFailure, InvalidInput, TooLarge
 from .expected_charpoly import IsotropicInstance, _psd_eigenvalues, _weight_ratios
 # pseudoinverse is unused; the benchmark harness's tracer test wraps colsel.oracle.pseudoinverse
-from .linalg import DEFAULT_RANK_TOL, _gram_updates, pseudoinverse  # noqa: F401
+from .linalg import DEFAULT_RANK_TOL, _as_indices, _gram_updates, pseudoinverse  # noqa: F401
 from .poly import Polynomial, _from_roots_rows, derivative, evaluate, monic
-from .selector import SelectionProblem
+from .selector import SelectionProblem, SelectionReport, build_isotropic
 
 __all__ = [
     "EnumerationResult",
@@ -49,6 +54,10 @@ __all__ = [
     "stacked_charpolys",
     "stacked_expected_polys",
     "reference_scores",
+    "StepInputs",
+    "replay_steps",
+    "StepCheck",
+    "replay_check",
 ]
 
 ENUMERATION_GUARD = 10**6
@@ -553,11 +562,15 @@ def reference_scores(
     ``P^(d)``, and ``P^(d)(y)/d! = sum_t C(A, L - t) y^(L - t) e_t(y - rho)``
     with ``L = m - k``.  Newton on ``T = P^(d)/y^B``, ``B = max(A - d, 0)``,
     starts at ``min rho``, left of every root by interlacing, and rises to
-    the smallest; it stops once every step is at most ``1e-6 eps``, far
-    above where rounding stalls it (about ``3e-11 eps`` at degree 12).
-    It needs a 64-bit ``longdouble`` mantissa, as on x86-64: with a
-    ``longdouble`` that is a plain double, it is no more exact than the
-    scores it checks.  Newton that has not stopped after
+    the smallest.  ``T`` is real-rooted, so left of its roots the step
+    ``1 / sum_i 1/(root_i - y)`` is positive and falls as ``y`` rises: a
+    candidate stops once its step is at most ``1e-6 eps``, far above where
+    rounding stalls it at degree 12 (about ``3e-11 eps``), or once a step
+    no longer shrinks, which only rounding makes happen; that step is not
+    taken.  At degree 64 rounding stalls it above ``1e-6 eps``, after
+    about 30 steps.  It needs a 64-bit ``longdouble`` mantissa, as on
+    x86-64: with a ``longdouble`` that is a plain double, it is no more
+    exact than the scores it checks.  Newton that has not stopped after
     ``REFERENCE_NEWTON_STEPS`` (200) steps raises :class:`AlgorithmFailure`.
     """
     n = gram.shape[0]
@@ -574,6 +587,7 @@ def reference_scores(
     w1 = np.array([math.comb(big_a, m - k - 1 - t) if t < m - k else 0 for t in range(deg + 1)],
                   np.longdouble)
     y = rho[0].copy()
+    previous = np.full(y.size, np.inf, np.longdouble)
     active = np.arange(y.size)
     for _ in range(REFERENCE_NEWTON_STEPS):
         ya, rho_a = y[active], rho[:, active]
@@ -588,10 +602,89 @@ def reference_scores(
         root = t0 == 0
         step = -ya * t0 / np.where(root, 1, (d + 1) * t1 - low * t0)
         step[root] = 0
-        y[active] = ya + step
-        active = active[np.abs(step) > 1e-6 * eps]
+        shrinks = (0 < step) & (step < previous[active])
+        y[active] = np.where(shrinks, ya + step, ya)
+        previous[active] = step
+        active = active[shrinks & (step > 1e-6 * eps)]
         if not active.size:
             return y
     raise AlgorithmFailure(
         f"reference Newton did not converge in {REFERENCE_NEWTON_STEPS} steps at partial size {j}"
     )
+
+
+class StepInputs(NamedTuple):
+    """One greedy step's inputs: the partial's Gram ``gram`` (``n x n``),
+    the partial size ``j`` its candidates make, the remaining candidates'
+    ``columns`` (ascending) and their columns ``v`` (``n x C``) of the
+    isotropic frame, and the position ``pick`` of the step's pick in
+    ``columns``."""
+
+    gram: np.ndarray
+    j: int
+    v: np.ndarray
+    columns: tuple[int, ...]
+    pick: int
+
+
+def replay_steps(prob: SelectionProblem, subset: Sequence[int]) -> Iterator[StepInputs]:
+    """The inputs of each step of a greedy run that picked ``subset``, in
+    order, formed as :func:`~colsel.selector.greedy_select` forms them:
+    ``gram`` starts at the fixed block's Gram and takes each pick by
+    :func:`~colsel.linalg._gram_updates` on its one column, so every Gram
+    is the run's bit for bit, whatever scored the candidates.  Raises
+    :class:`InvalidInput` unless ``subset`` holds at most ``k`` distinct
+    columns of ``b``."""
+    subset = _as_indices(subset, prob.m, InvalidInput)
+    if len(subset) > prob.k:
+        raise InvalidInput(f"a greedy run picks at most k = {prob.k} columns, got {len(subset)}")
+    inst = build_isotropic(prob)
+    columns = list(range(prob.m))
+    gram = inst.gram_fixed.data
+    for j, column in enumerate(subset, start=1):
+        v = inst.candidates[:, columns]
+        pick = columns.index(column)
+        yield StepInputs(gram, j, v, tuple(columns), pick)
+        gram = _gram_updates(gram, v[:, pick : pick + 1])[0]
+        columns.pop(pick)
+
+
+class StepCheck(NamedTuple):
+    """One greedy step judged by :func:`reference_scores`: the pick
+    ``column``, the column ``best`` the reference scores highest (the
+    first of a tie), the pick's ``margin`` below it and the ``trace_error``
+    of the step's trace value from the pick's reference root, in ``x``;
+    both are in units of ``eps``."""
+
+    column: int
+    best: int
+    margin: float
+    trace_error: float
+
+
+def replay_check(prob: SelectionProblem, report: SelectionReport) -> tuple[StepCheck, ...]:
+    """Judge every pick of ``report`` from the report alone: each step's
+    inputs come from :func:`replay_steps` on ``report.subset``, and
+    :func:`reference_scores` scores every candidate that step had, so the
+    check holds for any scorer.  The paper's guarantee holds step by step:
+    a scorer whose roots are within ``eps/2`` of exact picks a column
+    within ``eps`` of the best, so a ``margin`` over ``2`` is a wrong pick,
+    and a ``trace_error`` over ``1`` a trace value off its pick's root.
+    ``report`` need not pass :func:`~colsel.selector._check_report`.
+    Raises :class:`InvalidInput` where the trace does not name the
+    subset's columns in order, or :func:`replay_steps` does;
+    :class:`AlgorithmFailure` where :func:`reference_scores` does."""
+    if tuple(step.index for step in report.trace) != tuple(report.subset):
+        raise InvalidInput("the report's trace does not name its subset's columns in order")
+    checks = []
+    for step, traced in zip(replay_steps(prob, report.subset), report.trace):
+        ref = reference_scores(step.gram, step.v, prob.m, prob.k, step.j, prob.eps)
+        top = int(np.argmax(ref))
+        pick = ref[step.pick]
+        checks.append(StepCheck(
+            column=step.columns[step.pick],
+            best=step.columns[top],
+            margin=float((ref[top] - pick) / prob.eps),
+            trace_error=float(abs(np.longdouble(traced.lambda_min) - 1 - pick) / prob.eps),
+        ))
+    return tuple(checks)

@@ -3,10 +3,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from colsel.expected_charpoly import IsotropicInstance
+from colsel.expected_charpoly import IsotropicInstance, expected_poly_from_gram
 from colsel.linalg import DenseMatrix, thin_svd
-from colsel.poly import Polynomial, from_roots
-from colsel.selector import SelectionProblem
+from colsel.oracle import replay_steps
+from colsel.poly import Polynomial, from_roots, smallest_root
+from colsel.selector import SelectionProblem, build_isotropic
 
 
 def random_isotropic(
@@ -46,3 +47,18 @@ def random_real_rooted(
     degree = int(rng.integers(1, max_degree + 1))
     roots = np.sort(rng.uniform(low, high, size=degree))
     return from_roots(list(roots)), roots
+
+
+def replayed_rows(prob: SelectionProblem, subset):
+    """Each step of a greedy run that picked ``subset``, from
+    :func:`~colsel.oracle.replay_steps`, with the coefficient rows
+    :func:`~colsel.expected_charpoly.expected_poly_from_gram` gives its
+    candidates and the root the step before certified: the smallest root
+    of the pick's row, or ``-1``.  So a test of the coefficient path reads
+    a run's inputs, however the run scored its candidates."""
+    inst = build_isotropic(prob)
+    previous = -1.0
+    for step in replay_steps(prob, subset):
+        rows = expected_poly_from_gram(inst, step.gram, step.j, step.v)
+        yield step, rows, previous
+        previous = smallest_root(Polynomial(rows[step.pick]), prob.eps)

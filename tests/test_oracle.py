@@ -1,8 +1,10 @@
 """Brute-force enumeration, barrier checks, companion-root cross-oracle."""
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import combinations
 
@@ -11,16 +13,19 @@ import pytest
 
 from colsel import oracle
 from colsel.errors import AlgorithmFailure, InvalidInput, TooLarge
-from colsel.linalg import DEFAULT_RANK_TOL, DenseMatrix
+from colsel.linalg import DEFAULT_RANK_TOL, DenseMatrix, _gram_updates
 from colsel.oracle import (
     barrier,
     barrier_descent_check,
     brute_force,
     companion_smallest_root,
     interlacing_check,
+    reference_scores,
+    replay_check,
+    replay_steps,
 )
 from colsel.poly import Polynomial, derivative, from_roots, smallest_root
-from colsel.selector import SelectionProblem, greedy_select
+from colsel.selector import SelectionProblem, TraceStep, build_isotropic, greedy_select
 from conftest import random_isotropic, random_problem, random_real_rooted
 
 DOUBLED_IDENTITY = DenseMatrix([[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]])
@@ -538,6 +543,100 @@ def test_reference_newton_raises_when_out_of_steps(monkeypatch):
     monkeypatch.setattr(oracle, "REFERENCE_NEWTON_STEPS", 1)
     with pytest.raises(AlgorithmFailure, match="in 1 steps at partial size 0"):
         oracle.reference_scores(gram, v, inst.m, inst.k, 0, eps)
+
+
+def _exact_reference_poly(mu: np.ndarray, m: int, k: int, j: int, y: Decimal) -> Decimal:
+    """``T(y) = P^(d)(y) / (d! y^B)`` of :func:`reference_scores`, in 60-digit
+    ``Decimal`` from the float eigenvalues ``mu`` of one candidate's Gram."""
+    n = len(mu)
+    a, d = m - n - j, k - j
+    big_a = max(a, 0)
+    deg = m - k - max(big_a - d, 0)
+    rho = [Decimal(float(x)) - 1 for x in sorted(mu)[: n - max(-a, 0)]]
+    e = [Decimal(1)] + [Decimal(0)] * len(rho)
+    for r in rho:
+        for t in range(len(rho), 0, -1):
+            e[t] += (y - r) * e[t - 1]
+    return sum(math.comb(big_a, m - k - t) * y ** (deg - t) * e[t] for t in range(deg + 1))
+
+
+def test_reference_newton_finishes_where_rounding_stalls_it():
+    # At (64, 400, 0, 128), step 1, rounding keeps many candidates' Newton
+    # steps above 1e-6 eps: stopped by that test alone, the reference raised
+    # after its 200 steps, and it needed 879 to finish.  A step that no
+    # longer shrinks stops it after about 30.  Each of the three best
+    # scores then brackets a root of T, by 60-digit signs at 1e-3 eps on
+    # either side, the left one T's sign at min rho, where Newton started.
+    prob = random_problem(np.random.default_rng(0), 64, 400, 0, 128)
+    inst = build_isotropic(prob)
+    gram, v = inst.gram_fixed.data, inst.candidates
+    scores = reference_scores(gram, v, prob.m, prob.k, 1, prob.eps)
+    mu = np.linalg.eigvalsh(_gram_updates(gram, v))
+    delta = Decimal(1e-3 * prob.eps)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for c in np.argsort(scores)[-3:].tolist():
+            y = Decimal(float(scores[c]))
+            left = _exact_reference_poly(mu[c], prob.m, prob.k, 1, y - delta)
+            right = _exact_reference_poly(mu[c], prob.m, prob.k, 1, y + delta)
+            start = _exact_reference_poly(mu[c], prob.m, prob.k, 1, Decimal(float(mu[c, 0])) - 1)
+            assert (left > 0) == (start > 0) != (right > 0), c
+
+
+def _wide_report():
+    prob = random_problem(np.random.default_rng(0), 6, 48, 3, 12)
+    return prob, greedy_select(prob)
+
+
+def test_replay_check_reads_every_pick_of_a_greedy_run():
+    prob, report = _wide_report()
+    checks = replay_check(prob, report)
+    assert [c.column for c in checks] == list(report.subset)
+    assert all(c.best == c.column and c.margin == 0.0 for c in checks)
+    assert max(c.trace_error for c in checks) < 1e-3
+    steps = list(replay_steps(prob, report.subset))
+    assert [s.j for s in steps] == list(range(1, 13))
+    assert [s.columns[s.pick] for s in steps] == list(report.subset)
+    assert all(s.v.shape == (6, 48 - i) for i, s in enumerate(steps))
+
+
+def test_replay_check_reads_a_planted_wrong_pick():
+    # Step 4's pick is swapped for the remaining candidate the reference
+    # scores lowest; the later steps keep their columns, the swapped-in one
+    # replaced by the old pick where it comes again.
+    prob, report = _wide_report()
+    step = list(replay_steps(prob, report.subset))[3]
+    ref = reference_scores(step.gram, step.v, prob.m, prob.k, step.j, prob.eps)
+    worst = step.columns[int(np.argmin(ref))]
+    assert (ref.max() - ref.min()) / prob.eps > 2
+    old = report.subset[3]
+    subset = report.subset[:3] + (worst,) + tuple(
+        old if c == worst else c for c in report.subset[4:]
+    )
+    trace = tuple(TraceStep(c, t.lambda_min) for c, t in zip(subset, report.trace))
+    checks = replay_check(prob, dataclasses.replace(report, subset=subset, trace=trace))
+    assert [c.margin > 2 for c in checks[:4]] == [False, False, False, True]
+    assert checks[3].column == worst and checks[3].best == old
+
+
+def test_replay_check_reads_a_planted_trace_error():
+    prob, report = _wide_report()
+    trace = list(report.trace)
+    trace[5] = TraceStep(trace[5].index, trace[5].lambda_min + 2 * prob.eps)
+    checks = replay_check(prob, dataclasses.replace(report, trace=tuple(trace)))
+    assert [c.trace_error > 1 for c in checks] == [i == 5 for i in range(12)]
+    assert all(c.margin == 0.0 for c in checks)
+
+
+def test_replay_check_refuses_a_report_it_cannot_replay():
+    prob, report = _wide_report()
+    with pytest.raises(InvalidInput, match="does not name its subset"):
+        replay_check(prob, dataclasses.replace(report, trace=report.trace[::-1]))
+    twice = report.subset[:1] * 2
+    with pytest.raises(InvalidInput, match="duplicate"):
+        list(replay_steps(prob, twice))
+    with pytest.raises(InvalidInput, match="at most k = 12"):
+        list(replay_steps(prob, range(13)))
 
 
 @pytest.mark.parametrize("seed", [0, 5, 10, 12, 17, 23, 30])

@@ -21,7 +21,7 @@ from colsel.poly import (
     smallest_root,
     sturm_chain,
 )
-from conftest import random_problem, random_real_rooted
+from conftest import random_problem, random_real_rooted, replayed_rows
 
 
 def coeffs_close(p: Polynomial, expected, tol=1e-12):
@@ -311,14 +311,17 @@ def _counting_compensated_value(monkeypatch) -> list[int]:
 
 def test_smallest_root_certifies_wide_shape_roots(monkeypatch):
     # The benchmark's wide shape (n, m, l, k) = (6, 48, 3, 12).  Every root
-    # the greedy loop asks for is settled by Laguerre and the two one-sided
-    # tests: one plain Horner sign that clears its error bound shows a root
-    # at or below the upper end, after two compensated Newton steps, and
-    # one lower-end certificate, a zero Budan-Fourier count, shows no root
-    # at or below the lower end.  So it takes two compensated evaluations,
-    # one certificate and no Sturm count, nothing is bisected, and no Sturm
+    # the screen asks for, on the inputs of every step of a greedy run, is
+    # settled by Laguerre and the two one-sided tests: one plain Horner
+    # sign that clears its error bound shows a root at or below the upper
+    # end, after two compensated Newton steps, and one lower-end
+    # certificate, a zero Budan-Fourier count, shows no root at or below
+    # the lower end.  So it takes two compensated evaluations, one
+    # certificate and no Sturm count, nothing is bisected, and no Sturm
     # chain is built.  The screen's row-wise signs all clear their bound
     # too: no compensated evaluation outside a root.
+    prob = random_problem(np.random.default_rng(3), 6, 48, 3, 12)
+    replay = list(replayed_rows(prob, selector.greedy_select(prob).subset))
     certificates, counts = _counting_counts(monkeypatch)
     chains = _counting_sturm_chain(monkeypatch)
     values = _counting_compensated_value(monkeypatch)
@@ -332,7 +335,8 @@ def test_smallest_root_certifies_wide_shape_roots(monkeypatch):
         return root
 
     monkeypatch.setattr(selector, "smallest_root", counted_smallest_root)
-    selector.greedy_select(random_problem(np.random.default_rng(3), 6, 48, 3, 12))
+    for _, rows, previous in replay:
+        selector._best_candidate(rows, prob.eps, previous)
     assert 12 <= len(costs) <= 24
     assert set(costs) == {(1, 0, 2)}
     assert values[0] == 2 * len(costs)
@@ -873,10 +877,10 @@ def _root_or_error(p: Polynomial, eps: float):
         return None, type(exc)
 
 
-def test_laguerre_guesses_lie_between_the_common_point_and_the_smallest_root(monkeypatch):
+def test_laguerre_guesses_lie_between_the_common_point_and_the_smallest_root():
     # One Laguerre step from y0, left of a real-rooted row's roots, climbs
     # to at most its smallest root: on every step's rows of three wide
-    # instances, at the parent's score less eps as the loop takes it, and
+    # runs, at the previous step's root less eps as the loop takes it, and
     # on random real-rooted rows of degree 1 to 12, scaled by +-10^-3 to
     # 10^3, at the floor -1 - eps of their roots and at points among them.
     # A row whose sign at y0 shows a root at or below it guesses -inf;
@@ -884,15 +888,10 @@ def test_laguerre_guesses_lie_between_the_common_point_and_the_smallest_root(mon
     # checked for NaN only.  At degree 1 the step is Newton's, which lands
     # on the root.
     cases = []
-    real = selector._laguerre_guesses
-
-    def recording(rows, y0):
-        cases.append((rows.copy(), y0))
-        return real(rows, y0)
-
-    monkeypatch.setattr(selector, "_laguerre_guesses", recording)
     for seed in range(3):
-        selector.greedy_select(random_problem(np.random.default_rng(seed), 6, 48, 3, 12))
+        prob = random_problem(np.random.default_rng(seed), 6, 48, 3, 12)
+        replay = replayed_rows(prob, selector.greedy_select(prob).subset)
+        cases += [(rows, previous - prob.eps) for _, rows, previous in replay]
     assert len(cases) == 36
     assert [y0 for _, y0 in cases[::12]] == [-1.0 - selector.DEFAULT_EPS] * 3
     rng = np.random.default_rng(29)

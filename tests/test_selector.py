@@ -1,6 +1,8 @@
 """Greedy selection loop, reduction to the isotropic frame, bounds."""
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import json
 import math
 from decimal import Decimal, localcontext
@@ -13,7 +15,12 @@ from colsel.cli import serialize_report
 from colsel.errors import AlgorithmFailure, InvalidInput, InvalidSubset, RankDeficient
 from colsel.expected_charpoly import _psd_eigenvalues, expected_poly, expected_poly_from_gram
 from colsel.linalg import DenseMatrix, _gram_updates, gram_update, norms_sq, pseudoinverse, thin_svd
-from colsel.oracle import companion_smallest_root, reference_scores, stacked_expected_polys
+from colsel.oracle import (
+    companion_smallest_root,
+    replay_check,
+    replay_steps,
+    stacked_expected_polys,
+)
 from colsel.poly import Polynomial, from_roots, smallest_root
 from colsel.selector import (
     SelectionProblem,
@@ -26,7 +33,7 @@ from colsel.selector import (
     min_singular_check,
     verify_bound,
 )
-from conftest import in_x, random_problem, valid_budgets
+from conftest import in_x, random_problem, replayed_rows, valid_budgets
 
 DOUBLED_IDENTITY = DenseMatrix([[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]])
 
@@ -200,8 +207,8 @@ def test_greedy_is_deterministic():
     assert first == second  # bit-identical floats included
 
 
-def test_greedy_breaks_ties_by_smallest_column(monkeypatch):
-    # Columns j and j + 3 of b are equal.  The frame built here, [Y Y] / sqrt(2)
+def test_greedy_breaks_ties_by_smallest_column():
+    # Columns j and j + 3 of b are equal.  The frame set here, [Y Y] / sqrt(2)
     # with Y the right singular vectors of the first half, is b's exact
     # isotropic frame with bit-identical twins, so a column and its twin get
     # bit-identical expected polynomials at every step: an exact tie, which
@@ -210,63 +217,52 @@ def test_greedy_breaks_ties_by_smallest_column(monkeypatch):
     half = rng.standard_normal((2, 3))
     prob = SelectionProblem(a=empty_block(2), b=DenseMatrix(np.hstack([half, half])), k=3)
     y = thin_svd(DenseMatrix(half)).vt.data / math.sqrt(2.0)
-    inst = expected_charpoly.IsotropicInstance(y=DenseMatrix(np.hstack([y, y])), l=0, r=0, k=3)
-    monkeypatch.setattr(selector, "build_isotropic", lambda _: inst)
-    steps = []
-
-    def recording(inst, gram, j, v):
-        steps.append(expected_poly_from_gram(inst, gram, j, v))
-        return steps[-1]
-
-    monkeypatch.setattr(selector, "expected_poly_from_gram", recording)
+    # build_isotropic reads the frame from the problem's SVD of [a b]
+    frame = dataclasses.replace(prob.stacked, vt=DenseMatrix(np.hstack([y, y])))
+    object.__setattr__(prob, "stacked", frame)
     report = greedy_select(prob)
     assert report.subset == (2, 1, 0)
-    remaining = list(range(6))
-    for j, rows in zip(report.subset, steps):
-        assert rows[remaining.index(j)].tobytes() == rows[remaining.index(j + 3)].tobytes()
-        remaining.remove(j)
+    for step, rows, _ in replayed_rows(prob, report.subset):
+        twin = step.columns.index(step.columns[step.pick] + 3)
+        assert rows[step.pick].tobytes() == rows[twin].tobytes()
 
 
-def _reference_greedy(prob: SelectionProblem) -> SelectionReport:
-    """The greedy loop with no screen: one :func:`smallest_root` call per
-    remaining candidate, ascending, keeping a strictly larger root only,
-    then the report and its checks as :func:`greedy_select` makes them."""
-    inst = build_isotropic(prob)
-    remaining, chosen, trace = list(range(prob.m)), [], []
-    gram = inst.gram_fixed.data
-    for _ in range(prob.k):
-        v = inst.candidates[:, remaining]
-        rows = expected_poly_from_gram(inst, gram, len(chosen) + 1, v)
-        best_y, best = -math.inf, -1
-        for i, row in enumerate(rows.tolist()):
-            root_y = smallest_root(Polynomial(row), prob.eps)
-            if root_y > best_y:
-                best_y, best = root_y, i
-        chosen.append(remaining.pop(best))
-        gram = _gram_updates(gram, v[:, best : best + 1])[0]
-        trace.append(TraceStep(index=chosen[-1], lambda_min=1.0 + best_y))
-    frob_sq, spec_sq = selector._subset_norms_sq(prob, chosen)
-    report = SelectionReport(
-        subset=tuple(chosen),
-        frob_sq=frob_sq,
-        spec_sq=spec_sq,
-        baseline_frob_sq=prob.baseline_norms_sq[0],
-        baseline_spec_sq=prob.baseline_norms_sq[1],
-        gamma=prob.gamma,
-        bound_factor=prob.bound_factor,
-        eps=prob.eps,
-        trace=tuple(trace),
-    )
-    selector._check_report(report, prob)
-    return report
+def _report(monkeypatch, prob: SelectionProblem):
+    """The report of ``greedy_select(prob)`` and ``None``, or, where the run
+    raises :class:`AlgorithmFailure` after ``selector._check_report`` was
+    given a report, that report and the exception."""
+    seen = []
+    check_report = selector._check_report
+
+    def recording(report, prob):
+        seen.append(report)
+        check_report(report, prob)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(selector, "_check_report", recording)
+        try:
+            return greedy_select(prob), None
+        except AlgorithmFailure as exc:
+            if not seen:
+                raise
+            return seen[0], exc
 
 
-def _outcome(select, prob: SelectionProblem):
-    """``select(prob)``, or the type and message of what it raised."""
-    try:
-        return select(prob)
-    except AlgorithmFailure as exc:
-        return type(exc), str(exc)
+def _full_loop(rows: np.ndarray, eps: float) -> tuple[int, float]:
+    """The loop with no screen: one :func:`smallest_root` call per row,
+    ascending, keeping a strictly larger root only."""
+    best_y, best = -math.inf, -1
+    for i, row in enumerate(rows.tolist()):
+        root_y = smallest_root(Polynomial(row), eps)
+        if root_y > best_y:
+            best_y, best = root_y, i
+    return best, best_y
+
+
+def _assert_the_screen_replays_the_full_loop(monkeypatch, prob: SelectionProblem) -> None:
+    report, _ = _report(monkeypatch, prob)
+    for step, rows, previous in replayed_rows(prob, report.subset):
+        assert selector._best_candidate(rows, prob.eps, previous) == _full_loop(rows, prob.eps)
 
 
 def _near_tied_problem(seed: int) -> SelectionProblem:
@@ -282,27 +278,31 @@ def _near_tied_problem(seed: int) -> SelectionProblem:
     "n, m, ell, k, seeds",
     [(6, 48, 3, 12, 3), (4, 14, 2, 5, 6), (4, 7, 0, 5, 6), (2, 33, 0, 16, 3), (12, 100, 6, 40, 1)],
 )
-def test_greedy_replays_the_loop_that_roots_every_candidate(n, m, ell, k, seeds):
+def test_greedy_replays_the_loop_that_roots_every_candidate(monkeypatch, n, m, ell, k, seeds):
     # The screen drops only rows whose roots are certified below the bar, so
-    # reports (subset, trace values, norms) or failures are the full loop's.
+    # at every step of a run it picks the full loop's winner, with its root.
     for seed in range(seeds):
         prob = random_problem(np.random.default_rng([n, m, ell, k, seed]), n, m, ell, k)
-        assert _outcome(greedy_select, prob) == _outcome(_reference_greedy, prob)
+        _assert_the_screen_replays_the_full_loop(monkeypatch, prob)
 
 
-def test_greedy_replays_the_full_loop_on_near_ties_and_duplicated_columns():
+def test_greedy_replays_the_full_loop_on_near_ties_and_duplicated_columns(monkeypatch):
     for seed in range(4):
-        prob = _near_tied_problem(seed)
-        assert greedy_select(prob) == _reference_greedy(prob)
+        _assert_the_screen_replays_the_full_loop(monkeypatch, _near_tied_problem(seed))
     for case in ("duplicated", "duplicated, a from b"):
-        prob = _corner_problem(case, 0)
-        assert greedy_select(prob) == _reference_greedy(prob)
+        _assert_the_screen_replays_the_full_loop(monkeypatch, _corner_problem(case, 0))
 
 
 def test_every_row_the_screen_drops_has_its_root_below_the_bar(monkeypatch):
     # A dropped row has a root at or below t = R0 - eps, where R0 is the
     # certified root of the first row rooted; the companion oracle, good to
-    # about 1e-8 here, agrees to within eps/4.
+    # about 1e-8 here, agrees to within eps/4.  The screens are those of
+    # every step of four runs.
+    runs = []
+    for shape in ((6, 48, 3, 12), (4, 14, 2, 5), (4, 7, 0, 5)):
+        runs.append(random_problem(np.random.default_rng(list(shape)), *shape))
+    runs.append(_near_tied_problem(0))
+    runs = [(prob, greedy_select(prob).subset) for prob in runs]
     screens = []
     real = selector._roots_at_or_below
 
@@ -312,10 +312,9 @@ def test_every_row_the_screen_drops_has_its_root_below_the_bar(monkeypatch):
         return dropped
 
     monkeypatch.setattr(selector, "_roots_at_or_below", recording)
-    for shape in ((6, 48, 3, 12), (4, 14, 2, 5), (4, 7, 0, 5)):
-        prob = random_problem(np.random.default_rng(list(shape)), *shape)
-        greedy_select(prob)
-    greedy_select(_near_tied_problem(0))
+    for prob, subset in runs:
+        for _, rows, previous in replayed_rows(prob, subset):
+            selector._best_candidate(rows, prob.eps, previous)
     assert sum(int(dropped.sum()) for _, _, dropped in screens) > 500
     eps = selector.DEFAULT_EPS  # every problem here has the default eps
     for rows, t, dropped in screens:
@@ -338,70 +337,59 @@ def test_the_screen_leaves_few_roots_to_certify(monkeypatch):
     # One Laguerre step from the parent's score picks the winner nearly
     # always, and the screen drops every other row: without it each wide
     # step roots all 42.5 candidates left on average.  On the wide shape
-    # and at degree 12 a step roots at most 1.1 rows on average.
-    calls = []
+    # and at degree 12 a step roots at most 1.1 rows on average, over the
+    # steps of runs.
+    def roots_per_step(problems) -> float:
+        runs = [(prob, greedy_select(prob).subset) for prob in problems]
+        calls = []
 
-    def counted(p, eps):
-        calls.append(p)
-        return smallest_root(p, eps)
+        def counted(p, eps):
+            calls.append(p)
+            return smallest_root(p, eps)
 
-    monkeypatch.setattr(selector, "smallest_root", counted)
-    for seed in range(10):
-        greedy_select(random_problem(np.random.default_rng(seed), 6, 48, 3, 12))
-    assert len(calls) / (10 * 12) <= 1.1
-    calls.clear()
-    greedy_select(random_problem(np.random.default_rng(0), 12, 100, 0, 40))
-    assert len(calls) / 40 <= 1.1
+        with monkeypatch.context() as patch:
+            patch.setattr(selector, "smallest_root", counted)
+            steps = 0
+            for prob, subset in runs:
+                for _, rows, previous in replayed_rows(prob, subset):
+                    selector._best_candidate(rows, prob.eps, previous)
+                    steps += 1
+        return len(calls) / steps
 
-
-def _stacked_greedy(prob: SelectionProblem) -> tuple[list[int], list[float], list[np.ndarray]]:
-    """The greedy loop as it scored before the determinant lemma: every
-    remaining candidate's Gram, as one ``(C, n, n)`` stack, through the
-    oracle's stacked transform, one ``eigh`` per Gram.  The subset,
-    its roots in ``x``, and the Gram each iteration starts from."""
-    inst = build_isotropic(prob)
-    remaining, chosen, roots, trajectory = list(range(prob.m)), [], [], []
-    gram = inst.gram_fixed.data
-    for _ in range(prob.k):
-        trajectory.append(gram)
-        grams = _gram_updates(gram, inst.candidates[:, remaining])
-        polys = stacked_expected_polys(inst, grams, len(chosen) + 1)
-        scores = [smallest_root(f, prob.eps) for f in polys]
-        best = max(range(len(scores)), key=scores.__getitem__)  # the first of a tie
-        chosen.append(remaining.pop(best))
-        roots.append(1.0 + scores[best])
-        gram = grams[best]
-    return chosen, roots, trajectory
+    wide = [random_problem(np.random.default_rng(seed), 6, 48, 3, 12) for seed in range(10)]
+    assert roots_per_step(wide) <= 1.1
+    assert roots_per_step([random_problem(np.random.default_rng(0), 12, 100, 0, 40)]) <= 1.1
 
 
-# Trace roots of the determinant-lemma transform within this many eps of
-# the stacked one's: 10x the largest difference measured on the n <= 6
+# Roots of the determinant-lemma transform within this many eps of the
+# stacked one's: 10x the largest difference measured on the n <= 6
 # replays below, 1.25e-4 at the wide shape.
 _REPLAY_ROOT_TOL = 1.3e-3
 
 
-def _assert_replays(
-    monkeypatch, prob: SelectionProblem, root_tol: float | None, steps: int | None = None
-) -> float:
-    """``greedy_select`` picks the subset of the stacked loop, from the same
-    Gram trajectory bit for bit, with trace roots within ``root_tol * eps``
-    of its roots (unchecked for ``None``); only the first ``steps`` picks
-    if given.  Returns the largest root difference over ``eps``."""
-    trajectory = []
-
-    def recording(inst, gram, j, v):
-        trajectory.append(gram.tobytes())
-        return expected_poly_from_gram(inst, gram, j, v)
-
-    monkeypatch.setattr(selector, "expected_poly_from_gram", recording)
-    report = greedy_select(prob)
-    chosen, roots, stacked_trajectory = _stacked_greedy(prob)
-    steps = prob.k if steps is None else steps
-    assert report.subset[:steps] == tuple(chosen[:steps])
-    assert [t.index for t in report.trace[:steps]] == chosen[:steps]
-    # the Gram iteration i starts from holds the first i picks
-    assert trajectory[:steps + 1] == [g.tobytes() for g in stacked_trajectory[:steps + 1]]
-    gap = max(abs(t.lambda_min - r) for t, r in zip(report.trace[:steps], roots)) / prob.eps
+def _assert_replays(prob: SelectionProblem, root_tol: float | None, steps: int | None = None) -> float:
+    """At each step of a replay of ``greedy_select``'s subset, the rows of
+    the determinant-lemma transform pick, by the screen, the candidate the
+    stacked transform picks (as the loop scored before the lemma: every
+    candidate's Gram through the oracle's stacked transform, one ``eigh``
+    per Gram, every candidate rooted, the first of a tie), with a root
+    within ``root_tol * eps`` of its root (unchecked for ``None``); and the
+    stacked Gram of the pick is bit for bit the one the next step starts
+    from.  Only the first ``steps`` steps if given.  Returns the largest
+    root difference over ``eps``."""
+    inst = build_isotropic(prob)
+    gaps = []
+    replay = replayed_rows(prob, greedy_select(prob).subset)
+    for step, rows, previous in itertools.islice(replay, steps):
+        grams = _gram_updates(step.gram, step.v)
+        scores = [smallest_root(f, prob.eps) for f in stacked_expected_polys(inst, grams, step.j)]
+        stacked = max(range(len(scores)), key=scores.__getitem__)  # the first of a tie
+        best, best_y = selector._best_candidate(rows, prob.eps, previous)
+        assert best == stacked
+        picked = step.v[:, step.pick : step.pick + 1]
+        assert grams[step.pick].tobytes() == _gram_updates(step.gram, picked)[0].tobytes()
+        gaps.append(abs(best_y - scores[stacked]) / prob.eps)
+    gap = max(gaps)
     assert root_tol is None or gap <= root_tol
     return gap
 
@@ -419,16 +407,14 @@ def _assert_replays(
         (12, 100, 6, 40, None),
     ],
 )
-def test_batched_grams_replay_the_per_candidate_loop_bit_for_bit(monkeypatch, n, m, ell, k, rank_a):
+def test_batched_grams_replay_the_per_candidate_loop_bit_for_bit(n, m, ell, k, rank_a):
     # The determinant-lemma transform against the oracle's stacked one.  At
     # degree 12 a root moves by up to tens of eps under last-bit changes of
-    # the coefficients (ROADMAP item 3): the trace roots of steps
-    # 1-38 differ by up to 10.7 eps, and at step 39 (d = k - j = 1) of the
-    # first instance the two transforms pick different columns, whose exact
-    # scores are 22.5 eps apart.  Their last trace values are then off the
-    # exact mu_min of the selected Gram by 1.9e4 and -577 eps (second
-    # instance: -10.5 and -6.6).  So only the picks and Grams of the first
-    # k - 2 steps are pinned there, and no root.
+    # the coefficients (ROADMAP item 3): the roots of steps 1-38 differ by
+    # up to 10.7 eps, and at step 39 (d = k - j = 1) of the first instance
+    # the two transforms pick different columns, whose exact scores are
+    # 22.5 eps apart.  So only the picks and Grams of the first k - 2
+    # steps are pinned there, and no root.
     rng = np.random.default_rng([n, m, ell, k])
     for _ in range(2):
         if rank_a is None:
@@ -437,19 +423,19 @@ def test_batched_grams_replay_the_per_candidate_loop_bit_for_bit(monkeypatch, n,
             a = rng.standard_normal((n, rank_a)) @ rng.standard_normal((rank_a, ell))
         prob = SelectionProblem(a=DenseMatrix(a), b=DenseMatrix(rng.standard_normal((n, m))), k=k)
         if n == 12:
-            _assert_replays(monkeypatch, prob, None, steps=k - 2)
+            _assert_replays(prob, None, steps=k - 2)
         else:
-            _assert_replays(monkeypatch, prob, _REPLAY_ROOT_TOL)
+            _assert_replays(prob, _REPLAY_ROOT_TOL)
 
 
-def test_greedy_replays_near_tied_columns(monkeypatch):
+def test_greedy_replays_near_tied_columns():
     # Columns 1 and 3 are within 1e-9 of columns 0 and 2, so their roots
     # come within eps of the running best, where the screen keeps both.
     for seed in range(4):
-        _assert_replays(monkeypatch, _near_tied_problem(seed), _REPLAY_ROOT_TOL)
+        _assert_replays(_near_tied_problem(seed), _REPLAY_ROOT_TOL)
 
 
-def test_batched_grams_replay_an_eigenvalue_exactly_one(monkeypatch):
+def test_batched_grams_replay_an_eigenvalue_exactly_one():
     # Row 0 of b is zero but in column 0, so every partial Gram holding
     # column 0 has the eigenvalue one exactly.  eigvalsh returns it within
     # rounding on either side of one, where an order by |mu - 1| and the
@@ -463,7 +449,7 @@ def test_batched_grams_replay_an_eigenvalue_exactly_one(monkeypatch):
         inst = build_isotropic(prob)
         full = gram_update(inst.gram_fixed, inst.candidates[:, 0]).data
         above_one += np.linalg.eigvalsh(full)[-1] > 1.0
-        _assert_replays(monkeypatch, prob, _REPLAY_ROOT_TOL)
+        _assert_replays(prob, _REPLAY_ROOT_TOL)
     assert above_one > 0
 
 
@@ -471,9 +457,12 @@ def test_batched_grams_replay_an_eigenvalue_exactly_one(monkeypatch):
 def test_greedy_takes_one_eigendecomposition_and_no_candidate_grams_per_step(
     monkeypatch, n, m, ell, k
 ):
-    # Each iteration decomposes the partial's n x n Gram once and forms the
-    # winner's Gram alone: no (C, n, n) stack and no eigensolve per candidate.
+    # The transform decomposes the partial's n x n Gram once per step, on
+    # the inputs of every step of a run: no (C, n, n) stack and no
+    # eigensolve per candidate.
     prob = random_problem(np.random.default_rng([n, m, ell, k]), n, m, ell, k)
+    inst = build_isotropic(prob)
+    steps = list(replay_steps(prob, greedy_select(prob).subset))
     calls = []
     for name in ("eigh", "eigvalsh"):
         def counted(a, *args, _name=name, _solver=getattr(np.linalg, name), **kwargs):
@@ -481,108 +470,50 @@ def test_greedy_takes_one_eigendecomposition_and_no_candidate_grams_per_step(
             return _solver(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
-    updates = []
-
-    def recorded_updates(g, v):
-        updates.append(np.shape(v))
-        return _gram_updates(g, v)
-
-    monkeypatch.setattr(selector, "_gram_updates", recorded_updates)
-    greedy_select(prob)
+    for step in steps:
+        expected_poly_from_gram(inst, step.gram, step.j, step.v)
     assert calls == [("eigh", (n, n))] * k
-    assert updates == [(n, 1)] * k
 
 
 @pytest.mark.parametrize("n, m, ell, k", [(6, 48, 3, 12), (12, 100, 0, 40), (4, 7, 0, 5)])
-def test_greedy_grams_have_eigenvalues_in_the_unit_interval(monkeypatch, n, m, ell, k):
+def test_greedy_grams_have_eigenvalues_in_the_unit_interval(n, m, ell, k):
     # The transform lists r = mu - 1 by ascending |r| as eigh's order
-    # reversed, which holds because every mu lies in [0, 1].
-    seen = []
-
-    def recording(inst, gram, j, v):
-        seen.append(_psd_eigenvalues(_gram_updates(gram, v)))
-        return expected_poly_from_gram(inst, gram, j, v)
-
-    monkeypatch.setattr(selector, "expected_poly_from_gram", recording)
+    # reversed, which holds because every mu lies in [0, 1]: so at every
+    # step of a run, for every candidate.
     rng = np.random.default_rng([n, m, ell, k])
-    greedy_select(random_problem(rng, n, m, ell, k))
-    assert len(seen) == k
-    for eig in seen:
+    prob = random_problem(rng, n, m, ell, k)
+    steps = list(replay_steps(prob, greedy_select(prob).subset))
+    assert len(steps) == k
+    for step in steps:
+        eig = _psd_eigenvalues(_gram_updates(step.gram, step.v))
         assert eig.min() >= 0.0 and eig.max() <= 1.0 + 1e-12
 
 
 @pytest.mark.parametrize("n, m, ell, k", [(6, 48, 3, 12), (4, 14, 2, 5), (4, 7, 0, 5)])
-def test_every_score_lies_between_the_candidate_gram_and_the_identity(monkeypatch, n, m, ell, k):
+def test_every_score_lies_between_the_candidate_gram_and_the_identity(n, m, ell, k):
     # Every size-k superset T of a partial extended by v has
     # G + v v^T <= G_T <= I, so the average of the det(xI - G_T) has no
     # root outside [mu_min(G + v v^T), 1], and none below x = 0 (y = -1),
     # the floor the greedy loop starts from.  In powers of y = x - 1 each
     # det((y + 1)I - G_T) has roots mu - 1 <= 0, so no negative coefficient.
-    seen = []
-
-    def recording(inst, gram, j, v):
-        rows = expected_poly_from_gram(inst, gram, j, v)
-        seen.append((_gram_updates(gram, v), rows))
-        return rows
-
-    monkeypatch.setattr(selector, "expected_poly_from_gram", recording)
+    # The trace value is within eps of the best score.
     for seed in range(3):
-        seen.clear()
         prob = random_problem(np.random.default_rng([n, m, ell, k, seed]), n, m, ell, k)
         report = greedy_select(prob)
-        assert len(seen) == k
-        for step, (grams, rows) in zip(report.trace, seen):
-            mu_min = np.linalg.eigvalsh(grams)[:, 0]
+        replay = list(replayed_rows(prob, report.subset))
+        assert len(replay) == k
+        for traced, (step, rows, _) in zip(report.trace, replay):
+            mu_min = np.linalg.eigvalsh(_gram_updates(step.gram, step.v))[:, 0]
             lam = 1.0 + np.array([smallest_root(Polynomial(c), prob.eps) for c in rows])
             assert np.all(mu_min - prob.eps <= lam) and np.all(lam <= 1.0 + prob.eps)
             assert np.all(lam >= -prob.eps)
-            assert step.lambda_min == lam.max()
+            assert abs(traced.lambda_min - lam.max()) <= prob.eps
             for c in rows:
                 assert c.min() >= -1e-12 * np.abs(c).max()
 
 
 class _WrongPick(AssertionError):
     """A greedy step picked a column more than 2 eps below the reference argmax."""
-
-
-def _greedy_checked_against_the_reference(monkeypatch, prob: SelectionProblem) -> int:
-    """Run :func:`greedy_select`, checking each pick as it is taken: where the
-    reference scores another column more than ``2 eps`` above the pick,
-    raise :class:`_WrongPick` naming both and the margin.  Each trace value
-    must lie within ``eps`` of the pick's reference root; that is asserted
-    after the run, so a run that drifts and then picks wrong fails on the
-    pick.  Returns the number of steps checked."""
-    eps = prob.eps
-    remaining, drift, steps = list(range(prob.m)), [], []
-    transform, best_candidate = selector.expected_poly_from_gram, selector._best_candidate
-
-    def recording(inst, gram, j, v):
-        steps.append((gram, j, v))
-        return transform(inst, gram, j, v)
-
-    def checked(rows, eps, previous):
-        best, best_y = best_candidate(rows, eps, previous)
-        gram, j, v = steps[-1]
-        ref = reference_scores(gram, v, prob.m, prob.k, j, eps)
-        top = int(np.argmax(ref))
-        margin = float((ref[top] - ref[best]) / eps)
-        if margin > 2:
-            raise _WrongPick(
-                f"step {j}: picked column {remaining[best]}, but column {remaining[top]} "
-                f"scores {margin:.1f} eps higher by the reference"
-            )
-        error = float(abs(best_y - ref[best]) / eps)
-        if error > 1:
-            drift.append(f"step {j}: column {remaining[best]}'s trace value is {error:.3g} eps off")
-        remaining.pop(best)
-        return best, best_y
-
-    with monkeypatch.context() as patch:
-        patch.setattr(selector, "expected_poly_from_gram", recording)
-        patch.setattr(selector, "_best_candidate", checked)
-        greedy_select(prob)
-    assert not drift, drift
-    return len(steps)
 
 
 def _wrong_pick(reason: str):
@@ -605,12 +536,32 @@ def _wrong_pick(reason: str):
     ],
 )
 def test_greedy_picks_the_reference_argmax(monkeypatch, n, m, ell, k, seed):
+    # Every pick is judged from the report alone (oracle.replay_check): a
+    # pick more than 2 eps below the reference argmax raises _WrongPick
+    # naming both and the margin, then a run that raised re-raises, and
+    # every trace value must lie within eps of its pick's reference root.
     # The reference is exact to far below eps only with a 64-bit mantissa:
     # numpy's longdouble has one on x86-64, and is a plain double elsewhere.
     if np.finfo(np.longdouble).nmant < 63:
         pytest.fail(f"np.longdouble has a {np.finfo(np.longdouble).nmant}-bit mantissa, not 63")
     prob = random_problem(np.random.default_rng(seed), n, m, ell, k)
-    assert _greedy_checked_against_the_reference(monkeypatch, prob) == k
+    report, failure = _report(monkeypatch, prob)
+    checks = replay_check(prob, report)
+    for step, check in enumerate(checks, start=1):
+        if check.margin > 2:
+            raise _WrongPick(
+                f"step {step}: picked column {check.column}, but column {check.best} "
+                f"scores {check.margin:.1f} eps higher by the reference"
+            )
+    if failure is not None:
+        raise failure
+    drift = [
+        f"step {step}: column {check.column}'s trace value is {check.trace_error:.3g} eps off"
+        for step, check in enumerate(checks, start=1)
+        if check.trace_error > 1
+    ]
+    assert not drift, drift
+    assert len(checks) == k
 
 
 def _corner_problem(case: str, seed: int) -> SelectionProblem:

@@ -15,34 +15,46 @@ reports the largest relative difference of the norms, the bound factor
 and the verify ratios.  One line per ``SHAPES`` entry repeats the
 instance, raising, outcome, subset and root-value counts and the largest
 root difference for that shape alone, so a large difference at degree
-12 does not hide the benchmark's ``wide`` and ``oracle`` shapes.  Each
-tree also counts, inside ``greedy_select``, its ``smallest_root`` calls
-and its ``sturm_chain`` calls.  A tree need not root every candidate it
-scores (one per remaining candidate per step): one that screens them
-roots only those that can still win.  ``smallest_root`` builds at most
-one chain per root, and only where the sign rule fails at an end (the
-sign of ``p`` at the upper end, or those of ``p`` and every derivative
-at the lower end), so the chain count is the number of roots that took
-the Sturm fallback.  The totals, and each per-shape line, print both trees' counts
-beside the candidates scored.  Each per-shape line also prints each tree's largest last-step
-error ``|trace[-1] - mu_min(G_S)| / eps``, where ``G_S`` is the Gram of the
-fixed and selected columns in the isotropic frame, taken with numpy alone
-from the thin SVD of ``[A B]``.  At ``d = k - j = 0`` the expected
-polynomial is the selected Gram's own characteristic polynomial, so its
-smallest root is exactly ``mu_min(G_S) - 1``.  An instance whose report
-fails ``_check_report`` is measured too, from the report that check was
-given.  So where both trees are thousands of eps off at degree 12, an
-outcome that flips there reads as such, not as a new fault.  These
-counts and errors are for information only and do not change the exit
-status.  Each tree also counts, in total and per shape, the
-``smallest_root`` results that an exact sign contradicts: the float
-coefficients, evaluated in ``fractions`` at ``root - eps/2``, have the
-sign opposite to their sign at ``-inf``, so the float polynomial has a
-real root more than ``eps/2`` left of the result, which breaks its
-contract.  The sign is the tool's own, so every tree is held to the
-same rule.  The results are split into calls that built no Sturm chain
-and calls that did, and one on a shape with ``n <= 6`` in either tree
-sets exit status 1.
+12 does not hide the benchmark's ``wide`` and ``oracle`` shapes.
+
+Every pick is judged from its report alone.  A third subprocess imports
+the NEW tree and runs its ``colsel.oracle.replay_check`` on every report
+of both trees, once per distinct report, so the tool works against an
+OLD tree that predates it.  An instance whose report fails
+``_check_report`` is judged too, from the report that check was given.
+The replay rebuilds each step's Gram from the subset and scores every
+remaining candidate with the ``longdouble`` reference; each tree's total
+and per-shape line prints the steps replayed, the wrong picks (a margin
+below the reference best over ``2 eps``), the largest margin and the
+largest trace error ``|trace value - reference root of the pick| / eps``.
+The last step's expected polynomial (``d = k - j = 0``) is the selected
+Gram's own characteristic polynomial, so its trace error is the distance
+of ``trace[-1]`` from ``mu_min(G_S)``.  At ``n <= 6`` a wrong pick or a
+trace error over ``eps``, in either tree, sets exit status 1; at degree 8
+and 12 they are for information (the coefficient scorer is thousands of
+eps off there, and picks wrong at every step of the minimal-budget
+shapes).
+
+Each tree also counts, inside ``greedy_select``, its ``smallest_root``
+calls and its ``sturm_chain`` calls, where it has the names
+``colsel.selector.smallest_root`` and ``colsel.poly.sturm_chain``, and
+prints ``n/a`` for a count where it does not.  A tree need not root every
+candidate it scores (one per remaining candidate per step): one that
+screens them roots only those that can still win.  ``smallest_root``
+builds at most one chain per root, and only where the sign rule fails at
+an end (the sign of ``p`` at the upper end, or those of ``p`` and every
+derivative at the lower end), so the chain count is the number of roots
+that took the Sturm fallback.  The totals, and each per-shape line, print
+both trees' counts beside the candidates scored.  These counts do not
+change the exit status.  Where it has ``smallest_root``, each tree also
+counts, in total and per shape, the results that an exact sign
+contradicts: the float coefficients, evaluated in ``fractions`` at ``root
+- eps/2``, have the sign opposite to their sign at ``-inf``, so the float
+polynomial has a real root more than ``eps/2`` left of the result, which
+breaks its contract.  The sign is the tool's own, so every tree is held
+to the same rule.  The results are split into calls that built no Sturm
+chain and calls that did, and one on a shape with ``n <= 6`` in either
+tree sets exit status 1.
 
 Every instance with ``C(m, k) <= 8008`` (all shapes but the first and
 the four at degree 8 and 12) also runs ``brute_force``, the last shape's
@@ -55,7 +67,8 @@ compare speed (identical ``brute_force`` code has read 1.15 s
 and 1.52 s on a 2-vCPU machine), so speed claims come from alternating
 ``benchmarks/run.py`` runs.  Exit status 1 if any outcome, subset, root
 value, best subset or feasible set differs, if a root at ``n <= 6`` is
-contradicted, or if a brute-force norm's
+contradicted, if a pick at ``n <= 6`` is wrong or its trace value is
+more than ``eps`` off, or if a brute-force norm's
 largest relative difference exceeds ``BRUTE_FORCE_RTOL`` (1e-12): a
 Frobenius norm taken from a well-conditioned subset's Cholesky factor
 is within ``5.5e-13`` of exact by its error bound at the oracle shape,
@@ -117,31 +130,52 @@ def root_at_or_below(coeffs: tuple[float, ...], t: float) -> bool:
     return value < 0 if positive_at_minus_inf else value > 0
 
 
-def dump() -> None:
+def instances():
+    """``(shape_id, seed, problem)`` for every instance, in order, built by
+    the tree on ``sys.path``."""
     import numpy as np
 
+    from colsel import DenseMatrix, SelectionProblem
+
+    for shape_id, (n, m, ell, k, rank_a, count) in enumerate(SHAPES):
+        for seed in range(count):
+            rng = np.random.default_rng([shape_id, seed])
+            if rank_a is None:
+                a = rng.standard_normal((n, ell))
+            else:
+                a = rng.standard_normal((n, rank_a)) @ rng.standard_normal((rank_a, ell))
+            prob = SelectionProblem(
+                a=DenseMatrix(a), b=DenseMatrix(rng.standard_normal((n, m))), k=k
+            )
+            yield shape_id, seed, prob
+
+
+def dump() -> None:
     import colsel.poly
     import colsel.selector
-    from colsel import DenseMatrix, SelectionProblem, brute_force, greedy_select, verify_bound
+    from colsel import brute_force, greedy_select, verify_bound
 
-    # smallest_root looks sturm_chain up in colsel.poly, so this sees every fallback
+    # smallest_root looks sturm_chain up in colsel.poly, so this sees every
+    # fallback; a tree without that name counts none
     sturm_chains = 0
-    sturm_chain = colsel.poly.sturm_chain
+    sturm_chain = getattr(colsel.poly, "sturm_chain", None)
 
     def counted_sturm_chain(p):
         nonlocal sturm_chains
         sturm_chains += 1
         return sturm_chain(p)
 
-    colsel.poly.sturm_chain = counted_sturm_chain
+    if sturm_chain is not None:
+        colsel.poly.sturm_chain = counted_sturm_chain
 
     # greedy_select looks smallest_root up in colsel.selector.  A result
     # with a real root more than eps/2 to its left, shown by an exact
     # sign, breaks smallest_root's contract; such results are counted
     # apart for calls that built no Sturm chain and for calls that did.
+    # A tree without that name counts none.
     root_calls = 0
     contradicted = [0, 0]
-    smallest_root = colsel.selector.smallest_root
+    smallest_root = getattr(colsel.selector, "smallest_root", None)
 
     def counted_smallest_root(p, eps):
         nonlocal root_calls
@@ -152,7 +186,8 @@ def dump() -> None:
             contradicted[sturm_chains > chains] += 1
         return root
 
-    colsel.selector.smallest_root = counted_smallest_root
+    if smallest_root is not None:
+        colsel.selector.smallest_root = counted_smallest_root
 
     # greedy_select looks _check_report up in colsel.selector, so this sees
     # the report of an instance that then raises AlgorithmFailure
@@ -166,72 +201,92 @@ def dump() -> None:
 
     colsel.selector._check_report = recorded_check_report
 
-    def last_step_error(a, b, report) -> float:
-        """``|trace[-1] - mu_min(G_S)| / eps``, from numpy's thin SVD of ``[a b]``."""
-        vt = np.linalg.svd(np.hstack([a, b]), full_matrices=False)[2]
-        y = vt[:, list(range(a.shape[1])) + [a.shape[1] + j for j in report.subset]]
-        mu_min = float(np.linalg.eigvalsh(y @ y.T)[0])
-        return abs(report.trace[-1].lambda_min - mu_min) / report.eps
-
-    for shape_id, (n, m, ell, k, rank_a, count) in enumerate(SHAPES):
-        for seed in range(count):
-            rng = np.random.default_rng([shape_id, seed])
-            if rank_a is None:
-                a = rng.standard_normal((n, ell))
-            else:
-                a = rng.standard_normal((n, rank_a)) @ rng.standard_normal((rank_a, ell))
-            prob = SelectionProblem(
-                a=DenseMatrix(a), b=DenseMatrix(rng.standard_normal((n, m))), k=k
-            )
-            record = {"shape": [n, m, ell, k, rank_a], "seed": seed}
-            sturm_chains, root_calls, checked = 0, 0, None
-            contradicted[:] = 0, 0
-            try:
-                report = greedy_select(prob)
-            except Exception as exc:  # an outcome to compare, not a reason to stop
-                record.update(
-                    error=[type(exc).__name__, str(exc)],
-                    sturm_chains=sturm_chains,
-                    root_calls=root_calls,
-                    contradicted=list(contradicted),
-                )
-                if checked is not None:
-                    record["last_step_error"] = last_step_error(a, prob.b.data, checked)
-                print(json.dumps(record))
-                continue
-            record.update(
-                sturm_chains=sturm_chains, root_calls=root_calls, contradicted=list(contradicted)
-            )
-            record["last_step_error"] = last_step_error(a, prob.b.data, report)
-            _, ratio_frob, ratio_spec = verify_bound(prob, report.subset)
+    for shape_id, seed, prob in instances():
+        n, m, ell, k, rank_a, _ = SHAPES[shape_id]
+        record = {"shape": [n, m, ell, k, rank_a], "shape_id": shape_id, "seed": seed}
+        sturm_chains, root_calls, checked = 0, 0, None
+        contradicted[:] = 0, 0
+        try:
+            report = greedy_select(prob)
+        except Exception as exc:  # an outcome to compare, not a reason to stop
+            record["error"] = [type(exc).__name__, str(exc)]
+            report = checked
+        record.update(
+            sturm_chains=sturm_chains if sturm_chain is not None else None,
+            root_calls=root_calls if smallest_root is not None else None,
+            contradicted=list(contradicted) if smallest_root is not None else None,
+        )
+        # a returned report, or the one a raising run gave _check_report
+        if report is not None:
             record.update({
                 "subset": list(report.subset),
                 "eps": report.eps,
                 "trace": [t.lambda_min.hex() for t in report.trace],
-                "ratio_frob": ratio_frob,
-                "ratio_spec": ratio_spec,
             })
-            record.update((v, getattr(report, v)) for v in VALUES[:5])
-            if math.comb(m, k) <= BRUTE_FORCE_LIMIT:
-                enum = brute_force(prob)
-                # value[:2] is (frob_sq, spec_sq), whatever else a tree stores
-                record["brute_force"] = {
-                    "best": [enum.best_subset_frob, enum.best_subset_spec],
-                    "feasible": {
-                        ",".join(map(str, s)): value[:2]
-                        for s, value in enum.all_values.items()
-                        if math.isfinite(value[0])
-                    },
-                }
+        if "error" in record:
             print(json.dumps(record))
+            continue
+        _, ratio_frob, ratio_spec = verify_bound(prob, report.subset)
+        record.update(ratio_frob=ratio_frob, ratio_spec=ratio_spec)
+        record.update((v, getattr(report, v)) for v in VALUES[:5])
+        if math.comb(m, k) <= BRUTE_FORCE_LIMIT:
+            enum = brute_force(prob)
+            # value[:2] is (frob_sq, spec_sq), whatever else a tree stores
+            record["brute_force"] = {
+                "best": [enum.best_subset_frob, enum.best_subset_spec],
+                "feasible": {
+                    ",".join(map(str, s)): value[:2]
+                    for s, value in enum.all_values.items()
+                    if math.isfinite(value[0])
+                },
+            }
+        print(json.dumps(record))
 
 
-def run(src: str) -> list[dict]:
+def replay() -> None:
+    """Judge the reports on stdin, one JSON ``[shape_id, seed, subset,
+    trace]`` per line, with this tree's ``colsel.oracle.replay_check``;
+    print one JSON ``[margins, trace errors]`` per line, in eps."""
+    from colsel.oracle import replay_check
+    from colsel.selector import SelectionReport, TraceStep
+
+    problems = {(shape_id, seed): prob for shape_id, seed, prob in instances()}
+    for line in sys.stdin:
+        shape_id, seed, subset, trace = json.loads(line)
+        prob = problems[shape_id, seed]
+        # replay_check reads the subset and the trace alone
+        report = SelectionReport(
+            subset=tuple(subset), frob_sq=math.nan, spec_sq=math.nan, baseline_frob_sq=math.nan,
+            baseline_spec_sq=math.nan, gamma=math.nan, bound_factor=math.nan, eps=prob.eps,
+            trace=tuple(TraceStep(j, float.fromhex(x)) for j, x in zip(subset, trace)),
+        )
+        checks = replay_check(prob, report)
+        print(json.dumps([[c.margin for c in checks], [c.trace_error for c in checks]]))
+
+
+def run(src: str, mode: str = "--dump", stdin: str | None = None) -> list:
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
-        [sys.executable, __file__, "--dump"], env=env, check=True, capture_output=True, text=True
+        [sys.executable, __file__, mode], env=env, input=stdin, check=True,
+        capture_output=True, text=True,
     ).stdout
     return [json.loads(line) for line in out.splitlines()]
+
+
+def replay_checks(src: str, old: list[dict], new: list[dict]) -> None:
+    """Judge every report of ``old`` and ``new``, raising runs' included,
+    with the ``replay_check`` of the tree ``src``, once per distinct report,
+    and store its per-step margins and trace errors in each record as
+    ``margins`` and ``trace_errors``."""
+    reports = {}
+    for r in old + new:
+        if "subset" in r:
+            key = json.dumps([r["shape_id"], r["seed"], r["subset"], r["trace"]])
+            reports.setdefault(key, []).append(r)
+    results = run(src, "--replay", "".join(key + "\n" for key in reports))
+    for records, (margins, trace_errors) in zip(reports.values(), results):
+        for r in records:
+            r.update(margins=margins, trace_errors=trace_errors)
 
 
 def compare_greedy(old: list[dict], new: list[dict]) -> tuple[list, list, list, int, float]:
@@ -257,12 +312,23 @@ def compare_greedy(old: list[dict], new: list[dict]) -> tuple[list, list, list, 
     return outcomes, pairs, subsets, roots, root_gap
 
 
+def total(tree: list[dict], key: str, i: int | None = None) -> int | None:
+    """The sum of ``key`` (its entry ``i``) over ``tree``, or ``None`` where
+    the tree does not count it."""
+    values = [r[key] if i is None or r[key] is None else r[key][i] for r in tree]
+    return None if None in values else sum(values)
+
+
+def show(value) -> str:
+    return "n/a" if value is None else str(value)
+
+
 def root_counts(old: list[dict], new: list[dict]) -> str:
     """The candidates scored over ``old`` and ``new``, and each tree's
-    ``smallest_root`` and Sturm-chain counts."""
+    ``smallest_root`` and Sturm-chain counts, ``n/a`` where it has no such name."""
     scored = sum(k * m - k * (k - 1) // 2 for (_, m, _, k, _) in (r["shape"] for r in old))
-    calls = (sum(r["root_calls"] for r in tree) for tree in (old, new))
-    chains = (sum(r["sturm_chains"] for r in tree) for tree in (old, new))
+    calls = (show(total(tree, "root_calls")) for tree in (old, new))
+    chains = (show(total(tree, "sturm_chains")) for tree in (old, new))
     return "{} candidates scored; smallest_root calls old {}, new {}; Sturm fallbacks old {}, new {}".format(
         scored, *calls, *chains
     )
@@ -271,14 +337,23 @@ def root_counts(old: list[dict], new: list[dict]) -> str:
 def contradicted_roots(old: list[dict], new: list[dict]) -> str:
     """Each tree's contradicted ``smallest_root`` results over ``old`` and
     ``new``: on calls that built no Sturm chain, and on calls that did."""
-    counts = [sum(r["contradicted"][i] for r in tree) for tree in (old, new) for i in (0, 1)]
+    counts = [show(total(tree, "contradicted", i)) for tree in (old, new) for i in (0, 1)]
     return "contradicted roots old {} + {} Sturm, new {} + {} Sturm".format(*counts)
 
 
-def last_step_errors(old: list[dict], new: list[dict]) -> str:
-    """Each tree's largest last-step error over ``old`` and ``new``, in eps."""
-    worst = (max((r.get("last_step_error", 0.0) for r in tree), default=0.0) for tree in (old, new))
-    return "last-step error / eps old {:.3g}, new {:.3g}".format(*worst)
+def replayed(old: list[dict], new: list[dict]) -> str:
+    """Each tree's replayed steps, wrong picks (a margin over 2 eps), largest
+    margin and largest trace error over ``old`` and ``new``, in eps."""
+    fields = []
+    for tree in (old, new):
+        margins = [x for r in tree for x in r.get("margins", ())]
+        errors = [x for r in tree for x in r.get("trace_errors", ())]
+        fields.append((len(margins), sum(x > 2 for x in margins), max(margins, default=0.0),
+                       max(errors, default=0.0)))
+    return ("replayed steps old {}, new {}; wrong picks old {}, new {};"
+            " max margin old {:.3g}, new {:.3g}; max trace error old {:.3g}, new {:.3g}").format(
+        *(f[i] for i in range(4) for f in fields)
+    )
 
 
 def brute_force_differences(enums: list[tuple]) -> dict[str, float]:
@@ -300,6 +375,7 @@ def brute_force_differences(enums: list[tuple]) -> dict[str, float]:
 def main(old_src: str, new_src: str) -> int:
     old, new = run(old_src), run(new_src)
     assert len(old) == len(new)
+    replay_checks(new_src, old, new)
     outcomes, pairs, subsets, roots, root_gap = compare_greedy(old, new)
     worst = {v: max((abs(c[v] - o[v]) / abs(o[v]) for o, c in pairs), default=0.0)
              for v in VALUES}
@@ -320,17 +396,18 @@ def main(old_src: str, new_src: str) -> int:
     print(f"  subset or order mismatches: {len(subsets)}", *subsets)
     print(f"  root value mismatches: {roots}; max |old - new| / eps: {root_gap:.3g}")
     print(f"  {root_counts(old, new)}; {contradicted_roots(old, new)}")
+    print(f"  {replayed(old, new)}")
     print("  per shape (n, m, l, k, rank of the fixed block): instances, raising in either tree;"
           " outcome, subset and root value mismatches; max |old - new| / eps; candidates scored,"
-          " smallest_root calls and Sturm fallbacks; contradicted roots;"
-          " max |trace[-1] - mu_min(G_S)| / eps")
+          " smallest_root calls and Sturm fallbacks; contradicted roots; replayed steps, wrong"
+          " picks, max margin and max trace error / eps, by the new tree's replay_check")
     for shape in SHAPES:
         rows = [(o, c) for o, c in zip(old, new) if o["shape"] == list(shape[:5])]
         s_outcomes, s_pairs, s_subsets, s_roots, s_gap = compare_greedy(*zip(*rows))
         print(f"    {shape[:5]}: {len(rows)}, {len(rows) - len(s_pairs)};"
               f" {len(s_outcomes)}, {len(s_subsets)}, {s_roots}; {s_gap:.3g};"
               f" {root_counts(*zip(*rows))}; {contradicted_roots(*zip(*rows))};"
-              f" {last_step_errors(*zip(*rows))}")
+              f" {replayed(*zip(*rows))}")
     for v, rel in worst.items():
         print(f"  max relative difference of {v}: {rel:.2e}")
     print(f"{len(enums)} brute-force instances")
@@ -346,16 +423,25 @@ def main(old_src: str, new_src: str) -> int:
             print("    {}: {}; {:.2e}, {:.2e}".format(
                 shape[:5], len(rows), *brute_force_differences(rows).values()))
     drift = max(enum_worst.values()) > BRUTE_FORCE_RTOL
-    # below degree 7 every root is expected to keep its contract
-    broken = [
-        (r["shape"], r["seed"]) for r in old + new if r["shape"][0] <= 6 and any(r["contradicted"])
-    ]
+    # below degree 7 every root is expected to keep its contract, and every
+    # pick and trace value to be the reference's within eps
+    small = [r for r in old + new if r["shape"][0] <= 6]
+    broken = [(r["shape"], r["seed"]) for r in small if any(r["contradicted"] or ())]
     print(f"contradicted roots at n <= 6: {len(broken)}", *broken)
-    return 1 if outcomes or subsets or roots or enum_mismatches or drift or broken else 0
+    off = [
+        (r["shape"], r["seed"])
+        for r in small
+        if any(x > 2 for x in r.get("margins", ())) or any(x > 1 for x in r.get("trace_errors", ()))
+    ]
+    print(f"wrong picks or trace errors over eps at n <= 6: {len(off)}", *off)
+    failed = outcomes or subsets or roots or enum_mismatches or drift or broken or off
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
     if sys.argv[1:] == ["--dump"]:
         dump()
+    elif sys.argv[1:] == ["--replay"]:
+        replay()
     else:
         sys.exit(main(*sys.argv[1:]))
