@@ -147,23 +147,29 @@ def _psd_eigh(gram: np.ndarray, name: str = "gram") -> tuple[np.ndarray, np.ndar
     in the package goes through.
 
     ``gram`` must be finite and symmetric to ``1e-10`` of its scale
-    ``max(1, max|G|)``, and its mildly negative eigenvalues (rounding
-    noise), down to ``-1e-12`` of that scale, are set to zero.  A failure
-    raises :class:`InvalidInput` naming ``gram`` as ``name``.
+    ``max(1, max|G|)``: the largest entry of ``G - G^T`` is its largest
+    absolute one, since a rounded difference changes sign exactly with its
+    operands.  Its mildly negative eigenvalues (rounding noise), down to
+    ``-1e-12`` of that scale, are set to zero; they come first, so a
+    spectrum whose first eigenvalue is not negative is returned as
+    ``eigh`` gives it.  A failure raises :class:`InvalidInput` naming
+    ``gram`` as ``name``.
     """
     # max propagates NaN, so the largest entry is finite only if all are
     largest = np.abs(gram).max(initial=0.0)
     if not largest < math.inf:
         raise InvalidInput(f"{name} has a non-finite entry")
     scale = max(1.0, float(largest))
-    if np.abs(gram - gram.T).max(initial=0.0) > _SYMMETRY_TOL * scale:
+    if (gram - gram.T).max(initial=0.0) > _SYMMETRY_TOL * scale:
         raise InvalidInput(f"{name} is not symmetric to 1e-10")
     try:
         mu, q = np.linalg.eigh(gram)
     except np.linalg.LinAlgError:
         raise InvalidInput(f"eigenvalues of {name} did not converge") from None
-    clamp = _EIGENVALUE_CLAMP_TOL * scale
-    return np.where((-clamp <= mu) & (mu < 0.0), 0.0, mu), q
+    if mu.size and mu[0] < 0.0:
+        clamp = _EIGENVALUE_CLAMP_TOL * scale
+        mu = np.where((-clamp <= mu) & (mu < 0.0), 0.0, mu)
+    return mu, q
 
 
 def charpoly_psd(g: DenseMatrix) -> Polynomial:
@@ -203,9 +209,9 @@ def _candidate_charpolys(gram: np.ndarray, v: np.ndarray, a: int) -> np.ndarray:
     mu, q = _psd_eigh(gram)
     r = mu[::-1] - 1.0
     w = np.square(q[:, ::-1].T @ v)
-    unit = max(-a - 1, 0)
-    r[:unit] = 0.0
-    w[:unit] = 0.0
+    if a < -1:
+        r[: -a - 1] = 0.0
+        w[: -a - 1] = 0.0
     # every root in row 0, and all but root i, set to zero, in row i + 1
     roots = np.empty((n + 1, n))
     roots[:] = r
@@ -214,7 +220,8 @@ def _candidate_charpolys(gram: np.ndarray, v: np.ndarray, a: int) -> np.ndarray:
     rows = np.empty((v.shape[1], n + 1))
     rows[:, :n] = c[0, :n] - w.T @ c[1:, 1:]
     rows[:, n] = 1.0
-    rows[:, : max(-a, 0)] = 0.0
+    if a < 0:
+        rows[:, :-a] = 0.0
     return rows
 
 

@@ -208,10 +208,15 @@ def columns(q: DenseMatrix, s: Iterable[int]) -> DenseMatrix:
 
 
 def hcat(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
-    """Columns of ``a`` followed by columns of ``b``."""
+    """Columns of ``a`` followed by columns of ``b``.
+
+    ``np.hstack`` returns a fresh C-contiguous float64 array, finite
+    because both inputs' entries are, so it is wrapped as it is, with no
+    second copy or finiteness scan.
+    """
     if a.rows != b.rows:
         raise DimensionMismatch(f"row counts differ: {a.rows} vs {b.rows}")
-    return DenseMatrix(np.hstack([a.data, b.data]))
+    return _wrap(np.hstack([a.data, b.data]))
 
 
 def gram_update(g: DenseMatrix, y: np.ndarray | Sequence[float]) -> DenseMatrix:

@@ -455,7 +455,9 @@ def _roots_at_or_below(rows: np.ndarray, t: float) -> np.ndarray:
     root at or below ``t`` (:func:`_side`).
 
     A row's value is ``rows @ t_pow`` and its ``mu`` is ``|rows| @ |t_pow|``,
-    with ``t_pow`` the cumulative powers of ``t``.  Each term ``c_i t^i``
+    with ``t_pow`` the powers of ``t``, each one the previous times ``t``
+    in Python floats, the products ``np.multiply.accumulate`` takes, in
+    the same order.  Each term ``c_i t^i``
     carries at most ``i - 1`` roundings from its power, one from its
     product and ``n`` from the summation, in any order, with or without
     FMA: at most ``2n``, so the error is at most ``gamma_2n sum |c_i| |t|^i``
@@ -466,16 +468,17 @@ def _roots_at_or_below(rows: np.ndarray, t: float) -> np.ndarray:
     power of a nonzero ``t`` falls below it.
     """
     n = rows.shape[1] - 1
-    t_pow = np.full(n + 1, t)
-    t_pow[0] = 1.0
-    np.multiply.accumulate(t_pow, out=t_pow)
+    powers = [1.0]
+    for _ in range(n):
+        powers.append(powers[-1] * t)
+    t_pow = np.array(powers)
     value = rows @ t_pow
     mu = np.abs(rows) @ np.abs(t_pow)
     lead = rows[:, n]
     trusted = (np.abs(value) > _HORNER_ERROR * (n + 1) * mu) & (mu >= _TINY) & (
         np.abs(lead) >= _TINY
     )
-    if not (t == 0.0 or abs(t_pow[n]) >= _TINY):
+    if not (t == 0.0 or abs(powers[n]) >= _TINY):
         trusted[:] = False
     if not trusted.all():
         for i in np.flatnonzero(~trusted).tolist():

@@ -299,7 +299,7 @@ def greedy_select(prob: SelectionProblem) -> SelectionReport:
 
     for _ in range(prob.k):
         # Every remaining candidate's expected polynomial, from one transform.
-        v = inst.candidates[:, remaining]
+        v = inst.candidates.take(remaining, axis=1)
         rows = expected_poly_from_gram(inst, gram, len(chosen) + 1, v)
         best, best_y = _best_candidate(rows, prob.eps, best_y)
         j = remaining.pop(best)

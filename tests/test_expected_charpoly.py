@@ -13,6 +13,7 @@ from colsel.expected_charpoly import (
     IsotropicInstance,
     _candidate_charpolys,
     _psd_eigenvalues,
+    _psd_eigh,
     charpoly_psd,
     expected_poly,
     expected_poly_from_gram,
@@ -303,6 +304,33 @@ def test_gram_stack_clamps_against_each_matrix_own_scale():
     assert [math.copysign(1.0, v) for v in eig[:2, 0]] == [1.0, 1.0]
     assert eig[:, 0].tolist() == [0.0, 0.0, -1e-11, -2e-12 * 5.0]
     assert charpoly_psd(DenseMatrix(stack[0])).coeffs[0] == 0.0
+
+
+def test_psd_eigh_returns_eighs_spectrum_as_it_is_without_a_negative_eigenvalue():
+    # A full-rank Gram, and the rank-deficient Gram y_F y_F^T of a fixed
+    # block with l = 2 < n = 4 supported on the first two coordinates, so
+    # that its zero eigenvalues come back exactly zero, not rounded below.
+    rng = np.random.default_rng(64)
+    inst = random_isotropic(rng, n=4, m=8, ell=5, k=4)
+    y_f = np.zeros((4, 2))
+    y_f[:2] = rng.standard_normal((2, 2))
+    for gram in (inst.gram_fixed.data, y_f @ y_f.T):
+        mu, q = np.linalg.eigh(gram)
+        assert mu[0] >= 0.0
+        got_mu, got_q = _psd_eigh(gram)
+        assert (got_mu.tobytes(), got_q.tobytes()) == (mu.tobytes(), q.tobytes())
+    assert np.linalg.eigh(y_f @ y_f.T)[0][:2].tolist() == [0.0, 0.0]
+    assert _psd_eigh(np.zeros((0, 0)))[0].shape == (0,)  # an empty spectrum has no first value
+
+
+@pytest.mark.parametrize("at", [(0, 1), (1, 0)], ids=["above", "below"])
+def test_psd_eigh_finds_an_asymmetry_on_either_side_of_the_diagonal(at):
+    rng = np.random.default_rng(65)
+    gram = random_isotropic(rng, n=4, m=8, ell=5, k=4).gram_fixed.data.copy()
+    _psd_eigh(gram)
+    gram[at] += 1e-6
+    with pytest.raises(InvalidInput, match="gram is not symmetric to 1e-10"):
+        _psd_eigh(gram)
 
 
 def test_expected_poly_names_a_candidate_by_its_column_of_b():

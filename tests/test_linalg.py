@@ -242,6 +242,18 @@ def test_hcat():
     assert hcat(DenseMatrix.zeros(2, 0), eye) == eye
     with pytest.raises(DimensionMismatch):
         hcat(DenseMatrix.zeros(2, 1), DenseMatrix.zeros(3, 1))
+    # the result holds what every DenseMatrix does: a read-only C-contiguous
+    # float64 array, here hstack's bit for bit
+    rng = np.random.default_rng(7)
+    for a, b in (((2, 0), (2, 3)), ((2, 2), (2, 2))):
+        a, b = DenseMatrix(rng.standard_normal(a)), DenseMatrix(rng.standard_normal(b))
+        got = hcat(a, b).data
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        assert not got.flags.writeable
+        assert got.tobytes() == np.hstack([a.data, b.data]).tobytes()
+        assert got.shape == (2, a.cols + b.cols)
+        with pytest.raises(ValueError):
+            got[0, 0] = 1.0
 
 
 def test_gram_update_basic():
