@@ -31,7 +31,16 @@ class NotRealRooted(ArithmeticError):
 
 
 class AlgorithmFailure(RuntimeError):
-    """The greedy selection loop could not complete."""
+    """The greedy selection loop could not complete.
+
+    ``report`` is the :class:`~colsel.selector.SelectionReport` that broke
+    the proven guarantees, where the run got that far, and ``None``
+    otherwise.  It is not part of ``args``, so ``str(exc)`` is the message.
+    """
+
+    def __init__(self, *args: object, report=None) -> None:
+        super().__init__(*args)
+        self.report = report
 
 
 class TooLarge(ValueError):

@@ -179,8 +179,7 @@ def _as_index(value: object, error: type[ValueError], what: str) -> int:
 
 def _as_indices(values: Iterable[object], count: int, error: type[ValueError]) -> list[int]:
     """``values`` as distinct integer column indices in ``[0, count)``, or ``error``."""
-    # an exact int, the type combinations() yields, skips the slower check; a bool is not one
-    idx = [j if type(j) is int else _as_index(j, error, "column index") for j in values]
+    idx = [_as_index(j, error, "column index") for j in values]
     for j in idx:
         if not 0 <= j < count:
             raise error(f"column index {j} out of range [0, {count})")

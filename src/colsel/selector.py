@@ -288,7 +288,7 @@ def greedy_select(prob: SelectionProblem) -> SelectionReport:
     :class:`RankDeficient` when the selected ``[a b_S]`` fails the rank
     rule or its norms overflow (as :func:`verify_bound` does), and
     :class:`AlgorithmFailure` when the subset breaks the proven
-    guarantees.
+    guarantees; its ``report`` is the report that broke them.
     """
     inst = build_isotropic(prob)
     remaining = list(range(prob.m))
@@ -368,7 +368,8 @@ def _best_candidate(rows: np.ndarray, eps: float, previous: float) -> tuple[int,
 
 
 def _check_report(report: SelectionReport, prob: SelectionProblem) -> None:
-    """Re-assert the proven guarantees on the computed output."""
+    """Re-assert the proven guarantees on the computed output; the
+    :class:`AlgorithmFailure` it raises carries ``report``."""
     factor = report.bound_factor
     for name, norm_sq, baseline_sq in (
         ("frob_sq", report.frob_sq, report.baseline_frob_sq),
@@ -378,7 +379,8 @@ def _check_report(report: SelectionReport, prob: SelectionProblem) -> None:
             raise AlgorithmFailure(
                 f"selected subset violates the proven norm bound: {name} {norm_sq!r} exceeds "
                 f"the cap {factor * (1.0 + _ARITHMETIC_SLACK) * baseline_sq!r} = bound_factor "
-                f"{factor!r} * (1 + {_ARITHMETIC_SLACK:g}) * baseline {baseline_sq!r}"
+                f"{factor!r} * (1 + {_ARITHMETIC_SLACK:g}) * baseline {baseline_sq!r}",
+                report=report,
             )
     # Root values may drop by at most eps per step; both reads carry
     # eps approximation error, so 2*eps is the observable slack.
@@ -387,7 +389,8 @@ def _check_report(report: SelectionReport, prob: SelectionProblem) -> None:
             raise AlgorithmFailure(
                 f"trace root values dropped by more than 2*eps = {2.0 * prob.eps:g} at "
                 f"step {step}: column {prev.index} had lambda_min {prev.lambda_min!r}, "
-                f"column {cur.index} has {cur.lambda_min!r}"
+                f"column {cur.index} has {cur.lambda_min!r}",
+                report=report,
             )
 
 

@@ -1,5 +1,8 @@
-"""Shared generators for seeded random test instances."""
+"""Shared generators for seeded random test instances, and :func:`spy`."""
 from __future__ import annotations
+
+import itertools
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -62,3 +65,42 @@ def replayed_rows(prob: SelectionProblem, subset):
         rows = expected_poly_from_gram(inst, step.gram, step.j, step.v)
         yield step, rows, previous
         previous = smallest_root(Polynomial(rows[step.pick]), prob.eps)
+
+
+class Call(NamedTuple):
+    """One call a :func:`spy` saw: its arguments, with every array argument
+    copied as it was at the call, its result, and its place in the order of
+    the calls every spy saw."""
+
+    args: tuple
+    kwargs: dict
+    result: Any
+    order: int
+
+
+_CALL_ORDER = itertools.count()
+
+
+def spy(patch, owner, name: str) -> list[Call]:
+    """Rebind ``owner.name`` with ``patch`` (pytest's ``monkeypatch`` or one
+    of its contexts) to a function that calls the original unchanged and
+    appends a :class:`Call` to the returned list once it returns."""
+    real = getattr(owner, name)
+    calls: list[Call] = []
+
+    def spied(*args, **kwargs):
+        order = next(_CALL_ORDER)
+        copied = tuple(a.copy() if isinstance(a, np.ndarray) else a for a in args)
+        result = real(*args, **kwargs)
+        calls.append(Call(copied, kwargs, result, order))
+        return result
+
+    patch.setattr(owner, name, spied)
+    return calls
+
+
+def in_call_order(**spies: list[Call]) -> list[tuple[str, Call]]:
+    """Every call the named :func:`spy` lists hold, as ``(name, call)``, in
+    the order the calls were made."""
+    named = [(name, call) for name, calls in spies.items() for call in calls]
+    return sorted(named, key=lambda item: item[1].order)

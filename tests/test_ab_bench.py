@@ -83,12 +83,17 @@ def test_summary_takes_medians_quartiles_and_wins_by_each_metrics_direction():
 
 
 def test_summary_leaves_out_a_pair_without_the_metric():
-    pairs = [(run(200.0, None), run(210.0, 4.0)), (run(200.0, 5.0), run(190.0, 4.0))]
-    s = ab_bench.summarize(pairs, SPECS)
-    assert s["metrics"]["req_ms_p50"]["pairs"] == 1
-    assert s["metrics"]["req_ms_p50"]["old"] == (5.0, 5.0, 5.0)
-    assert s["metrics"]["req_ms_p50"]["change"] == pytest.approx(-0.2)
-    assert s["metrics"]["ok_req_per_s"]["new_won"] == 1
-    none = ab_bench.summarize([(run(None, None), run(1.0, 1.0))], SPECS)
-    assert none["metrics"]["ok_req_per_s"]["pairs"] == 0
-    assert "  ok_req_per_s (1/s): no values" in ab_bench.summary_lines(none)
+    # The benchmark takes no result from a line with a null or non-finite
+    # metric, so such a run is not left out of the figures: it fails,
+    # naming the pair, the tree and the metric.
+    pairs = [(run(200.0, 5.0), run(190.0, 4.0)), (run(200.0, None), run(210.0, 4.0))]
+    with pytest.raises(ValueError, match=r"^pair 2, old tree: req_ms_p50 = None$"):
+        ab_bench.summarize(pairs, SPECS)
+    nan = [(run(1.0, 1.0), run(float("nan"), 1.0, frob=float("inf")))]
+    with pytest.raises(ValueError, match=r"new tree: ok_req_per_s = nan, frob_ratio_p50 = inf$"):
+        ab_bench.summarize(nan, SPECS)
+    missing = run(1.0, 1.0)
+    del missing["metrics"]["req_ms_p50"]
+    with pytest.raises(ValueError, match=r"new tree: req_ms_p50 = None$"):
+        ab_bench.summarize([(run(1.0, 1.0), missing)], SPECS)
+    assert ab_bench.bad_metrics({"a": 1.0, "b": None}, ["a", "b"]) == ["b = None"]

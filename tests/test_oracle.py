@@ -26,7 +26,7 @@ from colsel.oracle import (
 )
 from colsel.poly import Polynomial, derivative, from_roots, smallest_root
 from colsel.selector import SelectionProblem, TraceStep, build_isotropic, greedy_select
-from conftest import random_isotropic, random_problem, random_real_rooted
+from conftest import in_call_order, random_isotropic, random_problem, random_real_rooted, spy
 
 DOUBLED_IDENTITY = DenseMatrix([[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]])
 
@@ -88,17 +88,10 @@ def _selected(prob, subset):
     return np.hstack([prob.a.data, prob.b.data[:, list(subset)]])
 
 
-def _first_passes(patch):
-    """Patch ``oracle._first_pass`` so that each call appends its batch and
-    its results to the returned list."""
-    first_pass, calls = oracle._first_pass, []
-
-    def recording(prob, batch):
-        calls.append((batch.copy(), *first_pass(prob, batch)))
-        return calls[-1][1:]
-
-    patch.setattr(oracle, "_first_pass", recording)
-    return calls
+def _first_passes(calls):
+    """``(batch, frob, spec, decided, lower)`` of each call a spy on
+    ``oracle._first_pass`` saw."""
+    return [(call.args[1], *call.result) for call in calls]
 
 
 def test_brute_force_sends_the_svd_only_what_the_gram_cannot_decide(monkeypatch):
@@ -109,21 +102,11 @@ def test_brute_force_sends_the_svd_only_what_the_gram_cannot_decide(monkeypatch)
     b = DenseMatrix(np.hstack([b, b[:, :1]]))
     prob = SelectionProblem(a=DenseMatrix.zeros(4, 0), b=b, k=4)
     monkeypatch.setattr(oracle, "ENUMERATION_BATCH", 256)  # C(12, 4) = 495: two batches
-    svd, eigvalsh = np.linalg.svd, np.linalg.eigvalsh
-    calls = []
-
-    def capturing_svd(a, *args, **kwargs):
-        calls.append(("svd", a.copy()))
-        return svd(a, *args, **kwargs)
-
-    def capturing_eigvalsh(a, *args, **kwargs):
-        calls.append(("eigvalsh", a.copy()))
-        return eigvalsh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", capturing_svd)
-    monkeypatch.setattr(np.linalg, "eigvalsh", capturing_eigvalsh)
-    passes = _first_passes(monkeypatch)
+    svd, eigvalsh = (spy(monkeypatch, np.linalg, name) for name in ("svd", "eigvalsh"))
+    first_passes = spy(monkeypatch, oracle, "_first_pass")
     result = brute_force(prob)
+    passes = _first_passes(first_passes)
+    calls = [(kind, call.args[0]) for kind, call in in_call_order(svd=svd, eigvalsh=eigvalsh)]
     subsets = list(combinations(range(prob.m), prob.k))
     # the first pass takes the batches in combinations order
     assert [len(batch) for batch, *_ in passes] == [256, 239]
@@ -161,8 +144,9 @@ def test_the_lower_bound_is_below_every_spectral_norm(monkeypatch):
         rng = np.random.default_rng([199, n, m])
         prob = random_problem(rng, n, m, ell, k)
         with monkeypatch.context() as patch:
-            passes = _first_passes(patch)
+            first_passes = spy(patch, oracle, "_first_pass")
             result = brute_force(prob)
+        passes = _first_passes(first_passes)
         decided = np.concatenate([d for *_, d, _ in passes])
         lower = np.concatenate([lb for *_, lb in passes])
         spec = np.array([v for _, v in result.all_values.values()])
@@ -218,7 +202,7 @@ def test_brute_force_is_bit_identical_on_every_batch_size(monkeypatch, name):
     prob = _batch_problems()[name]
     count = math.comb(prob.m, prob.k)
     assert 4 <= math.ceil(count / 256) <= 8 and count <= oracle.ENUMERATION_BATCH
-    passes = _first_passes(monkeypatch)
+    passes = spy(monkeypatch, oracle, "_first_pass")
     results, bits = {}, {}
     for size in (1, 7, 256, oracle.ENUMERATION_BATCH):
         monkeypatch.setattr(oracle, "ENUMERATION_BATCH", size)
@@ -226,9 +210,9 @@ def test_brute_force_is_bit_identical_on_every_batch_size(monkeypatch, name):
         passes.clear()
         results[size] = brute_force(prob)
         # one first pass per batch, and the table, built when read, takes the same batches
-        assert [len(batch) for batch, *_ in passes] == batches
+        assert [len(batch) for batch, *_ in _first_passes(passes)] == batches
         bits[size] = _enumeration_bits(results[size])
-        assert [len(batch) for batch, *_ in passes] == batches + batches
+        assert [len(batch) for batch, *_ in _first_passes(passes)] == batches + batches
     result = results[size]
     for other in bits.values():
         assert other == bits[size]
@@ -292,8 +276,9 @@ def _rank_rule_run(monkeypatch, prob):
     """``brute_force(prob)``, and the subsets that its first pass did not
     decide by their Cholesky factors, which take the rank rule."""
     with monkeypatch.context() as patch:
-        passes = _first_passes(patch)
+        passes = spy(patch, oracle, "_first_pass")
         result = brute_force(prob)
+    passes = _first_passes(passes)
     return result, {tuple(s) for batch, *_, decided, _ in passes for s in batch[~decided].tolist()}
 
 
@@ -447,16 +432,10 @@ def test_the_optima_are_the_first_minima_of_the_table(prob):
 @pytest.mark.parametrize("seed", range(10))
 def test_eigvalsh_sees_few_subsets_while_the_table_is_unread(monkeypatch, seed):
     prob = random_problem(np.random.default_rng(seed), n=4, m=14, ell=2, k=5)
-    eigvalsh, seen = np.linalg.eigvalsh, []
-
-    def counting_eigvalsh(a, *args, **kwargs):
-        seen.append(len(a))
-        return eigvalsh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    eigvalsh = spy(monkeypatch, np.linalg, "eigvalsh")
     result = brute_force(prob)
     assert "all_values" not in vars(result)
-    assert 0 < sum(seen) <= 0.1 * result.num_subsets
+    assert 0 < sum(len(call.args[0]) for call in eigvalsh) <= 0.1 * result.num_subsets
     assert result.num_subsets == 2002
     spec = [v for _, v in result.all_values.values()]
     assert list(result.all_values)[int(np.argmin(spec))] == result.best_subset_spec
@@ -465,26 +444,20 @@ def test_eigvalsh_sees_few_subsets_while_the_table_is_unread(monkeypatch, seed):
 def test_only_the_rank_rule_gathers_the_selected_columns(monkeypatch):
     # the Cholesky pass and eigvalsh take their Grams from the per-column
     # outer products: [a b_S] is gathered only for the singular values
-    gather, rank_rule_norms, rows = oracle._gather, oracle._rank_rule_norms, [0, 0]
+    gathered, ranked = (spy(monkeypatch, oracle, name) for name in ("_gather", "_rank_rule_norms"))
 
-    def counting_gather(prob, batch):
-        rows[0] += len(batch)
-        return gather(prob, batch)
+    def rows():
+        """The subsets gathered, and those given the rank rule, so far."""
+        return sum(len(c.args[1]) for c in gathered), sum(len(c.args[0]) for c in ranked)
 
-    def counting_rank_rule_norms(stack):
-        rows[1] += len(stack)
-        return rank_rule_norms(stack)
-
-    monkeypatch.setattr(oracle, "_gather", counting_gather)
-    monkeypatch.setattr(oracle, "_rank_rule_norms", counting_rank_rule_norms)
     for seed in range(10):
         prob = random_problem(np.random.default_rng(seed), n=4, m=14, ell=2, k=5)
         result = brute_force(prob)
-        assert rows[0] == rows[1], seed
+        assert rows()[0] == rows()[1], seed
         # and so does the table, built when read
         assert len(result.all_values) == 2002
-        assert rows[0] == rows[1], seed
-    assert 0 < rows[1] < 2002
+        assert rows()[0] == rows()[1], seed
+    assert 0 < rows()[1] < 2002
 
 
 @pytest.mark.parametrize("scale", [1e-150, 1e-160])
@@ -543,6 +516,15 @@ def test_reference_newton_raises_when_out_of_steps(monkeypatch):
     monkeypatch.setattr(oracle, "REFERENCE_NEWTON_STEPS", 1)
     with pytest.raises(AlgorithmFailure, match="in 1 steps at partial size 0"):
         oracle.reference_scores(gram, v, inst.m, inst.k, 0, eps)
+
+
+def test_a_reference_failure_carries_no_report(monkeypatch):
+    # Only a report that breaks the guarantees rides on AlgorithmFailure.
+    inst = random_isotropic(np.random.default_rng(211), n=3, m=8, ell=0, k=4)
+    monkeypatch.setattr(oracle, "REFERENCE_NEWTON_STEPS", 1)
+    with pytest.raises(AlgorithmFailure) as err:
+        oracle.reference_scores(np.zeros((3, 3)), inst.candidates, inst.m, inst.k, 0, 1e-6)
+    assert err.value.report is None
 
 
 def _exact_reference_poly(mu: np.ndarray, m: int, k: int, j: int, y: Decimal) -> Decimal:

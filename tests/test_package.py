@@ -2,11 +2,18 @@
 from __future__ import annotations
 
 import importlib
+import json
+import math
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import colsel
+
+ROOT = Path(__file__).resolve().parent.parent
 
 # The selection path and the errors it raises; smallest_root and its argument
 # type stay only because the benchmark's tracer test wraps colsel.smallest_root.
@@ -81,3 +88,32 @@ def test_no_module_level_binding_has_wrapped():
         f"{wrapped} carry __wrapped__, which fails "
         "benchmarks/test_harness.py::test_untraced_run_installs_no_wrapper"
     )
+
+
+def _refuse(constant: str):
+    raise ValueError(f"{constant} is not JSON")
+
+
+@pytest.mark.parametrize("workload", ["wide", "oracle"])
+def test_a_traced_benchmark_run_reads_every_per_layer_metric(workload):
+    # The benchmark takes a traced run's last line as its result only if it
+    # is standard JSON with every per_layer metric of BENCHMARK.json a
+    # finite number in its unit.  A metric the tracer derives from spans
+    # that a run never opens (say, no poly.smallest_root span because the
+    # loop scores without it) reads null, and the run has no result.
+    cmd = [sys.executable, "benchmarks/run.py", "--workload", workload, "--seed", "1",
+           "--seconds", "0.2", "--trace", "1"]
+    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=170)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1], parse_constant=_refuse)
+    assert result["correct"] is True and result["failed"] == 0
+    metrics = result["metrics"]
+    specs = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    bad = []
+    for spec in specs:
+        metric = metrics.get(spec["name"], {})
+        value = metric.get("value")
+        finite = isinstance(value, (int, float)) and math.isfinite(value)
+        if metric.get("unit") != spec["unit"] or not finite:
+            bad.append(f"{spec['name']}: {metric or 'missing'}")
+    assert not bad, f"{workload}: metrics missing, in another unit, null or not finite: {bad}"

@@ -21,7 +21,7 @@ from colsel.poly import (
     smallest_root,
     sturm_chain,
 )
-from conftest import random_problem, random_real_rooted, replayed_rows
+from conftest import random_problem, random_real_rooted, replayed_rows, spy
 
 
 def coeffs_close(p: Polynomial, expected, tol=1e-12):
@@ -263,52 +263,6 @@ def test_smallest_root_accuracy_random():
             assert abs(smallest_root(p, eps) - roots[0]) <= eps
 
 
-def _counting_counts(monkeypatch) -> tuple[list[int], list[int]]:
-    """Route ``poly._left_of_every_root``, the lower-end certificate, and
-    ``poly.count_roots_leq``, which takes every Sturm count, through a
-    counter each; returns the two counters."""
-    certificates, counts = [0], [0]
-    real_certificate, real_count = poly._left_of_every_root, poly.count_roots_leq
-
-    def certificate(c, dp, t):
-        certificates[0] += 1
-        return real_certificate(c, dp, t)
-
-    def count(seq, x):
-        counts[0] += 1
-        return real_count(seq, x)
-
-    monkeypatch.setattr(poly, "_left_of_every_root", certificate)
-    monkeypatch.setattr(poly, "count_roots_leq", count)
-    return certificates, counts
-
-
-def _counting_sturm_chain(monkeypatch) -> list[int]:
-    """Route ``poly.sturm_chain`` through a counter; returns the counter."""
-    calls = [0]
-    real = poly.sturm_chain
-
-    def counting(p):
-        calls[0] += 1
-        return real(p)
-
-    monkeypatch.setattr(poly, "sturm_chain", counting)
-    return calls
-
-
-def _counting_compensated_value(monkeypatch) -> list[int]:
-    """Route ``poly._compensated_value`` through a counter; returns the counter."""
-    calls = [0]
-    real = poly._compensated_value
-
-    def counting(c, x):
-        calls[0] += 1
-        return real(c, x)
-
-    monkeypatch.setattr(poly, "_compensated_value", counting)
-    return calls
-
-
 def test_smallest_root_certifies_wide_shape_roots(monkeypatch):
     # The benchmark's wide shape (n, m, l, k) = (6, 48, 3, 12).  Every root
     # the screen asks for, on the inputs of every step of a greedy run, is
@@ -322,16 +276,18 @@ def test_smallest_root_certifies_wide_shape_roots(monkeypatch):
     # too: no compensated evaluation outside a root.
     prob = random_problem(np.random.default_rng(3), 6, 48, 3, 12)
     replay = list(replayed_rows(prob, selector.greedy_select(prob).subset))
-    certificates, counts = _counting_counts(monkeypatch)
-    chains = _counting_sturm_chain(monkeypatch)
-    values = _counting_compensated_value(monkeypatch)
+    certificates, counts, values, chains = (
+        spy(monkeypatch, poly, name)
+        for name in ("_left_of_every_root", "count_roots_leq", "_compensated_value", "sturm_chain")
+    )
     costs = []
     real_smallest_root = selector.smallest_root
 
     def counted_smallest_root(p, eps):
-        before = certificates[0], counts[0], values[0]
+        before = len(certificates), len(counts), len(values)
         root = real_smallest_root(p, eps)
-        costs.append((certificates[0] - before[0], counts[0] - before[1], values[0] - before[2]))
+        after = len(certificates), len(counts), len(values)
+        costs.append(tuple(a - b for a, b in zip(after, before)))
         return root
 
     monkeypatch.setattr(selector, "smallest_root", counted_smallest_root)
@@ -339,8 +295,8 @@ def test_smallest_root_certifies_wide_shape_roots(monkeypatch):
         selector._best_candidate(rows, prob.eps, previous)
     assert 12 <= len(costs) <= 24
     assert set(costs) == {(1, 0, 2)}
-    assert values[0] == 2 * len(costs)
-    assert chains[0] == 0
+    assert len(values) == 2 * len(costs)
+    assert len(chains) == 0
 
 
 def _exact_value(coeffs, t: Fraction) -> Fraction:
@@ -463,7 +419,7 @@ def test_a_trusted_plain_sign_is_the_exact_sign(monkeypatch):
     # (no compensated evaluation), that sign is exact.  Low
     # degrees keep most signs; high degrees send most to the fallback
     # (439 and 2,067 of the 2,506 points).
-    calls = _counting_compensated_value(monkeypatch)
+    calls = spy(monkeypatch, poly, "_compensated_value")
     rng = np.random.default_rng(17)
     trusted = fallback = 0
     for _ in range(60):
@@ -471,9 +427,9 @@ def test_a_trusted_plain_sign_is_the_exact_sign(monkeypatch):
         for root in roots:
             for offset in (-1e-12, -1e-13, -1e-15, 0.0, 1e-15, 1e-13, 1e-12):
                 t = float(root) + offset
-                before = calls[0]
+                before = len(calls)
                 got = poly._side(p.coeffs, t)
-                if calls[0] == before:
+                if len(calls) == before:
                     trusted += 1
                     exact = _exact_side(p.coeffs, t)
                     assert (got > 0, got < 0) == (exact > 0, exact < 0), (p, t)
@@ -486,16 +442,16 @@ def test_a_clustered_root_takes_the_compensated_sign(monkeypatch):
     # Near the triple root of (x-1)^3 (x-3), |p| is far below 4 (n+1) u mu,
     # so the plain sign is not trusted and the value is compensated; away
     # from the cluster the plain sign clears its bound.
-    calls = _counting_compensated_value(monkeypatch)
+    calls = spy(monkeypatch, poly, "_compensated_value")
     c = from_roots([1.0, 1.0, 1.0, 3.0]).coeffs
     for t in (1.0 - 1e-5, 1.0 - 1e-6, 1.0 + 1e-6, 1.0 + 1e-5):
-        before = calls[0]
+        before = len(calls)
         assert (poly._side(c, t) < 0) == _exact_root_at_or_below(c, t)
-        assert calls[0] == before + 1, t
+        assert len(calls) == before + 1, t
     for t in (0.5, 2.0, 3.5):
-        before = calls[0]
+        before = len(calls)
         assert (poly._side(c, t) < 0) == _exact_root_at_or_below(c, t)
-        assert calls[0] == before, t
+        assert len(calls) == before, t
 
 
 def _sign_test_grid() -> list[tuple[np.ndarray, float]]:
@@ -521,29 +477,15 @@ def test_the_row_wise_sign_test_is_the_scalar_one(monkeypatch):
     # _roots_at_or_below against _side(row, t) < 0 on every row of the
     # grid, where every branch runs: trusted plain signs, and compensated
     # ones for a small value or a tiny row.
-    calls = _counting_compensated_value(monkeypatch)
+    calls = spy(monkeypatch, poly, "_compensated_value")
     fallbacks = rows_seen = 0
     for rows, t in _sign_test_grid():
-        before = calls[0]
+        before = len(calls)
         got = poly._roots_at_or_below(rows, t)
-        fallbacks += calls[0] - before
+        fallbacks += len(calls) - before
         rows_seen += len(rows)
         assert got.tolist() == [poly._side(r, t) < 0 for r in rows.tolist()], t
     assert 100 < fallbacks < rows_seen / 10
-
-
-def _recording_compensated_value(monkeypatch) -> list[tuple[float, ...]]:
-    """Route ``poly._compensated_value`` through a recorder of the
-    coefficients it evaluates; returns the record."""
-    seen = []
-    real = poly._compensated_value
-
-    def recording(c, x):
-        seen.append(tuple(c))
-        return real(c, x)
-
-    monkeypatch.setattr(poly, "_compensated_value", recording)
-    return seen
 
 
 def test_the_screens_trusted_signs_are_exact(monkeypatch):
@@ -553,14 +495,15 @@ def test_the_screens_trusted_signs_are_exact(monkeypatch):
     # t^2 underflows, and a row whose power sum loses its dominant term to
     # that underflow, must all be compensated, and get the exact sign: the
     # error bound does not cover underflow.
-    seen = _recording_compensated_value(monkeypatch)
+    calls = spy(monkeypatch, poly, "_compensated_value")
     cases = _sign_test_grid()
     cases += [(cases[-1][0], t) for t in (-1e-200, 1e-200)]  # the degree-12 rows
     cases.append((np.array([[-1e-300, 0.0, 1e300]]), 1e-200))
     trusted = 0
     for rows, t in cases:
-        seen.clear()
+        calls.clear()
         got = poly._roots_at_or_below(rows, t)
+        seen = [tuple(call.args[0]) for call in calls]
         for row, at_or_below in zip(rows.tolist(), got.tolist()):
             compensated = tuple(row) in seen
             assert compensated or abs(t) > 1e-100, t
@@ -695,12 +638,12 @@ def test_the_fourier_count_trusts_a_sign_only_where_it_clears_its_error_bound(mo
     at_minus_inf = _exact_variations(exact_chain, -bound)
     assert at_minus_inf - _exact_variations(exact_chain, Fraction(x)) >= 1
     assert count_roots_leq(fourier, x) == 0
-    values = _counting_compensated_value(monkeypatch)
+    values = spy(monkeypatch, poly, "_compensated_value")
     assert not poly._left_of_every_root(p.coeffs, derivative(p).coeffs, x)
-    assert values[0] == 1
-    chains = _counting_sturm_chain(monkeypatch)
+    assert len(values) == 1
+    chains = spy(monkeypatch, poly, "sturm_chain")
     smallest_root(p, eps)
-    assert chains[0] == 1
+    assert len(chains) == 1
 
 
 def test_smallest_root_double_root():
@@ -796,14 +739,16 @@ def test_smallest_root_falls_back_to_sturm_where_fourier_counts_a_complex_pair(
     fourier = _fourier_sequence(p)
     assert count_roots_leq(fourier, real_root - 1e-6) == 2
     assert count_roots_leq(sturm_chain(p), real_root - 1e-6) == 0
-    chains = _counting_sturm_chain(monkeypatch)
-    certificates, counts = _counting_counts(monkeypatch)
+    chains, certificates, counts = (
+        spy(monkeypatch, poly, name)
+        for name in ("sturm_chain", "_left_of_every_root", "count_roots_leq")
+    )
     for eps in (1e-4, 1e-6):
-        before = chains[0], certificates[0], counts[0]
+        before = len(chains), len(certificates), len(counts)
         assert abs(smallest_root(p, eps) - real_root) <= eps
         # one chain, one lower-end certificate that fails and one Sturm
         # count: nothing is bisected
-        assert (chains[0], certificates[0], counts[0]) == (
+        assert (len(chains), len(certificates), len(counts)) == (
             before[0] + 1, before[1] + 1, before[2] + 1)
 
 
@@ -821,17 +766,10 @@ def test_smallest_root_falls_back_to_sturm_where_a_derivative_overflows(monkeypa
     assert len(finite) == 10 and all(poly._side(d, 0.0) > 0 for d in finite)
     assert math.isnan(poly._side(fourier[10], 0.0))
     assert not poly._left_of_every_root(p.coeffs, fourier[1], 0.0)
-    chains = _counting_sturm_chain(monkeypatch)
-    counted = []
-    real = poly.count_roots_leq
-
-    def recording(chain, x):
-        counted.append(all(math.isfinite(v) for c in chain for v in c))
-        return real(chain, x)
-
-    monkeypatch.setattr(poly, "count_roots_leq", recording)
+    chains, counts = (spy(monkeypatch, poly, name) for name in ("sturm_chain", "count_roots_leq"))
     assert abs(smallest_root(p, 1e-6) - 0.05) <= 1e-6
-    assert chains[0] == 1
+    assert len(chains) == 1
+    counted = [all(math.isfinite(v) for c in call.args[0] for v in c) for call in counts]
     assert counted and all(counted)
     # An overflowing p' raises, as the Sturm chain's does, and before
     # Newton's start, which squares c[3] / c[4] = 1e200 in the second

@@ -33,7 +33,7 @@ from colsel.selector import (
     min_singular_check,
     verify_bound,
 )
-from conftest import in_x, random_problem, replayed_rows, valid_budgets
+from conftest import in_x, random_problem, replayed_rows, spy, valid_budgets
 
 DOUBLED_IDENTITY = DenseMatrix([[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]])
 
@@ -140,16 +140,9 @@ def test_build_isotropic_fixed_block_indices():
 
 def test_build_isotropic_reads_the_problem_rank(monkeypatch):
     prob = _rank_one_fixed_block_problem()
-    calls = []
-
-    def counting_thin_svd(q):
-        calls.append(q.shape)
-        return thin_svd(q)
-
-    monkeypatch.setattr(selector, "thin_svd", counting_thin_svd)
-    monkeypatch.setattr(expected_charpoly, "thin_svd", counting_thin_svd)
+    calls = [spy(monkeypatch, module, "thin_svd") for module in (selector, expected_charpoly)]
     inst = build_isotropic(prob)
-    assert calls == []
+    assert calls == [[], []]
     assert inst.r == prob.r == 1
 
 
@@ -227,25 +220,16 @@ def test_greedy_breaks_ties_by_smallest_column():
         assert rows[step.pick].tobytes() == rows[twin].tobytes()
 
 
-def _report(monkeypatch, prob: SelectionProblem):
+def _report(prob: SelectionProblem):
     """The report of ``greedy_select(prob)`` and ``None``, or, where the run
-    raises :class:`AlgorithmFailure` after ``selector._check_report`` was
-    given a report, that report and the exception."""
-    seen = []
-    check_report = selector._check_report
-
-    def recording(report, prob):
-        seen.append(report)
-        check_report(report, prob)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(selector, "_check_report", recording)
-        try:
-            return greedy_select(prob), None
-        except AlgorithmFailure as exc:
-            if not seen:
-                raise
-            return seen[0], exc
+    raises :class:`AlgorithmFailure` carrying the report that broke the
+    guarantees, that report and the exception."""
+    try:
+        return greedy_select(prob), None
+    except AlgorithmFailure as exc:
+        if exc.report is None:
+            raise
+        return exc.report, exc
 
 
 def _full_loop(rows: np.ndarray, eps: float) -> tuple[int, float]:
@@ -259,8 +243,8 @@ def _full_loop(rows: np.ndarray, eps: float) -> tuple[int, float]:
     return best, best_y
 
 
-def _assert_the_screen_replays_the_full_loop(monkeypatch, prob: SelectionProblem) -> None:
-    report, _ = _report(monkeypatch, prob)
+def _assert_the_screen_replays_the_full_loop(prob: SelectionProblem) -> None:
+    report, _ = _report(prob)
     for step, rows, previous in replayed_rows(prob, report.subset):
         assert selector._best_candidate(rows, prob.eps, previous) == _full_loop(rows, prob.eps)
 
@@ -278,19 +262,19 @@ def _near_tied_problem(seed: int) -> SelectionProblem:
     "n, m, ell, k, seeds",
     [(6, 48, 3, 12, 3), (4, 14, 2, 5, 6), (4, 7, 0, 5, 6), (2, 33, 0, 16, 3), (12, 100, 6, 40, 1)],
 )
-def test_greedy_replays_the_loop_that_roots_every_candidate(monkeypatch, n, m, ell, k, seeds):
+def test_greedy_replays_the_loop_that_roots_every_candidate(n, m, ell, k, seeds):
     # The screen drops only rows whose roots are certified below the bar, so
     # at every step of a run it picks the full loop's winner, with its root.
     for seed in range(seeds):
         prob = random_problem(np.random.default_rng([n, m, ell, k, seed]), n, m, ell, k)
-        _assert_the_screen_replays_the_full_loop(monkeypatch, prob)
+        _assert_the_screen_replays_the_full_loop(prob)
 
 
-def test_greedy_replays_the_full_loop_on_near_ties_and_duplicated_columns(monkeypatch):
+def test_greedy_replays_the_full_loop_on_near_ties_and_duplicated_columns():
     for seed in range(4):
-        _assert_the_screen_replays_the_full_loop(monkeypatch, _near_tied_problem(seed))
+        _assert_the_screen_replays_the_full_loop(_near_tied_problem(seed))
     for case in ("duplicated", "duplicated, a from b"):
-        _assert_the_screen_replays_the_full_loop(monkeypatch, _corner_problem(case, 0))
+        _assert_the_screen_replays_the_full_loop(_corner_problem(case, 0))
 
 
 def test_every_row_the_screen_drops_has_its_root_below_the_bar(monkeypatch):
@@ -303,21 +287,13 @@ def test_every_row_the_screen_drops_has_its_root_below_the_bar(monkeypatch):
         runs.append(random_problem(np.random.default_rng(list(shape)), *shape))
     runs.append(_near_tied_problem(0))
     runs = [(prob, greedy_select(prob).subset) for prob in runs]
-    screens = []
-    real = selector._roots_at_or_below
-
-    def recording(rows, t):
-        dropped = real(rows, t)
-        screens.append((rows, t, dropped))
-        return dropped
-
-    monkeypatch.setattr(selector, "_roots_at_or_below", recording)
+    screens = spy(monkeypatch, selector, "_roots_at_or_below")
     for prob, subset in runs:
         for _, rows, previous in replayed_rows(prob, subset):
             selector._best_candidate(rows, prob.eps, previous)
-    assert sum(int(dropped.sum()) for _, _, dropped in screens) > 500
+    assert sum(int(call.result.sum()) for call in screens) > 500
     eps = selector.DEFAULT_EPS  # every problem here has the default eps
-    for rows, t, dropped in screens:
+    for (rows, t), _, dropped, _ in screens:
         for row in rows[dropped]:
             assert companion_smallest_root(Polynomial(row)) <= t + 0.25 * eps
 
@@ -341,14 +317,8 @@ def test_the_screen_leaves_few_roots_to_certify(monkeypatch):
     # steps of runs.
     def roots_per_step(problems) -> float:
         runs = [(prob, greedy_select(prob).subset) for prob in problems]
-        calls = []
-
-        def counted(p, eps):
-            calls.append(p)
-            return smallest_root(p, eps)
-
         with monkeypatch.context() as patch:
-            patch.setattr(selector, "smallest_root", counted)
+            calls = spy(patch, selector, "smallest_root")
             steps = 0
             for prob, subset in runs:
                 for _, rows, previous in replayed_rows(prob, subset):
@@ -463,16 +433,10 @@ def test_greedy_takes_one_eigendecomposition_and_no_candidate_grams_per_step(
     prob = random_problem(np.random.default_rng([n, m, ell, k]), n, m, ell, k)
     inst = build_isotropic(prob)
     steps = list(replay_steps(prob, greedy_select(prob).subset))
-    calls = []
-    for name in ("eigh", "eigvalsh"):
-        def counted(a, *args, _name=name, _solver=getattr(np.linalg, name), **kwargs):
-            calls.append((_name, np.shape(a)))
-            return _solver(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted)
+    eigh, eigvalsh = (spy(monkeypatch, np.linalg, name) for name in ("eigh", "eigvalsh"))
     for step in steps:
         expected_poly_from_gram(inst, step.gram, step.j, step.v)
-    assert calls == [("eigh", (n, n))] * k
+    assert ([np.shape(call.args[0]) for call in eigh], eigvalsh) == ([(n, n)] * k, [])
 
 
 @pytest.mark.parametrize("n, m, ell, k", [(6, 48, 3, 12), (12, 100, 0, 40), (4, 7, 0, 5)])
@@ -535,7 +499,7 @@ def _wrong_pick(reason: str):
         pytest.param(12, 150, 0, 60, 1, marks=_wrong_pick("step 55: column 147 over 129, 479 eps")),
     ],
 )
-def test_greedy_picks_the_reference_argmax(monkeypatch, n, m, ell, k, seed):
+def test_greedy_picks_the_reference_argmax(n, m, ell, k, seed):
     # Every pick is judged from the report alone (oracle.replay_check): a
     # pick more than 2 eps below the reference argmax raises _WrongPick
     # naming both and the margin, then a run that raised re-raises, and
@@ -545,7 +509,7 @@ def test_greedy_picks_the_reference_argmax(monkeypatch, n, m, ell, k, seed):
     if np.finfo(np.longdouble).nmant < 63:
         pytest.fail(f"np.longdouble has a {np.finfo(np.longdouble).nmant}-bit mantissa, not 63")
     prob = random_problem(np.random.default_rng(seed), n, m, ell, k)
-    report, failure = _report(monkeypatch, prob)
+    report, failure = _report(prob)
     checks = replay_check(prob, report)
     for step, check in enumerate(checks, start=1):
         if check.margin > 2:
@@ -752,6 +716,27 @@ def test_check_report_names_the_step_that_breaks_the_trace():
     assert "step 2" in message
     assert "column 3 had lambda_min 0.5" in message
     assert "column 1 has 0.25" in message
+
+
+def test_an_algorithm_failure_carries_the_report_check_report_rejected():
+    # The very report, for a bound breach and for a trace drop, beside an
+    # unchanged message; and a greedy run that raises carries the report it
+    # built, which fails the check again with the same message.
+    prob = SelectionProblem(a=empty_block(2), b=DOUBLED_IDENTITY, k=2)
+    trace = (TraceStep(index=3, lambda_min=0.5), TraceStep(index=1, lambda_min=0.25))
+    for report in (_hand_built_report(spec_sq=1.5), _hand_built_report(trace=trace)):
+        with pytest.raises(AlgorithmFailure) as err:
+            selector._check_report(report, prob)
+        assert err.value.report is report
+        assert err.value.args == (str(err.value),)
+    prob = random_problem(np.random.default_rng(0), 8, 200, 0, 8)
+    with pytest.raises(AlgorithmFailure) as err:
+        greedy_select(prob)
+    report = err.value.report
+    assert len(report.subset) == prob.k and len(report.trace) == prob.k
+    with pytest.raises(AlgorithmFailure) as again:
+        selector._check_report(report, prob)
+    assert str(again.value) == str(err.value)
 
 
 def test_min_singular_check_values():

@@ -21,12 +21,15 @@ direction; a tie wins for neither) and the number of pairs whose digests
 agree.  Each run's output is kept in ``.bench_work/ab_bench/`` of its
 own root, which the repository ignores, and nothing else is written.
 It uses only the standard library.  Exits 1, naming the run, if a run
-fails.
+fails, and naming the tree, the seed and the metric, if a run's result
+line holds a metric that is null or not finite: the benchmark takes no
+result from such a line.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -74,6 +77,16 @@ def run_tree(root: Path, workload: str, seed: int, seconds: float) -> Optional[d
     return parse_run(proc.stdout)
 
 
+def bad_metrics(metrics: dict, names) -> list[str]:
+    """``name = value`` for each of ``names`` that ``metrics`` lacks, or
+    reads null or not finite."""
+    values = {name: metrics.get(name) for name in names}
+    return [
+        f"{name} = {value}" for name, value in values.items()
+        if not isinstance(value, (int, float)) or not math.isfinite(value)
+    ]
+
+
 def same_digest(old: dict, new: dict) -> bool:
     """Whether two parsed runs read one ``report_digest``; a missing one agrees with none."""
     return old["digest"] is not None and old["digest"] == new["digest"]
@@ -92,24 +105,26 @@ def summarize(pairs: list[tuple[dict, dict]], specs: list[dict]) -> dict:
     ``(old, new)``, for the ``end_to_end`` entries ``specs`` of
     ``BENCHMARK.json``, and the number of pairs whose digests agree.
 
-    A metric that either run of a pair lacks, or reads ``None``, leaves
-    that pair out of its figures; ``pairs`` counts the pairs it kept.
+    Raises ``ValueError``, naming the pair, the tree and the metric, if a
+    run lacks a metric of ``specs`` or reads it null or not finite.
     """
+    names = [spec["name"] for spec in specs]
+    for i, pair in enumerate(pairs, start=1):
+        for tree, run in zip(("old", "new"), pair):
+            bad = bad_metrics(run["metrics"], names)
+            if bad:
+                raise ValueError(f"pair {i}, {tree} tree: {', '.join(bad)}")
     metrics = {}
     for spec in specs:
         name = spec["name"]
-        kept = [
-            (old["metrics"][name], new["metrics"][name]) for old, new in pairs
-            if old["metrics"].get(name) is not None and new["metrics"].get(name) is not None
-        ]
-        entry = {"unit": spec["unit"], "better": spec["better"], "pairs": len(kept)}
-        if kept:
-            higher = spec["better"] == "higher"
-            entry["old"] = _quartiles([o for o, _ in kept])
-            entry["new"] = _quartiles([n for _, n in kept])
-            entry["new_won"] = sum((n > o) if higher else (n < o) for o, n in kept)
-            old_median = entry["old"][1]
-            entry["change"] = entry["new"][1] / old_median - 1.0 if old_median else None
+        values = [(old["metrics"][name], new["metrics"][name]) for old, new in pairs]
+        higher = spec["better"] == "higher"
+        entry = {"unit": spec["unit"], "better": spec["better"], "pairs": len(values)}
+        entry["old"] = _quartiles([o for o, _ in values])
+        entry["new"] = _quartiles([n for _, n in values])
+        entry["new_won"] = sum((n > o) if higher else (n < o) for o, n in values)
+        old_median = entry["old"][1]
+        entry["change"] = entry["new"][1] / old_median - 1.0 if old_median else None
         metrics[name] = entry
     agree = sum(same_digest(old, new) for old, new in pairs)
     return {"pairs": len(pairs), "metrics": metrics, "digests_agree": agree}
@@ -123,9 +138,6 @@ def summary_lines(summary: dict) -> list[str]:
     """The summary of :func:`summarize` as printed lines."""
     lines = [f"{summary['pairs']} pairs; median [q1-q3], old -> new:"]
     for name, m in summary["metrics"].items():
-        if not m["pairs"]:
-            lines.append(f"  {name} ({m['unit']}): no values")
-            continue
         (oq1, om, oq3), (nq1, nm, nq3) = m["old"], m["new"]
         change = "n/a" if m["change"] is None else f"{100.0 * m['change']:+.1f}%"
         lines.append(
@@ -159,6 +171,12 @@ def main(argv: Optional[list[str]] = None) -> int:
             if runs[tree] is None:
                 print(f"error: the {tree} tree's run of {args.workload} seed {seed} failed; "
                       f"its output is in {roots[tree] / '.bench_work' / 'ab_bench'}",
+                      file=sys.stderr)
+                return 1
+            bad = bad_metrics(runs[tree]["metrics"], runs[tree]["metrics"])
+            if bad:
+                print(f"error: the {tree} tree's run of {args.workload} seed {seed} reads "
+                      f"{', '.join(bad)}, which the benchmark takes as no result",
                       file=sys.stderr)
                 return 1
         old, new = runs["old"], runs["new"]

@@ -21,7 +21,8 @@ Every pick is judged from its report alone.  A third subprocess imports
 the NEW tree and runs its ``colsel.oracle.replay_check`` on every report
 of both trees, once per distinct report, so the tool works against an
 OLD tree that predates it.  An instance whose report fails
-``_check_report`` is judged too, from the report that check was given.
+``_check_report`` is judged too, from the report its ``AlgorithmFailure``
+carries; a tree whose exception carries none leaves it out.
 The replay rebuilds each step's Gram from the subset and scores every
 remaining candidate with the ``longdouble`` reference; each tree's total
 and per-shape line prints the steps replayed, the wrong picks (a margin
@@ -189,34 +190,24 @@ def dump() -> None:
     if smallest_root is not None:
         colsel.selector.smallest_root = counted_smallest_root
 
-    # greedy_select looks _check_report up in colsel.selector, so this sees
-    # the report of an instance that then raises AlgorithmFailure
-    checked = None
-    check_report = colsel.selector._check_report
-
-    def recorded_check_report(report, prob):
-        nonlocal checked
-        checked = report
-        return check_report(report, prob)
-
-    colsel.selector._check_report = recorded_check_report
-
     for shape_id, seed, prob in instances():
         n, m, ell, k, rank_a, _ = SHAPES[shape_id]
         record = {"shape": [n, m, ell, k, rank_a], "shape_id": shape_id, "seed": seed}
-        sturm_chains, root_calls, checked = 0, 0, None
+        sturm_chains, root_calls = 0, 0
         contradicted[:] = 0, 0
         try:
             report = greedy_select(prob)
         except Exception as exc:  # an outcome to compare, not a reason to stop
             record["error"] = [type(exc).__name__, str(exc)]
-            report = checked
+            # the report that broke the guarantees, in a tree whose
+            # AlgorithmFailure carries it
+            report = getattr(exc, "report", None)
         record.update(
             sturm_chains=sturm_chains if sturm_chain is not None else None,
             root_calls=root_calls if smallest_root is not None else None,
             contradicted=list(contradicted) if smallest_root is not None else None,
         )
-        # a returned report, or the one a raising run gave _check_report
+        # a returned report, or the one a raising run carries
         if report is not None:
             record.update({
                 "subset": list(report.subset),
