@@ -184,16 +184,22 @@ def _from_roots_rows(roots: np.ndarray) -> np.ndarray:
     coefficients, for the ``(C, n)`` array ``roots``; every root expansion
     in the package runs through here.  Factors are multiplied in column
     order, one array operation per factor over all rows, in
-    ``np.result_type(roots, np.float64)``: float64 for real roots."""
+    ``np.result_type(roots, np.float64)``: float64 for real roots.
+
+    The expansion runs on a coefficient-major ``(n + 2, C)`` working array,
+    so each factor updates whole contiguous rows of it, and the result is
+    that array's transposed view.  Each coefficient still takes the same
+    product and difference in the same factor order, so it rounds as it
+    would row by row."""
     rows, n = roots.shape
-    # column 0 stays zero: the coefficient below the constant one
-    c = np.zeros((rows, n + 2), np.result_type(roots, np.float64))
-    c[:, 1] = 1.0
+    # row 0 stays zero: the coefficient below the constant one
+    c = np.zeros((n + 2, rows), np.result_type(roots, np.float64))
+    c[1] = 1.0
     for t in range(n):
         # c <- c * (x - r), one array operation over the t + 2 live
         # coefficients; the right-hand side reads the old values
-        c[:, 1 : t + 3] = c[:, : t + 2] - roots[:, t : t + 1] * c[:, 1 : t + 3]
-    return c[:, 1:]
+        c[1 : t + 3] = c[: t + 2] - roots[:, t] * c[1 : t + 3]
+    return c[1:].T
 
 
 def derivative(p: Polynomial, times: int = 1) -> Polynomial:
@@ -517,7 +523,9 @@ def _laguerre_guesses(rows: np.ndarray, y0: float) -> np.ndarray:
         disc = g * g * (n - 1) ** 2 - half_curve / value * (2 * n * (n - 1))
         step = n / (np.sqrt(disc) - g)
         ok = (value * rows[:, n] > 0.0) & (step > 0.0) & (step < math.inf)
-        return np.where(ok, y0 + step, -math.inf)
+        guesses = y0 + step
+        guesses[~ok] = -math.inf
+        return guesses
 
 
 def smallest_root(p: Polynomial, eps: float) -> float:

@@ -294,12 +294,13 @@ def greedy_select(prob: SelectionProblem) -> SelectionReport:
     remaining = list(range(prob.m))
     chosen: list[int] = []
     trace: list[TraceStep] = []
+    candidates = inst.candidates
     gram = inst.gram_fixed.data
     best_y = -1.0
 
     for _ in range(prob.k):
         # Every remaining candidate's expected polynomial, from one transform.
-        v = inst.candidates.take(remaining, axis=1)
+        v = candidates.take(remaining, axis=1)
         rows = expected_poly_from_gram(inst, gram, len(chosen) + 1, v)
         best, best_y = _best_candidate(rows, prob.eps, best_y)
         j = remaining.pop(best)
@@ -360,7 +361,7 @@ def _best_candidate(rows: np.ndarray, eps: float, previous: float) -> tuple[int,
     # R0 competes even where the guessed row's own sign contradicts it
     contenders[guess] = True
     best_y, best = -math.inf, -1
-    for i in np.flatnonzero(contenders).tolist():
+    for i in contenders.nonzero()[0].tolist():
         root_y = guess_y if i == guess else root(i)
         if root_y > best_y:
             best_y, best = root_y, i

@@ -15,15 +15,10 @@ import pytest
 
 from colsel.cli import main
 from colsel.expected_charpoly import charpoly_psd, expected_poly, root_sum_identity_check
-from colsel.linalg import DenseMatrix, norms_sq, pseudoinverse, thin_svd
+from colsel.linalg import DenseMatrix, norms_sq, pseudoinverse
 from colsel.oracle import barrier, barrier_descent_check, companion_smallest_root
 from colsel.poly import Polynomial, is_real_rooted, smallest_root
-from colsel.selector import (
-    SelectionProblem,
-    build_isotropic,
-    gamma,
-    greedy_select,
-)
+from colsel.selector import SelectionProblem, gamma, greedy_select
 from conftest import in_x, random_isotropic, random_problem, random_real_rooted, valid_budgets
 
 EPS = 1e-6

@@ -84,6 +84,36 @@ def test_from_roots_matches_the_row_expansion_and_rejects_roots_that_are_not_rea
             from_roots(bad)
 
 
+def _scalar_expansion(roots: list[float]) -> list[float]:
+    """The ascending coefficients of ``prod (y - r_t)`` in Python floats:
+    ``c[s] <- c[s-1] - r_t * c[s]`` one factor at a time, in the order
+    given, with ``c[0]`` the zero below the constant."""
+    c = [0.0, 1.0] + [0.0] * len(roots)
+    for t, r in enumerate(roots):
+        for s in range(t + 2, 0, -1):  # downwards, so c[s - 1] is still the old value
+            c[s] = c[s - 1] - r * c[s]
+    return c[1:]
+
+
+def test_from_roots_rows_is_the_scalar_expansion_bit_for_bit():
+    # The transform's pattern (row 0 holds every root, row i + 1 has root i
+    # set to zero), mixed-sign rows across magnitudes, and empty shapes.
+    rng = np.random.default_rng(40)
+    cases = [np.empty((1, 0)), np.empty((0, 3))]
+    for n in range(1, 13):
+        pattern = np.empty((n + 1, n))
+        pattern[:] = rng.uniform(-1.0, 0.0, n)
+        pattern[1:].flat[:: n + 1] = 0.0
+        mixed = rng.uniform(-2.0, 2.0, (3, n)) * 10.0 ** rng.integers(-3, 4, (3, n))
+        cases += [pattern, mixed]
+    for roots in cases:
+        got = poly._from_roots_rows(roots)
+        want = np.array([_scalar_expansion(row) for row in roots.tolist()])
+        assert got.dtype == np.float64
+        assert got.shape == (roots.shape[0], roots.shape[1] + 1)
+        assert np.ascontiguousarray(got).tobytes() == want.reshape(got.shape).tobytes()
+
+
 def test_derivative():
     assert derivative(Polynomial([-1.0, 0.0, 1.0])).coeffs == (0.0, 2.0)
     assert derivative(Polynomial([0.0, 0.0, 0.0, 1.0]), times=3).coeffs == (6.0,)
