@@ -1,5 +1,7 @@
-"""Independent cross-check machinery: enumeration (one pass per batch of
-up to 4096 subsets, on the calling thread: every Gram summed from
+"""Independent cross-check machinery: enumeration (every subset indexed
+in ``combinations`` order by one NumPy walk of the subsets' prefix tree,
+with no Python step per subset, then one pass per batch of up to 4096
+subsets, on the calling thread: every Gram summed from
 per-column outer products, an elementwise Cholesky factorisation that
 decides the Frobenius norm of every well-conditioned subset, one column
 gather and one stacked singular-value call for the rest, and
@@ -29,7 +31,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, combinations
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -215,10 +216,44 @@ def brute_force(prob: SelectionProblem) -> EnumerationResult:
 
 def _subset_index(m: int, k: int) -> np.ndarray:
     """The ``(C(m, k), k)`` array of all size-``k`` subsets of ``range(m)``,
-    in ``combinations`` order."""
-    count = math.comb(m, k)
-    flat = np.fromiter(chain.from_iterable(combinations(range(m), k)), np.intp, count * k)
-    return flat.reshape(count, k)
+    ``1 <= k <= m``, in ``combinations`` (lexicographic) order, Fortran
+    order so that each column is contiguous.
+
+    It walks the prefix tree of the subsets one level at a time, with no
+    Python step per subset (Knuth, *TAOCP* Vol. 4A, section 7.2.1.3).
+    Level ``t`` holds the last element of every ``(t + 1)``-prefix that
+    can still reach size ``k``, and each node's parent row in level ``t -
+    1``: a node whose last element is ``c`` has the children ``c + 1 ..
+    m - k + t``, in order, so one ``np.repeat`` over the child counts
+    gives the parents and one ``np.cumsum`` of unit steps, which jump back
+    at each node's first child, gives the elements.  The last level, one
+    node per subset in order, is the last column; the columns before it
+    are filled from the last back, each through the parent rows composed
+    so far, and each level is dropped once read.  Besides the result the
+    build holds the levels, all smaller than it but the last, whose parent
+    rows are one column's worth, and two columns' worth of composed rows:
+    about 1.5 times the result at ``C(40, 5)``."""
+    index = np.empty((math.comb(m, k), k), np.intp, order="F")
+    last, levels = np.array([-1]), []  # level -1: the empty prefix
+    for t in range(k):
+        top = m - k + t
+        counts = top - last
+        parent = np.repeat(np.arange(len(last)), counts)
+        steps = index[:, t] if t == k - 1 else np.empty(len(parent), np.intp)
+        steps.fill(1)
+        steps[0] = last[0] + 1
+        # each node's first child follows its previous node's last child, top
+        steps[np.cumsum(counts[:-1])] = last[1:] + 1 - top
+        last = np.cumsum(steps, out=steps)
+        levels.append((last, parent))
+    rows = levels.pop()[1]  # each subset's row in level k - 2
+    for t in range(k - 2, -1, -1):
+        last, parent = levels.pop()
+        # every row is in range, so mode="clip" writes the column without a buffer
+        np.take(last, rows, out=index[:, t], mode="clip")
+        if t:
+            rows = parent[rows]
+    return index
 
 
 def _grams(prob: SelectionProblem, batch: np.ndarray) -> np.ndarray:

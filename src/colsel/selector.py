@@ -264,8 +264,9 @@ def greedy_select(prob: SelectionProblem) -> SelectionReport:
     """Run the deterministic greedy selection and report both norms.
 
     Each candidate is scored by the smallest root of the expected
-    polynomial of the extended partial.  Each iteration hands the
-    partial's Gram and the remaining candidate columns to one
+    polynomial of the extended partial.  Each iteration is one
+    :func:`_score_step` call, which hands the partial's Gram and the
+    remaining candidate columns to one
     :func:`~colsel.expected_charpoly.expected_poly_from_gram` call (one
     eigendecomposition of that Gram and one matrix product, with no
     candidate Gram formed), which returns one coefficient row per
@@ -301,8 +302,7 @@ def greedy_select(prob: SelectionProblem) -> SelectionReport:
     for _ in range(prob.k):
         # Every remaining candidate's expected polynomial, from one transform.
         v = candidates.take(remaining, axis=1)
-        rows = expected_poly_from_gram(inst, gram, len(chosen) + 1, v)
-        best, best_y = _best_candidate(rows, prob.eps, best_y)
+        best, best_y = _score_step(inst, gram, len(chosen) + 1, v, prob.eps, best_y)
         j = remaining.pop(best)
         gram = _gram_updates(gram, v[:, best : best + 1])[0]
         chosen.append(j)
@@ -323,6 +323,18 @@ def greedy_select(prob: SelectionProblem) -> SelectionReport:
     )
     _check_report(report, prob)
     return report
+
+
+def _score_step(
+    inst: IsotropicInstance, gram: np.ndarray, j: int, v: np.ndarray, eps: float, previous: float
+) -> tuple[int, float]:
+    """One greedy step's scoring: the column of ``v`` whose extension of
+    the size-``j - 1`` partial with Gram ``gram`` scores best, and its
+    root, from one :func:`expected_poly_from_gram` call and
+    :func:`_best_candidate`; ``previous`` is the previous step's root, or
+    ``-1``."""
+    rows = expected_poly_from_gram(inst, gram, j, v)
+    return _best_candidate(rows, eps, previous)
 
 
 def _best_candidate(rows: np.ndarray, eps: float, previous: float) -> tuple[int, float]:

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -695,6 +696,29 @@ def test_spanning_trees_of_the_complete_graph(v):
     assert result.num_feasible == v ** (v - 2)  # Cayley's formula
     assert result.best_subset_frob == result.best_subset_spec == tuple(range(v - 1))
     assert result.best_frob_sq == v - 1 and result.best_spec_sq == 1.0
+
+
+def test_the_subset_index_is_the_combinations_array():
+    for m in range(1, 15):
+        for k in range(1, m + 1):
+            expected = np.array(list(combinations(range(m), k)), np.intp)
+            index = oracle._subset_index(m, k)
+            assert index.dtype == expected.dtype and np.array_equal(index, expected), (m, k)
+
+
+def test_the_subset_index_is_built_in_under_twice_its_own_memory():
+    # Besides the result, the build holds its prefix levels, each smaller
+    # than it but the last, whose parent rows are one column's worth: about
+    # 1.5 times the result here.  A build that keeps every level's full
+    # prefix rows reads about 2.5 times.
+    tracemalloc.start()
+    try:
+        index = oracle._subset_index(40, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert index.shape == (658008, 5)
+    assert peak <= 2 * index.nbytes
 
 
 def test_brute_force_guard():
