@@ -178,8 +178,13 @@ def _as_index(value: object, error: type[ValueError], what: str) -> int:
 
 
 def _as_indices(values: Iterable[object], count: int, error: type[ValueError]) -> list[int]:
-    """``values`` as distinct integer column indices in ``[0, count)``, or ``error``."""
-    idx = [_as_index(j, error, "column index") for j in values]
+    """``values`` as distinct integer column indices in ``[0, count)``, or ``error``,
+    also where ``values`` is not iterable."""
+    try:
+        items = iter(values)
+    except TypeError:
+        raise error(f"column indices must be an iterable of integers, got {values!r}") from None
+    idx = [_as_index(j, error, "column index") for j in items]
     for j in idx:
         if not 0 <= j < count:
             raise error(f"column index {j} out of range [0, {count})")

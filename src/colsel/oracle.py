@@ -1,13 +1,14 @@
 """Independent cross-check machinery: enumeration (every subset indexed
 in ``combinations`` order by one NumPy walk of the subsets' prefix tree,
 with no Python step per subset, then one pass per batch of up to 4096
-subsets, on the calling thread: every Gram summed from
-per-column outer products, an elementwise Cholesky factorisation that
+subsets, on the calling thread: every Gram summed once from per-column
+outer products, an elementwise Cholesky factorisation of a copy that
 decides the Frobenius norm of every well-conditioned subset, one column
 gather and one stacked singular-value call for the rest, and
-``eigvalsh`` only for the subsets whose lower bound reaches a running
-spectral bar; one ``np.argmin`` per norm for the first optimum, and the
-full table, the same pass with nothing pruned, only when read),
+``eigvalsh`` of the same Grams only for the subsets whose lower bound
+reaches a running spectral bar; one ``np.argmin`` per norm for the first
+optimum, and the full table, only when read, from that pass's own norms,
+with ``eigvalsh`` only for the subsets it left without a spectral norm),
 barriers, companion roots, the monomial-basis expected-polynomial
 pipeline, the stacked ``y``-basis transform (one eigensolve per
 candidate Gram), the ``longdouble`` reference scores, and the replay that
@@ -87,11 +88,15 @@ class EnumerationResult:
     ``combinations`` order, to ``(frob_sq, spec_sq)``, the squared
     pseudoinverse norms of ``[a b_S]``; rank-deficient subsets, and
     full-rank ones whose norms overflow, get infinite norms so the map
-    stays total.  It is built on first access by the batch loop that
-    :func:`brute_force` runs, with nothing pruned: every Cholesky-decided
-    subset takes ``eigvalsh``.  So every value that :func:`brute_force`
-    took is the table's bit for bit, and the two optima are the first
-    minima of its columns in ``combinations`` order.
+    stays total.  It is built on first access from the two arrays of
+    norms that :func:`brute_force`'s pass left, ``_frob_sq`` and
+    ``_spec_sq``, in ``combinations`` order: only the subsets that pass
+    pruned, Cholesky-decided with a finite ``frob_sq`` and no spectral
+    norm yet, have their Grams formed again, in chunks of
+    ``ENUMERATION_BATCH``, for :func:`_spectral_norms`.  Every Gram's
+    bits are its own, whatever its chunk, so every value is the one
+    :func:`brute_force` would have taken, and the two optima are the first
+    minima of the table's columns in ``combinations`` order.
     """
 
     best_subset_frob: tuple[int, ...]
@@ -101,12 +106,16 @@ class EnumerationResult:
     num_subsets: int
     num_feasible: int
     _problem: SelectionProblem = field(repr=False, compare=False)
+    _frob_sq: np.ndarray = field(repr=False, compare=False)
+    _spec_sq: np.ndarray = field(repr=False, compare=False)
 
     @cached_property
     def all_values(self) -> dict[tuple[int, ...], tuple[float, float]]:
-        prob = self._problem
+        prob, frob_sq, spec_sq = self._problem, self._frob_sq, self._spec_sq.copy()
         index = _subset_index(prob.m, prob.k)
-        frob_sq, spec_sq = _enumerate(prob, index, prune=False)
+        pruned = np.flatnonzero((frob_sq < math.inf) & (spec_sq == math.inf))
+        for rows in np.split(pruned, range(ENUMERATION_BATCH, len(pruned), ENUMERATION_BATCH)):
+            spec_sq[rows] = _spectral_norms(_grams(prob, index[rows]), frob_sq[rows])
         subsets = map(tuple, index.tolist())
         return dict(zip(subsets, zip(frob_sq.tolist(), spec_sq.tolist())))
 
@@ -118,15 +127,16 @@ def brute_force(prob: SelectionProblem) -> EnumerationResult:
     tr(G^-1)`` and ``|M^+|_2^2 = 1/lambda_min(G)``.  The subsets, in
     ``combinations`` order, go in batches of up to ``ENUMERATION_BATCH``
     (4096) on the calling thread, and one pass over each batch, in two
-    steps, gives both norms before the next batch starts.
+    steps, gives both norms before the next batch starts.  Each batch's
+    Grams are formed once, and both steps read that one stack.
 
     The Frobenius norm.  Every ``G`` is formed with the batch axis last,
     from the outer products ``b_i b_i^T`` of ``b``'s columns, held as one
     ``(n^2, m)`` array: ``a a^T``, once per batch, plus one contiguous
     ``take`` of that array per position of the batch's ``(B, k)`` slice of
     one subset array, in subset order.  No ``M`` is gathered.  Plain
-    elementwise numpy over the whole stack then factors ``G = L L^T``
-    (Cholesky, column by column) and forms ``X = L^-1`` by forward
+    elementwise numpy over a copy of the whole stack then factors ``G =
+    L L^T`` (Cholesky, column by column) and forms ``X = L^-1`` by forward
     substitution, with floating-point errors ignored; so each matrix's
     bits depend only on ``a`` and its own columns in order, not on its
     batch or its place in it.  ``frob_sq = |X|_F^2``.  A subset is
@@ -175,8 +185,8 @@ def brute_force(prob: SelectionProblem) -> EnumerationResult:
     this batch and every earlier one, is the bar: the spectral optimum is
     at most the bar, and the bar only falls.  Then only the batch's
     Cholesky-decided subsets with ``lb <= bar (1 + LOWER_BOUND_SLACK)``
-    (``1e-9``) take theirs too.  :func:`_spectral_norms` forms their
-    ``G`` again in the same way, and one stacked ``eigvalsh`` gives
+    (``1e-9``) take theirs too.  :func:`_spectral_norms` takes their
+    ``G`` from the batch's stack, and one stacked ``eigvalsh`` gives
     ``spec_sq = min(1/lambda_min, frob_sq)``, within about ``1e-12``
     relative because the Cholesky gate bounds ``kappa(G) <= 400``.  A
     subset left out has ``lb`` above a bar by ``1e-9`` relative, so above
@@ -188,8 +198,9 @@ def brute_force(prob: SelectionProblem) -> EnumerationResult:
     exactly, as every matrix's bits are its own.  Where no subset is
     feasible both optima are ``()`` with an infinite norm.  Nothing here
     goes through the selector's norm helper or
-    :func:`~colsel.linalg.thin_svd`.  The full table, ``all_values``, is
-    the same batch loop with nothing pruned, run only when read.
+    :func:`~colsel.linalg.thin_svd`.  The result keeps the pass's two
+    arrays of norms, and the full table, ``all_values``, built only when
+    read, takes ``eigvalsh`` for the pruned subsets alone.
     """
     count = math.comb(prob.m, prob.k)
     if count > ENUMERATION_GUARD:
@@ -197,11 +208,11 @@ def brute_force(prob: SelectionProblem) -> EnumerationResult:
             f"C({prob.m}, {prob.k}) = {count} exceeds the {ENUMERATION_GUARD} subset guard"
         )
     index = _subset_index(prob.m, prob.k)
-    frob_sq, spec_sq = _enumerate(prob, index, prune=True)
+    frob_sq, spec_sq = _enumerate(prob, index)
     # a subset is feasible iff its Frobenius norm is finite, and then so is its spectral one
     num_feasible = int(np.count_nonzero(frob_sq < math.inf))
     if not num_feasible:
-        return EnumerationResult((), (), math.inf, math.inf, count, 0, prob)
+        return EnumerationResult((), (), math.inf, math.inf, count, 0, prob, frob_sq, spec_sq)
     i, j = int(np.argmin(frob_sq)), int(np.argmin(spec_sq))
     return EnumerationResult(
         best_subset_frob=tuple(index[i].tolist()),
@@ -210,7 +221,7 @@ def brute_force(prob: SelectionProblem) -> EnumerationResult:
         best_spec_sq=float(spec_sq[j]),
         num_subsets=count,
         num_feasible=num_feasible,
-        _problem=prob,
+        _problem=prob, _frob_sq=frob_sq, _spec_sq=spec_sq,
     )
 
 
@@ -286,45 +297,44 @@ def _gather(prob: SelectionProblem, batch: np.ndarray) -> np.ndarray:
     return stack
 
 
-def _enumerate(
-    prob: SelectionProblem, index: np.ndarray, prune: bool
-) -> tuple[np.ndarray, np.ndarray]:
+def _enumerate(prob: SelectionProblem, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``frob_sq`` and ``spec_sq`` of every subset of ``index``, per batch
-    of ``ENUMERATION_BATCH``: :func:`_first_pass`, then
-    :func:`_spectral_norms` on the batch's Cholesky-decided subsets, all of
-    them, or where ``prune`` only the two probes and those whose ``lb``
-    reaches the running bar; the others keep an infinite ``spec_sq``."""
+    of ``ENUMERATION_BATCH``: the batch's Grams, formed once by
+    :func:`_grams`, go to :func:`_first_pass` and then to
+    :func:`_spectral_norms` for the two probes and the Cholesky-decided
+    subsets whose ``lb`` reaches the running bar; the other
+    Cholesky-decided subsets keep an infinite ``spec_sq``."""
     frob_sq, spec_sq = np.empty(len(index)), np.empty(len(index))
     bar = math.inf
     for start in range(0, len(index), ENUMERATION_BATCH):
         rows = slice(start, start + ENUMERATION_BATCH)
         batch = index[rows]
-        frob_sq[rows], spec_sq[rows], decided, lower = _first_pass(prob, batch)
+        grams = _grams(prob, batch)
+        frob_sq[rows], spec_sq[rows], decided, lower = _first_pass(prob, batch, grams)
         frob, spec = frob_sq[rows], spec_sq[rows]  # views
-        keep = decided
-        if prune:
-            least = np.argmin(np.where(decided, lower, math.inf))
-            # not np.unique, which imports numpy.ma: 1.7 MB more peak memory
-            probes = np.array(sorted({np.argmin(frob), least}))
-            probes = probes[decided[probes]]
-            spec[probes] = _spectral_norms(prob, batch[probes], frob[probes])
-            bar = min(bar, spec.min())
-            # a new mask: the one _first_pass returned is left as it was
-            keep = decided & (lower <= bar * (1.0 + LOWER_BOUND_SLACK))
-            keep[probes] = False
-        spec[keep] = _spectral_norms(prob, batch[keep], frob[keep])
+        least = np.argmin(np.where(decided, lower, math.inf))
+        # not np.unique, which imports numpy.ma: 1.7 MB more peak memory
+        probes = np.array(sorted({np.argmin(frob), least}))
+        probes = probes[decided[probes]]
+        spec[probes] = _spectral_norms(grams[..., probes], frob[probes])
+        bar = min(bar, spec.min())
+        # a new mask: the one _first_pass returned is left as it was
+        keep = decided & (lower <= bar * (1.0 + LOWER_BOUND_SLACK))
+        keep[probes] = False
+        spec[keep] = _spectral_norms(grams[..., keep], frob[keep])
     return frob_sq, spec_sq
 
 
 def _first_pass(
-    prob: SelectionProblem, batch: np.ndarray
+    prob: SelectionProblem, batch: np.ndarray, grams: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The first step of :func:`brute_force` on the subsets ``batch``:
+    """The first step of :func:`brute_force` on the subsets ``batch``,
+    whose ``(n, n, B)`` Grams from :func:`_grams` are ``grams``:
     ``frob_sq``, ``spec_sq`` (the rank rule's where not Cholesky-decided,
     else infinite), the Cholesky-decided mask and the lower bound ``lb``
-    on ``spec_sq``."""
+    on ``spec_sq``.  It factors a copy, so ``grams`` is left as it was."""
     # batch axis last: every operand below is a run of B contiguous values
-    g = _grams(prob, batch)
+    g = grams.copy()
     n = g.shape[0]
     with np.errstate(all="ignore"):
         trace = g[0, 0].copy()
@@ -366,11 +376,11 @@ def _first_pass(
     return frob, spec, decided, lower
 
 
-def _spectral_norms(
-    prob: SelectionProblem, batch: np.ndarray, frob_sq: np.ndarray
-) -> np.ndarray:
+def _spectral_norms(grams: np.ndarray, frob_sq: np.ndarray) -> np.ndarray:
     """``spec_sq = min(1/lambda_min, frob_sq)`` of each Cholesky-decided
-    subset of ``batch``, from one stacked ``eigvalsh`` of its Gram ``G``.
+    subset whose Gram ``G`` is in ``grams``, an ``(n, n, B)`` stack from
+    :func:`_grams`, batch axis last, from one stacked ``eigvalsh``; it
+    forms no Gram.
 
     The Cholesky gate is the only test: every subset here has pivots of at
     least ``NORMAL_FLOOR`` and ``tr(G) frob_sq <= KAPPA_CAP``, so
@@ -384,7 +394,7 @@ def _spectral_norms(
     one: about ``1e-12`` relative at ``(n, l + k) = (4, 7)``, the budget
     the Frobenius norm already uses.  So ``1/lambda_min`` is finite and
     that close, and no subset needs the rank rule here."""
-    lam_min = np.linalg.eigvalsh(_grams(prob, batch).transpose(2, 0, 1))[:, 0]  # ascending
+    lam_min = np.linalg.eigvalsh(grams.transpose(2, 0, 1))[:, 0]  # ascending
     return np.minimum(1.0 / lam_min, frob_sq)
 
 

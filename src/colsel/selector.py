@@ -14,7 +14,7 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .linalg import (
     DenseMatrix,
     SvdFactors,
     _as_index,
+    _as_indices,
     _gram_updates,
     columns,
     hcat,
@@ -407,7 +408,7 @@ def _check_report(report: SelectionReport, prob: SelectionProblem) -> None:
             )
 
 
-def verify_bound(prob: SelectionProblem, subset: Sequence[int]) -> tuple[bool, float, float]:
+def verify_bound(prob: SelectionProblem, subset: Iterable[int]) -> tuple[bool, float, float]:
     """Check a given subset against the proven bound.
 
     Returns ``(holds, ratio_frob, ratio_spec)`` where the ratios compare
@@ -416,10 +417,12 @@ def verify_bound(prob: SelectionProblem, subset: Sequence[int]) -> tuple[bool, f
     which includes the ``(1 + 2 k eps)`` factor the approximate
     algorithm is entitled to, up to a float slack of ``1e-7`` relative.
 
-    Raises :class:`InvalidSubset` unless ``subset`` holds ``k`` distinct
-    integer column indices of ``b``, and :class:`RankDeficient` when
-    ``[a b_S]`` fails the rank rule or its norms overflow.
+    Raises :class:`InvalidSubset` unless ``subset`` is an iterable of
+    ``k`` distinct integer column indices of ``b``, and
+    :class:`RankDeficient` when ``[a b_S]`` fails the rank rule or its
+    norms overflow.
     """
+    subset = _as_indices(subset, prob.m, InvalidSubset)
     if len(subset) != prob.k:
         raise InvalidSubset(f"subset must have size k = {prob.k}, got {len(subset)}")
     frob_sq, spec_sq = _subset_norms_sq(prob, subset)

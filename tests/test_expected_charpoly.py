@@ -207,6 +207,8 @@ def test_expected_poly_input_validation():
     assert expected_poly(inst, (np.int64(0),)) == expected_poly(inst, (0,))
     with pytest.raises(InvalidInput, match="must be an integer"):
         expected_poly(inst, (0.0,))
+    with pytest.raises(InvalidInput, match="must be an iterable of integers"):
+        expected_poly(inst, None)
     gram, zero = inst.gram_fixed.data, np.zeros((inst.n, 1))
     for j in (True, 1.0):
         with pytest.raises(InvalidInput, match="partial size must be an integer"):

@@ -219,6 +219,9 @@ def test_columns_error_cases():
         columns(q, [1, 1])
     with pytest.raises(InvalidSubset):
         columns(q, [np.int64(1), 1])
+    for bad in (5, None):
+        with pytest.raises(InvalidSubset, match="must be an iterable of integers"):
+            columns(q, bad)
 
 
 class _Column(enum.IntEnum):

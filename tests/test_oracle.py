@@ -210,10 +210,10 @@ def test_brute_force_is_bit_identical_on_every_batch_size(monkeypatch, name):
         batches = [min(size, count - start) for start in range(0, count, size)]
         passes.clear()
         results[size] = brute_force(prob)
-        # one first pass per batch, and the table, built when read, takes the same batches
+        # one first pass per batch, and none more for the table, built when read
         assert [len(batch) for batch, *_ in _first_passes(passes)] == batches
         bits[size] = _enumeration_bits(results[size])
-        assert [len(batch) for batch, *_ in _first_passes(passes)] == batches + batches
+        assert [len(batch) for batch, *_ in _first_passes(passes)] == batches
     result = results[size]
     for other in bits.values():
         assert other == bits[size]
@@ -236,6 +236,41 @@ def test_brute_force_is_bit_identical_on_every_batch_size(monkeypatch, name):
         for norm, best_sq in enumerate([result.best_frob_sq, result.best_spec_sq]):
             reaching = [i for i, v in enumerate(result.all_values.values()) if v[norm] == best_sq]
             assert reaching[0] == 0 and reaching[-1] >= 512  # a tie across batches of 256
+
+
+def test_brute_force_forms_each_gram_once_and_the_table_reads_its_norms(monkeypatch):
+    monkeypatch.setattr(oracle, "ENUMERATION_BATCH", 256)
+    prob = random_problem(np.random.default_rng(211), n=4, m=14, ell=2, k=5)
+    grams, first_passes, svd, eigvalsh = (
+        spy(monkeypatch, owner, name)
+        for owner, name in [(oracle, "_grams"), (oracle, "_first_pass"),
+                            (np.linalg, "svd"), (np.linalg, "eigvalsh")]
+    )
+    result = brute_force(prob)
+    passes = _first_passes(first_passes)
+    # one Gram build and one first pass per batch of C(14, 5) = 2002, on the same subsets
+    assert [len(call.args[1]) for call in grams] == [256] * 7 + [210]
+    assert [batch.tobytes() for batch, *_ in passes] == [c.args[1].tobytes() for c in grams]
+    # each first pass took its batch's Grams, and factored a copy of them
+    for built, taken in zip(grams, first_passes):
+        assert taken.args[2].tobytes() == built.result.tobytes()
+    stack = np.concatenate([call.result for call in grams], axis=2)
+    decided = np.concatenate([d for *_, d, _ in passes])
+    pruned = np.flatnonzero(decided & np.isinf(result._spec_sq))
+    assert len(pruned) > 256  # the table takes more than one chunk
+
+    for calls in (grams, first_passes, svd, eigvalsh):
+        calls.clear()
+    values = list(result.all_values.values())
+    assert not first_passes and not svd
+    chunks = [len(pruned[i : i + 256]) for i in range(0, len(pruned), 256)]
+    assert [len(call.args[1]) for call in grams] == [len(call.args[0]) for call in eigvalsh] == chunks
+    # eigvalsh took exactly the Grams of the subsets the pass left without a spectral norm
+    taken = np.concatenate([call.args[0] for call in eigvalsh])
+    assert taken.tobytes() == np.ascontiguousarray(stack[..., pruned].transpose(2, 0, 1)).tobytes()
+    spec = np.array([s for _, s in values])
+    assert np.isfinite(spec[pruned]).all()
+    assert np.delete(spec, pruned).tobytes() == np.delete(result._spec_sq, pruned).tobytes()
 
 
 def test_brute_force_keeps_the_callers_error_state():
@@ -620,6 +655,9 @@ def test_replay_check_refuses_a_report_it_cannot_replay():
         list(replay_steps(prob, twice))
     with pytest.raises(InvalidInput, match="at most k = 12"):
         list(replay_steps(prob, range(13)))
+    for bad in (5, None):
+        with pytest.raises(InvalidInput, match="must be an iterable of integers"):
+            list(replay_steps(prob, bad))
 
 
 @pytest.mark.parametrize("seed", [0, 5, 10, 12, 17, 23, 30])
@@ -642,8 +680,8 @@ def test_the_lower_bound_slack_keeps_a_near_tie(monkeypatch, seed):
     # lower bound, makes spec_S the bar, and only LOWER_BOUND_SLACK keeps O
     first_pass, least = oracle._first_pass, []
 
-    def raised(prob, batch):
-        frob, spec, decided, lower = first_pass(prob, batch)
+    def raised(prob, batch, grams):
+        frob, spec, decided, lower = first_pass(prob, batch, grams)
         lower = lower.copy()
         lower[(batch == o_best).all(axis=1)] = spec_s * (1 + 1e-10)
         least.append(tuple(batch[np.argmin(np.where(decided, lower, math.inf))].tolist()))

@@ -662,6 +662,11 @@ def test_verify_bound_takes_integer_indices_only():
         verify_bound(prob, [0.9, 1.9])
     with pytest.raises(InvalidSubset, match="must be an integer, got True"):
         verify_bound(prob, (True, False))
+    # any iterable of k columns, an iterator too; a value that is none is refused
+    assert verify_bound(prob, iter((0, 1))) == verify_bound(prob, (0, 1))
+    for bad in (5, None):
+        with pytest.raises(InvalidSubset, match="must be an iterable of integers"):
+            verify_bound(prob, bad)
 
 
 # Inputs at the edges of the rank rule and of the float range: on each,
