@@ -143,8 +143,14 @@ def _psd_eigenvalues(grams: np.ndarray) -> np.ndarray:
 
 def _psd_eigh(gram: np.ndarray, name: str = "gram") -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues, ascending, and eigenvectors, as columns, of the
-    symmetric PSD matrix ``gram``: the one eigensolver every Gram spectrum
-    in the package goes through.
+    symmetric PSD matrix ``gram``: the eigensolver of the greedy step's
+    partial Gram, of :func:`charpoly_psd`, of
+    :func:`~colsel.selector.min_singular_check` and of every candidate Gram
+    of the oracle's stacked transform.  Two oracles take one stacked
+    ``eigvalsh`` instead, on purpose: brute force's spectral norms, whose
+    Grams its Cholesky gate has already checked, a batch at a time, and
+    :func:`~colsel.oracle.reference_scores`, which stays independent of
+    these checks.
 
     ``gram`` must be finite and symmetric to ``1e-10`` of its scale
     ``max(1, max|G|)``: the largest entry of ``G - G^T`` is its largest

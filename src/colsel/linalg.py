@@ -6,6 +6,8 @@ numpy and favours clarity over asymptotics.
 """
 from __future__ import annotations
 
+import contextlib
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -32,12 +34,10 @@ class DenseMatrix:
     """Immutable dense real matrix.
 
     Entries are stored row-major as a read-only C-contiguous float64
-    array.  All entries must be finite; zero column counts are allowed
-    (an empty fixed block is a legitimate input).  Bool, integer and
-    float data convert, as do other numbers ``float()`` takes, such as a
-    ``Fraction``; ragged rows, strings and bytes (even ones that parse
-    as numbers), complex entries, dates, records and anything else
-    ``float()`` rejects raise :class:`InvalidInput`.
+    array, from ``data`` by the package's rule for real arrays
+    (:func:`_real_array`), so anything but a 2-d array of finite real
+    numbers raises :class:`InvalidInput`; zero column counts are allowed
+    (an empty fixed block is a legitimate input).
     """
 
     __slots__ = ("data",)
@@ -45,19 +45,7 @@ class DenseMatrix:
     data: np.ndarray
 
     def __init__(self, data: np.ndarray | Sequence[Sequence[float]]):
-        try:
-            a = np.asarray(data)
-            # bool, integer, float, or objects for float(): strings and bytes
-            # would parse as numbers, and dates or records convert silently
-            if a.dtype.kind not in "biufO":
-                raise TypeError(f"got dtype {a.dtype}")
-            a = np.array(a, dtype=float, order="C", copy=True)
-        except (TypeError, ValueError, OverflowError) as exc:  # also ragged rows, 10**400, {}
-            raise InvalidInput(f"matrix entries must be real numbers: {exc}") from None
-        if a.ndim != 2:
-            raise InvalidInput(f"matrix data must be 2-dimensional, got ndim={a.ndim}")
-        if np.count_nonzero(np.isfinite(a)) != a.size:
-            raise InvalidInput("matrix entries must be finite (no NaN/Inf)")
+        a = _real_array(data, 2, "matrix data")
         a.setflags(write=False)
         object.__setattr__(self, "data", a)
 
@@ -193,6 +181,59 @@ def _as_indices(values: Iterable[object], count: int, error: type[ValueError]) -
     return idx
 
 
+def _real_array(data: object, ndim: int, what: str) -> np.ndarray:
+    """``data`` as a fresh C-contiguous ``ndim``-dimensional float64 array
+    of finite entries, or :class:`InvalidInput` naming it as ``what``: the
+    one rule for every real array the package takes.
+
+    Bool, integer and float data convert, as do other numbers ``float()``
+    takes, such as a ``Fraction`` or an int too large for an int64, each
+    to the float ``float()`` gives it.  Ragged rows, strings and bytes
+    (even ones that parse as numbers), complex entries (even with a zero
+    imaginary part), ``None``, dates, records, ints beyond the float range
+    and anything else ``float()`` rejects raise, as does a NaN or infinite
+    entry.  A 1-d ``data`` is read with ``list()`` first, so it may be any
+    iterable, such as a generator, and a string reads as its characters,
+    which are strings.  Each of these raises whatever the warning filters.
+    """
+    try:
+        a = np.asarray(list(data) if ndim == 1 else data)
+        # bool, integer, float, or objects for float(): strings and bytes
+        # would parse as numbers, and dates or records convert silently
+        if a.dtype.kind not in "biufO":
+            raise TypeError(f"got dtype {a.dtype}")
+        # the cast of an object array would parse a string, take a NumPy
+        # complex number's real part and read None as NaN
+        if a.dtype.kind == "O" and any(
+            isinstance(v, (str, bytes, complex, np.complexfloating, type(None))) for v in a.flat
+        ):
+            raise TypeError("got a string, bytes, complex or None entry")
+        a = np.array(a, dtype=float, order="C", copy=True)
+    except (TypeError, ValueError, OverflowError, RuntimeWarning) as exc:
+        # also ragged rows, 10**400, {}, and, where warnings are errors, the
+        # cast's overflow warning for a long double beyond the float range
+        raise InvalidInput(f"{what} must be real numbers: {exc}") from None
+    if a.ndim != ndim:
+        raise InvalidInput(f"{what} must be {ndim}-dimensional, got ndim={a.ndim}")
+    if np.count_nonzero(np.isfinite(a)) != a.size:
+        raise InvalidInput(f"{what} must be finite (no NaN/Inf)")
+    return a
+
+
+def _as_real(value: object, error: type[ValueError], what: str) -> float:
+    """``float(value)``: the one rule for every real scalar the package
+    takes.  A ``numbers.Real`` that is neither a bool (Python's or NumPy's)
+    nor NaN passes, infinities included; a string, a complex number, an
+    int beyond the float range or anything else raises ``error``.  A float,
+    the type of every value the greedy loop passes, skips the slower
+    abstract-class check."""
+    if type(value) is float or isinstance(value, numbers.Real) and not isinstance(value, bool):
+        with contextlib.suppress(OverflowError):  # an int beyond the float range, such as 10**400
+            if (x := float(value)) == x:  # not NaN
+                return x
+    raise error(f"{what} must be a real number other than NaN, got {value!r}")
+
+
 def _wrap(a: np.ndarray) -> DenseMatrix:
     """``a`` as a :class:`DenseMatrix` without a copy or a finiteness scan.
 
@@ -224,8 +265,9 @@ def hcat(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
 
 
 def gram_update(g: DenseMatrix, y: np.ndarray | Sequence[float]) -> DenseMatrix:
-    """Rank-one update ``g + y y^T`` of a symmetric Gram matrix."""
-    v = np.asarray(y, dtype=float).reshape(-1)
+    """Rank-one update ``g + y y^T`` of a symmetric Gram matrix; ``y`` is a
+    real vector (:func:`_real_array`)."""
+    v = _real_array(y, 1, "y")
     if g.rows != g.cols:
         raise DimensionMismatch(f"gram matrix must be square, got {g.rows}x{g.cols}")
     if v.shape[0] != g.rows:

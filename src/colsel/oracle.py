@@ -38,8 +38,9 @@ import numpy as np
 
 from .errors import AlgorithmFailure, DeflationFailure, InvalidInput, TooLarge
 from .expected_charpoly import IsotropicInstance, _psd_eigenvalues, _weight_ratios
+from .linalg import DEFAULT_RANK_TOL, _as_indices, _as_real, _gram_updates
 # pseudoinverse is unused; the benchmark harness's tracer test wraps colsel.oracle.pseudoinverse
-from .linalg import DEFAULT_RANK_TOL, _as_indices, _gram_updates, pseudoinverse  # noqa: F401
+from .linalg import pseudoinverse  # noqa: F401
 from .poly import Polynomial, _from_roots_rows, derivative, evaluate, monic
 from .selector import SelectionProblem, SelectionReport, build_isotropic
 
@@ -436,11 +437,11 @@ def _all_roots(p: Polynomial) -> np.ndarray:
 def barrier(p: Polynomial, x: float) -> float:
     """Lower barrier ``-p'(x)/p(x)``, the sum of ``1/(root - x)``.
 
-    Requires a finite ``x`` strictly below the smallest root, else
-    :class:`InvalidInput`; a constant polynomial has an empty root set
-    and barrier zero.
+    Requires a finite real ``x`` (:func:`~colsel.linalg._as_real`) strictly
+    below the smallest root, else :class:`InvalidInput`; a constant
+    polynomial has an empty root set and barrier zero.
     """
-    if not math.isfinite(x):
+    if not math.isfinite(x := _as_real(x, InvalidInput, "barrier's x")):
         raise InvalidInput(f"barrier needs a finite x, got {x!r}")
     if p.is_zero:
         raise InvalidInput("barrier of the zero polynomial is undefined")
@@ -459,12 +460,13 @@ def barrier_descent_check(p: Polynomial, b: float, delta: float) -> bool:
     """Check the one-step barrier descent: the derivative's barrier at
     ``b + delta`` does not exceed the barrier of ``p`` at ``b``.
 
-    Preconditions (finite ``b`` and ``delta``, ``b`` below the smallest
+    Preconditions (finite real ``b`` and ``delta``, as
+    :func:`~colsel.linalg._as_real` reads them, ``b`` below the smallest
     root, ``barrier(p, b) <= 1/delta``) are validated; a degree-one ``p``
     passes vacuously since its derivative has no roots.
     """
     for name, value in (("b", b), ("delta", delta)):
-        if not math.isfinite(value):
+        if not math.isfinite(_as_real(value, InvalidInput, f"barrier_descent_check's {name}")):
             raise InvalidInput(f"barrier_descent_check needs a finite {name}, got {value!r}")
     if delta <= 0.0:
         raise InvalidInput(f"delta must be > 0, got {delta}")

@@ -32,7 +32,6 @@ below it.
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 import sys
 from dataclasses import dataclass
@@ -41,7 +40,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import InvalidInput, NotRealRooted
-from .linalg import _as_index
+from .linalg import _as_index, _as_real, _real_array
 
 __all__ = [
     "Polynomial",
@@ -82,26 +81,18 @@ _COMPENSATED_STEPS = 2
 class Polynomial:
     """Real polynomial with ascending coefficients; () is the zero polynomial.
 
-    Trailing zero coefficients are stripped on construction so the last
-    coefficient is always nonzero and ``degree == len(coeffs) - 1``.
+    ``coeffs`` is any iterable of finite reals, by the package's rule
+    for real arrays (:func:`~colsel.linalg._real_array`), else
+    :class:`InvalidInput`.  Trailing zero coefficients are stripped on
+    construction so the last coefficient is always nonzero and
+    ``degree == len(coeffs) - 1``.
     """
 
     coeffs: tuple[float, ...]
 
     def __init__(self, coeffs: Iterable[float]):
-        try:
-            values = coeffs if type(coeffs) is list else list(coeffs)
-            floats = list(map(float, values))
-        except (TypeError, RuntimeWarning):  # complex, or not an iterable at all
-            floats = None
-        # float() keeps only the real part of a NumPy complex scalar and
-        # warns (a ComplexWarning, caught above where warnings are errors).
-        # A list of floats converts to itself, so only other input is scanned.
-        if floats is None or floats != values and any(
-            isinstance(v, numbers.Complex) and v.imag for v in values
-        ):
-            raise InvalidInput(f"coeffs must be an iterable of real numbers, got {coeffs!r}")
-        object.__setattr__(self, "coeffs", _finite_stripped(floats))
+        c = _real_array(coeffs, 1, "coeffs").tolist()
+        object.__setattr__(self, "coeffs", _finite_stripped(c))
 
     @property
     def degree(self) -> int:
@@ -119,7 +110,10 @@ class Polynomial:
 def _finite_stripped(c: list[float]) -> tuple[float, ...]:
     """``c`` as a tuple without trailing zeros; :class:`InvalidInput` if one is not finite.
 
-    The zeros are popped from the list ``c`` in place.
+    The zeros are popped from the list ``c`` in place.  A Sturm remainder
+    needs the check; :class:`Polynomial`'s coefficients, already finite,
+    take it too, for a fraction of a microsecond, so that one function
+    strips both.
     """
     if not all(map(math.isfinite, c)):
         raise InvalidInput("polynomial coefficients must be finite")
@@ -166,16 +160,14 @@ def from_roots(roots: Sequence[float]) -> Polynomial:
     :func:`_from_roots_rows`, on the roots in ascending ``|root|`` order,
     which keeps cancellation small when they span several magnitudes.
 
-    A complex root gives complex coefficients and a non-finite one a
-    non-finite coefficient, and :class:`Polynomial` rejects both with
-    :class:`InvalidInput`.  A root that is not a number, such as a string
-    or ``None``, raises :class:`InvalidInput` too.
+    The roots follow the package's rule for real arrays
+    (:func:`~colsel.linalg._real_array`), so a complex, non-finite or
+    non-numeric root raises :class:`InvalidInput`, and so, from
+    :class:`Polynomial`, does a coefficient that overflows.
     """
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            row = _from_roots_rows(np.array([sorted(roots, key=abs)]))[0]
-    except TypeError:  # a root with no abs, or one the expansion cannot multiply
-        raise InvalidInput(f"roots must be real numbers, got {roots!r}") from None
+    r = _real_array(roots, 1, "roots")
+    with np.errstate(over="ignore", invalid="ignore"):
+        row = _from_roots_rows(r[None, np.argsort(np.abs(r), kind="stable")])[0]
     return Polynomial(row.tolist())
 
 
@@ -183,8 +175,7 @@ def _from_roots_rows(roots: np.ndarray) -> np.ndarray:
     """Row ``i``: the monic polynomial with roots ``roots[i]``, ascending
     coefficients, for the ``(C, n)`` array ``roots``; every root expansion
     in the package runs through here.  Factors are multiplied in column
-    order, one array operation per factor over all rows, in
-    ``np.result_type(roots, np.float64)``: float64 for real roots.
+    order, one array operation per factor over all rows, in float64.
 
     The expansion runs on a coefficient-major ``(n + 2, C)`` working array,
     so each factor updates whole contiguous rows of it, and the result is
@@ -193,7 +184,7 @@ def _from_roots_rows(roots: np.ndarray) -> np.ndarray:
     would row by row."""
     rows, n = roots.shape
     # row 0 stays zero: the coefficient below the constant one
-    c = np.zeros((n + 2, rows), np.result_type(roots, np.float64))
+    c = np.zeros((n + 2, rows))
     c[1] = 1.0
     for t in range(n):
         # c <- c * (x - r), one array operation over the t + 2 live
@@ -209,7 +200,8 @@ def derivative(p: Polynomial, times: int = 1) -> Polynomial:
     c = p.coeffs
     for _ in range(min(times, len(c))):
         c = _derivative_step(c)
-    return Polynomial(c)
+    # p's coefficients are finite floats already: only an overflow needs the check
+    return _wrap(_finite_stripped(list(c)))
 
 
 def _derivative_step(c: tuple[float, ...]) -> tuple[float, ...]:
@@ -275,7 +267,7 @@ def count_roots_leq(seq: Sequence[Sequence[float]], x: float) -> int:
     worse than sign noise in the float ambiguity region of the
     evaluation.
     """
-    if not math.isfinite(x):
+    if not math.isfinite(x := _as_real(x, InvalidInput, "count_roots_leq's point")):
         raise InvalidInput(f"count_roots_leq needs a finite point, got {x!r}")
     count = 0
     prev_left = prev = None
@@ -388,17 +380,6 @@ def _polished(c: Sequence[float], dp: Sequence[float], x: float, lo: float, hi: 
             break
         x = corrected
     return x
-
-
-def _check_real(name: str, value: object) -> None:
-    """:class:`InvalidInput` naming ``name`` unless ``value`` is a real number other than NaN.
-
-    A float, the type of every value the greedy loop passes, skips the
-    slower abstract-class check.
-    """
-    real = type(value) is float or isinstance(value, numbers.Real) and not isinstance(value, bool)
-    if not real or value != value:
-        raise InvalidInput(f"{name} must be a real number other than NaN, got {value!r}")
 
 
 def _side(c: Sequence[float], t: float) -> float:
@@ -570,7 +551,7 @@ def smallest_root(p: Polynomial, eps: float) -> float:
     The caller is responsible for real-rootedness; a polynomial with no
     real root in the Cauchy bracket raises :class:`NotRealRooted`.
     """
-    _check_real("eps", eps)
+    eps = _as_real(eps, InvalidInput, "eps")
     if not eps > 0.0:
         raise InvalidInput(f"eps must be > 0, got {eps}")
     if p.degree < 1:

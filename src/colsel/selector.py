@@ -11,7 +11,6 @@ larger root replaces the best, so ties go to the smallest column index.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -31,6 +30,7 @@ from .linalg import (
     SvdFactors,
     _as_index,
     _as_indices,
+    _as_real,
     _gram_updates,
     columns,
     hcat,
@@ -139,9 +139,7 @@ class SelectionProblem:
         if _as_index(self.k, InvalidInput, "k") < 1:
             raise InvalidInput(f"k must be >= 1, got {self.k}")
         object.__setattr__(self, "gamma", gamma(self.m, n, self.k, a_svd.rank))
-        if not isinstance(self.eps, numbers.Real) or isinstance(self.eps, bool):
-            raise InvalidInput(f"eps must be a real number, got {self.eps!r}")
-        object.__setattr__(self, "eps", float(self.eps))
+        object.__setattr__(self, "eps", _as_real(self.eps, InvalidInput, "eps"))
         if not 0.0 < self.eps < 1.0 / (2 * self.k):
             raise InvalidInput(
                 f"eps must be in (0, 1/(2k)) = (0, {1.0 / (2 * self.k)}), got {self.eps}"

@@ -23,11 +23,32 @@ def random_isotropic(
 
 
 def random_problem(
-    rng: np.random.Generator, n: int, m: int, ell: int, k: int, eps: float = 1e-6
+    rng: np.random.Generator,
+    n: int,
+    m: int,
+    ell: int,
+    k: int,
+    eps: float = 1e-6,
+    rank_a: int | None = None,
 ) -> SelectionProblem:
-    a = DenseMatrix(rng.standard_normal((n, ell)))
-    b = DenseMatrix(rng.standard_normal((n, m)))
-    return SelectionProblem(a=a, b=b, k=k, eps=eps)
+    """Gaussian ``b``, and a Gaussian fixed block ``a``, drawn first, or one of
+    rank ``rank_a``, the product of an ``(n, rank_a)`` and a ``(rank_a, ell)`` draw."""
+    if rank_a is None:
+        a = rng.standard_normal((n, ell))
+    else:
+        a = rng.standard_normal((n, rank_a)) @ rng.standard_normal((rank_a, ell))
+    b = rng.standard_normal((n, m))
+    return SelectionProblem(a=DenseMatrix(a), b=DenseMatrix(b), k=k, eps=eps)
+
+
+def harmonic_frame(n: int, m: int) -> np.ndarray:
+    """The real harmonic frame of ``m`` vectors in ``R^n``, ``n`` even and
+    ``m > n``: row pairs ``cos`` and ``sin`` of ``2 pi f j / m`` over the
+    columns ``j``, for ``f = 1..n/2``, scaled by ``sqrt(2/n)``.  Its columns
+    have unit norm and ``B B^T = (m/n) I``, a unit-norm tight frame (Goyal,
+    Kovacevic and Kelner, ACHA 2001)."""
+    angles = 2 * np.pi * np.outer(np.arange(1, n // 2 + 1), np.arange(m)) / m
+    return np.sqrt(2 / n) * np.stack([np.cos(angles), np.sin(angles)], axis=1).reshape(n, m)
 
 
 def valid_budgets(n: int, ell: int, m: int) -> range:

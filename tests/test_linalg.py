@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import enum
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +26,12 @@ def test_dense_matrix_rejects_non_finite():
         DenseMatrix([[1.0, float("nan")]])
     with pytest.raises(InvalidInput):
         DenseMatrix([[float("inf")], [0.0]])
+    # a long double beyond the float range, whatever the warning filters
+    for action in ("ignore", "error"):
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            with pytest.raises(InvalidInput):
+                DenseMatrix(np.array([[np.longdouble("1e400")]]))
 
 
 @pytest.mark.parametrize("data", [np.array([[1 + 2j, 3]]), [[1 + 2j, 3.0]], np.array([[1 + 0j]])])
@@ -267,6 +274,10 @@ def test_gram_update_basic():
         gram_update(g, [1.0, 2.0, 3.0])
     with pytest.raises(DimensionMismatch, match="must be square, got 2x3"):
         gram_update(DenseMatrix.zeros(2, 3), [1.0, 0.0])
+    # the vector follows DenseMatrix's rule: strings and bytes are not numbers
+    for y in (["1", "0"], [b"1", b"0"], [1 + 0j, 0.0]):
+        with pytest.raises(InvalidInput, match="y must be real numbers"):
+            gram_update(g, y)
 
 
 def test_gram_update_accumulates_to_identity():

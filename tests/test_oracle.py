@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 import tracemalloc
 import warnings
 from decimal import Decimal, localcontext
@@ -372,19 +373,11 @@ COMPARE_TREES_SHAPES = [
 ]
 
 
-def _shape_problem(n, m, ell, k, rank_a, seed):
-    rng = np.random.default_rng([191, n, m, ell, k, seed])
-    if rank_a is None:
-        a = rng.standard_normal((n, ell))
-    else:
-        a = rng.standard_normal((n, rank_a)) @ rng.standard_normal((rank_a, ell))
-    return SelectionProblem(a=DenseMatrix(a), b=DenseMatrix(rng.standard_normal((n, m))), k=k)
-
-
 @pytest.mark.parametrize("n, m, ell, k, rank_a", COMPARE_TREES_SHAPES)
 def test_gram_decided_norms_match_the_per_subset_svd(monkeypatch, n, m, ell, k, rank_a):
     for seed in range(2):
-        prob = _shape_problem(n, m, ell, k, rank_a, seed)
+        rng = np.random.default_rng([191, n, m, ell, k, seed])
+        prob = random_problem(rng, n, m, ell, k, rank_a=rank_a)
         result, rank_rule = _rank_rule_run(monkeypatch, prob)
         assert len(rank_rule) < len(result.all_values)
         _assert_matches_the_per_subset_svd(result, rank_rule, _per_subset_values(prob))
@@ -397,7 +390,8 @@ def test_gate_edge_spectral_norms_match_the_per_subset_svd(monkeypatch):
     edge = 0
     for shape in COMPARE_TREES_SHAPES:
         for seed in range(2):
-            prob = _shape_problem(*shape, seed)
+            prob = random_problem(np.random.default_rng([191, *shape[:4], seed]), *shape[:4],
+                                  rank_a=shape[4])
             result, rank_rule = _rank_rule_run(monkeypatch, prob)
             decided = [subset for subset in result.all_values if subset not in rank_rule]
             s = np.linalg.svd(np.array([_selected(prob, d) for d in decided]), compute_uv=False)
@@ -419,7 +413,8 @@ def test_built_grams_are_symmetric_and_within_the_forming_bound():
     worst = Fraction(0)
     for shape in COMPARE_TREES_SHAPES:
         for seed in range(2):
-            prob = _shape_problem(*shape, seed)
+            prob = random_problem(np.random.default_rng([191, *shape[:4], seed]), *shape[:4],
+                                  rank_a=shape[4])
             index = oracle._subset_index(prob.m, prob.k)
             rng = np.random.default_rng([223, *shape[:4], seed])
             batch = index[np.sort(rng.choice(len(index), 24, replace=False))]
@@ -444,7 +439,13 @@ def test_built_grams_are_symmetric_and_within_the_forming_bound():
 
 @pytest.mark.parametrize(
     "prob",
-    [*_batch_problems().values(), *(_shape_problem(*shape, 0) for shape in COMPARE_TREES_SHAPES)],
+    [
+        *_batch_problems().values(),
+        *(
+            random_problem(np.random.default_rng([191, *shape[:4], 0]), *shape[:4], rank_a=shape[4])
+            for shape in COMPARE_TREES_SHAPES
+        ),
+    ],
     ids=[*_batch_problems(), *("-".join(map(str, shape)) for shape in COMPARE_TREES_SHAPES)],
 )
 def test_the_optima_are_the_first_minima_of_the_table(prob):
@@ -823,16 +824,25 @@ def test_barrier_descent_validates_preconditions():
         barrier_descent_check(p, -3.0, -1.0)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "x", True])
 def test_barrier_checks_refuse_a_non_finite_point(bad):
     # NaN and -inf pass the comparison with the smallest root, and there the
     # ratio -p'(x)/p(x) is NaN: barrier returned NaN and the descent check
-    # False.
+    # False.  A point that is not a real number, a bool among them, is
+    # refused by the shared rule.
     p = from_roots([0.3, 0.7])
-    with pytest.raises(InvalidInput, match=r"barrier needs a finite x, got (nan|-?inf)"):
+    got = re.escape(repr(bad))
+    with pytest.raises(
+        InvalidInput,
+        match=rf"barrier('s x must be a real number other than NaN| needs a finite x), got {got}",
+    ):
         barrier(p, bad)
     for name, args in (("b", (bad, 0.1)), ("delta", (0.0, bad))):
-        with pytest.raises(InvalidInput, match=f"barrier_descent_check needs a finite {name}"):
+        with pytest.raises(
+            InvalidInput,
+            match=rf"barrier_descent_check('s {name} must be a real number other than NaN"
+            rf"| needs a finite {name}), got {got}",
+        ):
             barrier_descent_check(p, *args)
 
 

@@ -48,20 +48,26 @@ def test_polynomial_normalization():
         [np.complex128(1 + 2j), 1.0],
         (1.0, np.complex64(0.5j)),
         np.array([1 + 2j, 1.0], dtype=np.complex64),
+        "12",
+        ["1.5"],
+        [b"1"],
+        ["a"],
+        [10**400],
+        np.array([1 + 0j, 2.0]),
     ],
 )
 def test_polynomial_takes_real_coefficients_only(coeffs):
-    # float() of a NumPy complex scalar keeps its real part with only a
-    # ComplexWarning, which raises where warnings are errors.
+    # The same InvalidInput whatever the warning filters: a complex array
+    # is refused by its dtype, before any cast could warn.
     for action in ("ignore", "error"):
         with warnings.catch_warnings():
             warnings.simplefilter(action)
-            with pytest.raises(InvalidInput, match="coeffs must be an iterable of real numbers"):
+            with pytest.raises(InvalidInput, match="coeffs must be"):
                 Polynomial(coeffs)
 
 
 def test_polynomial_converts_real_numbers_of_any_type():
-    # Fraction(1, 3) is not equal to its float, so the complex scan runs too.
+    # NumPy scalars, ints and a Fraction each convert as float() converts them.
     assert Polynomial([np.float32(0.5), np.float64(2.0), 3, Fraction(1, 3)]).coeffs == (
         0.5, 2.0, 3.0, 1 / 3)
 
@@ -75,11 +81,13 @@ def test_from_roots_matches_the_row_expansion_and_rejects_roots_that_are_not_rea
     assert from_roots([]).coeffs == (1.0,)
     assert from_roots([Fraction(1, 2), 2]).coeffs == (1.0, -2.5, 1.0)
     # A non-finite or complex root is InvalidInput, never a numpy warning.
-    for bad in ([math.inf], [1.0, math.nan], [1e300] * 3, [1j], np.array([0.5, 1j])):
+    for bad in ([math.inf], [1.0, math.nan], [1e300] * 3, [1j], np.array([0.5, 1j]), [10**400]):
         with pytest.raises(InvalidInput):
             from_roots(bad)
-    # A root that is not a number is InvalidInput too, not the sort's TypeError.
-    for bad in (["1"], [None]):
+    # A root that is not a number is InvalidInput too, not the sort's TypeError,
+    # and so is a string or a NumPy complex among other objects, which float()
+    # would parse or cut to its real part.
+    for bad in (["1"], [None], [Fraction(1, 2), "1"], [Fraction(1, 2), np.complex64(1)]):
         with pytest.raises(InvalidInput, match="roots must be real numbers"):
             from_roots(bad)
 
@@ -230,10 +238,14 @@ def test_count_roots_leq():
 def test_count_roots_leq_refuses_a_non_finite_point():
     # Horner at +-inf or NaN gives NaN for every entry, which would read as
     # "both roots at or below -inf".
+    # A point that is not a real number is refused by the shared rule.
     p = from_roots([0.3, 0.7])
     for seq in (sturm_chain(p), _fourier_sequence(p)):
-        for x in (-math.inf, math.inf, math.nan):
-            with pytest.raises(InvalidInput, match="finite"):
+        for x in (-math.inf, math.inf, math.nan, "a", None):
+            with pytest.raises(
+                InvalidInput,
+                match="count_roots_leq('s point must be a real number other than NaN| needs a finite point)",
+            ):
                 count_roots_leq(seq, x)
 
 

@@ -16,6 +16,7 @@ from colsel.errors import AlgorithmFailure, InvalidInput, InvalidSubset, RankDef
 from colsel.expected_charpoly import _psd_eigenvalues, expected_poly, expected_poly_from_gram
 from colsel.linalg import DenseMatrix, _gram_updates, gram_update, norms_sq, pseudoinverse, thin_svd
 from colsel.oracle import (
+    brute_force,
     companion_smallest_root,
     replay_check,
     replay_steps,
@@ -33,7 +34,15 @@ from colsel.selector import (
     min_singular_check,
     verify_bound,
 )
-from conftest import in_call_order, in_x, random_problem, replayed_rows, spy, valid_budgets
+from conftest import (
+    harmonic_frame,
+    in_call_order,
+    in_x,
+    random_problem,
+    replayed_rows,
+    spy,
+    valid_budgets,
+)
 
 DOUBLED_IDENTITY = DenseMatrix([[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]])
 
@@ -406,11 +415,7 @@ def test_batched_grams_replay_the_per_candidate_loop_bit_for_bit(n, m, ell, k, r
     # steps are pinned there, and no root.
     rng = np.random.default_rng([n, m, ell, k])
     for _ in range(2):
-        if rank_a is None:
-            a = rng.standard_normal((n, ell))
-        else:
-            a = rng.standard_normal((n, rank_a)) @ rng.standard_normal((rank_a, ell))
-        prob = SelectionProblem(a=DenseMatrix(a), b=DenseMatrix(rng.standard_normal((n, m))), k=k)
+        prob = random_problem(rng, n, m, ell, k, rank_a=rank_a)
         if n == 12:
             _assert_replays(prob, None, steps=k - 2)
         else:
@@ -979,10 +984,7 @@ def _corner_of_the_preconditions(case: str, seed: int) -> SelectionProblem:
     if case == "scaled columns":
         prob = random_problem(rng, n, m, ell, k)
         return SelectionProblem(a=prob.a, b=DenseMatrix(prob.b.data * np.logspace(-6, 6, m)), k=k)
-    if case == "rank-2 a of width 5":
-        a = rng.standard_normal((n, 2)) @ rng.standard_normal((2, ell))
-        return SelectionProblem(a=DenseMatrix(a), b=DenseMatrix(rng.standard_normal((n, m))), k=k)
-    return random_problem(rng, n, m, ell, k)
+    return random_problem(rng, n, m, ell, k, rank_a=2 if case == "rank-2 a of width 5" else None)
 
 
 _MINIMAL_BUDGET_FAILS = _still_fails(
@@ -1017,3 +1019,26 @@ def test_greedy_corners(case, seed):
     prob = _corner_of_the_preconditions(case, seed)
     report = greedy_select(prob)
     assert verify_bound(prob, report.subset)[0]
+
+
+def test_tight_frames_meet_the_floor_the_bound_approaches():
+    # The paper's tightness claim: with unit columns and B B^T = (m/n) I and
+    # no fixed block, every k-subset has |B_S^+|_F^2 >= n^2/k and
+    # |B_S^+|_2^2 >= n/k, as tr(M^-1) >= n^2/tr(M) and lambda_min(M) <= tr(M)/n,
+    # so both ratios to the baseline are at least m/k, and the bound factor
+    # approaches m/k as m grows at a fixed k/m.  n = 12 is left out:
+    # (12, 400, k) raises, and from n = 10 outcomes change with the BLAS kernel.
+    for n, m, k in [(4, 14, 5), (4, 14, 8), (6, 48, 12), (6, 200, 50), (6, 200, 100)]:
+        prob = SelectionProblem(a=empty_block(n), b=DenseMatrix(harmonic_frame(n, m)), k=k)
+        report = greedy_select(prob)
+        frob = report.frob_sq / report.baseline_frob_sq
+        spec = report.spec_sq / report.baseline_spec_sq
+        for ratio in (frob, spec):
+            assert m / k <= ratio <= prob.bound_factor, (n, m, k, frob, spec)
+        if m == 200:
+            # greedy came within 0.3% of the floor (4.012 and 2.0012)
+            assert frob <= 1.01 * m / k, (n, m, k, frob)
+        if m == 14:
+            best = brute_force(prob)
+            assert best.best_frob_sq / report.baseline_frob_sq >= m / k, (n, m, k)
+            assert best.best_spec_sq / report.baseline_spec_sq >= m / k, (n, m, k)
